@@ -57,7 +57,6 @@ from .reality import (
 )
 from .twistor_metric import (
     Chart,
-    FlatChart,
     HKFrame,
     MetricReport,
     complex_structures,

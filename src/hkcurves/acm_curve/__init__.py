@@ -25,10 +25,7 @@ from .curve import (
 )
 from .fibers import (
     AffineFiber,
-    FiberClass,
-    FiberReport,
     FiberScheme,
-    classify_fiber,
     expected_hilbert,
     fiber_generators,
     fiber_hilbert_function,
@@ -55,10 +52,7 @@ __all__ = [
     "random_sigma_curve",
     "signed_maximal_minors",
     "AffineFiber",
-    "FiberClass",
-    "FiberReport",
     "FiberScheme",
-    "classify_fiber",
     "expected_hilbert",
     "fiber_generators",
     "fiber_hilbert_function",

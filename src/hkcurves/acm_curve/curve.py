@@ -4,17 +4,15 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from ..exact_algebra.ideals import GradedIdeal
 from ..exact_algebra.linalg import ExactMatrix
 from ..exact_algebra.polys import HomogPoly, monomial_count
-from ..exact_algebra.scalars import GaussianRational
+from ..exact_algebra.scalars import GaussianRational, random_gaussian_rows
 from ..pencil import canonical_pair, is_injective_pencil
 from ..reality import is_sigma_invariant_ideal, reality_conjugate
-
-_ZERO = GaussianRational(0, 0)
 
 CoeffTuple = Tuple[ExactMatrix, ExactMatrix, ExactMatrix, ExactMatrix]
 
@@ -247,15 +245,7 @@ def random_real_curve(
     """
     rng = random.Random(seed)
     for _ in range(max_tries):
-        A3 = ExactMatrix(
-            [
-                [
-                    GaussianRational(rng.randint(-span, span), rng.randint(-span, span))
-                    for _ in range(r)
-                ]
-                for _ in range(r + 1)
-            ]
-        )
+        A3 = ExactMatrix(random_gaussian_rows(rng, r + 1, r, span))
         try:
             curve = ACMCurve.from_real_pair(A3)
         except ValueError:

@@ -10,12 +10,11 @@ the truncated ideal, stratify the parameter line.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..exact_algebra.ideals import Row, combine_rows, monic_row
+from ..exact_algebra.ideals import Row, normal_form_table, sparse_echelon
 from ..exact_algebra.linalg import ExactMatrix
 from ..exact_algebra.scalars import GaussianRational
 
@@ -70,28 +69,11 @@ class AffineFiber:
             gdeg = _bivar_degree(g)
             for mi in range(cutoff - gdeg + 1):
                 for mj in range(cutoff - gdeg - mi + 1):
-                    row = sorted(
-                        (self.col_index[(i + mi, j + mj)], v) for (i, j), v in g.items()
+                    rows.append(
+                        sorted((self.col_index[(i + mi, j + mj)], v) for (i, j), v in g.items())
                     )
-                    rows.append(list(row))
-        pivots: Dict[int, Row] = {}
-        deferred: List[Row] = []
-        for row in rows:
-            if row[0][0] in pivots:
-                deferred.append(row)
-            else:
-                pivots[row[0][0]] = monic_row(row)
-        for row in deferred:
-            while row:
-                piv = pivots.get(row[0][0])
-                if piv is None:
-                    break
-                row = combine_rows(row, piv)
-            if row:
-                pivots[row[0][0]] = monic_row(row)
-        self.echelon = [pivots[c] for c in sorted(pivots)]
-        self.pivot_cols = set(pivots)
-        self._nf_table: Optional[Dict[int, Dict[int, GaussianRational]]] = None
+        self.echelon = sparse_echelon(rows)
+        self.pivot_cols = {row[0][0] for row in self.echelon}
 
     def _col_degree(self, col: int) -> int:
         m = self.columns[col]
@@ -121,23 +103,6 @@ class AffineFiber:
         """Non-pivot monomials; valid as a module basis once stabilized."""
         return [m for i, m in enumerate(self.columns) if i not in self.pivot_cols]
 
-    def _normal_forms(self) -> Dict[int, Dict[int, GaussianRational]]:
-        if self._nf_table is not None:
-            return self._nf_table
-        table: Dict[int, Dict[int, GaussianRational]] = {}
-        for row in reversed(self.echelon):
-            acc: Dict[int, GaussianRational] = {}
-            for col, val in row[1:]:
-                sub = table.get(col)
-                if sub is None:
-                    acc[col] = acc.get(col, _ZERO) - val
-                else:
-                    for c2, v2 in sub.items():
-                        acc[c2] = acc.get(c2, _ZERO) - val * v2
-            table[row[0][0]] = {c: v for c, v in acc.items() if not v.is_zero()}
-        self._nf_table = table
-        return table
-
     def multiplication_matrices(self) -> Tuple[ExactMatrix, ExactMatrix]:
         """Matrices of multiplication by u and v on the quotient basis.
 
@@ -148,7 +113,7 @@ class AffineFiber:
             raise ValueError("profile not stabilized; cutoff too small")
         basis = self.quotient_basis()
         basis_index = {m: i for i, m in enumerate(basis)}
-        table = self._normal_forms()
+        table = normal_form_table(self.echelon)
         dim = len(basis)
         cols_u: List[List[GaussianRational]] = []
         cols_v: List[List[GaussianRational]] = []
@@ -169,45 +134,9 @@ class AffineFiber:
         return mu, mv
 
 
-class FiberClass(Enum):
-    GENERIC = "generic"
-    SPECIAL = "special"
-
-
-@dataclass(frozen=True)
-class FiberReport:
-    t_is_infinity: bool
-    profile: Tuple[int, ...]
-    length: int
-    stabilized: bool
-    fiber_class: FiberClass
-
-
 def hilbert_profile(curve, t: GaussianRational, at_infinity: bool = False) -> Tuple[int, ...]:
     gens = fiber_generators(curve, t, at_infinity=at_infinity)
     return AffineFiber(gens, curve.r + 2).profile()
-
-
-def classify_fiber(curve, t: GaussianRational, at_infinity: bool = False) -> FiberReport:
-    """Hilbert data of one slice; generic means independent conditions.
-
-    A generic slice of a degree-d curve has H(k) = min((k+1)(k+2)/2, d),
-    which already reaches d at k = r-1.
-    """
-    gens = fiber_generators(curve, t, at_infinity=at_infinity)
-    fib = AffineFiber(gens, curve.r + 2)
-    profile = fib.profile()
-    d = curve.degree
-    generic = all(
-        profile[k] == min((k + 1) * (k + 2) // 2, d) for k in range(len(profile))
-    )
-    return FiberReport(
-        t_is_infinity=at_infinity,
-        profile=profile,
-        length=fib.length(),
-        stabilized=fib.stabilized(),
-        fiber_class=FiberClass.GENERIC if generic else FiberClass.SPECIAL,
-    )
 
 
 def fiber_multiplication_matrices(

@@ -2,9 +2,10 @@
 
 Every command takes one explicit --seed and derives per-item seeds as
 seed * count + index, so reruns with the same arguments write the same
-bytes to stdout.  Timing lines go to stderr only.  Exit codes: 0 all
-checks passed, 1 a verification failed, 2 unreadable input, 3 readable
-input that is not a usable object, 4 numeric extraction failure.
+bytes to stdout.  Items run one after another in index order.  Timing
+lines go to stderr only.  Exit codes: 0 all checks passed, 1 a
+verification failed, 2 unreadable input or an out-of-range argument, 3
+readable input that is not a usable object, 4 numeric extraction failure.
 """
 
 from __future__ import annotations
@@ -14,10 +15,9 @@ import json
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, TypeVar
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -54,8 +54,6 @@ EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_INVALID = 3
 EXIT_NUMERIC = 4
-
-_T = TypeVar("_T")
 
 
 class ParseFailure(Exception):
@@ -97,13 +95,6 @@ def _emit_json(doc: Dict[str, Any], out: Optional[Path], name: str) -> None:
 def _write_gram_csv(path: Path, gram: np.ndarray) -> None:
     lines = [",".join(f"{x:.17g}" for x in row) for row in gram]
     path.write_text("\n".join(lines) + "\n")
-
-
-def _pool(fn: Callable[[int], _T], count: int) -> List[_T]:
-    if count <= 1:
-        return [fn(k) for k in range(count)]
-    with ThreadPoolExecutor(max_workers=min(8, count)) as pool:
-        return list(pool.map(fn, range(count)))
 
 
 def _load_json(path: str) -> Any:
@@ -156,7 +147,7 @@ def document_to_curve(doc: Any) -> ACMCurve:
     if not isinstance(doc, dict):
         raise InvalidObject("curve document must be a JSON object")
     r = doc.get("r")
-    if not isinstance(r, int) or r < 1:
+    if type(r) is not int or r < 1:
         raise InvalidObject("curve document needs an integer field r >= 1")
     mats = {}
     for name in ("A1", "A2", "A3", "A4"):
@@ -235,7 +226,7 @@ def cmd_kronecker(args: argparse.Namespace) -> int:
         entry["ok"] = bool(identity) and stab == 1
         return entry
 
-    results = _pool(work, args.count)
+    results = [work(index) for index in range(args.count)]
     passed = all(e["ok"] for e in results)
     doc = {
         "command": "kronecker",
@@ -367,7 +358,7 @@ def cmd_acm_random(args: argparse.Namespace) -> int:
         except ValueError:
             return None
 
-    curves = _pool(work, args.count)
+    curves = [work(index) for index in range(args.count)]
     args.out.mkdir(parents=True, exist_ok=True)
     written = []
     for index, curve in enumerate(curves):
@@ -446,7 +437,7 @@ def cmd_rational(args: argparse.Namespace) -> int:
         entry["ok"] = entry["sum_ok"]
         return entry
 
-    results = _pool(work, args.count)
+    results = [work(index) for index in range(args.count)]
     histogram: Dict[str, int] = {}
     for entry in results:
         if "a" in entry:
@@ -498,7 +489,7 @@ def cmd_metric(args: argparse.Namespace) -> int:
             }
             raise NumericFailure(str(exc), bundle) from exc
 
-    frames = _pool(work, args.count)
+    frames = [work(index) for index in range(args.count)]
     report = frames_report(args.r, frames, args.skip_sigma_gauge)
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
@@ -561,6 +552,14 @@ def cmd_cohomology_table(args: argparse.Namespace) -> int:
 # parser
 
 
+def positive_int(text: str) -> int:
+    """Argument type for counts and sizes: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hkcurves",
@@ -570,8 +569,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_kron = sub.add_parser("kronecker", help="reduce random injective pencils")
-    p_kron.add_argument("--r", type=int, required=True)
-    p_kron.add_argument("--count", type=int, default=10)
+    p_kron.add_argument("--r", type=positive_int, required=True)
+    p_kron.add_argument("--count", type=positive_int, default=10)
     p_kron.add_argument("--seed", type=int, default=0)
     p_kron.add_argument("--out", type=Path, default=None)
     p_kron.set_defaults(func=cmd_kronecker)
@@ -581,29 +580,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = acm_sub.add_parser("verify", help="full report on one curve file")
     p_verify.add_argument("curve", help="curve document (JSON)")
-    p_verify.add_argument("--fibers", type=int, default=5)
+    p_verify.add_argument("--fibers", type=positive_int, default=5)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--out", type=Path, default=None)
     p_verify.set_defaults(func=cmd_acm_verify)
 
     p_random = acm_sub.add_parser("random", help="write certified curve documents")
-    p_random.add_argument("--r", type=int, required=True)
-    p_random.add_argument("--count", type=int, default=1)
+    p_random.add_argument("--r", type=positive_int, required=True)
+    p_random.add_argument("--count", type=positive_int, default=1)
     p_random.add_argument("--seed", type=int, default=0)
     p_random.add_argument("--out", type=Path, required=True)
     p_random.set_defaults(func=cmd_acm_random)
 
     p_rat = sub.add_parser("rational", help="splitting types of rational maps")
-    p_rat.add_argument("--d", type=int, default=None)
-    p_rat.add_argument("--count", type=int, default=20)
+    p_rat.add_argument("--d", type=positive_int, default=None)
+    p_rat.add_argument("--count", type=positive_int, default=20)
     p_rat.add_argument("--seed", type=int, default=0)
     p_rat.add_argument("--map", default=None, help="explicit map document (JSON)")
     p_rat.add_argument("--out", type=Path, default=None)
     p_rat.set_defaults(func=cmd_rational)
 
     p_metric = sub.add_parser("metric", help="metric constancy scan")
-    p_metric.add_argument("--r", type=int, required=True)
-    p_metric.add_argument("--count", type=int, default=10)
+    p_metric.add_argument("--r", type=positive_int, required=True)
+    p_metric.add_argument("--count", type=positive_int, default=10)
     p_metric.add_argument("--seed", type=int, default=0)
     p_metric.add_argument("--skip-sigma-gauge", action="store_true")
     p_metric.add_argument("--out", type=Path, default=None)
@@ -612,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_coh = sub.add_parser("cohomology", help="cohomology commands")
     coh_sub = p_coh.add_subparsers(dest="cohomology_command", required=True)
     p_table = coh_sub.add_parser("table", help="twisted ideal cohomology table")
-    p_table.add_argument("--r", type=int, default=None)
+    p_table.add_argument("--r", type=positive_int, default=None)
     p_table.add_argument("--curve", default=None, help="curve document (JSON)")
     p_table.add_argument("--seed", type=int, default=0)
     p_table.add_argument("--out", type=Path, default=None)

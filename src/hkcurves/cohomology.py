@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from .exact_algebra.ideals import Row, sparse_row_rank
-from .exact_algebra.modp import PRIMES, BadPrime, rank_mod, rows_mod
+from .exact_algebra.modp import ranks_mod, sparse_rank_certificate
 from .exact_algebra.polys import HomogPoly, graded_matrix, monomial_basis, monomial_count
 from .exact_algebra.scalars import GaussianRational
 
@@ -165,25 +165,21 @@ def _deformation_vectors(curve, twist: int, src_cols: List[int]) -> List[Row]:
     return vectors
 
 
-def _rank_mod_any_prime(rows: List[Row], ncols: int) -> int:
-    for p, root in PRIMES:
-        try:
-            return rank_mod(rows_mod(rows, ncols, p, root), p)
-        except BadPrime:
-            continue
-    return sparse_row_rank(rows)
-
-
 def normal_sections(curve, twist: int) -> int:
     """Dimension of degree-(r+twist) section vectors killed by the matrix.
 
     Sections of the normal sheaf twisted by `twist` are vectors
     (n_0, ..., n_r) of forms of degree r + twist on the curve with
     sum_i entries[i][j] * n_i = 0 in the coordinate ring for every j.
-    The kernel dimension is pinned by a sandwich: deformation vectors,
-    verified in the kernel exactly, bound it below through a modular
-    rank; the map's modular rank bounds it above.  Exact elimination
-    only runs when the bounds disagree.
+    The kernel dimension is pinned by a sandwich.  Deformation vectors,
+    verified in the kernel exactly, bound it below through their rank mod
+    the first usable prime (0 if none is usable):
+
+        lower <= rank(candidates) <= dim ker = ncols - rank(rows).
+
+    So rank(rows) <= ncols - lower, and a modular rank of the map that
+    meets ncols - lower certifies dim ker = lower.  Exact elimination only
+    runs when no prime does.
     """
     if twist not in (0, -1):
         raise ValueError("twist must be 0 or -1")
@@ -213,10 +209,8 @@ def normal_sections(curve, twist: int) -> int:
                     acc[col] = acc.get(col, _ZERO) + v
     rows = [sorted(acc.items()) for acc in rows_acc if acc]
 
-    candidates = _deformation_vectors(curve, twist, src_cols)
-    lower = _rank_mod_any_prime(candidates, ncols) if candidates else 0
-    upper = ncols - _rank_mod_any_prime(rows, ncols)
-    if lower == upper:
+    lower = next(ranks_mod(_deformation_vectors(curve, twist, src_cols), ncols), 0)
+    if sparse_rank_certificate(rows, ncols, ncols - lower):
         return lower
     return ncols - sparse_row_rank(rows)
 

@@ -10,7 +10,7 @@ long reduction chains.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .modp import sparse_rank_certificate
 from .polys import HomogPoly, monomial_basis, monomial_index
@@ -65,6 +65,57 @@ def _poly_to_row(poly: HomogPoly, degree: int, num_vars: int) -> Row:
     return [(c, v) for c, v in entries if v.re or v.im]
 
 
+def sparse_echelon(rows: Iterable[Row], target: Optional[int] = None) -> List[Row]:
+    """Monic echelon rows of the span of `rows`, sorted by pivot column.
+
+    A first pass places every row whose lead column is still free; the
+    deferred rows are then reduced against the pivots.  `target` is a
+    proven upper bound on the rank: reduction stops once it is reached,
+    and a rank above it raises ArithmeticError.
+    """
+    pivots: Dict[int, Row] = {}
+    deferred: List[Row] = []
+    for row in rows:
+        if not row:
+            continue
+        if row[0][0] in pivots:
+            deferred.append(row)
+        else:
+            pivots[row[0][0]] = monic_row(row)
+    if target is None or len(pivots) < target:
+        for row in deferred:
+            while row:
+                piv = pivots.get(row[0][0])
+                if piv is None:
+                    break
+                row = combine_rows(row, piv)
+            if row:
+                pivots[row[0][0]] = monic_row(row)
+                if target is not None and len(pivots) >= target:
+                    break
+    if target is not None and len(pivots) > target:
+        raise ArithmeticError(f"rank {len(pivots)} exceeds certified bound {target}")
+    return [pivots[c] for c in sorted(pivots)]
+
+
+def normal_form_table(echelon: Sequence[Row]) -> Dict[int, Dict[int, GaussianRational]]:
+    """Normal forms of pivot columns: pivot column -> {non-pivot column: coeff}."""
+    table: Dict[int, Dict[int, GaussianRational]] = {}
+    # tails only hold columns larger than the pivot, so descending pivot
+    # order sees every tail pivot already resolved
+    for row in reversed(echelon):
+        acc: Dict[int, GaussianRational] = {}
+        for col, val in row[1:]:
+            sub = table.get(col)
+            if sub is None:
+                acc[col] = acc.get(col, _ZERO) - val
+            else:
+                for c2, v2 in sub.items():
+                    acc[c2] = acc.get(c2, _ZERO) - val * v2
+        table[row[0][0]] = {c: v for c, v in acc.items() if v.re or v.im}
+    return table
+
+
 class GradedIdeal:
     """Homogeneous ideal given by generators of a single common degree.
 
@@ -97,21 +148,11 @@ class GradedIdeal:
 
     def _reduced_generators(self) -> List[Row]:
         cached = self._cache.get("gens")
-        if cached is not None:
-            return cached  # type: ignore[return-value]
-        rows = [_poly_to_row(g, self.gen_degree, self.num_vars) for g in self.generators]
-        pivots: Dict[int, Row] = {}
-        for row in rows:
-            while row:
-                piv = pivots.get(row[0][0])
-                if piv is None:
-                    break
-                row = combine_rows(row, piv)
-            if row:
-                pivots[row[0][0]] = monic_row(row)
-        reduced = [pivots[c] for c in sorted(pivots)]
-        self._cache["gens"] = reduced
-        return reduced
+        if cached is None:
+            cached = self._cache["gens"] = sparse_echelon(
+                _poly_to_row(g, self.gen_degree, self.num_vars) for g in self.generators
+            )
+        return cached  # type: ignore[return-value]
 
     def _row_stream(self, k: int) -> List[Row]:
         gens = self._reduced_generators()
@@ -138,29 +179,7 @@ class GradedIdeal:
             self._levels[k] = []
             return []
         target = self._bound(k) if self._bound is not None else None
-        pivots: Dict[int, Row] = {}
-        deferred: List[Row] = []
-        for row in self._row_stream(k):
-            if row[0][0] in pivots:
-                deferred.append(row)
-            else:
-                pivots[row[0][0]] = monic_row(row)
-        if target is None or len(pivots) < target:
-            for row in deferred:
-                while row:
-                    piv = pivots.get(row[0][0])
-                    if piv is None:
-                        break
-                    row = combine_rows(row, piv)
-                if row:
-                    pivots[row[0][0]] = monic_row(row)
-                    if target is not None and len(pivots) >= target:
-                        break
-        if target is not None and len(pivots) > target:
-            raise ArithmeticError(
-                f"degree {k}: rank {len(pivots)} exceeds certified bound {target}"
-            )
-        level = [pivots[c] for c in sorted(pivots)]
+        level = sparse_echelon(self._row_stream(k), target)
         self._levels[k] = level
         return level
 
@@ -187,9 +206,6 @@ class GradedIdeal:
         self._dims[k] = dim
         return dim
 
-    def echelon_rows(self, k: int) -> List[Row]:
-        return self._build(k)
-
     def pivot_columns(self, k: int) -> List[int]:
         return [row[0][0] for row in self._build(k)]
 
@@ -202,27 +218,11 @@ class GradedIdeal:
     # -- normal forms -----------------------------------------------------
 
     def _reduced(self, k: int) -> Dict[int, Dict[int, GaussianRational]]:
-        """Normal forms of pivot monomials: pivot column -> {quotient column: coeff}."""
         key = ("rref", k)
         cached = self._cache.get(key)
-        if cached is not None:
-            return cached  # type: ignore[return-value]
-        level = self._build(k)
-        table: Dict[int, Dict[int, GaussianRational]] = {}
-        # tails only hold columns larger than the pivot, so descending pivot
-        # order sees every tail pivot already resolved
-        for row in reversed(level):
-            acc: Dict[int, GaussianRational] = {}
-            for col, val in row[1:]:
-                sub = table.get(col)
-                if sub is None:
-                    acc[col] = acc.get(col, _ZERO) - val
-                else:
-                    for c2, v2 in sub.items():
-                        acc[c2] = acc.get(c2, _ZERO) - val * v2
-            table[row[0][0]] = {c: v for c, v in acc.items() if v.re or v.im}
-        self._cache[key] = table
-        return table
+        if cached is None:
+            cached = self._cache[key] = normal_form_table(self._build(k))
+        return cached  # type: ignore[return-value]
 
     def normal_form(self, poly: HomogPoly) -> Dict[int, GaussianRational]:
         """Coordinates of poly mod I_k on the quotient monomial basis."""
@@ -242,14 +242,4 @@ class GradedIdeal:
 
 def sparse_row_rank(rows: Sequence[Row]) -> int:
     """Exact rank of a list of sparse rows, no bound assumed."""
-    pivots: Dict[int, Row] = {}
-    for row in rows:
-        row = list(row)
-        while row:
-            piv = pivots.get(row[0][0])
-            if piv is None:
-                break
-            row = combine_rows(row, piv)
-        if row:
-            pivots[row[0][0]] = monic_row(row)
-    return len(pivots)
+    return len(sparse_echelon(rows))

@@ -2,15 +2,17 @@
 
 Elimination is fraction-free (Bareiss) with partial pivoting by first nonzero
 entry: rows are scaled to Gaussian-integer form once, and every interior
-division in the update step is exact by the Bareiss identity (asserted).
+division in the update step is exact by the Bareiss identity (checked).
 Rank, kernel and determinant are exact; there is no floating fallback here.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from math import gcd
 
-from .scalars import GaussianRational
+from .scalars import GaussianRational, random_gaussian_rows
 
 # Gaussian integers as plain (int, int) pairs inside the eliminator.
 
@@ -32,11 +34,12 @@ def _gi_div(x, y):
     n = c * c + d * d
     re, rr = divmod(a * c + b * d, n)
     im, ri = divmod(b * c - a * d, n)
-    assert rr == 0 and ri == 0, "inexact Bareiss division"
+    if rr or ri:
+        raise AssertionError("inexact Bareiss division")
     return (re, im)
 
 
-def _int_rows(matrix: "ExactMatrix"):
+def _int_rows(rows):
     """Clear denominators row by row; returns list of lists of (int, int).
 
     Row scaling by positive integers; preserves rank and right kernel, and
@@ -44,22 +47,24 @@ def _int_rows(matrix: "ExactMatrix"):
     """
     out = []
     scales = []
-    for row in matrix.data:
+    for row in rows:
         lcm = 1
         for z in row:
             for q in (z.re, z.im):
                 d = q.denominator
                 if d != 1:
-                    lcm = lcm * d // _gcd(lcm, d)
-        out.append([(int(z.re * lcm), int(z.im * lcm)) for z in row])
+                    lcm = lcm * d // gcd(lcm, d)
+        out.append(
+            [
+                (
+                    z.re.numerator * (lcm // z.re.denominator),
+                    z.im.numerator * (lcm // z.im.denominator),
+                )
+                for z in row
+            ]
+        )
         scales.append(lcm)
     return out, scales
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _bareiss(rows, ncols, stop_rank=None):
@@ -204,14 +209,6 @@ class ExactMatrix:
             [list(self.data[i]) + list(other.data[i]) for i in range(self.rows)]
         )
 
-    def vstack(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.cols != other.cols:
-            raise ValueError("col mismatch")
-        return ExactMatrix(list(self.data) + list(other.data))
-
-    def subrows(self, indices) -> "ExactMatrix":
-        return ExactMatrix([list(self.data[i]) for i in indices])
-
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
@@ -237,21 +234,21 @@ class ExactMatrix:
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        zero = GaussianRational(0)
-        ot = other.transpose().data
+        # Gaussian-integer form: one Fraction per product entry, not per term
+        left, lscales = _int_rows(self.data)
+        right, rscales = _int_rows(other.transpose().data)
         out = []
-        for row in self.data:
+        for row, ls in zip(left, lscales):
             out_row = []
-            for col in ot:
-                acc = zero
-                for a, b in zip(row, col):
-                    if not (a.is_zero() or b.is_zero()):
-                        acc = acc + a * b
-                out_row.append(acc)
+            for col, rs in zip(right, rscales):
+                re = im = 0
+                for (a, b), (c, d) in zip(row, col):
+                    re += a * c - b * d
+                    im += a * d + b * c
+                s = ls * rs
+                out_row.append(GaussianRational(Fraction(re, s), Fraction(im, s)))
             out.append(out_row)
         return ExactMatrix(out)
-
-    __mul__ = __matmul__
 
     def apply(self, vec):
         """Matrix times column vector (list)."""
@@ -270,7 +267,7 @@ class ExactMatrix:
     def rank(self) -> int:
         if self.rows == 0 or self.cols == 0:
             return 0
-        rows, _ = _int_rows(self)
+        rows, _ = _int_rows(self.data)
         rank, _, _ = _bareiss(rows, self.cols)
         return rank
 
@@ -281,7 +278,7 @@ class ExactMatrix:
             return ExactMatrix([])
         if self.rows == 0:
             return ExactMatrix.identity(n)
-        rows, _ = _int_rows(self)
+        rows, _ = _int_rows(self.data)
         rank, pivots, _ = _bareiss(rows, n)
         free = [j for j in range(n) if j not in set(pivots)]
         zero, one = GaussianRational(0), GaussianRational(1)
@@ -310,7 +307,7 @@ class ExactMatrix:
         n = self.rows
         if n == 0:
             return GaussianRational(1)
-        rows, scales = _int_rows(self)
+        rows, scales = _int_rows(self.data)
         rank, _, sign = _bareiss(rows, n)
         if rank < n:
             return GaussianRational(0)
@@ -324,7 +321,7 @@ class ExactMatrix:
     def solve(self, rhs):
         """One solution x of self @ x = rhs (rhs a list), or None."""
         aug = self.hstack(ExactMatrix.from_columns([rhs], self.rows))
-        rows, _ = _int_rows(aug)
+        rows, _ = _int_rows(aug.data)
         rank, pivots, _ = _bareiss(rows, aug.cols)
         if pivots and pivots[-1] == self.cols:
             return None  # inconsistent
@@ -371,3 +368,11 @@ class ExactMatrix:
             " ".join(str(z) for z in row) for row in self.data
         )
         return f"ExactMatrix({self.rows}x{self.cols}: {body})"
+
+
+def random_invertible(size: int, rng: random.Random, span: int = 2) -> ExactMatrix:
+    """Seeded invertible Gaussian-integer matrix: draws until det != 0."""
+    while True:
+        m = ExactMatrix(random_gaussian_rows(rng, size, size, span))
+        if not m.det().is_zero():
+            return m

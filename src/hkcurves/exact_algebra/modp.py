@@ -10,7 +10,7 @@ proves nothing; callers retry or fall back to exact arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -86,6 +86,20 @@ def rank_mod(matrix: np.ndarray, p: int, stop_rank: int | None = None) -> int:
     return rank
 
 
+def ranks_mod(
+    rows: Sequence[Sequence[Tuple[int, GaussianRational]]],
+    ncols: int,
+    stop_rank: int | None = None,
+) -> Iterator[int]:
+    """Rank of the rows mod each prime of PRIMES in turn, skipping bad primes."""
+    for p, s in PRIMES:
+        try:
+            m = rows_mod(rows, ncols, p, s)
+        except BadPrime:
+            continue
+        yield rank_mod(m, p, stop_rank)
+
+
 def sparse_rank_certificate(
     rows: Sequence[Sequence[Tuple[int, GaussianRational]]],
     ncols: int,
@@ -96,11 +110,4 @@ def sparse_rank_certificate(
     False means no tried prime reached the bound; the exact rank may still
     equal it, so the caller must recheck exactly before concluding anything.
     """
-    for p, s in PRIMES:
-        try:
-            m = rows_mod(rows, ncols, p, s)
-        except BadPrime:
-            continue
-        if rank_mod(m, p, stop_rank=upper_bound) >= upper_bound:
-            return True
-    return False
+    return any(rank >= upper_bound for rank in ranks_mod(rows, ncols, upper_bound))

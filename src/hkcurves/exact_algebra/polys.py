@@ -146,20 +146,6 @@ class HomogPoly:
             total = total + term
         return total
 
-    def substitute(self, images: list) -> "HomogPoly":
-        """Ring substitution x_i -> images[i] (homogeneous of equal degree)."""
-        deg = images[0].degree
-        n = images[0].num_vars
-        one = HomogPoly(n, 0, {tuple([0] * n): GaussianRational(1)})
-        total = HomogPoly(n, self.degree * deg, {})
-        for mono, c in self.coeffs.items():
-            term = one
-            for img, e in zip(images, mono):
-                for _ in range(e):
-                    term = term * img
-            total = total + term.scale(c)
-        return total
-
     def conj_coeffs(self) -> "HomogPoly":
         return HomogPoly(
             self.num_vars, self.degree, {m: v.conj() for m, v in self.coeffs.items()}

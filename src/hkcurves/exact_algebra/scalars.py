@@ -12,8 +12,10 @@ ASCII and round-trips byte-identically.
 
 from __future__ import annotations
 
+import random
 import re
 from fractions import Fraction
+from typing import Tuple
 
 _RAT = r"[+-]?\d+(?:/\d+)?"
 _URAT = r"\d+(?:/\d+)?"
@@ -28,8 +30,9 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        # keep an exact Fraction as given; Fraction(q) rebuilds it slowly
+        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
+        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
@@ -143,7 +146,8 @@ class GaussianRational:
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # equal to an int or Fraction when real, so hash like it
+        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
 
     def __complex__(self):
         return complex(float(self.re), float(self.im))
@@ -178,3 +182,20 @@ I = GaussianRational(0, 1)
 
 def gauss(re=0, im=0) -> GaussianRational:
     return GaussianRational(re, im)
+
+
+def random_gaussian_rows(
+    rng: random.Random, rows: int, cols: int, span: int
+) -> Tuple[Tuple[GaussianRational, ...], ...]:
+    """rows x cols Gaussian integers, both parts uniform on [-span, span].
+
+    Entries are drawn row by row, real part before imaginary part, so a
+    seeded rng always yields the same matrix.
+    """
+    return tuple(
+        tuple(
+            GaussianRational(rng.randint(-span, span), rng.randint(-span, span))
+            for _ in range(cols)
+        )
+        for _ in range(rows)
+    )

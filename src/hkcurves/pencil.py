@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .exact_algebra.linalg import ExactMatrix
-from .exact_algebra.modp import PRIMES, BadPrime, rank_mod, rows_mod
+from .exact_algebra.ideals import sparse_row_rank
+from .exact_algebra.modp import sparse_rank_certificate
 from .exact_algebra.polys import UniPoly, uni_gcd, uni_interpolate
-from .exact_algebra.scalars import GaussianRational
+from .exact_algebra.scalars import GaussianRational, random_gaussian_rows
 
 _ZERO = GaussianRational(0, 0)
 _ONE = GaussianRational(1, 0)
@@ -91,7 +92,8 @@ def is_injective_pencil(A1: ExactMatrix, A2: ExactMatrix) -> InjectivityReport:
         if square_part.degree == 0:
             break
         reduced, rem = reduced.divmod(square_part)
-        assert rem.is_zero()
+        if not rem.is_zero():
+            raise AssertionError("squarefree reduction left a remainder")
     if reduced.degree == 1:
         lam = -(reduced.coeffs[0] / reduced.coeffs[1])
         return InjectivityReport(False, (_ONE, lam), g)
@@ -202,19 +204,9 @@ def pair_stabilizer_dimension(A1: ExactMatrix, A2: ExactMatrix) -> int:
                 sparse.append(sorted(entries.items()))
     # (zI, -zI) always solves the system, so the kernel holds a line and
     # the rank stays below num; a modular rank of num - 1 is then exact
-    for p, s in PRIMES:
-        try:
-            if rank_mod(rows_mod(sparse, num, p, s), p, stop_rank=num - 1) == num - 1:
-                return 1
-        except BadPrime:
-            continue
-    rows = []
-    for row_entries in sparse:
-        row = [_ZERO] * num
-        for col, v in row_entries:
-            row[col] = v
-        rows.append(row)
-    return ExactMatrix(rows, cols=num).kernel_basis().shape[1]
+    if sparse_rank_certificate(sparse, num, num - 1):
+        return 1
+    return num - sparse_row_rank(sparse)
 
 
 def random_injective_pencil(
@@ -223,16 +215,7 @@ def random_injective_pencil(
     """Seeded (A1, A2) with every member of full column rank."""
     rng = random.Random(seed)
     for _ in range(max_tries):
-        mats = []
-        for _k in range(2):
-            rows = [
-                [
-                    GaussianRational(rng.randint(-span, span), rng.randint(-span, span))
-                    for _j in range(r)
-                ]
-                for _i in range(r + 1)
-            ]
-            mats.append(ExactMatrix(rows))
+        mats = [ExactMatrix(random_gaussian_rows(rng, r + 1, r, span)) for _k in range(2)]
         if is_injective_pencil(mats[0], mats[1]).ok:
             return mats[0], mats[1]
     raise ValueError("no injective pencil found within the retry bound")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .exact_algebra.linalg import ExactMatrix
 from .exact_algebra.polys import UniPoly, uni_gcd
-from .exact_algebra.scalars import GaussianRational
+from .exact_algebra.scalars import GaussianRational, random_gaussian_rows
 
 _ZERO = GaussianRational(0)
 
@@ -297,13 +297,7 @@ def random_rational_map(d: int, seed: int, span: int = 3, max_tries: int = 64) -
         raise ValueError("need degree >= 1")
     rng = random.Random(seed * 1_000_003 + d)
     for _ in range(max_tries):
-        forms = tuple(
-            tuple(
-                GaussianRational(rng.randint(-span, span), rng.randint(-span, span))
-                for _ in range(d + 1)
-            )
-            for _ in range(4)
-        )
+        forms = random_gaussian_rows(rng, 4, d + 1, span)
         try:
             curve_map = RationalCurveMap(forms)
         except ValueError:

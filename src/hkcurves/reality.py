@@ -18,11 +18,10 @@ from typing import Sequence, Tuple
 from .exact_algebra.ideals import GradedIdeal
 from .exact_algebra.linalg import ExactMatrix
 from .exact_algebra.polys import HomogPoly
-from .exact_algebra.scalars import GaussianRational
+from .exact_algebra.scalars import GaussianRational, random_gaussian_rows
 from .pencil import is_injective_pencil
 
 _ZERO = GaussianRational(0, 0)
-_ONE = GaussianRational(1, 0)
 
 
 def sigma_point(p: Sequence[GaussianRational]) -> Tuple[GaussianRational, ...]:
@@ -98,25 +97,19 @@ def make_sigma_invariant_pencil(r: int, seed: int, span: int = 3, max_tries: int
         raise ValueError("need r >= 1")
     rng = random.Random(1000003 * seed + r)
 
-    def draw():
-        return tuple(
-            GaussianRational(rng.randint(-span, span), rng.randint(-span, span))
-            for _ in range(4)
-        )
-
     n = r + 1
     for _ in range(max_tries):
         entries = [[None] * r for _ in range(n)]
         if r % 2 == 1:
             for k in range(n // 2):
                 for j in range(r):
-                    c = draw()
+                    c = random_gaussian_rows(rng, 1, 4, span)[0]
                     entries[2 * k][j] = c
                     entries[2 * k + 1][j] = _sigma_linear_coeffs(c)
         else:
             for k in range(r // 2):
                 for i in range(n):
-                    c = draw()
+                    c = random_gaussian_rows(rng, 1, 4, span)[0]
                     entries[i][2 * k] = c
                     entries[i][2 * k + 1] = _sigma_linear_coeffs(c)
         mats = tuple(
@@ -169,20 +162,3 @@ def reality_conjugate(A3: ExactMatrix) -> ExactMatrix:
 
 def is_real_pair(A3: ExactMatrix, A4: ExactMatrix) -> bool:
     return A4 == reality_conjugate(A3)
-
-
-def sigma_pair_A34(
-    M: ExactMatrix, t: GaussianRational
-) -> Tuple[ExactMatrix, ExactMatrix]:
-    """Unique real pair (A3, A4) with A3 + t*A4 = M.
-
-    Solving A3 + t*tau(A3) = M with tau antilinear and tau^2 = -id gives
-    A3 = (M - t*tau(M)) / (1 + |t|^2); the denominator never vanishes.
-    """
-    tau_m = reality_conjugate(M)
-    denom = _ONE + t * t.conj()
-    A3 = (M - tau_m.scale(t)).scale(_ONE / denom)
-    A4 = reality_conjugate(A3)
-    if A3 + A4.scale(t) != M:
-        raise AssertionError("real pair reconstruction failed")
-    return A3, A4

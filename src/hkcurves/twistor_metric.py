@@ -19,7 +19,7 @@ import numpy as np
 
 from .acm_curve.curve import ACMCurve, LinearMatrix, random_real_curve
 from .acm_curve.fibers import fiber_points
-from .exact_algebra.linalg import ExactMatrix
+from .exact_algebra.linalg import ExactMatrix, random_invertible
 from .exact_algebra.scalars import GaussianRational
 from .pencil import canonical_pair, kronecker_reduce
 from .reality import reality_conjugate
@@ -54,9 +54,6 @@ class Chart:
 
     def numeric(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         return tuple(np.array(A.to_complex()) for A in (self.A1, self.A2, self.A3, self.A4))
-
-
-FlatChart = Chart
 
 
 def normalize_to_flat_chart(curve: ACMCurve) -> Chart:
@@ -402,27 +399,12 @@ def extract_metric(
 # flatness scan
 
 
-def _random_invertible(size: int, rng: random.Random, span: int = 2) -> ExactMatrix:
-    while True:
-        m = ExactMatrix(
-            [
-                [
-                    GaussianRational(rng.randint(-span, span), rng.randint(-span, span))
-                    for _ in range(size)
-                ]
-                for _ in range(size)
-            ]
-        )
-        if not m.det().is_zero():
-            return m
-
-
 def random_scrambled_curve(r: int, seed: int) -> ACMCurve:
     """Invariant certified curve pushed out of its canonical gauge."""
     curve = random_real_curve(r, seed=seed * 7919 + 11)
     rng = random.Random(seed * 104729 + r)
-    G = _random_invertible(r + 1, rng)
-    H = _random_invertible(r, rng)
+    G = random_invertible(r + 1, rng)
+    H = random_invertible(r, rng)
     return curve.gauge(G, H)
 
 

@@ -6,7 +6,7 @@ raises AssertionError inside, so a return means every instance held.
 
 import random
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List
 
 from hkcurves.acm_curve import ACMCurve, random_real_curve
 from hkcurves.acm_curve.fibers import (
@@ -17,7 +17,7 @@ from hkcurves.acm_curve.fibers import (
     fiber_points,
 )
 from hkcurves.exact_algebra.ideals import combine_rows
-from hkcurves.exact_algebra.linalg import ExactMatrix
+from hkcurves.exact_algebra.linalg import ExactMatrix, random_invertible
 from hkcurves.exact_algebra.polys import HomogPoly, graded_matrix, monomial_basis
 from hkcurves.exact_algebra.scalars import GaussianRational
 from hkcurves.pencil import (
@@ -30,21 +30,6 @@ from hkcurves.pencil import (
 
 ZERO = GaussianRational(0, 0)
 ONE = GaussianRational(1, 0)
-
-
-def random_invertible(size: int, rng: random.Random, span: int = 2) -> ExactMatrix:
-    while True:
-        m = ExactMatrix(
-            [
-                [
-                    GaussianRational(rng.randint(-span, span), rng.randint(-span, span))
-                    for _ in range(size)
-                ]
-                for _ in range(size)
-            ]
-        )
-        if not m.det().is_zero():
-            return m
 
 
 def random_gauss(rng: random.Random, span: int = 6) -> GaussianRational:

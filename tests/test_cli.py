@@ -203,6 +203,38 @@ def test_exit_3_on_ragged_map_rows(tmp_path, capsys):
     assert run(capsys, ["rational", "--map", path])[0] == 3
 
 
+def test_exit_3_on_boolean_r(tmp_path, capsys):
+    doc = curve_to_document(random_sigma_curve(1, 0))
+    doc["r"] = True
+    path = write_doc(tmp_path, "bool_r.json", doc)
+    assert run(capsys, ["acm", "verify", path])[0] == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kronecker", "--r", "0"],
+        ["kronecker", "--r", "2", "--count", "0"],
+        ["metric", "--r", "0"],
+        ["metric", "--r", "1", "--count", "-1"],
+        ["acm", "random", "--r", "0", "--out", "unused"],
+        ["acm", "random", "--r", "2", "--count", "0", "--out", "unused"],
+        ["acm", "verify", "unused.json", "--fibers", "0"],
+        ["cohomology", "table", "--r", "0"],
+        ["rational", "--d", "0"],
+        ["rational", "--d", "3", "--count", "0"],
+    ],
+)
+def test_exit_2_on_out_of_range_argument(argv, capsys, monkeypatch):
+    # the parser rejects the value before any command starts work
+    for name in ("cmd_kronecker", "cmd_metric", "cmd_acm_random", "cmd_acm_verify",
+                 "cmd_cohomology_table", "cmd_rational"):
+        monkeypatch.setattr(f"hkcurves.cli.{name}", None)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_argparse_rejects_unknown_command(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

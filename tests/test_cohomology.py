@@ -14,7 +14,7 @@ from hkcurves.cohomology import (
     normal_sheaf_report,
 )
 from hkcurves.exact_algebra.ideals import GradedIdeal
-from hkcurves.exact_algebra.linalg import ExactMatrix
+from hkcurves.exact_algebra.linalg import ExactMatrix, random_invertible
 from hkcurves.exact_algebra.polys import monomial_count
 from hkcurves.exact_algebra.scalars import GaussianRational
 
@@ -162,21 +162,7 @@ def test_normal_sections_gauge_invariant():
     curve = random_sigma_curve(2, 9)
     rng = _random.Random(9)
 
-    def inv(n):
-        while True:
-            m = ExactMatrix(
-                [
-                    [
-                        GaussianRational(rng.randint(-2, 2), rng.randint(-2, 2))
-                        for _ in range(n)
-                    ]
-                    for _ in range(n)
-                ]
-            )
-            if not m.det().is_zero():
-                return m
-
-    gauged = curve.gauge(inv(3), inv(2))
+    gauged = curve.gauge(random_invertible(3, rng), random_invertible(2, rng))
     assert gauged.certificate().ok
     assert normal_sections(gauged, 0) == normal_sections(curve, 0)
     assert normal_sections(gauged, -1) == normal_sections(curve, -1)

@@ -20,6 +20,16 @@ def test_constructor_and_equality():
     assert GaussianRational(Fraction(1, 2)) == gauss(Fraction(1, 2))
 
 
+def test_hash_agrees_with_equality():
+    # a real value equals the int or Fraction it holds, so it must hash alike
+    assert GaussianRational(3) == 3 and 3 in {GaussianRational(3)}
+    assert Fraction(-5, 3) in {GaussianRational(Fraction(-5, 3))}
+    assert hash(GaussianRational(Fraction(1, 2))) == hash(Fraction(1, 2))
+    z = GaussianRational(1, 2)
+    assert hash(z) == hash(GaussianRational(Fraction(2, 2), 2))
+    assert len({z, GaussianRational(1), 1, Fraction(1)}) == 2
+
+
 def test_field_axioms_seeded():
     rng = random.Random(11)
     for _ in range(200):
