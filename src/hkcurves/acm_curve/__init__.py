@@ -9,7 +9,6 @@ planar point sets whose Hilbert functions stratify the parameter line.
 
 from .curve import (
     ACMCurve,
-    CertifiedFlags,
     LinearMatrix,
     ResolutionCertificate,
     avoids_base_line,
@@ -32,13 +31,13 @@ from .fibers import (
     fiber_multiplication_matrices,
     fiber_points,
     hilbert_profile,
+    random_fiber_parameters,
     restrict_to_fiber,
     stratum_check,
 )
 
 __all__ = [
     "ACMCurve",
-    "CertifiedFlags",
     "LinearMatrix",
     "ResolutionCertificate",
     "avoids_base_line",
@@ -59,6 +58,7 @@ __all__ = [
     "fiber_multiplication_matrices",
     "fiber_points",
     "hilbert_profile",
+    "random_fiber_parameters",
     "restrict_to_fiber",
     "stratum_check",
 ]

@@ -12,7 +12,7 @@ from ..exact_algebra.linalg import ExactMatrix
 from ..exact_algebra.polys import HomogPoly, monomial_count
 from ..exact_algebra.scalars import GaussianRational, random_gaussian_rows
 from ..pencil import canonical_pair, is_injective_pencil
-from ..reality import is_sigma_invariant_ideal, reality_conjugate
+from ..reality import reality_conjugate
 
 CoeffTuple = Tuple[ExactMatrix, ExactMatrix, ExactMatrix, ExactMatrix]
 
@@ -118,15 +118,8 @@ def maximal_minors(matrix: LinearMatrix) -> List[HomogPoly]:
     return signed_maximal_minors(matrix.entry_polys())
 
 
-@dataclass
-class CertifiedFlags:
-    base_avoidance: Optional[bool] = None
-    sigma_invariance: Optional[bool] = None
-    exactness: Optional[bool] = None
-
-
 class ACMCurve:
-    """Curve data: linear matrix, minor generators, graded ideal, flags."""
+    """Curve data: linear matrix, minor generators, graded ideal."""
 
     def __init__(self, matrix):
         if not isinstance(matrix, LinearMatrix):
@@ -142,12 +135,6 @@ class ACMCurve:
             raise ValueError("all maximal minors vanish identically")
         self.ideal = GradedIdeal([m for m in self.minors if not m.is_zero()])
         self.ideal.set_certified_bound(lambda k: predicted_ideal_dimension(self.r, k))
-        self.certified = CertifiedFlags(
-            base_avoidance=is_injective_pencil(matrix.A1, matrix.A2).ok,
-            sigma_invariance=is_sigma_invariant_ideal(
-                [m for m in self.minors if not m.is_zero()], self.r
-            ),
-        )
         self._certificate: Optional["ResolutionCertificate"] = None
 
     @property
@@ -214,7 +201,6 @@ def certify_resolution(curve: ACMCurve) -> ResolutionCertificate:
         (k, dims[k], expected[k]) for k in window if dims[k] != expected[k]
     )
     ok = cofactor and injective and not mismatches
-    curve.certified.exactness = ok
     return ResolutionCertificate(
         ok=ok,
         cofactor_identity=cofactor,

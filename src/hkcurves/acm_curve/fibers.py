@@ -9,7 +9,9 @@ the truncated ideal, stratify the parameter line.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -159,7 +161,8 @@ def fiber_points(
     Raises ArithmeticError when the slice is not reduced enough for the
     eigenvector method (clustered spectrum, large residuals).
     """
-    mu, mv = fiber_multiplication_matrices(curve, t, at_infinity=at_infinity)
+    gens = fiber_generators(curve, t, at_infinity=at_infinity)
+    mu, mv = AffineFiber(gens, curve.r + 2).multiplication_matrices()
     nu = np.array(mu.to_complex())
     nv = np.array(mv.to_complex())
     rng = np.random.default_rng(2)
@@ -185,7 +188,6 @@ def fiber_points(
             1.0, np.abs(du).max(), np.abs(dv).max()
         ):
             continue
-        gens = fiber_generators(curve, t, at_infinity=at_infinity)
         pts = np.stack([du, dv], axis=1)
         resid = max(
             abs(sum(complex(c) * (u ** i) * (v ** j) for (i, j), c in g.items()))
@@ -200,6 +202,20 @@ def fiber_points(
         )
         return pts[order]
     raise ArithmeticError("slice spectrum not separable; slice may be non-reduced")
+
+
+def random_fiber_parameters(count: int, seed: int) -> List[GaussianRational]:
+    """`count` distinct seeded plane parameters with small denominators."""
+    rng = random.Random(seed)
+    out: List[GaussianRational] = []
+    while len(out) < count:
+        t = GaussianRational(
+            Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+            Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+        )
+        if t not in out:
+            out.append(t)
+    return out
 
 
 def expected_hilbert(r: int, k: int) -> int:

@@ -107,7 +107,15 @@ def sparse_rank_certificate(
 ) -> bool:
     """True iff some prime exhibits rank == upper_bound (then exact rank == bound).
 
-    False means no tried prime reached the bound; the exact rank may still
-    equal it, so the caller must recheck exactly before concluding anything.
+    rank mod p <= exact rank <= upper_bound for every usable prime p, so a
+    modular rank at the bound pins the exact rank, and one above it proves
+    the bound false: that raises ArithmeticError.  False means no tried
+    prime reached the bound; the exact rank may still equal it, so the
+    caller must recheck exactly before concluding anything.
     """
-    return any(rank >= upper_bound for rank in ranks_mod(rows, ncols, upper_bound))
+    for rank in ranks_mod(rows, ncols, upper_bound + 1):
+        if rank > upper_bound:
+            raise ArithmeticError(f"rank {rank} mod p exceeds certified bound {upper_bound}")
+        if rank == upper_bound:
+            return True
+    return False

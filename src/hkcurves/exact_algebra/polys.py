@@ -151,10 +151,6 @@ class HomogPoly:
             self.num_vars, self.degree, {m: v.conj() for m, v in self.coeffs.items()}
         )
 
-    def coefficient_vector(self) -> list:
-        basis = monomial_basis(self.num_vars, self.degree)
-        return [self.coeffs.get(m, _ZERO) for m in basis]
-
     def __repr__(self):
         if not self.coeffs:
             return "HomogPoly(0)"
@@ -191,14 +187,6 @@ class GradedMap:
 
     def __setattr__(self, name, value):
         raise AttributeError("GradedMap is immutable")
-
-    @property
-    def source_dim(self) -> int:
-        return self.source_mult * monomial_count(self.num_vars, self.source_degree)
-
-    @property
-    def target_dim(self) -> int:
-        return self.target_mult * monomial_count(self.num_vars, self.target_degree)
 
 
 def graded_matrix(phi: list, source_degree: int, num_vars: int) -> GradedMap:

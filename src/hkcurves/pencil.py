@@ -114,16 +114,29 @@ def kronecker_reduce(A1: ExactMatrix, A2: ExactMatrix) -> KroneckerReduction:
     polynomials of degree r is one-dimensional; writing its coefficient
     rows as c_0..c_r, the rows c_k*A1 (k < r) are invertible and conjugate
     the pair onto (S, -T), fixed up by alternating sign flips.
+
+    The closing exact check certifies the result: it forces Q to have
+    rank r and, since [S | T] has rank r+1, P to be invertible, so the
+    pencil is injective whenever this returns.  Injectivity is tested
+    only to word a failed construction.
     """
     r = _check_shape(A1, A2)
-    report = is_injective_pencil(A1, A2)
-    if not report.ok:
+    try:
+        return _shift_gauge(A1, A2, r)
+    except (ValueError, AssertionError):
+        report = is_injective_pencil(A1, A2)
+        if report.ok:
+            raise
         if report.witness is not None:
             mu, lam = report.witness
-            raise ValueError(f"pencil drops rank at [{mu}:{lam}]; cannot reduce")
+            raise ValueError(f"pencil drops rank at [{mu}:{lam}]; cannot reduce") from None
         raise ValueError(
             f"pencil drops rank where {report.minor_gcd!r} vanishes; cannot reduce"
-        )
+        ) from None
+
+
+def _shift_gauge(A1: ExactMatrix, A2: ExactMatrix, r: int) -> KroneckerReduction:
+    """The gauge of kronecker_reduce; raises when a step or the check fails."""
     n = r + 1
     # unknowns: c_k[i], flattened as k*n + i; equations indexed by (k, j):
     # sum_i c_k[i] A2[i,j] + c_{k-1}[i] A1[i,j] = 0 for k = 0..r+1

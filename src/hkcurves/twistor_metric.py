@@ -11,9 +11,10 @@ must then come out constant across charts, which is the flatness test.
 from __future__ import annotations
 
 import cmath
+import functools
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -164,6 +165,7 @@ def _operator_matrix(r: int, op) -> ExactMatrix:
     return ExactMatrix([[cols[j][i] for j in range(n)] for i in range(n)])
 
 
+@functools.lru_cache(maxsize=None)
 def complex_structures(r: int) -> Tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
     """Exact matrices of the three quaternionic operators on real coordinates."""
     return (
@@ -187,40 +189,29 @@ def point_derivative(
     chart: Chart,
     t: GaussianRational,
     point: Tuple[complex, complex],
-    section: TangentSection,
+    sections: Sequence[TangentSection],
     consistency_tol: float = 1e-8,
-    _cache: Optional[dict] = None,
-) -> Tuple[complex, complex]:
-    """First-order move of one fiber point under a chart move.
+) -> np.ndarray:
+    """First-order move (du, dv) of one fiber point under each chart move.
 
     The point solves every maximal minor of the chart matrix at its
     plane; differentiating the two best-conditioned minors gives a 2x2
     linear solve, and a second minor pair must agree within tolerance.
+    Minor gradients and pairs depend only on the point; row s of the
+    result belongs to sections[s].
     """
-    A1n, A2n, A3n, A4n = chart.numeric() if _cache is None else _cache["mats"]
+    A1n, A2n, A3n, A4n = chart.numeric()
     r = chart.r
     u, v = point
     tn = complex(t)
     M = A1n * u + A2n * v + A3n + tn * A4n
-    dA3n = np.array(section.dA3.to_complex())
-    dA4n = np.array(section.dA4.to_complex())
-    D = dA3n + tn * dA4n
-    if _cache is not None and "grads" in _cache:
-        grads = _cache["grads"]
-    else:
-        grads = []
-        for k in range(r + 1):
-            rows = [a for a in range(r + 1) if a != k]
-            N = M[rows]
-            gu = sum(_column_replaced_det(N, c, A1n[rows][:, c]) for c in range(r))
-            gv = sum(_column_replaced_det(N, c, A2n[rows][:, c]) for c in range(r))
-            grads.append((gu, gv, rows, N))
-        if _cache is not None:
-            _cache["grads"] = grads
-    deltas = []
-    for gu, gv, rows, N in grads:
-        dd = sum(_column_replaced_det(N, c, D[rows][:, c]) for c in range(r))
-        deltas.append(dd)
+    grads = []
+    for k in range(r + 1):
+        rows = [a for a in range(r + 1) if a != k]
+        N = M[rows]
+        gu = sum(_column_replaced_det(N, c, A1n[rows][:, c]) for c in range(r))
+        gv = sum(_column_replaced_det(N, c, A2n[rows][:, c]) for c in range(r))
+        grads.append((gu, gv, rows, N))
     pairs = sorted(
         (
             (abs(grads[a][0] * grads[b][1] - grads[a][1] * grads[b][0]), a, b)
@@ -229,22 +220,31 @@ def point_derivative(
         ),
         reverse=True,
     )
-    best = None
-    for det_ab, a, b in pairs[:2]:
-        if det_ab == 0:
-            continue
-        J = np.array([[grads[a][0], grads[a][1]], [grads[b][0], grads[b][1]]])
-        rhs = -np.array([deltas[a], deltas[b]])
-        sol = np.linalg.solve(J, rhs)
-        if best is None:
-            best = sol
-        else:
-            scale = max(1.0, float(np.abs(best).max()))
+    solvable = [
+        (a, b, np.array([[grads[a][0], grads[a][1]], [grads[b][0], grads[b][1]]]))
+        for det_ab, a, b in pairs[:2]
+        if det_ab != 0
+    ]
+    if not solvable:
+        raise ArithmeticError("all minor gradient pairs are singular at the point")
+    out = np.empty((len(sections), 2), dtype=complex)
+    for s_idx, section in enumerate(sections):
+        dA3n = np.array(section.dA3.to_complex())
+        dA4n = np.array(section.dA4.to_complex())
+        D = dA3n + tn * dA4n
+        deltas = [
+            sum(_column_replaced_det(N, c, D[rows][:, c]) for c in range(r))
+            for _gu, _gv, rows, N in grads
+        ]
+        best, *others = [
+            np.linalg.solve(J, -np.array([deltas[a], deltas[b]])) for a, b, J in solvable
+        ]
+        scale = max(1.0, float(np.abs(best).max()))
+        for sol in others:
             if float(np.abs(sol - best).max()) > consistency_tol * scale:
                 raise ArithmeticError("minor pairs disagree on the point derivative")
-    if best is None:
-        raise ArithmeticError("all minor gradient pairs are singular at the point")
-    return complex(best[0]), complex(best[1])
+        out[s_idx] = best
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -333,14 +333,9 @@ def extract_metric(
             continue
         try:
             pts = fiber_points(curve, t)
-            cache: dict = {"mats": chart.numeric()}
             deltas = np.empty((n, len(pts), 2), dtype=complex)
             for p_idx, (u, v) in enumerate(pts):
-                cache.pop("grads", None)
-                for s_idx, section in enumerate(basis):
-                    deltas[s_idx, p_idx] = point_derivative(
-                        chart, t, (complex(u), complex(v)), section, _cache=cache
-                    )
+                deltas[:, p_idx] = point_derivative(chart, t, (complex(u), complex(v)), basis)
         except (ArithmeticError, np.linalg.LinAlgError):
             continue
         ts.append(t)

@@ -5,9 +5,7 @@ pinned at the values the library promises.  Each criterion records its
 line before asserting so a failure still reports.
 """
 
-import random
 import time
-from fractions import Fraction
 
 from conftest import record_criterion, sigma_suites
 from suites import (
@@ -21,6 +19,7 @@ from suites import (
 from hkcurves.acm_curve import (
     expected_hilbert,
     fiber_hilbert_function,
+    random_fiber_parameters,
     restrict_to_fiber,
     stratum_check,
 )
@@ -29,7 +28,6 @@ from hkcurves.cohomology import (
     ideal_cohomology,
     normal_sheaf_report,
 )
-from hkcurves.exact_algebra.scalars import GaussianRational
 from hkcurves.pencil import (
     apply_gauge,
     canonical_pair,
@@ -46,19 +44,6 @@ from hkcurves.rational_curve import (
     twisted_cubic_map,
 )
 from hkcurves.twistor_metric import flatness_scan
-
-
-def random_parameters(count, seed):
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        t = GaussianRational(
-            Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
-            Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
-        )
-        if t not in out:
-            out.append(t)
-    return out
 
 
 def test_criterion_1_pencil_reduction():
@@ -128,7 +113,7 @@ def test_criterion_4_fiber_lengths_and_strata():
     for r in (2, 3):
         display = tuple(expected_hilbert(r, k) for k in range(r + 3))
         for idx, curve in enumerate(pool[r]):
-            for t in random_parameters(5, seed=1000 * r + idx):
+            for t in random_fiber_parameters(5, seed=1000 * r + idx):
                 scheme = restrict_to_fiber(curve, t)
                 ok = ok and scheme.length() == r * (r + 1) // 2
                 ok = ok and fiber_hilbert_function(scheme) == display

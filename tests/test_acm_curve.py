@@ -27,7 +27,8 @@ from hkcurves.exact_algebra.ideals import GradedIdeal
 from hkcurves.exact_algebra.linalg import ExactMatrix
 from hkcurves.exact_algebra.polys import HomogPoly
 from hkcurves.exact_algebra.scalars import GaussianRational
-from hkcurves.pencil import canonical_pair
+from hkcurves.pencil import canonical_pair, is_injective_pencil
+from hkcurves.reality import is_sigma_invariant_ideal
 
 ZERO = GaussianRational(0, 0)
 ONE = GaussianRational(1, 0)
@@ -117,7 +118,7 @@ def test_certificate_fails_for_non_injective_pencil():
     cert = curve.certificate()
     assert not cert.ok
     assert cert.mismatches != ()
-    assert curve.certified.exactness is False
+    assert curve.certificate().ok is False
 
 
 def test_from_real_pair_builds_invariant_curve():
@@ -131,7 +132,7 @@ def test_from_real_pair_builds_invariant_curve():
     )
     curve = ACMCurve.from_real_pair(A3)
     assert (curve.matrix.A1, curve.matrix.A2) == canonical_pair(r)
-    assert curve.certified.sigma_invariance
+    assert is_sigma_invariant_ideal(curve.ideal.generators, r)
 
 
 def test_random_curves_are_deterministic():
@@ -146,8 +147,8 @@ def test_random_curves_are_deterministic():
 def test_random_sigma_curve_is_certified_invariant():
     for r in (2, 3):
         curve = random_sigma_curve(r, 0)
-        assert curve.certified.base_avoidance
-        assert curve.certified.sigma_invariance
+        assert is_injective_pencil(curve.matrix.A1, curve.matrix.A2).ok
+        assert is_sigma_invariant_ideal(curve.ideal.generators, r)
         assert curve.certificate().ok
         assert avoids_base_line(curve)
 

@@ -1,8 +1,9 @@
 """Exact fallbacks behind the modular rank shortcuts.
 
 Every modular shortcut goes through `modp.ranks_mod`, which tries the
-primes of `modp.PRIMES` in turn.  With no primes at all, each caller must
-reach the same answer by exact elimination alone.
+primes of `modp.PRIMES` in turn and skips a prime whose reduction raises
+`BadPrime`.  With no primes at all, and again with every prime bad, each
+caller must reach the same answer by exact elimination alone.
 """
 
 import pytest
@@ -15,16 +16,30 @@ from hkcurves.pencil import canonical_pair, pair_stabilizer_dimension, random_in
 
 
 def no_primes(monkeypatch):
-    monkeypatch.setattr(modp, "PRIMES", ())
+    """Yields twice with no usable prime: `modp.PRIMES` empty, then every
+    prime raising `BadPrime` in `modp.rows_mod`."""
+    with monkeypatch.context() as patch:
+        patch.setattr(modp, "PRIMES", ())
+        yield "no primes"
+    refused = []
+
+    def bad_prime(rows, ncols, p, s):
+        refused.append(p)
+        raise modp.BadPrime(f"forced for {p}")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(modp, "rows_mod", bad_prime)
+        yield "every prime bad"
+    assert refused, "no prime was tried"
 
 
 def test_ideal_dimensions_without_primes(monkeypatch):
     curves = [random_sigma_curve(2, seed) for seed in range(3)]
     window = range(0, 7)
     default = [[c.ideal.dimension(k) for k in window] for c in curves]
-    no_primes(monkeypatch)
-    exact = [[ACMCurve(c.matrix).ideal.dimension(k) for k in window] for c in curves]
-    assert exact == default
+    for mode in no_primes(monkeypatch):
+        exact = [[ACMCurve(c.matrix).ideal.dimension(k) for k in window] for c in curves]
+        assert exact == default, mode
     assert default[0] == [predicted_ideal_dimension(2, k) for k in window]
 
 
@@ -34,25 +49,32 @@ def test_pair_stabilizer_dimension_without_primes(monkeypatch):
     # (S, S) is not injective; its stabilizer is larger than the line (zI, -zI)
     pairs += [(S, T), (S, S)]
     default = [pair_stabilizer_dimension(A1, A2) for A1, A2 in pairs]
-    no_primes(monkeypatch)
-    assert [pair_stabilizer_dimension(A1, A2) for A1, A2 in pairs] == default
+    for mode in no_primes(monkeypatch):
+        assert [pair_stabilizer_dimension(A1, A2) for A1, A2 in pairs] == default, mode
     assert default[:4] == [1, 1, 1, 1] and default[4] > 1
 
 
 def test_normal_sections_without_primes(monkeypatch):
     curves = [random_sigma_curve(2, seed) for seed in (7, 8)]
     default = [(normal_sections(c, 0), normal_sections(c, -1)) for c in curves]
-    no_primes(monkeypatch)
-    fresh = [ACMCurve(c.matrix) for c in curves]
-    assert [(normal_sections(c, 0), normal_sections(c, -1)) for c in fresh] == default
+    for mode in no_primes(monkeypatch):
+        fresh = [ACMCurve(c.matrix) for c in curves]
+        assert [(normal_sections(c, 0), normal_sections(c, -1)) for c in fresh] == default, mode
     assert default == [(12, 6), (12, 6)]
 
 
 def test_wrong_certified_bound_raises(monkeypatch):
     curve = random_sigma_curve(2, 0)
-    ideal = GradedIdeal([m for m in curve.minors if not m.is_zero()])
+    gens = [m for m in curve.minors if not m.is_zero()]
+    # one below the true dimension: the default primes reach bound + 1
+    for k in range(2, 6):
+        ideal = GradedIdeal(gens)
+        ideal.set_certified_bound(lambda k: predicted_ideal_dimension(2, k) - 1)
+        with pytest.raises(ArithmeticError, match="exceeds certified bound"):
+            ideal.dimension(k)
+    ideal = GradedIdeal(gens)
     # the three generators times x0 already have three distinct lead columns
     ideal.set_certified_bound(lambda k: 1)
-    no_primes(monkeypatch)
+    monkeypatch.setattr(modp, "PRIMES", ())
     with pytest.raises(ArithmeticError, match="exceeds certified bound"):
         ideal.dimension(3)

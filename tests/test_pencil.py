@@ -56,8 +56,15 @@ def test_injectivity_failure_produces_witness():
 def test_reduce_rejects_non_injective():
     A1 = ExactMatrix([[ONE, ZERO], [ZERO, ZERO], [ZERO, ZERO]])
     A2 = ExactMatrix([[ZERO, ZERO], [ZERO, ONE], [ONE, ZERO]])
-    with pytest.raises(ValueError):
-        kronecker_reduce(A1, A2)
+    S, T = canonical_pair(3)
+    for pair in [(A1, A2), (S, S), (T, T), (S, S.scale(GaussianRational(2)))]:
+        with pytest.raises(ValueError, match="drops rank at"):
+            kronecker_reduce(*pair)
+    # the minors share the factor lambda^2 - 2, which has no root in Q(i)
+    B1 = ExactMatrix([[ZERO, GaussianRational(2)], [ONE, ZERO], [ZERO, ZERO]])
+    B2 = ExactMatrix([[ONE, ZERO], [ZERO, ONE], [ZERO, ZERO]])
+    with pytest.raises(ValueError, match="vanishes; cannot reduce"):
+        kronecker_reduce(B1, B2)
 
 
 def test_reduction_identity_seeded():

@@ -1,6 +1,9 @@
 """Rules that hold for every module under src/."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -17,3 +20,17 @@ def test_no_assert_statements():
             if isinstance(node, ast.Assert)
         ]
     assert found == []
+
+
+def test_optimized_run_matches():
+    # a seeded slice under python -O must behave exactly as without it
+    argv = ["-m", "hkcurves.cli", "kronecker", "--r", "3", "--count", "2", "--seed", "0"]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    runs = [
+        subprocess.run(
+            [sys.executable, *flags, *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+        for flags in (["-O"], [])
+    ]
+    assert [run.returncode for run in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout

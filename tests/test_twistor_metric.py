@@ -156,7 +156,7 @@ def test_point_derivative_matches_central_difference():
     eps = Fraction(1, 10**5)
     for sec in (basis[0], basis[3], basis[8]):
         u, v = complex(pts[0][0]), complex(pts[0][1])
-        du, dv = point_derivative(chart, t, (u, v), sec)
+        du, dv = point_derivative(chart, t, (u, v), [sec])[0]
 
         def nearest(sign):
             s = GaussianRational(sign * eps)
@@ -188,7 +188,7 @@ def test_point_derivative_consistency_guard():
     sec = real_tangent_basis(2)[1]
     wrong = (complex(pts[0][0]) + 0.3, complex(pts[0][1]) - 0.2)
     with pytest.raises(ArithmeticError):
-        point_derivative(chart, t, wrong, sec, consistency_tol=1e-12)
+        point_derivative(chart, t, wrong, [sec], consistency_tol=1e-12)
 
 
 def test_sample_parameters_distinct_and_offset_consistent():
