@@ -15,6 +15,7 @@ from .curve import (
     certify_resolution,
     curve_degree,
     curve_genus,
+    entry_cofactors,
     invariants,
     maximal_minors,
     predicted_ideal_dimension,
@@ -44,6 +45,7 @@ __all__ = [
     "certify_resolution",
     "curve_degree",
     "curve_genus",
+    "entry_cofactors",
     "invariants",
     "maximal_minors",
     "predicted_ideal_dimension",

@@ -113,6 +113,35 @@ def signed_maximal_minors(entries: List[List[HomogPoly]]) -> List[HomogPoly]:
     return out
 
 
+def entry_cofactors(entries: List[List[HomogPoly]]) -> List[List[List[HomogPoly]]]:
+    """d[i0][j0][i]: derivative of minor_i in the entry (i0, j0).
+
+    Perturbing entry (i0, j0) by a form f moves minor_i by f * d[i0][j0][i]:
+    the signed maximal minors of the matrix without row i0 and column j0,
+    times (-1)^(i0+j0+1), with zero at i = i0.  Differentiating the Laplace
+    expansion sum_i minor_i * entries[i][j] = 0 (a determinant with a
+    repeated column) in that entry gives, for every matrix,
+
+        sum_i d[i0][j0][i] * entries[i][j] = -minor_i0 * delta(j, j0).
+    """
+    r = len(entries) - 1
+    one = HomogPoly(4, 0, {(0, 0, 0, 0): GaussianRational(1)})
+    zero = HomogPoly(4, r - 1, {})
+    out = []
+    for i0 in range(r + 1):
+        rows = [entries[a] for a in range(r + 1) if a != i0]
+        per_column = []
+        for j0 in range(r):
+            sub = [[row[b] for b in range(r) if b != j0] for row in rows]
+            cof = signed_maximal_minors(sub) if r > 1 else [one]
+            if (i0 + j0) % 2 == 0:
+                cof = [-d for d in cof]
+            cof.insert(i0, zero)
+            per_column.append(cof)
+        out.append(per_column)
+    return out
+
+
 def maximal_minors(matrix: LinearMatrix) -> List[HomogPoly]:
     """Signed maximal minors of the linear matrix, degree r each."""
     return signed_maximal_minors(matrix.entry_polys())
@@ -136,6 +165,7 @@ class ACMCurve:
         self.ideal = GradedIdeal([m for m in self.minors if not m.is_zero()])
         self.ideal.set_certified_bound(lambda k: predicted_ideal_dimension(self.r, k))
         self._certificate: Optional["ResolutionCertificate"] = None
+        self._cofactors: Optional[List[List[List[HomogPoly]]]] = None
 
     @property
     def degree(self) -> int:
@@ -156,6 +186,12 @@ class ACMCurve:
         if self._certificate is None:
             self._certificate = certify_resolution(self)
         return self._certificate
+
+    def cofactors(self) -> List[List[List[HomogPoly]]]:
+        """`entry_cofactors` of the matrix, computed once."""
+        if self._cofactors is None:
+            self._cofactors = entry_cofactors(self.entries)
+        return self._cofactors
 
     def gauge(self, P: ExactMatrix, Q: ExactMatrix) -> "ACMCurve":
         return ACMCurve(self.matrix.gauge(P, Q))

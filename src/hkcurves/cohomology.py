@@ -11,9 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 from .exact_algebra.ideals import Row, sparse_row_rank
-from .exact_algebra.modp import ranks_mod, sparse_rank_certificate
-from .exact_algebra.polys import HomogPoly, graded_matrix, monomial_basis, monomial_count
+from .exact_algebra.modp import matmul_mod, rank_mod, reductions
+from .exact_algebra.polys import graded_matrix, monomial_basis, monomial_count, monomial_index
 from .exact_algebra.scalars import GaussianRational
 
 Table = Tuple[int, int, int, int]
@@ -96,73 +98,43 @@ def ellia_stability_check(curve) -> bool:
     )
 
 
-def _poly_det(mat: List[List[HomogPoly]]) -> HomogPoly:
-    """Determinant by first-row expansion; empty matrix gives the unit."""
-    n = len(mat)
-    if n == 0:
-        return HomogPoly(4, 0, {(0, 0, 0, 0): _ONE})
-    if n == 1:
-        return mat[0][0]
-    acc = None
-    for j in range(n):
-        sub = [[row[b] for b in range(n) if b != j] for row in mat[1:]]
-        term = mat[0][j] * _poly_det(sub)
-        if j % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
+def _table_rows(ideal, degree: int, cols: List[int]) -> List[Row]:
+    """Exact normal form of every degree-`degree` monomial on the quotient basis."""
+    table = ideal.reduction_table(degree)
+    pos = {c: k for k, c in enumerate(cols)}
+    rows: List[Row] = []
+    for c in range(monomial_count(4, degree)):
+        sub = table.get(c)
+        if sub is None:
+            rows.append([(pos[c], _ONE)])
+        else:
+            rows.append([(pos[c2], v) for c2, v in sub.items()])
+    return rows
 
 
-def _deformation_vectors(curve, twist: int, src_cols: List[int]) -> List[Row]:
-    """Kernel vectors from first-order deformations of the matrix.
+def _shift_index(monos, shifts, degree: int) -> np.ndarray:
+    """[k, n]: basis index of monos[n] times the monomial shifts[k] in `degree`."""
+    index = monomial_index(4, degree)
+    return np.array([[index[tuple(a + b for a, b in zip(m, e))] for m in monos] for e in shifts])
 
-    Perturbing entry (i0, j0) by a form f moves minor_i by
-    (-1)^(i+pos+j0) * f * det(matrix without rows i, i0 and column j0);
-    differentiating the cofactor identity shows the resulting vector of
-    normal forms is killed by every column of the matrix mod the ideal.
-    Degree-(1+twist) perturbations give degree-(r+twist) vectors.
-    """
+
+def _exact_map_rows(curve, src_cols: List[int], tgt_cols: List[int], m_src: int) -> List[Row]:
+    """Rows (j, target column) of the pairing map over Q(i), columns (i, source column)."""
     r = curve.r
-    if twist == 0:
-        forms = [HomogPoly.variable(4, v) for v in range(4)]
-    else:
-        forms = [HomogPoly(4, 0, {(0, 0, 0, 0): _ONE})]
-    src_pos = {c: pos for pos, c in enumerate(src_cols)}
-    n_src = len(src_cols)
-    index_src = {m: c for c, m in enumerate(monomial_basis(4, r + twist))}
-    vectors: List[Row] = []
-    zero_r = HomogPoly(4, r, {})
-    for i0 in range(r + 1):
-        for j0 in range(r):
-            cof: Dict[int, HomogPoly] = {}
-            for i in range(r + 1):
-                if i == i0:
-                    continue
-                rows = [curve.entries[a] for a in range(r + 1) if a not in (i, i0)]
-                sub = [[row[b] for b in range(r) if b != j0] for row in rows]
-                pos = i0 - (1 if i0 > i else 0)
-                d = _poly_det(sub)
-                cof[i] = d if (i + pos + j0) % 2 == 0 else -d
-            # exact check of the differentiated identity, once per position;
-            # kernel membership for every perturbing form follows linearly
+    src_basis = monomial_basis(4, m_src)
+    tgt_pos = {c: pos for pos, c in enumerate(tgt_cols)}
+    n_src, n_tgt = len(src_cols), len(tgt_cols)
+    rows_acc: List[Dict[int, GaussianRational]] = [dict() for _ in range(r * n_tgt)]
+    for i in range(r + 1):
+        for s_pos, s_col in enumerate(src_cols):
+            col = i * n_src + s_pos
+            s_mono = src_basis[s_col]
             for j in range(r):
-                acc = zero_r
-                for i, d in cof.items():
-                    acc = acc + d * curve.entries[i][j]
-                want = -curve.minors[i0] if j == j0 else zero_r
-                if acc != want:
-                    raise ArithmeticError("cofactor derivative identity failed")
-            for f in forms:
-                coords: Dict[int, GaussianRational] = {}
-                for i, d in cof.items():
-                    nf = curve.ideal.normal_form(f * d)
-                    for c, v in nf.items():
-                        col = i * n_src + src_pos[c]
-                        coords[col] = coords.get(col, _ZERO) + v
-                vec = sorted((c, v) for c, v in coords.items() if not v.is_zero())
-                if vec:
-                    vectors.append(vec)
-    return vectors
+                nf = curve.ideal.normal_form(curve.entries[i][j].mul_monomial(s_mono))
+                for c, v in nf.items():
+                    acc = rows_acc[j * n_tgt + tgt_pos[c]]
+                    acc[col] = acc.get(col, _ZERO) + v
+    return [sorted(acc.items()) for acc in rows_acc if acc]
 
 
 def normal_sections(curve, twist: int) -> int:
@@ -170,16 +142,26 @@ def normal_sections(curve, twist: int) -> int:
 
     Sections of the normal sheaf twisted by `twist` are vectors
     (n_0, ..., n_r) of forms of degree r + twist on the curve with
-    sum_i entries[i][j] * n_i = 0 in the coordinate ring for every j.
-    The kernel dimension is pinned by a sandwich.  Deformation vectors,
-    verified in the kernel exactly, bound it below through their rank mod
-    the first usable prime (0 if none is usable):
+    sum_i entries[i][j] * n_i = 0 in the coordinate ring for every j:
+    the kernel of a map with ncols = (r+1) * dim (R/I)_(r+twist) columns.
 
-        lower <= rank(candidates) <= dim ker = ncols - rank(rows).
+    Deformation vectors (f * d[i0][j0][i])_i, with d = `curve.cofactors()`
+    and f a form of degree 1+twist, lie in the kernel for every matrix:
+    their pairing with column j is -f * minor_i0 * delta(j, j0), in I.
 
-    So rank(rows) <= ncols - lower, and a modular rank of the map that
-    meets ncols - lower certifies dim ker = lower.  Exact elimination only
-    runs when no prime does.
+    Both sides are built mod p from the exact normal-form tables, each
+    entry reduced once per prime.  Reduction mod p is a ring homomorphism
+    on entries whose denominators are prime to p (`reductions` skips a
+    prime at which some entry has a bad denominator), so every minor of a
+    reduced matrix is the reduction of an exact minor, and rank mod p never
+    exceeds the exact rank.  With lower_p the rank of the reduced
+    deformation vectors and rank_p that of the reduced map,
+
+        lower_p <= dim ker = ncols - rank,    rank_p <= rank,
+
+    so rank_p <= ncols - lower_p.  Equality pins dim ker = lower_p; a larger
+    rank_p disproves the sandwich and raises ArithmeticError.  Exact
+    elimination of the map only runs when no prime pins the count.
     """
     if twist not in (0, -1):
         raise ValueError("twist must be 0 or -1")
@@ -191,28 +173,47 @@ def normal_sections(curve, twist: int) -> int:
     src_basis = monomial_basis(4, m_src)
     src_cols = curve.ideal.quotient_basis(m_src)
     tgt_cols = curve.ideal.quotient_basis(m_tgt)
-    tgt_pos = {c: pos for pos, c in enumerate(tgt_cols)}
-    n_src = len(src_cols)
-    n_tgt = len(tgt_cols)
+    n_src, n_tgt = len(src_cols), len(tgt_cols)
     ncols = (r + 1) * n_src
-    # rows indexed by (j, target monomial), columns by (i, source monomial)
-    rows_acc: List[Dict[int, GaussianRational]] = [dict() for _ in range(r * n_tgt)]
-    for i in range(r + 1):
-        for s_pos, s_col in enumerate(src_cols):
-            col = i * n_src + s_pos
-            s_mono = src_basis[s_col]
-            for j in range(r):
-                nf = curve.ideal.normal_form(curve.entries[i][j].mul_monomial(s_mono))
-                for c, v in nf.items():
-                    row = j * n_tgt + tgt_pos[c]
-                    acc = rows_acc[row]
-                    acc[col] = acc.get(col, _ZERO) + v
-    rows = [sorted(acc.items()) for acc in rows_acc if acc]
-
-    lower = next(ranks_mod(_deformation_vectors(curve, twist, src_cols), ncols), 0)
-    if sparse_rank_certificate(rows, ncols, ncols - lower):
-        return lower
-    return ncols - sparse_row_rank(rows)
+    src_table = _table_rows(curve.ideal, m_src, src_cols)
+    tgt_table = _table_rows(curve.ideal, m_tgt, tgt_cols)
+    # entries[i][j] = sum_v coeffs[v][i, j] * x_v, and x_v = monomial_basis(4, 1)[v]
+    entry_rows = [
+        [(v, A[i, j]) for v, A in enumerate(curve.coeffs)] for i in range(r + 1) for j in range(r)
+    ]
+    units = monomial_basis(4, 1)
+    # the map's block (j, i) sums coeff_v(entries[i][j]) * NF[s + e_v]
+    map_shift = _shift_index([src_basis[c] for c in src_cols], units, m_tgt)
+    # f * d runs over the shifts of d's monomials by f's exponent
+    forms = units if twist == 0 else monomial_basis(4, 0)
+    cof_basis = monomial_basis(4, r - 1)
+    cof_shift = _shift_index(cof_basis, forms, m_src)
+    index = monomial_index(4, r - 1)
+    # rows (i0, j0, i) over the degree r-1 monomials
+    cof_rows = [
+        [(index[m], v) for m, v in d.coeffs.items()]
+        for per_column in curve.cofactors()
+        for cof in per_column
+        for d in cof
+    ]
+    tables = [(src_table, n_src), (tgt_table, n_tgt), (entry_rows, 4), (cof_rows, len(cof_basis))]
+    for p, (nf_src, nf_tgt, coeffs, cof) in reductions(tables):
+        # [i, j, s, t] -> rows (j, t), columns (i, s)
+        shifted = nf_tgt[map_shift].reshape(4, n_src * n_tgt)
+        rows = matmul_mod(coeffs, shifted, p).reshape(r + 1, r, n_src, n_tgt)
+        rows = rows.transpose(1, 3, 0, 2).reshape(r * n_tgt, ncols)
+        # [i0, j0, i, f, s] -> rows (i0, j0, f), columns (i, s)
+        shifted = nf_src[cof_shift].transpose(1, 0, 2).reshape(-1, len(forms) * n_src)
+        vectors = matmul_mod(cof, shifted, p).reshape(r + 1, r, r + 1, len(forms), n_src)
+        vectors = vectors.transpose(0, 1, 3, 2, 4).reshape(-1, ncols)
+        lower = rank_mod(vectors, p)
+        bound = ncols - lower
+        rank = rank_mod(rows, p, bound + 1)
+        if rank > bound:
+            raise ArithmeticError(f"rank {rank} mod p exceeds certified bound {bound}")
+        if rank == bound:
+            return lower
+    return ncols - sparse_row_rank(_exact_map_rows(curve, src_cols, tgt_cols, m_src))
 
 
 @dataclass(frozen=True)

@@ -217,7 +217,8 @@ class GradedIdeal:
 
     # -- normal forms -----------------------------------------------------
 
-    def _reduced(self, k: int) -> Dict[int, Dict[int, GaussianRational]]:
+    def reduction_table(self, k: int) -> Dict[int, Dict[int, GaussianRational]]:
+        """Normal forms of the degree-k pivot columns, built once per degree."""
         key = ("rref", k)
         cached = self._cache.get(key)
         if cached is None:
@@ -226,7 +227,7 @@ class GradedIdeal:
 
     def normal_form(self, poly: HomogPoly) -> Dict[int, GaussianRational]:
         """Coordinates of poly mod I_k on the quotient monomial basis."""
-        table = self._reduced(poly.degree)
+        table = self.reduction_table(poly.degree)
         index = monomial_index(self.num_vars, poly.degree)
         acc: Dict[int, GaussianRational] = {}
         for mono, val in poly.coeffs.items():

@@ -10,13 +10,13 @@ proves nothing; callers retry or fall back to exact arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from .scalars import GaussianRational
 
-# NTT primes, all 1 mod 4, small enough that (p-1)^2 fits in int64
+# NTT primes, all 1 mod 4 and below 2^30, so (p-1)^2 < 2^60 fits in int64
 _PRIME_ROOTS = ((998244353, 3), (754974721, 11), (167772161, 3))
 
 
@@ -53,10 +53,35 @@ def rows_mod(
     p: int,
     s: int,
 ) -> np.ndarray:
+    """Dense reduction of sparse rows; entries as `value_mod`, one inverse per denominator."""
     out = np.zeros((len(rows), ncols), dtype=np.int64)
+    inverses = {1: 1}
+
+    def part(q: Fraction) -> int:
+        den = q.denominator
+        inv = inverses.get(den)
+        if inv is None:
+            if den % p == 0:
+                raise BadPrime(f"denominator {den} divisible by {p}")
+            inv = inverses[den] = pow(den % p, p - 2, p)
+        return (q.numerator % p) * inv % p
+
     for i, row in enumerate(rows):
         for col, v in row:
-            out[i, col] = value_mod(v, p, s)
+            out[i, col] = (part(v.re) + s * part(v.im)) % p
+    return out
+
+
+def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for reduced int64 matrices.
+
+    Entries are below p < 2^30, so a product is below 2^60.  Each pass adds
+    at most 8 unreduced products to a reduced partial sum:
+    8 (p-1)^2 + (p-1) < 2^63, so no int64 sum overflows.
+    """
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for k in range(0, a.shape[1], 8):
+        out = (out + a[:, k : k + 8] @ b[k : k + 8]) % p
     return out
 
 
@@ -86,18 +111,17 @@ def rank_mod(matrix: np.ndarray, p: int, stop_rank: int | None = None) -> int:
     return rank
 
 
-def ranks_mod(
-    rows: Sequence[Sequence[Tuple[int, GaussianRational]]],
-    ncols: int,
-    stop_rank: int | None = None,
-) -> Iterator[int]:
-    """Rank of the rows mod each prime of PRIMES in turn, skipping bad primes."""
+def reductions(
+    tables: Sequence[Tuple[Sequence[Sequence[Tuple[int, GaussianRational]]], int]],
+) -> Iterator[Tuple[int, List[np.ndarray]]]:
+    """(p, rows_mod of every (rows, ncols) table) for each prime of PRIMES in
+    turn, skipping a prime at which some table has a bad denominator."""
     for p, s in PRIMES:
         try:
-            m = rows_mod(rows, ncols, p, s)
+            reduced = [rows_mod(rows, ncols, p, s) for rows, ncols in tables]
         except BadPrime:
             continue
-        yield rank_mod(m, p, stop_rank)
+        yield p, reduced
 
 
 def sparse_rank_certificate(
@@ -113,7 +137,8 @@ def sparse_rank_certificate(
     prime reached the bound; the exact rank may still equal it, so the
     caller must recheck exactly before concluding anything.
     """
-    for rank in ranks_mod(rows, ncols, upper_bound + 1):
+    for p, (m,) in reductions([(rows, ncols)]):
+        rank = rank_mod(m, p, upper_bound + 1)
         if rank > upper_bound:
             raise ArithmeticError(f"rank {rank} mod p exceeds certified bound {upper_bound}")
         if rank == upper_bound:

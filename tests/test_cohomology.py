@@ -1,10 +1,20 @@
 """Sheaf cohomology from the length-one resolution, plus normal sections."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
-from hkcurves.acm_curve import ACMCurve, LinearMatrix, random_sigma_curve
+from hkcurves.acm_curve import (
+    ACMCurve,
+    LinearMatrix,
+    entry_cofactors,
+    random_sigma_curve,
+    signed_maximal_minors,
+)
 from hkcurves.cohomology import (
     CohomologyTable,
+    _table_rows,
     chi_line_bundle,
     cohomology_table,
     ellia_stability_check,
@@ -13,10 +23,12 @@ from hkcurves.cohomology import (
     normal_sections,
     normal_sheaf_report,
 )
+from hkcurves.exact_algebra import modp
 from hkcurves.exact_algebra.ideals import GradedIdeal
 from hkcurves.exact_algebra.linalg import ExactMatrix, random_invertible
-from hkcurves.exact_algebra.polys import monomial_count
-from hkcurves.exact_algebra.scalars import GaussianRational
+from hkcurves.exact_algebra.modp import matmul_mod
+from hkcurves.exact_algebra.polys import HomogPoly, monomial_basis, monomial_count, monomial_index
+from hkcurves.exact_algebra.scalars import GaussianRational, random_gaussian_rows
 
 ZERO = GaussianRational(0, 0)
 ONE = GaussianRational(1, 0)
@@ -157,12 +169,67 @@ def test_normal_sections_twist_validation():
 
 def test_normal_sections_gauge_invariant():
     # the section counts are properties of the curve, not the matrix gauge
-    import random as _random
-
     curve = random_sigma_curve(2, 9)
-    rng = _random.Random(9)
+    rng = random.Random(9)
 
     gauged = curve.gauge(random_invertible(3, rng), random_invertible(2, rng))
     assert gauged.certificate().ok
     assert normal_sections(gauged, 0) == normal_sections(curve, 0)
     assert normal_sections(gauged, -1) == normal_sections(curve, -1)
+
+
+def _linear_entries(r, rng, nvars, den=1):
+    coeffs = [
+        ExactMatrix([[v / den for v in row] for row in random_gaussian_rows(rng, r + 1, r, 3)])
+        for _ in range(nvars)
+    ]
+    coeffs += [ExactMatrix([[ZERO] * r for _ in range(r + 1)])] * (4 - nvars)
+    return LinearMatrix(r, *coeffs).entry_polys()
+
+
+def test_entry_cofactors_differentiate_the_minors():
+    # sum_i d[i0][j0][i] * entries[i][j] = -minor_i0 * delta(j, j0) holds for
+    # every matrix, so normal_sections does not check it per curve; this
+    # checks the index signs.  Entries at r = 5, 6 use two variables to keep
+    # the products small.
+    rng = random.Random(6)
+    cases = [_linear_entries(r, rng, 4 if r <= 4 else 2) for r in range(1, 7)]
+    cases.append(_linear_entries(3, rng, 4, den=GaussianRational(Fraction(3, 2), Fraction(1, 5))))
+    for entries in cases:
+        r = len(entries) - 1
+        minors = signed_maximal_minors(entries)
+        cofactors = entry_cofactors(entries)
+        zero = HomogPoly(4, r, {})
+        for i0 in range(r + 1):
+            for j0 in range(r):
+                for j in range(r):
+                    acc = zero
+                    for i in range(r + 1):
+                        acc = acc + cofactors[i0][j0][i] * entries[i][j]
+                    assert acc == (-minors[i0] if j == j0 else zero), (r, i0, j0, j)
+
+
+def test_normal_forms_mod_p_reduce_the_exact_ones():
+    # the tables reduced once per prime and combined mod p give the exact
+    # normal form reduced mod p: the ring homomorphism behind the sandwich
+    rng = random.Random(11)
+    for r, seed in ((2, 7), (3, 7)):
+        curve = random_sigma_curve(r, seed)
+        for m in (r - 1, r, r + 1):
+            cols = curve.ideal.quotient_basis(m)
+            table = _table_rows(curve.ideal, m, cols)
+            basis = monomial_basis(4, m)
+            forms = [
+                HomogPoly(4, m, dict(zip(basis, random_gaussian_rows(rng, 1, len(basis), 4)[0])))
+                for _ in range(3)
+            ]
+            forms.append(forms[0].scale(GaussianRational(Fraction(2, 3), Fraction(-1, 7))))
+            index = monomial_index(4, m)
+            for p, s in modp.PRIMES:
+                nf = modp.rows_mod(table, len(cols), p, s)
+                for form in forms:
+                    row = [[(index[mono], v) for mono, v in form.coeffs.items()]]
+                    got = matmul_mod(modp.rows_mod(row, len(basis), p, s), nf, p)[0]
+                    exact = curve.ideal.normal_form(form)
+                    want = [modp.value_mod(exact.get(c, ZERO), p, s) for c in cols]
+                    assert got.tolist() == want, (r, m, p)

@@ -1,6 +1,6 @@
 """Exact fallbacks behind the modular rank shortcuts.
 
-Every modular shortcut goes through `modp.ranks_mod`, which tries the
+Every modular shortcut goes through `modp.reductions`, which tries the
 primes of `modp.PRIMES` in turn and skips a prime whose reduction raises
 `BadPrime`.  With no primes at all, and again with every prime bad, each
 caller must reach the same answer by exact elimination alone.
@@ -9,6 +9,7 @@ caller must reach the same answer by exact elimination alone.
 import pytest
 
 from hkcurves.acm_curve import ACMCurve, predicted_ideal_dimension, random_sigma_curve
+from hkcurves import cohomology
 from hkcurves.cohomology import normal_sections
 from hkcurves.exact_algebra import modp
 from hkcurves.exact_algebra.ideals import GradedIdeal
@@ -56,11 +57,29 @@ def test_pair_stabilizer_dimension_without_primes(monkeypatch):
 
 def test_normal_sections_without_primes(monkeypatch):
     curves = [random_sigma_curve(2, seed) for seed in (7, 8)]
-    default = [(normal_sections(c, 0), normal_sections(c, -1)) for c in curves]
+    sextic = random_sigma_curve(3, 7)
+    # one fresh copy of the r = 3 curve per mode, certified with the primes:
+    # its exact certificate alone takes ~40 s, and the exact dimension path
+    # is tested above
+    sextics = [ACMCurve(sextic.matrix) for _ in range(2)]
+    for copy in sextics:
+        copy.certificate()
+    exact_ranks = []
+    sparse_row_rank = cohomology.sparse_row_rank
+
+    def counting_rank(rows):
+        exact_ranks.append(len(rows))
+        return sparse_row_rank(rows)
+
+    monkeypatch.setattr(cohomology, "sparse_row_rank", counting_rank)
+    default = [(normal_sections(c, 0), normal_sections(c, -1)) for c in curves + [sextic]]
+    assert exact_ranks == [], "a prime should pin every count"
     for mode in no_primes(monkeypatch):
-        fresh = [ACMCurve(c.matrix) for c in curves]
+        exact_ranks.clear()
+        fresh = [ACMCurve(c.matrix) for c in curves] + [sextics.pop()]
         assert [(normal_sections(c, 0), normal_sections(c, -1)) for c in fresh] == default, mode
-    assert default == [(12, 6), (12, 6)]
+        assert len(exact_ranks) >= 2 * len(fresh), mode
+    assert default == [(12, 6), (12, 6), (24, 12)]
 
 
 def test_wrong_certified_bound_raises(monkeypatch):

@@ -15,6 +15,7 @@ from hkcurves.exact_algebra.linalg import ExactMatrix
 from hkcurves.exact_algebra.modp import (
     PRIMES,
     BadPrime,
+    matmul_mod,
     rank_mod,
     rows_mod,
     sparse_rank_certificate,
@@ -141,6 +142,40 @@ def test_value_mod_bad_denominator():
     p, s = PRIMES[0]
     with pytest.raises(BadPrime):
         value_mod(GaussianRational(Fraction(1, p), 0), p, s)
+
+
+def test_rows_mod_matches_value_mod():
+    # rows_mod inverts each denominator once; entries must equal value_mod's
+    rng = random.Random(23)
+    dens = [1, 2, 3, 7, 9, 12]
+
+    def entry():
+        return Fraction(rng.randint(-9, 9), rng.choice(dens))
+
+    rows = [
+        [(c, GaussianRational(entry(), entry())) for c in sorted(rng.sample(range(8), 5))]
+        for _ in range(6)
+    ]
+    for p, s in PRIMES:
+        got = rows_mod(rows, 8, p, s)
+        want = np.zeros((6, 8), dtype=np.int64)
+        for i, row in enumerate(rows):
+            for c, v in row:
+                want[i, c] = value_mod(v, p, s)
+        assert np.array_equal(got, want)
+        for bad in (GaussianRational(Fraction(1, 2 * p), 1), GaussianRational(1, Fraction(5, p))):
+            with pytest.raises(BadPrime):
+                rows_mod(rows + [[(0, bad)]], 8, p, s)
+
+
+def test_matmul_mod_matches_exact_product():
+    rng = random.Random(24)
+    for p, _ in PRIMES:
+        a = np.array([[rng.randrange(p) for _ in range(19)] for _ in range(3)], dtype=np.int64)
+        b = np.array([[rng.randrange(p) for _ in range(4)] for _ in range(19)], dtype=np.int64)
+        a[0] = b[:, 0] = p - 1  # the largest sums
+        want = [[sum(int(x) * int(y) for x, y in zip(row, col)) % p for col in b.T] for row in a]
+        assert matmul_mod(a, b, p).tolist() == want
 
 
 def test_rank_mod_lower_bounds_exact_rank():
