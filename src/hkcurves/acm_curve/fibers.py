@@ -115,18 +115,19 @@ class AffineFiber:
             raise ValueError("profile not stabilized; cutoff too small")
         basis = self.quotient_basis()
         basis_index = {m: i for i, m in enumerate(basis)}
-        table = normal_form_table(self.echelon)
+        prods = [(self.col_index[(a + 1, b)], self.col_index[(a, b + 1)]) for a, b in basis]
+        # tails hold larger columns only, so the rows from the lowest product column on suffice
+        low = min((min(pair) for pair in prods), default=len(self.columns))
+        table = normal_form_table(self.echelon[sum(row[0][0] < low for row in self.echelon):])
         dim = len(basis)
         cols_u: List[List[GaussianRational]] = []
         cols_v: List[List[GaussianRational]] = []
-        for m in basis:
-            for shift, cols in (((1, 0), cols_u), ((0, 1), cols_v)):
-                prod = (m[0] + shift[0], m[1] + shift[1])
+        for pair in prods:
+            for pcol, cols in zip(pair, (cols_u, cols_v)):
                 col_vec = [_ZERO] * dim
-                pcol = self.col_index[prod]
                 sub = table.get(pcol)
                 if sub is None:
-                    col_vec[basis_index[prod]] = _ONE
+                    col_vec[basis_index[self.columns[pcol]]] = _ONE
                 else:
                     for c2, v2 in sub.items():
                         col_vec[basis_index[self.columns[c2]]] = v2
@@ -163,6 +164,7 @@ def fiber_points(
     """
     gens = fiber_generators(curve, t, at_infinity=at_infinity)
     mu, mv = AffineFiber(gens, curve.r + 2).multiplication_matrices()
+    cgens = [[(i, j, complex(c)) for (i, j), c in g.items()] for g in gens]
     nu = np.array(mu.to_complex())
     nv = np.array(mv.to_complex())
     rng = np.random.default_rng(2)
@@ -190,8 +192,8 @@ def fiber_points(
             continue
         pts = np.stack([du, dv], axis=1)
         resid = max(
-            abs(sum(complex(c) * (u ** i) * (v ** j) for (i, j), c in g.items()))
-            for g in gens
+            abs(sum(c * (u ** i) * (v ** j) for i, j, c in g))
+            for g in cgens
             for u, v in pts
         )
         if resid > residual_tol:

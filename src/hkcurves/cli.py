@@ -56,6 +56,9 @@ EXIT_PARSE = 2
 EXIT_INVALID = 3
 EXIT_NUMERIC = 4
 
+# largest curve-document r that `acm verify` checks in about a minute (r = 7: 70 s)
+MAX_DOCUMENT_R = 7
+
 
 class ParseFailure(Exception):
     """Unreadable input: bad JSON or a bad scalar literal."""
@@ -150,6 +153,8 @@ def document_to_curve(doc: Any) -> ACMCurve:
     r = doc.get("r")
     if type(r) is not int or r < 1:
         raise InvalidObject("curve document needs an integer field r >= 1")
+    if r > MAX_DOCUMENT_R:
+        raise InvalidObject(f"curve document r = {r} exceeds the ceiling {MAX_DOCUMENT_R}")
     mats = {}
     for name in ("A1", "A2", "A3", "A4"):
         if name not in doc:

@@ -37,6 +37,10 @@ class GaussianRational:
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, not the blocked __setattr__
+        return (GaussianRational, (self.re, self.im))
+
     # -- constructors -------------------------------------------------
 
     @staticmethod

@@ -14,7 +14,7 @@ import cmath
 import functools
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -57,13 +57,14 @@ class Chart:
         return tuple(np.array(A.to_complex()) for A in (self.A1, self.A2, self.A3, self.A4))
 
 
-def normalize_to_flat_chart(curve: ACMCurve) -> Chart:
+def normalize_to_flat_chart(curve: Union[ACMCurve, LinearMatrix]) -> Chart:
     """Reduce the pencil part to canonical form and verify the reality tie.
 
-    The reduction is exact; the transported last two coefficients are
-    unique because the canonical pair has no continuous symmetry acting
-    on them, so the conjugation constraint must hold exactly or the
-    curve was not invariant in the first place.
+    Only `r` and `coeffs` are read, so a bare matrix will do.  The
+    reduction is exact; the transported last two coefficients are unique
+    because the canonical pair has no continuous symmetry acting on them,
+    so the conjugation constraint must hold exactly or the curve was not
+    invariant in the first place.
     """
     red = kronecker_reduce(curve.coeffs[0], curve.coeffs[1])
     S, T = canonical_pair(curve.r)
@@ -74,8 +75,8 @@ def normalize_to_flat_chart(curve: ACMCurve) -> Chart:
     return Chart(r=curve.r, A1=S, A2=T, A3=A3, A4=A4, sigma_fixed=True)
 
 
-def raw_chart(curve: ACMCurve) -> Chart:
-    """The curve's own gauge used directly as a chart; control path only."""
+def raw_chart(curve: Union[ACMCurve, LinearMatrix]) -> Chart:
+    """The own gauge of a curve or bare matrix as a chart; control path only."""
     A1, A2, A3, A4 = curve.coeffs
     return Chart(r=curve.r, A1=A1, A2=A2, A3=A3, A4=A4, sigma_fixed=False)
 
@@ -179,39 +180,59 @@ def complex_structures(r: int) -> Tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
 # fiberwise point derivatives
 
 
-def _column_replaced_det(n: np.ndarray, c: int, col: np.ndarray) -> complex:
-    m = n.copy()
-    m[:, c] = col
-    return complex(np.linalg.det(m))
+def section_arrays(sections: Sequence[TangentSection]) -> Tuple[np.ndarray, np.ndarray]:
+    """Numeric dA3 and dA4 of the sections, each of shape (S, r+1, r)."""
+    return tuple(np.array([getattr(x, f).to_complex() for x in sections]) for f in ("dA3", "dA4"))
+
+
+def _read_only(arrays: Tuple[np.ndarray, ...]) -> Tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@functools.lru_cache(maxsize=None)
+def basis_arrays(r: int) -> Tuple[np.ndarray, np.ndarray]:
+    """`section_arrays(real_tangent_basis(r))`, built once per r and read-only."""
+    return _read_only(section_arrays(real_tangent_basis(r)))
+
+
+@functools.lru_cache(maxsize=None)
+def structure_arrays(r: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Real views of `complex_structures(r)`, built once per r and read-only."""
+    return _read_only(tuple(np.array(M.to_complex()).real for M in complex_structures(r)))
 
 
 def point_derivative(
-    chart: Chart,
+    numeric: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     t: GaussianRational,
     point: Tuple[complex, complex],
-    sections: Sequence[TangentSection],
+    sections: Tuple[np.ndarray, np.ndarray],
     consistency_tol: float = 1e-8,
 ) -> np.ndarray:
     """First-order move (du, dv) of one fiber point under each chart move.
 
-    The point solves every maximal minor of the chart matrix at its
-    plane; differentiating the two best-conditioned minors gives a 2x2
-    linear solve, and a second minor pair must agree within tolerance.
-    Minor gradients and pairs depend only on the point; row s of the
-    result belongs to sections[s].
+    The point solves every maximal minor of the chart matrix `numeric` at
+    its plane; differentiating the two best-conditioned minors gives a 2x2
+    linear solve, and a second minor pair must agree within tolerance.  One
+    stacked det call per minor gives the column-replaced determinants of u,
+    v and every section, added in column order: each section gets the
+    floats it would alone.  Row s of the result belongs to section s.
     """
-    A1n, A2n, A3n, A4n = chart.numeric()
-    r = chart.r
+    A1n, A2n, A3n, A4n = numeric
+    r = A1n.shape[1]
     u, v = point
     tn = complex(t)
     M = A1n * u + A2n * v + A3n + tn * A4n
+    moves = np.concatenate([A1n[None], A2n[None], sections[0] + tn * sections[1]])
+    cols = np.arange(r)
     grads = []
     for k in range(r + 1):
         rows = [a for a in range(r + 1) if a != k]
-        N = M[rows]
-        gu = sum(_column_replaced_det(N, c, A1n[rows][:, c]) for c in range(r))
-        gv = sum(_column_replaced_det(N, c, A2n[rows][:, c]) for c in range(r))
-        grads.append((gu, gv, rows, N))
+        # replaced[c, s]: the minor's matrix with column c taken from move s
+        replaced = np.repeat(M[None, None, rows], r, axis=0).repeat(len(moves), axis=1)
+        replaced[cols, :, :, cols] = moves[:, rows].transpose(2, 0, 1)
+        grads.append(sum(np.linalg.det(replaced)).tolist())
     pairs = sorted(
         (
             (abs(grads[a][0] * grads[b][1] - grads[a][1] * grads[b][0]), a, b)
@@ -227,24 +248,19 @@ def point_derivative(
     ]
     if not solvable:
         raise ArithmeticError("all minor gradient pairs are singular at the point")
-    out = np.empty((len(sections), 2), dtype=complex)
-    for s_idx, section in enumerate(sections):
-        dA3n = np.array(section.dA3.to_complex())
-        dA4n = np.array(section.dA4.to_complex())
-        D = dA3n + tn * dA4n
-        deltas = [
-            sum(_column_replaced_det(N, c, D[rows][:, c]) for c in range(r))
-            for _gu, _gv, rows, N in grads
-        ]
-        best, *others = [
-            np.linalg.solve(J, -np.array([deltas[a], deltas[b]])) for a, b, J in solvable
-        ]
-        scale = max(1.0, float(np.abs(best).max()))
-        for sol in others:
-            if float(np.abs(sol - best).max()) > consistency_tol * scale:
-                raise ArithmeticError("minor pairs disagree on the point derivative")
-        out[s_idx] = best
-    return out
+    # one right-hand side per solve: LAPACK may take another path for several
+    best, *others = [
+        np.linalg.solve(
+            np.broadcast_to(J, (len(moves) - 2, 2, 2)),
+            -np.array([grads[a][2:], grads[b][2:]]).T[:, :, None],
+        )[:, :, 0]
+        for a, b, J in solvable
+    ]
+    scale = np.maximum(1.0, np.abs(best).max(axis=1))
+    for sol in others:
+        if (np.abs(sol - best).max(axis=1) > consistency_tol * scale).any():
+            raise ArithmeticError("minor pairs disagree on the point derivative")
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +337,9 @@ def extract_metric(
     """
     r = chart.r
     curve = chart.curve()
-    basis = real_tangent_basis(r)
-    n = len(basis)
+    numeric = chart.numeric()
+    basis = basis_arrays(r)
+    n = len(basis[0])
     ts: List[GaussianRational] = []
     all_deltas: List[np.ndarray] = []
     skip = 0
@@ -335,7 +352,7 @@ def extract_metric(
             pts = fiber_points(curve, t)
             deltas = np.empty((n, len(pts), 2), dtype=complex)
             for p_idx, (u, v) in enumerate(pts):
-                deltas[:, p_idx] = point_derivative(chart, t, (complex(u), complex(v)), basis)
+                deltas[:, p_idx] = point_derivative(numeric, t, (complex(u), complex(v)), basis)
         except (ArithmeticError, np.linalg.LinAlgError):
             continue
         ts.append(t)
@@ -357,10 +374,7 @@ def extract_metric(
     omega_I = 0.5j * c1
     omega_J = (c0 - c2) / 2j
     omega_K = -0.5 * (c0 + c2)
-    Iex, Jex, Kex = complex_structures(r)
-    Imat = np.array(Iex.to_complex()).real
-    Jmat = np.array(Jex.to_complex()).real
-    Kmat = np.array(Kex.to_complex()).real
+    Imat, Jmat, Kmat = structure_arrays(r)
     gram_c = omega_I @ Imat
     scale = max(1.0, float(np.abs(gram_c).max()))
     residuals = {
@@ -394,13 +408,13 @@ def extract_metric(
 # flatness scan
 
 
-def random_scrambled_curve(r: int, seed: int) -> ACMCurve:
-    """Invariant certified curve pushed out of its canonical gauge."""
+def random_scrambled_curve(r: int, seed: int) -> LinearMatrix:
+    """Matrix of an invariant certified curve, pushed out of its canonical gauge."""
     curve = random_real_curve(r, seed=seed * 7919 + 11)
     rng = random.Random(seed * 104729 + r)
     G = random_invertible(r + 1, rng)
     H = random_invertible(r, rng)
-    return curve.gauge(G, H)
+    return curve.matrix.gauge(G, H)
 
 
 @dataclass(frozen=True)

@@ -193,6 +193,17 @@ def test_criterion_6_metric_constancy():
     assert elapsed < 120.0
 
 
+def test_metric_constancy_at_r3():
+    # criterion 6 one rank up: 6 flat charts of genus-3 sextics, one signature
+    surface = flatness_scan(3, num_points=6, seed=0)
+    assert surface.passed and surface.signature_constant
+    assert surface.max_relative_deviation < 1e-6
+    assert surface.max_fit_residual < 1e-8
+    assert surface.max_quaternion_residual < 1e-8
+    control = flatness_scan(3, 3, 0, skip_sigma_gauge=True)
+    assert not control.passed
+
+
 def test_criterion_7_invariant_suites():
     pool = sigma_suites()
     counts = (

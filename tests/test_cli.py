@@ -5,7 +5,7 @@ import json
 import pytest
 
 from hkcurves.acm_curve import random_sigma_curve
-from hkcurves.cli import curve_to_document, document_to_curve, main
+from hkcurves.cli import MAX_DOCUMENT_R, curve_to_document, document_to_curve, main
 
 CUBIC_DOC = {
     "forms": [
@@ -207,6 +207,14 @@ def test_exit_3_on_boolean_r(tmp_path, capsys):
     doc = curve_to_document(random_sigma_curve(1, 0))
     doc["r"] = True
     path = write_doc(tmp_path, "bool_r.json", doc)
+    assert run(capsys, ["acm", "verify", path])[0] == 3
+
+
+def test_exit_3_on_r_above_document_ceiling(tmp_path, capsys, monkeypatch):
+    # the ceiling is checked before any matrix literal is read
+    doc = {"r": MAX_DOCUMENT_R + 1, "A1": "unread", "A2": [], "A3": None}
+    monkeypatch.setattr("hkcurves.cli._literal_matrix", None)
+    path = write_doc(tmp_path, "big_r.json", doc)
     assert run(capsys, ["acm", "verify", path])[0] == 3
 
 

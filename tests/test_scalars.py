@@ -1,5 +1,7 @@
 """Exact scalar arithmetic and the literal grammar."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -28,6 +30,21 @@ def test_hash_agrees_with_equality():
     z = GaussianRational(1, 2)
     assert hash(z) == hash(GaussianRational(Fraction(2, 2), 2))
     assert len({z, GaussianRational(1), 1, Fraction(1)}) == 2
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        GaussianRational(Fraction(-7, 3)),
+        GaussianRational(0, Fraction(5, 2)),
+        GaussianRational(Fraction(1, 4), -9),
+    ],
+)
+def test_copy_and_pickle_round_trips(value):
+    for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(clone) is GaussianRational
+        assert clone == value
+        assert hash(clone) == hash(value)
 
 
 def test_field_axioms_seeded():

@@ -23,14 +23,18 @@ def test_no_assert_statements():
 
 
 def test_optimized_run_matches():
-    # a seeded slice under python -O must behave exactly as without it
-    argv = ["-m", "hkcurves.cli", "kronecker", "--r", "3", "--count", "2", "--seed", "0"]
+    # seeded slices under python -O must behave exactly as without them
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    runs = [
-        subprocess.run(
-            [sys.executable, *flags, *argv], env=env, capture_output=True, text=True, timeout=120
-        )
-        for flags in (["-O"], [])
-    ]
-    assert [run.returncode for run in runs] == [0, 0]
-    assert runs[0].stdout == runs[1].stdout
+    for command in (
+        ["kronecker", "--r", "3", "--count", "2", "--seed", "0"],
+        ["metric", "--r", "2", "--count", "2", "--seed", "0"],
+    ):
+        runs = [
+            subprocess.run(
+                [sys.executable, *flags, "-m", "hkcurves.cli", *command],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            for flags in (["-O"], [])
+        ]
+        assert [run.returncode for run in runs] == [0, 0], command
+        assert runs[0].stdout == runs[1].stdout, command

@@ -6,7 +6,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hkcurves.acm_curve import ACMCurve, LinearMatrix, fiber_points
+from hkcurves.acm_curve import (
+    ACMCurve,
+    AffineFiber,
+    LinearMatrix,
+    fiber_generators,
+    fiber_points,
+    random_fiber_parameters,
+)
+from hkcurves.exact_algebra.ideals import normal_form_table
 from hkcurves.exact_algebra.linalg import ExactMatrix
 from hkcurves.exact_algebra.scalars import GaussianRational
 from hkcurves.pencil import canonical_pair
@@ -14,6 +22,7 @@ from hkcurves.reality import reality_conjugate
 from hkcurves.twistor_metric import (
     Chart,
     TangentSection,
+    basis_arrays,
     complex_structures,
     extract_metric,
     fit_quadratic,
@@ -27,6 +36,7 @@ from hkcurves.twistor_metric import (
     section_I,
     section_J,
     section_K,
+    section_arrays,
     section_structure_at,
 )
 
@@ -156,7 +166,7 @@ def test_point_derivative_matches_central_difference():
     eps = Fraction(1, 10**5)
     for sec in (basis[0], basis[3], basis[8]):
         u, v = complex(pts[0][0]), complex(pts[0][1])
-        du, dv = point_derivative(chart, t, (u, v), [sec])[0]
+        du, dv = point_derivative(chart.numeric(), t, (u, v), section_arrays([sec]))[0]
 
         def nearest(sign):
             s = GaussianRational(sign * eps)
@@ -188,7 +198,119 @@ def test_point_derivative_consistency_guard():
     sec = real_tangent_basis(2)[1]
     wrong = (complex(pts[0][0]) + 0.3, complex(pts[0][1]) - 0.2)
     with pytest.raises(ArithmeticError):
-        point_derivative(chart, t, wrong, [sec], consistency_tol=1e-12)
+        point_derivative(
+            chart.numeric(), t, wrong, section_arrays([sec]), consistency_tol=1e-12
+        )
+
+
+def _column_replaced_det(n, c, col):
+    m = n.copy()
+    m[:, c] = col
+    return complex(np.linalg.det(m))
+
+
+def _reference_point_derivative(chart, t, point, sections, consistency_tol=1e-8):
+    """One section and one column at a time: the oracle for the stacked version."""
+    A1n, A2n, A3n, A4n = chart.numeric()
+    r = chart.r
+    u, v = point
+    tn = complex(t)
+    M = A1n * u + A2n * v + A3n + tn * A4n
+    grads = []
+    for k in range(r + 1):
+        rows = [a for a in range(r + 1) if a != k]
+        N = M[rows]
+        gu = sum(_column_replaced_det(N, c, A1n[rows][:, c]) for c in range(r))
+        gv = sum(_column_replaced_det(N, c, A2n[rows][:, c]) for c in range(r))
+        grads.append((gu, gv, rows, N))
+    pairs = sorted(
+        (
+            (abs(grads[a][0] * grads[b][1] - grads[a][1] * grads[b][0]), a, b)
+            for a in range(r + 1)
+            for b in range(a + 1, r + 1)
+        ),
+        reverse=True,
+    )
+    solvable = [
+        (a, b, np.array([[grads[a][0], grads[a][1]], [grads[b][0], grads[b][1]]]))
+        for det_ab, a, b in pairs[:2]
+        if det_ab != 0
+    ]
+    out = np.empty((len(sections), 2), dtype=complex)
+    for s_idx, section in enumerate(sections):
+        D = np.array(section.dA3.to_complex()) + tn * np.array(section.dA4.to_complex())
+        deltas = [
+            sum(_column_replaced_det(N, c, D[rows][:, c]) for c in range(r))
+            for _gu, _gv, rows, N in grads
+        ]
+        best, *others = [
+            np.linalg.solve(J, -np.array([deltas[a], deltas[b]])) for a, b, J in solvable
+        ]
+        scale = max(1.0, float(np.abs(best).max()))
+        for sol in others:
+            if float(np.abs(sol - best).max()) > consistency_tol * scale:
+                raise ArithmeticError("minor pairs disagree on the point derivative")
+        out[s_idx] = best
+    return out
+
+
+@pytest.mark.parametrize(
+    "r, seed, flat", [(1, 0, True), (2, 3, True), (3, 1, True), (2, 5, False)]
+)
+def test_point_derivative_bit_identical_to_per_section_reference(r, seed, flat):
+    curve = random_scrambled_curve(r, seed)
+    chart = normalize_to_flat_chart(curve) if flat else raw_chart(curve)
+    basis = real_tangent_basis(r)
+    numeric = chart.numeric()
+    checked = 0
+    for t in sample_parameters(3):
+        for u, v in fiber_points(chart.curve(), t):
+            point = (complex(u), complex(v))
+            batched = point_derivative(numeric, t, point, basis_arrays(r))
+            reference = _reference_point_derivative(chart, t, point, basis)
+            assert np.array_equal(batched.view(np.float64), reference.view(np.float64))
+            checked += 1
+    assert checked == 3 * r * (r + 1) // 2
+
+
+def _full_table_matrices(fiber):
+    """Multiplication matrices read off the normal-form table of every row."""
+    basis = fiber.quotient_basis()
+    index = {m: i for i, m in enumerate(basis)}
+    table = normal_form_table(fiber.echelon)
+    mats = []
+    for du, dv in ((1, 0), (0, 1)):
+        cols = []
+        for m in basis:
+            col = [ZERO] * len(basis)
+            pcol = fiber.col_index[(m[0] + du, m[1] + dv)]
+            sub = table.get(pcol, {pcol: ONE})
+            for c2, v2 in sub.items():
+                col[index[fiber.columns[c2]]] = v2
+            cols.append(col)
+        mats.append(ExactMatrix([list(row) for row in zip(*cols)]))
+    return tuple(mats)
+
+
+def test_truncated_table_gives_the_full_multiplication_matrices():
+    pairs = [
+        (normalize_to_flat_chart(random_scrambled_curve(r, seed)).curve(), t)
+        for r, seed in ((2, 0), (3, 1))
+        for t in random_fiber_parameters(5, seed)
+    ]
+    for curve, t in pairs:
+        fiber = AffineFiber(fiber_generators(curve, t), curve.r + 2)
+        assert fiber.multiplication_matrices() == _full_table_matrices(fiber)
+
+
+def test_basis_arrays_are_cached_and_read_only():
+    dA3, dA4 = basis_arrays(2)
+    assert basis_arrays(2)[0] is dA3
+    assert dA3.shape == dA4.shape == (12, 3, 2)
+    with pytest.raises(ValueError):
+        dA3[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        dA4[...] = 0.0
 
 
 def test_sample_parameters_distinct_and_offset_consistent():
