@@ -14,7 +14,7 @@ import cmath
 import functools
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -57,7 +57,7 @@ class Chart:
         return tuple(np.array(A.to_complex()) for A in (self.A1, self.A2, self.A3, self.A4))
 
 
-def normalize_to_flat_chart(curve: Union[ACMCurve, LinearMatrix]) -> Chart:
+def normalize_to_flat_chart(curve: ACMCurve | LinearMatrix) -> Chart:
     """Reduce the pencil part to canonical form and verify the reality tie.
 
     Only `r` and `coeffs` are read, so a bare matrix will do.  The
@@ -75,7 +75,7 @@ def normalize_to_flat_chart(curve: Union[ACMCurve, LinearMatrix]) -> Chart:
     return Chart(r=curve.r, A1=S, A2=T, A3=A3, A4=A4, sigma_fixed=True)
 
 
-def raw_chart(curve: Union[ACMCurve, LinearMatrix]) -> Chart:
+def raw_chart(curve: ACMCurve | LinearMatrix) -> Chart:
     """The own gauge of a curve or bare matrix as a chart; control path only."""
     A1, A2, A3, A4 = curve.coeffs
     return Chart(r=curve.r, A1=A1, A2=A2, A3=A3, A4=A4, sigma_fixed=False)
