@@ -3,13 +3,24 @@
 Rows are sparse vectors over Q(i) indexed by monomials of a fixed degree,
 stored as ascending (column, value) pairs with the pivot first.  Column
 order follows monomial_basis, so the pivot is the lex-greatest monomial.
-Pivot rows are kept monic; reduced fractions in an echelon form are
-bounded by minor ratios of the input, which keeps entry sizes flat along
-long reduction chains.
+
+Elimination runs on Gaussian-integer rows of (column, a, b) triples for
+a + b*i; an input row is scaled by the lcm of its denominators, and
+Fractions are built only for the rows and tables handed back.  A pivot is
+kept monic over one positive denominator D, as the primitive row leading
+with (column, D, 0); its lead is made real by the lead's conjugate.  A row
+under reduction matters only up to a scalar, so `eliminate` cross-multiplies
+and divides out the integer content.  Entry sizes follow the span, not the
+path: a monic pivot row is the one vector of its input rows' span with lead
+1 and zeros at the pivot columns it was reduced against, so by Cramer's rule
+its entries are ratios of minors of the input rows; a deferred row is kept
+primitive, so its content does not compound along a reduction chain.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .modp import sparse_rank_certificate
@@ -17,45 +28,68 @@ from .polys import HomogPoly, monomial_basis, monomial_index
 from .scalars import GaussianRational
 
 Row = List[Tuple[int, GaussianRational]]
+ZRow = List[Tuple[int, int, int]]
 
 _ZERO = GaussianRational(0, 0)
-_ONE = GaussianRational(1, 0)
 
 
-def monic_row(row: Row) -> Row:
-    lead = row[0][1]
-    if lead == _ONE:
-        return row
-    inv = _ONE / lead
-    return [(row[0][0], _ONE)] + [(c, v * inv) for c, v in row[1:]]
+def _primitive(row: ZRow) -> ZRow:
+    g = 0
+    for _, a, b in row:
+        g = gcd(g, a, b)
+        if g == 1:
+            return row
+    return [(c, a // g, b // g) for c, a, b in row]
 
 
-def combine_rows(row: Row, piv: Row) -> Row:
-    """row - lead(row) * piv, where piv is monic and shares row's lead column."""
-    factor = row[0][1]
-    out: Row = []
-    i, j = 1, 1
+def eliminate(row: ZRow, k: int, piv: ZRow) -> ZRow:
+    """Primitive D*row - x*piv, where piv leads with (col, D, 0) and row[k] = (col, x)."""
+    d = piv[0][1]
+    xa, xb = row[k][1], row[k][2]
+    # piv has no column below col, so the entries before k are only scaled
+    out = [(c, d * a, d * b) for c, a, b in row[:k]]
+    i, j = k + 1, 1
     nr, np_ = len(row), len(piv)
     while i < nr and j < np_:
-        cr, cp = row[i][0], piv[j][0]
+        cr, ar, br = row[i]
+        cp, ap, bp = piv[j]
         if cr < cp:
-            out.append(row[i])
+            out.append((cr, d * ar, d * br))
             i += 1
         elif cr > cp:
-            out.append((cp, -(factor * piv[j][1])))
+            out.append((cp, xb * bp - xa * ap, -xa * bp - xb * ap))
             j += 1
         else:
-            v = row[i][1] - factor * piv[j][1]
-            if v.re or v.im:
-                out.append((cr, v))
+            a = d * ar - xa * ap + xb * bp
+            b = d * br - xa * bp - xb * ap
+            if a or b:
+                out.append((cr, a, b))
             i += 1
             j += 1
-    if i < nr:
-        out.extend(row[i:])
-    while j < np_:
-        out.append((piv[j][0], -(factor * piv[j][1])))
-        j += 1
-    return out
+    out.extend((c, d * a, d * b) for c, a, b in row[i:])
+    out.extend((c, xb * bp - xa * ap, -xa * bp - xb * ap) for c, ap, bp in piv[j:])
+    return _primitive(out)
+
+
+def _pivot(row: ZRow) -> ZRow:
+    """The monic multiple of row, as a primitive integer row with a positive real lead."""
+    col, a0, b0 = row[0]
+    tail = [(c, a * a0 + b * b0, b * a0 - a * b0) for c, a, b in row[1:]]
+    return _primitive([(col, a0 * a0 + b0 * b0, 0)] + tail)
+
+
+def _to_integers(row: Row) -> ZRow:
+    den = lcm(*(q.denominator for _, v in row for q in (v.re, v.im)))
+    return [
+        (c, v.re.numerator * den // v.re.denominator, v.im.numerator * den // v.im.denominator)
+        for c, v in row
+        if v.re or v.im
+    ]
+
+
+def _to_fractions(row: ZRow, sign: int = 1) -> Row:
+    d = row[0][1] * sign
+    return [(c, GaussianRational(Fraction(a, d), Fraction(b, d))) for c, a, b in row]
 
 
 def _poly_to_row(poly: HomogPoly, degree: int, num_vars: int) -> Row:
@@ -73,46 +107,49 @@ def sparse_echelon(rows: Iterable[Row], target: Optional[int] = None) -> List[Ro
     proven upper bound on the rank: reduction stops once it is reached,
     and a rank above it raises ArithmeticError.
     """
-    pivots: Dict[int, Row] = {}
-    deferred: List[Row] = []
+    pivots: Dict[int, ZRow] = {}
+    deferred: List[ZRow] = []
     for row in rows:
-        if not row:
+        zrow = _to_integers(row)
+        if not zrow:
             continue
-        if row[0][0] in pivots:
-            deferred.append(row)
+        if zrow[0][0] in pivots:
+            deferred.append(zrow)
         else:
-            pivots[row[0][0]] = monic_row(row)
+            pivots[zrow[0][0]] = _pivot(zrow)
     if target is None or len(pivots) < target:
-        for row in deferred:
-            while row:
-                piv = pivots.get(row[0][0])
+        for zrow in deferred:
+            while zrow:
+                piv = pivots.get(zrow[0][0])
                 if piv is None:
                     break
-                row = combine_rows(row, piv)
-            if row:
-                pivots[row[0][0]] = monic_row(row)
+                zrow = eliminate(zrow, 0, piv)
+            if zrow:
+                pivots[zrow[0][0]] = _pivot(zrow)
                 if target is not None and len(pivots) >= target:
                     break
     if target is not None and len(pivots) > target:
         raise ArithmeticError(f"rank {len(pivots)} exceeds certified bound {target}")
-    return [pivots[c] for c in sorted(pivots)]
+    return [_to_fractions(pivots[c]) for c in sorted(pivots)]
 
 
 def normal_form_table(echelon: Sequence[Row]) -> Dict[int, Dict[int, GaussianRational]]:
     """Normal forms of pivot columns: pivot column -> {non-pivot column: coeff}."""
+    reduced: Dict[int, ZRow] = {}
     table: Dict[int, Dict[int, GaussianRational]] = {}
     # tails only hold columns larger than the pivot, so descending pivot
     # order sees every tail pivot already resolved
     for row in reversed(echelon):
-        acc: Dict[int, GaussianRational] = {}
-        for col, val in row[1:]:
-            sub = table.get(col)
+        zrow = _to_integers(row)
+        k = 1
+        while k < len(zrow):
+            sub = reduced.get(zrow[k][0])
             if sub is None:
-                acc[col] = acc.get(col, _ZERO) - val
+                k += 1
             else:
-                for c2, v2 in sub.items():
-                    acc[c2] = acc.get(c2, _ZERO) - val * v2
-        table[row[0][0]] = {c: v for c, v in acc.items() if v.re or v.im}
+                zrow = eliminate(zrow, k, sub)
+        reduced[zrow[0][0]] = zrow
+        table[zrow[0][0]] = dict(_to_fractions(zrow, -1)[1:])
     return table
 
 

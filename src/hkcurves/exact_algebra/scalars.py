@@ -51,14 +51,16 @@ class GaussianRational:
         if not m:
             raise ValueError(f"not a GAUSS literal: {text!r}")
         first, second, tail_i = m.group("re"), m.group("im_joined"), m.group("i1")
-        if second is not None:
-            # RAT (+|-) RAT i
-            if tail_i is None:
+        if tail_i is None:
+            if second is not None:
                 raise ValueError(f"not a GAUSS literal: {text!r}")
+            second = "0"
+        elif second is None:
+            first, second = "0", first
+        try:
             return GaussianRational(Fraction(first), Fraction(second))
-        if tail_i is not None:
-            return GaussianRational(0, Fraction(first))
-        return GaussianRational(Fraction(first), 0)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in GAUSS literal: {text!r}") from None
 
     @staticmethod
     def from_complex(z: complex, limit: int = 10**6) -> "GaussianRational":

@@ -16,7 +16,7 @@ from hkcurves.acm_curve.fibers import (
     fiber_multiplication_matrices,
     fiber_points,
 )
-from hkcurves.exact_algebra.ideals import combine_rows
+from hkcurves.exact_algebra.ideals import sparse_echelon
 from hkcurves.exact_algebra.linalg import ExactMatrix, random_invertible
 from hkcurves.exact_algebra.polys import HomogPoly, graded_matrix, monomial_basis
 from hkcurves.exact_algebra.scalars import GaussianRational
@@ -103,15 +103,9 @@ def antipodal_generator(g: Bivar, t: GaussianRational) -> Bivar:
 
 
 def fiber_contains(fiber: AffineFiber, g: Bivar) -> bool:
+    # g lies in the span exactly when appending its row adds no pivot
     row = sorted((fiber.col_index[m], v) for m, v in g.items())
-    pivots = {piv[0][0]: piv for piv in fiber.echelon}
-    cur = [tuple(e) for e in row]
-    while cur:
-        piv = pivots.get(cur[0][0])
-        if piv is None:
-            return False
-        cur = combine_rows(cur, piv)
-    return True
+    return len(sparse_echelon(fiber.echelon + [row])) == len(fiber.echelon)
 
 
 def fiber_equivariance_suite(pool: Dict[int, List[ACMCurve]], count: int = 50) -> int:

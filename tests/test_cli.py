@@ -180,6 +180,19 @@ def test_exit_2_on_bad_literal(tmp_path, capsys):
     assert run(capsys, ["acm", "verify", path])[0] == 2
 
 
+@pytest.mark.parametrize("literal", ["1/0", "1/0i", "2+1/0i"])
+def test_exit_2_on_zero_denominator(literal, tmp_path, capsys):
+    doc = curve_to_document(random_sigma_curve(1, 0))
+    doc["A2"][1][0] = literal
+    path = write_doc(tmp_path, "zero_den.json", doc)
+    assert run(capsys, ["acm", "verify", path])[0] == 2
+    assert run(capsys, ["cohomology", "table", "--curve", path])[0] == 2
+    forms = [list(row) for row in CUBIC_DOC["forms"]]
+    forms[3][3] = literal
+    path = write_doc(tmp_path, "zero_den_map.json", {"forms": forms})
+    assert run(capsys, ["rational", "--map", path])[0] == 2
+
+
 def test_exit_3_on_wrong_shape(tmp_path, capsys):
     doc = curve_to_document(random_sigma_curve(1, 0))
     doc["A1"] = [["1"]]

@@ -1,0 +1,239 @@
+"""Bit identity of the Gaussian-integer elimination against the Q(i) one.
+
+The private reference below is the elimination as it ran on monic
+`GaussianRational` rows.  The kernel in `ideals` must hand back equal rows
+and tables, entry by entry, on every kind of input its callers give it.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from hkcurves.acm_curve import fiber_generators, random_fiber_parameters, random_sigma_curve
+from hkcurves.acm_curve import fibers
+from hkcurves.exact_algebra.ideals import (
+    GradedIdeal,
+    _poly_to_row,
+    normal_form_table,
+    sparse_echelon,
+    sparse_row_rank,
+)
+from hkcurves.exact_algebra.scalars import GaussianRational
+from hkcurves import pencil
+from hkcurves.pencil import canonical_pair, pair_stabilizer_dimension, random_injective_pencil
+
+_ZERO = GaussianRational(0, 0)
+_ONE = GaussianRational(1, 0)
+
+
+def _ref_monic_row(row):
+    lead = row[0][1]
+    if lead == _ONE:
+        return row
+    inv = _ONE / lead
+    return [(row[0][0], _ONE)] + [(c, v * inv) for c, v in row[1:]]
+
+
+def _ref_combine_rows(row, piv):
+    """row - lead(row) * piv, where piv is monic and shares row's lead column."""
+    factor = row[0][1]
+    out = []
+    i, j = 1, 1
+    nr, np_ = len(row), len(piv)
+    while i < nr and j < np_:
+        cr, cp = row[i][0], piv[j][0]
+        if cr < cp:
+            out.append(row[i])
+            i += 1
+        elif cr > cp:
+            out.append((cp, -(factor * piv[j][1])))
+            j += 1
+        else:
+            v = row[i][1] - factor * piv[j][1]
+            if v.re or v.im:
+                out.append((cr, v))
+            i += 1
+            j += 1
+    if i < nr:
+        out.extend(row[i:])
+    while j < np_:
+        out.append((piv[j][0], -(factor * piv[j][1])))
+        j += 1
+    return out
+
+
+def _ref_sparse_echelon(rows, target=None):
+    pivots = {}
+    deferred = []
+    for row in rows:
+        if not row:
+            continue
+        if row[0][0] in pivots:
+            deferred.append(row)
+        else:
+            pivots[row[0][0]] = _ref_monic_row(row)
+    if target is None or len(pivots) < target:
+        for row in deferred:
+            while row:
+                piv = pivots.get(row[0][0])
+                if piv is None:
+                    break
+                row = _ref_combine_rows(row, piv)
+            if row:
+                pivots[row[0][0]] = _ref_monic_row(row)
+                if target is not None and len(pivots) >= target:
+                    break
+    if target is not None and len(pivots) > target:
+        raise ArithmeticError(f"rank {len(pivots)} exceeds certified bound {target}")
+    return [pivots[c] for c in sorted(pivots)]
+
+
+def _ref_normal_form_table(echelon):
+    table = {}
+    for row in reversed(echelon):
+        acc = {}
+        for col, val in row[1:]:
+            sub = table.get(col)
+            if sub is None:
+                acc[col] = acc.get(col, _ZERO) - val
+            else:
+                for c2, v2 in sub.items():
+                    acc[c2] = acc.get(c2, _ZERO) - val * v2
+        table[row[0][0]] = {c: v for c, v in acc.items() if v.re or v.im}
+    return table
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ArithmeticError as exc:
+        return ("raised", str(exc))
+
+
+def assert_matches_reference(rows, target=None):
+    """Echelon, table and rank agree with the reference; returns the echelon."""
+    rows = [list(row) for row in rows]
+    echelon = sparse_echelon(rows, target)
+    assert echelon == _ref_sparse_echelon(rows, target)
+    assert normal_form_table(echelon) == _ref_normal_form_table(echelon)
+    if target is None:
+        assert sparse_row_rank(rows) == len(echelon)
+    return echelon
+
+
+def _recording(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records its materialised arguments."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(rows, *rest):
+        rows = [list(row) for row in rows]
+        calls.append((rows,) + rest)
+        return original(rows, *rest)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("r, levels", [(2, range(2, 7)), (3, range(3, 6))])
+def test_graded_levels_match_reference(r, levels):
+    curve = random_sigma_curve(r, 0)
+    ideal = GradedIdeal(curve.ideal.generators)
+    gen_rows = [_poly_to_row(g, ideal.gen_degree, 4) for g in ideal.generators]
+    assert ideal._reduced_generators() == assert_matches_reference(gen_rows)
+    for k in levels:
+        rows = ideal._row_stream(k)
+        full = assert_matches_reference(rows)
+        bounded = assert_matches_reference(rows, curve.ideal.dimension(k))
+        assert [row[0][0] for row in bounded] == [row[0][0] for row in full]
+        assert ideal.reduction_table(k) == _ref_normal_form_table(ideal._build(k))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_fiber_slices_match_reference(r, monkeypatch):
+    curve = random_sigma_curve(r, 1)
+    echelons = _recording(monkeypatch, fibers, "sparse_echelon")
+    tables = _recording(monkeypatch, fibers, "normal_form_table")
+    for t in random_fiber_parameters(3, r):
+        for at_infinity in (False, True):
+            gens = fiber_generators(curve, t, at_infinity=at_infinity)
+            fiber = fibers.AffineFiber(gens, r + 2)
+            (rows,) = echelons.pop()
+            assert fiber.echelon == _ref_sparse_echelon(rows)
+            assert normal_form_table(fiber.echelon) == _ref_normal_form_table(fiber.echelon)
+            fiber.multiplication_matrices()
+            (suffix,) = tables.pop()
+            assert normal_form_table(suffix) == _ref_normal_form_table(suffix)
+
+
+@pytest.mark.parametrize("r, seed", [(1, 0), (2, 1), (3, 2), (4, 3)])
+def test_stabilizer_rows_match_reference(r, seed, monkeypatch):
+    # refuse the modular certificate so the exact rank runs on the same rows
+    monkeypatch.setattr(pencil, "sparse_rank_certificate", lambda rows, ncols, bound: False)
+    calls = _recording(monkeypatch, pencil, "sparse_row_rank")
+    for A1, A2 in (random_injective_pencil(r, seed), canonical_pair(r)):
+        assert pair_stabilizer_dimension(A1, A2) == 1
+        (rows,) = calls.pop()
+        assert len(assert_matches_reference(rows)) == (r + 1) ** 2 + r * r - 1
+
+
+def _coprime_rows(seed, rank, count, ncols):
+    """`count` sparse rows of rank `rank` with large, pairwise coprime denominators."""
+    rng = random.Random(seed)
+    primes = [1000003, 1000033, 1000037, 1000039, 1000081, 1000099, 999983, 999979]
+
+    def scalar():
+        return GaussianRational(
+            Fraction(rng.randint(-10**6, 10**6), rng.choice(primes)),
+            Fraction(rng.randint(-10**6, 10**6), rng.choice(primes)),
+        )
+
+    base = []
+    for _ in range(rank):
+        cols = sorted(rng.sample(range(ncols), rng.randint(2, ncols // 2)))
+        base.append({c: scalar() for c in cols})
+    rows = []
+    for _ in range(count):
+        acc = {}
+        for b in rng.sample(base, rng.randint(1, 3)):
+            f = scalar()
+            for c, v in b.items():
+                acc[c] = acc.get(c, _ZERO) + f * v
+        row = sorted((c, v) for c, v in acc.items() if v)
+        if row:
+            rows.append(row)
+    return rows + [[(c, v) for c, v in b.items()] for b in base[: rank // 2]]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rank_deficient_coprime_rows_match_reference(seed):
+    rows = _coprime_rows(seed, rank=6, count=12, ncols=14)
+    echelon = assert_matches_reference(rows)
+    assert len(echelon) == 6
+    assert sparse_row_rank(rows) == 6
+    assert max(v.re.denominator for row in echelon for _, v in row) > 10**6
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_target_stop_and_overshoot_match_reference(seed):
+    rows = _coprime_rows(10 + seed, rank=6, count=12, ncols=14)
+    first_pass = len({row[0][0] for row in rows})
+    outcomes = []
+    for target in range(0, 8):
+        ours = _outcome(sparse_echelon, rows, target)
+        assert ours == _outcome(_ref_sparse_echelon, rows, target)
+        outcomes.append(ours)
+    for target, ours in enumerate(outcomes):
+        if target < first_pass:
+            assert ours == ("raised", f"rank {first_pass} exceeds certified bound {target}")
+        else:
+            assert len(ours) == min(target, 6)
+
+
+def test_zero_entries_are_dropped():
+    # an accumulated row may hold an exact zero; it must not become a pivot
+    x = GaussianRational(Fraction(2, 3), 1)
+    rows = [[(0, _ZERO), (2, x)], [(1, _ZERO), (2, _ONE)], [(0, _ZERO)]]
+    assert sparse_echelon(rows) == [[(2, _ONE)]]
+    assert sparse_row_rank(rows) == 1

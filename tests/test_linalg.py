@@ -6,11 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hkcurves.exact_algebra.ideals import (
-    combine_rows,
-    monic_row,
-    sparse_row_rank,
-)
+from hkcurves.exact_algebra.ideals import eliminate, sparse_row_rank
 from hkcurves.exact_algebra.linalg import ExactMatrix
 from hkcurves.exact_algebra.modp import (
     PRIMES,
@@ -118,10 +114,10 @@ def test_sparse_row_rank_matches_dense():
 
 
 def test_combine_rows_eliminates_pivot():
-    row = [(0, GaussianRational(2, 0)), (2, ONE)]
-    piv = monic_row([(0, GaussianRational(4, 0)), (1, ONE)])
-    out = combine_rows(row, piv)
+    # 2 + x2 against the pivot 4 + x1, kept over D = 4 as (0, 4, 0), (1, 1, 0)
+    out = eliminate([(0, 2, 0), (2, 1, 0)], 0, [(0, 4, 0), (1, 1, 0)])
     assert out and out[0][0] == 1
+    assert out == [(1, -1, 0), (2, 2, 0)]
 
 
 def test_primes_admit_sqrt_minus_one():

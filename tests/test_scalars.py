@@ -105,6 +105,12 @@ def test_parse_rejects_garbage():
             parse_gauss(bad)
 
 
+def test_parse_rejects_zero_denominator():
+    for bad in ("1/0", "1/0i", "2+1/0i", "1/0-1i", "0/0"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_gauss(bad)
+
+
 def test_format_round_trip_seeded():
     rng = random.Random(7)
     for _ in range(300):
