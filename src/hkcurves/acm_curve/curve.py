@@ -10,7 +10,7 @@ from typing import Dict, List, Optional, Tuple
 from ..exact_algebra.ideals import GradedIdeal
 from ..exact_algebra.linalg import ExactMatrix
 from ..exact_algebra.polys import HomogPoly, monomial_count
-from ..exact_algebra.scalars import GaussianRational, random_gaussian_rows
+from ..exact_algebra.scalars import random_gaussian_rows
 from ..pencil import canonical_pair, is_injective_pencil
 from ..reality import reality_conjugate
 
@@ -59,56 +59,50 @@ class LinearMatrix:
         return (self.A1, self.A2, self.A3, self.A4)
 
     def entry_polys(self) -> List[List[HomogPoly]]:
-        return _entry_polys(self.coeffs)
+        A1, A2, A3, A4 = self.coeffs
+        return [
+            [HomogPoly.linear_form([A1[i, j], A2[i, j], A3[i, j], A4[i, j]]) for j in range(self.r)]
+            for i in range(self.r + 1)
+        ]
 
     def gauge(self, P: ExactMatrix, Q: ExactMatrix) -> "LinearMatrix":
         return LinearMatrix(self.r, *(P @ A @ Q for A in self.coeffs))
 
 
-def _entry_polys(coeffs: CoeffTuple) -> List[List[HomogPoly]]:
-    A1, A2, A3, A4 = coeffs
-    r = A1.cols
-    out = []
-    for i in range(r + 1):
-        row = []
-        for j in range(r):
-            row.append(
-                HomogPoly.linear_form([A1[i, j], A2[i, j], A3[i, j], A4[i, j]])
-            )
-        out.append(row)
-    return out
+def _laplace_dets(entries, rows, cols, num_vars: int) -> Dict[Tuple[int, ...], HomogPoly]:
+    """Determinant of every len(cols)-subset of `rows` against `cols`, keyed
+    by the ascending row tuple.
+
+    One pass of Laplace expansion along the columns in order: each subset
+    expands along its last column through the subsets one row smaller.
+    """
+    dets = {(): HomogPoly(num_vars, 0, {(0,) * num_vars: 1})}
+    for depth, col in enumerate(cols):
+        nxt: Dict[Tuple[int, ...], HomogPoly] = {}
+        for rowset in itertools.combinations(rows, depth + 1):
+            acc = HomogPoly(num_vars, depth + 1, {})
+            for pos, i in enumerate(rowset):
+                prev = dets[rowset[:pos] + rowset[pos + 1 :]]
+                if prev.is_zero():
+                    continue
+                term = prev * entries[i][col]
+                # expansion along the last column: sign (-1)^(pos + depth)
+                acc = acc + (term if (pos + depth) % 2 == 0 else -term)
+            nxt[rowset] = acc
+        dets = nxt
+    return dets
 
 
 def signed_maximal_minors(entries: List[List[HomogPoly]]) -> List[HomogPoly]:
-    """(-1)^i * det(matrix with row i deleted), i = 0..r.
-
-    All minors come from one pass of Laplace expansion along columns,
-    carrying determinants of every row subset of each size.
-    """
+    """(-1)^i * det(matrix with row i deleted), i = 0..r, from one Laplace pass."""
     nrows = len(entries)
     ncols = len(entries[0]) if entries else 0
     if nrows != ncols + 1:
         raise ValueError(f"expected (r+1) x r entries, got {nrows} x {ncols}")
-    num_vars = entries[0][0].num_vars
-    # dets[frozen rowset] = det of those rows against columns 0..len-1
-    dets: Dict[frozenset, HomogPoly] = {frozenset(): HomogPoly(num_vars, 0, {(0,) * num_vars: GaussianRational(1)})}
-    for col in range(ncols):
-        nxt: Dict[frozenset, HomogPoly] = {}
-        for rowset in itertools.combinations(range(nrows), col + 1):
-            acc = HomogPoly(num_vars, col + 1, {})
-            for pos, i in enumerate(rowset):
-                prev = dets[frozenset(rowset) - {i}]
-                if prev.is_zero():
-                    continue
-                term = prev * entries[i][col]
-                # expansion along the last column: sign (-1)^(pos + col)
-                acc = acc + (term if (pos + col) % 2 == 0 else -term)
-            nxt[frozenset(rowset)] = acc
-        dets = nxt
-    full = frozenset(range(nrows))
+    dets = _laplace_dets(entries, range(nrows), range(ncols), entries[0][0].num_vars)
     out = []
     for skip in range(nrows):
-        d = dets[full - {skip}]
+        d = dets[tuple(a for a in range(nrows) if a != skip)]
         out.append(d if skip % 2 == 0 else -d)
     return out
 
@@ -118,27 +112,25 @@ def entry_cofactors(entries: List[List[HomogPoly]]) -> List[List[List[HomogPoly]
 
     Perturbing entry (i0, j0) by a form f moves minor_i by f * d[i0][j0][i]:
     the signed maximal minors of the matrix without row i0 and column j0,
-    times (-1)^(i0+j0+1), with zero at i = i0.  Differentiating the Laplace
-    expansion sum_i minor_i * entries[i][j] = 0 (a determinant with a
-    repeated column) in that entry gives, for every matrix,
+    times (-1)^(i0+j0+1), with zero at i = i0.  That minor is the
+    determinant of the rows other than i0 and i against the columns other
+    than j0, so one Laplace pass per j0 gives d[i0][j0][i] for every i0.
+    Differentiating the Laplace expansion sum_i minor_i * entries[i][j] = 0
+    (a determinant with a repeated column) in that entry gives, for every
+    matrix,
 
         sum_i d[i0][j0][i] * entries[i][j] = -minor_i0 * delta(j, j0).
     """
     r = len(entries) - 1
-    one = HomogPoly(4, 0, {(0, 0, 0, 0): GaussianRational(1)})
-    zero = HomogPoly(4, r - 1, {})
-    out = []
-    for i0 in range(r + 1):
-        rows = [entries[a] for a in range(r + 1) if a != i0]
-        per_column = []
-        for j0 in range(r):
-            sub = [[row[b] for b in range(r) if b != j0] for row in rows]
-            cof = signed_maximal_minors(sub) if r > 1 else [one]
-            if (i0 + j0) % 2 == 0:
-                cof = [-d for d in cof]
-            cof.insert(i0, zero)
-            per_column.append(cof)
-        out.append(per_column)
+    num_vars = entries[0][0].num_vars
+    zero = HomogPoly(num_vars, r - 1, {})
+    out = [[[zero] * (r + 1) for _ in range(r)] for _ in range(r + 1)]
+    for j0 in range(r):
+        dets = _laplace_dets(entries, range(r + 1), [b for b in range(r) if b != j0], num_vars)
+        for i0, i in itertools.permutations(range(r + 1), 2):
+            d = dets[tuple(a for a in range(r + 1) if a not in (i0, i))]
+            # i sits at position i - (i > i0) among the rows other than i0
+            out[i0][j0][i] = -d if (i0 + j0 + i - (i > i0)) % 2 == 0 else d
     return out
 
 
@@ -216,14 +208,11 @@ def certify_resolution(curve: ACMCurve) -> ResolutionCertificate:
     equality through the window k = 0 .. 2r+2.
     """
     r = curve.r
-    cofactor = True
-    for j in range(r):
-        acc = HomogPoly(4, r + 1, {})
-        for i in range(r + 1):
-            acc = acc + curve.minors[i] * curve.entries[i][j]
-        if not acc.is_zero():
-            cofactor = False
-            break
+    zero = HomogPoly(4, r + 1, {})
+    cofactor = all(
+        sum((curve.minors[i] * curve.entries[i][j] for i in range(r + 1)), zero).is_zero()
+        for j in range(r)
+    )
     injective = any(not m.is_zero() for m in curve.minors)
     window = range(0, 2 * r + 3)
     expected = tuple(predicted_ideal_dimension(r, k) for k in window)

@@ -32,17 +32,26 @@ def fiber_generators(curve, t: GaussianRational, at_infinity: bool = False) -> L
     Finite chart: x0 = u, x1 = v, x2 = 1, x3 = t.  Infinity chart:
     x0 = u, x1 = v, x2 = t, x3 = 1 (t is the reciprocal parameter there).
     """
+    ta, tb, te = t.integer_parts()
     out: List[Bivar] = []
     for minor in curve.minors:
-        acc: Bivar = {}
-        for (m0, m1, m2, m3), c in minor.coeffs.items():
-            power = m2 if at_infinity else m3
-            val = c
-            for _ in range(power):
-                val = val * t
-            key = (m0, m1)
-            acc[key] = acc.get(key, _ZERO) + val
-        out.append({k: v for k, v in acc.items() if not v.is_zero()})
+        # t^e = (ta + tb*i)^e / te^e, so over minor.den * te^degree a term
+        # with t^e gains the factor te^(degree - e)
+        powers = [(1, 0)]
+        for _ in range(minor.degree):
+            a, b = powers[-1]
+            powers.append((a * ta - b * tb, a * tb + b * ta))
+        acc: Dict[Tuple[int, int], Tuple[int, int]] = {}
+        for (m0, m1, m2, m3), (a, b) in minor.terms.items():
+            e = m2 if at_infinity else m3
+            pa, pb = powers[e]
+            scale = te ** (minor.degree - e)
+            prev = acc.get((m0, m1), (0, 0))
+            acc[(m0, m1)] = (prev[0] + (a * pa - b * pb) * scale, prev[1] + (a * pb + b * pa) * scale)
+        den = minor.den * te ** minor.degree
+        out.append(
+            {k: GaussianRational(Fraction(a, den), Fraction(b, den)) for k, (a, b) in acc.items() if a or b}
+        )
     return [g for g in out if g]
 
 

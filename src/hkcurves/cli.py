@@ -551,6 +551,14 @@ def positive_int(text: str) -> int:
     return value
 
 
+def document_r(text: str) -> int:
+    """Argument type for --r of commands that certify curves: 1 to MAX_DOCUMENT_R."""
+    value = positive_int(text)
+    if value > MAX_DOCUMENT_R:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_DOCUMENT_R}, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hkcurves",
@@ -577,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_acm_verify)
 
     p_random = acm_sub.add_parser("random", help="write certified curve documents")
-    p_random.add_argument("--r", type=positive_int, required=True)
+    p_random.add_argument("--r", type=document_r, required=True)
     p_random.add_argument("--count", type=positive_int, default=1)
     p_random.add_argument("--seed", type=int, default=0)
     p_random.add_argument("--out", type=Path, required=True)
@@ -602,7 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_coh = sub.add_parser("cohomology", help="cohomology commands")
     coh_sub = p_coh.add_subparsers(dest="cohomology_command", required=True)
     p_table = coh_sub.add_parser("table", help="twisted ideal cohomology table")
-    p_table.add_argument("--r", type=positive_int, default=None)
+    p_table.add_argument("--r", type=document_r, default=None)
     p_table.add_argument("--curve", default=None, help="curve document (JSON)")
     p_table.add_argument("--seed", type=int, default=0)
     p_table.add_argument("--out", type=Path, default=None)

@@ -11,11 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-import numpy as np
-
 from .exact_algebra.ideals import Row, sparse_row_rank
 from .exact_algebra.modp import matmul_mod, rank_mod, reductions
-from .exact_algebra.polys import graded_matrix, monomial_basis, monomial_count, monomial_index
+from .exact_algebra.polys import (
+    graded_matrix, monomial_basis, monomial_count, monomial_index, shift_index,
+)
 from .exact_algebra.scalars import GaussianRational
 
 Table = Tuple[int, int, int, int]
@@ -112,12 +112,6 @@ def _table_rows(ideal, degree: int, cols: List[int]) -> List[Row]:
     return rows
 
 
-def _shift_index(monos, shifts, degree: int) -> np.ndarray:
-    """[k, n]: basis index of monos[n] times the monomial shifts[k] in `degree`."""
-    index = monomial_index(4, degree)
-    return np.array([[index[tuple(a + b for a, b in zip(m, e))] for m in monos] for e in shifts])
-
-
 def _exact_map_rows(curve, src_cols: List[int], tgt_cols: List[int], m_src: int) -> List[Row]:
     """Rows (j, target column) of the pairing map over Q(i), columns (i, source column)."""
     r = curve.r
@@ -183,11 +177,11 @@ def normal_sections(curve, twist: int) -> int:
     ]
     units = monomial_basis(4, 1)
     # the map's block (j, i) sums coeff_v(entries[i][j]) * NF[s + e_v]
-    map_shift = _shift_index([src_basis[c] for c in src_cols], units, m_tgt)
+    map_shift = shift_index([src_basis[c] for c in src_cols], units, m_tgt)
     # f * d runs over the shifts of d's monomials by f's exponent
     forms = units if twist == 0 else monomial_basis(4, 0)
     cof_basis = monomial_basis(4, r - 1)
-    cof_shift = _shift_index(cof_basis, forms, m_src)
+    cof_shift = shift_index(cof_basis, forms, m_src)
     index = monomial_index(4, r - 1)
     # rows (i0, j0, i) over the degree r-1 monomials
     cof_rows = [

@@ -15,6 +15,13 @@ path: a monic pivot row is the one vector of its input rows' span with lead
 1 and zeros at the pivot columns it was reduced against, so by Cramer's rule
 its entries are ratios of minors of the input rows; a deferred row is kept
 primitive, so its content does not compound along a reduction chain.
+
+A graded level I_k is spanned by the monomial shifts of the reduced
+generators.  On the modular route the generators are reduced mod p once
+per prime and kept on the ideal, and level k is scattered from them through
+one [multiplier, generator column] -> level column index array: a shift
+only permutes a row's columns, and reduction mod p acts entry by entry, so
+the scattered level is the reduction of the exact one.
 """
 
 from __future__ import annotations
@@ -23,8 +30,11 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from . import modp
 from .modp import sparse_rank_certificate
-from .polys import HomogPoly, monomial_basis, monomial_index
+from .polys import HomogPoly, monomial_basis, monomial_count, monomial_index, shift_index
 from .scalars import GaussianRational
 
 Row = List[Tuple[int, GaussianRational]]
@@ -93,10 +103,8 @@ def _to_fractions(row: ZRow, sign: int = 1) -> Row:
 
 
 def _poly_to_row(poly: HomogPoly, degree: int, num_vars: int) -> Row:
-    basis = monomial_basis(num_vars, degree)
-    index = {m: i for i, m in enumerate(basis)}
-    entries = sorted((index[m], v) for m, v in poly.coeffs.items())
-    return [(c, v) for c, v in entries if v.re or v.im]
+    index = monomial_index(num_vars, degree)
+    return sorted((index[m], v) for m, v in poly.coeffs.items())
 
 
 def sparse_echelon(rows: Iterable[Row], target: Optional[int] = None) -> List[Row]:
@@ -191,23 +199,28 @@ class GradedIdeal:
             )
         return cached  # type: ignore[return-value]
 
+    def _shifts(self, k: int) -> np.ndarray:
+        """[multiplier, generator column] -> level-k column of the shifted generator."""
+        n, d = self.num_vars, self.gen_degree
+        return shift_index(monomial_basis(n, d), monomial_basis(n, k - d), k, n)
+
     def _row_stream(self, k: int) -> List[Row]:
         gens = self._reduced_generators()
-        shift_deg = k - self.gen_degree
-        gen_basis = monomial_basis(self.num_vars, self.gen_degree)
-        index = {m: i for i, m in enumerate(monomial_basis(self.num_vars, k))}
-        out: List[Row] = []
-        for mult in monomial_basis(self.num_vars, shift_deg):
-            # adding a fixed exponent vector preserves lex order, so the
-            # shifted row is already sorted
-            for row in gens:
-                out.append(
-                    [
-                        (index[tuple(a + b for a, b in zip(gen_basis[c], mult))], v)
-                        for c, v in row
-                    ]
-                )
-        return out
+        # adding a fixed exponent vector preserves lex order, so the shifted
+        # row is already sorted
+        return [[(cols[c], v) for c, v in row] for cols in self._shifts(k).tolist() for row in gens]
+
+    def _level_mod(self, k: int, p: int, s: int) -> np.ndarray:
+        """rows_mod(self._row_stream(k), ...) at p, scattered from the
+        generators reduced once per prime (see the module docstring)."""
+        gens = self._cache.get(("mod", p))
+        if gens is None:
+            ncols = monomial_count(self.num_vars, self.gen_degree)
+            gens = self._cache[("mod", p)] = modp.rows_mod(self._reduced_generators(), ncols, p, s)
+        idx = self._shifts(k)
+        out = np.zeros((len(idx), len(gens), monomial_count(self.num_vars, k)), dtype=np.int64)
+        out[np.arange(len(idx))[:, None, None], np.arange(len(gens))[:, None], idx[:, None, :]] = gens
+        return out.reshape(-1, out.shape[2])
 
     def _build(self, k: int) -> List[Row]:
         if k in self._levels:
@@ -233,8 +246,8 @@ class GradedIdeal:
             # rank mod p never exceeds the exact rank; meeting the proven
             # upper bound pins the exact value without exact elimination
             bound = self._bound(k)
-            ncols = len(monomial_basis(self.num_vars, k))
-            if sparse_rank_certificate(self._row_stream(k), ncols, bound):
+            ncols = monomial_count(self.num_vars, k)
+            if sparse_rank_certificate(None, ncols, bound, lambda p, s: self._level_mod(k, p, s)):
                 dim = bound
             else:
                 dim = len(self._build(k))

@@ -10,7 +10,7 @@ proves nothing; callers retry or fall back to exact arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, List, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,6 +32,9 @@ PRIMES: Tuple[Tuple[int, int], ...] = tuple(
 )
 
 
+SparseRows = Sequence[Sequence[Tuple[int, GaussianRational]]]
+
+
 class BadPrime(ValueError):
     """Entry denominator vanishes mod p; the reduction map is undefined."""
 
@@ -47,12 +50,7 @@ def value_mod(v: GaussianRational, p: int, s: int) -> int:
     return (_fraction_mod(v.re, p) + s * _fraction_mod(v.im, p)) % p
 
 
-def rows_mod(
-    rows: Sequence[Sequence[Tuple[int, GaussianRational]]],
-    ncols: int,
-    p: int,
-    s: int,
-) -> np.ndarray:
+def rows_mod(rows: SparseRows, ncols: int, p: int, s: int) -> np.ndarray:
     """Dense reduction of sparse rows; entries as `value_mod`, one inverse per denominator."""
     out = np.zeros((len(rows), ncols), dtype=np.int64)
     inverses = {1: 1}
@@ -111,23 +109,27 @@ def rank_mod(matrix: np.ndarray, p: int, stop_rank: int | None = None) -> int:
     return rank
 
 
-def reductions(
-    tables: Sequence[Tuple[Sequence[Sequence[Tuple[int, GaussianRational]]], int]],
-) -> Iterator[Tuple[int, List[np.ndarray]]]:
-    """(p, rows_mod of every (rows, ncols) table) for each prime of PRIMES in
-    turn, skipping a prime at which some table has a bad denominator."""
+def _each_prime(reduce: Callable[[int, int], object]) -> Iterator[Tuple[int, object]]:
+    """(p, reduce(p, s)) for each prime of PRIMES in turn, skipping a prime
+    at which reduce raises BadPrime."""
     for p, s in PRIMES:
         try:
-            reduced = [rows_mod(rows, ncols, p, s) for rows, ncols in tables]
+            reduced = reduce(p, s)
         except BadPrime:
             continue
         yield p, reduced
 
 
+def reductions(tables: Sequence[Tuple[SparseRows, int]]) -> Iterator[Tuple[int, List[np.ndarray]]]:
+    """(p, rows_mod of every (rows, ncols) table) for each usable prime."""
+    return _each_prime(lambda p, s: [rows_mod(rows, ncols, p, s) for rows, ncols in tables])
+
+
 def sparse_rank_certificate(
-    rows: Sequence[Sequence[Tuple[int, GaussianRational]]],
+    rows: Optional[SparseRows],
     ncols: int,
     upper_bound: int,
+    level: Optional[Callable[[int, int], np.ndarray]] = None,
 ) -> bool:
     """True iff some prime exhibits rank == upper_bound (then exact rank == bound).
 
@@ -135,9 +137,11 @@ def sparse_rank_certificate(
     modular rank at the bound pins the exact rank, and one above it proves
     the bound false: that raises ArithmeticError.  False means no tried
     prime reached the bound; the exact rank may still equal it, so the
-    caller must recheck exactly before concluding anything.
+    caller must recheck exactly before concluding anything.  `level(p, s)`,
+    if given, returns the rows already reduced at p (or raises BadPrime) in
+    place of rows_mod(rows, ncols, p, s).
     """
-    for p, (m,) in reductions([(rows, ncols)]):
+    for p, m in _each_prime(level or (lambda p, s: rows_mod(rows, ncols, p, s))):
         rank = rank_mod(m, p, upper_bound + 1)
         if rank > upper_bound:
             raise ArithmeticError(f"rank {rank} mod p exceeds certified bound {upper_bound}")

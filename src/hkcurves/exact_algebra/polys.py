@@ -1,15 +1,25 @@
 """Graded polynomial plumbing over Q(i).
 
-HomogPoly is a sparse homogeneous polynomial keyed by exponent tuples.
+HomogPoly is a sparse homogeneous polynomial keyed by exponent tuples.  It
+stores Gaussian-integer numerators (a, b) for a + b*i per monomial over one
+positive integer denominator, with gcd(den, content) = 1, so arithmetic
+runs on ints and equal forms are equal structurally; GaussianRational
+coefficients appear only in the `coeffs` view read at the boundary.
 Monomial bases are lexicographically descending, so coordinate layouts are
-reproducible across runs.  UniPoly is the univariate workhorse for pencil
-minor gcds and binary forms.
+reproducible across runs, and `shift_index` maps a basis times a list of
+monomials into a higher degree.  UniPoly is the univariate workhorse for
+pencil minor gcds and binary forms.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd, lcm
+from operator import add
+from types import MappingProxyType
+
+import numpy as np
 
 from .linalg import ExactMatrix
 from .scalars import GaussianRational
@@ -42,101 +52,127 @@ def monomial_count(num_vars: int, degree: int) -> int:
     return comb(degree + num_vars - 1, num_vars - 1)
 
 
-class HomogPoly:
-    """Homogeneous polynomial; empty coefficient dict is the zero form."""
+def shift_index(monos, shifts, degree: int, num_vars: int = 4) -> np.ndarray:
+    """[k, n]: basis index of monos[n] times the monomial shifts[k] in `degree`."""
+    index = monomial_index(num_vars, degree)
+    return np.array(
+        [[index[tuple(map(add, m, e))] for m in monos] for e in shifts], dtype=np.intp
+    ).reshape(len(shifts), len(monos))
 
-    __slots__ = ("num_vars", "degree", "coeffs")
+
+class HomogPoly:
+    """Homogeneous form sum_m (a_m + b_m*i) x^m / den over Q(i).
+
+    `terms` maps exponent tuples to nonzero Gaussian-integer numerators
+    (a, b) and `den` is one positive integer with gcd(den, every a and b)
+    = 1.  That representation of a form is unique, so == and hash compare
+    it directly.  `coeffs` is the read-only {monomial: GaussianRational}
+    view, built once on first use.
+    """
+
+    __slots__ = ("num_vars", "degree", "terms", "den", "_coeffs")
 
     def __init__(self, num_vars: int, degree: int, coeffs: dict | None = None):
-        clean = {}
+        parts = {}
         for mono, c in (coeffs or {}).items():
-            if not isinstance(c, GaussianRational):
-                c = GaussianRational(c)
+            c = c if isinstance(c, GaussianRational) else GaussianRational(c)
             if c.is_zero():
                 continue
             if len(mono) != num_vars or sum(mono) != degree or min(mono) < 0:
                 raise ValueError(f"monomial {mono} not of degree {degree}")
-            clean[tuple(mono)] = c
-        object.__setattr__(self, "num_vars", num_vars)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coeffs", clean)
+            parts[tuple(mono)] = c.integer_parts()
+        den = lcm(*(e for _, _, e in parts.values()))
+        terms = {m: (a * (den // e), b * (den // e)) for m, (a, b, e) in parts.items()}
+        self._fill(num_vars, degree, terms, den)
+
+    def _fill(self, num_vars: int, degree: int, terms: dict, den: int) -> None:
+        # drop zero numerators and divide gcd(den, content) out of both
+        terms = {m: ab for m, ab in terms.items() if ab[0] or ab[1]}
+        g = gcd(den, *(x for ab in terms.values() for x in ab)) if den > 1 else 1
+        if g > 1:
+            den //= g
+            terms = {m: (a // g, b // g) for m, (a, b) in terms.items()}
+        for name, value in zip(self.__slots__, (num_vars, degree, terms, den, None)):
+            object.__setattr__(self, name, value)
+
+    def _like(self, terms: dict, den: int, degree: int | None = None) -> "HomogPoly":
+        """The form terms / den in this form's variables (and degree, unless given)."""
+        poly = HomogPoly.__new__(HomogPoly)
+        poly._fill(self.num_vars, self.degree if degree is None else degree, terms, den)
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("HomogPoly is immutable")
 
-    @staticmethod
-    def variable(num_vars: int, i: int) -> "HomogPoly":
-        mono = tuple(1 if j == i else 0 for j in range(num_vars))
-        return HomogPoly(num_vars, 1, {mono: GaussianRational(1)})
+    @property
+    def coeffs(self) -> MappingProxyType:
+        if self._coeffs is None:
+            d = self.den
+            view = {m: GaussianRational(Fraction(a, d), Fraction(b, d)) for m, (a, b) in self.terms.items()}
+            object.__setattr__(self, "_coeffs", MappingProxyType(view))
+        return self._coeffs
 
     @staticmethod
     def linear_form(coeffs) -> "HomogPoly":
         n = len(coeffs)
-        d = {}
-        for i, c in enumerate(coeffs):
-            d[tuple(1 if j == i else 0 for j in range(n))] = c
-        return HomogPoly(n, 1, d)
+        return HomogPoly(n, 1, {tuple(int(j == i) for j in range(n)): c for i, c in enumerate(coeffs)})
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.terms
 
     def __eq__(self, other):
         return (
             isinstance(other, HomogPoly)
             and self.num_vars == other.num_vars
             and self.degree == other.degree
-            and self.coeffs == other.coeffs
+            and self.den == other.den
+            and self.terms == other.terms
         )
 
     def __hash__(self):
-        return hash((self.num_vars, self.degree, frozenset(self.coeffs.items())))
+        return hash((self.num_vars, self.degree, self.den, frozenset(self.terms.items())))
 
     def __add__(self, other):
         if self.num_vars != other.num_vars or self.degree != other.degree:
             raise ValueError("degree mismatch")
-        c = dict(self.coeffs)
-        for m, v in other.coeffs.items():
-            c[m] = c.get(m, _ZERO) + v
-        return HomogPoly(self.num_vars, self.degree, c)
+        den = lcm(self.den, other.den)
+        s, t = den // self.den, den // other.den
+        out = {m: (a * s, b * s) for m, (a, b) in self.terms.items()}
+        for m, (a, b) in other.terms.items():
+            prev = out.get(m, (0, 0))
+            out[m] = (prev[0] + a * t, prev[1] + b * t)
+        return self._like(out, den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return HomogPoly(
-            self.num_vars, self.degree, {m: -v for m, v in self.coeffs.items()}
-        )
+        return self._like({m: (-a, -b) for m, (a, b) in self.terms.items()}, self.den)
 
     def scale(self, c) -> "HomogPoly":
         c = c if isinstance(c, GaussianRational) else GaussianRational(c)
-        return HomogPoly(
-            self.num_vars, self.degree, {m: v * c for m, v in self.coeffs.items()}
-        )
+        ca, cb, e = c.integer_parts()
+        out = {m: (a * ca - b * cb, a * cb + b * ca) for m, (a, b) in self.terms.items()}
+        return self._like(out, self.den * e)
 
     def __mul__(self, other: "HomogPoly") -> "HomogPoly":
         if self.num_vars != other.num_vars:
             raise ValueError("variable count mismatch")
         out: dict = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                prev = out.get(m)
-                out[m] = c1 * c2 if prev is None else prev + c1 * c2
-        return HomogPoly(self.num_vars, self.degree + other.degree, out)
+        for m1, (a1, b1) in self.terms.items():
+            for m2, (a2, b2) in other.terms.items():
+                m = tuple(map(add, m1, m2))
+                prev = out.get(m, (0, 0))
+                out[m] = (prev[0] + a1 * a2 - b1 * b2, prev[1] + a1 * b2 + b1 * a2)
+        return self._like(out, self.den * other.den, self.degree + other.degree)
 
-    def mul_monomial(self, mono: tuple, c=None) -> "HomogPoly":
-        shift = {
-            tuple(a + b for a, b in zip(m, mono)): (v if c is None else v * c)
-            for m, v in self.coeffs.items()
-        }
-        return HomogPoly(self.num_vars, self.degree + sum(mono), shift)
+    def mul_monomial(self, mono: tuple) -> "HomogPoly":
+        shift = {tuple(map(add, m, mono)): ab for m, ab in self.terms.items()}
+        return self._like(shift, self.den, self.degree + sum(mono))
 
     def evaluate(self, point):
         """Exact evaluation at a tuple of GaussianRational (or int) values."""
-        vals = [
-            p if isinstance(p, GaussianRational) else GaussianRational(p)
-            for p in point
-        ]
+        vals = [p if isinstance(p, GaussianRational) else GaussianRational(p) for p in point]
         total = _ZERO
         for mono, c in self.coeffs.items():
             term = c
@@ -147,12 +183,10 @@ class HomogPoly:
         return total
 
     def conj_coeffs(self) -> "HomogPoly":
-        return HomogPoly(
-            self.num_vars, self.degree, {m: v.conj() for m, v in self.coeffs.items()}
-        )
+        return self._like({m: (a, -b) for m, (a, b) in self.terms.items()}, self.den)
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.terms:
             return "HomogPoly(0)"
         names = "xyzw" if self.num_vars <= 4 else None
         parts = []

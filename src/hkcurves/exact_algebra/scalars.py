@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 import re
 from fractions import Fraction
+from math import lcm
 from typing import Tuple
 
 _RAT = r"[+-]?\d+(?:/\d+)?"
@@ -136,6 +137,12 @@ class GaussianRational:
     def norm(self) -> Fraction:
         """|z|^2, exact."""
         return self.re * self.re + self.im * self.im
+
+    def integer_parts(self) -> Tuple[int, int, int]:
+        """(a, b, den) with self = (a + b*i) / den and den > 0 the lcm of both denominators."""
+        x, y = self.re, self.im
+        den = lcm(x.denominator, y.denominator)
+        return x.numerator * (den // x.denominator), y.numerator * (den // y.denominator), den
 
     # -- predicates / conversions ---------------------------------------
 

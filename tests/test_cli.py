@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, determinism, document formats."""
 
 import json
+import time
 
 import pytest
 
@@ -254,6 +255,20 @@ def test_exit_2_on_out_of_range_argument(argv, capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", [["acm", "random"], ["cohomology", "table"]])
+def test_exit_2_on_r_above_document_ceiling(command, tmp_path, capsys):
+    # a curve above the ceiling would make documents `acm verify` refuses;
+    # the parser stops it before any curve is drawn
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--r", str(MAX_DOCUMENT_R + 1), "--out", str(out)])
+    assert exc.value.code == 2
+    assert time.perf_counter() - start < 1.0
+    assert not out.exists()
+    assert "at most 7" in capsys.readouterr().err
 
 
 def test_argparse_rejects_unknown_command(capsys):

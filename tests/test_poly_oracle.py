@@ -1,0 +1,208 @@
+"""Equality of the Gaussian-integer `HomogPoly` and Laplace kernel with the Q(i) ones.
+
+The private reference below is the polynomial arithmetic as it ran on a
+{monomial: GaussianRational} dict, and `entry_cofactors` as it ran: one
+`signed_maximal_minors` call per (i0, j0) on the matrix without row i0 and
+column j0, with frozenset row keys.  The library must give equal forms.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+from hkcurves.acm_curve import LinearMatrix, entry_cofactors, signed_maximal_minors
+from hkcurves.exact_algebra.linalg import ExactMatrix
+from hkcurves.exact_algebra.polys import HomogPoly, monomial_basis
+from hkcurves.exact_algebra.scalars import GaussianRational, random_gaussian_rows
+
+_ZERO = GaussianRational(0, 0)
+_ONE = GaussianRational(1, 0)
+
+
+class _RefPoly:
+    """A form as a {monomial: GaussianRational} dict without zero values."""
+
+    def __init__(self, num_vars, degree, coeffs):
+        self.num_vars, self.degree = num_vars, degree
+        self.coeffs = {m: c for m, c in coeffs.items() if not c.is_zero()}
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def __add__(self, other):
+        c = dict(self.coeffs)
+        for m, v in other.coeffs.items():
+            c[m] = c.get(m, _ZERO) + v
+        return _RefPoly(self.num_vars, self.degree, c)
+
+    def __neg__(self):
+        return _RefPoly(self.num_vars, self.degree, {m: -v for m, v in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        return _RefPoly(self.num_vars, self.degree, {m: v * c for m, v in self.coeffs.items()})
+
+    def __mul__(self, other):
+        out = {}
+        for m1, c1 in self.coeffs.items():
+            for m2, c2 in other.coeffs.items():
+                m = tuple(a + b for a, b in zip(m1, m2))
+                out[m] = out.get(m, _ZERO) + c1 * c2
+        return _RefPoly(self.num_vars, self.degree + other.degree, out)
+
+    def mul_monomial(self, mono):
+        shift = {tuple(a + b for a, b in zip(m, mono)): v for m, v in self.coeffs.items()}
+        return _RefPoly(self.num_vars, self.degree + sum(mono), shift)
+
+    def evaluate(self, point):
+        total = _ZERO
+        for mono, c in self.coeffs.items():
+            term = c
+            for v, e in zip(point, mono):
+                for _ in range(e):
+                    term = term * v
+            total = total + term
+        return total
+
+    def conj_coeffs(self):
+        return _RefPoly(self.num_vars, self.degree, {m: v.conj() for m, v in self.coeffs.items()})
+
+
+def _ref(poly):
+    return _RefPoly(poly.num_vars, poly.degree, poly.coeffs)
+
+
+def assert_same(poly, ref):
+    assert isinstance(poly, HomogPoly)
+    assert (poly.num_vars, poly.degree) == (ref.num_vars, ref.degree)
+    assert poly.coeffs == ref.coeffs
+
+
+def _ref_signed_maximal_minors(entries, num_vars=4):
+    nrows, ncols = len(entries), len(entries[0])
+    dets = {frozenset(): _RefPoly(num_vars, 0, {(0,) * num_vars: _ONE})}
+    for col in range(ncols):
+        nxt = {}
+        for rowset in itertools.combinations(range(nrows), col + 1):
+            acc = _RefPoly(num_vars, col + 1, {})
+            for pos, i in enumerate(rowset):
+                prev = dets[frozenset(rowset) - {i}]
+                if prev.is_zero():
+                    continue
+                term = prev * entries[i][col]
+                acc = acc + (term if (pos + col) % 2 == 0 else -term)
+            nxt[frozenset(rowset)] = acc
+        dets = nxt
+    full = frozenset(range(nrows))
+    return [dets[full - {skip}] if skip % 2 == 0 else -dets[full - {skip}] for skip in range(nrows)]
+
+
+def _ref_entry_cofactors(entries):
+    r = len(entries) - 1
+    out = []
+    for i0 in range(r + 1):
+        rows = [entries[a] for a in range(r + 1) if a != i0]
+        per_column = []
+        for j0 in range(r):
+            sub = [[row[b] for b in range(r) if b != j0] for row in rows]
+            cof = _ref_signed_maximal_minors(sub) if r > 1 else [_RefPoly(4, 0, {(0,) * 4: _ONE})]
+            if (i0 + j0) % 2 == 0:
+                cof = [-d for d in cof]
+            cof.insert(i0, _RefPoly(4, r - 1, {}))
+            per_column.append(cof)
+        out.append(per_column)
+    return out
+
+
+def _rational(rng, span=9, den=6):
+    return GaussianRational(
+        Fraction(rng.randint(-span, span), rng.randint(1, den)),
+        Fraction(rng.randint(-span, span), rng.randint(1, den)),
+    )
+
+
+def _random_form(rng, degree):
+    # about a third of the monomials absent, denominators up to 6
+    basis = monomial_basis(4, degree)
+    return HomogPoly(4, degree, {m: _rational(rng) for m in basis if rng.random() < 0.7})
+
+
+def _forms():
+    rng = random.Random(9)
+    return [_random_form(rng, d) for d in (0, 1, 1, 2, 2, 3) for _ in range(3)]
+
+
+def test_arithmetic_matches_reference():
+    rng = random.Random(10)
+    forms = _forms()
+    assert any(f.den > 1 for f in forms)
+    for f in forms:
+        ref = _ref(f)
+        assert_same(-f, -ref)
+        assert_same(f.conj_coeffs(), ref.conj_coeffs())
+        c = _rational(rng)
+        assert_same(f.scale(c), ref.scale(c))
+        assert_same(f.scale(_ZERO), ref.scale(_ZERO))
+        mono = (rng.randint(0, 2), 0, rng.randint(0, 2), 1)
+        assert_same(f.mul_monomial(mono), ref.mul_monomial(mono))
+        point = tuple(_rational(rng, 4, 3) for _ in range(4))
+        assert f.evaluate(point) == ref.evaluate(point)
+        for g in forms:
+            assert_same(f * g, ref * _ref(g))
+            if g.degree == f.degree:
+                assert_same(f + g, ref + _ref(g))
+                assert_same(f - g, ref - _ref(g))
+
+
+def test_equal_forms_compare_and_hash_equal():
+    x = HomogPoly(4, 1, {(1, 0, 0, 0): _ONE})
+    half = HomogPoly(4, 1, {(1, 0, 0, 0): GaussianRational(Fraction(1, 2))})
+    third = HomogPoly(4, 0, {(0,) * 4: GaussianRational(Fraction(1, 3), Fraction(1, 3))})
+    three = HomogPoly(4, 0, {(0,) * 4: GaussianRational(Fraction(3, 2), Fraction(-3, 2))})
+    pairs = [
+        (half + half, x),
+        (x.scale(GaussianRational(Fraction(1, 2))), half),
+        ((x * third) * three, x),  # (1 + i)/3 * 3(1 - i)/2 = 1
+        (x - x, HomogPoly(4, 1, {})),
+        (half.conj_coeffs().conj_coeffs(), half),
+    ]
+    for got, want in pairs:
+        assert got == want
+        assert hash(got) == hash(want)
+        assert (got.terms, got.den) == (want.terms, want.den)
+    assert (x - x).den == 1
+    assert half != x and half.den == 2
+    # the cached coefficient view cannot drift from the integer terms
+    with pytest.raises(TypeError):
+        half.coeffs[(1, 0, 0, 0)] = _ONE
+
+
+def _linear_entries(r, rng, nvars, den=1):
+    coeffs = [
+        ExactMatrix([[v / den for v in row] for row in random_gaussian_rows(rng, r + 1, r, 3)])
+        for _ in range(nvars)
+    ]
+    coeffs += [ExactMatrix([[_ZERO] * r for _ in range(r + 1)])] * (4 - nvars)
+    return LinearMatrix(r, *coeffs).entry_polys()
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
+def test_minors_and_cofactors_match_reference(r):
+    rng = random.Random(20 + r)
+    # r = 5, 6 in two variables keep the reference's products small
+    nvars = 4 if r <= 4 else 2
+    cases = [_linear_entries(r, rng, nvars)]
+    if r <= 4:
+        cases.append(_linear_entries(r, rng, 4, den=GaussianRational(Fraction(3, 2), Fraction(1, 5))))
+    for entries in cases:
+        ref_entries = [[_ref(e) for e in row] for row in entries]
+        for got, want in zip(signed_maximal_minors(entries), _ref_signed_maximal_minors(ref_entries)):
+            assert_same(got, want)
+        cofactors = entry_cofactors(entries)
+        reference = _ref_entry_cofactors(ref_entries)
+        for i0, j0, i in itertools.product(range(r + 1), range(r), range(r + 1)):
+            assert_same(cofactors[i0][j0][i], reference[i0][j0][i])
