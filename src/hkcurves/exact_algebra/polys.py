@@ -55,9 +55,7 @@ def monomial_count(num_vars: int, degree: int) -> int:
 def shift_index(monos, shifts, degree: int, num_vars: int = 4) -> np.ndarray:
     """[k, n]: basis index of monos[n] times the monomial shifts[k] in `degree`."""
     index = monomial_index(num_vars, degree)
-    return np.array(
-        [[index[tuple(map(add, m, e))] for m in monos] for e in shifts], dtype=np.intp
-    ).reshape(len(shifts), len(monos))
+    return np.array([[index[tuple(map(add, m, e))] for m in monos] for e in shifts], dtype=np.intp)
 
 
 class HomogPoly:
