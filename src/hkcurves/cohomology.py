@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+from .exact_algebra import modp
 from .exact_algebra.ideals import Row, sparse_row_rank
 from .exact_algebra.modp import matmul_mod, rank_mod, reductions
 from .exact_algebra.polys import (
@@ -35,13 +36,22 @@ def chi_line_bundle(m: int) -> int:
 
 
 def _syzygy_dual_rank(curve, k: int) -> int:
-    """Rank of the transposed syzygy matrix acting on degree r-k-4 vectors."""
+    """Rank of the transposed syzygy matrix acting on degree r-k-4 vectors.
+
+    It kills the signed maximal minors (Laplace), not all zero on a certified
+    curve, so minors * h for the monomials h of degree -k-4 are independent
+    kernel vectors: the rank is at most cols - monomial_count(4, -k-4).  A
+    prime meeting that bound decides it, else exact Bareiss elimination.
+    """
     r = curve.r
     source_degree = r - k - 4
     if source_degree < 0:
         return 0
     phi_t = [[curve.entries[i][j] for i in range(r + 1)] for j in range(r)]
-    return graded_matrix(phi_t, source_degree, 4).matrix.rank()
+    matrix = graded_matrix(phi_t, source_degree, 4).matrix
+    bound = matrix.cols - monomial_count(4, -k - 4)
+    rows = [list(enumerate(row)) for row in matrix.data]
+    return bound if modp.sparse_rank_certificate(rows, matrix.cols, bound) else matrix.rank()
 
 
 def ideal_cohomology(curve, k: int) -> Table:

@@ -3,18 +3,27 @@
 A map to projective 3-space is four binary forms of one degree d; when
 the map is base-point-free and an immersion, its normal bundle splits as
 a sum of two line bundles of degrees summing to 4d - 2.  Both degrees
-are read off exact kernel dimensions of multiplication maps built from
-the partial derivatives, swept over twists.
+are read off kernel dimensions of multiplication maps built from the
+partial derivatives, swept over twists.  Each rank is a mod-p rank
+that meets the proven upper bound stated with its count (rank mod p
+never exceeds the exact rank), else exact Bareiss elimination.  The
+matrices are scattered from Gaussian-integer rows of the forms times
+one common denominator, which scales every block alike and so keeps
+every rank, reduced once per prime.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from functools import cached_property
+from itertools import combinations, product
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .exact_algebra import modp
 from .exact_algebra.linalg import ExactMatrix
 from .exact_algebra.polys import UniPoly, uni_gcd
 from .exact_algebra.scalars import GaussianRational, random_gaussian_rows
@@ -22,6 +31,7 @@ from .exact_algebra.scalars import GaussianRational, random_gaussian_rows
 _ZERO = GaussianRational(0)
 
 BinaryForm = Tuple[GaussianRational, ...]  # coeffs[k] multiplies s^(d-k) t^k
+IntForm = Sequence[Sequence[int]]  # Gaussian-integer (re, im) pairs, same order
 
 
 def _as_form(coeffs: Sequence) -> BinaryForm:
@@ -49,6 +59,17 @@ class RationalCurveMap:
     def degree(self) -> int:
         return len(self.forms[0]) - 1
 
+    @cached_property
+    def _rows(self) -> "_FormRows":
+        """f_a, ds f_a, dt f_a (rows 0-3, 4-7, 8-11), all times one common
+        positive denominator of the coefficients."""
+        den = math.lcm(*(q.denominator for f in self.forms for c in f for q in (c.re, c.im)))
+        forms = [[(int(c.re * den), int(c.im * den)) for c in f] for f in self.forms]
+        d = self.degree
+        ds = [[(a * (d - k), b * (d - k)) for k, (a, b) in enumerate(f[:-1])] for f in forms]
+        dt = [[(a * k, b * k) for k, (a, b) in enumerate(f)][1:] for f in forms]
+        return _FormRows(forms + ds + dt)
+
     def evaluate(self, s: GaussianRational, t: GaussianRational) -> List[GaussianRational]:
         d = self.degree
         spow = [GaussianRational(1)]
@@ -65,28 +86,86 @@ class RationalCurveMap:
         return out
 
 
-def _deriv_s(f: BinaryForm) -> BinaryForm:
-    d = len(f) - 1
-    return tuple(f[k] * (d - k) for k in range(d))
+class _FormRows:
+    """Binary forms with Gaussian-integer coefficients, their rows reduced
+    once per prime, and the banded multiplication matrices built on them."""
+
+    def __init__(self, forms: Sequence[IntForm]):
+        self.ints = forms
+        self.forms = [tuple(GaussianRational(a, b) for a, b in f) for f in forms]
+        self.width = max(len(f) for f in forms)
+        self._mod: Dict[int, np.ndarray] = {}
+
+    def _reduced(self, p: int, s: int) -> np.ndarray:
+        if p not in self._mod:
+            self._mod[p] = modp.rows_mod([list(enumerate(f)) for f in self.forms], self.width, p, s)
+        return self._mod[p]
+
+    def band(self, blocks: List[List[int]], col_degrees: List[int]):
+        """Shape and (row, column, source) indices of the matrix of
+        (g_c) -> (sum_c forms[blocks[o][c]] * g_c)_o, g_c of degree
+        col_degrees[c]; source q * width + i is coefficient i of forms[q].
+        Each output o has one degree, so its rows do not depend on c."""
+        rows, cols, src = [], [], []
+        ncols = 0
+        for c, cd in enumerate(col_degrees):
+            nrows = 0
+            for block in blocks:
+                q = block[c]
+                n = len(self.forms[q])
+                for k in range(cd + 1):
+                    rows.extend(range(nrows + k, nrows + k + n))
+                    cols.extend([ncols + k] * n)
+                    src.extend(range(q * self.width, q * self.width + n))
+                nrows += n + cd
+            ncols += cd + 1
+        return (nrows, ncols), np.array(rows), np.array(cols), np.array(src)
+
+    def certified(self, band, bound: int) -> bool:
+        """True when a prime gives the band matrix rank `bound`, which the
+        caller has proven to be an upper bound."""
+        shape, rows, cols, src = band
+
+        def level(p: int, s: int) -> np.ndarray:
+            out = np.zeros(shape, dtype=np.int64)
+            out[rows, cols] = self._reduced(p, s).ravel()[src]
+            return out
+
+        return modp.sparse_rank_certificate(None, shape[1], bound, level)
+
+    def exact(self, band) -> ExactMatrix:
+        (nrows, ncols), rows, cols, src = band
+        dense = [[_ZERO] * ncols for _ in range(nrows)]
+        for r, c, q in zip(rows.tolist(), cols.tolist(), src.tolist()):
+            dense[r][c] = self.forms[q // self.width][q % self.width]
+        return ExactMatrix(dense)
+
+    def rank(self, blocks: List[List[int]], col_degrees: List[int], bound: int) -> int:
+        """Rank of the band matrix under a proven upper bound: the bound
+        when a prime meets it, else exact Bareiss elimination."""
+        band = self.band(blocks, col_degrees)
+        return bound if self.certified(band, bound) else self.exact(band).rank()
 
 
-def _deriv_t(f: BinaryForm) -> BinaryForm:
-    d = len(f) - 1
-    return tuple(f[k + 1] * (k + 1) for k in range(d))
+def _minors(partials: Sequence[IntForm]) -> List[IntForm]:
+    """ds f_a * dt f_b - ds f_b * dt f_a for a < b, from rows ds f_0..3, dt f_0..3."""
+    out = []
+    for a, b in combinations(range(4), 2):
+        acc = [[0, 0] for _ in range(2 * len(partials[0]) - 1)]
+        for sign, u, v in ((1, partials[a], partials[4 + b]), (-1, partials[b], partials[4 + a])):
+            for (i, (x, y)), (j, (z, w)) in product(enumerate(u), enumerate(v)):
+                acc[i + j][0] += sign * (x * z - y * w)
+                acc[i + j][1] += sign * (x * w + y * z)
+        out.append(acc)
+    return out
 
 
-def _form_mul(f: BinaryForm, g: BinaryForm) -> BinaryForm:
-    out = [_ZERO] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a.is_zero():
-            continue
-        for j, b in enumerate(g):
-            out[i + j] = out[i + j] + a * b
-    return tuple(out)
-
-
-def _form_sub(f: BinaryForm, g: BinaryForm) -> BinaryForm:
-    return tuple(a - b for a, b in zip(f, g))
+def _no_common_zero(rows: _FormRows, forms: range, e: int) -> bool:
+    """True when a prime certifies that the degree-e rows.forms[q], q in
+    `forms`, share no zero on the projective line (see `validate_map`)."""
+    source = max(e - 1, 0)
+    band = rows.band([list(forms)], [source] * len(forms))
+    return rows.certified(band, source + e + 1)
 
 
 def _dehom(f: BinaryForm) -> UniPoly:
@@ -132,61 +211,34 @@ def _common_zero_witness(
 
 
 def validate_map(curve_map: RationalCurveMap) -> MapValidation:
-    """Base-point-freeness and immersion, both decided exactly.
+    """Base-point-freeness and immersion.
 
     A common zero of the four forms is a base point; a common zero of the
-    six Jacobian minors is a point where the derivative drops rank.  Both
-    are located through exact univariate gcds, with a verified rational
-    witness when one of the numeric roots rationalizes.
+    six Jacobian minors is a point where the derivative drops rank.  A
+    common zero of forms f_q of degree e is a zero of every sum_q g_q f_q,
+    while some form of each degree >= 0 misses it.  So a mod-p rank of
+    (g_q) -> sum_q g_q f_q, from degree max(e-1, 0) to degree max(2e-1, e),
+    equal to its row count rules one out.  (At e = 0 the target is the
+    constants; the empty degree -1 is reached by every map.)  Otherwise
+    exact univariate gcds decide, with a verified rational witness when
+    one of the numeric roots rationalizes.
     """
     forms = curve_map.forms
-    has_base, witness, gcd = _common_zero_witness(
-        [_dehom(f) for f in forms], [f[-1] for f in forms]
-    )
-    if has_base:
-        return MapValidation(False, False, False, witness, gcd)
-    ds = [_deriv_s(f) for f in forms]
-    dt = [_deriv_t(f) for f in forms]
-    minors = [
-        _form_sub(_form_mul(ds[a], dt[b]), _form_mul(ds[b], dt[a]))
-        for a in range(4)
-        for b in range(a + 1, 4)
-    ]
-    ramified, witness, gcd = _common_zero_witness(
-        [_dehom(m) for m in minors], [m[-1] for m in minors]
-    )
-    if ramified:
-        return MapValidation(True, False, False, witness, gcd)
+    rows = curve_map._rows
+    if not _no_common_zero(rows, range(4), curve_map.degree):
+        has_base, witness, gcd = _common_zero_witness(
+            [_dehom(f) for f in forms], [f[-1] for f in forms]
+        )
+        if has_base:
+            return MapValidation(False, False, False, witness, gcd)
+    minors = _FormRows(_minors(rows.ints[4:]))
+    if not _no_common_zero(minors, range(6), 2 * curve_map.degree - 2):
+        ramified, witness, gcd = _common_zero_witness(
+            [_dehom(m) for m in minors.forms], [m[-1] for m in minors.forms]
+        )
+        if ramified:
+            return MapValidation(True, False, False, witness, gcd)
     return MapValidation(True, True, True, None, None)
-
-
-def _multiplication_rank(blocks: List[List[BinaryForm]], col_degrees: List[int]) -> int:
-    """Rank of (g_c) -> (sum_c blocks[row][c] * g_c) on binary form spaces.
-
-    blocks[row][c] multiplies the c-th input form into the row-th output;
-    input c runs over forms of degree col_degrees[c].  Zero-dimensional
-    inputs are skipped.
-    """
-    # every block row has a single output degree by construction
-    mat_cols: List[List[GaussianRational]] = []
-    for c, cd in enumerate(col_degrees):
-        if cd < 0:
-            continue
-        for k in range(cd + 1):
-            col: List[GaussianRational] = []
-            for row in blocks:
-                b = row[c]
-                odeg = len(b) - 1 + cd
-                coeffs = [_ZERO] * (odeg + 1)
-                for i, v in enumerate(b):
-                    coeffs[i + k] = v
-                col.extend(coeffs)
-            mat_cols.append(col)
-    if not mat_cols:
-        return 0
-    nrows = len(mat_cols[0])
-    mat = ExactMatrix([[mat_cols[j][i] for j in range(len(mat_cols))] for i in range(nrows)])
-    return mat.rank()
 
 
 def conormal_sections(curve_map: RationalCurveMap, m: int) -> int:
@@ -194,15 +246,14 @@ def conormal_sections(curve_map: RationalCurveMap, m: int) -> int:
 
     Vectors (g_0..g_3) of degree m-d forms with sum_a (ds f_a) g_a = 0 and
     sum_a (dt f_a) g_a = 0; left exactness makes the kernel exactly the
-    sections of the rank-two kernel sheaf.
+    sections of the rank-two kernel sheaf.  The matrix has 2m rows and
+    4(m-d+1) columns, and its rank is at most the smaller count.
     """
     d = curve_map.degree
     if m < d:
         return 0
-    ds = [_deriv_s(f) for f in curve_map.forms]
-    dt = [_deriv_t(f) for f in curve_map.forms]
     cols = 4 * (m - d + 1)
-    rank = _multiplication_rank([ds, dt], [m - d] * 4)
+    rank = curve_map._rows.rank([[4, 5, 6, 7], [8, 9, 10, 11]], [m - d] * 4, min(2 * m, cols))
     return cols - rank
 
 
@@ -212,16 +263,18 @@ def normal_twisted_sections(curve_map: RationalCurveMap, m: int) -> int:
     The normal sheaf is the degree-d tautological quotient: subtracting
     the rank of (p, q1, q2) -> p*f + q1*(ds f) + q2*(dt f) from the
     ambient section count 4(m+d+1) leaves its sections, for m >= 0.
+    The matrix has 4(m+d+1) rows and (m+1) + 2(m+2) columns.  Euler's
+    identity s*(ds f) + t*(dt f) = d*f puts (d*h, -s*h, -t*h) in its
+    kernel for each of the m+1 basis forms h of degree m, independent as
+    their first components are, so the rank is at most
+    min(rows, cols - (m+1)).
     """
     if m < 0:
         raise ValueError("primal count needs twist m >= 0")
-    d = curve_map.degree
-    f = list(curve_map.forms)
-    ds = [_deriv_s(g) for g in f]
-    dt = [_deriv_t(g) for g in f]
-    blocks = [[f[a], ds[a], dt[a]] for a in range(4)]
-    rank = _multiplication_rank(blocks, [m, m + 1, m + 1])
-    return 4 * (m + d + 1) - rank
+    rows, cols = 4 * (m + curve_map.degree + 1), 3 * m + 5
+    bound = min(rows, cols - (m + 1))
+    blocks = [[a, 4 + a, 8 + a] for a in range(4)]  # f_a, ds f_a, dt f_a
+    return rows - curve_map._rows.rank(blocks, [m, m + 1, m + 1], bound)
 
 
 @dataclass(frozen=True)
@@ -250,17 +303,17 @@ def normal_splitting_type(curve_map: RationalCurveMap) -> SplittingType:
     if not report.ok:
         raise ValueError("map has base points or ramification; bundle not defined")
     d = curve_map.degree
-    a = None
-    for m in range(d, 2 * d):
-        if conormal_sections(curve_map, m) > 0:
-            a = m
-            break
-    if a is None:
+    # counts at twists d, d+1, ...: the profile check reuses the search's
+    counts = [conormal_sections(curve_map, d)]
+    while counts[-1] == 0 and len(counts) < d:
+        counts.append(conormal_sections(curve_map, d + len(counts)))
+    if counts[-1] == 0:
         raise ArithmeticError("no conormal sections through the balanced twist")
+    a = d + len(counts) - 1
     b = 4 * d - 2 - a
-    for m in range(d, b + 3):
+    counts += [conormal_sections(curve_map, m) for m in range(d + len(counts), b + 3)]
+    for m, got in enumerate(counts, start=d):
         expected = max(m - a + 1, 0) + max(m - b + 1, 0)
-        got = conormal_sections(curve_map, m)
         if got != expected:
             raise ArithmeticError(
                 f"section profile breaks the split model at twist {m}: {got} != {expected}"

@@ -10,10 +10,21 @@ import pytest
 
 from hkcurves.acm_curve import ACMCurve, predicted_ideal_dimension, random_sigma_curve
 from hkcurves import cohomology
-from hkcurves.cohomology import normal_sections
+from hkcurves.cohomology import cohomology_table, normal_sections
 from hkcurves.exact_algebra import modp
 from hkcurves.exact_algebra.ideals import GradedIdeal
+from hkcurves.exact_algebra.linalg import ExactMatrix
+from hkcurves.exact_algebra.polys import monomial_count
 from hkcurves.pencil import canonical_pair, pair_stabilizer_dimension, random_injective_pencil
+from hkcurves.rational_curve import (
+    RationalCurveMap,
+    normal_splitting_type,
+    random_rational_map,
+    riemann_roch_consistent,
+    twisted_cubic_map,
+    validate_map,
+)
+from test_rational_curve import BASE_POINT_MAP, CUSP_MAP, STANDARD_CONIC
 
 
 def no_primes(monkeypatch):
@@ -80,6 +91,65 @@ def test_normal_sections_without_primes(monkeypatch):
         assert [(normal_sections(c, 0), normal_sections(c, -1)) for c in fresh] == default, mode
         assert len(exact_ranks) >= 2 * len(fresh), mode
     assert default == [(12, 6), (12, 6), (24, 12)]
+
+
+def count_exact_ranks(monkeypatch):
+    """List that grows by one per `ExactMatrix.rank` call."""
+    calls = []
+    rank = ExactMatrix.rank
+
+    def counting_rank(matrix):
+        calls.append(matrix.shape)
+        return rank(matrix)
+
+    monkeypatch.setattr(ExactMatrix, "rank", counting_rank)
+    return calls
+
+
+def test_rational_curve_without_primes(monkeypatch):
+    exact_ranks = count_exact_ranks(monkeypatch)
+    balanced = [twisted_cubic_map()]
+    balanced += [random_rational_map(d, s) for d in range(3, 6) for s in (0, 1)]
+    conics = [STANDARD_CONIC] + [random_rational_map(2, s) for s in (0, 1)]
+
+    def splitting(maps):
+        out = []
+        for rmap in maps:
+            split = normal_splitting_type(rmap)
+            out.append((split.pair, riemann_roch_consistent(rmap, split)))
+        return out
+
+    default = splitting(balanced)
+    assert exact_ranks == [], "a prime should pin every rank of a balanced map"
+    # conics split as (2, 4): their twists in [2, 4) miss the bound
+    default += splitting(conics)
+    assert exact_ranks
+    flawed_maps = (BASE_POINT_MAP, CUSP_MAP)
+    flawed = [validate_map(m) for m in flawed_maps]
+    for mode in no_primes(monkeypatch):
+        exact_ranks.clear()
+        fresh = [RationalCurveMap(m.forms) for m in balanced + conics]
+        assert splitting(fresh) == default, mode
+        # conormal twists d..b+2, each once, and primal twists 0, 1, 2
+        expected = sum(b + 3 - m.degree + 3 for ((_, b), _), m in zip(default, fresh))
+        assert len(exact_ranks) == expected, mode
+        assert [validate_map(RationalCurveMap(m.forms)) for m in flawed_maps] == flawed, mode
+    assert default[-3:] == [((2, 4), True)] * 3 and flawed[0].witness is not None
+
+
+def test_cohomology_table_without_primes(monkeypatch):
+    curves = [random_sigma_curve(2, seed) for seed in (0, 1)]
+    for curve in curves:
+        curve.certificate()
+    exact_ranks = count_exact_ranks(monkeypatch)
+    # twists down to -6 reach k <= -4, where minors * h fill part of the kernel
+    default = [cohomology_table(c, -6, c.r + 2).rows for c in curves]
+    assert exact_ranks == [], "a prime should pin every syzygy rank"
+    for mode in no_primes(monkeypatch):
+        assert [cohomology_table(c, -6, c.r + 2).rows for c in curves] == default, mode
+        assert exact_ranks, mode
+    # h^3 of the ideal sheaf is h^3 of O(k): the rank meets its bound
+    assert [row[3] for row in default[0]] == [monomial_count(4, -k - 4) for k in range(-6, 5)]
 
 
 def test_wrong_certified_bound_raises(monkeypatch):

@@ -4,9 +4,14 @@ import random
 
 import pytest
 
-from hkcurves.exact_algebra.scalars import GaussianRational
+from hkcurves.exact_algebra.linalg import ExactMatrix
+from hkcurves.exact_algebra.scalars import GaussianRational, random_gaussian_rows
 from hkcurves.rational_curve import (
     RationalCurveMap,
+    _common_zero_witness,
+    _dehom,
+    _FormRows,
+    _no_common_zero,
     line_map,
     normal_splitting_type,
     normal_twisted_sections,
@@ -28,6 +33,10 @@ def _map(rows):
 
 
 STANDARD_CONIC = _map([(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)])
+# all four forms share the root [0:1]
+BASE_POINT_MAP = _map([(0, 1, 0), (0, 0, 1), (0, 1, 1), (0, 0, 0)])
+# cuspidal cubic: immersion fails at [1:0] where both partials align
+CUSP_MAP = _map([(1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 0, 0)])
 
 
 def test_line_splitting():
@@ -58,8 +67,7 @@ def test_conic_in_moved_plane_still_unbalanced():
 
 
 def test_validation_flags_base_point():
-    # all four forms share the root [0:1]
-    broken = _map([(0, 1, 0), (0, 0, 1), (0, 1, 1), (0, 0, 0)])
+    broken = BASE_POINT_MAP
     report = validate_map(broken)
     assert not report.base_point_free
     assert not report.ok
@@ -69,18 +77,15 @@ def test_validation_flags_base_point():
 
 
 def test_validation_flags_cusp():
-    # cuspidal cubic: immersion fails at [1:0] where both partials align
-    cusp = _map([(1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 0, 0)])
-    report = validate_map(cusp)
+    report = validate_map(CUSP_MAP)
     assert report.base_point_free
     assert not report.immersion
     assert not report.ok
 
 
 def test_splitting_requires_valid_map():
-    broken = _map([(0, 1, 0), (0, 0, 1), (0, 1, 1), (0, 0, 0)])
     with pytest.raises(ValueError):
-        normal_splitting_type(broken)
+        normal_splitting_type(BASE_POINT_MAP)
 
 
 def test_map_constructor_validation():
@@ -128,3 +133,60 @@ def test_random_map_deterministic():
 def test_stability_check_semantics():
     assert stability_check(normal_splitting_type(twisted_cubic_map()))
     assert not stability_check(normal_splitting_type(STANDARD_CONIC))
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_euler_vectors_lie_in_normal_matrix_kernel(d):
+    # the m+1 kernel vectors behind the bound of normal_twisted_sections
+    rows = random_rational_map(d, 3)._rows
+    for m in range(4):
+        band = rows.band([[a, 4 + a, 8 + a] for a in range(4)], [m, m + 1, m + 1])
+        matrix = rows.exact(band)
+        for j in range(m + 1):
+            # h = s^(m-j) t^j: (d*h, -s*h, -t*h) in the columns of p, q1, q2
+            vector = [0] * matrix.cols
+            vector[j] = d
+            vector[m + 1 + j] = -1
+            vector[2 * m + 3 + j + 1] = -1
+            assert (matrix @ ExactMatrix([[v] for v in vector])).is_zero(), (m, j)
+
+
+def test_surjectivity_certificate_matches_exact_gcd():
+    rng = random.Random(7)
+    verdicts = []
+    for seed in range(20):
+        d = 1 + seed % 4
+        if seed % 2:
+            forms = random_gaussian_rows(rng, 4, d + 1, 2)
+        else:
+            # (s - c t) * g_a: a planted common zero at [c : 1]
+            c = rng.randint(-2, 2)
+            g = random_gaussian_rows(rng, 4, d, 2)
+            forms = [
+                [(f[k] if k < d else ZERO) - (c * f[k - 1] if k else ZERO) for k in range(d + 1)]
+                for f in g
+            ]
+        try:
+            rmap = RationalCurveMap(forms)
+        except ValueError:
+            continue
+        common_zero, _, _ = _common_zero_witness(
+            [_dehom(f) for f in rmap.forms], [f[-1] for f in rmap.forms]
+        )
+        certified = _no_common_zero(rmap._rows, range(4), d)
+        assert certified == (not common_zero), seed
+        verdicts.append(certified)
+    assert len(verdicts) >= 18 and 5 <= sum(verdicts) < len(verdicts)
+
+
+def test_degree_one_maps_and_constant_forms():
+    # a line's Jacobian minors are constants (degree e = 0)
+    assert validate_map(line_map()).ok
+    broken = _map([(0, 1), (0, 2), (0, 0), (0, 0)])  # t, 2t: base point [1:0]
+    report = validate_map(broken)
+    assert not report.base_point_free and not report.ok
+    assert broken.evaluate(*report.witness) == [ZERO, ZERO, ZERO, ZERO]
+    # at e = 0 the target is the constants, so vanishing constants certify nothing
+    zeros = [[(0, 0)]] * 6
+    assert not _no_common_zero(_FormRows(zeros), range(6), 0)
+    assert _no_common_zero(_FormRows(zeros[:5] + [[(2, 1)]]), range(6), 0)

@@ -28,6 +28,7 @@ def test_optimized_run_matches():
     for command in (
         ["kronecker", "--r", "3", "--count", "2", "--seed", "0"],
         ["metric", "--r", "2", "--count", "2", "--seed", "0"],
+        ["rational", "--d", "4", "--count", "3", "--seed", "0"],
     ):
         runs = [
             subprocess.run(
