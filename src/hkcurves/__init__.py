@@ -16,7 +16,6 @@ from .acm_curve import (
     fiber_hilbert_function,
     fiber_points,
     invariants,
-    maximal_minors,
     random_real_curve,
     random_sigma_curve,
     restrict_to_fiber,

@@ -7,6 +7,7 @@ Fibration by the last two coordinates slices the curve into finite
 planar point sets whose Hilbert functions stratify the parameter line.
 """
 
+from ..exact_algebra.polys import entry_cofactors, signed_maximal_minors
 from .curve import (
     ACMCurve,
     LinearMatrix,
@@ -15,13 +16,10 @@ from .curve import (
     certify_resolution,
     curve_degree,
     curve_genus,
-    entry_cofactors,
     invariants,
-    maximal_minors,
     predicted_ideal_dimension,
     random_real_curve,
     random_sigma_curve,
-    signed_maximal_minors,
 )
 from .fibers import (
     AffineFiber,
@@ -47,7 +45,6 @@ __all__ = [
     "curve_genus",
     "entry_cofactors",
     "invariants",
-    "maximal_minors",
     "predicted_ideal_dimension",
     "random_real_curve",
     "random_sigma_curve",

@@ -17,7 +17,6 @@ from .polys import (
     monomial_count,
     monomial_index,
     uni_gcd,
-    uni_interpolate,
 )
 from .scalars import GaussianRational, gauss
 
@@ -35,7 +34,6 @@ __all__ = [
     "monomial_count",
     "monomial_index",
     "uni_gcd",
-    "uni_interpolate",
     "PRIMES",
     "rank_mod",
     "rows_mod",

@@ -318,41 +318,31 @@ class ExactMatrix:
             denom *= s
         return d / denom
 
-    def solve(self, rhs):
-        """One solution x of self @ x = rhs (rhs a list), or None."""
-        aug = self.hstack(ExactMatrix.from_columns([rhs], self.rows))
-        rows, _ = _int_rows(aug.data)
-        rank, pivots, _ = _bareiss(rows, aug.cols)
-        if pivots and pivots[-1] == self.cols:
-            return None  # inconsistent
-        n = self.cols
-        zero = GaussianRational(0)
-        g_rows = [
-            [GaussianRational(Fraction(a), Fraction(b)) for (a, b) in rows[i]]
-            for i in range(rank)
-        ]
-        x = [zero] * n
-        for i in range(rank - 1, -1, -1):
-            pc = pivots[i]
-            row = g_rows[i]
-            acc = row[n]
-            for j in range(pc + 1, n):
-                if not (row[j].is_zero() or x[j].is_zero()):
-                    acc = acc - row[j] * x[j]
-            x[pc] = acc / row[pc]
-        return x
-
     def inverse(self) -> "ExactMatrix":
+        """One fraction-free pass on [M | I], then back-substitution of the
+        n right-hand columns; the closing product check certifies it."""
         if self.rows != self.cols:
             raise ValueError("inverse of non-square matrix")
+        n = self.rows
+        eye = ExactMatrix.identity(n)
+        rows, _ = _int_rows(self.hstack(eye).data)
+        _, pivots, _ = _bareiss(rows, 2 * n)
+        if pivots != list(range(n)):
+            raise ValueError("singular matrix")
+        zero = GaussianRational(0)
+        g_rows = [[GaussianRational(Fraction(a), Fraction(b)) for (a, b) in row] for row in rows]
         cols = []
-        eye = ExactMatrix.identity(self.rows)
-        for j in range(self.rows):
-            x = self.solve(eye.column(j))
-            if x is None:
-                raise ValueError("singular matrix")
+        for c in range(n, 2 * n):
+            x = [zero] * n
+            for i in range(n - 1, -1, -1):
+                row = g_rows[i]
+                acc = row[c]
+                for j in range(i + 1, n):
+                    if not (row[j].is_zero() or x[j].is_zero()):
+                        acc = acc - row[j] * x[j]
+                x[i] = acc / row[i]
             cols.append(x)
-        inv = ExactMatrix.from_columns(cols, self.rows)
+        inv = ExactMatrix.from_columns(cols, n)
         if (self @ inv) != eye:
             raise ValueError("singular matrix")
         return inv

@@ -7,12 +7,16 @@ runs on ints and equal forms are equal structurally; GaussianRational
 coefficients appear only in the `coeffs` view read at the boundary.
 Monomial bases are lexicographically descending, so coordinate layouts are
 reproducible across runs, and `shift_index` maps a basis times a list of
-monomials into a higher degree.  UniPoly is the univariate workhorse for
+monomials into a higher degree.  `signed_maximal_minors` and
+`entry_cofactors` share the one Laplace kernel for the maximal minors of an
+(r+1) x r matrix of forms, in any number of variables: the curve's minors
+in four, a pencil's in two.  UniPoly is the univariate workhorse for
 pencil minor gcds and binary forms.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
@@ -259,6 +263,75 @@ def graded_matrix(phi: list, source_degree: int, num_vars: int) -> GradedMap:
                     mat[row][col] = mat[row][col] + c
     matrix = ExactMatrix(mat, cols=q * n_s) if mat else ExactMatrix([], cols=q * n_s)
     return GradedMap(source_degree, tdeg, q, p, num_vars, matrix)
+
+
+# ---------------------------------------------------------------------------
+# maximal minors of a matrix of forms: the one Laplace kernel
+
+
+def _laplace_dets(entries, rows, cols, num_vars: int) -> dict[tuple[int, ...], HomogPoly]:
+    """Determinant of every len(cols)-subset of `rows` against `cols`, keyed
+    by the ascending row tuple.
+
+    One pass of Laplace expansion along the columns in order: each subset
+    expands along its last column through the subsets one row smaller.
+    """
+    dets = {(): HomogPoly(num_vars, 0, {(0,) * num_vars: 1})}
+    for depth, col in enumerate(cols):
+        nxt: dict[tuple[int, ...], HomogPoly] = {}
+        for rowset in itertools.combinations(rows, depth + 1):
+            acc = HomogPoly(num_vars, depth + 1, {})
+            for pos, i in enumerate(rowset):
+                prev = dets[rowset[:pos] + rowset[pos + 1 :]]
+                if prev.is_zero():
+                    continue
+                term = prev * entries[i][col]
+                # expansion along the last column: sign (-1)^(pos + depth)
+                acc = acc + (term if (pos + depth) % 2 == 0 else -term)
+            nxt[rowset] = acc
+        dets = nxt
+    return dets
+
+
+def signed_maximal_minors(entries: list[list[HomogPoly]]) -> list[HomogPoly]:
+    """(-1)^i * det(matrix with row i deleted), i = 0..r, from one Laplace pass."""
+    nrows = len(entries)
+    ncols = len(entries[0]) if entries else 0
+    if nrows != ncols + 1:
+        raise ValueError(f"expected (r+1) x r entries, got {nrows} x {ncols}")
+    dets = _laplace_dets(entries, range(nrows), range(ncols), entries[0][0].num_vars)
+    out = []
+    for skip in range(nrows):
+        d = dets[tuple(a for a in range(nrows) if a != skip)]
+        out.append(d if skip % 2 == 0 else -d)
+    return out
+
+
+def entry_cofactors(entries: list[list[HomogPoly]]) -> list[list[list[HomogPoly]]]:
+    """d[i0][j0][i]: derivative of minor_i in the entry (i0, j0).
+
+    Perturbing entry (i0, j0) by a form f moves minor_i by f * d[i0][j0][i]:
+    the signed maximal minors of the matrix without row i0 and column j0,
+    times (-1)^(i0+j0+1), with zero at i = i0.  That minor is the
+    determinant of the rows other than i0 and i against the columns other
+    than j0, so one Laplace pass per j0 gives d[i0][j0][i] for every i0.
+    Differentiating the Laplace expansion sum_i minor_i * entries[i][j] = 0
+    (a determinant with a repeated column) in that entry gives, for every
+    matrix,
+
+        sum_i d[i0][j0][i] * entries[i][j] = -minor_i0 * delta(j, j0).
+    """
+    r = len(entries) - 1
+    num_vars = entries[0][0].num_vars
+    zero = HomogPoly(num_vars, r - 1, {})
+    out = [[[zero] * (r + 1) for _ in range(r)] for _ in range(r + 1)]
+    for j0 in range(r):
+        dets = _laplace_dets(entries, range(r + 1), [b for b in range(r) if b != j0], num_vars)
+        for i0, i in itertools.permutations(range(r + 1), 2):
+            d = dets[tuple(a for a in range(r + 1) if a not in (i0, i))]
+            # i sits at position i - (i > i0) among the rows other than i0
+            out[i0][j0][i] = -d if (i0 + j0 + i - (i > i0)) % 2 == 0 else d
+    return out
 
 
 # ---------------------------------------------------------------------------

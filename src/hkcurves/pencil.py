@@ -16,7 +16,7 @@ from typing import List, Optional, Tuple
 from .exact_algebra.linalg import ExactMatrix
 from .exact_algebra.ideals import sparse_row_rank
 from .exact_algebra.modp import sparse_rank_certificate
-from .exact_algebra.polys import UniPoly, uni_gcd, uni_interpolate
+from .exact_algebra.polys import HomogPoly, UniPoly, signed_maximal_minors, uni_gcd
 from .exact_algebra.scalars import GaussianRational, random_gaussian_rows
 
 _ZERO = GaussianRational(0, 0)
@@ -41,27 +41,27 @@ def _check_shape(A1: ExactMatrix, A2: ExactMatrix) -> int:
     return cols
 
 
-def pencil_minors(A1: ExactMatrix, A2: ExactMatrix) -> List[UniPoly]:
-    """Maximal minors of A1 + lambda*A2 as polynomials in lambda.
+def _signed_minors(A1: ExactMatrix, A2: ExactMatrix, r: int) -> List[HomogPoly]:
+    """Signed maximal minors of x0*A1 + x1*A2: binary forms of degree r.
 
-    Each minor has degree at most r, so r+1 evaluations determine it.
+    The coefficient of x0^(r-k) x1^k is the lambda^k coefficient of the
+    signed minor of A1 + lambda*A2, and that of x0^k x1^(r-k) is the
+    lambda^k coefficient of the signed minor of A2 + lambda*A1.
     """
-    r = _check_shape(A1, A2)
-    points = [GaussianRational(k) for k in range(r + 1)]
-    samples: List[List[GaussianRational]] = []
-    for lam in points:
-        member = A1 + A2.scale(lam)
-        dets = []
-        for skip in range(r + 1):
-            rows = [
-                [member[i, j] for j in range(r)] for i in range(r + 1) if i != skip
-            ]
-            dets.append(ExactMatrix(rows).det())
-        samples.append(dets)
-    return [
-        uni_interpolate(points, [samples[k][skip] for k in range(r + 1)])
-        for skip in range(r + 1)
+    entries = [
+        [HomogPoly.linear_form([A1[i, j], A2[i, j]]) for j in range(r)] for i in range(r + 1)
     ]
+    return signed_maximal_minors(entries)
+
+
+def pencil_minors(A1: ExactMatrix, A2: ExactMatrix) -> List[UniPoly]:
+    """Maximal minors of A1 + lambda*A2 as polynomials in lambda, degree <= r."""
+    r = _check_shape(A1, A2)
+    out = []
+    for i, m in enumerate(_signed_minors(A1, A2, r)):
+        minor = UniPoly([m.coeffs.get((r - k, k), _ZERO) for k in range(r + 1)])
+        out.append(-minor if i % 2 else minor)
+    return out
 
 
 @dataclass(frozen=True)
@@ -75,12 +75,19 @@ class InjectivityReport:
 
 
 def is_injective_pencil(A1: ExactMatrix, A2: ExactMatrix) -> InjectivityReport:
+    """Whether every member mu*A1 + lam*A2 has full column rank r.
+
+    Read off the maximal minors of A1 + lambda*A2.  Their lambda^r
+    coefficients are the maximal minors of A2, so A2 drops rank (the point
+    at infinity) exactly when every minor has degree below r; finite rank
+    drops are the roots of the minors' gcd.
+    """
     r = _check_shape(A1, A2)
     minors = pencil_minors(A1, A2)
     if all(m.is_zero() for m in minors):
         # rank deficient at every point; lambda = 0 is a concrete witness
         return InjectivityReport(False, (_ONE, _ZERO), None)
-    if A2.rank() < r:
+    if all(m.degree < r for m in minors):
         return InjectivityReport(False, (_ZERO, _ONE), None)
     g = uni_gcd(minors)
     if g.degree == 0:
@@ -111,9 +118,10 @@ def kronecker_reduce(A1: ExactMatrix, A2: ExactMatrix) -> KroneckerReduction:
     """Exact gauge (P, Q) with P*A1*Q = S and P*A2*Q = T.
 
     Requires an injective pencil.  The left kernel of A2 + lambda*A1 over
-    polynomials of degree r is one-dimensional; writing its coefficient
-    rows as c_0..c_r, the rows c_k*A1 (k < r) are invertible and conjugate
-    the pair onto (S, -T), fixed up by alternating sign flips.
+    polynomials of degree r is one-dimensional and spanned by its signed
+    maximal minors; writing their coefficient rows as c_0..c_r, the rows
+    c_k*A1 (k < r) are invertible and conjugate the pair onto (S, -T),
+    fixed up by alternating sign flips.
 
     The closing exact check certifies the result: it forces Q to have
     rank r and, since [S | T] has rank r+1, P to be invertible, so the
@@ -137,44 +145,19 @@ def kronecker_reduce(A1: ExactMatrix, A2: ExactMatrix) -> KroneckerReduction:
 
 def _shift_gauge(A1: ExactMatrix, A2: ExactMatrix, r: int) -> KroneckerReduction:
     """The gauge of kronecker_reduce; raises when a step or the check fails."""
-    n = r + 1
-    # unknowns: c_k[i], flattened as k*n + i; equations indexed by (k, j):
-    # sum_i c_k[i] A2[i,j] + c_{k-1}[i] A1[i,j] = 0 for k = 0..r+1
-    rows = []
-    for k in range(r + 2):
-        for j in range(r):
-            row = [_ZERO] * (n * n)
-            if k <= r:
-                for i in range(n):
-                    row[k * n + i] = row[k * n + i] + A2[i, j]
-            if k >= 1:
-                for i in range(n):
-                    row[(k - 1) * n + i] = row[(k - 1) * n + i] + A1[i, j]
-            rows.append(row)
-    kernel = ExactMatrix(rows, cols=n * n).kernel_basis()
-    if kernel.shape[1] != 1:
-        raise ValueError(
-            f"left kernel dimension {kernel.shape[1]} != 1; pencil not injective"
-        )
-    c = kernel.column(0)
-    what = ExactMatrix([[c[k * n + i] for i in range(n)] for k in range(n)])
-    rprime = what @ A1  # last row is zero by the kernel equations
-    rp = ExactMatrix([[rprime[k, j] for j in range(r)] for k in range(r)])
-    rp_inv = rp.inverse()
-    sign_left = ExactMatrix(
-        [
-            [(_ONE if (i % 2 == 0) else -_ONE) if i == j else _ZERO for j in range(n)]
-            for i in range(n)
-        ]
-    )
-    sign_right = ExactMatrix(
-        [
-            [(_ONE if (i % 2 == 0) else -_ONE) if i == j else _ZERO for j in range(r)]
-            for i in range(r)
-        ]
-    )
-    P = sign_left @ what
-    Q = rp_inv @ sign_right
+    minors = _signed_minors(A1, A2, r)
+    if all(m.is_zero() for m in minors):
+        raise ValueError("all maximal minors vanish; pencil not injective")
+    # Row k of `what` holds the lambda^k coefficients of the signed minors of
+    # A2 + lambda*A1.  Pairing them with any column is the Laplace expansion
+    # of a determinant with a repeated column, so they lie in the left
+    # kernel; for an injective pencil that kernel is a line, so these are
+    # the c_k of the docstring up to one nonzero scalar.  With the sign
+    # flips, P*A2 is P*A1 shifted down a row, P*A1 has a zero last row, and
+    # Q inverts the top r rows of P*A1.
+    what = [[m.coeffs.get((k, r - k), _ZERO) for m in minors] for k in range(r + 1)]
+    P = ExactMatrix([[-c for c in row] if k % 2 else row for k, row in enumerate(what)])
+    Q = ExactMatrix((P @ A1).data[:r]).inverse()
     S, T = canonical_pair(r)
     if P @ A1 @ Q != S or P @ A2 @ Q != T:
         raise AssertionError("reduction verification failed")

@@ -82,8 +82,11 @@ def _sigma_linear_coeffs(
     return (c1.conj(), -c0.conj(), c3.conj(), -c2.conj())
 
 
-def make_sigma_invariant_pencil(r: int, seed: int, span: int = 3, max_tries: int = 64):
-    """Random linear matrix whose minor ideal is invariant under the involution.
+def make_sigma_invariant_pencil(
+    r: int, seed: int, span: int = 3, max_tries: int = 64
+) -> Tuple[ExactMatrix, ExactMatrix, ExactMatrix, ExactMatrix]:
+    """Coefficients (A1..A4) of a random linear matrix whose minor ideal is
+    invariant under the involution.
 
     For odd r the r+1 rows come in pairs (row, image row); for even r the
     r columns pair up instead.  Either way the entrywise image of the
@@ -91,8 +94,6 @@ def make_sigma_invariant_pencil(r: int, seed: int, span: int = 3, max_tries: int
     invariant space.  Draws integer coefficients until the leading pencil
     is injective; deterministic per (r, seed).
     """
-    from .acm_curve.curve import LinearMatrix
-
     if r < 1:
         raise ValueError("need r >= 1")
     rng = random.Random(1000003 * seed + r)
@@ -117,7 +118,7 @@ def make_sigma_invariant_pencil(r: int, seed: int, span: int = 3, max_tries: int
             for v in range(4)
         )
         if is_injective_pencil(mats[0], mats[1]).ok:
-            return LinearMatrix(r, *mats)
+            return mats
     raise RuntimeError(
         f"no injective draw after {max_tries} tries (r={r}, seed={seed})"
     )

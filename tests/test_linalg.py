@@ -85,10 +85,12 @@ def test_kernel_of_rank_deficient_matrix():
     assert m.kernel_basis().shape[1] == 2
 
 
-def test_solve_consistent_and_inconsistent():
-    m = ExactMatrix([[ONE, ZERO], [ZERO, ZERO]])
-    assert m.solve([ONE, ZERO]) is not None
-    assert m.solve([ZERO, ONE]) is None
+def test_inverse_of_singular_matrix_raises():
+    # a zero row, and [[1, i], [i, -1]] with det -1 - i^2 = 0
+    I = GaussianRational(0, 1)
+    for rows in ([[ONE, ZERO], [ZERO, ZERO]], [[ONE, I], [I, -ONE]]):
+        with pytest.raises(ValueError, match="singular"):
+            ExactMatrix(rows).inverse()
 
 
 def test_conj_transpose():

@@ -1,7 +1,5 @@
 """Pencil injectivity and the exact reduction to the shift pair."""
 
-import random
-
 import pytest
 
 from hkcurves.exact_algebra.linalg import ExactMatrix
@@ -60,6 +58,11 @@ def test_reduce_rejects_non_injective():
     for pair in [(A1, A2), (S, S), (T, T), (S, S.scale(GaussianRational(2)))]:
         with pytest.raises(ValueError, match="drops rank at"):
             kronecker_reduce(*pair)
+    # A1 + lambda*A2 has full rank for every finite lambda, but A2 alone does not
+    C1, _ = canonical_pair(2)
+    C2 = ExactMatrix([[ZERO, ZERO], [ZERO, ZERO], [ZERO, ONE]])
+    with pytest.raises(ValueError, match=r"drops rank at \[0:1\]"):
+        kronecker_reduce(C1, C2)
     # the minors share the factor lambda^2 - 2, which has no root in Q(i)
     B1 = ExactMatrix([[ZERO, GaussianRational(2)], [ONE, ZERO], [ZERO, ZERO]])
     B2 = ExactMatrix([[ONE, ZERO], [ZERO, ONE], [ZERO, ZERO]])
@@ -93,7 +96,6 @@ def test_stabilizer_dimension_canonical():
 
 
 def test_stabilizer_dimension_gauge_invariant():
-    rng = random.Random(17)
     for seed in range(6):
         r = 1 + seed % 3
         A1, A2 = random_injective_pencil(r, 100 + seed)

@@ -22,6 +22,43 @@ def test_no_assert_statements():
     assert found == []
 
 
+def _imports(path):
+    """Dotted names of the modules `path` imports anywhere, relative ones resolved."""
+    package = path.relative_to(SRC).with_suffix("").parts[:-1]
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if not node.level:
+                yield node.module
+                continue
+            base = ".".join(package[: len(package) - node.level + 1])
+            if node.module:
+                yield f"{base}.{node.module}"
+            else:
+                yield from (f"{base}.{alias.name}" for alias in node.names)
+
+
+def test_layering():
+    # the exact core stands alone, and pencils and reality sit below the
+    # curves that import them, so the Laplace kernel lives in exact_algebra
+    found = []
+    for path in sorted((SRC / "hkcurves" / "exact_algebra").glob("*.py")):
+        found += [
+            f"{path.name} imports {name}"
+            for name in _imports(path)
+            if name.startswith("hkcurves") and not name.startswith("hkcurves.exact_algebra")
+        ]
+    for name in ("pencil.py", "reality.py"):
+        path = SRC / "hkcurves" / name
+        found += [
+            f"{name} imports {module}"
+            for module in _imports(path)
+            if module.startswith("hkcurves.acm_curve")
+        ]
+    assert found == []
+
+
 def test_optimized_run_matches():
     # seeded slices under python -O must behave exactly as without them
     env = dict(os.environ, PYTHONPATH=str(SRC))
