@@ -13,10 +13,9 @@ from typing import Dict, List, Tuple
 
 from .exact_algebra import modp
 from .exact_algebra.ideals import Row, sparse_row_rank
+from .exact_algebra.linalg import graded_matrix
 from .exact_algebra.modp import matmul_mod, rank_mod, reductions
-from .exact_algebra.polys import (
-    graded_matrix, monomial_basis, monomial_count, monomial_index, shift_index,
-)
+from .exact_algebra.polys import monomial_basis, monomial_count, monomial_index, shift_index
 from .exact_algebra.scalars import GaussianRational
 
 Table = Tuple[int, int, int, int]
@@ -41,14 +40,14 @@ def _syzygy_dual_rank(curve, k: int) -> int:
     It kills the signed maximal minors (Laplace), not all zero on a certified
     curve, so minors * h for the monomials h of degree -k-4 are independent
     kernel vectors: the rank is at most cols - monomial_count(4, -k-4).  A
-    prime meeting that bound decides it, else exact Bareiss elimination.
+    prime meeting that bound decides it, else the exact sparse echelon.
     """
     r = curve.r
     source_degree = r - k - 4
     if source_degree < 0:
         return 0
     phi_t = [[curve.entries[i][j] for i in range(r + 1)] for j in range(r)]
-    matrix = graded_matrix(phi_t, source_degree, 4).matrix
+    matrix = graded_matrix(phi_t, source_degree, 4)
     bound = matrix.cols - monomial_count(4, -k - 4)
     rows = [list(enumerate(row)) for row in matrix.data]
     return bound if modp.sparse_rank_certificate(rows, matrix.cols, bound) else matrix.rank()

@@ -6,13 +6,11 @@ adapter converts out.
 """
 
 from .ideals import GradedIdeal, sparse_row_rank
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, graded_matrix
 from .modp import PRIMES, rank_mod, rows_mod, sparse_rank_certificate, value_mod
 from .polys import (
-    GradedMap,
     HomogPoly,
     UniPoly,
-    graded_matrix,
     monomial_basis,
     monomial_count,
     monomial_index,
@@ -24,7 +22,6 @@ __all__ = [
     "GradedIdeal",
     "sparse_row_rank",
     "ExactMatrix",
-    "GradedMap",
     "HomogPoly",
     "UniPoly",
     "GaussianRational",

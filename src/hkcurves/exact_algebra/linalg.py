@@ -1,9 +1,10 @@
-"""Certified linear algebra over Q(i).
+"""Dense matrices over Q(i), and the graded multiplication matrices.
 
-Elimination is fraction-free (Bareiss) with partial pivoting by first nonzero
-entry: rows are scaled to Gaussian-integer form once, and every interior
-division in the update step is exact by the Bareiss identity (checked).
-Rank, kernel and determinant are exact; there is no floating fallback here.
+ExactMatrix is an immutable dense container.  Its exact methods read the
+two exact kernels of the core: rank, right kernel and inverse come from the
+sparse Gaussian-integer echelon of `ideals` (`sparse_echelon` and its
+reduced `normal_form_table`), and the determinant from the Laplace pass of
+`polys`.  There is no floating fallback here.
 """
 
 from __future__ import annotations
@@ -12,39 +13,17 @@ import random
 from fractions import Fraction
 from math import gcd
 
+from .ideals import normal_form_table, sparse_echelon, sparse_row_rank
+from .polys import HomogPoly, _laplace_dets, monomial_basis, monomial_index
 from .scalars import GaussianRational, random_gaussian_rows
 
-# Gaussian integers as plain (int, int) pairs inside the eliminator.
-
-
-def _gi_mul(x, y):
-    a, b = x
-    c, d = y
-    return (a * c - b * d, a * d + b * c)
-
-
-def _gi_sub(x, y):
-    return (x[0] - y[0], x[1] - y[1])
-
-
-def _gi_div(x, y):
-    # exact division in Z[i]; Bareiss guarantees divisibility
-    a, b = x
-    c, d = y
-    n = c * c + d * d
-    re, rr = divmod(a * c + b * d, n)
-    im, ri = divmod(b * c - a * d, n)
-    if rr or ri:
-        raise AssertionError("inexact Bareiss division")
-    return (re, im)
+_ZERO = GaussianRational(0)
+_ONE = GaussianRational(1)
 
 
 def _int_rows(rows):
-    """Clear denominators row by row; returns list of lists of (int, int).
-
-    Row scaling by positive integers; preserves rank and right kernel, and
-    scales each row's contribution to det by the returned factors.
-    """
+    """Clear denominators row by row: the (int, int) rows and each row's
+    positive integer scale, for products on Gaussian integers."""
     out = []
     scales = []
     for row in rows:
@@ -67,51 +46,9 @@ def _int_rows(rows):
     return out, scales
 
 
-def _bareiss(rows, ncols, stop_rank=None):
-    """In-place fraction-free row echelon.
-
-    Returns (rank, pivot_cols, sign) where sign tracks row swaps.  Stops early
-    once stop_rank pivots are found (used by certified early-stop callers).
-    """
-    nrows = len(rows)
-    rank = 0
-    sign = 1
-    prev = (1, 0)
-    pivot_cols = []
-    for col in range(ncols):
-        if rank >= nrows or (stop_rank is not None and rank >= stop_rank):
-            break
-        p = None
-        for i in range(rank, nrows):
-            if rows[i][col] != (0, 0):
-                p = i
-                break
-        if p is None:
-            continue
-        if p != rank:
-            rows[rank], rows[p] = rows[p], rows[rank]
-            sign = -sign
-        piv = rows[rank][col]
-        for i in range(rank + 1, nrows):
-            ric = rows[i][col]
-            if ric == (0, 0):
-                # still must rescale trailing entries to keep Bareiss invariant
-                for j in range(col + 1, ncols):
-                    x = rows[i][j]
-                    if x != (0, 0):
-                        rows[i][j] = _gi_div(_gi_mul(piv, x), prev)
-                continue
-            row_i = rows[i]
-            row_r = rows[rank]
-            for j in range(col + 1, ncols):
-                row_i[j] = _gi_div(
-                    _gi_sub(_gi_mul(piv, row_i[j]), _gi_mul(ric, row_r[j])), prev
-                )
-            row_i[col] = (0, 0)
-        prev = piv
-        pivot_cols.append(col)
-        rank += 1
-    return rank, pivot_cols, sign
+def _sparse_rows(data):
+    """The rows as sparse (column, value) rows, zero entries dropped."""
+    return [[(j, z) for j, z in enumerate(row) if not z.is_zero()] for row in data]
 
 
 class ExactMatrix:
@@ -265,84 +202,47 @@ class ExactMatrix:
     # -- certified elimination ---------------------------------------------
 
     def rank(self) -> int:
-        if self.rows == 0 or self.cols == 0:
-            return 0
-        rows, _ = _int_rows(self.data)
-        rank, _, _ = _bareiss(rows, self.cols)
-        return rank
+        return sparse_row_rank(_sparse_rows(self.data))
 
     def kernel_basis(self) -> "ExactMatrix":
-        """Columns form a basis of the right kernel.  Shape (cols, nullity)."""
+        """Columns form a basis of the right kernel.  Shape (cols, nullity).
+
+        The reduced echelon form writes each pivot unknown as its normal
+        form in the free ones: the vector of free column f has v[f] = 1,
+        0 at the other free columns and table[pc][f] at each pivot pc.
+        """
         n = self.cols
-        if n == 0:
-            return ExactMatrix([])
-        if self.rows == 0:
-            return ExactMatrix.identity(n)
-        rows, _ = _int_rows(self.data)
-        rank, pivots, _ = _bareiss(rows, n)
-        free = [j for j in range(n) if j not in set(pivots)]
-        zero, one = GaussianRational(0), GaussianRational(1)
-        g_rows = [
-            [GaussianRational(Fraction(a), Fraction(b)) for (a, b) in rows[i]]
-            for i in range(rank)
-        ]
+        table = normal_form_table(sparse_echelon(_sparse_rows(self.data)))
         basis = []
-        for f in free:
-            v = [zero] * n
-            v[f] = one
-            for i in range(rank - 1, -1, -1):
-                pc = pivots[i]
-                acc = zero
-                row = g_rows[i]
-                for j in range(pc + 1, n):
-                    if not (row[j].is_zero() or v[j].is_zero()):
-                        acc = acc + row[j] * v[j]
-                v[pc] = -acc / row[pc]
+        for f in (j for j in range(n) if j not in table):
+            v = [_ZERO] * n
+            v[f] = _ONE
+            for pc, nf in table.items():
+                v[pc] = nf.get(f, _ZERO)
             basis.append(v)
         return ExactMatrix.from_columns(basis, n)
 
     def det(self) -> GaussianRational:
+        """The x0^n coefficient of one Laplace pass over the forms x0 * M[i][j]:
+        O(n * 2^n) products, so meant for small n."""
         if self.rows != self.cols:
             raise ValueError("det of non-square matrix")
         n = self.rows
-        if n == 0:
-            return GaussianRational(1)
-        rows, scales = _int_rows(self.data)
-        rank, _, sign = _bareiss(rows, n)
-        if rank < n:
-            return GaussianRational(0)
-        a, b = rows[n - 1][n - 1]
-        d = GaussianRational(Fraction(a), Fraction(b)) * sign
-        denom = 1
-        for s in scales:
-            denom *= s
-        return d / denom
+        forms = [[HomogPoly(1, 1, {(1,): z}) for z in row] for row in self.data]
+        return _laplace_dets(forms, range(n), range(n), 1)[tuple(range(n))].coeffs.get((n,), _ZERO)
 
     def inverse(self) -> "ExactMatrix":
-        """One fraction-free pass on [M | I], then back-substitution of the
-        n right-hand columns; the closing product check certifies it."""
+        """The reduced echelon form of [M | I] is [I | M^-1], so M^-1 is minus
+        the normal forms of the pivots 0..n-1; the closing product check
+        certifies it."""
         if self.rows != self.cols:
             raise ValueError("inverse of non-square matrix")
         n = self.rows
         eye = ExactMatrix.identity(n)
-        rows, _ = _int_rows(self.hstack(eye).data)
-        _, pivots, _ = _bareiss(rows, 2 * n)
-        if pivots != list(range(n)):
+        table = normal_form_table(sparse_echelon(_sparse_rows(self.hstack(eye).data)))
+        if sorted(table) != list(range(n)):
             raise ValueError("singular matrix")
-        zero = GaussianRational(0)
-        g_rows = [[GaussianRational(Fraction(a), Fraction(b)) for (a, b) in row] for row in rows]
-        cols = []
-        for c in range(n, 2 * n):
-            x = [zero] * n
-            for i in range(n - 1, -1, -1):
-                row = g_rows[i]
-                acc = row[c]
-                for j in range(i + 1, n):
-                    if not (row[j].is_zero() or x[j].is_zero()):
-                        acc = acc - row[j] * x[j]
-                x[i] = acc / row[i]
-            cols.append(x)
-        inv = ExactMatrix.from_columns(cols, n)
+        inv = ExactMatrix([[-table[i].get(n + j, _ZERO) for j in range(n)] for i in range(n)])
         if (self @ inv) != eye:
             raise ValueError("singular matrix")
         return inv
@@ -361,8 +261,48 @@ class ExactMatrix:
 
 
 def random_invertible(size: int, rng: random.Random, span: int = 2) -> ExactMatrix:
-    """Seeded invertible Gaussian-integer matrix: draws until det != 0."""
+    """Seeded invertible Gaussian-integer matrix: draws until full rank."""
     while True:
         m = ExactMatrix(random_gaussian_rows(rng, size, size, span))
-        if not m.det().is_zero():
+        if m.rank() == size:
             return m
+
+
+def graded_matrix(phi: list, source_degree: int, num_vars: int) -> ExactMatrix:
+    """Matrix of v -> phi @ v on degree-source_degree polynomial vectors.
+
+    phi is a rectangular list-of-lists of HomogPoly, all of one degree e;
+    target degree is source_degree + e.  Coordinates are component-major:
+    index = component * n_monomials + monomial.  Inhomogeneous or
+    mixed-degree entries are rejected with their position.
+    """
+    p = len(phi)
+    q = len(phi[0]) if p else 0
+    e = None
+    for i in range(p):
+        if len(phi[i]) != q:
+            raise ValueError("ragged polynomial matrix")
+        for j in range(q):
+            entry = phi[i][j]
+            if not isinstance(entry, HomogPoly) or entry.num_vars != num_vars:
+                raise ValueError(f"entry ({i},{j}) is not a {num_vars}-variable form")
+            if e is None:
+                e = entry.degree
+            elif entry.degree != e:
+                raise ValueError(f"entry ({i},{j}) has degree {entry.degree}, expected {e}")
+    if e is None:
+        raise ValueError("empty polynomial matrix")
+    tdeg = source_degree + e
+    smonos = monomial_basis(num_vars, source_degree)
+    tindex = monomial_index(num_vars, tdeg)
+    n_s, n_t = len(smonos), len(tindex)
+    mat = [[_ZERO] * (q * n_s) for _ in range(p * n_t)]
+    for j in range(q):
+        for s_idx, s_mono in enumerate(smonos):
+            col = j * n_s + s_idx
+            for i in range(p):
+                for mono, c in phi[i][j].coeffs.items():
+                    t_mono = tuple(a + b for a, b in zip(mono, s_mono))
+                    row = i * n_t + tindex[t_mono]
+                    mat[row][col] = mat[row][col] + c
+    return ExactMatrix(mat, cols=q * n_s)

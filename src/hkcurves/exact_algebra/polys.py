@@ -25,7 +25,6 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .linalg import ExactMatrix
 from .scalars import GaussianRational
 
 _ZERO = GaussianRational(0)
@@ -201,68 +200,6 @@ class HomogPoly:
             )
             parts.append(f"({c}){mono or '1'}")
         return " + ".join(parts)
-
-
-class GradedMap:
-    """Linear map between graded pieces of free modules, in monomial bases.
-
-    Coordinates are component-major: index = component * n_monomials + mono.
-    """
-
-    __slots__ = ("source_degree", "target_degree", "source_mult", "target_mult",
-                 "num_vars", "matrix")
-
-    def __init__(self, source_degree, target_degree, source_mult, target_mult,
-                 num_vars, matrix):
-        for k, v in (
-            ("source_degree", source_degree), ("target_degree", target_degree),
-            ("source_mult", source_mult), ("target_mult", target_mult),
-            ("num_vars", num_vars), ("matrix", matrix),
-        ):
-            object.__setattr__(self, k, v)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GradedMap is immutable")
-
-
-def graded_matrix(phi: list, source_degree: int, num_vars: int) -> GradedMap:
-    """Matrix of v -> phi @ v on degree-source_degree polynomial vectors.
-
-    phi is a rectangular list-of-lists of HomogPoly, all of one degree e;
-    target degree is source_degree + e.  Inhomogeneous or mixed-degree entries
-    are rejected with their position.
-    """
-    p = len(phi)
-    q = len(phi[0]) if p else 0
-    e = None
-    for i in range(p):
-        if len(phi[i]) != q:
-            raise ValueError("ragged polynomial matrix")
-        for j in range(q):
-            entry = phi[i][j]
-            if not isinstance(entry, HomogPoly) or entry.num_vars != num_vars:
-                raise ValueError(f"entry ({i},{j}) is not a {num_vars}-variable form")
-            if e is None:
-                e = entry.degree
-            elif entry.degree != e:
-                raise ValueError(f"entry ({i},{j}) has degree {entry.degree}, expected {e}")
-    if e is None:
-        raise ValueError("empty polynomial matrix")
-    tdeg = source_degree + e
-    smonos = monomial_basis(num_vars, source_degree)
-    tindex = monomial_index(num_vars, tdeg)
-    n_s, n_t = len(smonos), len(tindex)
-    mat = [[_ZERO] * (q * n_s) for _ in range(p * n_t)]
-    for j in range(q):
-        for s_idx, s_mono in enumerate(smonos):
-            col = j * n_s + s_idx
-            for i in range(p):
-                for mono, c in phi[i][j].coeffs.items():
-                    t_mono = tuple(a + b for a, b in zip(mono, s_mono))
-                    row = i * n_t + tindex[t_mono]
-                    mat[row][col] = mat[row][col] + c
-    matrix = ExactMatrix(mat, cols=q * n_s) if mat else ExactMatrix([], cols=q * n_s)
-    return GradedMap(source_degree, tdeg, q, p, num_vars, matrix)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ a sum of two line bundles of degrees summing to 4d - 2.  Both degrees
 are read off kernel dimensions of multiplication maps built from the
 partial derivatives, swept over twists.  Each rank is a mod-p rank
 that meets the proven upper bound stated with its count (rank mod p
-never exceeds the exact rank), else exact Bareiss elimination.  The
+never exceeds the exact rank), else the exact sparse echelon.  The
 matrices are scattered from Gaussian-integer rows of the forms times
 one common denominator, which scales every block alike and so keeps
 every rank, reduced once per prime.
@@ -142,7 +142,7 @@ class _FormRows:
 
     def rank(self, blocks: List[List[int]], col_degrees: List[int], bound: int) -> int:
         """Rank of the band matrix under a proven upper bound: the bound
-        when a prime meets it, else exact Bareiss elimination."""
+        when a prime meets it, else the exact sparse echelon."""
         band = self.band(blocks, col_degrees)
         return bound if self.certified(band, bound) else self.exact(band).rank()
 

@@ -17,8 +17,8 @@ from hkcurves.acm_curve.fibers import (
     fiber_points,
 )
 from hkcurves.exact_algebra.ideals import sparse_echelon
-from hkcurves.exact_algebra.linalg import ExactMatrix, random_invertible
-from hkcurves.exact_algebra.polys import HomogPoly, graded_matrix, monomial_basis
+from hkcurves.exact_algebra.linalg import ExactMatrix, graded_matrix, random_invertible
+from hkcurves.exact_algebra.polys import HomogPoly, monomial_basis
 from hkcurves.exact_algebra.scalars import GaussianRational
 from hkcurves.pencil import (
     apply_gauge,
@@ -154,10 +154,10 @@ def graded_functoriality_suite(count: int = 50) -> int:
             df, dg = 1 + i % 2, 1 + (i // 2) % 2
             f = random_homog(rng, df)
             g = random_homog(rng, dg)
-            lhs = graded_matrix([[f * g]], k, 4).matrix
+            lhs = graded_matrix([[f * g]], k, 4)
             rhs = (
-                graded_matrix([[f]], k + dg, 4).matrix
-                @ graded_matrix([[g]], k, 4).matrix
+                graded_matrix([[f]], k + dg, 4)
+                @ graded_matrix([[g]], k, 4)
             )
         else:
             phi = [[random_homog(rng, 1) for _ in range(2)] for _ in range(2)]
@@ -169,9 +169,9 @@ def graded_functoriality_suite(count: int = 50) -> int:
                 ]
                 for a in range(2)
             ]
-            lhs = graded_matrix(prod, k, 4).matrix
+            lhs = graded_matrix(prod, k, 4)
             rhs = (
-                graded_matrix(phi, k + 1, 4).matrix @ graded_matrix(psi, k, 4).matrix
+                graded_matrix(phi, k + 1, 4) @ graded_matrix(psi, k, 4)
             )
         assert lhs == rhs
     return count

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hkcurves.exact_algebra.ideals import eliminate, sparse_row_rank
+from hkcurves.exact_algebra.ideals import eliminate
 from hkcurves.exact_algebra.linalg import ExactMatrix
 from hkcurves.exact_algebra.modp import (
     PRIMES,
@@ -101,18 +101,6 @@ def test_conj_transpose():
     for i in range(2):
         for j in range(3):
             assert ct[j, i] == m[i, j].conj()
-
-
-def test_sparse_row_rank_matches_dense():
-    rng = random.Random(13)
-    for _ in range(25):
-        m = _random_matrix(rng, 5, 7)
-        rows = []
-        for i in range(5):
-            row = [(j, m[i, j]) for j in range(7) if not m[i, j].is_zero()]
-            if row:
-                rows.append(row)
-        assert sparse_row_rank(rows) == m.rank()
 
 
 def test_combine_rows_eliminates_pivot():

@@ -1,0 +1,220 @@
+"""Identity of ExactMatrix's exact methods against dense Bareiss elimination.
+
+The private reference below is the fraction-free Bareiss eliminator on
+dense Gaussian-integer pairs that `rank`, `det`, `kernel_basis` and
+`inverse` ran on before they read the sparse echelon and the Laplace pass.
+The library must return equal ranks and determinants, the identical kernel
+basis (both routes give the canonical one: 1 at a free column, 0 at the
+others) and the identical inverse, and raise where the reference raises.
+"""
+
+import random
+from fractions import Fraction
+from math import gcd
+
+import pytest
+
+from hkcurves.exact_algebra.linalg import ExactMatrix
+from hkcurves.exact_algebra.scalars import GaussianRational
+
+_ZERO = GaussianRational(0)
+_ONE = GaussianRational(1)
+
+
+def _ref_int_rows(rows):
+    out, scales = [], []
+    for row in rows:
+        den = 1
+        for z in row:
+            for q in (z.re, z.im):
+                den = den * q.denominator // gcd(den, q.denominator)
+        out.append(
+            [(z.re.numerator * (den // z.re.denominator), z.im.numerator * (den // z.im.denominator)) for z in row]
+        )
+        scales.append(den)
+    return out, scales
+
+
+def _gi_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _gi_div(x, y):
+    n = y[0] * y[0] + y[1] * y[1]
+    re, rr = divmod(x[0] * y[0] + x[1] * y[1], n)
+    im, ri = divmod(x[1] * y[0] - x[0] * y[1], n)
+    if rr or ri:
+        raise ArithmeticError("inexact Bareiss division")
+    return (re, im)
+
+
+def _ref_bareiss(rows, ncols):
+    """In-place fraction-free row echelon: (rank, pivot columns, swap sign)."""
+    nrows, rank, sign, prev, pivots = len(rows), 0, 1, (1, 0), []
+    for col in range(ncols):
+        if rank >= nrows:
+            break
+        p = next((i for i in range(rank, nrows) if rows[i][col] != (0, 0)), None)
+        if p is None:
+            continue
+        if p != rank:
+            rows[rank], rows[p] = rows[p], rows[rank]
+            sign = -sign
+        piv = rows[rank][col]
+        for i in range(rank + 1, nrows):
+            ric = rows[i][col]
+            for j in range(col + 1, ncols):
+                a, b = _gi_mul(piv, rows[i][j]), _gi_mul(ric, rows[rank][j])
+                rows[i][j] = _gi_div((a[0] - b[0], a[1] - b[1]), prev)
+            rows[i][col] = (0, 0)
+        prev = piv
+        pivots.append(col)
+        rank += 1
+    return rank, pivots, sign
+
+
+def _gauss(pair):
+    return GaussianRational(Fraction(pair[0]), Fraction(pair[1]))
+
+
+def _ref_rank(m):
+    rows, _ = _ref_int_rows(m.data)
+    return _ref_bareiss(rows, m.cols)[0]
+
+
+def _ref_det(m):
+    n = m.rows
+    if n == 0:
+        return _ONE
+    rows, scales = _ref_int_rows(m.data)
+    rank, _, sign = _ref_bareiss(rows, n)
+    if rank < n:
+        return _ZERO
+    denom = 1
+    for s in scales:
+        denom *= s
+    return _gauss(rows[n - 1][n - 1]) * sign / denom
+
+
+def _ref_kernel_basis(m):
+    n = m.cols
+    rows, _ = _ref_int_rows(m.data)
+    rank, pivots, _ = _ref_bareiss(rows, n)
+    g_rows = [[_gauss(x) for x in rows[i]] for i in range(rank)]
+    basis = []
+    for f in (j for j in range(n) if j not in pivots):
+        v = [_ZERO] * n
+        v[f] = _ONE
+        for i in range(rank - 1, -1, -1):
+            pc, row = pivots[i], g_rows[i]
+            acc = _ZERO
+            for j in range(pc + 1, n):
+                acc = acc + row[j] * v[j]
+            v[pc] = -acc / row[pc]
+        basis.append(v)
+    return ExactMatrix.from_columns(basis, n)
+
+
+def _ref_inverse(m):
+    n = m.rows
+    rows, _ = _ref_int_rows(m.hstack(ExactMatrix.identity(n)).data)
+    _, pivots, _ = _ref_bareiss(rows, 2 * n)
+    if pivots != list(range(n)):
+        raise ValueError("singular matrix")
+    g_rows = [[_gauss(x) for x in row] for row in rows]
+    cols = []
+    for c in range(n, 2 * n):
+        x = [_ZERO] * n
+        for i in range(n - 1, -1, -1):
+            acc = g_rows[i][c]
+            for j in range(i + 1, n):
+                acc = acc - g_rows[i][j] * x[j]
+            x[i] = acc / g_rows[i][i]
+        cols.append(x)
+    return ExactMatrix.from_columns(cols, n)
+
+
+def _entry(rng):
+    return GaussianRational(
+        Fraction(rng.randint(-4, 4), rng.randint(1, 3)), Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    )
+
+
+def _matrix(seed, rows, cols, rank=None, zero_rows=(), zero_cols=()):
+    """Seeded fractional Gaussian matrix; with `rank`, every row is a
+    combination of `rank` drawn rows with small Gaussian-integer weights."""
+    rng = random.Random(seed)
+    data = [[_entry(rng) for _ in range(cols)] for _ in range(rows if rank is None else rank)]
+    if rank is not None:
+        weights = [[GaussianRational(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(rank)] for _ in range(rows)]
+        data = [
+            [sum((w * data[k][j] for k, w in enumerate(ws)), _ZERO) for j in range(cols)] for ws in weights
+        ]
+    data = [
+        [_ZERO if i in zero_rows or j in zero_cols else z for j, z in enumerate(row)] for i, row in enumerate(data)
+    ]
+    return ExactMatrix(data, cols=cols)
+
+
+CASES = {
+    "0x3": dict(rows=0, cols=3),
+    "3x0": dict(rows=3, cols=0),
+    "0x0": dict(rows=0, cols=0),
+    "1x1": dict(rows=1, cols=1),
+    "1x1-zero": dict(rows=1, cols=1, zero_rows=(0,)),
+    "4x6": dict(rows=4, cols=6),
+    "4x6-rank2": dict(rows=4, cols=6, rank=2),
+    "4x6-zero-col": dict(rows=4, cols=6, zero_cols=(0, 3)),
+    "6x4": dict(rows=6, cols=4),
+    "6x4-rank3-zero-row": dict(rows=6, cols=4, rank=3, zero_rows=(2,)),
+    "7x7": dict(rows=7, cols=7),
+    "7x7-rank5": dict(rows=7, cols=7, rank=5),
+    "7x7-zero-row-col": dict(rows=7, cols=7, zero_rows=(6,), zero_cols=(1,)),
+    "5x5-rank4": dict(rows=5, cols=5, rank=4),
+}
+SEEDS = range(3)
+
+
+def _cases(square=False):
+    return [
+        pytest.param(seed, kw, id=f"{name}-{seed}")
+        for name, kw in CASES.items()
+        if not square or kw["rows"] == kw["cols"]
+        for seed in SEEDS
+    ]
+
+
+@pytest.mark.parametrize("seed,kw", _cases())
+def test_rank_and_kernel_match_reference(seed, kw):
+    m = _matrix(seed, **kw)
+    assert m.rank() == _ref_rank(m)
+    kernel = m.kernel_basis()
+    assert kernel == _ref_kernel_basis(m)
+    assert kernel.shape == (m.cols, m.cols - m.rank())
+    for j in range(kernel.cols):
+        assert all(x.is_zero() for x in m.apply(kernel.column(j)))
+
+
+@pytest.mark.parametrize("seed,kw", _cases(square=True))
+def test_det_and_inverse_match_reference(seed, kw):
+    m = _matrix(seed, **kw)
+    det = m.det()
+    assert det == _ref_det(m)
+    if det.is_zero():
+        with pytest.raises(ValueError, match="singular"):
+            _ref_inverse(m)
+        with pytest.raises(ValueError, match="singular"):
+            m.inverse()
+    else:
+        assert m.inverse() == _ref_inverse(m)
+
+
+def test_planted_cases_cover_both_outcomes():
+    # the square cases hold invertible and singular matrices, and the
+    # planted deficits really drop the rank
+    singular = [
+        _matrix(seed, **kw).det().is_zero() for kw in CASES.values() if kw["rows"] == kw["cols"] for seed in SEEDS
+    ]
+    assert any(singular) and not all(singular)
+    assert _matrix(0, **CASES["7x7-rank5"]).rank() == 5
+    assert _matrix(0, **CASES["6x4-rank3-zero-row"]).rank() == 3

@@ -1,5 +1,5 @@
 """Properties of the exact core over drawn inputs: the GAUSS literal round
-trip, multiplicativity of the Bareiss determinant, and the inequality
+trip, multiplicativity of the Laplace determinant, and the inequality
 rank mod p <= exact rank that every modular rank certificate rests on."""
 
 from hypothesis import given, settings

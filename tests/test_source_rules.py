@@ -41,13 +41,22 @@ def _imports(path):
 
 def test_layering():
     # the exact core stands alone, and pencils and reality sit below the
-    # curves that import them, so the Laplace kernel lives in exact_algebra
+    # curves that import them, so the Laplace kernel lives in exact_algebra;
+    # inside the core, the dense matrices sit on top of the two kernels
+    # they read (the sparse echelon and the Laplace pass)
     found = []
     for path in sorted((SRC / "hkcurves" / "exact_algebra").glob("*.py")):
         found += [
             f"{path.name} imports {name}"
             for name in _imports(path)
             if name.startswith("hkcurves") and not name.startswith("hkcurves.exact_algebra")
+        ]
+    for name in ("scalars.py", "modp.py", "polys.py", "ideals.py"):
+        path = SRC / "hkcurves" / "exact_algebra" / name
+        found += [
+            f"{name} imports {module}"
+            for module in _imports(path)
+            if module == "hkcurves.exact_algebra.linalg"
         ]
     for name in ("pencil.py", "reality.py"):
         path = SRC / "hkcurves" / name
