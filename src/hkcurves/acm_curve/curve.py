@@ -8,7 +8,7 @@ from typing import List, Optional, Tuple
 
 from ..exact_algebra.ideals import GradedIdeal
 from ..exact_algebra.linalg import ExactMatrix
-from ..exact_algebra.polys import HomogPoly, entry_cofactors, monomial_count, signed_maximal_minors
+from ..exact_algebra.polys import HomogPoly, monomial_count, signed_maximal_minors
 from ..exact_algebra.scalars import random_gaussian_rows
 from ..pencil import canonical_pair, is_injective_pencil
 from ..reality import make_sigma_invariant_pencil, reality_conjugate
@@ -86,7 +86,6 @@ class ACMCurve:
         self.ideal = GradedIdeal([m for m in self.minors if not m.is_zero()])
         self.ideal.set_certified_bound(lambda k: predicted_ideal_dimension(self.r, k))
         self._certificate: Optional["ResolutionCertificate"] = None
-        self._cofactors: Optional[List[List[List[HomogPoly]]]] = None
 
     @property
     def degree(self) -> int:
@@ -107,12 +106,6 @@ class ACMCurve:
         if self._certificate is None:
             self._certificate = certify_resolution(self)
         return self._certificate
-
-    def cofactors(self) -> List[List[List[HomogPoly]]]:
-        """`entry_cofactors` of the matrix, computed once."""
-        if self._cofactors is None:
-            self._cofactors = entry_cofactors(self.entries)
-        return self._cofactors
 
     def gauge(self, P: ExactMatrix, Q: ExactMatrix) -> "ACMCurve":
         return ACMCurve(self.matrix.gauge(P, Q))

@@ -9,19 +9,21 @@ pieces, all of which reduce to exact ranks of monomial matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Tuple
+
+import numpy as np
 
 from .exact_algebra import modp
 from .exact_algebra.ideals import Row, sparse_row_rank
 from .exact_algebra.linalg import graded_matrix
-from .exact_algebra.modp import matmul_mod, rank_mod, reductions
-from .exact_algebra.polys import monomial_basis, monomial_count, monomial_index, shift_index
+from .exact_algebra.modp import matmul_mod, rank_mod
+from .exact_algebra.polys import FormMod, entry_cofactors, monomial_basis, monomial_count, shift_index
 from .exact_algebra.scalars import GaussianRational
 
 Table = Tuple[int, int, int, int]
 
 _ZERO = GaussianRational(0)
-_ONE = GaussianRational(1)
 
 
 def line_bundle_cohomology_P3(m: int) -> Table:
@@ -34,6 +36,30 @@ def chi_line_bundle(m: int) -> int:
     return (m + 1) * (m + 2) * (m + 3) // 6
 
 
+def _coeffs_mod(curve, p: int, s: int) -> np.ndarray:
+    """[i, j, v]: the coefficient of x_v in entries[i][j], reduced mod p
+    (x_v = monomial_basis(4, 1)[v]); raises BadPrime like `modp.rows_mod`."""
+    r = curve.r
+    rows = [[(v, A[i, j]) for v, A in enumerate(curve.coeffs)] for i in range(r + 1) for j in range(r)]
+    return modp.rows_mod(rows, 4, p, s).reshape(r + 1, r, 4)
+
+
+def _syzygy_matrix_mod(curve, source_degree: int, p: int, s: int) -> np.ndarray:
+    """graded_matrix of the transposed entries on degree-`source_degree`
+    vectors, reduced mod p: scattered from the reduced coefficients, with
+    rows (t, j) and columns (m, i) in place of its (j, t) and (i, m)."""
+    r = curve.r
+    coeffs = _coeffs_mod(curve, p, s)
+    n_src = monomial_count(4, source_degree)
+    n_tgt = monomial_count(4, source_degree + 1)
+    shift = shift_index(monomial_basis(4, source_degree), monomial_basis(4, 1), source_degree + 1)
+    # [t, m, j, i]: coefficient of entries[i][j] sending monomial m to t
+    out = np.zeros((n_tgt, n_src, r, r + 1), dtype=np.int64)
+    for v in range(4):
+        out[shift[v], np.arange(n_src)] = coeffs[:, :, v].T
+    return out.transpose(0, 2, 1, 3).reshape(n_tgt * r, n_src * (r + 1))
+
+
 def _syzygy_dual_rank(curve, k: int) -> int:
     """Rank of the transposed syzygy matrix acting on degree r-k-4 vectors.
 
@@ -41,16 +67,19 @@ def _syzygy_dual_rank(curve, k: int) -> int:
     curve, so minors * h for the monomials h of degree -k-4 are independent
     kernel vectors: the rank is at most cols - monomial_count(4, -k-4).  A
     prime meeting that bound decides it, else the exact sparse echelon.
+    Mod p the matrix is `_syzygy_matrix_mod`, whose rows and columns are
+    permuted, which leaves the rank unchanged.
     """
     r = curve.r
     source_degree = r - k - 4
     if source_degree < 0:
         return 0
+    ncols = (r + 1) * monomial_count(4, source_degree)
+    bound = ncols - monomial_count(4, -k - 4)
+    if modp.sparse_rank_certificate(None, ncols, bound, partial(_syzygy_matrix_mod, curve, source_degree)):
+        return bound
     phi_t = [[curve.entries[i][j] for i in range(r + 1)] for j in range(r)]
-    matrix = graded_matrix(phi_t, source_degree, 4)
-    bound = matrix.cols - monomial_count(4, -k - 4)
-    rows = [list(enumerate(row)) for row in matrix.data]
-    return bound if modp.sparse_rank_certificate(rows, matrix.cols, bound) else matrix.rank()
+    return graded_matrix(phi_t, source_degree, 4).rank()
 
 
 def ideal_cohomology(curve, k: int) -> Table:
@@ -107,20 +136,6 @@ def ellia_stability_check(curve) -> bool:
     )
 
 
-def _table_rows(ideal, degree: int, cols: List[int]) -> List[Row]:
-    """Exact normal form of every degree-`degree` monomial on the quotient basis."""
-    table = ideal.reduction_table(degree)
-    pos = {c: k for k, c in enumerate(cols)}
-    rows: List[Row] = []
-    for c in range(monomial_count(4, degree)):
-        sub = table.get(c)
-        if sub is None:
-            rows.append([(pos[c], _ONE)])
-        else:
-            rows.append([(pos[c2], v) for c2, v in sub.items()])
-    return rows
-
-
 def _exact_map_rows(curve, src_cols: List[int], tgt_cols: List[int], m_src: int) -> List[Row]:
     """Rows (j, target column) of the pairing map over Q(i), columns (i, source column)."""
     r = curve.r
@@ -148,23 +163,31 @@ def normal_sections(curve, twist: int) -> int:
     sum_i entries[i][j] * n_i = 0 in the coordinate ring for every j:
     the kernel of a map with ncols = (r+1) * dim (R/I)_(r+twist) columns.
 
-    Deformation vectors (f * d[i0][j0][i])_i, with d = `curve.cofactors()`
+    Deformation vectors (f * d[i0][j0][i])_i, with d = `entry_cofactors`
     and f a form of degree 1+twist, lie in the kernel for every matrix:
     their pairing with column j is -f * minor_i0 * delta(j, j0), in I.
 
-    Both sides are built mod p from the exact normal-form tables, each
-    entry reduced once per prime.  Reduction mod p is a ring homomorphism
-    on entries whose denominators are prime to p (`reductions` skips a
-    prime at which some entry has a bad denominator), so every minor of a
-    reduced matrix is the reduction of an exact minor, and rank mod p never
-    exceeds the exact rank.  With lower_p the rank of the reduced
+    Both sides are built mod p from the start.  The coefficients are
+    reduced once (`modp.rows_mod`; a bad denominator skips the prime), the
+    cofactors are the same Laplace pass on the reduced linear forms
+    (reduction mod p is a ring homomorphism, so it commutes with
+    determinants), and the normal-form tables of degrees r+twist and
+    r+twist+1 are `GradedIdeal.reduction_table_mod`.  That table is built
+    only where the level's rank mod p equals the certified dim I_k; then
+    the complement of its pivots J_p is a quotient basis over Q(i), since a
+    minor that is nonzero mod p is nonzero, and the exact normal forms on
+    that basis reduce to the table.  The counts are ranks of maps between
+    the quotients, so they do not depend on the basis: the reduced matrices
+    are reductions of exact matrices with the same ranks, and rank mod p
+    never exceeds the exact rank.  With lower_p the rank of the reduced
     deformation vectors and rank_p that of the reduced map,
 
         lower_p <= dim ker = ncols - rank,    rank_p <= rank,
 
     so rank_p <= ncols - lower_p.  Equality pins dim ker = lower_p; a larger
-    rank_p disproves the sandwich and raises ArithmeticError.  Exact
-    elimination of the map only runs when no prime pins the count.
+    rank_p disproves the sandwich and raises ArithmeticError.  Only when no
+    prime pins the count do the exact quotient bases and normal forms get
+    built, and the map is eliminated exactly.
     """
     if twist not in (0, -1):
         raise ValueError("twist must be 0 or -1")
@@ -174,49 +197,43 @@ def normal_sections(curve, twist: int) -> int:
     m_src = r + twist
     m_tgt = m_src + 1
     src_basis = monomial_basis(4, m_src)
-    src_cols = curve.ideal.quotient_basis(m_src)
-    tgt_cols = curve.ideal.quotient_basis(m_tgt)
-    n_src, n_tgt = len(src_cols), len(tgt_cols)
-    ncols = (r + 1) * n_src
-    src_table = _table_rows(curve.ideal, m_src, src_cols)
-    tgt_table = _table_rows(curve.ideal, m_tgt, tgt_cols)
-    # entries[i][j] = sum_v coeffs[v][i, j] * x_v, and x_v = monomial_basis(4, 1)[v]
-    entry_rows = [
-        [(v, A[i, j]) for v, A in enumerate(curve.coeffs)] for i in range(r + 1) for j in range(r)
-    ]
     units = monomial_basis(4, 1)
-    # the map's block (j, i) sums coeff_v(entries[i][j]) * NF[s + e_v]
-    map_shift = shift_index([src_basis[c] for c in src_cols], units, m_tgt)
     # f * d runs over the shifts of d's monomials by f's exponent
     forms = units if twist == 0 else monomial_basis(4, 0)
-    cof_basis = monomial_basis(4, r - 1)
-    cof_shift = shift_index(cof_basis, forms, m_src)
-    index = monomial_index(4, r - 1)
-    # rows (i0, j0, i) over the degree r-1 monomials
-    cof_rows = [
-        [(index[m], v) for m, v in d.coeffs.items()]
-        for per_column in curve.cofactors()
-        for cof in per_column
-        for d in cof
-    ]
-    tables = [(src_table, n_src), (tgt_table, n_tgt), (entry_rows, 4), (cof_rows, len(cof_basis))]
-    for p, (nf_src, nf_tgt, coeffs, cof) in reductions(tables):
+    cof_shift = shift_index(monomial_basis(4, r - 1), forms, m_src)
+
+    def sandwich(p: int, s: int) -> Tuple[int, int, int]:
+        coeffs = _coeffs_mod(curve, p, s)
+        src_cols, nf_src = curve.ideal.reduction_table_mod(m_src, p, s)
+        tgt_cols, nf_tgt = curve.ideal.reduction_table_mod(m_tgt, p, s)
+        n_src, n_tgt = len(src_cols), len(tgt_cols)
+        ncols = (r + 1) * n_src
+        # the map's block (j, i) sums coeff_v(entries[i][j]) * NF[s + e_v]
+        map_shift = shift_index([src_basis[c] for c in src_cols], units, m_tgt)
         # [i, j, s, t] -> rows (j, t), columns (i, s)
         shifted = nf_tgt[map_shift].reshape(4, n_src * n_tgt)
-        rows = matmul_mod(coeffs, shifted, p).reshape(r + 1, r, n_src, n_tgt)
+        rows = matmul_mod(coeffs.reshape(-1, 4), shifted, p).reshape(r + 1, r, n_src, n_tgt)
         rows = rows.transpose(1, 3, 0, 2).reshape(r * n_tgt, ncols)
+        # rows (i0, j0, i) over the degree r-1 monomials
+        entries = [[FormMod(4, 1, coeffs[i, j], p) for j in range(r)] for i in range(r + 1)]
+        cofactors = entry_cofactors(entries)
+        cof = np.array([d.vec for per_column in cofactors for cofs in per_column for d in cofs])
         # [i0, j0, i, f, s] -> rows (i0, j0, f), columns (i, s)
         shifted = nf_src[cof_shift].transpose(1, 0, 2).reshape(-1, len(forms) * n_src)
         vectors = matmul_mod(cof, shifted, p).reshape(r + 1, r, r + 1, len(forms), n_src)
         vectors = vectors.transpose(0, 1, 3, 2, 4).reshape(-1, ncols)
         lower = rank_mod(vectors, p)
         bound = ncols - lower
-        rank = rank_mod(rows, p, bound + 1)
+        return lower, bound, rank_mod(rows, p, bound + 1)
+
+    for _, (lower, bound, rank) in modp.each_prime(sandwich):
         if rank > bound:
             raise ArithmeticError(f"rank {rank} mod p exceeds certified bound {bound}")
         if rank == bound:
             return lower
-    return ncols - sparse_row_rank(_exact_map_rows(curve, src_cols, tgt_cols, m_src))
+    src_cols = curve.ideal.quotient_basis(m_src)
+    tgt_cols = curve.ideal.quotient_basis(m_tgt)
+    return (r + 1) * len(src_cols) - sparse_row_rank(_exact_map_rows(curve, src_cols, tgt_cols, m_src))
 
 
 @dataclass(frozen=True)

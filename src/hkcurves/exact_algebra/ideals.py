@@ -275,6 +275,32 @@ class GradedIdeal:
             cached = self._cache[key] = normal_form_table(self._build(k))
         return cached  # type: ignore[return-value]
 
+    def reduction_table_mod(self, k: int, p: int, s: int) -> Tuple[List[int], np.ndarray]:
+        """Quotient columns of degree k and every degree-k monomial's normal
+        form on them, mod p: table[c] is the row of column c.
+
+        The columns are the complement of the pivots J_p of the level's RREF
+        mod p (`modp.rref_mod`), which must reach dimension(k), else this
+        raises BadPrime.  Then some minor on the columns J_p is nonzero mod p,
+        so it is nonzero, and the complement of J_p is a basis of (R/I)_k.
+        The exact normal forms on that basis have denominators dividing such
+        a minor, so they reduce to the RREF's: -R[:, quotient] at the pivots
+        and unit vectors at the quotient columns.  Below the generator
+        degree the level is empty and the table is the identity.
+        """
+        ncols = monomial_count(self.num_vars, k)
+        if k < self.gen_degree:
+            return list(range(ncols)), np.eye(ncols, dtype=np.int64)
+        pivots, rref = modp.rref_mod(self._level_mod(k, p, s), p)
+        if len(pivots) != self.dimension(k):
+            raise modp.BadPrime(f"level {k} has rank {len(pivots)} mod {p}, not {self.dimension(k)}")
+        taken = set(pivots)
+        quotient = [c for c in range(ncols) if c not in taken]
+        table = np.zeros((ncols, len(quotient)), dtype=np.int64)
+        table[quotient, np.arange(len(quotient))] = 1
+        table[pivots] = -rref[:, quotient] % p
+        return quotient, table
+
     def normal_form(self, poly: HomogPoly) -> Dict[int, GaussianRational]:
         """Coordinates of poly mod I_k on the quotient monomial basis."""
         table = self.reduction_table(poly.degree)

@@ -229,7 +229,8 @@ class ExactMatrix:
             raise ValueError("det of non-square matrix")
         n = self.rows
         forms = [[HomogPoly(1, 1, {(1,): z}) for z in row] for row in self.data]
-        return _laplace_dets(forms, range(n), range(n), 1)[tuple(range(n))].coeffs.get((n,), _ZERO)
+        dets = _laplace_dets(forms, range(n), range(n), HomogPoly(1, 0, {(0,): 1}))
+        return dets[tuple(range(n))].coeffs.get((n,), _ZERO)
 
     def inverse(self) -> "ExactMatrix":
         """The reduced echelon form of [M | I] is [I | M^-1], so M^-1 is minus

@@ -36,7 +36,8 @@ SparseRows = Sequence[Sequence[Tuple[int, GaussianRational]]]
 
 
 class BadPrime(ValueError):
-    """Entry denominator vanishes mod p; the reduction map is undefined."""
+    """The reduction at p is unusable: an entry denominator vanishes mod p,
+    so the reduction map is undefined, or a level loses rank mod p."""
 
 
 def _fraction_mod(q: Fraction, p: int) -> int:
@@ -109,7 +110,38 @@ def rank_mod(matrix: np.ndarray, p: int, stop_rank: int | None = None) -> int:
     return rank
 
 
-def _each_prime(reduce: Callable[[int, int], object]) -> Iterator[Tuple[int, object]]:
+def rref_mod(matrix: np.ndarray, p: int) -> Tuple[List[int], np.ndarray]:
+    """Reduced row echelon form mod p, in place: (pivot columns, the rank rows).
+
+    Pivots are taken column by column from the left, so they are the first
+    columns independent mod p.  Each pivot row is monic and zero at the
+    other pivots; rows at or below the current rank are zero left of the
+    current column, so an update touches only the columns from there on.
+    """
+    m = matrix
+    nrows, ncols = m.shape
+    pivots: List[int] = []
+    for c in range(ncols):
+        rank = len(pivots)
+        if rank == nrows:
+            break
+        nz = np.nonzero(m[rank:, c])[0]
+        if nz.size == 0:
+            continue
+        pr = rank + int(nz[0])
+        if pr != rank:
+            m[[rank, pr]] = m[[pr, rank]]
+        m[rank, c:] = m[rank, c:] * pow(int(m[rank, c]), p - 2, p) % p
+        col = m[:, c].copy()
+        col[rank] = 0
+        hit = np.nonzero(col)[0]
+        if hit.size:
+            m[hit, c:] = (m[hit, c:] - np.outer(col[hit], m[rank, c:])) % p
+        pivots.append(c)
+    return pivots, m[: len(pivots)]
+
+
+def each_prime(reduce: Callable[[int, int], object]) -> Iterator[Tuple[int, object]]:
     """(p, reduce(p, s)) for each prime of PRIMES in turn, skipping a prime
     at which reduce raises BadPrime."""
     for p, s in PRIMES:
@@ -118,11 +150,6 @@ def _each_prime(reduce: Callable[[int, int], object]) -> Iterator[Tuple[int, obj
         except BadPrime:
             continue
         yield p, reduced
-
-
-def reductions(tables: Sequence[Tuple[SparseRows, int]]) -> Iterator[Tuple[int, List[np.ndarray]]]:
-    """(p, rows_mod of every (rows, ncols) table) for each usable prime."""
-    return _each_prime(lambda p, s: [rows_mod(rows, ncols, p, s) for rows, ncols in tables])
 
 
 def sparse_rank_certificate(
@@ -141,7 +168,7 @@ def sparse_rank_certificate(
     if given, returns the rows already reduced at p (or raises BadPrime) in
     place of rows_mod(rows, ncols, p, s).
     """
-    for p, m in _each_prime(level or (lambda p, s: rows_mod(rows, ncols, p, s))):
+    for p, m in each_prime(level or (lambda p, s: rows_mod(rows, ncols, p, s))):
         rank = rank_mod(m, p, upper_bound + 1)
         if rank > upper_bound:
             raise ArithmeticError(f"rank {rank} mod p exceeds certified bound {upper_bound}")

@@ -10,7 +10,9 @@ reproducible across runs, and `shift_index` maps a basis times a list of
 monomials into a higher degree.  `signed_maximal_minors` and
 `entry_cofactors` share the one Laplace kernel for the maximal minors of an
 (r+1) x r matrix of forms, in any number of variables: the curve's minors
-in four, a pencil's in two.  UniPoly is the univariate workhorse for
+in four, a pencil's in two.  The kernel reads only ring operations, so it
+runs on HomogPoly over Q(i) and on FormMod, a form mod p held as an int64
+coefficient vector.  UniPoly is the univariate workhorse for
 pencil minor gcds and binary forms.
 """
 
@@ -167,6 +169,10 @@ class HomogPoly:
                 out[m] = (prev[0] + a1 * a2 - b1 * b2, prev[1] + a1 * b2 + b1 * a2)
         return self._like(out, self.den * other.den, self.degree + other.degree)
 
+    def constant(self, c) -> "HomogPoly":
+        """The degree-0 form c in this form's variables."""
+        return HomogPoly(self.num_vars, 0, {(0,) * self.num_vars: c})
+
     def mul_monomial(self, mono: tuple) -> "HomogPoly":
         shift = {tuple(map(add, m, mono)): ab for m, ab in self.terms.items()}
         return self._like(shift, self.den, self.degree + sum(mono))
@@ -202,29 +208,86 @@ class HomogPoly:
         return " + ".join(parts)
 
 
+@lru_cache(maxsize=None)
+def _product_index(num_vars: int, high: int, low: int) -> np.ndarray:
+    """[k, n]: index of monomial n of degree `high` times monomial k of degree
+    `low`; cached, so it is read-only."""
+    index = shift_index(monomial_basis(num_vars, high), monomial_basis(num_vars, low), high + low, num_vars)
+    index.setflags(write=False)
+    return index
+
+
+class FormMod:
+    """Homogeneous form mod p: int64 coefficients on monomial_basis(num_vars, degree).
+
+    It has the ring operations the Laplace kernel reads (+, unary -, *,
+    is_zero, scale, constant), so the kernel runs on it unchanged.  Entries
+    stay reduced: a product is below p^2 < 2^60 and is reduced before it is
+    added to a reduced sum, so no int64 value overflows.
+    """
+
+    __slots__ = ("num_vars", "degree", "vec", "p")
+
+    def __init__(self, num_vars: int, degree: int, vec: np.ndarray, p: int):
+        self.num_vars, self.degree, self.vec, self.p = num_vars, degree, vec, p
+
+    def _like(self, vec: np.ndarray, degree: int | None = None) -> "FormMod":
+        return FormMod(self.num_vars, self.degree if degree is None else degree, vec, self.p)
+
+    def constant(self, c: int) -> "FormMod":
+        return self._like(np.array([c % self.p], dtype=np.int64), 0)
+
+    def is_zero(self) -> bool:
+        return not self.vec.any()
+
+    def __add__(self, other: "FormMod") -> "FormMod":
+        return self._like((self.vec + other.vec) % self.p)
+
+    def __neg__(self) -> "FormMod":
+        return self._like(-self.vec % self.p)
+
+    def scale(self, c: int) -> "FormMod":
+        return self._like(self.vec * (c % self.p) % self.p)
+
+    def __mul__(self, other: "FormMod") -> "FormMod":
+        # one pass per monomial of the shorter factor; within a pass the
+        # shifted monomials are distinct, so the scatter has no collisions
+        high, low = (self, other) if len(self.vec) >= len(other.vec) else (other, self)
+        index = _product_index(self.num_vars, high.degree, low.degree)
+        out = np.zeros(monomial_count(self.num_vars, self.degree + other.degree), dtype=np.int64)
+        for k, c in enumerate(low.vec.tolist()):
+            if c:
+                out[index[k]] = (out[index[k]] + c * high.vec) % self.p
+        return self._like(out, self.degree + other.degree)
+
+
 # ---------------------------------------------------------------------------
 # maximal minors of a matrix of forms: the one Laplace kernel
 
 
-def _laplace_dets(entries, rows, cols, num_vars: int) -> dict[tuple[int, ...], HomogPoly]:
+def _laplace_dets(entries, rows, cols, one) -> dict:
     """Determinant of every len(cols)-subset of `rows` against `cols`, keyed
     by the ascending row tuple.
 
     One pass of Laplace expansion along the columns in order: each subset
     expands along its last column through the subsets one row smaller.
+    The entries are HomogPoly, or FormMod for the same pass mod p; `one`
+    is the unit form of their ring.
     """
-    dets = {(): HomogPoly(num_vars, 0, {(0,) * num_vars: 1})}
+    dets = {(): one}
     for depth, col in enumerate(cols):
-        nxt: dict[tuple[int, ...], HomogPoly] = {}
+        nxt = {}
         for rowset in itertools.combinations(rows, depth + 1):
-            acc = HomogPoly(num_vars, depth + 1, {})
+            acc = None
             for pos, i in enumerate(rowset):
                 prev = dets[rowset[:pos] + rowset[pos + 1 :]]
-                if prev.is_zero():
+                # the first term is kept even when zero: it has the degree
+                if acc is not None and prev.is_zero():
                     continue
                 term = prev * entries[i][col]
                 # expansion along the last column: sign (-1)^(pos + depth)
-                acc = acc + (term if (pos + depth) % 2 == 0 else -term)
+                term = term if (pos + depth) % 2 == 0 else -term
+                acc = term if acc is None else acc + term
             nxt[rowset] = acc
         dets = nxt
     return dets
@@ -236,7 +299,7 @@ def signed_maximal_minors(entries: list[list[HomogPoly]]) -> list[HomogPoly]:
     ncols = len(entries[0]) if entries else 0
     if nrows != ncols + 1:
         raise ValueError(f"expected (r+1) x r entries, got {nrows} x {ncols}")
-    dets = _laplace_dets(entries, range(nrows), range(ncols), entries[0][0].num_vars)
+    dets = _laplace_dets(entries, range(nrows), range(ncols), entries[0][0].constant(1))
     out = []
     for skip in range(nrows):
         d = dets[tuple(a for a in range(nrows) if a != skip)]
@@ -244,7 +307,7 @@ def signed_maximal_minors(entries: list[list[HomogPoly]]) -> list[HomogPoly]:
     return out
 
 
-def entry_cofactors(entries: list[list[HomogPoly]]) -> list[list[list[HomogPoly]]]:
+def entry_cofactors(entries: list[list]) -> list[list[list]]:
     """d[i0][j0][i]: derivative of minor_i in the entry (i0, j0).
 
     Perturbing entry (i0, j0) by a form f moves minor_i by f * d[i0][j0][i]:
@@ -257,13 +320,17 @@ def entry_cofactors(entries: list[list[HomogPoly]]) -> list[list[list[HomogPoly]
     matrix,
 
         sum_i d[i0][j0][i] * entries[i][j] = -minor_i0 * delta(j, j0).
+
+    On FormMod entries the same pass gives the cofactors mod p.
     """
     r = len(entries) - 1
-    num_vars = entries[0][0].num_vars
-    zero = HomogPoly(num_vars, r - 1, {})
-    out = [[[zero] * (r + 1) for _ in range(r)] for _ in range(r + 1)]
+    one = entries[0][0].constant(1)
+    out = [[[None] * (r + 1) for _ in range(r)] for _ in range(r + 1)]
     for j0 in range(r):
-        dets = _laplace_dets(entries, range(r + 1), [b for b in range(r) if b != j0], num_vars)
+        dets = _laplace_dets(entries, range(r + 1), [b for b in range(r) if b != j0], one)
+        zero = dets[tuple(range(r - 1))].scale(0)
+        for i0 in range(r + 1):
+            out[i0][j0][i0] = zero
         for i0, i in itertools.permutations(range(r + 1), 2):
             d = dets[tuple(a for a in range(r + 1) if a not in (i0, i))]
             # i sits at position i - (i > i0) among the rows other than i0

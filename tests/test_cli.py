@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, determinism, document formats."""
 
+import hashlib
 import json
 import time
 
@@ -294,3 +295,25 @@ def test_exit_4_emits_reproduction_bundle(tmp_path, capsys, monkeypatch):
     assert set(bundle["chart"]) == {"A1", "A2", "A3", "A4"}
     on_disk = json.loads((out_dir / "reproduction_bundle.json").read_text())
     assert on_disk == bundle
+
+
+# sha256 of stdout, pinned so that changes to the exact and modular routes
+# keep the reports byte for byte
+TABLE_R3_SHA256 = "6f69f04ad4dd2529dd04dd4695adc66e2cadc3169b8b3fb974d0d724c18ed373"
+VERIFY_R3_SHA256 = "c38fd98e7f6ea39b15409848869d8c86799d31bdd65a3fbd2b1e67521e62f709"
+
+
+def test_cohomology_table_stdout_pinned(capsys):
+    code, out = run(capsys, ["cohomology", "table", "--r", "3"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_R3_SHA256
+
+
+def test_acm_verify_stdout_pinned(tmp_path, capsys, monkeypatch):
+    # the report echoes the document path, so it is run by a fixed relative path
+    monkeypatch.chdir(tmp_path)
+    code, _ = run(capsys, ["acm", "random", "--r", "3", "--count", "1", "--seed", "0", "--out", "docs"])
+    assert code == 0
+    code, out = run(capsys, ["acm", "verify", "docs/curve_r3_s0_000.json", "--fibers", "2"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_R3_SHA256

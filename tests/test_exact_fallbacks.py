@@ -1,6 +1,6 @@
 """Exact fallbacks behind the modular rank shortcuts.
 
-Every modular shortcut goes through `modp.reductions`, which tries the
+Every modular shortcut goes through `modp.each_prime`, which tries the
 primes of `modp.PRIMES` in turn and skips a prime whose reduction raises
 `BadPrime`.  With no primes at all, and again with every prime bad, each
 caller must reach the same answer by exact elimination alone.
@@ -91,6 +91,45 @@ def test_normal_sections_without_primes(monkeypatch):
         assert [(normal_sections(c, 0), normal_sections(c, -1)) for c in fresh] == default, mode
         assert len(exact_ranks) >= 2 * len(fresh), mode
     assert default == [(12, 6), (12, 6), (24, 12)]
+
+
+def test_normal_sections_when_levels_lose_rank(monkeypatch):
+    # a level whose rank drops mod p gives no quotient basis there: the
+    # prime is skipped, so the counts come from the next prime, and with
+    # every prime dropping a rank, from exact elimination
+    curves = [random_sigma_curve(2, 7), random_sigma_curve(3, 7)]
+    for curve in curves:
+        curve.certificate()
+    default = [(normal_sections(c, 0), normal_sections(c, -1)) for c in curves]
+    exact_ranks = []
+    sparse_row_rank = cohomology.sparse_row_rank
+
+    def counting_rank(rows):
+        exact_ranks.append(len(rows))
+        return sparse_row_rank(rows)
+
+    monkeypatch.setattr(cohomology, "sparse_row_rank", counting_rank)
+    level_mod = GradedIdeal._level_mod
+    for dropping in ({modp.PRIMES[0][0]}, {p for p, _ in modp.PRIMES}):
+        dropped = []
+
+        def losing_rank(ideal, k, p, s):
+            level = level_mod(ideal, k, p, s)
+            if p not in dropping:
+                return level
+            dropped.append(p)
+            # the reduced echelon rows without the last span one less
+            return modp.rref_mod(level, p)[1][:-1].copy()
+
+        monkeypatch.setattr(GradedIdeal, "_level_mod", losing_rank)
+        exact_ranks.clear()
+        assert [(normal_sections(c, 0), normal_sections(c, -1)) for c in curves] == default
+        assert set(dropped) == dropping
+        if len(dropping) == 1:
+            assert exact_ranks == [], "the next prime should pin every count"
+        else:
+            assert len(exact_ranks) == 2 * len(curves)
+    assert default == [(12, 6), (24, 12)]
 
 
 def count_exact_ranks(monkeypatch):
