@@ -155,7 +155,25 @@ def _exact_map_rows(curve, src_cols: List[int], tgt_cols: List[int], m_src: int)
     return [sorted(acc.items()) for acc in rows_acc if acc]
 
 
-def normal_sections(curve, twist: int) -> int:
+def _cofactors_mod(curve, p: int, s: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(`_coeffs_mod`, the entry cofactors mod p as rows (i0, j0, i) over
+    the degree r-1 monomials): one Laplace pass on the reduced entries."""
+    r = curve.r
+    coeffs = _coeffs_mod(curve, p, s)
+    entries = [[FormMod(4, 1, coeffs[i, j], p) for j in range(r)] for i in range(r + 1)]
+    cofactors = entry_cofactors(entries)
+    return coeffs, np.array([d.vec for per_column in cofactors for cofs in per_column for d in cofs])
+
+
+def _memo(memo: dict, key, build):
+    """memo[key], built by build() on first use."""
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = build()
+    return value
+
+
+def normal_sections(curve, twist: int, memo: Dict | None = None) -> int:
     """Dimension of degree-(r+twist) section vectors killed by the matrix.
 
     Sections of the normal sheaf twisted by `twist` are vectors
@@ -188,6 +206,11 @@ def normal_sections(curve, twist: int) -> int:
     rank_p disproves the sandwich and raises ArithmeticError.  Only when no
     prime pins the count do the exact quotient bases and normal forms get
     built, and the map is eliminated exactly.
+
+    `memo`, a dict the caller owns, shares the per-prime parts between calls
+    on one curve: the reduced coefficients and cofactors, and the tables by
+    degree.  `normal_sheaf_report` passes one to both twists, which read the
+    same degree r-1 cofactors and the same degree-r table.
     """
     if twist not in (0, -1):
         raise ValueError("twist must be 0 or -1")
@@ -202,10 +225,13 @@ def normal_sections(curve, twist: int) -> int:
     forms = units if twist == 0 else monomial_basis(4, 0)
     cof_shift = shift_index(monomial_basis(4, r - 1), forms, m_src)
 
+    memo = {} if memo is None else memo
+    ideal = curve.ideal
+
     def sandwich(p: int, s: int) -> Tuple[int, int, int]:
-        coeffs = _coeffs_mod(curve, p, s)
-        src_cols, nf_src = curve.ideal.reduction_table_mod(m_src, p, s)
-        tgt_cols, nf_tgt = curve.ideal.reduction_table_mod(m_tgt, p, s)
+        coeffs, cof = _memo(memo, ("cofactors", p), lambda: _cofactors_mod(curve, p, s))
+        src_cols, nf_src = _memo(memo, ("table", m_src, p), lambda: ideal.reduction_table_mod(m_src, p, s))
+        tgt_cols, nf_tgt = _memo(memo, ("table", m_tgt, p), lambda: ideal.reduction_table_mod(m_tgt, p, s))
         n_src, n_tgt = len(src_cols), len(tgt_cols)
         ncols = (r + 1) * n_src
         # the map's block (j, i) sums coeff_v(entries[i][j]) * NF[s + e_v]
@@ -214,10 +240,6 @@ def normal_sections(curve, twist: int) -> int:
         shifted = nf_tgt[map_shift].reshape(4, n_src * n_tgt)
         rows = matmul_mod(coeffs.reshape(-1, 4), shifted, p).reshape(r + 1, r, n_src, n_tgt)
         rows = rows.transpose(1, 3, 0, 2).reshape(r * n_tgt, ncols)
-        # rows (i0, j0, i) over the degree r-1 monomials
-        entries = [[FormMod(4, 1, coeffs[i, j], p) for j in range(r)] for i in range(r + 1)]
-        cofactors = entry_cofactors(entries)
-        cof = np.array([d.vec for per_column in cofactors for cofs in per_column for d in cofs])
         # [i0, j0, i, f, s] -> rows (i0, j0, f), columns (i, s)
         shifted = nf_src[cof_shift].transpose(1, 0, 2).reshape(-1, len(forms) * n_src)
         vectors = matmul_mod(cof, shifted, p).reshape(r + 1, r, r + 1, len(forms), n_src)
@@ -253,8 +275,9 @@ def normal_sheaf_report(curve) -> NormalSheafReport:
     half of that after one negative twist.
     """
     r = curve.r
-    h0 = normal_sections(curve, 0)
-    h0m = normal_sections(curve, -1)
+    memo: dict = {}
+    h0 = normal_sections(curve, 0, memo)
+    h0m = normal_sections(curve, -1, memo)
     e0 = 2 * r * (r + 1)
     e1 = r * (r + 1)
     return NormalSheafReport(

@@ -16,20 +16,30 @@ import numpy as np
 
 from .scalars import GaussianRational
 
-# NTT primes, all 1 mod 4 and below 2^30, so (p-1)^2 < 2^60 fits in int64
-_PRIME_ROOTS = ((998244353, 3), (754974721, 11), (167772161, 3))
+# primes = 1 mod 4 below 2^26, each with a quadratic non-residue g, so that
+# g^((p-1)/4) is a square root of -1 (the image of i); budget(p) = 2048
+_PRIME_ROOTS = ((67108837, 2), (67108777, 5), (67108757, 2))
 
 
 def _sqrt_minus_one(p: int, g: int) -> int:
     s = pow(g, (p - 1) // 4, p)
     if (s * s + 1) % p != 0:
-        raise AssertionError(f"{g} is not a primitive root mod {p}")
+        raise AssertionError(f"{g} is not a quadratic non-residue mod {p}")
     return s
 
 
 PRIMES: Tuple[Tuple[int, int], ...] = tuple(
     (p, _sqrt_minus_one(p, g)) for p, g in _PRIME_ROOTS
 )
+
+
+def budget(p: int) -> int:
+    """How many products of reduced entries an int64 may take unreduced.
+
+    With |x| < p and t products each in [0, (p-1)^2], every partial sum or
+    difference stays within t (p-1)^2 + p <= 2^63 - 1 for t <= budget(p).
+    """
+    return (2**63 - 1 - p) // (p - 1) ** 2
 
 
 SparseRows = Sequence[Sequence[Tuple[int, GaussianRational]]]
@@ -74,71 +84,98 @@ def rows_mod(rows: SparseRows, ncols: int, p: int, s: int) -> np.ndarray:
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """a @ b mod p for reduced int64 matrices.
 
-    Entries are below p < 2^30, so a product is below 2^60.  Each pass adds
-    at most 8 unreduced products to a reduced partial sum:
-    8 (p-1)^2 + (p-1) < 2^63, so no int64 sum overflows.
+    Each pass adds at most budget(p) unreduced products to a reduced partial
+    sum, then reduces once, so no int64 sum overflows (see `budget`).
     """
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for k in range(0, a.shape[1], 8):
-        out = (out + a[:, k : k + 8] @ b[k : k + 8]) % p
+    step = budget(p)
+    for k in range(0, a.shape[1], step):
+        out = (out + a[:, k : k + step] @ b[k : k + step]) % p
     return out
 
 
-def rank_mod(matrix: np.ndarray, p: int, stop_rank: int | None = None) -> int:
-    """Row-reduce in place mod p; returns the rank (early exit at stop_rank)."""
-    m = matrix
+def _eliminate(m: np.ndarray, p: int, stop: int | None, reduce_above: bool) -> List[int]:
+    """Gaussian elimination mod p in place with delayed reduction; returns
+    the pivot columns.
+
+    Pivots are taken column by column from the left, so they are the first
+    columns independent mod p; elimination stops once `stop` pivots are
+    found.  Each step reduces only the pivot column, to find the pivot, and
+    the pivot row, which it makes monic.  It then subtracts col * row from
+    the rows the column hits (every row but the pivot's with reduce_above,
+    else the rows below it), on the columns right of the pivot only, and
+    reduces nothing there.  No step reads a column left of its own again:
+    there the rows below the rank are zero mod p, and `rref_mod` writes the
+    rank rows' pivot entries itself.
+
+    Soundness of the int64 arithmetic: the entries start with |x| < p, and
+    each step subtracts a product in [0, (p-1)^2], so after t steps
+    |x| < t (p-1)^2 + p.  The rows a step may update are reduced once
+    t = budget(p) = (2^63 - 1 - p) // (p-1)^2 steps have run since the
+    last reduction, so t (p-1)^2 + p <= 2^63 - 1 and no entry overflows.
+    """
     nrows, ncols = m.shape
-    rank = 0
+    limit = nrows if stop is None else min(stop, nrows)
+    step = budget(p)
+    pending = 0
+    pivots: List[int] = []
     for c in range(ncols):
-        if rank == nrows or (stop_rank is not None and rank >= stop_rank):
+        rank = len(pivots)
+        if rank >= limit:
             break
-        nz = np.nonzero(m[rank:, c])[0]
+        col = m[rank:, c] % p
+        nz = col.nonzero()[0]
         if nz.size == 0:
             continue
-        pr = rank + int(nz[0])
-        if pr != rank:
-            m[[rank, pr]] = m[[pr, rank]]
-        inv = pow(int(m[rank, c]), p - 2, p)
-        m[rank] = m[rank] * inv % p
-        below = m[rank + 1 :, c]
-        hit = np.nonzero(below)[0]
-        if hit.size:
-            block = m[rank + 1 :][hit]
-            block = (block - np.outer(below[hit], m[rank])) % p
-            m[rank + 1 :][hit] = block
-        rank += 1
-    return rank
+        first = int(nz[0])
+        inv = pow(int(col[first]), p - 2, p)
+        # col[0] is the pivot row's and stays out of the update; the row
+        # swapped down from there was zero in this column
+        col[first] = 0
+        if first:
+            m[[rank, rank + first]] = m[[rank + first, rank]]
+        row = m[rank, c + 1 :] % p * inv % p
+        pivots.append(c)
+        if reduce_above:
+            m[rank, c + 1 :] = row
+            lo = 0
+            col = np.concatenate((m[:rank, c] % p, col))
+            hit = col.nonzero()[0]
+        else:
+            lo = rank
+            hit = nz[1:]
+        if hit.size == 0 or c + 1 == ncols:
+            continue
+        if pending == step:
+            m[lo:, c + 1 :] %= p
+            pending = 0
+        pending += 1
+        view = m[lo:, c + 1 :]
+        if 2 * hit.size > len(col):
+            view -= np.outer(col, row)
+        else:
+            view[hit] -= np.outer(col[hit], row)
+    return pivots
+
+
+def rank_mod(matrix: np.ndarray, p: int, stop_rank: int | None = None) -> int:
+    """Rank mod p of a matrix with |entries| < p, by `_eliminate` in place
+    (early exit at stop_rank)."""
+    return len(_eliminate(matrix, p, stop_rank, False))
 
 
 def rref_mod(matrix: np.ndarray, p: int) -> Tuple[List[int], np.ndarray]:
     """Reduced row echelon form mod p, in place: (pivot columns, the rank rows).
 
-    Pivots are taken column by column from the left, so they are the first
-    columns independent mod p.  Each pivot row is monic and zero at the
-    other pivots; rows at or below the current rank are zero left of the
-    current column, so an update touches only the columns from there on.
+    `_eliminate` clears each pivot column above and below the pivot, so the
+    rank rows need one reduction at the end; their pivot columns, which it
+    never writes, are the identity.
     """
-    m = matrix
-    nrows, ncols = m.shape
-    pivots: List[int] = []
-    for c in range(ncols):
-        rank = len(pivots)
-        if rank == nrows:
-            break
-        nz = np.nonzero(m[rank:, c])[0]
-        if nz.size == 0:
-            continue
-        pr = rank + int(nz[0])
-        if pr != rank:
-            m[[rank, pr]] = m[[pr, rank]]
-        m[rank, c:] = m[rank, c:] * pow(int(m[rank, c]), p - 2, p) % p
-        col = m[:, c].copy()
-        col[rank] = 0
-        hit = np.nonzero(col)[0]
-        if hit.size:
-            m[hit, c:] = (m[hit, c:] - np.outer(col[hit], m[rank, c:])) % p
-        pivots.append(c)
-    return pivots, m[: len(pivots)]
+    pivots = _eliminate(matrix, p, None, True)
+    rows = matrix[: len(pivots)]
+    rows %= p
+    rows[:, pivots] = np.eye(len(pivots), dtype=np.int64)
+    return pivots, rows
 
 
 def each_prime(reduce: Callable[[int, int], object]) -> Iterator[Tuple[int, object]]:

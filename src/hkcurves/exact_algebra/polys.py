@@ -27,6 +27,7 @@ from types import MappingProxyType
 
 import numpy as np
 
+from . import modp
 from .scalars import GaussianRational
 
 _ZERO = GaussianRational(0)
@@ -222,8 +223,9 @@ class FormMod:
 
     It has the ring operations the Laplace kernel reads (+, unary -, *,
     is_zero, scale, constant), so the kernel runs on it unchanged.  Entries
-    stay reduced: a product is below p^2 < 2^60 and is reduced before it is
-    added to a reduced sum, so no int64 value overflows.
+    stay reduced.  A product sums at most `modp.budget(p)` unreduced
+    products of reduced coefficients into a reduced vector before it reduces
+    once, so no int64 value overflows (see `modp.budget`).
     """
 
     __slots__ = ("num_vars", "degree", "vec", "p")
@@ -255,9 +257,12 @@ class FormMod:
         high, low = (self, other) if len(self.vec) >= len(other.vec) else (other, self)
         index = _product_index(self.num_vars, high.degree, low.degree)
         out = np.zeros(monomial_count(self.num_vars, self.degree + other.degree), dtype=np.int64)
-        for k, c in enumerate(low.vec.tolist()):
-            if c:
-                out[index[k]] = (out[index[k]] + c * high.vec) % self.p
+        terms = [(k, c) for k, c in enumerate(low.vec.tolist()) if c]
+        step = modp.budget(self.p)
+        for start in range(0, len(terms), step):
+            for k, c in terms[start : start + step]:
+                out[index[k]] += c * high.vec
+            out %= self.p
         return self._like(out, self.degree + other.degree)
 
 

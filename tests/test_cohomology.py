@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from hkcurves import cohomology
 from hkcurves.acm_curve import (
     ACMCurve,
     LinearMatrix,
@@ -151,6 +152,31 @@ def test_normal_sections_r2():
     report = normal_sheaf_report(curve)
     assert (report.sections, report.sections_minus_1) == (12, 6)
     assert report.ok
+
+
+def test_normal_sheaf_report_reads_each_part_once(monkeypatch):
+    # both twists read the degree r-1 cofactors and the degree-r table at
+    # the deciding prime, so the report builds each once
+    curve = random_sigma_curve(3, 7)
+    curve.certificate()
+    passes, tables = [], []
+    cofactors, table_mod = cohomology.entry_cofactors, GradedIdeal.reduction_table_mod
+
+    def counting_cofactors(entries):
+        passes.append(len(entries))
+        return cofactors(entries)
+
+    def counting_tables(ideal, k, p, s):
+        tables.append((k, p))
+        return table_mod(ideal, k, p, s)
+
+    monkeypatch.setattr(cohomology, "entry_cofactors", counting_cofactors)
+    monkeypatch.setattr(GradedIdeal, "reduction_table_mod", counting_tables)
+    report = normal_sheaf_report(curve)
+    assert (report.sections, report.sections_minus_1) == (24, 12)
+    p = modp.PRIMES[0][0]
+    assert passes == [4]
+    assert sorted(tables) == [(2, p), (3, p), (4, p)]
 
 
 def test_normal_sections_r3():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hkcurves.exact_algebra import modp
 from hkcurves.exact_algebra.ideals import eliminate
 from hkcurves.exact_algebra.linalg import ExactMatrix
 from hkcurves.exact_algebra.modp import (
@@ -154,14 +155,18 @@ def test_rows_mod_matches_value_mod():
                 rows_mod(rows + [[(0, bad)]], 8, p, s)
 
 
-def test_matmul_mod_matches_exact_product():
+def test_matmul_mod_matches_exact_product(monkeypatch):
     rng = random.Random(24)
-    for p, _ in PRIMES:
-        a = np.array([[rng.randrange(p) for _ in range(19)] for _ in range(3)], dtype=np.int64)
-        b = np.array([[rng.randrange(p) for _ in range(4)] for _ in range(19)], dtype=np.int64)
-        a[0] = b[:, 0] = p - 1  # the largest sums
-        want = [[sum(int(x) * int(y) for x, y in zip(row, col)) % p for col in b.T] for row in a]
-        assert matmul_mod(a, b, p).tolist() == want
+    # the default budget, then partial sums reduced every product or three
+    for cut in (None, 1, 3):
+        if cut is not None:
+            monkeypatch.setattr(modp, "budget", lambda p: cut)
+        for p, _ in PRIMES:
+            a = np.array([[rng.randrange(p) for _ in range(19)] for _ in range(3)], dtype=np.int64)
+            b = np.array([[rng.randrange(p) for _ in range(4)] for _ in range(19)], dtype=np.int64)
+            a[0] = b[:, 0] = p - 1  # the largest sums
+            want = [[sum(int(x) * int(y) for x, y in zip(row, col)) % p for col in b.T] for row in a]
+            assert matmul_mod(a, b, p).tolist() == want
 
 
 def test_rank_mod_lower_bounds_exact_rank():
@@ -173,7 +178,7 @@ def test_rank_mod_lower_bounds_exact_rank():
         p, s = PRIMES[0]
         modular = rank_mod(rows_mod(rows, 6, p, s), p)
         assert modular <= exact
-        # random small matrices essentially never degenerate mod an NTT prime
+        # random small matrices essentially never degenerate mod a word-size prime
         assert modular == exact
 
 
