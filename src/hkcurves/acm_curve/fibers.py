@@ -16,7 +16,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..exact_algebra.ideals import Row, normal_form_table, sparse_echelon
+from ..exact_algebra.ideals import Row, integer_row, normal_form_table, sparse_echelon
 from ..exact_algebra.linalg import ExactMatrix
 from ..exact_algebra.scalars import GaussianRational
 
@@ -75,14 +75,15 @@ class AffineFiber:
         self.cutoff = cutoff
         self.columns = _columns(cutoff)
         self.col_index = {m: i for i, m in enumerate(self.columns)}
+        index = self.col_index
         rows: List[Row] = []
         for g in generators:
             gdeg = _bivar_degree(g)
+            # cleared of denominators once, in column order, which a shift keeps
+            terms = sorted(integer_row(g.items()), key=lambda t: index[t[0]])
             for mi in range(cutoff - gdeg + 1):
                 for mj in range(cutoff - gdeg - mi + 1):
-                    rows.append(
-                        sorted((self.col_index[(i + mi, j + mj)], v) for (i, j), v in g.items())
-                    )
+                    rows.append([(index[(i + mi, j + mj)], a, b) for (i, j), a, b in terms])
         self.echelon = sparse_echelon(rows)
         self.pivot_cols = {row[0][0] for row in self.echelon}
 

@@ -56,7 +56,10 @@ EXIT_PARSE = 2
 EXIT_INVALID = 3
 EXIT_NUMERIC = 4
 
-# largest curve-document r that `acm verify` checks in about a minute (r = 7: 70 s)
+# largest curve-document r that `acm verify` takes: a generic document
+# verifies in seconds at r = 7 (2.35 s), but one whose levels miss the
+# bound at every prime falls back to exact elimination (91 s at r = 4, no
+# result within 900 s at r = 5; ROADMAP item 3)
 MAX_DOCUMENT_R = 7
 
 

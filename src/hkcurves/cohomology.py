@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from math import lcm
 from typing import Dict, List, Tuple
 
 import numpy as np
 
 from .exact_algebra import modp
-from .exact_algebra.ideals import Row, sparse_row_rank
+from .exact_algebra.ideals import Row, integer_row, sparse_row_rank
 from .exact_algebra.linalg import graded_matrix
 from .exact_algebra.modp import matmul_mod, rank_mod
 from .exact_algebra.polys import FormMod, entry_cofactors, monomial_basis, monomial_count, shift_index
@@ -38,10 +39,16 @@ def chi_line_bundle(m: int) -> int:
 
 def _coeffs_mod(curve, p: int, s: int) -> np.ndarray:
     """[i, j, v]: the coefficient of x_v in entries[i][j], reduced mod p
-    (x_v = monomial_basis(4, 1)[v]); raises BadPrime like `modp.rows_mod`."""
+    (x_v = monomial_basis(4, 1)[v]).  The numerators over one common
+    denominator D are reduced, then multiplied by D^-1 mod p, so the values
+    are exact; a prime that divides D raises BadPrime."""
     r = curve.r
-    rows = [[(v, A[i, j]) for v, A in enumerate(curve.coeffs)] for i in range(r + 1) for j in range(r)]
-    return modp.rows_mod(rows, 4, p, s).reshape(r + 1, r, 4)
+    values = [A[i, j] for i in range(r + 1) for j in range(r) for A in curve.coeffs]
+    den = lcm(*(q.denominator for z in values for q in (z.re, z.im)))
+    if den % p == 0:
+        raise modp.BadPrime(f"denominator {den} divisible by {p}")
+    numerators = modp.rows_mod([integer_row(enumerate(values))], len(values), p, s)
+    return (numerators * pow(den, p - 2, p) % p).reshape(r + 1, r, 4)
 
 
 def _syzygy_matrix_mod(curve, source_degree: int, p: int, s: int) -> np.ndarray:
@@ -76,7 +83,7 @@ def _syzygy_dual_rank(curve, k: int) -> int:
         return 0
     ncols = (r + 1) * monomial_count(4, source_degree)
     bound = ncols - monomial_count(4, -k - 4)
-    if modp.sparse_rank_certificate(None, ncols, bound, partial(_syzygy_matrix_mod, curve, source_degree)):
+    if modp.sparse_rank_certificate(bound, partial(_syzygy_matrix_mod, curve, source_degree)):
         return bound
     phi_t = [[curve.entries[i][j] for i in range(r + 1)] for j in range(r)]
     return graded_matrix(phi_t, source_degree, 4).rank()
@@ -137,7 +144,8 @@ def ellia_stability_check(curve) -> bool:
 
 
 def _exact_map_rows(curve, src_cols: List[int], tgt_cols: List[int], m_src: int) -> List[Row]:
-    """Rows (j, target column) of the pairing map over Q(i), columns (i, source column)."""
+    """Rows (j, target column) of the pairing map, columns (i, source column),
+    each cleared of its denominators."""
     r = curve.r
     src_basis = monomial_basis(4, m_src)
     tgt_pos = {c: pos for pos, c in enumerate(tgt_cols)}
@@ -152,7 +160,7 @@ def _exact_map_rows(curve, src_cols: List[int], tgt_cols: List[int], m_src: int)
                 for c, v in nf.items():
                     acc = rows_acc[j * n_tgt + tgt_pos[c]]
                     acc[col] = acc.get(col, _ZERO) + v
-    return [sorted(acc.items()) for acc in rows_acc if acc]
+    return [integer_row(sorted(acc.items())) for acc in rows_acc if acc]
 
 
 def _cofactors_mod(curve, p: int, s: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -186,7 +194,7 @@ def normal_sections(curve, twist: int, memo: Dict | None = None) -> int:
     their pairing with column j is -f * minor_i0 * delta(j, j0), in I.
 
     Both sides are built mod p from the start.  The coefficients are
-    reduced once (`modp.rows_mod`; a bad denominator skips the prime), the
+    reduced once (`_coeffs_mod`; a bad denominator skips the prime), the
     cofactors are the same Laplace pass on the reduced linear forms
     (reduction mod p is a ring homomorphism, so it commutes with
     determinants), and the normal-form tables of degrees r+twist and

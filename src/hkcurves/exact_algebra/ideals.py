@@ -1,14 +1,16 @@
 """Graded pieces of homogeneous ideals as sparse echelon forms.
 
-Rows are sparse vectors over Q(i) indexed by monomials of a fixed degree,
-stored as ascending (column, value) pairs with the pivot first.  Column
-order follows monomial_basis, so the pivot is the lex-greatest monomial.
+A row is a sparse vector over Q(i) indexed by monomials of a fixed degree,
+held as Gaussian integers: ascending (column, a, b) triples for nonzero
+a + b*i, standing for the Q(i) row up to a nonzero scalar, which changes no
+rank, pivot or echelon.  Column order follows monomial_basis, so the pivot
+is the lex-greatest monomial.  A caller holding Q(i) values clears each
+row's denominators with `integer_row`.
 
-Elimination runs on Gaussian-integer rows of (column, a, b) triples for
-a + b*i; an input row is scaled by the lcm of its denominators, and
-Fractions are built only for the rows and tables handed back.  A pivot is
-kept monic over one positive denominator D, as the primitive row leading
-with (column, D, 0); its lead is made real by the lead's conjugate.  A row
+A pivot is kept monic over one positive denominator D, as the primitive row
+leading with (column, D, 0); its lead is made real by the lead's conjugate.
+`sparse_echelon` returns these rows; GaussianRational is built only for the
+entries of `normal_form_table` and in `GradedIdeal.normal_form`.  A row
 under reduction matters only up to a scalar, so `eliminate` cross-multiplies
 and divides out the integer content.  Entry sizes follow the span, not the
 path: a monic pivot row is the one vector of its input rows' span with lead
@@ -21,7 +23,8 @@ generators.  On the modular route the generators are reduced mod p once
 per prime and kept on the ideal, and level k is scattered from them through
 one [multiplier, generator column] -> level column index array: a shift
 only permutes a row's columns, and reduction mod p acts entry by entry, so
-the scattered level is the reduction of the exact one.
+the scattered level is the reduction of the exact one.  The rows hold no
+denominator, so BadPrime here only means a level that lost rank mod p.
 """
 
 from __future__ import annotations
@@ -37,13 +40,12 @@ from .modp import sparse_rank_certificate
 from .polys import HomogPoly, monomial_basis, monomial_count, monomial_index, shift_index
 from .scalars import GaussianRational
 
-Row = List[Tuple[int, GaussianRational]]
-ZRow = List[Tuple[int, int, int]]
+Row = List[Tuple[int, int, int]]
 
 _ZERO = GaussianRational(0, 0)
 
 
-def _primitive(row: ZRow) -> ZRow:
+def _primitive(row: Row) -> Row:
     g = 0
     for _, a, b in row:
         g = gcd(g, a, b)
@@ -52,7 +54,7 @@ def _primitive(row: ZRow) -> ZRow:
     return [(c, a // g, b // g) for c, a, b in row]
 
 
-def eliminate(row: ZRow, k: int, piv: ZRow) -> ZRow:
+def eliminate(row: Row, k: int, piv: Row) -> Row:
     """Primitive D*row - x*piv, where piv leads with (col, D, 0) and row[k] = (col, x)."""
     d = piv[0][1]
     xa, xb = row[k][1], row[k][2]
@@ -81,83 +83,78 @@ def eliminate(row: ZRow, k: int, piv: ZRow) -> ZRow:
     return _primitive(out)
 
 
-def _pivot(row: ZRow) -> ZRow:
+def _pivot(row: Row) -> Row:
     """The monic multiple of row, as a primitive integer row with a positive real lead."""
     col, a0, b0 = row[0]
     tail = [(c, a * a0 + b * b0, b * a0 - a * b0) for c, a, b in row[1:]]
     return _primitive([(col, a0 * a0 + b0 * b0, 0)] + tail)
 
 
-def _to_integers(row: Row) -> ZRow:
+def integer_row(row: Iterable[Tuple[object, GaussianRational]]) -> list:
+    """The row times the lcm of its denominators, as (key, a, b) triples
+    for its nonzero entries a + b*i, in the given order."""
+    row = [(c, v) for c, v in row if v.re or v.im]
     den = lcm(*(q.denominator for _, v in row for q in (v.re, v.im)))
     return [
-        (c, v.re.numerator * den // v.re.denominator, v.im.numerator * den // v.im.denominator)
+        (c, v.re.numerator * (den // v.re.denominator), v.im.numerator * (den // v.im.denominator))
         for c, v in row
-        if v.re or v.im
     ]
 
 
-def _to_fractions(row: ZRow, sign: int = 1) -> Row:
-    d = row[0][1] * sign
-    return [(c, GaussianRational(Fraction(a, d), Fraction(b, d))) for c, a, b in row]
-
-
-def _poly_to_row(poly: HomogPoly, degree: int, num_vars: int) -> Row:
-    index = monomial_index(num_vars, degree)
-    return sorted((index[m], v) for m, v in poly.coeffs.items())
-
-
 def sparse_echelon(rows: Iterable[Row], target: Optional[int] = None) -> List[Row]:
-    """Monic echelon rows of the span of `rows`, sorted by pivot column.
+    """Echelon rows of the span of `rows`, sorted by pivot column: each the
+    primitive row of its monic row, leading with (column, D, 0).
 
     A first pass places every row whose lead column is still free; the
     deferred rows are then reduced against the pivots.  `target` is a
     proven upper bound on the rank: reduction stops once it is reached,
     and a rank above it raises ArithmeticError.
     """
-    pivots: Dict[int, ZRow] = {}
-    deferred: List[ZRow] = []
+    pivots: Dict[int, Row] = {}
+    deferred: List[Row] = []
     for row in rows:
-        zrow = _to_integers(row)
-        if not zrow:
+        if not row:
             continue
-        if zrow[0][0] in pivots:
-            deferred.append(zrow)
+        if row[0][0] in pivots:
+            deferred.append(row)
         else:
-            pivots[zrow[0][0]] = _pivot(zrow)
+            pivots[row[0][0]] = _pivot(row)
     if target is None or len(pivots) < target:
-        for zrow in deferred:
-            while zrow:
-                piv = pivots.get(zrow[0][0])
+        for row in deferred:
+            while row:
+                piv = pivots.get(row[0][0])
                 if piv is None:
                     break
-                zrow = eliminate(zrow, 0, piv)
-            if zrow:
-                pivots[zrow[0][0]] = _pivot(zrow)
+                row = eliminate(row, 0, piv)
+            if row:
+                pivots[row[0][0]] = _pivot(row)
                 if target is not None and len(pivots) >= target:
                     break
     if target is not None and len(pivots) > target:
         raise ArithmeticError(f"rank {len(pivots)} exceeds certified bound {target}")
-    return [_to_fractions(pivots[c]) for c in sorted(pivots)]
+    return [pivots[c] for c in sorted(pivots)]
 
 
 def normal_form_table(echelon: Sequence[Row]) -> Dict[int, Dict[int, GaussianRational]]:
-    """Normal forms of pivot columns: pivot column -> {non-pivot column: coeff}."""
-    reduced: Dict[int, ZRow] = {}
+    """Normal forms of the pivot columns of `sparse_echelon` rows: pivot
+    column -> {non-pivot column: coeff}."""
+    reduced: Dict[int, Row] = {}
     table: Dict[int, Dict[int, GaussianRational]] = {}
     # tails only hold columns larger than the pivot, so descending pivot
     # order sees every tail pivot already resolved
     for row in reversed(echelon):
-        zrow = _to_integers(row)
         k = 1
-        while k < len(zrow):
-            sub = reduced.get(zrow[k][0])
+        while k < len(row):
+            sub = reduced.get(row[k][0])
             if sub is None:
                 k += 1
             else:
-                zrow = eliminate(zrow, k, sub)
-        reduced[zrow[0][0]] = zrow
-        table[zrow[0][0]] = dict(_to_fractions(zrow, -1)[1:])
+                row = eliminate(row, k, sub)
+        reduced[row[0][0]] = row
+        d = -row[0][1]
+        table[row[0][0]] = {
+            c: GaussianRational(Fraction(a, d), Fraction(b, d)) for c, a, b in row[1:]
+        }
     return table
 
 
@@ -171,7 +168,7 @@ class GradedIdeal:
     """
 
     def __init__(self, generators: Sequence[HomogPoly], num_vars: int = 4):
-        gens = [g for g in generators if g.coeffs]
+        gens = [g for g in generators if g.terms]
         if not gens:
             raise ValueError("need at least one nonzero generator")
         degs = {g.degree for g in gens}
@@ -194,8 +191,10 @@ class GradedIdeal:
     def _reduced_generators(self) -> List[Row]:
         cached = self._cache.get("gens")
         if cached is None:
+            # a generator's row times its denominator is its numerators `terms`
+            index = monomial_index(self.num_vars, self.gen_degree)
             cached = self._cache["gens"] = sparse_echelon(
-                _poly_to_row(g, self.gen_degree, self.num_vars) for g in self.generators
+                sorted((index[m], a, b) for m, (a, b) in g.terms.items()) for g in self.generators
             )
         return cached  # type: ignore[return-value]
 
@@ -208,7 +207,7 @@ class GradedIdeal:
         gens = self._reduced_generators()
         # adding a fixed exponent vector preserves lex order, so the shifted
         # row is already sorted
-        return [[(cols[c], v) for c, v in row] for cols in self._shifts(k).tolist() for row in gens]
+        return [[(cols[c], a, b) for c, a, b in row] for cols in self._shifts(k).tolist() for row in gens]
 
     def _level_mod(self, k: int, p: int, s: int) -> np.ndarray:
         """rows_mod(self._row_stream(k), ...) at p, scattered from the
@@ -246,8 +245,7 @@ class GradedIdeal:
             # rank mod p never exceeds the exact rank; meeting the proven
             # upper bound pins the exact value without exact elimination
             bound = self._bound(k)
-            ncols = monomial_count(self.num_vars, k)
-            if sparse_rank_certificate(None, ncols, bound, lambda p, s: self._level_mod(k, p, s)):
+            if sparse_rank_certificate(bound, lambda p, s: self._level_mod(k, p, s)):
                 dim = bound
             else:
                 dim = len(self._build(k))
@@ -279,14 +277,18 @@ class GradedIdeal:
         """Quotient columns of degree k and every degree-k monomial's normal
         form on them, mod p: table[c] is the row of column c.
 
-        The columns are the complement of the pivots J_p of the level's RREF
-        mod p (`modp.rref_mod`), which must reach dimension(k), else this
-        raises BadPrime.  Then some minor on the columns J_p is nonzero mod p,
-        so it is nonzero, and the complement of J_p is a basis of (R/I)_k.
-        The exact normal forms on that basis have denominators dividing such
-        a minor, so they reduce to the RREF's: -R[:, quotient] at the pivots
-        and unit vectors at the quotient columns.  Below the generator
-        degree the level is empty and the table is the identity.
+        The level is scattered from the Gaussian-integer generator rows, each
+        a nonzero multiple of its Q(i) row, so it is the reduction of an
+        integer matrix M whose rows span I_k.  The columns are the complement
+        of the pivots J_p of its RREF mod p (`modp.rref_mod`), which must
+        reach dimension(k), else this raises BadPrime: a prime dividing a
+        row's scale can only lower that rank.  At full rank some minor of M
+        on the columns J_p is nonzero mod p, so it is nonzero, and the
+        complement of J_p is a basis of (R/I)_k.  The exact normal forms on
+        that basis have denominators dividing such a minor, so they reduce
+        to the RREF's: -R[:, quotient] at the pivots and unit vectors at the
+        quotient columns.  Below the generator degree the level is empty
+        and the table is the identity.
         """
         ncols = monomial_count(self.num_vars, k)
         if k < self.gen_degree:
@@ -318,5 +320,5 @@ class GradedIdeal:
 
 
 def sparse_row_rank(rows: Sequence[Row]) -> int:
-    """Exact rank of a list of sparse rows, no bound assumed."""
+    """Exact rank of a list of Gaussian-integer rows, no bound assumed."""
     return len(sparse_echelon(rows))

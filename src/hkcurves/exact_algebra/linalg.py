@@ -3,17 +3,18 @@
 ExactMatrix is an immutable dense container.  Its exact methods read the
 two exact kernels of the core: rank, right kernel and inverse come from the
 sparse Gaussian-integer echelon of `ideals` (`sparse_echelon` and its
-reduced `normal_form_table`), and the determinant from the Laplace pass of
-`polys`.  There is no floating fallback here.
+reduced `normal_form_table`) on its rows cleared of denominators
+(`integer_row`), and the determinant from the Laplace pass of `polys`.
+There is no floating fallback here.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
-from .ideals import normal_form_table, sparse_echelon, sparse_row_rank
+from .ideals import integer_row, normal_form_table, sparse_echelon, sparse_row_rank
 from .polys import HomogPoly, _laplace_dets, monomial_basis, monomial_index
 from .scalars import GaussianRational, random_gaussian_rows
 
@@ -27,28 +28,18 @@ def _int_rows(rows):
     out = []
     scales = []
     for row in rows:
-        lcm = 1
-        for z in row:
-            for q in (z.re, z.im):
-                d = q.denominator
-                if d != 1:
-                    lcm = lcm * d // gcd(lcm, d)
+        den = lcm(*(q.denominator for z in row for q in (z.re, z.im)))
         out.append(
             [
                 (
-                    z.re.numerator * (lcm // z.re.denominator),
-                    z.im.numerator * (lcm // z.im.denominator),
+                    z.re.numerator * (den // z.re.denominator),
+                    z.im.numerator * (den // z.im.denominator),
                 )
                 for z in row
             ]
         )
-        scales.append(lcm)
+        scales.append(den)
     return out, scales
-
-
-def _sparse_rows(data):
-    """The rows as sparse (column, value) rows, zero entries dropped."""
-    return [[(j, z) for j, z in enumerate(row) if not z.is_zero()] for row in data]
 
 
 class ExactMatrix:
@@ -202,7 +193,7 @@ class ExactMatrix:
     # -- certified elimination ---------------------------------------------
 
     def rank(self) -> int:
-        return sparse_row_rank(_sparse_rows(self.data))
+        return sparse_row_rank([integer_row(enumerate(row)) for row in self.data])
 
     def kernel_basis(self) -> "ExactMatrix":
         """Columns form a basis of the right kernel.  Shape (cols, nullity).
@@ -212,7 +203,8 @@ class ExactMatrix:
         0 at the other free columns and table[pc][f] at each pivot pc.
         """
         n = self.cols
-        table = normal_form_table(sparse_echelon(_sparse_rows(self.data)))
+        rows = [integer_row(enumerate(row)) for row in self.data]
+        table = normal_form_table(sparse_echelon(rows))
         basis = []
         for f in (j for j in range(n) if j not in table):
             v = [_ZERO] * n
@@ -240,7 +232,8 @@ class ExactMatrix:
             raise ValueError("inverse of non-square matrix")
         n = self.rows
         eye = ExactMatrix.identity(n)
-        table = normal_form_table(sparse_echelon(_sparse_rows(self.hstack(eye).data)))
+        rows = [integer_row(enumerate(row)) for row in self.hstack(eye).data]
+        table = normal_form_table(sparse_echelon(rows))
         if sorted(table) != list(range(n)):
             raise ValueError("singular matrix")
         inv = ExactMatrix([[-table[i].get(n + j, _ZERO) for j in range(n)] for i in range(n)])

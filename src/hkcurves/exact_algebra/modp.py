@@ -1,16 +1,19 @@
 """Modular rank computations used as one side of a rank sandwich.
 
-For a matrix over Q(i) whose entries reduce mod p (p prime, p = 1 mod 4 so
-i has an image), rank mod p never exceeds the exact rank.  Callers that
-already hold a proven upper bound can therefore certify the exact rank by
-hitting the bound modulo a single prime.  A prime that misses the bound
+For a Gaussian-integer matrix reduced mod p (p prime, p = 1 mod 4, i sent
+to a square root s of -1), rank mod p never exceeds the exact rank.  Callers
+that already hold a proven upper bound can therefore certify the exact rank
+by hitting the bound modulo a single prime.  A prime that misses the bound
 proves nothing; callers retry or fall back to exact arithmetic.
+
+Rows arrive in the Gaussian-integer row format of `ideals`, and no Q(i)
+value is built here.  BadPrime marks a prime that lost a rank the caller
+needs, or one that divides a coefficient denominator (`value_mod`).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -42,42 +45,39 @@ def budget(p: int) -> int:
     return (2**63 - 1 - p) // (p - 1) ** 2
 
 
-SparseRows = Sequence[Sequence[Tuple[int, GaussianRational]]]
+SparseRows = Sequence[Sequence[Tuple[int, int, int]]]
 
 
 class BadPrime(ValueError):
-    """The reduction at p is unusable: an entry denominator vanishes mod p,
-    so the reduction map is undefined, or a level loses rank mod p."""
-
-
-def _fraction_mod(q: Fraction, p: int) -> int:
-    den = q.denominator % p
-    if den == 0:
-        raise BadPrime(f"denominator {q.denominator} divisible by {p}")
-    return (q.numerator % p) * pow(den, p - 2, p) % p
+    """The reduction at p is unusable: a level loses rank mod p, or p
+    divides a coefficient denominator, so the value has no image mod p."""
 
 
 def value_mod(v: GaussianRational, p: int, s: int) -> int:
-    return (_fraction_mod(v.re, p) + s * _fraction_mod(v.im, p)) % p
+    """The image of v: its numerators a + s*b over the common denominator,
+    times that denominator's inverse mod p."""
+    a, b, den = v.integer_parts()
+    if den % p == 0:
+        raise BadPrime(f"denominator {den} divisible by {p}")
+    return (a + s * b) * pow(den, p - 2, p) % p
 
 
 def rows_mod(rows: SparseRows, ncols: int, p: int, s: int) -> np.ndarray:
-    """Dense reduction of sparse rows; entries as `value_mod`, one inverse per denominator."""
+    """Dense reduction of Gaussian-integer rows of (column, a, b) triples:
+    a + b*i goes to (a + s*b) mod p.
+
+    Each row is a nonzero multiple of the Q(i) row it stands for, so the
+    integer matrix has the exact rank of the Q(i) one, and Z[i] -> Z/p with
+    i -> s is a ring map: a minor that is nonzero mod p is nonzero, so rank
+    mod p <= exact rank still holds.  That holds too for a prime that
+    divides a row's scale (a denominator of its Q(i) entries): such a prime
+    can only lower the modular rank, and the caller then tries the next
+    prime or the exact route.
+    """
     out = np.zeros((len(rows), ncols), dtype=np.int64)
-    inverses = {1: 1}
-
-    def part(q: Fraction) -> int:
-        den = q.denominator
-        inv = inverses.get(den)
-        if inv is None:
-            if den % p == 0:
-                raise BadPrime(f"denominator {den} divisible by {p}")
-            inv = inverses[den] = pow(den % p, p - 2, p)
-        return (q.numerator % p) * inv % p
-
     for i, row in enumerate(rows):
-        for col, v in row:
-            out[i, col] = (part(v.re) + s * part(v.im)) % p
+        for col, a, b in row:
+            out[i, col] = (a + s * b) % p
     return out
 
 
@@ -189,23 +189,17 @@ def each_prime(reduce: Callable[[int, int], object]) -> Iterator[Tuple[int, obje
         yield p, reduced
 
 
-def sparse_rank_certificate(
-    rows: Optional[SparseRows],
-    ncols: int,
-    upper_bound: int,
-    level: Optional[Callable[[int, int], np.ndarray]] = None,
-) -> bool:
+def sparse_rank_certificate(upper_bound: int, level: Callable[[int, int], np.ndarray]) -> bool:
     """True iff some prime exhibits rank == upper_bound (then exact rank == bound).
 
+    `level(p, s)` returns the matrix reduced at p, or raises BadPrime.
     rank mod p <= exact rank <= upper_bound for every usable prime p, so a
     modular rank at the bound pins the exact rank, and one above it proves
     the bound false: that raises ArithmeticError.  False means no tried
     prime reached the bound; the exact rank may still equal it, so the
-    caller must recheck exactly before concluding anything.  `level(p, s)`,
-    if given, returns the rows already reduced at p (or raises BadPrime) in
-    place of rows_mod(rows, ncols, p, s).
+    caller must recheck exactly before concluding anything.
     """
-    for p, m in each_prime(level or (lambda p, s: rows_mod(rows, ncols, p, s))):
+    for p, m in each_prime(level):
         rank = rank_mod(m, p, upper_bound + 1)
         if rank > upper_bound:
             raise ArithmeticError(f"rank {rank} mod p exceeds certified bound {upper_bound}")

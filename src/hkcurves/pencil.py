@@ -13,8 +13,9 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from .exact_algebra import modp
 from .exact_algebra.linalg import ExactMatrix
-from .exact_algebra.ideals import sparse_row_rank
+from .exact_algebra.ideals import integer_row, sparse_row_rank
 from .exact_algebra.modp import sparse_rank_certificate
 from .exact_algebra.polys import HomogPoly, UniPoly, signed_maximal_minors, uni_gcd
 from .exact_algebra.scalars import GaussianRational, random_gaussian_rows
@@ -190,17 +191,13 @@ def pair_stabilizer_dimension(A1: ExactMatrix, A2: ExactMatrix) -> int:
     for A in (A1, A2):
         for i in range(n):
             for j in range(r):
-                entries = {}
-                for l in range(n):
-                    if not A[l, j].is_zero():
-                        entries[i * n + l] = A[l, j]
-                for l in range(r):
-                    if not A[i, l].is_zero():
-                        entries[n * n + l * r + j] = A[i, l]
-                sparse.append(sorted(entries.items()))
+                # columns of X's row i, then of Y's column j: ascending
+                x_part = [(i * n + l, A[l, j]) for l in range(n)]
+                y_part = [(n * n + l * r + j, A[i, l]) for l in range(r)]
+                sparse.append(integer_row(x_part + y_part))
     # (zI, -zI) always solves the system, so the kernel holds a line and
     # the rank stays below num; a modular rank of num - 1 is then exact
-    if sparse_rank_certificate(sparse, num, num - 1):
+    if sparse_rank_certificate(num - 1, lambda p, s: modp.rows_mod(sparse, num, p, s)):
         return 1
     return num - sparse_row_rank(sparse)
 

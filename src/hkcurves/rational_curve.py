@@ -98,7 +98,8 @@ class _FormRows:
 
     def _reduced(self, p: int, s: int) -> np.ndarray:
         if p not in self._mod:
-            self._mod[p] = modp.rows_mod([list(enumerate(f)) for f in self.forms], self.width, p, s)
+            rows = [[(i, a, b) for i, (a, b) in enumerate(f)] for f in self.ints]
+            self._mod[p] = modp.rows_mod(rows, self.width, p, s)
         return self._mod[p]
 
     def band(self, blocks: List[List[int]], col_degrees: List[int]):
@@ -131,7 +132,7 @@ class _FormRows:
             out[rows, cols] = self._reduced(p, s).ravel()[src]
             return out
 
-        return modp.sparse_rank_certificate(None, shape[1], bound, level)
+        return modp.sparse_rank_certificate(bound, level)
 
     def exact(self, band) -> ExactMatrix:
         (nrows, ncols), rows, cols, src = band

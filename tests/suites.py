@@ -16,7 +16,7 @@ from hkcurves.acm_curve.fibers import (
     fiber_multiplication_matrices,
     fiber_points,
 )
-from hkcurves.exact_algebra.ideals import sparse_echelon
+from hkcurves.exact_algebra.ideals import integer_row, sparse_echelon
 from hkcurves.exact_algebra.linalg import ExactMatrix, graded_matrix, random_invertible
 from hkcurves.exact_algebra.polys import HomogPoly, monomial_basis
 from hkcurves.exact_algebra.scalars import GaussianRational
@@ -104,7 +104,7 @@ def antipodal_generator(g: Bivar, t: GaussianRational) -> Bivar:
 
 def fiber_contains(fiber: AffineFiber, g: Bivar) -> bool:
     # g lies in the span exactly when appending its row adds no pivot
-    row = sorted((fiber.col_index[m], v) for m, v in g.items())
+    row = integer_row(sorted((fiber.col_index[m], v) for m, v in g.items()))
     return len(sparse_echelon(fiber.echelon + [row])) == len(fiber.echelon)
 
 

@@ -4,6 +4,7 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hkcurves import cohomology
@@ -30,7 +31,7 @@ from hkcurves.exact_algebra import modp
 from hkcurves.exact_algebra.ideals import GradedIdeal
 from hkcurves.exact_algebra.linalg import ExactMatrix, graded_matrix, random_invertible
 from hkcurves.exact_algebra.modp import matmul_mod
-from hkcurves.exact_algebra.polys import FormMod, HomogPoly, monomial_basis, monomial_count, monomial_index
+from hkcurves.exact_algebra.polys import FormMod, HomogPoly, monomial_basis, monomial_count
 from hkcurves.exact_algebra.scalars import GaussianRational, random_gaussian_rows
 
 ZERO = GaussianRational(0, 0)
@@ -251,13 +252,12 @@ def test_normal_forms_mod_p_reduce_the_exact_ones():
                 for _ in range(3)
             ]
             forms.append(forms[0].scale(GaussianRational(Fraction(2, 3), Fraction(-1, 7))))
-            index = monomial_index(4, m)
             for p, s in modp.PRIMES:
                 quotient, nf = curve.ideal.reduction_table_mod(m, p, s)
                 assert quotient == cols, (r, m, p)
                 for form in forms:
-                    row = [[(index[mono], v) for mono, v in form.coeffs.items()]]
-                    got = matmul_mod(modp.rows_mod(row, len(basis), p, s), nf, p)[0]
+                    row = [[modp.value_mod(form.coeffs.get(mono, ZERO), p, s) for mono in basis]]
+                    got = matmul_mod(np.array(row, dtype=np.int64), nf, p)[0]
                     exact = curve.ideal.normal_form(form)
                     want = [modp.value_mod(exact.get(c, ZERO), p, s) for c in cols]
                     assert got.tolist() == want, (r, m, p)
@@ -265,9 +265,7 @@ def test_normal_forms_mod_p_reduce_the_exact_ones():
 
 def _reduced(poly, degree, p, s):
     """Coefficient vector of a form on monomial_basis(4, degree), mod p."""
-    index = monomial_index(4, degree)
-    row = [[(index[mono], v) for mono, v in poly.coeffs.items()]]
-    return modp.rows_mod(row, len(index), p, s)[0].tolist()
+    return [modp.value_mod(poly.coeffs.get(mono, ZERO), p, s) for mono in monomial_basis(4, degree)]
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
@@ -301,10 +299,10 @@ def test_syzygy_matrix_mod_permutes_the_reduced_graded_matrix():
         curve = random_sigma_curve(r, 4)
         phi_t = [[curve.entries[i][j] for i in range(r + 1)] for j in range(r)]
         exact = graded_matrix(phi_t, degree, 4)
-        rows = [list(enumerate(row)) for row in exact.data]
         n_src, n_tgt = monomial_count(4, degree), monomial_count(4, degree + 1)
         for p, s in modp.PRIMES:
-            want = modp.rows_mod(rows, exact.cols, p, s).reshape(r, n_tgt, r + 1, n_src)
+            want = np.array([[modp.value_mod(z, p, s) for z in row] for row in exact.data])
+            want = want.reshape(r, n_tgt, r + 1, n_src)
             want = want.transpose(1, 0, 3, 2).reshape(n_tgt * r, n_src * (r + 1))
             assert _syzygy_matrix_mod(curve, degree, p, s).tolist() == want.tolist(), (r, p)
 

@@ -1,8 +1,10 @@
 """Bit identity of the Gaussian-integer elimination against the Q(i) one.
 
 The private reference below is the elimination as it ran on monic
-`GaussianRational` rows.  The kernel in `ideals` must hand back equal rows
-and tables, entry by entry, on every kind of input its callers give it.
+`GaussianRational` rows.  The kernel in `ideals` takes the same rows
+cleared of denominators and hands back primitive rows led by (column, D, 0);
+read as monic Q(i) rows, they and its tables must equal the reference's,
+entry by entry, on every kind of input its callers give it.
 """
 
 import random
@@ -14,11 +16,12 @@ from hkcurves.acm_curve import fiber_generators, random_fiber_parameters, random
 from hkcurves.acm_curve import fibers
 from hkcurves.exact_algebra.ideals import (
     GradedIdeal,
-    _poly_to_row,
+    integer_row,
     normal_form_table,
     sparse_echelon,
     sparse_row_rank,
 )
+from hkcurves.exact_algebra.polys import monomial_index
 from hkcurves.exact_algebra.scalars import GaussianRational
 from hkcurves import pencil
 from hkcurves.pencil import canonical_pair, pair_stabilizer_dimension, random_injective_pencil
@@ -104,6 +107,19 @@ def _ref_normal_form_table(echelon):
     return table
 
 
+def _monic(echelon):
+    """Echelon rows led by (column, D, 0) as the monic Q(i) rows they stand for."""
+    return [
+        [(c, GaussianRational(Fraction(a, row[0][1]), Fraction(b, row[0][1]))) for c, a, b in row]
+        for row in echelon
+    ]
+
+
+def _gauss(rows):
+    """Gaussian-integer rows as Q(i) rows, equal to the rows they stand for up to scale."""
+    return [[(c, GaussianRational(a, b)) for c, a, b in row] for row in rows]
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -112,14 +128,17 @@ def _outcome(fn, *args):
 
 
 def assert_matches_reference(rows, target=None):
-    """Echelon, table and rank agree with the reference; returns the echelon."""
+    """Echelon, table and rank of the Q(i) rows cleared of denominators agree
+    with the reference on the rows themselves; returns the monic echelon."""
     rows = [list(row) for row in rows]
-    echelon = sparse_echelon(rows, target)
-    assert echelon == _ref_sparse_echelon(rows, target)
-    assert normal_form_table(echelon) == _ref_normal_form_table(echelon)
+    cleared = [integer_row(row) for row in rows]
+    echelon = sparse_echelon(cleared, target)
+    monic = _monic(echelon)
+    assert monic == _ref_sparse_echelon(rows, target)
+    assert normal_form_table(echelon) == _ref_normal_form_table(monic)
     if target is None:
-        assert sparse_row_rank(rows) == len(echelon)
-    return echelon
+        assert sparse_row_rank(cleared) == len(echelon)
+    return monic
 
 
 def _recording(monkeypatch, module, name):
@@ -140,14 +159,15 @@ def _recording(monkeypatch, module, name):
 def test_graded_levels_match_reference(r, levels):
     curve = random_sigma_curve(r, 0)
     ideal = GradedIdeal(curve.ideal.generators)
-    gen_rows = [_poly_to_row(g, ideal.gen_degree, 4) for g in ideal.generators]
-    assert ideal._reduced_generators() == assert_matches_reference(gen_rows)
+    index = monomial_index(4, ideal.gen_degree)
+    gen_rows = [sorted((index[m], v) for m, v in g.coeffs.items()) for g in ideal.generators]
+    assert _monic(ideal._reduced_generators()) == assert_matches_reference(gen_rows)
     for k in levels:
-        rows = ideal._row_stream(k)
+        rows = _gauss(ideal._row_stream(k))
         full = assert_matches_reference(rows)
         bounded = assert_matches_reference(rows, curve.ideal.dimension(k))
         assert [row[0][0] for row in bounded] == [row[0][0] for row in full]
-        assert ideal.reduction_table(k) == _ref_normal_form_table(ideal._build(k))
+        assert ideal.reduction_table(k) == _ref_normal_form_table(_monic(ideal._build(k)))
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
@@ -160,22 +180,22 @@ def test_fiber_slices_match_reference(r, monkeypatch):
             gens = fiber_generators(curve, t, at_infinity=at_infinity)
             fiber = fibers.AffineFiber(gens, r + 2)
             (rows,) = echelons.pop()
-            assert fiber.echelon == _ref_sparse_echelon(rows)
-            assert normal_form_table(fiber.echelon) == _ref_normal_form_table(fiber.echelon)
+            assert _monic(fiber.echelon) == _ref_sparse_echelon(_gauss(rows))
+            assert normal_form_table(fiber.echelon) == _ref_normal_form_table(_monic(fiber.echelon))
             fiber.multiplication_matrices()
             (suffix,) = tables.pop()
-            assert normal_form_table(suffix) == _ref_normal_form_table(suffix)
+            assert normal_form_table(suffix) == _ref_normal_form_table(_monic(suffix))
 
 
 @pytest.mark.parametrize("r, seed", [(1, 0), (2, 1), (3, 2), (4, 3)])
 def test_stabilizer_rows_match_reference(r, seed, monkeypatch):
     # refuse the modular certificate so the exact rank runs on the same rows
-    monkeypatch.setattr(pencil, "sparse_rank_certificate", lambda rows, ncols, bound: False)
+    monkeypatch.setattr(pencil, "sparse_rank_certificate", lambda bound, level: False)
     calls = _recording(monkeypatch, pencil, "sparse_row_rank")
     for A1, A2 in (random_injective_pencil(r, seed), canonical_pair(r)):
         assert pair_stabilizer_dimension(A1, A2) == 1
         (rows,) = calls.pop()
-        assert len(assert_matches_reference(rows)) == (r + 1) ** 2 + r * r - 1
+        assert len(assert_matches_reference(_gauss(rows))) == (r + 1) ** 2 + r * r - 1
 
 
 def _coprime_rows(seed, rank, count, ncols):
@@ -211,7 +231,7 @@ def test_rank_deficient_coprime_rows_match_reference(seed):
     rows = _coprime_rows(seed, rank=6, count=12, ncols=14)
     echelon = assert_matches_reference(rows)
     assert len(echelon) == 6
-    assert sparse_row_rank(rows) == 6
+    assert sparse_row_rank([integer_row(row) for row in rows]) == 6
     assert max(v.re.denominator for row in echelon for _, v in row) > 10**6
 
 
@@ -219,9 +239,10 @@ def test_rank_deficient_coprime_rows_match_reference(seed):
 def test_target_stop_and_overshoot_match_reference(seed):
     rows = _coprime_rows(10 + seed, rank=6, count=12, ncols=14)
     first_pass = len({row[0][0] for row in rows})
+    cleared = [integer_row(row) for row in rows]
     outcomes = []
     for target in range(0, 8):
-        ours = _outcome(sparse_echelon, rows, target)
+        ours = _outcome(lambda t: _monic(sparse_echelon(cleared, t)), target)
         assert ours == _outcome(_ref_sparse_echelon, rows, target)
         outcomes.append(ours)
     for target, ours in enumerate(outcomes):
@@ -232,8 +253,9 @@ def test_target_stop_and_overshoot_match_reference(seed):
 
 
 def test_zero_entries_are_dropped():
-    # an accumulated row may hold an exact zero; it must not become a pivot
+    # an accumulated row may hold an exact zero; clearing denominators drops
+    # it, so it never becomes a pivot
     x = GaussianRational(Fraction(2, 3), 1)
-    rows = [[(0, _ZERO), (2, x)], [(1, _ZERO), (2, _ONE)], [(0, _ZERO)]]
-    assert sparse_echelon(rows) == [[(2, _ONE)]]
+    rows = [integer_row(row) for row in [[(0, _ZERO), (2, x)], [(1, _ZERO), (2, _ONE)], [(0, _ZERO)]]]
+    assert _monic(sparse_echelon(rows)) == [[(2, _ONE)]]
     assert sparse_row_rank(rows) == 1

@@ -6,10 +6,12 @@ primes of `modp.PRIMES` in turn and skips a prime whose reduction raises
 caller must reach the same answer by exact elimination alone.
 """
 
+import math
+
 import pytest
 
 from hkcurves.acm_curve import ACMCurve, predicted_ideal_dimension, random_sigma_curve
-from hkcurves import cohomology
+from hkcurves import cohomology, pencil
 from hkcurves.cohomology import cohomology_table, normal_sections
 from hkcurves.exact_algebra import modp
 from hkcurves.exact_algebra.ideals import GradedIdeal
@@ -64,6 +66,58 @@ def test_pair_stabilizer_dimension_without_primes(monkeypatch):
     for mode in no_primes(monkeypatch):
         assert [pair_stabilizer_dimension(A1, A2) for A1, A2 in pairs] == default, mode
     assert default[:4] == [1, 1, 1, 1] and default[4] > 1
+
+
+def scaled_by_every_prime(matrices):
+    """The matrices times the product of `modp.PRIMES`: the Gaussian-integer
+    rows built from them reduce to zero at every prime."""
+    scale = math.prod(p for p, _ in modp.PRIMES)
+    return tuple(A.scale(scale) for A in matrices)
+
+
+def test_pair_stabilizer_dimension_when_primes_divide_the_scale(monkeypatch):
+    exact_ranks = []
+    sparse_row_rank = pencil.sparse_row_rank
+
+    def counting_rank(rows):
+        exact_ranks.append(len(rows))
+        return sparse_row_rank(rows)
+
+    monkeypatch.setattr(pencil, "sparse_row_rank", counting_rank)
+    pairs = [random_injective_pencil(r, 40 + r) for r in (1, 2, 3)] + [canonical_pair(2)]
+    assert [pair_stabilizer_dimension(A1, A2) for A1, A2 in pairs] == [1] * len(pairs)
+    assert exact_ranks == [], "a prime should pin every default rank"
+    scaled = [scaled_by_every_prime(pair) for pair in pairs]
+    assert [pair_stabilizer_dimension(A1, A2) for A1, A2 in scaled] == [1] * len(pairs)
+    assert len(exact_ranks) == len(pairs)
+
+
+def test_sections_and_cohomology_when_primes_divide_the_scale(monkeypatch):
+    curves = [random_sigma_curve(2, seed) for seed in (0, 7)]
+    twists = range(-6, 5)
+
+    def counts(curve):
+        sections = (normal_sections(curve, 0), normal_sections(curve, -1))
+        return sections, cohomology_table(curve, twists[0], twists[-1]).rows
+
+    section_ranks = []
+    sparse_row_rank = cohomology.sparse_row_rank
+
+    def counting_rank(rows):
+        section_ranks.append(len(rows))
+        return sparse_row_rank(rows)
+
+    monkeypatch.setattr(cohomology, "sparse_row_rank", counting_rank)
+    syzygy_ranks = count_exact_ranks(monkeypatch)
+    default = [counts(c) for c in curves]
+    assert section_ranks == [] and syzygy_ranks == [], "a prime should pin every count"
+    scaled = [ACMCurve(scaled_by_every_prime(c.coeffs)) for c in curves]
+    assert [counts(c) for c in scaled] == default
+    # two twists of normal sections, and every syzygy rank with a source
+    # degree r - k - 4 >= 0, per curve
+    assert len(section_ranks) == 2 * len(curves)
+    assert len(syzygy_ranks) == len(curves) * sum(1 for k in twists if 2 - k - 4 >= 0)
+    assert [sections for sections, _ in default] == [(12, 6), (12, 6)]
 
 
 def test_normal_sections_without_primes(monkeypatch):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hkcurves.exact_algebra import modp
-from hkcurves.exact_algebra.ideals import eliminate
+from hkcurves.exact_algebra.ideals import eliminate, integer_row
 from hkcurves.exact_algebra.linalg import ExactMatrix
 from hkcurves.exact_algebra.modp import (
     PRIMES,
@@ -132,27 +132,27 @@ def test_value_mod_bad_denominator():
 
 
 def test_rows_mod_matches_value_mod():
-    # rows_mod inverts each denominator once; entries must equal value_mod's
+    # rows_mod reduces the Gaussian integers of rows cleared of denominators;
+    # entries must equal value_mod's of the cleared values, which include
+    # multiples of the primes themselves
     rng = random.Random(23)
     dens = [1, 2, 3, 7, 9, 12]
 
     def entry():
-        return Fraction(rng.randint(-9, 9), rng.choice(dens))
+        return Fraction(rng.choice([rng.randint(-9, 9), PRIMES[0][0]]), rng.choice(dens))
 
     rows = [
         [(c, GaussianRational(entry(), entry())) for c in sorted(rng.sample(range(8), 5))]
         for _ in range(6)
     ]
+    cleared = [integer_row(row) for row in rows]
     for p, s in PRIMES:
-        got = rows_mod(rows, 8, p, s)
+        got = rows_mod(cleared, 8, p, s)
         want = np.zeros((6, 8), dtype=np.int64)
-        for i, row in enumerate(rows):
-            for c, v in row:
-                want[i, c] = value_mod(v, p, s)
+        for i, row in enumerate(cleared):
+            for c, a, b in row:
+                want[i, c] = value_mod(GaussianRational(a, b), p, s)
         assert np.array_equal(got, want)
-        for bad in (GaussianRational(Fraction(1, 2 * p), 1), GaussianRational(1, Fraction(5, p))):
-            with pytest.raises(BadPrime):
-                rows_mod(rows + [[(0, bad)]], 8, p, s)
 
 
 def test_matmul_mod_matches_exact_product(monkeypatch):
@@ -173,7 +173,7 @@ def test_rank_mod_lower_bounds_exact_rank():
     rng = random.Random(21)
     for _ in range(20):
         m = _random_matrix(rng, 5, 6)
-        rows = [[(j, m[i, j]) for j in range(6) if not m[i, j].is_zero()] for i in range(5)]
+        rows = [integer_row(enumerate(m.data[i])) for i in range(5)]
         exact = m.rank()
         p, s = PRIMES[0]
         modular = rank_mod(rows_mod(rows, 6, p, s), p)
@@ -185,7 +185,11 @@ def test_rank_mod_lower_bounds_exact_rank():
 def test_sparse_rank_certificate_hits_true_rank():
     rng = random.Random(22)
     m = _random_matrix(rng, 6, 6)
-    rows = [[(j, m[i, j]) for j in range(6) if not m[i, j].is_zero()] for i in range(6)]
+    rows = [integer_row(enumerate(m.data[i])) for i in range(6)]
     exact = m.rank()
-    assert sparse_rank_certificate(rows, 6, exact)
-    assert not sparse_rank_certificate(rows, 6, exact + 1)
+
+    def level(p, s):
+        return rows_mod(rows, 6, p, s)
+
+    assert sparse_rank_certificate(exact, level)
+    assert not sparse_rank_certificate(exact + 1, level)

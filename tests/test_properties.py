@@ -5,7 +5,7 @@ rank mod p <= exact rank that every modular rank certificate rests on."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hkcurves.exact_algebra.ideals import sparse_row_rank
+from hkcurves.exact_algebra.ideals import integer_row, sparse_row_rank
 from hkcurves.exact_algebra.linalg import ExactMatrix
 from hkcurves.exact_algebra.modp import PRIMES, rank_mod, rows_mod
 from hkcurves.exact_algebra.scalars import GaussianRational, format_gauss, parse_gauss
@@ -31,7 +31,8 @@ def square_pairs(n):
 
 def sparse_rows(ncols):
     row = st.dictionaries(st.integers(0, ncols - 1), sparse_entries, max_size=ncols)
-    return st.tuples(st.lists(row.map(lambda r: sorted(r.items())), max_size=6), st.just(ncols))
+    rows = st.lists(row.map(lambda r: integer_row(sorted(r.items()))), max_size=6)
+    return st.tuples(rows, st.just(ncols))
 
 
 @PROPERTY
