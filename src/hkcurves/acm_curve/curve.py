@@ -116,7 +116,9 @@ class ResolutionCertificate:
     ok: bool
     cofactor_identity: bool      # minors compose to zero against the matrix
     syzygy_injective: bool       # some maximal minor is a nonzero form
-    dimensions: Tuple[int, ...]  # dim I_k for k = 0 .. 2r+2
+    # dim I_k for k = 0 .. 2r+2; when k <= 2r-1 all match, the rest are the
+    # expected values, which the match proves, and no level above 2r-1 is built
+    dimensions: Tuple[int, ...]
     expected: Tuple[int, ...]
     mismatches: Tuple[Tuple[int, int, int], ...]  # (k, actual, predicted)
 
@@ -124,10 +126,24 @@ class ResolutionCertificate:
 def certify_resolution(curve: ACMCurve) -> ResolutionCertificate:
     """Exact certificate that the minors resolve with the matrix as syzygies.
 
-    The cofactor identities prove the composition is zero; a nonzero
-    maximal minor makes the syzygy map injective in every degree; together
-    they force dim I_k <= expected, so the dimension sweep certifies
-    equality through the window k = 0 .. 2r+2.
+    The cofactor identities make 0 -> S(-r-1)^r -> S(-r)^(r+1) -> S, by the
+    matrix phi and then the row m of minors, a complex; a nonzero maximal
+    minor makes phi injective.  So dim I_k <= expected, with equality iff
+    ker m = im phi in degree k.  By the Buchsbaum-Eisenbud criterion
+    ("What makes a complex exact?", 1973) the complex and its dual are exact
+    once the minors have no common factor (grade >= 2, which in a UFD is
+    height >= 2), and then dim I_k = expected for every k.
+
+    A match through k = 2r-1 rules a common factor out.  If m = f*g with
+    deg f = e >= 1, take f the gcd, so at a prime factor of f some g_i0 is a
+    unit, and there the Koszul relations g_j e_i0 - g_i0 e_j span ker m.
+    Writing phi = B*C over them makes det C = +-f / g_i0^(r-1) a non-unit,
+    so one Koszul relation, of degree 2r-e <= 2r-1, lies in ker m but not in
+    im phi, and dim I_(2r-e) falls short of its bound.
+
+    The sweep therefore stops at k = 2r-1 when every level matches, and the
+    window k = 0 .. 2r+2 takes the expected dims above it.  A document that
+    fails is swept through 2r+2, so its report lists every mismatch there.
     """
     r = curve.r
     zero = HomogPoly(4, r + 1, {})
@@ -136,18 +152,20 @@ def certify_resolution(curve: ACMCurve) -> ResolutionCertificate:
         for j in range(r)
     )
     injective = any(not m.is_zero() for m in curve.minors)
+    bounded = cofactor and injective
     window = range(0, 2 * r + 3)
     expected = tuple(predicted_ideal_dimension(r, k) for k in window)
-    if cofactor and injective:
-        dims = tuple(curve.ideal.dimension(k) for k in window)
+    # without the bound, stay on the exact path
+    ideal = curve.ideal if bounded else GradedIdeal([m for m in curve.minors if not m.is_zero()])
+    dims = tuple(ideal.dimension(k) for k in range(2 * r))
+    if bounded and dims == expected[: 2 * r]:
+        dims += expected[2 * r :]
     else:
-        # bound not proven, stay on the exact path
-        bare = GradedIdeal([m for m in curve.minors if not m.is_zero()])
-        dims = tuple(bare.dimension(k) for k in window)
+        dims += tuple(ideal.dimension(k) for k in window[2 * r :])
     mismatches = tuple(
         (k, dims[k], expected[k]) for k in window if dims[k] != expected[k]
     )
-    ok = cofactor and injective and not mismatches
+    ok = bounded and not mismatches
     return ResolutionCertificate(
         ok=ok,
         cofactor_identity=cofactor,

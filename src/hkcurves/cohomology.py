@@ -3,13 +3,14 @@
 Every group here is computed from the certified resolution of the curve
 ideal: twisting the resolution and taking the long exact sequence leaves
 only kernels and cokernels of explicit multiplication maps between free
-pieces, all of which reduce to exact ranks of monomial matrices.
+pieces.  The certificate proves the resolution and its dual exact, so the
+ideal-sheaf groups are closed form; only the normal-section counts take
+ranks, decided mod p with exact elimination as the fallback.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from math import lcm
 from typing import Dict, List, Tuple
 
@@ -17,7 +18,6 @@ import numpy as np
 
 from .exact_algebra import modp
 from .exact_algebra.ideals import Row, integer_row, sparse_row_rank
-from .exact_algebra.linalg import graded_matrix
 from .exact_algebra.modp import matmul_mod, rank_mod
 from .exact_algebra.polys import FormMod, entry_cofactors, monomial_basis, monomial_count, shift_index
 from .exact_algebra.scalars import GaussianRational
@@ -51,57 +51,28 @@ def _coeffs_mod(curve, p: int, s: int) -> np.ndarray:
     return (numerators * pow(den, p - 2, p) % p).reshape(r + 1, r, 4)
 
 
-def _syzygy_matrix_mod(curve, source_degree: int, p: int, s: int) -> np.ndarray:
-    """graded_matrix of the transposed entries on degree-`source_degree`
-    vectors, reduced mod p: scattered from the reduced coefficients, with
-    rows (t, j) and columns (m, i) in place of its (j, t) and (i, m)."""
-    r = curve.r
-    coeffs = _coeffs_mod(curve, p, s)
-    n_src = monomial_count(4, source_degree)
-    n_tgt = monomial_count(4, source_degree + 1)
-    shift = shift_index(monomial_basis(4, source_degree), monomial_basis(4, 1), source_degree + 1)
-    # [t, m, j, i]: coefficient of entries[i][j] sending monomial m to t
-    out = np.zeros((n_tgt, n_src, r, r + 1), dtype=np.int64)
-    for v in range(4):
-        out[shift[v], np.arange(n_src)] = coeffs[:, :, v].T
-    return out.transpose(0, 2, 1, 3).reshape(n_tgt * r, n_src * (r + 1))
-
-
-def _syzygy_dual_rank(curve, k: int) -> int:
-    """Rank of the transposed syzygy matrix acting on degree r-k-4 vectors.
-
-    It kills the signed maximal minors (Laplace), not all zero on a certified
-    curve, so minors * h for the monomials h of degree -k-4 are independent
-    kernel vectors: the rank is at most cols - monomial_count(4, -k-4).  A
-    prime meeting that bound decides it, else the exact sparse echelon.
-    Mod p the matrix is `_syzygy_matrix_mod`, whose rows and columns are
-    permuted, which leaves the rank unchanged.
-    """
-    r = curve.r
-    source_degree = r - k - 4
-    if source_degree < 0:
-        return 0
-    ncols = (r + 1) * monomial_count(4, source_degree)
-    bound = ncols - monomial_count(4, -k - 4)
-    if modp.sparse_rank_certificate(bound, partial(_syzygy_matrix_mod, curve, source_degree)):
-        return bound
-    phi_t = [[curve.entries[i][j] for i in range(r + 1)] for j in range(r)]
-    return graded_matrix(phi_t, source_degree, 4).rank()
-
-
 def ideal_cohomology(curve, k: int) -> Table:
     """(h^0, h^1, h^2, h^3) of the twisted ideal sheaf of a certified curve.
 
     h^0 comes from global sections of the resolution, h^1 vanishes since
     the middle terms have none in degrees 1 and 2, and the top groups are
     the kernel and cokernel of the connecting multiplication map, read off
-    one exact rank by duality.
+    by duality from rho, the rank of the transposed matrix phi^T on vectors
+    of degree r-k-4 forms.
+
+    rho is closed form.  A certified curve's minors have no common factor
+    (`certify_resolution`: a factor of degree e >= 1 gives a Koszul relation
+    of degree 2r-e that is not a syzygy from phi, so dim I_(2r-e) falls
+    short), so by the Buchsbaum-Eisenbud criterion the dual complex
+    0 -> S -> S(r)^(r+1) -> S(r+1)^r is exact: ker phi^T is exactly
+    minors * S, and rho = (r+1) C(r-k-4) - C(-k-4), with C(n) the number of
+    degree-n monomials in 4 variables (0 for n < 0).  No rank is computed.
     """
     if not curve.certificate().ok:
         raise ValueError("resolution certificate failed; cohomology needs it")
     r = curve.r
     h0 = (r + 1) * monomial_count(4, k - r) - r * monomial_count(4, k - r - 1)
-    rho = _syzygy_dual_rank(curve, k)
+    rho = (r + 1) * monomial_count(4, r - k - 4) - monomial_count(4, -k - 4)
     h2 = r * monomial_count(4, r - k - 3) - rho
     h3 = (r + 1) * monomial_count(4, r - k - 4) - rho
     chi = (r + 1) * chi_line_bundle(k - r) - r * chi_line_bundle(k - r - 1)

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .exact_algebra import modp
-from .exact_algebra.linalg import ExactMatrix
+from .exact_algebra.ideals import Row, sparse_echelon
 from .exact_algebra.polys import UniPoly, uni_gcd
 from .exact_algebra.scalars import GaussianRational, random_gaussian_rows
 
@@ -134,18 +134,24 @@ class _FormRows:
 
         return modp.sparse_rank_certificate(bound, level)
 
-    def exact(self, band) -> ExactMatrix:
-        (nrows, ncols), rows, cols, src = band
-        dense = [[_ZERO] * ncols for _ in range(nrows)]
-        for r, c, q in zip(rows.tolist(), cols.tolist(), src.tolist()):
-            dense[r][c] = self.forms[q // self.width][q % self.width]
-        return ExactMatrix(dense)
+    def exact_rows(self, band) -> List[Row]:
+        """The band matrix as Gaussian-integer rows of (column, a, b) triples."""
+        (nrows, _), rows, cols, src = band
+        out: List[Row] = [[] for _ in range(nrows)]
+        for c, r, q in sorted(zip(cols.tolist(), rows.tolist(), src.tolist())):
+            a, b = self.ints[q // self.width][q % self.width]
+            if a or b:
+                out[r].append((c, a, b))
+        return out
 
     def rank(self, blocks: List[List[int]], col_degrees: List[int], bound: int) -> int:
         """Rank of the band matrix under a proven upper bound: the bound
-        when a prime meets it, else the exact sparse echelon."""
+        when a prime meets it, else the exact sparse echelon, which raises
+        ArithmeticError on a rank above the bound."""
         band = self.band(blocks, col_degrees)
-        return bound if self.certified(band, bound) else self.exact(band).rank()
+        if self.certified(band, bound):
+            return bound
+        return len(sparse_echelon(self.exact_rows(band), bound))
 
 
 def _minors(partials: Sequence[IntForm]) -> List[IntForm]:

@@ -18,7 +18,6 @@ from hkcurves.acm_curve import (
 from hkcurves.cohomology import (
     CohomologyTable,
     _coeffs_mod,
-    _syzygy_matrix_mod,
     chi_line_bundle,
     cohomology_table,
     ellia_stability_check,
@@ -29,7 +28,7 @@ from hkcurves.cohomology import (
 )
 from hkcurves.exact_algebra import modp
 from hkcurves.exact_algebra.ideals import GradedIdeal
-from hkcurves.exact_algebra.linalg import ExactMatrix, graded_matrix, random_invertible
+from hkcurves.exact_algebra.linalg import ExactMatrix, random_invertible
 from hkcurves.exact_algebra.modp import matmul_mod
 from hkcurves.exact_algebra.polys import FormMod, HomogPoly, monomial_basis, monomial_count
 from hkcurves.exact_algebra.scalars import GaussianRational, random_gaussian_rows
@@ -291,20 +290,6 @@ def test_modular_tables_and_cofactors_reduce_the_exact_ones(r):
                 assert [d.vec.tolist() for d in got_col] == [
                     _reduced(d, r - 1, p, s) for d in want_col
                 ], (r, p)
-
-
-def test_syzygy_matrix_mod_permutes_the_reduced_graded_matrix():
-    # rows (j, t) and columns (i, m) of graded_matrix become (t, j) and (m, i)
-    for r, degree in ((1, 0), (2, 1), (3, 2)):
-        curve = random_sigma_curve(r, 4)
-        phi_t = [[curve.entries[i][j] for i in range(r + 1)] for j in range(r)]
-        exact = graded_matrix(phi_t, degree, 4)
-        n_src, n_tgt = monomial_count(4, degree), monomial_count(4, degree + 1)
-        for p, s in modp.PRIMES:
-            want = np.array([[modp.value_mod(z, p, s) for z in row] for row in exact.data])
-            want = want.reshape(r, n_tgt, r + 1, n_src)
-            want = want.transpose(1, 0, 3, 2).reshape(n_tgt * r, n_src * (r + 1))
-            assert _syzygy_matrix_mod(curve, degree, p, s).tolist() == want.tolist(), (r, p)
 
 
 def test_normal_bundle_counts_through_r6():

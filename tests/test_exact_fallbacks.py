@@ -11,7 +11,7 @@ import math
 import pytest
 
 from hkcurves.acm_curve import ACMCurve, predicted_ideal_dimension, random_sigma_curve
-from hkcurves import cohomology, pencil
+from hkcurves import cohomology, pencil, rational_curve
 from hkcurves.cohomology import cohomology_table, normal_sections
 from hkcurves.exact_algebra import modp
 from hkcurves.exact_algebra.ideals import GradedIdeal
@@ -95,10 +95,14 @@ def test_pair_stabilizer_dimension_when_primes_divide_the_scale(monkeypatch):
 def test_sections_and_cohomology_when_primes_divide_the_scale(monkeypatch):
     curves = [random_sigma_curve(2, seed) for seed in (0, 7)]
     twists = range(-6, 5)
+    rank_calls = count_rank_calls(monkeypatch)
 
     def counts(curve):
         sections = (normal_sections(curve, 0), normal_sections(curve, -1))
-        return sections, cohomology_table(curve, twists[0], twists[-1]).rows
+        rank_calls.clear()
+        rows = cohomology_table(curve, twists[0], twists[-1]).rows
+        assert rank_calls == [], "the cohomology table takes no rank"
+        return sections, rows
 
     section_ranks = []
     sparse_row_rank = cohomology.sparse_row_rank
@@ -108,27 +112,18 @@ def test_sections_and_cohomology_when_primes_divide_the_scale(monkeypatch):
         return sparse_row_rank(rows)
 
     monkeypatch.setattr(cohomology, "sparse_row_rank", counting_rank)
-    syzygy_ranks = count_exact_ranks(monkeypatch)
     default = [counts(c) for c in curves]
-    assert section_ranks == [] and syzygy_ranks == [], "a prime should pin every count"
+    assert section_ranks == [], "a prime should pin every count"
     scaled = [ACMCurve(scaled_by_every_prime(c.coeffs)) for c in curves]
     assert [counts(c) for c in scaled] == default
-    # two twists of normal sections, and every syzygy rank with a source
-    # degree r - k - 4 >= 0, per curve
+    # two twists of normal sections per curve
     assert len(section_ranks) == 2 * len(curves)
-    assert len(syzygy_ranks) == len(curves) * sum(1 for k in twists if 2 - k - 4 >= 0)
     assert [sections for sections, _ in default] == [(12, 6), (12, 6)]
 
 
 def test_normal_sections_without_primes(monkeypatch):
     curves = [random_sigma_curve(2, seed) for seed in (7, 8)]
     sextic = random_sigma_curve(3, 7)
-    # one fresh copy of the r = 3 curve per mode, certified with the primes:
-    # its exact certificate alone takes ~40 s, and the exact dimension path
-    # is tested above
-    sextics = [ACMCurve(sextic.matrix) for _ in range(2)]
-    for copy in sextics:
-        copy.certificate()
     exact_ranks = []
     sparse_row_rank = cohomology.sparse_row_rank
 
@@ -141,7 +136,7 @@ def test_normal_sections_without_primes(monkeypatch):
     assert exact_ranks == [], "a prime should pin every count"
     for mode in no_primes(monkeypatch):
         exact_ranks.clear()
-        fresh = [ACMCurve(c.matrix) for c in curves] + [sextics.pop()]
+        fresh = [ACMCurve(c.matrix) for c in curves + [sextic]]
         assert [(normal_sections(c, 0), normal_sections(c, -1)) for c in fresh] == default, mode
         assert len(exact_ranks) >= 2 * len(fresh), mode
     assert default == [(12, 6), (12, 6), (24, 12)]
@@ -186,21 +181,34 @@ def test_normal_sections_when_levels_lose_rank(monkeypatch):
     assert default == [(12, 6), (24, 12)]
 
 
-def count_exact_ranks(monkeypatch):
-    """List that grows by one per `ExactMatrix.rank` call."""
+def count_rank_calls(monkeypatch):
+    """List that grows by one per exact (`ExactMatrix.rank`) or modular
+    (`modp.rank_mod`, also as `cohomology` imports it) rank."""
     calls = []
-    rank = ExactMatrix.rank
 
-    def counting_rank(matrix):
-        calls.append(matrix.shape)
-        return rank(matrix)
+    def counting(name, rank):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return rank(*args, **kwargs)
 
-    monkeypatch.setattr(ExactMatrix, "rank", counting_rank)
+        return counted
+
+    monkeypatch.setattr(ExactMatrix, "rank", counting("ExactMatrix.rank", ExactMatrix.rank))
+    monkeypatch.setattr(modp, "rank_mod", counting("rank_mod", modp.rank_mod))
+    monkeypatch.setattr(cohomology, "rank_mod", counting("rank_mod", cohomology.rank_mod))
     return calls
 
 
 def test_rational_curve_without_primes(monkeypatch):
-    exact_ranks = count_exact_ranks(monkeypatch)
+    # one exact echelon per rank the primes leave undecided
+    exact_ranks = []
+    sparse_echelon = rational_curve.sparse_echelon
+
+    def counting_echelon(rows, target=None):
+        exact_ranks.append(len(rows))
+        return sparse_echelon(rows, target)
+
+    monkeypatch.setattr(rational_curve, "sparse_echelon", counting_echelon)
     balanced = [twisted_cubic_map()]
     balanced += [random_rational_map(d, s) for d in range(3, 6) for s in (0, 1)]
     conics = [STANDARD_CONIC] + [random_rational_map(2, s) for s in (0, 1)]
@@ -232,16 +240,20 @@ def test_rational_curve_without_primes(monkeypatch):
 
 def test_cohomology_table_without_primes(monkeypatch):
     curves = [random_sigma_curve(2, seed) for seed in (0, 1)]
-    for curve in curves:
+    rank_calls = count_rank_calls(monkeypatch)
+
+    def table(curve):
         curve.certificate()
-    exact_ranks = count_exact_ranks(monkeypatch)
-    # twists down to -6 reach k <= -4, where minors * h fill part of the kernel
-    default = [cohomology_table(c, -6, c.r + 2).rows for c in curves]
-    assert exact_ranks == [], "a prime should pin every syzygy rank"
+        rank_calls.clear()
+        rows = cohomology_table(curve, -6, curve.r + 2).rows
+        assert rank_calls == [], "the cohomology table takes no rank"
+        return rows
+
+    default = [table(c) for c in curves]
     for mode in no_primes(monkeypatch):
-        assert [cohomology_table(c, -6, c.r + 2).rows for c in curves] == default, mode
-        assert exact_ranks, mode
-    # h^3 of the ideal sheaf is h^3 of O(k): the rank meets its bound
+        # fresh copies, so that the certificate is the exact sweep
+        assert [table(ACMCurve(c.matrix)) for c in curves] == default, mode
+    # h^3 of the ideal sheaf is h^3 of O(k): ker phi^T is minors * S
     assert [row[3] for row in default[0]] == [monomial_count(4, -k - 4) for k in range(-6, 5)]
 
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from hkcurves.exact_algebra.ideals import integer_row
 from hkcurves.exact_algebra.linalg import ExactMatrix
 from hkcurves.exact_algebra.scalars import GaussianRational, random_gaussian_rows
 from hkcurves.rational_curve import (
@@ -135,13 +136,24 @@ def test_stability_check_semantics():
     assert not stability_check(normal_splitting_type(STANDARD_CONIC))
 
 
+def _dense(rows, band):
+    """The band matrix as a dense ExactMatrix, zeros included."""
+    (nrows, ncols), row_idx, col_idx, src = band
+    dense = [[ZERO] * ncols for _ in range(nrows)]
+    for i, c, q in zip(row_idx.tolist(), col_idx.tolist(), src.tolist()):
+        dense[i][c] = rows.forms[q // rows.width][q % rows.width]
+    return ExactMatrix(dense)
+
+
 @pytest.mark.parametrize("d", range(1, 6))
 def test_euler_vectors_lie_in_normal_matrix_kernel(d):
     # the m+1 kernel vectors behind the bound of normal_twisted_sections
     rows = random_rational_map(d, 3)._rows
     for m in range(4):
         band = rows.band([[a, 4 + a, 8 + a] for a in range(4)], [m, m + 1, m + 1])
-        matrix = rows.exact(band)
+        matrix = _dense(rows, band)
+        # the exact fallback's Gaussian-integer rows are the dense rows
+        assert rows.exact_rows(band) == [integer_row(enumerate(row)) for row in matrix.data], m
         for j in range(m + 1):
             # h = s^(m-j) t^j: (d*h, -s*h, -t*h) in the columns of p, q1, q2
             vector = [0] * matrix.cols

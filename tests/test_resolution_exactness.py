@@ -1,0 +1,117 @@
+"""A certified resolution is exact, and its certificate sweeps only k <= 2r-1.
+
+By the Buchsbaum-Eisenbud criterion the resolution by the matrix and its
+dual are exact once the minors have no common factor, and a common factor
+of degree e >= 1 already cuts dim I_(2r-e) below its bound.  So
+`certify_resolution` stops at 2r-1 when every level there matches, and
+`ideal_cohomology` reads the syzygy rank rho in closed form.
+"""
+
+import random
+
+import pytest
+
+from hkcurves.acm_curve import ACMCurve, LinearMatrix, random_real_curve, random_sigma_curve
+from hkcurves.cohomology import ideal_cohomology
+from hkcurves.exact_algebra import modp
+from hkcurves.exact_algebra.ideals import GradedIdeal, integer_row, sparse_row_rank
+from hkcurves.exact_algebra.linalg import ExactMatrix, graded_matrix
+from hkcurves.exact_algebra.polys import monomial_count
+from hkcurves.exact_algebra.scalars import GaussianRational, random_gaussian_rows
+
+
+def _syzygy_rank(curve, k):
+    """The rank the closed form replaced, by the old route: graded_matrix of
+    the transposed entries on degree r-k-4 vectors.  Its kernel holds
+    minors * h for the degree -k-4 monomials h, so a prime whose rank meets
+    cols - C(-k-4) pins it; else exact elimination decides."""
+    r = curve.r
+    source_degree = r - k - 4
+    if source_degree < 0:
+        return 0
+    phi_t = [[curve.entries[i][j] for i in range(r + 1)] for j in range(r)]
+    matrix = graded_matrix(phi_t, source_degree, 4)
+    rows = [integer_row(enumerate(row)) for row in matrix.data]
+    bound = matrix.cols - monomial_count(4, -k - 4)
+    if modp.sparse_rank_certificate(bound, lambda p, s: modp.rows_mod(rows, matrix.cols, p, s)):
+        return bound
+    # a column order changes no rank; the reversed one eliminates faster here
+    last = matrix.cols - 1
+    return sparse_row_rank([[(last - c, a, b) for c, a, b in reversed(row)] for row in rows])
+
+
+def _closed_form_rho(r, k):
+    return (r + 1) * monomial_count(4, r - k - 4) - monomial_count(4, -k - 4)
+
+
+@pytest.mark.parametrize(
+    "r, primes",
+    [(1, True), (2, True), (3, True), (1, False), (2, False)],
+    ids=["r1", "r2", "r3", "r1-exact", "r2-exact"],
+)
+def test_syzygy_rank_of_the_old_route_is_the_closed_form(r, primes, monkeypatch):
+    curves = [random_sigma_curve(r, 0), random_real_curve(r, 0)]
+    if not primes:
+        # the exact echelon decides every rank
+        monkeypatch.setattr(modp, "PRIMES", ())
+    for curve in curves:
+        for k in range(-9, r + 3):
+            rho = _syzygy_rank(curve, k)
+            assert rho == _closed_form_rho(r, k), (r, k)
+            _, _, h2, h3 = ideal_cohomology(curve, k)
+            assert (h2, h3) == (
+                r * monomial_count(4, r - k - 3) - rho,
+                (r + 1) * monomial_count(4, r - k - 4) - rho,
+            ), (r, k)
+
+
+X0 = (1, 0, 0, 0)
+# a linear form that is no multiple of a coordinate
+MIXED = (1, -2, GaussianRational(1, 1), 3)
+
+
+def _common_factor_matrix(r, ell, seed):
+    """Random (r+1) x r linear matrix whose first column is c_i * ell, so
+    that every maximal minor has the factor ell."""
+    rng = random.Random(seed)
+    c = random_gaussian_rows(rng, 1, r + 1, 3)[0]
+    coeffs = []
+    for v in range(4):
+        rows = [list(row) for row in random_gaussian_rows(rng, r + 1, r, 3)]
+        for i in range(r + 1):
+            rows[i][0] = c[i] * ell[v]
+        coeffs.append(ExactMatrix(rows))
+    return LinearMatrix(r, *coeffs)
+
+
+@pytest.mark.parametrize("ell", [X0, MIXED], ids=["x0", "mixed"])
+@pytest.mark.parametrize("r", [2, 3])
+def test_common_factor_fails_by_degree_2r_minus_1(r, ell):
+    matrix = _common_factor_matrix(r, ell, seed=r)
+    cert = ACMCurve(matrix).certificate()
+    assert cert.cofactor_identity and cert.syzygy_injective
+    assert not cert.ok
+    assert cert.mismatches[0][0] <= 2 * r - 1
+    # the failing document keeps its sweep through 2r+2
+    fresh = GradedIdeal([m for m in ACMCurve(matrix).minors if not m.is_zero()])
+    assert cert.dimensions == tuple(fresh.dimension(k) for k in range(2 * r + 3))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_passing_certificate_builds_no_level_above_2r_minus_1(r, monkeypatch):
+    matrix = random_sigma_curve(r, 1).matrix
+    full = ACMCurve(matrix).ideal
+    full_dims = tuple(full.dimension(k) for k in range(2 * r + 3))
+    levels = []
+    for name in ("dimension", "_build", "_level_mod"):
+        method = getattr(GradedIdeal, name)
+
+        def recording(ideal, k, *args, _method=method):
+            levels.append(k)
+            return _method(ideal, k, *args)
+
+        monkeypatch.setattr(GradedIdeal, name, recording)
+    cert = ACMCurve(matrix).certificate()
+    assert cert.ok
+    assert max(levels) == 2 * r - 1
+    assert cert.dimensions == full_dims

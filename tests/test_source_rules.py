@@ -68,13 +68,17 @@ def test_layering():
     assert found == []
 
 
-def test_optimized_run_matches():
-    # seeded slices under python -O must behave exactly as without them
+def test_optimized_run_matches(tmp_path):
+    # seeded slices under python -O must behave exactly as without them,
+    # the resolution certificate and the cohomology table included
     env = dict(os.environ, PYTHONPATH=str(SRC))
     for command in (
         ["kronecker", "--r", "3", "--count", "2", "--seed", "0"],
         ["metric", "--r", "2", "--count", "2", "--seed", "0"],
         ["rational", "--d", "4", "--count", "3", "--seed", "0"],
+        ["cohomology", "table", "--r", "2"],
+        ["acm", "random", "--r", "2", "--count", "1", "--seed", "0", "--out", str(tmp_path)],
+        ["acm", "verify", str(tmp_path / "curve_r2_s0_000.json")],
     ):
         runs = [
             subprocess.run(
