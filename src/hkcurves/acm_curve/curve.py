@@ -84,7 +84,6 @@ class ACMCurve:
         if all(m.is_zero() for m in self.minors):
             raise ValueError("all maximal minors vanish identically")
         self.ideal = GradedIdeal([m for m in self.minors if not m.is_zero()])
-        self.ideal.set_certified_bound(lambda k: predicted_ideal_dimension(self.r, k))
         self._certificate: Optional["ResolutionCertificate"] = None
 
     @property
@@ -116,8 +115,8 @@ class ResolutionCertificate:
     ok: bool
     cofactor_identity: bool      # minors compose to zero against the matrix
     syzygy_injective: bool       # some maximal minor is a nonzero form
-    # dim I_k for k = 0 .. 2r+2; when k <= 2r-1 all match, the rest are the
-    # expected values, which the match proves, and no level above 2r-1 is built
+    # dim I_k for k = 0 .. 2r+2; when dim I_(2r-1) matches, all are the
+    # expected values, which that match proves, and no other level is built
     dimensions: Tuple[int, ...]
     expected: Tuple[int, ...]
     mismatches: Tuple[Tuple[int, int, int], ...]  # (k, actual, predicted)
@@ -126,24 +125,28 @@ class ResolutionCertificate:
 def certify_resolution(curve: ACMCurve) -> ResolutionCertificate:
     """Exact certificate that the minors resolve with the matrix as syzygies.
 
-    The cofactor identities make 0 -> S(-r-1)^r -> S(-r)^(r+1) -> S, by the
-    matrix phi and then the row m of minors, a complex; a nonzero maximal
-    minor makes phi injective.  So dim I_k <= expected, with equality iff
-    ker m = im phi in degree k.  By the Buchsbaum-Eisenbud criterion
-    ("What makes a complex exact?", 1973) the complex and its dual are exact
-    once the minors have no common factor (grade >= 2, which in a UFD is
-    height >= 2), and then dim I_k = expected for every k.
+    The cofactor identities make 0 -> F2 = S(-r-1)^r -> F1 = S(-r)^(r+1) -> S,
+    by the matrix phi and then the row m of minors, a complex; a nonzero
+    maximal minor makes phi injective.  So delta_k = expected - dim I_k is
+    dim M_k for M = ker m / im phi.  By the Buchsbaum-Eisenbud criterion
+    ("What makes a complex exact?", 1973) the complex and its dual are exact,
+    and delta = 0, once the minors have no common factor (grade >= 2, which
+    in a UFD is height >= 2).
 
-    A match through k = 2r-1 rules a common factor out.  If m = f*g with
-    deg f = e >= 1, take f the gcd, so at a prime factor of f some g_i0 is a
-    unit, and there the Koszul relations g_j e_i0 - g_i0 e_j span ker m.
-    Writing phi = B*C over them makes det C = +-f / g_i0^(r-1) a non-unit,
-    so one Koszul relation, of degree 2r-e <= 2r-1, lies in ker m but not in
-    im phi, and dim I_(2r-e) falls short of its bound.
+    delta_k <= delta_(k+1): M lies in coker phi, whose resolution 0 -> F2 ->
+    F1 gives pd <= 1, so depth >= 3 by Auslander-Buchsbaum (Eisenbud,
+    Commutative Algebra, Thm 19.9); the associated primes P of M then have
+    dim S/P >= 3, so a linear form avoids them all and maps M_k into
+    M_(k+1) injectively.  A common factor f of degree e >= 1 makes
+    delta_(2r-e) > 0: at a prime factor of f, the gcd, some g_i0 = m_i0 / f
+    is a unit and the Koszul relations g_j e_i0 - g_i0 e_j span ker m;
+    writing phi = B*C over them makes det C = +-f / g_i0^(r-1) a non-unit,
+    so a Koszul relation of degree 2r-e <= 2r-1 is not in im phi.
 
-    The sweep therefore stops at k = 2r-1 when every level matches, and the
-    window k = 0 .. 2r+2 takes the expected dims above it.  A document that
-    fails is swept through 2r+2, so its report lists every mismatch there.
+    So level 2r-1 alone is ranked: a match rules a common factor out and
+    proves every dim, and the window k = 0 .. 2r+2 is recorded on the
+    curve's ideal.  A mismatch sweeps the window, so a failing report lists
+    every mismatch there.
     """
     r = curve.r
     zero = HomogPoly(4, r + 1, {})
@@ -155,13 +158,13 @@ def certify_resolution(curve: ACMCurve) -> ResolutionCertificate:
     bounded = cofactor and injective
     window = range(0, 2 * r + 3)
     expected = tuple(predicted_ideal_dimension(r, k) for k in window)
-    # without the bound, stay on the exact path
-    ideal = curve.ideal if bounded else GradedIdeal([m for m in curve.minors if not m.is_zero()])
-    dims = tuple(ideal.dimension(k) for k in range(2 * r))
-    if bounded and dims == expected[: 2 * r]:
-        dims += expected[2 * r :]
+    ideal, top = curve.ideal, 2 * r - 1
+    if bounded and ideal.dimension(top, expected[top]) == expected[top]:
+        dims = expected
+        ideal.record_dimensions(dict(zip(window, expected)))
     else:
-        dims += tuple(ideal.dimension(k) for k in window[2 * r :])
+        # without the bound, every level is ranked exactly
+        dims = tuple(ideal.dimension(k, expected[k] if bounded else None) for k in window)
     mismatches = tuple(
         (k, dims[k], expected[k]) for k in window if dims[k] != expected[k]
     )

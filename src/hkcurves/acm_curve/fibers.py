@@ -16,18 +16,21 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..exact_algebra.ideals import Row, integer_row, normal_form_table, sparse_echelon
+from ..exact_algebra.ideals import Row, normal_form_table, sparse_echelon
 from ..exact_algebra.linalg import ExactMatrix
 from ..exact_algebra.scalars import GaussianRational
 
-Bivar = Dict[Tuple[int, int], GaussianRational]
+# a slice generator: its nonzero Gaussian-integer numerators (a, b) by
+# (u, v) exponent, over one positive denominator
+Bivar = Tuple[Dict[Tuple[int, int], Tuple[int, int]], int]
 
 _ZERO = GaussianRational(0, 0)
 _ONE = GaussianRational(1, 0)
 
 
 def fiber_generators(curve, t: GaussianRational, at_infinity: bool = False) -> List[Bivar]:
-    """Generators of the slice ideal in (u, v), from the curve's minors.
+    """Generators of the slice ideal in (u, v), from the curve's minors, as
+    Gaussian-integer numerators over one denominator.
 
     Finite chart: x0 = u, x1 = v, x2 = 1, x3 = t.  Infinity chart:
     x0 = u, x1 = v, x2 = t, x3 = 1 (t is the reciprocal parameter there).
@@ -48,15 +51,10 @@ def fiber_generators(curve, t: GaussianRational, at_infinity: bool = False) -> L
             scale = te ** (minor.degree - e)
             prev = acc.get((m0, m1), (0, 0))
             acc[(m0, m1)] = (prev[0] + (a * pa - b * pb) * scale, prev[1] + (a * pb + b * pa) * scale)
-        den = minor.den * te ** minor.degree
-        out.append(
-            {k: GaussianRational(Fraction(a, den), Fraction(b, den)) for k, (a, b) in acc.items() if a or b}
-        )
-    return [g for g in out if g]
-
-
-def _bivar_degree(g: Bivar) -> int:
-    return max(i + j for i, j in g)
+        terms = {k: ab for k, ab in acc.items() if ab[0] or ab[1]}
+        if terms:
+            out.append((terms, minor.den * te ** minor.degree))
+    return out
 
 
 def _columns(cutoff: int) -> List[Tuple[int, int]]:
@@ -77,10 +75,11 @@ class AffineFiber:
         self.col_index = {m: i for i, m in enumerate(self.columns)}
         index = self.col_index
         rows: List[Row] = []
-        for g in generators:
-            gdeg = _bivar_degree(g)
-            # cleared of denominators once, in column order, which a shift keeps
-            terms = sorted(integer_row(g.items()), key=lambda t: index[t[0]])
+        for g, _ in generators:
+            gdeg = max(i + j for i, j in g)
+            # the numerators are a nonzero multiple of the generator; a shift
+            # keeps their column order
+            terms = sorted(((m, a, b) for m, (a, b) in g.items()), key=lambda t: index[t[0]])
             for mi in range(cutoff - gdeg + 1):
                 for mj in range(cutoff - gdeg - mi + 1):
                     rows.append([(index[(i + mi, j + mj)], a, b) for (i, j), a, b in terms])
@@ -174,7 +173,8 @@ def fiber_points(
     """
     gens = fiber_generators(curve, t, at_infinity=at_infinity)
     mu, mv = AffineFiber(gens, curve.r + 2).multiplication_matrices()
-    cgens = [[(i, j, complex(c)) for (i, j), c in g.items()] for g in gens]
+    # int / int is correctly rounded: each part is the float nearest the coefficient
+    cgens = [[(i, j, complex(a / den, b / den)) for (i, j), (a, b) in g.items()] for g, den in gens]
     nu = np.array(mu.to_complex())
     nv = np.array(mv.to_complex())
     rng = np.random.default_rng(2)

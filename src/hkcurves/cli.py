@@ -57,10 +57,9 @@ EXIT_INVALID = 3
 EXIT_NUMERIC = 4
 
 # largest curve-document r that `acm verify` takes: a generic document
-# verifies in 2.2 s at r = 7 on a 2-core Xeon VM (certificate 0.33 s), but
-# one whose minors share a factor misses the bound at every prime and is
-# swept through 2r+2 by exact elimination (89 s at r = 4, no result within
-# 900 s at r = 5; ROADMAP item 4)
+# verifies in 2.1 s at r = 7 on a 2-core Xeon VM (certificate 0.28 s), and
+# one whose minors share a factor, swept through 2r+2 by exact elimination,
+# fails in 0.99 s at r = 4, 6.0 s at r = 5 and 31 s at r = 6 (ROADMAP item 4)
 MAX_DOCUMENT_R = 7
 
 

@@ -3,9 +3,10 @@
 Every group here is computed from the certified resolution of the curve
 ideal: twisting the resolution and taking the long exact sequence leaves
 only kernels and cokernels of explicit multiplication maps between free
-pieces.  The certificate proves the resolution and its dual exact, so the
-ideal-sheaf groups are closed form; only the normal-section counts take
-ranks, decided mod p with exact elimination as the fallback.
+pieces.  The certificate, a dimension match certified at 2r-1, proves the
+resolution and its dual exact, so the ideal-sheaf groups are closed form;
+only the normal-section counts take ranks, decided mod p with exact
+elimination as the fallback.
 """
 
 from __future__ import annotations
@@ -60,10 +61,11 @@ def ideal_cohomology(curve, k: int) -> Table:
     by duality from rho, the rank of the transposed matrix phi^T on vectors
     of degree r-k-4 forms.
 
-    rho is closed form.  A certified curve's minors have no common factor
-    (`certify_resolution`: a factor of degree e >= 1 gives a Koszul relation
-    of degree 2r-e that is not a syzygy from phi, so dim I_(2r-e) falls
-    short), so by the Buchsbaum-Eisenbud criterion the dual complex
+    rho is closed form.  A curve certified at 2r-1 has minors with no common
+    factor (`certify_resolution`: a factor of degree e >= 1 makes dim I_k
+    fall short from k = 2r-e on, since a Koszul relation of degree 2r-e is
+    not a syzygy from phi and the shortfall never decreases), so by the
+    Buchsbaum-Eisenbud criterion the dual complex
     0 -> S -> S(r)^(r+1) -> S(r+1)^r is exact: ker phi^T is exactly
     minors * S, and rho = (r+1) C(r-k-4) - C(-k-4), with C(n) the number of
     degree-n monomials in 4 variables (0 for n < 0).  No rank is computed.

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -163,8 +163,8 @@ class GradedIdeal:
 
     Levels are built independently: degree-k rows come from monomial
     multiples of the mutually reduced generators, so entry sizes never
-    compound across levels.  An optional certified dimension bound stops
-    the reduction pass as soon as the known rank is reached.
+    compound across levels.  A known dimension stops the reduction pass of
+    its level as soon as that rank is reached.
     """
 
     def __init__(self, generators: Sequence[HomogPoly], num_vars: int = 4):
@@ -180,11 +180,10 @@ class GradedIdeal:
         self._levels: Dict[int, List[Row]] = {}
         self._dims: Dict[int, int] = {}
         self._cache: Dict[object, object] = {}
-        self._bound: Optional[Callable[[int], int]] = None
 
-    def set_certified_bound(self, bound: Callable[[int], int]) -> None:
-        """bound(k) is a proven upper bound for dim I_k; reduction stops there."""
-        self._bound = bound
+    def record_dimensions(self, dims: Dict[int, int]) -> None:
+        """Record proven dims {k: dim I_k}; a level built later stops there."""
+        self._dims.update(dims)
 
     # -- construction ----------------------------------------------------
 
@@ -227,30 +226,35 @@ class GradedIdeal:
         if k < self.gen_degree:
             self._levels[k] = []
             return []
-        target = self._bound(k) if self._bound is not None else None
-        level = sparse_echelon(self._row_stream(k), target)
+        level = sparse_echelon(self._row_stream(k), self._dims.get(k))
         self._levels[k] = level
         return level
 
     # -- queries ----------------------------------------------------------
 
-    def dimension(self, k: int) -> int:
+    def dimension(self, k: int, bound: Optional[int] = None) -> int:
+        """dim I_k, given `bound`, a proven upper bound on it, or None.
+
+        A prime whose rank meets the bound pins it (rank mod p never exceeds
+        the exact rank); one above it raises ArithmeticError.  Otherwise the
+        rows are ranked exactly, above the generator degree with the columns
+        reversed, which keeps the entries far smaller than lex-greatest
+        pivots do and cannot change a rank: it multiplies by an invertible
+        permutation matrix.  No echelon is kept, since `_build`'s pivots and
+        normal forms need the lex order.
+        """
         if k in self._dims:
             return self._dims[k]
-        if k in self._levels:
-            dim = len(self._levels[k])
-        elif k < self.gen_degree:
+        if k < self.gen_degree:
             dim = 0
-        elif self._bound is not None:
-            # rank mod p never exceeds the exact rank; meeting the proven
-            # upper bound pins the exact value without exact elimination
-            bound = self._bound(k)
-            if sparse_rank_certificate(bound, lambda p, s: self._level_mod(k, p, s)):
-                dim = bound
-            else:
-                dim = len(self._build(k))
+        elif bound is not None and sparse_rank_certificate(bound, lambda p, s: self._level_mod(k, p, s)):
+            dim = bound
         else:
-            dim = len(self._build(k))
+            rows, last = self._row_stream(k), monomial_count(self.num_vars, k) - 1
+            # the reduced generators are already an echelon in lex order
+            if k > self.gen_degree:
+                rows = ([(last - c, a, b) for c, a, b in reversed(row)] for row in rows)
+            dim = len(sparse_echelon(rows, bound))
         self._dims[k] = dim
         return dim
 

@@ -6,7 +6,7 @@ raises AssertionError inside, so a return means every instance held.
 
 import random
 from fractions import Fraction
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from hkcurves.acm_curve import ACMCurve, random_real_curve
 from hkcurves.acm_curve.fibers import (
@@ -85,12 +85,21 @@ def antipodal_parameter(t: GaussianRational) -> GaussianRational:
     return ZERO - ONE / t.conj()
 
 
-def antipodal_generator(g: Bivar, t: GaussianRational) -> Bivar:
+QBivar = Dict[Tuple[int, int], GaussianRational]
+
+
+def rational_generator(g: Bivar) -> QBivar:
+    """The Q(i) coefficients of a slice generator: its numerators over its denominator."""
+    terms, den = g
+    return {m: GaussianRational(Fraction(a, den), Fraction(b, den)) for m, (a, b) in terms.items()}
+
+
+def antipodal_generator(g: QBivar, t: GaussianRational) -> QBivar:
     """Vanishing locus transport: (u, v) on the t slice maps to
     (conj(v)/conj(t), -conj(u)/conj(t)) on the -1/conj(t) slice, so the
     (a, b) coefficient c lands on (b, a) as conj(c) (-1)^a conj(t)^(a+b)."""
     tb = t.conj()
-    out: Bivar = {}
+    out: QBivar = {}
     for (a, b), c in g.items():
         val = c.conj()
         if a % 2:
@@ -102,7 +111,7 @@ def antipodal_generator(g: Bivar, t: GaussianRational) -> Bivar:
     return {k: v for k, v in out.items() if not v.is_zero()}
 
 
-def fiber_contains(fiber: AffineFiber, g: Bivar) -> bool:
+def fiber_contains(fiber: AffineFiber, g: QBivar) -> bool:
     # g lies in the span exactly when appending its row adds no pivot
     row = integer_row(sorted((fiber.col_index[m], v) for m, v in g.items()))
     return len(sparse_echelon(fiber.echelon + [row])) == len(fiber.echelon)
@@ -124,9 +133,9 @@ def fiber_equivariance_suite(pool: Dict[int, List[ACMCurve]], count: int = 50) -
         fib_tp = AffineFiber(gens_tp, curve.r + 2)
         assert fib_t.profile() == fib_tp.profile()
         for g in gens_t:
-            assert fiber_contains(fib_tp, antipodal_generator(g, t))
+            assert fiber_contains(fib_tp, antipodal_generator(rational_generator(g), t))
         for g in gens_tp:
-            assert fiber_contains(fib_t, antipodal_generator(g, tp))
+            assert fiber_contains(fib_t, antipodal_generator(rational_generator(g), tp))
     return count
 
 

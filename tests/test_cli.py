@@ -317,3 +317,34 @@ def test_acm_verify_stdout_pinned(tmp_path, capsys, monkeypatch):
     code, out = run(capsys, ["acm", "verify", "docs/curve_r3_s0_000.json", "--fibers", "2"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_R3_SHA256
+
+
+def _degenerate_document(r):
+    """The seed-0 r = 6 document cut to r, with column 0 of A2, A3 and A4
+    zeroed: every maximal minor then has the factor x0."""
+    doc = curve_to_document(random_sigma_curve(6, 0))
+    cut = {"r": r}
+    for name in ("A1", "A2", "A3", "A4"):
+        rows = [row[:r] for row in doc[name][: r + 1]]
+        cut[name] = rows if name == "A1" else [["0"] + row[1:] for row in rows]
+    return cut
+
+
+DEGENERATE_SHA256 = {
+    3: "7af5e077d8dc206cd7b26c07fee7950f2dbc15930f5d0e4416804352ec1cda6f",
+    4: "905b0da56cf337ad1482c5607f7fad83b78f520b231d39584c5043621be1cb13",
+}
+
+
+@pytest.mark.parametrize("r", [3, 4])
+def test_acm_verify_degenerate_stdout_pinned(r, tmp_path, capsys, monkeypatch):
+    # the failing report sweeps every level through 2r+2, and the levels that
+    # fall short are ranked exactly with reversed columns: about 1 s at r = 4
+    monkeypatch.chdir(tmp_path)
+    write_doc(tmp_path, "degenerate.json", _degenerate_document(r))
+    start = time.perf_counter()
+    code, out = run(capsys, ["acm", "verify", "degenerate.json"])
+    elapsed = time.perf_counter() - start
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == DEGENERATE_SHA256[r]
+    assert elapsed < 30.0

@@ -52,7 +52,11 @@ def test_ideal_dimensions_without_primes(monkeypatch):
     window = range(0, 7)
     default = [[c.ideal.dimension(k) for k in window] for c in curves]
     for mode in no_primes(monkeypatch):
-        exact = [[ACMCurve(c.matrix).ideal.dimension(k) for k in window] for c in curves]
+        # fresh ideals, ranked against the proven bound
+        exact = [
+            [ACMCurve(c.matrix).ideal.dimension(k, predicted_ideal_dimension(2, k)) for k in window]
+            for c in curves
+        ]
         assert exact == default, mode
     assert default[0] == [predicted_ideal_dimension(2, k) for k in window]
 
@@ -263,12 +267,11 @@ def test_wrong_certified_bound_raises(monkeypatch):
     # one below the true dimension: the default primes reach bound + 1
     for k in range(2, 6):
         ideal = GradedIdeal(gens)
-        ideal.set_certified_bound(lambda k: predicted_ideal_dimension(2, k) - 1)
         with pytest.raises(ArithmeticError, match="exceeds certified bound"):
-            ideal.dimension(k)
+            ideal.dimension(k, predicted_ideal_dimension(2, k) - 1)
     ideal = GradedIdeal(gens)
-    # the three generators times x0 already have three distinct lead columns
-    ideal.set_certified_bound(lambda k: 1)
+    # one generator times x0, ..., x3 already has four distinct lead columns,
+    # with the columns in either order
     monkeypatch.setattr(modp, "PRIMES", ())
     with pytest.raises(ArithmeticError, match="exceeds certified bound"):
-        ideal.dimension(3)
+        ideal.dimension(3, 1)

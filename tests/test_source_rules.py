@@ -1,10 +1,16 @@
 """Rules that hold for every module under src/."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from test_resolution_exactness import X0, _common_factor_matrix
+
+from hkcurves.acm_curve import ACMCurve
+from hkcurves.cli import curve_to_document
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -70,15 +76,19 @@ def test_layering():
 
 def test_optimized_run_matches(tmp_path):
     # seeded slices under python -O must behave exactly as without them,
-    # the resolution certificate and the cohomology table included
+    # the resolution certificate and the cohomology table included, and so
+    # must the failing sweep of a document whose minors share the factor x0
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    for command in (
-        ["kronecker", "--r", "3", "--count", "2", "--seed", "0"],
-        ["metric", "--r", "2", "--count", "2", "--seed", "0"],
-        ["rational", "--d", "4", "--count", "3", "--seed", "0"],
-        ["cohomology", "table", "--r", "2"],
-        ["acm", "random", "--r", "2", "--count", "1", "--seed", "0", "--out", str(tmp_path)],
-        ["acm", "verify", str(tmp_path / "curve_r2_s0_000.json")],
+    common = tmp_path / "common_factor.json"
+    common.write_text(json.dumps(curve_to_document(ACMCurve(_common_factor_matrix(2, (X0,), seed=2)))))
+    for command, code in (
+        (["kronecker", "--r", "3", "--count", "2", "--seed", "0"], 0),
+        (["metric", "--r", "2", "--count", "2", "--seed", "0"], 0),
+        (["rational", "--d", "4", "--count", "3", "--seed", "0"], 0),
+        (["cohomology", "table", "--r", "2"], 0),
+        (["acm", "random", "--r", "2", "--count", "1", "--seed", "0", "--out", str(tmp_path)], 0),
+        (["acm", "verify", str(tmp_path / "curve_r2_s0_000.json")], 0),
+        (["acm", "verify", str(common)], 1),
     ):
         runs = [
             subprocess.run(
@@ -87,5 +97,5 @@ def test_optimized_run_matches(tmp_path):
             )
             for flags in (["-O"], [])
         ]
-        assert [run.returncode for run in runs] == [0, 0], command
+        assert [run.returncode for run in runs] == [code, code], command
         assert runs[0].stdout == runs[1].stdout, command
