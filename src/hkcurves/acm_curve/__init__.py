@@ -7,7 +7,7 @@ Fibration by the last two coordinates slices the curve into finite
 planar point sets whose Hilbert functions stratify the parameter line.
 """
 
-from ..exact_algebra.polys import entry_cofactors, signed_maximal_minors
+from ..exact_algebra.polys import signed_maximal_minors
 from .curve import (
     ACMCurve,
     LinearMatrix,
@@ -43,7 +43,6 @@ __all__ = [
     "certify_resolution",
     "curve_degree",
     "curve_genus",
-    "entry_cofactors",
     "invariants",
     "predicted_ideal_dimension",
     "random_real_curve",

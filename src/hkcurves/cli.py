@@ -57,9 +57,9 @@ EXIT_INVALID = 3
 EXIT_NUMERIC = 4
 
 # largest curve-document r that `acm verify` takes: a generic document
-# verifies in 2.1 s at r = 7 on a 2-core Xeon VM (certificate 0.28 s), and
+# verifies in 1.0 s at r = 7 on a 2-core Xeon VM (certificate 0.33 s), and
 # one whose minors share a factor, swept through 2r+2 by exact elimination,
-# fails in 0.99 s at r = 4, 6.0 s at r = 5 and 31 s at r = 6 (ROADMAP item 4)
+# fails in 0.93 s at r = 4, 6.0 s at r = 5 and 26 s at r = 6 (ROADMAP item 4)
 MAX_DOCUMENT_R = 7
 
 

@@ -24,7 +24,8 @@ per prime and kept on the ideal, and level k is scattered from them through
 one [multiplier, generator column] -> level column index array: a shift
 only permutes a row's columns, and reduction mod p acts entry by entry, so
 the scattered level is the reduction of the exact one.  The rows hold no
-denominator, so BadPrime here only means a level that lost rank mod p.
+denominator, so every prime gives a level; one that loses rank mod p only
+misses the certified bound.
 """
 
 from __future__ import annotations
@@ -276,36 +277,6 @@ class GradedIdeal:
         if cached is None:
             cached = self._cache[key] = normal_form_table(self._build(k))
         return cached  # type: ignore[return-value]
-
-    def reduction_table_mod(self, k: int, p: int, s: int) -> Tuple[List[int], np.ndarray]:
-        """Quotient columns of degree k and every degree-k monomial's normal
-        form on them, mod p: table[c] is the row of column c.
-
-        The level is scattered from the Gaussian-integer generator rows, each
-        a nonzero multiple of its Q(i) row, so it is the reduction of an
-        integer matrix M whose rows span I_k.  The columns are the complement
-        of the pivots J_p of its RREF mod p (`modp.rref_mod`), which must
-        reach dimension(k), else this raises BadPrime: a prime dividing a
-        row's scale can only lower that rank.  At full rank some minor of M
-        on the columns J_p is nonzero mod p, so it is nonzero, and the
-        complement of J_p is a basis of (R/I)_k.  The exact normal forms on
-        that basis have denominators dividing such a minor, so they reduce
-        to the RREF's: -R[:, quotient] at the pivots and unit vectors at the
-        quotient columns.  Below the generator degree the level is empty
-        and the table is the identity.
-        """
-        ncols = monomial_count(self.num_vars, k)
-        if k < self.gen_degree:
-            return list(range(ncols)), np.eye(ncols, dtype=np.int64)
-        pivots, rref = modp.rref_mod(self._level_mod(k, p, s), p)
-        if len(pivots) != self.dimension(k):
-            raise modp.BadPrime(f"level {k} has rank {len(pivots)} mod {p}, not {self.dimension(k)}")
-        taken = set(pivots)
-        quotient = [c for c in range(ncols) if c not in taken]
-        table = np.zeros((ncols, len(quotient)), dtype=np.int64)
-        table[quotient, np.arange(len(quotient))] = 1
-        table[pivots] = -rref[:, quotient] % p
-        return quotient, table
 
     def normal_form(self, poly: HomogPoly) -> Dict[int, GaussianRational]:
         """Coordinates of poly mod I_k on the quotient monomial basis."""

@@ -1,19 +1,22 @@
-"""Modular rank computations used as one side of a rank sandwich.
+"""Modular ranks, used as the lower side of a rank sandwich.
 
 For a Gaussian-integer matrix reduced mod p (p prime, p = 1 mod 4, i sent
 to a square root s of -1), rank mod p never exceeds the exact rank.  Callers
 that already hold a proven upper bound can therefore certify the exact rank
-by hitting the bound modulo a single prime.  A prime that misses the bound
-proves nothing; callers retry or fall back to exact arithmetic.
+by hitting the bound modulo a single prime (`sparse_rank_certificate`).  A
+prime that misses the bound proves nothing; callers fall back to exact
+arithmetic.  Only ranks are read here: no echelon or product mod p leaves
+this module.
 
 Rows arrive in the Gaussian-integer row format of `ideals`, and no Q(i)
-value is built here.  BadPrime marks a prime that lost a rank the caller
-needs, or one that divides a coefficient denominator (`value_mod`).
+value is built here.  BadPrime marks a prime at which a value has no image,
+one that divides a coefficient denominator (`value_mod`); the certificate
+skips such a prime.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -81,20 +84,7 @@ def rows_mod(rows: SparseRows, ncols: int, p: int, s: int) -> np.ndarray:
     return out
 
 
-def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p for reduced int64 matrices.
-
-    Each pass adds at most budget(p) unreduced products to a reduced partial
-    sum, then reduces once, so no int64 sum overflows (see `budget`).
-    """
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    step = budget(p)
-    for k in range(0, a.shape[1], step):
-        out = (out + a[:, k : k + step] @ b[k : k + step]) % p
-    return out
-
-
-def _eliminate(m: np.ndarray, p: int, stop: int | None, reduce_above: bool) -> List[int]:
+def _eliminate(m: np.ndarray, p: int, stop: int | None) -> List[int]:
     """Gaussian elimination mod p in place with delayed reduction; returns
     the pivot columns.
 
@@ -102,11 +92,9 @@ def _eliminate(m: np.ndarray, p: int, stop: int | None, reduce_above: bool) -> L
     columns independent mod p; elimination stops once `stop` pivots are
     found.  Each step reduces only the pivot column, to find the pivot, and
     the pivot row, which it makes monic.  It then subtracts col * row from
-    the rows the column hits (every row but the pivot's with reduce_above,
-    else the rows below it), on the columns right of the pivot only, and
-    reduces nothing there.  No step reads a column left of its own again:
-    there the rows below the rank are zero mod p, and `rref_mod` writes the
-    rank rows' pivot entries itself.
+    the rows below the pivot that the column hits, on the columns right of
+    the pivot only, and reduces nothing there.  No step reads a column left
+    of its own again: there the rows below the rank are zero mod p.
 
     Soundness of the int64 arithmetic: the entries start with |x| < p, and
     each step subtracts a product in [0, (p-1)^2], so after t steps
@@ -136,21 +124,14 @@ def _eliminate(m: np.ndarray, p: int, stop: int | None, reduce_above: bool) -> L
             m[[rank, rank + first]] = m[[rank + first, rank]]
         row = m[rank, c + 1 :] % p * inv % p
         pivots.append(c)
-        if reduce_above:
-            m[rank, c + 1 :] = row
-            lo = 0
-            col = np.concatenate((m[:rank, c] % p, col))
-            hit = col.nonzero()[0]
-        else:
-            lo = rank
-            hit = nz[1:]
+        hit = nz[1:]
         if hit.size == 0 or c + 1 == ncols:
             continue
         if pending == step:
-            m[lo:, c + 1 :] %= p
+            m[rank:, c + 1 :] %= p
             pending = 0
         pending += 1
-        view = m[lo:, c + 1 :]
+        view = m[rank:, c + 1 :]
         if 2 * hit.size > len(col):
             view -= np.outer(col, row)
         else:
@@ -161,45 +142,25 @@ def _eliminate(m: np.ndarray, p: int, stop: int | None, reduce_above: bool) -> L
 def rank_mod(matrix: np.ndarray, p: int, stop_rank: int | None = None) -> int:
     """Rank mod p of a matrix with |entries| < p, by `_eliminate` in place
     (early exit at stop_rank)."""
-    return len(_eliminate(matrix, p, stop_rank, False))
-
-
-def rref_mod(matrix: np.ndarray, p: int) -> Tuple[List[int], np.ndarray]:
-    """Reduced row echelon form mod p, in place: (pivot columns, the rank rows).
-
-    `_eliminate` clears each pivot column above and below the pivot, so the
-    rank rows need one reduction at the end; their pivot columns, which it
-    never writes, are the identity.
-    """
-    pivots = _eliminate(matrix, p, None, True)
-    rows = matrix[: len(pivots)]
-    rows %= p
-    rows[:, pivots] = np.eye(len(pivots), dtype=np.int64)
-    return pivots, rows
-
-
-def each_prime(reduce: Callable[[int, int], object]) -> Iterator[Tuple[int, object]]:
-    """(p, reduce(p, s)) for each prime of PRIMES in turn, skipping a prime
-    at which reduce raises BadPrime."""
-    for p, s in PRIMES:
-        try:
-            reduced = reduce(p, s)
-        except BadPrime:
-            continue
-        yield p, reduced
+    return len(_eliminate(matrix, p, stop_rank))
 
 
 def sparse_rank_certificate(upper_bound: int, level: Callable[[int, int], np.ndarray]) -> bool:
     """True iff some prime exhibits rank == upper_bound (then exact rank == bound).
 
-    `level(p, s)` returns the matrix reduced at p, or raises BadPrime.
-    rank mod p <= exact rank <= upper_bound for every usable prime p, so a
-    modular rank at the bound pins the exact rank, and one above it proves
-    the bound false: that raises ArithmeticError.  False means no tried
-    prime reached the bound; the exact rank may still equal it, so the
-    caller must recheck exactly before concluding anything.
+    `level(p, s)` returns the matrix reduced at p, or raises BadPrime, and
+    then the prime is skipped.  rank mod p <= exact rank <= upper_bound for
+    every usable prime p, so a modular rank at the bound pins the exact
+    rank, and one above it proves the bound false: that raises
+    ArithmeticError.  False means no tried prime reached the bound; the
+    exact rank may still equal it, so the caller must recheck exactly
+    before concluding anything.
     """
-    for p, m in each_prime(level):
+    for p, s in PRIMES:
+        try:
+            m = level(p, s)
+        except BadPrime:
+            continue
         rank = rank_mod(m, p, upper_bound + 1)
         if rank > upper_bound:
             raise ArithmeticError(f"rank {rank} mod p exceeds certified bound {upper_bound}")

@@ -7,13 +7,10 @@ runs on ints and equal forms are equal structurally; GaussianRational
 coefficients appear only in the `coeffs` view read at the boundary.
 Monomial bases are lexicographically descending, so coordinate layouts are
 reproducible across runs, and `shift_index` maps a basis times a list of
-monomials into a higher degree.  `signed_maximal_minors` and
-`entry_cofactors` share the one Laplace kernel for the maximal minors of an
-(r+1) x r matrix of forms, in any number of variables: the curve's minors
-in four, a pencil's in two.  The kernel reads only ring operations, so it
-runs on HomogPoly over Q(i) and on FormMod, a form mod p held as an int64
-coefficient vector.  UniPoly is the univariate workhorse for
-pencil minor gcds and binary forms.
+monomials into a higher degree.  `signed_maximal_minors` reads the one
+Laplace kernel for the maximal minors of an (r+1) x r matrix of forms, in
+any number of variables: the curve's minors in four, a pencil's in two.
+UniPoly is the univariate workhorse for pencil minor gcds and binary forms.
 """
 
 from __future__ import annotations
@@ -27,7 +24,6 @@ from types import MappingProxyType
 
 import numpy as np
 
-from . import modp
 from .scalars import GaussianRational
 
 _ZERO = GaussianRational(0)
@@ -170,10 +166,6 @@ class HomogPoly:
                 out[m] = (prev[0] + a1 * a2 - b1 * b2, prev[1] + a1 * b2 + b1 * a2)
         return self._like(out, self.den * other.den, self.degree + other.degree)
 
-    def constant(self, c) -> "HomogPoly":
-        """The degree-0 form c in this form's variables."""
-        return HomogPoly(self.num_vars, 0, {(0,) * self.num_vars: c})
-
     def mul_monomial(self, mono: tuple) -> "HomogPoly":
         shift = {tuple(map(add, m, mono)): ab for m, ab in self.terms.items()}
         return self._like(shift, self.den, self.degree + sum(mono))
@@ -209,63 +201,6 @@ class HomogPoly:
         return " + ".join(parts)
 
 
-@lru_cache(maxsize=None)
-def _product_index(num_vars: int, high: int, low: int) -> np.ndarray:
-    """[k, n]: index of monomial n of degree `high` times monomial k of degree
-    `low`; cached, so it is read-only."""
-    index = shift_index(monomial_basis(num_vars, high), monomial_basis(num_vars, low), high + low, num_vars)
-    index.setflags(write=False)
-    return index
-
-
-class FormMod:
-    """Homogeneous form mod p: int64 coefficients on monomial_basis(num_vars, degree).
-
-    It has the ring operations the Laplace kernel reads (+, unary -, *,
-    is_zero, scale, constant), so the kernel runs on it unchanged.  Entries
-    stay reduced.  A product sums at most `modp.budget(p)` unreduced
-    products of reduced coefficients into a reduced vector before it reduces
-    once, so no int64 value overflows (see `modp.budget`).
-    """
-
-    __slots__ = ("num_vars", "degree", "vec", "p")
-
-    def __init__(self, num_vars: int, degree: int, vec: np.ndarray, p: int):
-        self.num_vars, self.degree, self.vec, self.p = num_vars, degree, vec, p
-
-    def _like(self, vec: np.ndarray, degree: int | None = None) -> "FormMod":
-        return FormMod(self.num_vars, self.degree if degree is None else degree, vec, self.p)
-
-    def constant(self, c: int) -> "FormMod":
-        return self._like(np.array([c % self.p], dtype=np.int64), 0)
-
-    def is_zero(self) -> bool:
-        return not self.vec.any()
-
-    def __add__(self, other: "FormMod") -> "FormMod":
-        return self._like((self.vec + other.vec) % self.p)
-
-    def __neg__(self) -> "FormMod":
-        return self._like(-self.vec % self.p)
-
-    def scale(self, c: int) -> "FormMod":
-        return self._like(self.vec * (c % self.p) % self.p)
-
-    def __mul__(self, other: "FormMod") -> "FormMod":
-        # one pass per monomial of the shorter factor; within a pass the
-        # shifted monomials are distinct, so the scatter has no collisions
-        high, low = (self, other) if len(self.vec) >= len(other.vec) else (other, self)
-        index = _product_index(self.num_vars, high.degree, low.degree)
-        out = np.zeros(monomial_count(self.num_vars, self.degree + other.degree), dtype=np.int64)
-        terms = [(k, c) for k, c in enumerate(low.vec.tolist()) if c]
-        step = modp.budget(self.p)
-        for start in range(0, len(terms), step):
-            for k, c in terms[start : start + step]:
-                out[index[k]] += c * high.vec
-            out %= self.p
-        return self._like(out, self.degree + other.degree)
-
-
 # ---------------------------------------------------------------------------
 # maximal minors of a matrix of forms: the one Laplace kernel
 
@@ -276,8 +211,8 @@ def _laplace_dets(entries, rows, cols, one) -> dict:
 
     One pass of Laplace expansion along the columns in order: each subset
     expands along its last column through the subsets one row smaller.
-    The entries are HomogPoly, or FormMod for the same pass mod p; `one`
-    is the unit form of their ring.
+    `one` is the constant form 1 in the entries' variables, the determinant
+    of the empty subset.
     """
     dets = {(): one}
     for depth, col in enumerate(cols):
@@ -304,42 +239,12 @@ def signed_maximal_minors(entries: list[list[HomogPoly]]) -> list[HomogPoly]:
     ncols = len(entries[0]) if entries else 0
     if nrows != ncols + 1:
         raise ValueError(f"expected (r+1) x r entries, got {nrows} x {ncols}")
-    dets = _laplace_dets(entries, range(nrows), range(ncols), entries[0][0].constant(1))
+    n = entries[0][0].num_vars
+    dets = _laplace_dets(entries, range(nrows), range(ncols), HomogPoly(n, 0, {(0,) * n: 1}))
     out = []
     for skip in range(nrows):
         d = dets[tuple(a for a in range(nrows) if a != skip)]
         out.append(d if skip % 2 == 0 else -d)
-    return out
-
-
-def entry_cofactors(entries: list[list]) -> list[list[list]]:
-    """d[i0][j0][i]: derivative of minor_i in the entry (i0, j0).
-
-    Perturbing entry (i0, j0) by a form f moves minor_i by f * d[i0][j0][i]:
-    the signed maximal minors of the matrix without row i0 and column j0,
-    times (-1)^(i0+j0+1), with zero at i = i0.  That minor is the
-    determinant of the rows other than i0 and i against the columns other
-    than j0, so one Laplace pass per j0 gives d[i0][j0][i] for every i0.
-    Differentiating the Laplace expansion sum_i minor_i * entries[i][j] = 0
-    (a determinant with a repeated column) in that entry gives, for every
-    matrix,
-
-        sum_i d[i0][j0][i] * entries[i][j] = -minor_i0 * delta(j, j0).
-
-    On FormMod entries the same pass gives the cofactors mod p.
-    """
-    r = len(entries) - 1
-    one = entries[0][0].constant(1)
-    out = [[[None] * (r + 1) for _ in range(r)] for _ in range(r + 1)]
-    for j0 in range(r):
-        dets = _laplace_dets(entries, range(r + 1), [b for b in range(r) if b != j0], one)
-        zero = dets[tuple(range(r - 1))].scale(0)
-        for i0 in range(r + 1):
-            out[i0][j0][i0] = zero
-        for i0, i in itertools.permutations(range(r + 1), 2):
-            d = dets[tuple(a for a in range(r + 1) if a not in (i0, i))]
-            # i sits at position i - (i > i0) among the rows other than i0
-            out[i0][j0][i] = -d if (i0 + j0 + i - (i > i0)) % 2 == 0 else d
     return out
 
 

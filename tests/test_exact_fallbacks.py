@@ -1,8 +1,8 @@
 """Exact fallbacks behind the modular rank shortcuts.
 
-Every modular shortcut goes through `modp.each_prime`, which tries the
-primes of `modp.PRIMES` in turn and skips a prime whose reduction raises
-`BadPrime`.  With no primes at all, and again with every prime bad, each
+Every modular shortcut goes through `modp.sparse_rank_certificate`, which
+tries the primes of `modp.PRIMES` in turn and skips a prime whose reduction
+raises `BadPrime`.  With no primes at all, and again with every prime bad, each
 caller must reach the same answer by exact elimination alone.
 """
 
@@ -13,7 +13,7 @@ import pytest
 from hkcurves.acm_curve import ACMCurve, predicted_ideal_dimension, random_sigma_curve
 from hkcurves import cohomology, pencil, rational_curve
 from hkcurves.cohomology import cohomology_table, normal_sections
-from hkcurves.exact_algebra import modp
+from hkcurves.exact_algebra import ideals, modp
 from hkcurves.exact_algebra.ideals import GradedIdeal
 from hkcurves.exact_algebra.linalg import ExactMatrix
 from hkcurves.exact_algebra.polys import monomial_count
@@ -102,92 +102,42 @@ def test_sections_and_cohomology_when_primes_divide_the_scale(monkeypatch):
     rank_calls = count_rank_calls(monkeypatch)
 
     def counts(curve):
-        sections = (normal_sections(curve, 0), normal_sections(curve, -1))
+        curve.certificate()
         rank_calls.clear()
+        sections = (normal_sections(curve, 0), normal_sections(curve, -1))
         rows = cohomology_table(curve, twists[0], twists[-1]).rows
-        assert rank_calls == [], "the cohomology table takes no rank"
+        assert rank_calls == [], "sections and the cohomology table take no rank"
         return sections, rows
 
-    section_ranks = []
-    sparse_row_rank = cohomology.sparse_row_rank
-
-    def counting_rank(rows):
-        section_ranks.append(len(rows))
-        return sparse_row_rank(rows)
-
-    monkeypatch.setattr(cohomology, "sparse_row_rank", counting_rank)
     default = [counts(c) for c in curves]
-    assert section_ranks == [], "a prime should pin every count"
     scaled = [ACMCurve(scaled_by_every_prime(c.coeffs)) for c in curves]
     assert [counts(c) for c in scaled] == default
-    # two twists of normal sections per curve
-    assert len(section_ranks) == 2 * len(curves)
     assert [sections for sections, _ in default] == [(12, 6), (12, 6)]
 
 
 def test_normal_sections_without_primes(monkeypatch):
-    curves = [random_sigma_curve(2, seed) for seed in (7, 8)]
-    sextic = random_sigma_curve(3, 7)
-    exact_ranks = []
-    sparse_row_rank = cohomology.sparse_row_rank
+    curves = [random_sigma_curve(2, seed) for seed in (7, 8)] + [random_sigma_curve(3, 7)]
+    rank_calls = count_rank_calls(monkeypatch)
 
-    def counting_rank(rows):
-        exact_ranks.append(len(rows))
-        return sparse_row_rank(rows)
+    def counts(curve):
+        curve.certificate()
+        rank_calls.clear()
+        sections = (normal_sections(curve, 0), normal_sections(curve, -1))
+        assert rank_calls == [], "normal sections take no rank"
+        return sections
 
-    monkeypatch.setattr(cohomology, "sparse_row_rank", counting_rank)
-    default = [(normal_sections(c, 0), normal_sections(c, -1)) for c in curves + [sextic]]
-    assert exact_ranks == [], "a prime should pin every count"
+    default = [counts(c) for c in curves]
     for mode in no_primes(monkeypatch):
-        exact_ranks.clear()
-        fresh = [ACMCurve(c.matrix) for c in curves + [sextic]]
-        assert [(normal_sections(c, 0), normal_sections(c, -1)) for c in fresh] == default, mode
-        assert len(exact_ranks) >= 2 * len(fresh), mode
+        # fresh copies, so that the certificate ranks its level exactly
+        assert [counts(ACMCurve(c.matrix)) for c in curves] == default, mode
     assert default == [(12, 6), (12, 6), (24, 12)]
 
 
-def test_normal_sections_when_levels_lose_rank(monkeypatch):
-    # a level whose rank drops mod p gives no quotient basis there: the
-    # prime is skipped, so the counts come from the next prime, and with
-    # every prime dropping a rank, from exact elimination
-    curves = [random_sigma_curve(2, 7), random_sigma_curve(3, 7)]
-    for curve in curves:
-        curve.certificate()
-    default = [(normal_sections(c, 0), normal_sections(c, -1)) for c in curves]
-    exact_ranks = []
-    sparse_row_rank = cohomology.sparse_row_rank
-
-    def counting_rank(rows):
-        exact_ranks.append(len(rows))
-        return sparse_row_rank(rows)
-
-    monkeypatch.setattr(cohomology, "sparse_row_rank", counting_rank)
-    level_mod = GradedIdeal._level_mod
-    for dropping in ({modp.PRIMES[0][0]}, {p for p, _ in modp.PRIMES}):
-        dropped = []
-
-        def losing_rank(ideal, k, p, s):
-            level = level_mod(ideal, k, p, s)
-            if p not in dropping:
-                return level
-            dropped.append(p)
-            # the reduced echelon rows without the last span one less
-            return modp.rref_mod(level, p)[1][:-1].copy()
-
-        monkeypatch.setattr(GradedIdeal, "_level_mod", losing_rank)
-        exact_ranks.clear()
-        assert [(normal_sections(c, 0), normal_sections(c, -1)) for c in curves] == default
-        assert set(dropped) == dropping
-        if len(dropping) == 1:
-            assert exact_ranks == [], "the next prime should pin every count"
-        else:
-            assert len(exact_ranks) == 2 * len(curves)
-    assert default == [(12, 6), (24, 12)]
-
-
 def count_rank_calls(monkeypatch):
-    """List that grows by one per exact (`ExactMatrix.rank`) or modular
-    (`modp.rank_mod`, also as `cohomology` imports it) rank."""
+    """List that grows by one per exact rank (`ExactMatrix.rank`, the
+    `ideals.sparse_echelon` behind every graded level, and `sparse_row_rank`
+    as `cohomology` imports it) or modular one (`modp.rank_mod`, and
+    `sparse_rank_certificate` as `ideals` imports it)."""
     calls = []
 
     def counting(name, rank):
@@ -197,9 +147,14 @@ def count_rank_calls(monkeypatch):
 
         return counted
 
-    monkeypatch.setattr(ExactMatrix, "rank", counting("ExactMatrix.rank", ExactMatrix.rank))
-    monkeypatch.setattr(modp, "rank_mod", counting("rank_mod", modp.rank_mod))
-    monkeypatch.setattr(cohomology, "rank_mod", counting("rank_mod", cohomology.rank_mod))
+    for owner, name in (
+        (ExactMatrix, "rank"),
+        (ideals, "sparse_echelon"),
+        (cohomology, "sparse_row_rank"),
+        (modp, "rank_mod"),
+        (ideals, "sparse_rank_certificate"),
+    ):
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
     return calls
 
 

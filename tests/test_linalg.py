@@ -12,7 +12,6 @@ from hkcurves.exact_algebra.linalg import ExactMatrix
 from hkcurves.exact_algebra.modp import (
     PRIMES,
     BadPrime,
-    matmul_mod,
     rank_mod,
     rows_mod,
     sparse_rank_certificate,
@@ -153,20 +152,6 @@ def test_rows_mod_matches_value_mod():
             for c, a, b in row:
                 want[i, c] = value_mod(GaussianRational(a, b), p, s)
         assert np.array_equal(got, want)
-
-
-def test_matmul_mod_matches_exact_product(monkeypatch):
-    rng = random.Random(24)
-    # the default budget, then partial sums reduced every product or three
-    for cut in (None, 1, 3):
-        if cut is not None:
-            monkeypatch.setattr(modp, "budget", lambda p: cut)
-        for p, _ in PRIMES:
-            a = np.array([[rng.randrange(p) for _ in range(19)] for _ in range(3)], dtype=np.int64)
-            b = np.array([[rng.randrange(p) for _ in range(4)] for _ in range(19)], dtype=np.int64)
-            a[0] = b[:, 0] = p - 1  # the largest sums
-            want = [[sum(int(x) * int(y) for x, y in zip(row, col)) % p for col in b.T] for row in a]
-            assert matmul_mod(a, b, p).tolist() == want
 
 
 def test_rank_mod_lower_bounds_exact_rank():

@@ -1,9 +1,8 @@
 """Equality of the Gaussian-integer `HomogPoly` and Laplace kernel with the Q(i) ones.
 
 The private reference below is the polynomial arithmetic as it ran on a
-{monomial: GaussianRational} dict, and `entry_cofactors` as it ran: one
-`signed_maximal_minors` call per (i0, j0) on the matrix without row i0 and
-column j0, with frozenset row keys.  The library must give equal forms.
+{monomial: GaussianRational} dict, and `signed_maximal_minors` as it ran,
+with frozenset row keys.  The library must give equal forms.
 """
 
 import itertools
@@ -12,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from hkcurves.acm_curve import LinearMatrix, entry_cofactors, signed_maximal_minors
+from hkcurves.acm_curve import LinearMatrix, signed_maximal_minors
 from hkcurves.exact_algebra.linalg import ExactMatrix
 from hkcurves.exact_algebra.polys import HomogPoly, monomial_basis
 from hkcurves.exact_algebra.scalars import GaussianRational, random_gaussian_rows
@@ -101,23 +100,6 @@ def _ref_signed_maximal_minors(entries, num_vars=4):
     return [dets[full - {skip}] if skip % 2 == 0 else -dets[full - {skip}] for skip in range(nrows)]
 
 
-def _ref_entry_cofactors(entries):
-    r = len(entries) - 1
-    out = []
-    for i0 in range(r + 1):
-        rows = [entries[a] for a in range(r + 1) if a != i0]
-        per_column = []
-        for j0 in range(r):
-            sub = [[row[b] for b in range(r) if b != j0] for row in rows]
-            cof = _ref_signed_maximal_minors(sub) if r > 1 else [_RefPoly(4, 0, {(0,) * 4: _ONE})]
-            if (i0 + j0) % 2 == 0:
-                cof = [-d for d in cof]
-            cof.insert(i0, _RefPoly(4, r - 1, {}))
-            per_column.append(cof)
-        out.append(per_column)
-    return out
-
-
 def _rational(rng, span=9, den=6):
     return GaussianRational(
         Fraction(rng.randint(-span, span), rng.randint(1, den)),
@@ -198,11 +180,9 @@ def test_minors_and_cofactors_match_reference(r):
     cases = [_linear_entries(r, rng, nvars)]
     if r <= 4:
         cases.append(_linear_entries(r, rng, 4, den=GaussianRational(Fraction(3, 2), Fraction(1, 5))))
+    # the signed maximal minors are the cofactors along a column appended
+    # to the matrix, so the name covers them
     for entries in cases:
         ref_entries = [[_ref(e) for e in row] for row in entries]
         for got, want in zip(signed_maximal_minors(entries), _ref_signed_maximal_minors(ref_entries)):
             assert_same(got, want)
-        cofactors = entry_cofactors(entries)
-        reference = _ref_entry_cofactors(ref_entries)
-        for i0, j0, i in itertools.product(range(r + 1), range(r), range(r + 1)):
-            assert_same(cofactors[i0][j0][i], reference[i0][j0][i])
