@@ -241,6 +241,17 @@ def cmd_kronecker(args: argparse.Namespace) -> int:
 # acm verify
 
 
+def _certificate_stage(curve: ACMCurve) -> Dict[str, Any]:
+    cert = curve.certificate()
+    return {
+        "stage": "resolution_certificate",
+        "ok": bool(cert.ok),
+        "dimensions": list(cert.dimensions),
+        "expected": list(cert.expected),
+        "mismatches": [list(m) for m in cert.mismatches],
+    }
+
+
 def _verify_stages(
     curve: ACMCurve, seed: int, num_fibers: int
 ) -> List[Dict[str, Any]]:
@@ -252,18 +263,9 @@ def _verify_stages(
     stages.append(
         {"stage": "sigma_invariance", "ok": is_sigma_invariant_ideal(curve.ideal.generators, r)}
     )
-    cert = curve.certificate()
-    stages.append(
-        {
-            "stage": "resolution_certificate",
-            "ok": bool(cert.ok),
-            "dimensions": list(cert.dimensions),
-            "expected": list(cert.expected),
-            "mismatches": [list(m) for m in cert.mismatches],
-        }
-    )
+    stages.append(_certificate_stage(curve))
     _timing("certificates", t0)
-    if not cert.ok:
+    if not stages[-1]["ok"]:
         return stages
 
     t0 = time.perf_counter()
@@ -522,6 +524,20 @@ def cmd_cohomology_table(args: argparse.Namespace) -> int:
         curve = random_sigma_curve(args.r, args.seed)
         source = f"random_sigma_curve(r={args.r}, seed={args.seed})"
     r = curve.matrix.r
+    cert = _certificate_stage(curve)
+    if not cert["ok"]:
+        # the table is read off the certified resolution
+        doc = {
+            "command": "cohomology table",
+            "input": source,
+            "r": r,
+            "stages": [cert],
+            "failed_stage": cert["stage"],
+            "passed": False,
+        }
+        _emit_json(doc, args.out, "cohomology_table.json")
+        _timing("cohomology table", t0)
+        return EXIT_FAIL
     table = cohomology_table(curve, r - 3, r + 1)
     ellia = ellia_stability_check(curve)
     doc = {

@@ -7,7 +7,7 @@ adapter converts out.
 
 from .ideals import GradedIdeal, sparse_row_rank
 from .linalg import ExactMatrix, graded_matrix
-from .modp import PRIMES, rank_mod, rows_mod, sparse_rank_certificate, value_mod
+from .modp import PRIMES, rank_mod, rows_mod, sparse_rank_certificate
 from .polys import (
     HomogPoly,
     UniPoly,
@@ -35,5 +35,4 @@ __all__ = [
     "rank_mod",
     "rows_mod",
     "sparse_rank_certificate",
-    "value_mod",
 ]

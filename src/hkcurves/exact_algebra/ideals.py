@@ -19,26 +19,22 @@ its entries are ratios of minors of the input rows; a deferred row is kept
 primitive, so its content does not compound along a reduction chain.
 
 A graded level I_k is spanned by the monomial shifts of the reduced
-generators.  On the modular route the generators are reduced mod p once
-per prime and kept on the ideal, and level k is scattered from them through
-one [multiplier, generator column] -> level column index array: a shift
-only permutes a row's columns, and reduction mod p acts entry by entry, so
-the scattered level is the reduction of the exact one.  The rows hold no
-denominator, so every prime gives a level; one that loses rank mod p only
-misses the certified bound.
+generators.  `certified_rank` is the one rank sandwich: rank mod p <= exact
+rank <= a proven bound, so a prime that meets the bound pins the rank, and
+exact elimination decides otherwise.  Its rows hold no denominator, so
+every prime gives a matrix; one that loses rank mod p only misses the bound.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from . import modp
 from .modp import sparse_rank_certificate
-from .polys import HomogPoly, monomial_basis, monomial_count, monomial_index, shift_index
+from .polys import HomogPoly, monomial_basis, monomial_count, monomial_index
 from .scalars import GaussianRational
 
 Row = List[Tuple[int, int, int]]
@@ -109,7 +105,7 @@ def sparse_echelon(rows: Iterable[Row], target: Optional[int] = None) -> List[Ro
     A first pass places every row whose lead column is still free; the
     deferred rows are then reduced against the pivots.  `target` is a
     proven upper bound on the rank: reduction stops once it is reached,
-    and a rank above it raises ArithmeticError.
+    and a first pass that places more pivots raises ArithmeticError.
     """
     pivots: Dict[int, Row] = {}
     deferred: List[Row] = []
@@ -134,6 +130,23 @@ def sparse_echelon(rows: Iterable[Row], target: Optional[int] = None) -> List[Ro
     if target is not None and len(pivots) > target:
         raise ArithmeticError(f"rank {len(pivots)} exceeds certified bound {target}")
     return [pivots[c] for c in sorted(pivots)]
+
+
+def certified_rank(rows: Sequence[Row], ncols: int, bound: Optional[int]) -> int:
+    """Rank of Gaussian-integer rows with `ncols` columns, given `bound`, a
+    proven upper bound on it, or None.
+
+    rank mod p <= exact rank <= bound for every prime p: Z[i] -> Z/p with
+    i -> s is a ring map, so a minor that is nonzero mod p is nonzero (see
+    `modp.rows_mod`).  So a prime whose rank meets the bound pins the exact
+    rank, and one above it proves the bound false (ArithmeticError).
+    Otherwise `sparse_echelon` ranks the rows exactly and stops at the
+    bound; rows with more distinct lead columns than the bound raise
+    ArithmeticError there too.  With no bound no prime is tried.
+    """
+    if bound is not None and sparse_rank_certificate(bound, lambda p, s: modp.rows_mod(rows, ncols, p, s)):
+        return bound
+    return len(sparse_echelon(rows, bound))
 
 
 def normal_form_table(echelon: Sequence[Row]) -> Dict[int, Dict[int, GaussianRational]]:
@@ -198,28 +211,17 @@ class GradedIdeal:
             )
         return cached  # type: ignore[return-value]
 
-    def _shifts(self, k: int) -> np.ndarray:
-        """[multiplier, generator column] -> level-k column of the shifted generator."""
+    def _shift_columns(self, k: int) -> List[List[int]]:
+        """Per degree k - d multiplier: the level-k column of each generator column."""
         n, d = self.num_vars, self.gen_degree
-        return shift_index(monomial_basis(n, d), monomial_basis(n, k - d), k, n)
+        index, monos = monomial_index(n, k), monomial_basis(n, d)
+        return [[index[tuple(map(add, m, e))] for m in monos] for e in monomial_basis(n, k - d)]
 
     def _row_stream(self, k: int) -> List[Row]:
         gens = self._reduced_generators()
         # adding a fixed exponent vector preserves lex order, so the shifted
         # row is already sorted
-        return [[(cols[c], a, b) for c, a, b in row] for cols in self._shifts(k).tolist() for row in gens]
-
-    def _level_mod(self, k: int, p: int, s: int) -> np.ndarray:
-        """rows_mod(self._row_stream(k), ...) at p, scattered from the
-        generators reduced once per prime (see the module docstring)."""
-        gens = self._cache.get(("mod", p))
-        if gens is None:
-            ncols = monomial_count(self.num_vars, self.gen_degree)
-            gens = self._cache[("mod", p)] = modp.rows_mod(self._reduced_generators(), ncols, p, s)
-        idx = self._shifts(k)
-        out = np.zeros((len(idx), len(gens), monomial_count(self.num_vars, k)), dtype=np.int64)
-        out[np.arange(len(idx))[:, None, None], np.arange(len(gens))[:, None], idx[:, None, :]] = gens
-        return out.reshape(-1, out.shape[2])
+        return [[(cols[c], a, b) for c, a, b in row] for cols in self._shift_columns(k) for row in gens]
 
     def _build(self, k: int) -> List[Row]:
         if k in self._levels:
@@ -234,28 +236,31 @@ class GradedIdeal:
     # -- queries ----------------------------------------------------------
 
     def dimension(self, k: int, bound: Optional[int] = None) -> int:
-        """dim I_k, given `bound`, a proven upper bound on it, or None.
+        """dim I_k, given `bound`, a proven upper bound on it, or None, by
+        `certified_rank` of the level's rows.
 
-        A prime whose rank meets the bound pins it (rank mod p never exceeds
-        the exact rank); one above it raises ArithmeticError.  Otherwise the
-        rows are ranked exactly, above the generator degree with the columns
-        reversed, which keeps the entries far smaller than lex-greatest
-        pivots do and cannot change a rank: it multiplies by an invertible
+        Above the generator degree the rows get reversed columns, which keeps
+        the entries of an exact echelon far smaller than lex-greatest pivots
+        do and cannot change a rank: it multiplies by an invertible
         permutation matrix.  No echelon is kept, since `_build`'s pivots and
         normal forms need the lex order.
         """
         if k in self._dims:
             return self._dims[k]
+        ncols = monomial_count(self.num_vars, k)
         if k < self.gen_degree:
             dim = 0
-        elif bound is not None and sparse_rank_certificate(bound, lambda p, s: self._level_mod(k, p, s)):
-            dim = bound
-        else:
-            rows, last = self._row_stream(k), monomial_count(self.num_vars, k) - 1
+        elif k == self.gen_degree:
             # the reduced generators are already an echelon in lex order
-            if k > self.gen_degree:
-                rows = ([(last - c, a, b) for c, a, b in reversed(row)] for row in rows)
-            dim = len(sparse_echelon(rows, bound))
+            dim = certified_rank(self._reduced_generators(), ncols, bound)
+        else:
+            gens, last = self._reduced_generators(), ncols - 1
+            rows = [
+                [(last - cols[c], a, b) for c, a, b in reversed(row)]
+                for cols in self._shift_columns(k)
+                for row in gens
+            ]
+            dim = certified_rank(rows, ncols, bound)
         self._dims[k] = dim
         return dim
 

@@ -5,13 +5,11 @@ to a square root s of -1), rank mod p never exceeds the exact rank.  Callers
 that already hold a proven upper bound can therefore certify the exact rank
 by hitting the bound modulo a single prime (`sparse_rank_certificate`).  A
 prime that misses the bound proves nothing; callers fall back to exact
-arithmetic.  Only ranks are read here: no echelon or product mod p leaves
-this module.
+arithmetic (`ideals.certified_rank` pairs the two).  Only ranks are read
+here: no echelon or product mod p leaves this module.
 
 Rows arrive in the Gaussian-integer row format of `ideals`, and no Q(i)
-value is built here.  BadPrime marks a prime at which a value has no image,
-one that divides a coefficient denominator (`value_mod`); the certificate
-skips such a prime.
+value is built here.
 """
 
 from __future__ import annotations
@@ -19,8 +17,6 @@ from __future__ import annotations
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
-
-from .scalars import GaussianRational
 
 # primes = 1 mod 4 below 2^26, each with a quadratic non-residue g, so that
 # g^((p-1)/4) is a square root of -1 (the image of i); budget(p) = 2048
@@ -49,20 +45,6 @@ def budget(p: int) -> int:
 
 
 SparseRows = Sequence[Sequence[Tuple[int, int, int]]]
-
-
-class BadPrime(ValueError):
-    """The reduction at p is unusable: a level loses rank mod p, or p
-    divides a coefficient denominator, so the value has no image mod p."""
-
-
-def value_mod(v: GaussianRational, p: int, s: int) -> int:
-    """The image of v: its numerators a + s*b over the common denominator,
-    times that denominator's inverse mod p."""
-    a, b, den = v.integer_parts()
-    if den % p == 0:
-        raise BadPrime(f"denominator {den} divisible by {p}")
-    return (a + s * b) * pow(den, p - 2, p) % p
 
 
 def rows_mod(rows: SparseRows, ncols: int, p: int, s: int) -> np.ndarray:
@@ -148,20 +130,15 @@ def rank_mod(matrix: np.ndarray, p: int, stop_rank: int | None = None) -> int:
 def sparse_rank_certificate(upper_bound: int, level: Callable[[int, int], np.ndarray]) -> bool:
     """True iff some prime exhibits rank == upper_bound (then exact rank == bound).
 
-    `level(p, s)` returns the matrix reduced at p, or raises BadPrime, and
-    then the prime is skipped.  rank mod p <= exact rank <= upper_bound for
-    every usable prime p, so a modular rank at the bound pins the exact
-    rank, and one above it proves the bound false: that raises
-    ArithmeticError.  False means no tried prime reached the bound; the
-    exact rank may still equal it, so the caller must recheck exactly
-    before concluding anything.
+    `level(p, s)` returns the matrix reduced at p.  rank mod p <= exact
+    rank <= upper_bound for every prime p, so a modular rank at the bound
+    pins the exact rank, and one above it proves the bound false: that
+    raises ArithmeticError.  False means no tried prime reached the
+    bound; the exact rank may still equal it, so the caller must recheck
+    exactly before concluding anything.
     """
     for p, s in PRIMES:
-        try:
-            m = level(p, s)
-        except BadPrime:
-            continue
-        rank = rank_mod(m, p, upper_bound + 1)
+        rank = rank_mod(level(p, s), p, upper_bound + 1)
         if rank > upper_bound:
             raise ArithmeticError(f"rank {rank} mod p exceeds certified bound {upper_bound}")
         if rank == upper_bound:

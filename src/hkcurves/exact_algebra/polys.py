@@ -6,10 +6,9 @@ positive integer denominator, with gcd(den, content) = 1, so arithmetic
 runs on ints and equal forms are equal structurally; GaussianRational
 coefficients appear only in the `coeffs` view read at the boundary.
 Monomial bases are lexicographically descending, so coordinate layouts are
-reproducible across runs, and `shift_index` maps a basis times a list of
-monomials into a higher degree.  `signed_maximal_minors` reads the one
-Laplace kernel for the maximal minors of an (r+1) x r matrix of forms, in
-any number of variables: the curve's minors in four, a pencil's in two.
+reproducible across runs.  `signed_maximal_minors` reads the one Laplace
+kernel for the maximal minors of an (r+1) x r matrix of forms, in any
+number of variables: the curve's minors in four, a pencil's in two.
 UniPoly is the univariate workhorse for pencil minor gcds and binary forms.
 """
 
@@ -21,8 +20,6 @@ from functools import lru_cache
 from math import comb, gcd, lcm
 from operator import add
 from types import MappingProxyType
-
-import numpy as np
 
 from .scalars import GaussianRational
 
@@ -52,12 +49,6 @@ def monomial_count(num_vars: int, degree: int) -> int:
     if degree < 0:
         return 0
     return comb(degree + num_vars - 1, num_vars - 1)
-
-
-def shift_index(monos, shifts, degree: int, num_vars: int = 4) -> np.ndarray:
-    """[k, n]: basis index of monos[n] times the monomial shifts[k] in `degree`."""
-    index = monomial_index(num_vars, degree)
-    return np.array([[index[tuple(map(add, m, e))] for m in monos] for e in shifts], dtype=np.intp)
 
 
 class HomogPoly:

@@ -13,10 +13,8 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .exact_algebra import modp
 from .exact_algebra.linalg import ExactMatrix
-from .exact_algebra.ideals import integer_row, sparse_row_rank
-from .exact_algebra.modp import sparse_rank_certificate
+from .exact_algebra.ideals import certified_rank, integer_row
 from .exact_algebra.polys import HomogPoly, UniPoly, signed_maximal_minors, uni_gcd
 from .exact_algebra.scalars import GaussianRational, random_gaussian_rows
 
@@ -196,10 +194,8 @@ def pair_stabilizer_dimension(A1: ExactMatrix, A2: ExactMatrix) -> int:
                 y_part = [(n * n + l * r + j, A[i, l]) for l in range(r)]
                 sparse.append(integer_row(x_part + y_part))
     # (zI, -zI) always solves the system, so the kernel holds a line and
-    # the rank stays below num; a modular rank of num - 1 is then exact
-    if sparse_rank_certificate(num - 1, lambda p, s: modp.rows_mod(sparse, num, p, s)):
-        return 1
-    return num - sparse_row_rank(sparse)
+    # the rank stays below num
+    return num - certified_rank(sparse, num, num - 1)
 
 
 def random_injective_pencil(

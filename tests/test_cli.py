@@ -5,8 +5,9 @@ import json
 import time
 
 import pytest
+from test_resolution_exactness import X0, _common_factor_matrix
 
-from hkcurves.acm_curve import random_sigma_curve
+from hkcurves.acm_curve import ACMCurve, random_sigma_curve
 from hkcurves.cli import MAX_DOCUMENT_R, curve_to_document, document_to_curve, main
 
 CUBIC_DOC = {
@@ -163,6 +164,22 @@ def test_cohomology_table_accepts_curve_file(tmp_path, capsys):
     code, out = run(capsys, ["cohomology", "table", "--curve", path])
     assert code == 0
     assert json.loads(out)["input"] == path
+
+
+def test_cohomology_table_reports_a_failed_certificate(tmp_path, capsys):
+    # every maximal minor has the factor x0, so the certificate fails and
+    # there is no table to read
+    doc = curve_to_document(ACMCurve(_common_factor_matrix(2, (X0,), seed=2)))
+    path = write_doc(tmp_path, "common_factor.json", doc)
+    code = main(["cohomology", "table", "--curve", path])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    report = json.loads(captured.out)
+    assert report["passed"] is False
+    assert report["failed_stage"] == "resolution_certificate"
+    (stage,) = report["stages"]
+    assert stage["ok"] is False and stage["mismatches"]
 
 
 def test_exit_2_on_malformed_json(tmp_path, capsys):

@@ -14,6 +14,7 @@ import pytest
 
 from hkcurves.acm_curve import fiber_generators, random_fiber_parameters, random_sigma_curve
 from hkcurves.acm_curve import fibers
+from hkcurves.exact_algebra import ideals
 from hkcurves.exact_algebra.ideals import (
     GradedIdeal,
     integer_row,
@@ -23,7 +24,6 @@ from hkcurves.exact_algebra.ideals import (
 )
 from hkcurves.exact_algebra.polys import monomial_index
 from hkcurves.exact_algebra.scalars import GaussianRational
-from hkcurves import pencil
 from hkcurves.pencil import canonical_pair, pair_stabilizer_dimension, random_injective_pencil
 
 _ZERO = GaussianRational(0, 0)
@@ -189,13 +189,15 @@ def test_fiber_slices_match_reference(r, monkeypatch):
 
 @pytest.mark.parametrize("r, seed", [(1, 0), (2, 1), (3, 2), (4, 3)])
 def test_stabilizer_rows_match_reference(r, seed, monkeypatch):
-    # refuse the modular certificate so the exact rank runs on the same rows
-    monkeypatch.setattr(pencil, "sparse_rank_certificate", lambda bound, level: False)
-    calls = _recording(monkeypatch, pencil, "sparse_row_rank")
+    # refuse the modular certificate so the exact echelon runs on the same rows
+    monkeypatch.setattr(ideals, "sparse_rank_certificate", lambda bound, level: False)
+    calls = _recording(monkeypatch, ideals, "sparse_echelon")
+    rank = (r + 1) ** 2 + r * r - 1
     for A1, A2 in (random_injective_pencil(r, seed), canonical_pair(r)):
         assert pair_stabilizer_dimension(A1, A2) == 1
-        (rows,) = calls.pop()
-        assert len(assert_matches_reference(_gauss(rows))) == (r + 1) ** 2 + r * r - 1
+        rows, bound = calls.pop()
+        assert bound == rank
+        assert len(assert_matches_reference(_gauss(rows))) == rank
 
 
 def _coprime_rows(seed, rank, count, ncols):

@@ -1,20 +1,22 @@
 """Exact fallbacks behind the modular rank shortcuts.
 
 Every modular shortcut goes through `modp.sparse_rank_certificate`, which
-tries the primes of `modp.PRIMES` in turn and skips a prime whose reduction
-raises `BadPrime`.  With no primes at all, and again with every prime bad, each
-caller must reach the same answer by exact elimination alone.
+tries the primes of `modp.PRIMES` in turn, and all but `rational_curve`'s
+through `ideals.certified_rank`.  With no primes at all, and again with
+every prime reducing each row to zero, each caller must reach the same
+answer by exact elimination alone.
 """
 
 import math
 
+import numpy as np
 import pytest
 
 from hkcurves.acm_curve import ACMCurve, predicted_ideal_dimension, random_sigma_curve
-from hkcurves import cohomology, pencil, rational_curve
+from hkcurves import cohomology, rational_curve
 from hkcurves.cohomology import cohomology_table, normal_sections
 from hkcurves.exact_algebra import ideals, modp
-from hkcurves.exact_algebra.ideals import GradedIdeal
+from hkcurves.exact_algebra.ideals import GradedIdeal, certified_rank
 from hkcurves.exact_algebra.linalg import ExactMatrix
 from hkcurves.exact_algebra.polys import monomial_count
 from hkcurves.pencil import canonical_pair, pair_stabilizer_dimension, random_injective_pencil
@@ -31,19 +33,19 @@ from test_rational_curve import BASE_POINT_MAP, CUSP_MAP, STANDARD_CONIC
 
 def no_primes(monkeypatch):
     """Yields twice with no usable prime: `modp.PRIMES` empty, then every
-    prime raising `BadPrime` in `modp.rows_mod`."""
+    prime reducing the rows to zeros in `modp.rows_mod`."""
     with monkeypatch.context() as patch:
         patch.setattr(modp, "PRIMES", ())
         yield "no primes"
     refused = []
 
-    def bad_prime(rows, ncols, p, s):
+    def zero_rows(rows, ncols, p, s):
         refused.append(p)
-        raise modp.BadPrime(f"forced for {p}")
+        return np.zeros((len(rows), ncols), dtype=np.int64)
 
     with monkeypatch.context() as patch:
-        patch.setattr(modp, "rows_mod", bad_prime)
-        yield "every prime bad"
+        patch.setattr(modp, "rows_mod", zero_rows)
+        yield "every prime zero"
     assert refused, "no prime was tried"
 
 
@@ -81,13 +83,13 @@ def scaled_by_every_prime(matrices):
 
 def test_pair_stabilizer_dimension_when_primes_divide_the_scale(monkeypatch):
     exact_ranks = []
-    sparse_row_rank = pencil.sparse_row_rank
+    sparse_echelon = ideals.sparse_echelon
 
-    def counting_rank(rows):
+    def counting_echelon(rows, target=None):
         exact_ranks.append(len(rows))
-        return sparse_row_rank(rows)
+        return sparse_echelon(rows, target)
 
-    monkeypatch.setattr(pencil, "sparse_row_rank", counting_rank)
+    monkeypatch.setattr(ideals, "sparse_echelon", counting_echelon)
     pairs = [random_injective_pencil(r, 40 + r) for r in (1, 2, 3)] + [canonical_pair(2)]
     assert [pair_stabilizer_dimension(A1, A2) for A1, A2 in pairs] == [1] * len(pairs)
     assert exact_ranks == [], "a prime should pin every default rank"
@@ -230,3 +232,40 @@ def test_wrong_certified_bound_raises(monkeypatch):
     monkeypatch.setattr(modp, "PRIMES", ())
     with pytest.raises(ArithmeticError, match="exceeds certified bound"):
         ideal.dimension(3, 1)
+
+
+def test_certified_rank_takes_each_route(monkeypatch):
+    # the graded levels of one certified r = 2 curve, each with its proven
+    # dimension, and again times every prime, which reduces them to zero
+    ideal = random_sigma_curve(2, 0).ideal
+    levels = [(ideal._row_stream(k), monomial_count(4, k), predicted_ideal_dimension(2, k)) for k in (2, 3, 4)]
+    scale = math.prod(p for p, _ in modp.PRIMES)
+
+    def scaled(rows):
+        return [[(c, scale * a, scale * b) for c, a, b in row] for row in rows]
+
+    echelons = [(ideals.sparse_echelon(rows), ncols, dim) for rows, ncols, dim in levels]
+    targets = []
+    sparse_echelon = ideals.sparse_echelon
+
+    def counting_echelon(rows, target=None):
+        targets.append(target)
+        return sparse_echelon(rows, target)
+
+    monkeypatch.setattr(ideals, "sparse_echelon", counting_echelon)
+    for rows, ncols, dim in levels:
+        assert certified_rank(rows, ncols, dim) == dim
+        assert targets == [], "a prime meets the bound"
+        assert certified_rank(scaled(rows), ncols, dim) == dim
+        assert targets == [dim]
+        assert certified_rank(rows, ncols, None) == dim
+        assert targets == [dim, None]
+        targets.clear()
+    # one below the true rank: a prime exceeds it, and so does the first
+    # pass of the exact echelon, since an echelon's lead columns are distinct
+    for rows, ncols, dim in echelons:
+        for route in (rows, scaled(rows)):
+            with pytest.raises(ArithmeticError, match="exceeds certified bound"):
+                certified_rank(route, ncols, dim - 1)
+        assert targets == [dim - 1]
+        targets.clear()
