@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
+from math import lcm
 from typing import List, Optional, Tuple
 
-from ..exact_algebra.ideals import GradedIdeal
+from ..exact_algebra.ideals import GradedIdeal, certified_rank
 from ..exact_algebra.linalg import ExactMatrix
 from ..exact_algebra.polys import HomogPoly, monomial_count, signed_maximal_minors
-from ..exact_algebra.scalars import random_gaussian_rows
-from ..pencil import canonical_pair, is_injective_pencil
+from ..exact_algebra.scalars import GaussianRational, random_gaussian_rows
+from ..pencil import canonical_pair
 from ..reality import make_sigma_invariant_pencil, reality_conjugate
 
 CoeffTuple = Tuple[ExactMatrix, ExactMatrix, ExactMatrix, ExactMatrix]
@@ -76,7 +78,7 @@ class ACMCurve:
             coeffs = tuple(matrix)
             matrix = LinearMatrix(coeffs[0].cols, *coeffs)
         self.matrix = matrix
-        self.r = matrix.r
+        self.r = r = matrix.r
         self.coeffs = matrix.coeffs
         self.d, self.g = invariants(self.r)
         self.entries = matrix.entry_polys()
@@ -84,6 +86,9 @@ class ACMCurve:
         if all(m.is_zero() for m in self.minors):
             raise ValueError("all maximal minors vanish identically")
         self.ideal = GradedIdeal([m for m in self.minors if not m.is_zero()])
+        # T, the minors on L0 = {x2 = x3 = 0}: row k holds minor k's numerators of x0^(r-j) x1^j
+        self.base_line = [[m.terms.get((r - j, j, 0, 0), (0, 0)) for j in range(r + 1)]
+                          for m in self.minors]
         self._certificate: Optional["ResolutionCertificate"] = None
 
     @property
@@ -109,14 +114,29 @@ class ACMCurve:
     def gauge(self, P: ExactMatrix, Q: ExactMatrix) -> "ACMCurve":
         return ACMCurve(self.matrix.gauge(P, Q))
 
+    @cached_property
+    def base_line_rank(self) -> int:
+        """Rank of T, certified; r + 1 exactly when the curve misses L0."""
+        rows = [[(j, a, b) for j, (a, b) in enumerate(row) if a or b] for row in self.base_line]
+        return certified_rank(rows, self.r + 1, self.r + 1)
+
+    @cached_property
+    def base_line_inverse(self) -> Tuple[List[List[Tuple[int, int]]], int]:
+        """(A, L) with T^-1 = A / L for invertible T: Gaussian-integer pairs
+        over their least positive common denominator."""
+        T = ExactMatrix([[GaussianRational(a, b) for a, b in row] for row in self.base_line])
+        parts = [[z.integer_parts() for z in row] for row in T.inverse().data]
+        den = lcm(*(e for row in parts for _, _, e in row))
+        return [[(a * (den // e), b * (den // e)) for a, b, e in row] for row in parts], den
+
 
 @dataclass(frozen=True)
 class ResolutionCertificate:
     ok: bool
     cofactor_identity: bool      # minors compose to zero against the matrix
     syzygy_injective: bool       # some maximal minor is a nonzero form
-    # dim I_k for k = 0 .. 2r+2; when dim I_(2r-1) matches, all are the
-    # expected values, which that match proves, and no other level is built
+    # dim I_k for k = 0 .. 2r+2; when T is invertible or dim I_(2r-1) matches,
+    # all are the expected values, which that proves, and no level is built
     dimensions: Tuple[int, ...]
     expected: Tuple[int, ...]
     mismatches: Tuple[Tuple[int, int, int], ...]  # (k, actual, predicted)
@@ -143,10 +163,12 @@ def certify_resolution(curve: ACMCurve) -> ResolutionCertificate:
     writing phi = B*C over them makes det C = +-f / g_i0^(r-1) a non-unit,
     so a Koszul relation of degree 2r-e <= 2r-1 is not in im phi.
 
-    So level 2r-1 alone is ranked: a match rules a common factor out and
-    proves every dim, and the window k = 0 .. 2r+2 is recorded on the
-    curve's ideal.  A mismatch sweeps the window, so a failing report lists
-    every mismatch there.
+    First the base line: if T is invertible, the curve misses L0 (no common
+    zero there), a common factor would vanish on a surface, which meets
+    every line, so the minors have none, and no level is ranked.  Else
+    level 2r-1 alone is: a match rules a common factor out and proves every
+    dim.  Either way the window k = 0 .. 2r+2 is recorded on the curve's
+    ideal.  A mismatch sweeps it, so a failing report lists every mismatch.
     """
     r = curve.r
     zero = HomogPoly(4, r + 1, {})
@@ -159,18 +181,17 @@ def certify_resolution(curve: ACMCurve) -> ResolutionCertificate:
     window = range(0, 2 * r + 3)
     expected = tuple(predicted_ideal_dimension(r, k) for k in window)
     ideal, top = curve.ideal, 2 * r - 1
-    if bounded and ideal.dimension(top, expected[top]) == expected[top]:
+    if bounded and (
+        curve.base_line_rank == r + 1 or ideal.dimension(top, expected[top]) == expected[top]
+    ):
         dims = expected
         ideal.record_dimensions(dict(zip(window, expected)))
     else:
         # without the bound, every level is ranked exactly
         dims = tuple(ideal.dimension(k, expected[k] if bounded else None) for k in window)
-    mismatches = tuple(
-        (k, dims[k], expected[k]) for k in window if dims[k] != expected[k]
-    )
-    ok = bounded and not mismatches
+    mismatches = tuple((k, dims[k], expected[k]) for k in window if dims[k] != expected[k])
     return ResolutionCertificate(
-        ok=ok,
+        ok=bounded and not mismatches,
         cofactor_identity=cofactor,
         syzygy_injective=injective,
         dimensions=dims,
@@ -180,13 +201,14 @@ def certify_resolution(curve: ACMCurve) -> ResolutionCertificate:
 
 
 def avoids_base_line(curve: ACMCurve) -> bool:
-    """True when the curve misses the line x2 = x3 = 0.
-
-    On that line the matrix restricts to the pencil of the first two
-    coefficients; full rank everywhere on the line keeps the projection
-    to the parameter line defined on all of the curve.
+    """True when the curve misses the line L0 = {x2 = x3 = 0}: the pencil
+    x0*A1 + x1*A2 has full rank on all of L0, which keeps the projection to
+    the parameter line defined on all of the curve.  That holds exactly
+    when T is invertible: its rows then span x0^r and x1^r, and a pencil of
+    full rank on L0 has the one Kronecker block L_r^T, whose minors are the
+    monomials x0^(r-j) x1^j up to sign.
     """
-    return is_injective_pencil(curve.coeffs[0], curve.coeffs[1]).ok
+    return curve.base_line_rank == curve.r + 1
 
 
 def random_real_curve(

@@ -3,8 +3,17 @@
 The slice over a finite parameter t lives in the affine chart x2 = 1 with
 coordinates (u, v) = (x0/x2, x1/x2); the chart at infinity uses x3 = 1
 and the reciprocal parameter.  Slices are finite schemes of length
-r(r+1)/2; their Hilbert functions, read off a degree-graded echelon of
-the truncated ideal, stratify the parameter line.
+d = r(r+1)/2; their Hilbert functions stratify the parameter line.
+
+Every plane of the pencil contains L0 = {x2 = x3 = 0}, the charts' line at
+infinity.  A curve that misses L0 (`avoids_base_line`) has finite slices
+with exact restricted Hilbert-Burch complexes, on which x2 is a
+nonzerodivisor: the affine profile is `expected_hilbert`, and u^a v^b,
+a + b <= r - 1, is a basis.  The degree-r part of slice generator g_k is
+minor k on L0, row k of T (`ACMCurve.base_line`), so a degree-r monomial b
+has the normal form b - sum c_k g_k with c = T^-1 e_b: a border basis
+(Mourrain, AAECC 1999; Kehrein, Kreuzer and Robbiano 2005).  A curve that
+meets L0 falls back to `AffineFiber`, the echelon of the truncated ideal.
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ import numpy as np
 from ..exact_algebra.ideals import Row, normal_form_table, sparse_echelon
 from ..exact_algebra.linalg import ExactMatrix
 from ..exact_algebra.scalars import GaussianRational
+from .curve import avoids_base_line
 
 # a slice generator: its nonzero Gaussian-integer numerators (a, b) by
 # (u, v) exponent, over one positive denominator
@@ -60,8 +70,7 @@ def fiber_generators(curve, t: GaussianRational, at_infinity: bool = False) -> L
 def _columns(cutoff: int) -> List[Tuple[int, int]]:
     """Monomials of total degree <= cutoff, highest degree first."""
     cols = [(i, j) for i in range(cutoff + 1) for j in range(cutoff + 1 - i)]
-    cols.sort(key=lambda m: (-(m[0] + m[1]), -m[0]))
-    return cols
+    return sorted(cols, key=lambda m: (-(m[0] + m[1]), -m[0]))
 
 
 class AffineFiber:
@@ -72,8 +81,7 @@ class AffineFiber:
             raise ValueError("no nonzero slice generators")
         self.cutoff = cutoff
         self.columns = _columns(cutoff)
-        self.col_index = {m: i for i, m in enumerate(self.columns)}
-        index = self.col_index
+        self.col_index = index = {m: i for i, m in enumerate(self.columns)}
         rows: List[Row] = []
         for g, _ in generators:
             gdeg = max(i + j for i, j in g)
@@ -86,29 +94,19 @@ class AffineFiber:
         self.echelon = sparse_echelon(rows)
         self.pivot_cols = {row[0][0] for row in self.echelon}
 
-    def _col_degree(self, col: int) -> int:
-        m = self.columns[col]
-        return m[0] + m[1]
-
     def hilbert(self, k: int) -> int:
         """dim of polynomials of degree <= k modulo the truncated ideal."""
         if k < 0:
             return 0
         k = min(k, self.cutoff)
-        total = (k + 1) * (k + 2) // 2
-        inside = sum(1 for row in self.echelon if self._col_degree(row[0][0]) <= k)
-        return total - inside
+        inside = sum(1 for row in self.echelon if sum(self.columns[row[0][0]]) <= k)
+        return (k + 1) * (k + 2) // 2 - inside
 
     def profile(self) -> Tuple[int, ...]:
         return tuple(self.hilbert(k) for k in range(self.cutoff + 1))
 
     def stabilized(self) -> bool:
-        return self.hilbert(self.cutoff - 1) == self.hilbert(self.cutoff) and self.hilbert(
-            self.cutoff - 2
-        ) == self.hilbert(self.cutoff)
-
-    def length(self) -> int:
-        return self.hilbert(self.cutoff)
+        return len({self.hilbert(self.cutoff - i) for i in range(3)}) == 1
 
     def quotient_basis(self) -> List[Tuple[int, int]]:
         """Non-pivot monomials; valid as a module basis once stabilized."""
@@ -128,34 +126,63 @@ class AffineFiber:
         # tails hold larger columns only, so the rows from the lowest product column on suffice
         low = min((min(pair) for pair in prods), default=len(self.columns))
         table = normal_form_table(self.echelon[sum(row[0][0] < low for row in self.echelon):])
-        dim = len(basis)
-        cols_u: List[List[GaussianRational]] = []
-        cols_v: List[List[GaussianRational]] = []
-        for pair in prods:
-            for pcol, cols in zip(pair, (cols_u, cols_v)):
-                col_vec = [_ZERO] * dim
-                sub = table.get(pcol)
-                if sub is None:
-                    col_vec[basis_index[self.columns[pcol]]] = _ONE
-                else:
-                    for c2, v2 in sub.items():
-                        col_vec[basis_index[self.columns[c2]]] = v2
-                cols.append(col_vec)
-        mu = ExactMatrix([[cols_u[j][i] for j in range(dim)] for i in range(dim)])
-        mv = ExactMatrix([[cols_v[j][i] for j in range(dim)] for i in range(dim)])
-        return mu, mv
+        mats = []
+        for side in (0, 1):
+            cols = []
+            for pair in prods:
+                # a column with no normal form is a basis monomial
+                col = [_ZERO] * len(basis)
+                for c2, v2 in table.get(pair[side], {pair[side]: _ONE}).items():
+                    col[basis_index[self.columns[c2]]] = v2
+                cols.append(col)
+            mats.append(ExactMatrix([list(row) for row in zip(*cols)]))
+        return mats[0], mats[1]
 
 
 def hilbert_profile(curve, t: GaussianRational, at_infinity: bool = False) -> Tuple[int, ...]:
-    gens = fiber_generators(curve, t, at_infinity=at_infinity)
-    return AffineFiber(gens, curve.r + 2).profile()
+    """H(0), ..., H(r+2), by the theorem when the curve misses L0."""
+    if avoids_base_line(curve):
+        return tuple(expected_hilbert(curve.r, k) for k in range(curve.r + 3))
+    return AffineFiber(fiber_generators(curve, t, at_infinity=at_infinity), curve.r + 2).profile()
+
+
+def _border_matrices(curve, gens: Sequence[Bivar], t: GaussianRational, entry) -> List[list]:
+    """The u and v matrices of a curve that misses L0 on the basis u^a v^b,
+    a + b <= r - 1, in `AffineFiber`'s order, entries `entry(a, b, den)` for
+    (a + b*i) / den.  With T^-1 = A / L, the normal form of u^(r-j) v^j is
+    -sum_k A[j][k] (N_k below degree r) / (L te^r): the degree-r part of
+    generator k's numerators N_k is te^r times row k of T."""
+    r = curve.r
+    inverse, scale = curve.base_line_inverse
+    den = scale * t.integer_parts()[2] ** r
+    basis = _columns(r - 1)
+    forms = []
+    for row in inverse:
+        acc = {m: [0, 0] for m in basis}
+        for (g, _), (ca, cb) in zip(gens, row):
+            for m, (a, b) in g.items():
+                if m in acc:
+                    acc[m][0] -= ca * a - cb * b
+                    acc[m][1] -= ca * b + cb * a
+        forms.append([entry(a, b, den) for a, b in acc.values()])
+    one, zero = entry(den, 0, den), entry(0, 0, den)
+    # row m, column (a, b): u or v times u^a v^b is a basis monomial or of degree r
+    return [
+        [[forms[b + dv][i] if a + b == r - 1 else one if m == (a + du, b + dv) else zero for a, b in basis]
+         for i, m in enumerate(basis)]
+        for du, dv in ((1, 0), (0, 1))
+    ]
 
 
 def fiber_multiplication_matrices(
     curve, t: GaussianRational, at_infinity: bool = False
 ) -> Tuple[ExactMatrix, ExactMatrix]:
     gens = fiber_generators(curve, t, at_infinity=at_infinity)
-    return AffineFiber(gens, curve.r + 2).multiplication_matrices()
+    if not avoids_base_line(curve):
+        return AffineFiber(gens, curve.r + 2).multiplication_matrices()
+    mu, mv = _border_matrices(
+        curve, gens, t, lambda a, b, n: GaussianRational(Fraction(a, n), Fraction(b, n)))
+    return ExactMatrix(mu), ExactMatrix(mv)
 
 
 def fiber_points(
@@ -172,20 +199,21 @@ def fiber_points(
     eigenvector method (clustered spectrum, large residuals).
     """
     gens = fiber_generators(curve, t, at_infinity=at_infinity)
-    mu, mv = AffineFiber(gens, curve.r + 2).multiplication_matrices()
-    # int / int is correctly rounded: each part is the float nearest the coefficient
+    # int / int is correctly rounded: each part is the float nearest the
+    # coefficient, so both routes give the same matrices
     cgens = [[(i, j, complex(a / den, b / den)) for (i, j), (a, b) in g.items()] for g, den in gens]
-    nu = np.array(mu.to_complex())
-    nv = np.array(mv.to_complex())
+    if avoids_base_line(curve):
+        nu, nv = map(np.array, _border_matrices(curve, gens, t, lambda a, b, n: complex(a / n, b / n)))
+    else:
+        mu, mv = AffineFiber(gens, curve.r + 2).multiplication_matrices()
+        nu, nv = np.array(mu.to_complex()), np.array(mv.to_complex())
     rng = np.random.default_rng(2)
     for _ in range(6):
         a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
         comb = a * nu + b * nv
         vals, vecs = np.linalg.eig(comb)
         if len(vals) > 1:
-            gap = min(
-                abs(vals[i] - vals[j]) for i in range(len(vals)) for j in range(i)
-            )
+            gap = min(abs(vals[i] - vals[j]) for i in range(len(vals)) for j in range(i))
             if gap < 1e-9 * max(1.0, np.abs(vals).max()):
                 continue
         try:
@@ -208,10 +236,7 @@ def fiber_points(
         )
         if resid > residual_tol:
             continue
-        order = np.lexsort(
-            (np.round(pts[:, 1].imag, 9), np.round(pts[:, 1].real, 9),
-             np.round(pts[:, 0].imag, 9), np.round(pts[:, 0].real, 9))
-        )
+        order = np.lexsort([np.round(part(pts[:, c]), 9) for c in (1, 0) for part in (np.imag, np.real)])
         return pts[order]
     raise ArithmeticError("slice spectrum not separable; slice may be non-reduced")
 
@@ -239,20 +264,20 @@ def expected_hilbert(r: int, k: int) -> int:
 
 @dataclass(frozen=True)
 class FiberScheme:
-    """One certified slice: parameter, chart, generators, echelon."""
+    """One certified slice: parameter, chart, generators, H(0), ..., H(r+2)."""
 
     r: int
     d: int
     t: GaussianRational
     at_infinity: bool
     generators: Tuple[Bivar, ...]
-    fiber: AffineFiber
+    profile: Tuple[int, ...]
 
     def hilbert_function(self) -> Tuple[int, ...]:
-        return self.fiber.profile()
+        return self.profile
 
     def length(self) -> int:
-        return self.fiber.length()
+        return self.profile[-1]
 
 
 def restrict_to_fiber(curve, t: GaussianRational, at_infinity: bool = False) -> FiberScheme:
@@ -264,15 +289,8 @@ def restrict_to_fiber(curve, t: GaussianRational, at_infinity: bool = False) -> 
     if not curve.certificate().ok:
         raise ValueError("resolution certificate failed; slice data unreliable")
     gens = fiber_generators(curve, t, at_infinity=at_infinity)
-    fib = AffineFiber(gens, curve.r + 2)
-    return FiberScheme(
-        r=curve.r,
-        d=curve.degree,
-        t=t,
-        at_infinity=at_infinity,
-        generators=tuple(gens),
-        fiber=fib,
-    )
+    profile = hilbert_profile(curve, t, at_infinity)
+    return FiberScheme(curve.r, curve.degree, t, at_infinity, tuple(gens), profile)
 
 
 def fiber_hilbert_function(scheme: FiberScheme) -> Tuple[int, ...]:

@@ -57,7 +57,7 @@ EXIT_INVALID = 3
 EXIT_NUMERIC = 4
 
 # largest curve-document r that `acm verify` takes: a generic document
-# verifies in 1.0 s at r = 7 on a 2-core Xeon VM (certificate 0.33 s), and
+# verifies in 0.4 s at r = 7 on a 2-core Xeon VM (certificate 0.1 s), and
 # one whose minors share a factor, swept through 2r+2 by exact elimination,
 # fails in 0.93 s at r = 4, 6.0 s at r = 5 and 26 s at r = 6 (ROADMAP item 4)
 MAX_DOCUMENT_R = 7

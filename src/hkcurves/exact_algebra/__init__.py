@@ -6,7 +6,7 @@ adapter converts out.
 """
 
 from .ideals import GradedIdeal, sparse_row_rank
-from .linalg import ExactMatrix, graded_matrix
+from .linalg import ExactMatrix
 from .modp import PRIMES, rank_mod, rows_mod, sparse_rank_certificate
 from .polys import (
     HomogPoly,
@@ -26,7 +26,6 @@ __all__ = [
     "UniPoly",
     "GaussianRational",
     "gauss",
-    "graded_matrix",
     "monomial_basis",
     "monomial_count",
     "monomial_index",

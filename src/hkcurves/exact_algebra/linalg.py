@@ -1,4 +1,4 @@
-"""Dense matrices over Q(i), and the graded multiplication matrices.
+"""Dense matrices over Q(i).
 
 ExactMatrix is an immutable dense container.  Its exact methods read the
 two exact kernels of the core: rank, right kernel and inverse come from the
@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import lcm
 
 from .ideals import integer_row, normal_form_table, sparse_echelon, sparse_row_rank
-from .polys import HomogPoly, _laplace_dets, monomial_basis, monomial_index
+from .polys import HomogPoly, _laplace_dets
 from .scalars import GaussianRational, random_gaussian_rows
 
 _ZERO = GaussianRational(0)
@@ -261,42 +261,3 @@ def random_invertible(size: int, rng: random.Random, span: int = 2) -> ExactMatr
         if m.rank() == size:
             return m
 
-
-def graded_matrix(phi: list, source_degree: int, num_vars: int) -> ExactMatrix:
-    """Matrix of v -> phi @ v on degree-source_degree polynomial vectors.
-
-    phi is a rectangular list-of-lists of HomogPoly, all of one degree e;
-    target degree is source_degree + e.  Coordinates are component-major:
-    index = component * n_monomials + monomial.  Inhomogeneous or
-    mixed-degree entries are rejected with their position.
-    """
-    p = len(phi)
-    q = len(phi[0]) if p else 0
-    e = None
-    for i in range(p):
-        if len(phi[i]) != q:
-            raise ValueError("ragged polynomial matrix")
-        for j in range(q):
-            entry = phi[i][j]
-            if not isinstance(entry, HomogPoly) or entry.num_vars != num_vars:
-                raise ValueError(f"entry ({i},{j}) is not a {num_vars}-variable form")
-            if e is None:
-                e = entry.degree
-            elif entry.degree != e:
-                raise ValueError(f"entry ({i},{j}) has degree {entry.degree}, expected {e}")
-    if e is None:
-        raise ValueError("empty polynomial matrix")
-    tdeg = source_degree + e
-    smonos = monomial_basis(num_vars, source_degree)
-    tindex = monomial_index(num_vars, tdeg)
-    n_s, n_t = len(smonos), len(tindex)
-    mat = [[_ZERO] * (q * n_s) for _ in range(p * n_t)]
-    for j in range(q):
-        for s_idx, s_mono in enumerate(smonos):
-            col = j * n_s + s_idx
-            for i in range(p):
-                for mono, c in phi[i][j].coeffs.items():
-                    t_mono = tuple(a + b for a, b in zip(mono, s_mono))
-                    row = i * n_t + tindex[t_mono]
-                    mat[row][col] = mat[row][col] + c
-    return ExactMatrix(mat, cols=q * n_s)

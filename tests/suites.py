@@ -17,8 +17,8 @@ from hkcurves.acm_curve.fibers import (
     fiber_points,
 )
 from hkcurves.exact_algebra.ideals import integer_row, sparse_echelon
-from hkcurves.exact_algebra.linalg import ExactMatrix, graded_matrix, random_invertible
-from hkcurves.exact_algebra.polys import HomogPoly, monomial_basis
+from hkcurves.exact_algebra.linalg import ExactMatrix, random_invertible
+from hkcurves.exact_algebra.polys import HomogPoly, monomial_basis, monomial_index
 from hkcurves.exact_algebra.scalars import GaussianRational
 from hkcurves.pencil import (
     apply_gauge,
@@ -141,6 +141,25 @@ def fiber_equivariance_suite(pool: Dict[int, List[ACMCurve]], count: int = 50) -
 
 # ---------------------------------------------------------------------------
 # (d) functoriality of graded multiplication matrices
+
+
+def graded_matrix(phi: list, source_degree: int, num_vars: int) -> ExactMatrix:
+    """Matrix of v -> phi @ v on degree-source_degree polynomial vectors, a
+    reference for the tests.  phi is a list of rows of forms of one degree
+    e, the target degree is source_degree + e, and coordinates are
+    component-major: index = component * n_monomials + monomial."""
+    smonos = monomial_basis(num_vars, source_degree)
+    tindex = monomial_index(num_vars, source_degree + phi[0][0].degree)
+    n_s, n_t = len(smonos), len(tindex)
+    cols = len(phi[0]) * n_s
+    mat = [[ZERO] * cols for _ in range(len(phi) * n_t)]
+    for i, row in enumerate(phi):
+        for j, entry in enumerate(row):
+            for s_idx, s_mono in enumerate(smonos):
+                for mono, c in entry.coeffs.items():
+                    t = i * n_t + tindex[tuple(a + b for a, b in zip(mono, s_mono))]
+                    mat[t][j * n_s + s_idx] += c
+    return ExactMatrix(mat, cols=cols)
 
 
 def random_homog(rng: random.Random, degree: int) -> HomogPoly:

@@ -1,0 +1,204 @@
+"""The base line L0 = {x2 = x3 = 0} decides the certificate and the slices.
+
+When the (r+1) x (r+1) matrix T of the minors restricted to L0 is
+invertible, the curve misses L0: the certificate ranks no level, every
+slice has the expected Hilbert function, and the multiplication matrices
+come from T^-1 with no echelon.  The echelon of `AffineFiber` is the oracle
+here, and a curve that meets L0 must take the old routes unchanged.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from hkcurves import cohomology
+from hkcurves.acm_curve import (
+    ACMCurve,
+    LinearMatrix,
+    avoids_base_line,
+    expected_hilbert,
+    fiber_hilbert_function,
+    fiber_multiplication_matrices,
+    fiber_points,
+    random_fiber_parameters,
+    random_real_curve,
+    random_sigma_curve,
+    restrict_to_fiber,
+    stratum_check,
+)
+from hkcurves.acm_curve import fibers
+from hkcurves.acm_curve.fibers import AffineFiber, fiber_generators, hilbert_profile
+from hkcurves.cli import document_to_curve
+from hkcurves.exact_algebra.ideals import GradedIdeal
+from hkcurves.exact_algebra.linalg import ExactMatrix
+from hkcurves.exact_algebra.scalars import GaussianRational
+from hkcurves.pencil import is_injective_pencil
+from hkcurves.twistor_metric import sample_parameters
+
+from test_cli import _degenerate_document
+from test_resolution_exactness import FACTORS, _common_factor_matrix
+
+SPECIAL = [GaussianRational(0), GaussianRational(1), GaussianRational(0, 1)]
+
+
+def singular_base_line(monkeypatch):
+    """Report T singular on every curve, which forces the old routes."""
+    monkeypatch.setattr(ACMCurve, "base_line_rank", property(lambda curve: curve.r))
+
+
+def record_calls(monkeypatch, owner, name, results=False):
+    """List of the arguments of each call, or with `results` of its result."""
+    calls = []
+    original = getattr(owner, name)
+
+    def recording(*args, **kwargs):
+        out = original(*args, **kwargs)
+        calls.append(out if results else args)
+        return out
+
+    monkeypatch.setattr(owner, name, recording)
+    return calls
+
+
+def meets_base_line(seed=0):
+    """A certified r = 2 curve through [1:0:0:0] on L0: column 0 of A1 is
+    zeroed, so the pencil's column 0 is x1 * A2[:, 0] and vanishes at x1 = 0."""
+    A1, A2, A3, A4 = random_sigma_curve(2, seed).coeffs
+    rows = [[GaussianRational(0)] + list(row[1:]) for row in A1.data]
+    return ACMCurve(LinearMatrix(2, ExactMatrix(rows), A2, A3, A4))
+
+
+def test_curve_sections_pool_takes_the_border_route(monkeypatch):
+    # the call sequence of one curve-sections item, on the seeds 1-3 pools
+    echelons = record_calls(monkeypatch, fibers, "AffineFiber")
+    levels = record_calls(monkeypatch, GradedIdeal, "dimension")
+    for n in (1, 2, 3):
+        for k in range(6):
+            seed = n * 1000 + k
+            curve = random_sigma_curve(3, seed)
+            fresh = ACMCurve(curve.matrix)
+            cohomology.cohomology_table(fresh, -2, 5)
+            assert cohomology.ellia_stability_check(fresh)
+            assert cohomology.normal_sheaf_report(fresh).ok
+            assert fresh.base_line_rank == 4
+            for t in random_fiber_parameters(5, seed):
+                scheme = restrict_to_fiber(fresh, t)
+                profile = fiber_hilbert_function(scheme)
+                assert stratum_check(scheme)
+                assert scheme.length() == fresh.degree
+                assert profile == AffineFiber(fiber_generators(fresh, t), 5).profile()
+    # the reference echelons above are built outside `fibers`
+    assert echelons == [] and levels == []
+
+
+def seeded_curves(r):
+    return [random_sigma_curve(r, 0), random_real_curve(r, 0)]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_border_matrices_equal_the_echelon(r, monkeypatch):
+    # the matrices that fiber_points diagonalizes, as floats
+    floats = record_calls(monkeypatch, fibers, "_border_matrices", results=True)
+    for curve in seeded_curves(r):
+        assert avoids_base_line(curve)
+        for t in sample_parameters(7) + SPECIAL:
+            for at_infinity in (False, True):
+                gens = fiber_generators(curve, t, at_infinity=at_infinity)
+                fiber = AffineFiber(gens, r + 2)
+                mu, mv = fiber_multiplication_matrices(curve, t, at_infinity=at_infinity)
+                ref_u, ref_v = fiber.multiplication_matrices()
+                # equal to the echelon's, and commuting: Mourrain's criterion
+                assert (mu, mv) == (ref_u, ref_v)
+                assert mu @ mv == mv @ mu
+                assert hilbert_profile(curve, t, at_infinity) == fiber.profile()
+                floats.clear()
+                try:
+                    fiber_points(curve, t, at_infinity=at_infinity)
+                except ArithmeticError:
+                    pass  # a clustered spectrum; the matrices were built
+                nu, nv = floats[0]
+                assert np.array_equal(np.array(nu), np.array(ref_u.to_complex()))
+                assert np.array_equal(np.array(nv), np.array(ref_v.to_complex()))
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_border_points_equal_the_echelon_points(r, monkeypatch):
+    curve = random_sigma_curve(r, 1)
+    params = random_fiber_parameters(3, r) + SPECIAL
+    border = [fiber_points(curve, t) for t in params]
+    singular_base_line(monkeypatch)
+    echelon = [fiber_points(ACMCurve(curve.matrix), t) for t in params]
+    assert all(np.array_equal(a, b) for a, b in zip(border, echelon))
+
+
+def test_curve_meeting_the_base_line_takes_both_fallbacks(monkeypatch):
+    curve = meets_base_line()
+    assert curve.base_line_rank < curve.r + 1
+    assert not avoids_base_line(curve)
+    levels = record_calls(monkeypatch, GradedIdeal, "dimension")
+    cert = curve.certificate()
+    assert cert.ok and cert.dimensions == cert.expected
+    assert [args[1] for args in levels] == [2 * curve.r - 1]
+    echelons = record_calls(monkeypatch, fibers, "AffineFiber")
+    t = GaussianRational(Fraction(1, 2), 1)
+    fiber = AffineFiber(fiber_generators(curve, t), curve.r + 2)
+    # the point [1:0:0:0] lies on every plane, at infinity in the chart, so
+    # the affine slice has two points and the truncated profile never settles
+    scheme = restrict_to_fiber(curve, t)
+    assert scheme.hilbert_function() == fiber.profile() == hilbert_profile(curve, t) == (1, 2, 2, 2, 3)
+    assert not stratum_check(scheme)
+    for route in (fiber.multiplication_matrices, lambda: fiber_multiplication_matrices(curve, t)):
+        with pytest.raises(ValueError, match="not stabilized"):
+            route()
+    with pytest.raises(ValueError, match="not stabilized"):
+        fiber_points(curve, t)
+    # one echelon in each of the four library calls above
+    assert len(echelons) == 4
+
+
+@pytest.mark.parametrize("r, ells", FACTORS[:2])
+def test_common_factor_certificates_keep_their_sweep(r, ells, monkeypatch):
+    matrix = _common_factor_matrix(r, ells, seed=r)
+    cert = ACMCurve(matrix).certificate()
+    assert ACMCurve(matrix).base_line_rank < r + 1
+    assert not cert.ok
+    singular_base_line(monkeypatch)
+    assert ACMCurve(matrix).certificate() == cert
+
+
+def test_degenerate_certificate_keeps_its_sweep(monkeypatch):
+    curve = document_to_curve(_degenerate_document(3))
+    assert not avoids_base_line(curve)
+    cert = curve.certificate()
+    assert not cert.ok and cert.mismatches
+    singular_base_line(monkeypatch)
+    assert document_to_curve(_degenerate_document(3)).certificate() == cert
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_certificate_equals_the_level_route(r, monkeypatch):
+    curves = seeded_curves(r)
+    levels = record_calls(monkeypatch, GradedIdeal, "dimension")
+    border = [ACMCurve(c.matrix).certificate() for c in curves]
+    assert levels == []
+    singular_base_line(monkeypatch)
+    assert [ACMCurve(c.matrix).certificate() for c in curves] == border
+    assert all(cert.ok and cert.dimensions == cert.expected for cert in border)
+    assert {args[1] for args in levels} == {2 * r - 1}
+
+
+def test_avoids_base_line_is_the_pencil_test():
+    curves = [c for r in (1, 2, 3, 4) for c in seeded_curves(r)]
+    curves += [meets_base_line(seed) for seed in (0, 1)]
+    curves += [ACMCurve(_common_factor_matrix(r, ells, seed=r)) for r, ells in FACTORS]
+    curves.append(document_to_curve(_degenerate_document(3)))
+    answers = [avoids_base_line(c) for c in curves]
+    assert answers == [is_injective_pencil(c.coeffs[0], c.coeffs[1]).ok for c in curves]
+    assert answers.count(False) == 8
+
+
+def test_expected_profile_is_the_display():
+    curve = random_sigma_curve(2, 0)
+    scheme = restrict_to_fiber(curve, GaussianRational(2, -1))
+    assert scheme.hilbert_function() == tuple(expected_hilbert(2, k) for k in range(5))

@@ -139,8 +139,12 @@ def count_rank_calls(monkeypatch):
     """List that grows by one per exact rank (`ExactMatrix.rank`, the
     `ideals.sparse_echelon` behind every graded level, and `sparse_row_rank`
     as `cohomology` imports it) or modular one (`modp.rank_mod`, and
-    `sparse_rank_certificate` as `ideals` imports it)."""
+    `sparse_rank_certificate` as `ideals` imports it).
+
+    It also reports the base-line matrix T singular, so that certificates
+    take their level route: a curve that misses L0 ranks no level."""
     calls = []
+    monkeypatch.setattr(ACMCurve, "base_line_rank", property(lambda curve: curve.r))
 
     def counting(name, rank):
         def counted(*args, **kwargs):

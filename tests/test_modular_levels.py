@@ -1,8 +1,9 @@
 """A graded level is reduced mod p once per certificate.
 
 `GradedIdeal.dimension` ranks a level through `ideals.certified_rank`, which
-reduces the level's own rows, so a passing certificate reduces its one
-level once, at the first prime.
+reduces the level's own rows, so a passing certificate that takes its level
+route reduces its one level once, at the first prime.  A curve that misses
+the base line ranks no level, so the test reports T singular to reach it.
 """
 
 from hkcurves.acm_curve import ACMCurve, predicted_ideal_dimension, random_sigma_curve
@@ -20,6 +21,7 @@ def test_certificate_reduces_its_level_once(monkeypatch):
         return rows_mod(rows, ncols, p, s)
 
     monkeypatch.setattr(modp, "rows_mod", counting)
+    monkeypatch.setattr(ACMCurve, "base_line_rank", property(lambda curve: curve.r))
     curve = ACMCurve(matrix)
     certificate = curve.certificate()
     assert certificate.ok

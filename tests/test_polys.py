@@ -6,7 +6,6 @@ from math import comb
 import pytest
 
 from hkcurves.exact_algebra.ideals import GradedIdeal
-from hkcurves.exact_algebra.linalg import graded_matrix
 from hkcurves.exact_algebra.polys import (
     HomogPoly,
     UniPoly,
@@ -17,6 +16,8 @@ from hkcurves.exact_algebra.polys import (
     uni_interpolate,
 )
 from hkcurves.exact_algebra.scalars import GaussianRational
+
+from suites import graded_matrix
 
 ZERO = GaussianRational(0, 0)
 ONE = GaussianRational(1, 0)
