@@ -10,7 +10,7 @@ from typing import List, Optional, Tuple
 
 from ..exact_algebra.ideals import GradedIdeal, certified_rank
 from ..exact_algebra.linalg import ExactMatrix
-from ..exact_algebra.polys import HomogPoly, monomial_count, signed_maximal_minors
+from ..exact_algebra.polys import HomogPoly, linear_combination, monomial_count, signed_maximal_minors
 from ..exact_algebra.scalars import GaussianRational, random_gaussian_rows
 from ..pencil import canonical_pair
 from ..reality import make_sigma_invariant_pencil, reality_conjugate
@@ -171,11 +171,7 @@ def certify_resolution(curve: ACMCurve) -> ResolutionCertificate:
     ideal.  A mismatch sweeps it, so a failing report lists every mismatch.
     """
     r = curve.r
-    zero = HomogPoly(4, r + 1, {})
-    cofactor = all(
-        sum((curve.minors[i] * curve.entries[i][j] for i in range(r + 1)), zero).is_zero()
-        for j in range(r)
-    )
+    cofactor = all(linear_combination(curve.minors, col).is_zero() for col in zip(*curve.entries))
     injective = any(not m.is_zero() for m in curve.minors)
     bounded = cofactor and injective
     window = range(0, 2 * r + 3)

@@ -196,7 +196,9 @@ def fiber_points(
     The matrices are exact; only the eigensolve is numeric.  Points are
     validated against every generator and sorted deterministically.
     Raises ArithmeticError when the slice is not reduced enough for the
-    eigenvector method (clustered spectrum, large residuals).
+    eigenvector method (clustered spectrum, large residuals).  A curve that
+    meets L0 raises ValueError("profile not stabilized") on every slice: its
+    point on L0 lies at infinity there, so the echelon never stabilizes.
     """
     gens = fiber_generators(curve, t, at_infinity=at_infinity)
     # int / int is correctly rounded: each part is the float nearest the
@@ -264,13 +266,12 @@ def expected_hilbert(r: int, k: int) -> int:
 
 @dataclass(frozen=True)
 class FiberScheme:
-    """One certified slice: parameter, chart, generators, H(0), ..., H(r+2)."""
+    """One certified slice: parameter, chart, H(0), ..., H(r+2)."""
 
     r: int
     d: int
     t: GaussianRational
     at_infinity: bool
-    generators: Tuple[Bivar, ...]
     profile: Tuple[int, ...]
 
     def hilbert_function(self) -> Tuple[int, ...]:
@@ -288,9 +289,7 @@ def restrict_to_fiber(curve, t: GaussianRational, at_infinity: bool = False) -> 
     """
     if not curve.certificate().ok:
         raise ValueError("resolution certificate failed; slice data unreliable")
-    gens = fiber_generators(curve, t, at_infinity=at_infinity)
-    profile = hilbert_profile(curve, t, at_infinity)
-    return FiberScheme(curve.r, curve.degree, t, at_infinity, tuple(gens), profile)
+    return FiberScheme(curve.r, curve.degree, t, at_infinity, hilbert_profile(curve, t, at_infinity))
 
 
 def fiber_hilbert_function(scheme: FiberScheme) -> Tuple[int, ...]:

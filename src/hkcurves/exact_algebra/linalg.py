@@ -4,7 +4,7 @@ ExactMatrix is an immutable dense container.  Its exact methods read the
 two exact kernels of the core: rank, right kernel and inverse come from the
 sparse Gaussian-integer echelon of `ideals` (`sparse_echelon` and its
 reduced `normal_form_table`) on its rows cleared of denominators
-(`integer_row`), and the determinant from the Laplace pass of `polys`.
+(`integer_row`), and the determinant from the Laplace kernel of `polys`.
 There is no floating fallback here.
 """
 
@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 from .ideals import integer_row, normal_form_table, sparse_echelon, sparse_row_rank
-from .polys import HomogPoly, _laplace_dets
+from .polys import linear_dets
 from .scalars import GaussianRational, random_gaussian_rows
 
 _ZERO = GaussianRational(0)
@@ -215,14 +215,14 @@ class ExactMatrix:
         return ExactMatrix.from_columns(basis, n)
 
     def det(self) -> GaussianRational:
-        """The x0^n coefficient of one Laplace pass over the forms x0 * M[i][j]:
-        O(n * 2^n) products, so meant for small n."""
+        """`polys.linear_dets` on the forms x0 * M[i][j], rows cleared of
+        denominators: O(n * 2^n) products, so meant for small n."""
         if self.rows != self.cols:
             raise ValueError("det of non-square matrix")
+        rows, scales = _int_rows(self.data)
         n = self.rows
-        forms = [[HomogPoly(1, 1, {(1,): z}) for z in row] for row in self.data]
-        dets = _laplace_dets(forms, range(n), range(n), HomogPoly(1, 0, {(0,): 1}))
-        return dets[tuple(range(n))].coeffs.get((n,), _ZERO)
+        (re,), (im,) = linear_dets([[(z,) for z in row] for row in rows], 1, n)[tuple(range(n))]
+        return GaussianRational(Fraction(re, prod(scales)), Fraction(im, prod(scales)))
 
     def inverse(self) -> "ExactMatrix":
         """The reduced echelon form of [M | I] is [I | M^-1], so M^-1 is minus

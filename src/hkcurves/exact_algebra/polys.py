@@ -6,9 +6,12 @@ positive integer denominator, with gcd(den, content) = 1, so arithmetic
 runs on ints and equal forms are equal structurally; GaussianRational
 coefficients appear only in the `coeffs` view read at the boundary.
 Monomial bases are lexicographically descending, so coordinate layouts are
-reproducible across runs.  `signed_maximal_minors` reads the one Laplace
-kernel for the maximal minors of an (r+1) x r matrix of forms, in any
-number of variables: the curve's minors in four, a pencil's in two.
+reproducible across runs.  `linear_dets` is the one Laplace kernel, for
+matrices of linear forms: a sub-determinant is a dense pair of int lists
+(real and imaginary numerators) over a monomial basis, and a Laplace step
+is one shifted multiply-add per variable.  It gives the maximal minors of
+curves (four variables) and pencils (two) and `ExactMatrix.det` (one);
+the cofactor identity, `linear_combination`, shares the multiply-add.
 UniPoly is the univariate workhorse for pencil minor gcds and binary forms.
 """
 
@@ -193,50 +196,82 @@ class HomogPoly:
 
 
 # ---------------------------------------------------------------------------
-# maximal minors of a matrix of forms: the one Laplace kernel
+# the one Laplace kernel, for matrices of linear forms
 
 
-def _laplace_dets(entries, rows, cols, one) -> dict:
-    """Determinant of every len(cols)-subset of `rows` against `cols`, keyed
-    by the ascending row tuple.
+@lru_cache(maxsize=None)
+def _shifts(num_vars: int, degree: int) -> tuple:
+    """Row v: where m * x_v sits in degree + 1, m running over the degree's basis."""
+    index = monomial_index(num_vars, degree + 1)
+    basis = monomial_basis(num_vars, degree)
+    return tuple(tuple(index[m[:v] + (m[v] + 1,) + m[v + 1 :]] for m in basis) for v in range(num_vars))
 
-    One pass of Laplace expansion along the columns in order: each subset
-    expands along its last column through the subsets one row smaller.
-    `one` is the constant form 1 in the entries' variables, the determinant
-    of the empty subset.
-    """
-    dets = {(): one}
-    for depth, col in enumerate(cols):
-        nxt = {}
-        for rowset in itertools.combinations(rows, depth + 1):
-            acc = None
+
+def _mul_add(re: list, im: list, vec: tuple, form, shifts: tuple) -> None:
+    """(re, im) += vec * form on dense numerator lists: one shifted
+    multiply-add per variable, form[v] = (c, d) for (c + d*i) x_v."""
+    vre, vim = vec
+    for (c, d), shift in zip(form, shifts):
+        if c or d:
+            for k, a, b in zip(shift, vre, vim):
+                re[k] += a * c - b * d
+                im[k] += a * d + b * c
+
+
+def _linear_pairs(form: HomogPoly, den: int) -> list:
+    """A linear form's numerators (c, d) of x_0 .. x_(n-1) over den, a multiple of its own."""
+    if form.degree != 1:
+        raise ValueError("the Laplace kernel takes linear entries")
+    pairs = [form.terms.get(m, (0, 0)) for m in monomial_basis(form.num_vars, 1)]
+    return [(a * (den // form.den), b * (den // form.den)) for a, b in pairs]
+
+
+def linear_dets(rows: list, num_vars: int, size: int) -> dict:
+    """Determinant of every `size`-subset of the rows against the first `size`
+    columns, by ascending row tuple, as dense (re, im) numerator lists over
+    monomial_basis(num_vars, size); rows[i][j] holds entry (i, j)'s pairs of
+    `_linear_pairs`.  Each subset expands along its last column."""
+    dets = {(): ([1], [0])}
+    for depth in range(size):
+        shifts, width, nxt = _shifts(num_vars, depth), monomial_count(num_vars, depth + 1), {}
+        for rowset in itertools.combinations(range(len(rows)), depth + 1):
+            re, im = nxt[rowset] = [0] * width, [0] * width
             for pos, i in enumerate(rowset):
-                prev = dets[rowset[:pos] + rowset[pos + 1 :]]
-                # the first term is kept even when zero: it has the degree
-                if acc is not None and prev.is_zero():
-                    continue
-                term = prev * entries[i][col]
-                # expansion along the last column: sign (-1)^(pos + depth)
-                term = term if (pos + depth) % 2 == 0 else -term
-                acc = term if acc is None else acc + term
-            nxt[rowset] = acc
+                sign = -1 if (pos + depth) % 2 else 1
+                form = [(sign * c, sign * d) for c, d in rows[i][depth]]
+                _mul_add(re, im, dets[rowset[:pos] + rowset[pos + 1 :]], form, shifts)
         dets = nxt
     return dets
 
 
 def signed_maximal_minors(entries: list[list[HomogPoly]]) -> list[HomogPoly]:
-    """(-1)^i * det(matrix with row i deleted), i = 0..r, from one Laplace pass."""
+    """(-1)^i * det(matrix with row i deleted), i = 0..r, for linear entries
+    over one denominator D: one `linear_dets` pass, minors over D^r."""
     nrows = len(entries)
     ncols = len(entries[0]) if entries else 0
     if nrows != ncols + 1:
         raise ValueError(f"expected (r+1) x r entries, got {nrows} x {ncols}")
-    n = entries[0][0].num_vars
-    dets = _laplace_dets(entries, range(nrows), range(ncols), HomogPoly(n, 0, {(0,) * n: 1}))
-    out = []
+    first, den = entries[0][0], lcm(*(e.den for row in entries for e in row))
+    dets = linear_dets([[_linear_pairs(e, den) for e in row] for row in entries], first.num_vars, ncols)
+    basis, out = monomial_basis(first.num_vars, ncols), []
     for skip in range(nrows):
-        d = dets[tuple(a for a in range(nrows) if a != skip)]
-        out.append(d if skip % 2 == 0 else -d)
+        re, im = dets[tuple(a for a in range(nrows) if a != skip)]
+        s = -1 if skip % 2 else 1
+        out.append(first._like({m: (s * a, s * b) for m, a, b in zip(basis, re, im)}, den**ncols, ncols))
     return out
+
+
+def linear_combination(forms: list[HomogPoly], linears: list[HomogPoly]) -> HomogPoly:
+    """sum_i forms[i] * linears[i] for forms of one degree and linear forms,
+    by the Laplace kernel's multiply-add on one common denominator."""
+    n, degree = forms[0].num_vars, forms[0].degree
+    den = lcm(*(f.den * g.den for f, g in zip(forms, linears)))
+    basis, width = monomial_basis(n, degree), monomial_count(n, degree + 1)
+    re, im = [0] * width, [0] * width
+    for f, g in zip(forms, linears):
+        vec = tuple(zip(*(f.terms.get(m, (0, 0)) for m in basis)))
+        _mul_add(re, im, vec, _linear_pairs(g, den // f.den), _shifts(n, degree))
+    return forms[0]._like(dict(zip(monomial_basis(n, degree + 1), zip(re, im))), den, degree + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -40,24 +40,22 @@ def _check_shape(A1: ExactMatrix, A2: ExactMatrix) -> int:
     return cols
 
 
-def _signed_minors(A1: ExactMatrix, A2: ExactMatrix, r: int) -> List[HomogPoly]:
+def _signed_minors(A1: ExactMatrix, A2: ExactMatrix) -> List[HomogPoly]:
     """Signed maximal minors of x0*A1 + x1*A2: binary forms of degree r.
 
     The coefficient of x0^(r-k) x1^k is the lambda^k coefficient of the
     signed minor of A1 + lambda*A2, and that of x0^k x1^(r-k) is the
     lambda^k coefficient of the signed minor of A2 + lambda*A1.
     """
-    entries = [
-        [HomogPoly.linear_form([A1[i, j], A2[i, j]]) for j in range(r)] for i in range(r + 1)
-    ]
-    return signed_maximal_minors(entries)
+    rows = zip(A1.data, A2.data)
+    return signed_maximal_minors([[HomogPoly.linear_form(ab) for ab in zip(*pair)] for pair in rows])
 
 
 def pencil_minors(A1: ExactMatrix, A2: ExactMatrix) -> List[UniPoly]:
     """Maximal minors of A1 + lambda*A2 as polynomials in lambda, degree <= r."""
     r = _check_shape(A1, A2)
     out = []
-    for i, m in enumerate(_signed_minors(A1, A2, r)):
+    for i, m in enumerate(_signed_minors(A1, A2)):
         minor = UniPoly([m.coeffs.get((r - k, k), _ZERO) for k in range(r + 1)])
         out.append(-minor if i % 2 else minor)
     return out
@@ -144,7 +142,7 @@ def kronecker_reduce(A1: ExactMatrix, A2: ExactMatrix) -> KroneckerReduction:
 
 def _shift_gauge(A1: ExactMatrix, A2: ExactMatrix, r: int) -> KroneckerReduction:
     """The gauge of kronecker_reduce; raises when a step or the check fails."""
-    minors = _signed_minors(A1, A2, r)
+    minors = _signed_minors(A1, A2)
     if all(m.is_zero() for m in minors):
         raise ValueError("all maximal minors vanish; pencil not injective")
     # Row k of `what` holds the lambda^k coefficients of the signed minors of

@@ -333,7 +333,9 @@ def extract_metric(
     point derivatives; the parameter dependence of the pairing is an
     exact quadratic whose three coefficients carry the three forms.  The
     metric is the I-pairing composed with I, and the J and K pairings
-    are checked against it as quaternionic residuals.
+    are checked against it as quaternionic residuals.  A curve that meets
+    L0 is refused as a whole, not fiber by fiber: `fiber_points` raises
+    ValueError on every slice of it, and that propagates from here.
     """
     r = chart.r
     curve = chart.curve()

@@ -69,6 +69,18 @@ def test_cofactor_identity_of_signed_minors():
             assert acc == HomogPoly(4, r + 1, {})
 
 
+@pytest.mark.parametrize("r,k", [(2, 0), (2, 2), (3, 1)])
+def test_cofactor_check_fails_on_a_perturbed_minor(r, k):
+    # the check reads the stored minors and entries, so a wrong minor shows
+    curve = random_real_curve(r, seed=0)
+    assert certify_resolution(curve).cofactor_identity
+    x0_r = HomogPoly(4, r, {(r, 0, 0, 0): ONE})
+    curve.minors = [m + x0_r if i == k else m for i, m in enumerate(curve.minors)]
+    cert = certify_resolution(curve)
+    assert cert.cofactor_identity is False
+    assert cert.ok is False
+
+
 def test_signed_minors_match_unsigned_up_to_sign():
     curve = random_real_curve(2, seed=1)
     plain = signed_maximal_minors(curve.entries)

@@ -13,7 +13,7 @@ import pytest
 
 from hkcurves.acm_curve import LinearMatrix, signed_maximal_minors
 from hkcurves.exact_algebra.linalg import ExactMatrix
-from hkcurves.exact_algebra.polys import HomogPoly, monomial_basis
+from hkcurves.exact_algebra.polys import HomogPoly, linear_combination, monomial_basis
 from hkcurves.exact_algebra.scalars import GaussianRational, random_gaussian_rows
 
 _ZERO = GaussianRational(0, 0)
@@ -186,3 +186,102 @@ def test_minors_and_cofactors_match_reference(r):
         ref_entries = [[_ref(e) for e in row] for row in entries]
         for got, want in zip(signed_maximal_minors(entries), _ref_signed_maximal_minors(ref_entries)):
             assert_same(got, want)
+
+
+def _random_linear(rng, zero_vars=(), density=0.7):
+    # each entry its own denominators; some coefficients and whole variables zero
+    return HomogPoly.linear_form(
+        [_ZERO if v in zero_vars or rng.random() > density else _rational(rng) for v in range(4)]
+    )
+
+
+def _check_minors_and_cofactors(entries):
+    ref_entries = [[_ref(e) for e in row] for row in entries]
+    minors = signed_maximal_minors(entries)
+    for got, want in zip(minors, _ref_signed_maximal_minors(ref_entries), strict=True):
+        assert_same(got, want)
+    for j in range(len(entries[0])):
+        column = [row[j] for row in entries]
+        want = _RefPoly(4, len(column), {})
+        for m, e in zip(minors, column):
+            want = want + _ref(m) * _ref(e)
+        assert_same(linear_combination(minors, column), want)
+        assert want.is_zero()
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_kernel_takes_a_denominator_per_entry(r):
+    rng = random.Random(40 + r)
+    entries = [[_random_linear(rng, density=1.0) for _ in range(r)] for _ in range(r + 1)]
+    assert len({e.den for row in entries for e in row}) > 1
+    _check_minors_and_cofactors(entries)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_kernel_takes_zero_coefficients_and_zero_variables(r):
+    rng = random.Random(50 + r)
+    entries = [[_random_linear(rng, zero_vars=(2,), density=0.5) for _ in range(r)] for _ in range(r + 1)]
+    entries[0][0] = HomogPoly(4, 1, {})
+    assert any(e.is_zero() for row in entries for e in row)
+    _check_minors_and_cofactors(entries)
+    # a zero column makes every minor zero, of degree r
+    zeroed = [[HomogPoly(4, 1, {}) if j == 0 else e for j, e in enumerate(row)] for row in entries]
+    assert signed_maximal_minors(zeroed) == [HomogPoly(4, r, {})] * (r + 1)
+
+
+def test_kernel_at_r_1_is_the_column_up_to_sign():
+    rng = random.Random(60)
+    for _ in range(5):
+        a, b = _random_linear(rng), _random_linear(rng)
+        assert signed_maximal_minors([[a], [b]]) == [b, -a]
+        _check_minors_and_cofactors([[a], [b]])
+
+
+def test_kernel_refuses_entries_that_are_not_linear():
+    rng = random.Random(61)
+    entries = [[_random_form(rng, 2)], [_random_form(rng, 2)]]
+    with pytest.raises(ValueError, match="linear"):
+        signed_maximal_minors(entries)
+
+
+def _ref_det(rows):
+    """Cofactor expansion along the first row on (re, im) Fraction pairs."""
+    if not rows:
+        return (Fraction(1), Fraction(0))
+    re = im = Fraction(0)
+    for j, (a, b) in enumerate(rows[0]):
+        c, d = _ref_det([row[:j] + row[j + 1 :] for row in rows[1:]])
+        sign = -1 if j % 2 else 1
+        re += sign * (a * c - b * d)
+        im += sign * (a * d + b * c)
+    return re, im
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_det_matches_cofactor_expansion(n):
+    rng = random.Random(70 + n)
+    drawn = [[[_rational(rng, 5, 4) if rng.random() < 0.8 else _ZERO for _ in range(n)] for _ in range(n)]
+             for _ in range(3)]
+    full = drawn[0]
+    c, d = _rational(rng), _rational(rng)
+    planted = [[[_ZERO] * n] + full[1:]]  # a zero row
+    if n > 1:  # the last row a combination of two others
+        planted.append(full[:-1] + [[c * x + d * y for x, y in zip(full[0], full[n - 2])]])
+    for rows in drawn + planted:
+        got = ExactMatrix(rows).det()
+        assert (got.re, got.im) == _ref_det([[(z.re, z.im) for z in row] for row in rows])
+    assert all(ExactMatrix(rows).det().is_zero() for rows in planted)
+    assert not all(ExactMatrix(rows).det().is_zero() for rows in drawn)
+    assert ExactMatrix([]).det() == _ONE
+
+
+def test_linear_combination_matches_reference():
+    rng = random.Random(80)
+    for degree in (0, 1, 2, 3):
+        forms = [_random_form(rng, degree) for _ in range(4)]
+        linears = [_random_linear(rng, zero_vars=(3,)) for _ in range(4)]
+        want = _RefPoly(4, degree + 1, {})
+        for f, g in zip(forms, linears):
+            want = want + _ref(f) * _ref(g)
+        assert not want.is_zero()
+        assert_same(linear_combination(forms, linears), want)
