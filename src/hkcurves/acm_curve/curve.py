@@ -5,7 +5,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
 from typing import List, Optional, Tuple
 
 from ..exact_algebra.ideals import GradedIdeal, certified_rank
@@ -121,13 +120,12 @@ class ACMCurve:
         return certified_rank(rows, self.r + 1, self.r + 1)
 
     @cached_property
-    def base_line_inverse(self) -> Tuple[List[List[Tuple[int, int]]], int]:
-        """(A, L) with T^-1 = A / L for invertible T: Gaussian-integer pairs
-        over their least positive common denominator."""
+    def base_line_inverse(self) -> Tuple[Tuple[Tuple[Tuple[int, int], ...], ...], int]:
+        """(A, L) with T^-1 = A / L for invertible T: the integer form of
+        the inverse, Gaussian-integer pairs over one positive common
+        denominator."""
         T = ExactMatrix([[GaussianRational(a, b) for a, b in row] for row in self.base_line])
-        parts = [[z.integer_parts() for z in row] for row in T.inverse().data]
-        den = lcm(*(e for row in parts for _, _, e in row))
-        return [[(a * (den // e), b * (den // e)) for a, b, e in row] for row in parts], den
+        return T.inverse().integer_form
 
 
 @dataclass(frozen=True)

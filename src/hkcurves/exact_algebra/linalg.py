@@ -1,20 +1,22 @@
 """Dense matrices over Q(i).
 
-ExactMatrix is an immutable dense container.  Its exact methods read the
-two exact kernels of the core: rank, right kernel and inverse come from the
-sparse Gaussian-integer echelon of `ideals` (`sparse_echelon` and its
-reduced `normal_form_table`) on its rows cleared of denominators
-(`integer_row`), and the determinant from the Laplace kernel of `polys`.
-There is no floating fallback here.
+ExactMatrix is an immutable dense container with one integer form: its
+entries as Gaussian-integer (re, im) pairs over one denominator D > 0,
+built once on first use.  Products, equality and the exact methods read
+that form; a product is born in it, over D_L * D_R, and builds its Q(i)
+entries (`data`) only when they are read.  Rank, right kernel and inverse
+come from the sparse echelon of `ideals` (`sparse_echelon` and its reduced
+`normal_form_table`) on the form's rows, and the determinant from the
+Laplace kernel of `polys`.  There is no floating fallback here.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import lcm, prod
+from math import lcm
 
-from .ideals import integer_row, normal_form_table, sparse_echelon, sparse_row_rank
+from .ideals import normal_form_table, sparse_echelon, sparse_row_rank
 from .polys import linear_dets
 from .scalars import GaussianRational, random_gaussian_rows
 
@@ -22,51 +24,58 @@ _ZERO = GaussianRational(0)
 _ONE = GaussianRational(1)
 
 
-def _int_rows(rows):
-    """Clear denominators row by row: the (int, int) rows and each row's
-    positive integer scale, for products on Gaussian integers."""
-    out = []
-    scales = []
-    for row in rows:
-        den = lcm(*(q.denominator for z in row for q in (z.re, z.im)))
-        out.append(
-            [
-                (
-                    z.re.numerator * (den // z.re.denominator),
-                    z.im.numerator * (den // z.im.denominator),
-                )
-                for z in row
-            ]
-        )
-        scales.append(den)
-    return out, scales
-
-
 class ExactMatrix:
     """Immutable dense matrix over GaussianRational."""
 
-    __slots__ = ("data", "rows", "cols")
+    __slots__ = ("_data", "_form", "rows", "cols")
 
     def __init__(self, data, cols: int | None = None):
-        norm = []
-        for row in data:
-            norm.append(
-                tuple(
-                    z if isinstance(z, GaussianRational) else GaussianRational(z)
-                    for z in row
-                )
-            )
-        object.__setattr__(self, "data", tuple(norm))
-        object.__setattr__(self, "rows", len(norm))
-        object.__setattr__(
-            self, "cols", len(norm[0]) if norm else (cols if cols is not None else 0)
-        )
+        norm = tuple(tuple(z if isinstance(z, GaussianRational) else GaussianRational(z) for z in row) for row in data)
+        cols = len(norm[0]) if norm else (cols if cols is not None else 0)
+        for name, value in zip(self.__slots__, (norm, None, len(norm), cols)):
+            object.__setattr__(self, name, value)
         for row in norm:
             if len(row) != self.cols:
                 raise ValueError("ragged rows")
 
+    @staticmethod
+    def _from_form(rows: tuple, den: int, cols: int) -> "ExactMatrix":
+        m = ExactMatrix.__new__(ExactMatrix)
+        for name, value in zip(m.__slots__, (None, (rows, den), len(rows), cols)):
+            object.__setattr__(m, name, value)
+        return m
+
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild from the entries, not the cached form
+        return (ExactMatrix, (self.data, self.cols))
+
+    @property
+    def data(self) -> tuple:
+        if self._data is None:
+            rows, d = self._form
+            entries = tuple(tuple(GaussianRational(Fraction(a, d), Fraction(b, d)) for a, b in row) for row in rows)
+            object.__setattr__(self, "_data", entries)
+        return self._data
+
+    @property
+    def integer_form(self) -> tuple:
+        """(rows, D): the entries as (re, im) int pairs over one D > 0, the
+        lcm of their denominators unless the matrix is a product."""
+        if self._form is None:
+            den = lcm(*(q.denominator for row in self._data for z in row for q in (z.re, z.im)))
+            rows = tuple(
+                tuple((z.re.numerator * (den // z.re.denominator), z.im.numerator * (den // z.im.denominator)) for z in row)
+                for row in self._data
+            )
+            object.__setattr__(self, "_form", (rows, den))
+        return self._form
+
+    def _sparse_rows(self) -> list:
+        """The form's rows as sparse (column, a, b) triples: each D times its row."""
+        return [[(j, a, b) for j, (a, b) in enumerate(row) if a or b] for row in self.integer_form[0]]
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -102,15 +111,13 @@ class ExactMatrix:
         return self.data[i][j]
 
     def __eq__(self, other):
-        return (
-            isinstance(other, ExactMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and all(
-                self.data[i][j] == other.data[i][j]
-                for i in range(self.rows)
-                for j in range(self.cols)
-            )
+        if not isinstance(other, ExactMatrix) or self.shape != other.shape:
+            return False
+        (left, ld), (right, rd) = self.integer_form, other.integer_form
+        return all(
+            a * rd == c * ld and b * rd == d * ld
+            for lrow, rrow in zip(left, right)
+            for (a, b), (c, d) in zip(lrow, rrow)
         )
 
     def __hash__(self):
@@ -162,21 +169,20 @@ class ExactMatrix:
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        # Gaussian-integer form: one Fraction per product entry, not per term
-        left, lscales = _int_rows(self.data)
-        right, rscales = _int_rows(other.transpose().data)
+        (left, ld), (right, rd) = self.integer_form, other.integer_form
+        # with an inner dimension of 0, zip(*right) would drop the columns
+        cols = list(zip(*right)) or [()] * other.cols
         out = []
-        for row, ls in zip(left, lscales):
+        for row in left:
             out_row = []
-            for col, rs in zip(right, rscales):
+            for col in cols:
                 re = im = 0
                 for (a, b), (c, d) in zip(row, col):
                     re += a * c - b * d
                     im += a * d + b * c
-                s = ls * rs
-                out_row.append(GaussianRational(Fraction(re, s), Fraction(im, s)))
-            out.append(out_row)
-        return ExactMatrix(out)
+                out_row.append((re, im))
+            out.append(tuple(out_row))
+        return ExactMatrix._from_form(tuple(out), ld * rd, other.cols)
 
     def apply(self, vec):
         """Matrix times column vector (list)."""
@@ -193,7 +199,7 @@ class ExactMatrix:
     # -- certified elimination ---------------------------------------------
 
     def rank(self) -> int:
-        return sparse_row_rank([integer_row(enumerate(row)) for row in self.data])
+        return sparse_row_rank(self._sparse_rows())
 
     def kernel_basis(self) -> "ExactMatrix":
         """Columns form a basis of the right kernel.  Shape (cols, nullity).
@@ -203,8 +209,7 @@ class ExactMatrix:
         0 at the other free columns and table[pc][f] at each pivot pc.
         """
         n = self.cols
-        rows = [integer_row(enumerate(row)) for row in self.data]
-        table = normal_form_table(sparse_echelon(rows))
+        table = normal_form_table(sparse_echelon(self._sparse_rows()))
         basis = []
         for f in (j for j in range(n) if j not in table):
             v = [_ZERO] * n
@@ -215,14 +220,13 @@ class ExactMatrix:
         return ExactMatrix.from_columns(basis, n)
 
     def det(self) -> GaussianRational:
-        """`polys.linear_dets` on the forms x0 * M[i][j], rows cleared of
-        denominators: O(n * 2^n) products, so meant for small n."""
+        """`polys.linear_dets` on the forms x0 * M[i][j] of the integer form,
+        over D^n: O(n * 2^n) products, so meant for small n."""
         if self.rows != self.cols:
             raise ValueError("det of non-square matrix")
-        rows, scales = _int_rows(self.data)
-        n = self.rows
+        (rows, den), n = self.integer_form, self.rows
         (re,), (im,) = linear_dets([[(z,) for z in row] for row in rows], 1, n)[tuple(range(n))]
-        return GaussianRational(Fraction(re, prod(scales)), Fraction(im, prod(scales)))
+        return GaussianRational(Fraction(re, den**n), Fraction(im, den**n))
 
     def inverse(self) -> "ExactMatrix":
         """The reduced echelon form of [M | I] is [I | M^-1], so M^-1 is minus
@@ -230,14 +234,14 @@ class ExactMatrix:
         certifies it."""
         if self.rows != self.cols:
             raise ValueError("inverse of non-square matrix")
-        n = self.rows
-        eye = ExactMatrix.identity(n)
-        rows = [integer_row(enumerate(row)) for row in self.hstack(eye).data]
+        n, den = self.rows, self.integer_form[1]
+        # D times the rows of [M | I]
+        rows = [row + [(n + i, den, 0)] for i, row in enumerate(self._sparse_rows())]
         table = normal_form_table(sparse_echelon(rows))
         if sorted(table) != list(range(n)):
             raise ValueError("singular matrix")
         inv = ExactMatrix([[-table[i].get(n + j, _ZERO) for j in range(n)] for i in range(n)])
-        if (self @ inv) != eye:
+        if (self @ inv) != ExactMatrix.identity(n):
             raise ValueError("singular matrix")
         return inv
 

@@ -98,6 +98,10 @@ class HomogPoly:
     def __setattr__(self, name, value):
         raise AttributeError("HomogPoly is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, not the blocked __setattr__
+        return (HomogPoly, (self.num_vars, self.degree, dict(self.coeffs)))
+
     @property
     def coeffs(self) -> MappingProxyType:
         if self._coeffs is None:
@@ -294,6 +298,9 @@ class UniPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("UniPoly is immutable")
+
+    def __reduce__(self):
+        return (UniPoly, (self.coeffs,))
 
     @property
     def degree(self) -> int:

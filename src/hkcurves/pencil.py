@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .exact_algebra.linalg import ExactMatrix
-from .exact_algebra.ideals import certified_rank, integer_row
+from .exact_algebra.ideals import certified_rank
 from .exact_algebra.polys import HomogPoly, UniPoly, signed_maximal_minors, uni_gcd
 from .exact_algebra.scalars import GaussianRational, random_gaussian_rows
 
@@ -154,9 +154,10 @@ def _shift_gauge(A1: ExactMatrix, A2: ExactMatrix, r: int) -> KroneckerReduction
     # Q inverts the top r rows of P*A1.
     what = [[m.coeffs.get((k, r - k), _ZERO) for m in minors] for k in range(r + 1)]
     P = ExactMatrix([[-c for c in row] if k % 2 else row for k, row in enumerate(what)])
-    Q = ExactMatrix((P @ A1).data[:r]).inverse()
+    PA1 = P @ A1
+    Q = ExactMatrix(PA1.data[:r]).inverse()
     S, T = canonical_pair(r)
-    if P @ A1 @ Q != S or P @ A2 @ Q != T:
+    if PA1 @ Q != S or P @ A2 @ Q != T:
         raise AssertionError("reduction verification failed")
     return KroneckerReduction(P=P, Q=Q, r=r)
 
@@ -183,14 +184,15 @@ def pair_stabilizer_dimension(A1: ExactMatrix, A2: ExactMatrix) -> int:
     n = r + 1
     # unknowns: X (n x n) flattened first, then Y (r x r)
     num = n * n + r * r
+    # a row's entries come from one integer form: D times its Q(i) row, same rank
     sparse = []
-    for A in (A1, A2):
+    for A, _ in (A1.integer_form, A2.integer_form):
         for i in range(n):
             for j in range(r):
                 # columns of X's row i, then of Y's column j: ascending
-                x_part = [(i * n + l, A[l, j]) for l in range(n)]
-                y_part = [(n * n + l * r + j, A[i, l]) for l in range(r)]
-                sparse.append(integer_row(x_part + y_part))
+                x_part = [(i * n + l, *A[l][j]) for l in range(n)]
+                y_part = [(n * n + l * r + j, *A[i][l]) for l in range(r)]
+                sparse.append([t for t in x_part + y_part if t[1] or t[2]])
     # (zI, -zI) always solves the system, so the kernel holds a line and
     # the rank stays below num
     return num - certified_rank(sparse, num, num - 1)

@@ -1,5 +1,7 @@
 """Exact matrices, echelon helpers, and the modular rank certificate."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -119,7 +121,7 @@ def _value_mod(v, p, s):
 def test_rows_mod_matches_value_mod():
     # rows_mod reduces the Gaussian integers of rows cleared of denominators;
     # entries must equal _value_mod's of the cleared values, which include
-    # multiples of the primes themselves
+    # multiples of the primes themselves and numerators no int64 holds
     rng = random.Random(23)
     dens = [1, 2, 3, 7, 9, 12]
 
@@ -131,9 +133,12 @@ def test_rows_mod_matches_value_mod():
         for _ in range(6)
     ]
     cleared = [integer_row(row) for row in rows]
+    # numerators beyond int64, negative ones, and empty rows
+    big = 2**70 + 12345
+    cleared += [[(0, -3, 5), (2, big, -big), (7, -big, 7)], [], [(1, 2**64, 2**64 + 1), (3, -1, -1)], []]
     for p, s in PRIMES:
         got = rows_mod(cleared, 8, p, s)
-        want = np.zeros((6, 8), dtype=np.int64)
+        want = np.zeros((len(cleared), 8), dtype=np.int64)
         for i, row in enumerate(cleared):
             for c, a, b in row:
                 want[i, c] = _value_mod(GaussianRational(a, b), p, s)
@@ -164,3 +169,15 @@ def test_sparse_rank_certificate_hits_true_rank():
 
     assert sparse_rank_certificate(exact, level)
     assert not sparse_rank_certificate(exact + 1, level)
+
+
+def test_copy_and_pickle_round_trips():
+    rng = random.Random(4)
+    a, b = _random_matrix(rng, 3, 4), _random_matrix(rng, 4, 2)
+    # a product holds only its integer form until its entries are read
+    for value in (a, a @ b, ExactMatrix.zeros(0, 3), ExactMatrix.zeros(2, 0) @ ExactMatrix.zeros(0, 3)):
+        for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(clone) is ExactMatrix
+            assert clone.shape == value.shape
+            assert clone == value and clone.data == value.data
+            assert hash(clone) == hash(value)

@@ -6,6 +6,11 @@ dense Gaussian-integer pairs that `rank`, `det`, `kernel_basis` and
 The library must return equal ranks and determinants, the identical kernel
 basis (both routes give the canonical one: 1 at a free column, 0 at the
 others) and the identical inverse, and raise where the reference raises.
+
+Products, `==` and `hash` read the matrix's one integer form.  They are
+checked against entry-wise Fraction-pair products and entry-wise equality,
+and the pencil stabilizer against its rows cleared one by one with
+`integer_row`, the route it took before it read the form.
 """
 
 import random
@@ -14,8 +19,10 @@ from math import gcd
 
 import pytest
 
+from hkcurves.exact_algebra.ideals import certified_rank, integer_row
 from hkcurves.exact_algebra.linalg import ExactMatrix
 from hkcurves.exact_algebra.scalars import GaussianRational
+from hkcurves.pencil import canonical_pair, pair_stabilizer_dimension, random_injective_pencil
 
 _ZERO = GaussianRational(0)
 _ONE = GaussianRational(1)
@@ -218,3 +225,121 @@ def test_planted_cases_cover_both_outcomes():
     assert any(singular) and not all(singular)
     assert _matrix(0, **CASES["7x7-rank5"]).rank() == 5
     assert _matrix(0, **CASES["6x4-rank3-zero-row"]).rank() == 3
+
+
+def _ref_matmul(a, b):
+    """Entry-wise product on (re, im) Fraction pairs, built through the
+    constructor from its entries."""
+    out = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            re = im = Fraction(0)
+            for k in range(a.cols):
+                x, y = a.data[i][k], b.data[k][j]
+                re += x.re * y.re - x.im * y.im
+                im += x.re * y.im + x.im * y.re
+            row.append(GaussianRational(re, im))
+        out.append(row)
+    return ExactMatrix(out, cols=b.cols)
+
+
+def _ref_equal(a, b):
+    return a.shape == b.shape and all(x == y for ra, rb in zip(a.data, b.data) for x, y in zip(ra, rb))
+
+
+_SHAPES = [(3, 4, 2), (4, 4, 4), (1, 5, 3), (2, 1, 6), (0, 3, 2), (3, 2, 0)]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("m,k,n", _SHAPES)
+def test_products_match_fraction_reference(seed, m, k, n):
+    # entries with denominators 1..3, so each operand's D is mixed
+    a, b = _matrix(seed, m, k), _matrix(seed + 10, k, n)
+    c = _matrix(seed + 20, n, 3)
+    ab = a @ b
+    ref = _ref_matmul(a, b)
+    assert ab.shape == ref.shape == (m, n)
+    assert ab.data == ref.data
+    assert ab == ref and ref == ab and hash(ab) == hash(ref)
+    chained = (a @ b) @ c
+    ref_chained = _ref_matmul(ref, c)
+    assert chained.data == ref_chained.data
+    assert chained == ref_chained == a @ (b @ c)
+    assert hash(chained) == hash(ref_chained)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_equality_and_hash_match_entrywise(seed):
+    a = _matrix(seed, 4, 5)
+    doubled = ExactMatrix([[z * 2 for z in row] for row in a.data])
+    # the same matrix through a product (D_L * D_R) and through its entries
+    via_product = a @ ExactMatrix.identity(5)
+    for x, y in ((a, via_product), (a, doubled), (doubled, a.scale(2)), (a, _matrix(seed, 4, 4))):
+        assert (x == y) == _ref_equal(x, y)
+        assert (x != y) == (not _ref_equal(x, y))
+        if _ref_equal(x, y):
+            assert hash(x) == hash(y)
+    one_entry = [list(row) for row in a.data]
+    one_entry[3][4] = one_entry[3][4] + GaussianRational(0, Fraction(1, 7))
+    assert a != ExactMatrix(one_entry) and not _ref_equal(a, ExactMatrix(one_entry))
+    assert a != a.data
+
+
+def test_unread_product_compares_to_one_built_from_entries():
+    a, b = _matrix(5, 4, 3), _matrix(6, 3, 4)
+    product = a @ b
+    ref = _ref_matmul(a, b)
+    assert product == ref
+    assert product._data is None  # == read only the integer forms
+    assert hash(product) == hash(ref)
+    assert product.data == ref.data
+
+
+def test_inner_dimension_zero_keeps_the_columns():
+    product = ExactMatrix.zeros(2, 0) @ ExactMatrix.zeros(0, 3)
+    assert product.shape == (2, 3)
+    assert product == ExactMatrix.zeros(2, 3)
+    assert product.data == ExactMatrix.zeros(2, 3).data
+    assert (ExactMatrix.zeros(0, 2) @ ExactMatrix.zeros(2, 3)).shape == (0, 3)
+    assert (ExactMatrix.zeros(2, 3) @ ExactMatrix.zeros(3, 0)).shape == (2, 0)
+
+
+def _ref_stabilizer_dimension(A1, A2):
+    """pair_stabilizer_dimension with each row cleared by `integer_row`."""
+    r = A1.cols
+    n = r + 1
+    num = n * n + r * r
+    rows = []
+    for A in (A1, A2):
+        for i in range(n):
+            for j in range(r):
+                x_part = [(i * n + l, A[l, j]) for l in range(n)]
+                y_part = [(n * n + l * r + j, A[i, l]) for l in range(r)]
+                rows.append(integer_row(x_part + y_part))
+    return num - certified_rank(rows, num, num - 1)
+
+
+def _rational_gauge(seed, n):
+    """A seeded invertible n x n matrix with fractional Gaussian entries."""
+    rng = random.Random(seed)
+    while True:
+        m = ExactMatrix([[_entry(rng) for _ in range(n)] for _ in range(n)])
+        if not m.det().is_zero():
+            return m
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_stabilizer_of_rationally_gauged_pencils_matches_integer_row_route(r):
+    S, T = canonical_pair(r)
+    pencils = [random_injective_pencil(r, seed) for seed in range(2)] + [(S, T), (S, S), (S, S.scale(0))]
+    for k, (A1, A2) in enumerate(pencils):
+        P, Q = _rational_gauge(100 * r + k, r + 1), _rational_gauge(100 * r + k + 50, r)
+        G1, G2 = P @ A1 @ Q, P @ A2 @ Q
+        assert any(z.re.denominator > 1 or z.im.denominator > 1 for row in G1.data for z in row)
+        want = _ref_stabilizer_dimension(A1, A2)
+        assert pair_stabilizer_dimension(A1, A2) == want
+        # gauge invariant, and the gauged pencil ranks from two fresh forms
+        assert _ref_stabilizer_dimension(G1, G2) == want
+        assert pair_stabilizer_dimension(G1, G2) == want
+        assert pair_stabilizer_dimension(ExactMatrix(G1.data), ExactMatrix(G2.data)) == want

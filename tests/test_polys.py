@@ -1,6 +1,9 @@
 """Homogeneous and univariate polynomial layers, graded matrices."""
 
+import copy
+import pickle
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -152,3 +155,15 @@ def test_uni_interpolate_recovers_polynomial():
     pts = [GaussianRational(k, 0) for k in range(3)]
     vals = [target.evaluate(p) for p in pts]
     assert uni_interpolate(pts, vals) == target
+
+
+def test_copy_and_pickle_round_trips():
+    x, y, z = (HomogPoly.linear_form([ONE if j == i else ZERO for j in range(3)]) for i in range(3))
+    half = GaussianRational(Fraction(1, 2), Fraction(-3, 4))
+    forms = [x * y + (z * z).scale(half), HomogPoly(3, 2), x]
+    unis = [UniPoly([half, ZERO, ONE]), UniPoly([])]
+    for value in forms + unis:
+        for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(clone) is type(value)
+            assert clone == value
+            assert hash(clone) == hash(value)
