@@ -22,7 +22,6 @@ from .curve import (
     random_sigma_curve,
 )
 from .fibers import (
-    AffineFiber,
     FiberScheme,
     expected_hilbert,
     fiber_generators,
@@ -48,7 +47,6 @@ __all__ = [
     "random_real_curve",
     "random_sigma_curve",
     "signed_maximal_minors",
-    "AffineFiber",
     "FiberScheme",
     "expected_hilbert",
     "fiber_generators",

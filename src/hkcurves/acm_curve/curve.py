@@ -10,7 +10,7 @@ from typing import List, Optional, Tuple
 from ..exact_algebra.ideals import GradedIdeal, certified_rank
 from ..exact_algebra.linalg import ExactMatrix
 from ..exact_algebra.polys import HomogPoly, linear_combination, monomial_count, signed_maximal_minors
-from ..exact_algebra.scalars import GaussianRational, random_gaussian_rows
+from ..exact_algebra.scalars import random_gaussian_rows
 from ..pencil import canonical_pair
 from ..reality import make_sigma_invariant_pencil, reality_conjugate
 
@@ -124,7 +124,7 @@ class ACMCurve:
         """(A, L) with T^-1 = A / L for invertible T: the integer form of
         the inverse, Gaussian-integer pairs over one positive common
         denominator."""
-        T = ExactMatrix([[GaussianRational(a, b) for a, b in row] for row in self.base_line])
+        T = ExactMatrix.from_integer_form(tuple(map(tuple, self.base_line)), 1, self.r + 1)
         return T.inverse().integer_form
 
 

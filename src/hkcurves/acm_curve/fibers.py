@@ -1,19 +1,24 @@
-"""Planar slices of a curve along the pencil of planes x3 = t * x2.
+"""Planar slices of a curve in Z = P^3 minus L0, along the planes x3 = t * x2.
 
-The slice over a finite parameter t lives in the affine chart x2 = 1 with
-coordinates (u, v) = (x0/x2, x1/x2); the chart at infinity uses x3 = 1
-and the reciprocal parameter.  Slices are finite schemes of length
-d = r(r+1)/2; their Hilbert functions stratify the parameter line.
+Every plane of the pencil contains L0 = {x2 = x3 = 0}, so Z fibres over the
+parameter line.  The slice over a finite parameter t lives in the affine
+chart x2 = 1 with coordinates (u, v) = (x0/x2, x1/x2); the chart at infinity
+uses x3 = 1 and the reciprocal parameter, and L0 is the line at infinity of
+both.  A curve that misses L0 (`avoids_base_line`) lies in Z and has finite
+slices of length d = r(r+1)/2 with exact restricted Hilbert-Burch complexes,
+on which x2 is a nonzerodivisor: the affine profile is `expected_hilbert`,
+and u^a v^b, a + b <= r - 1, is a basis.  The degree-r part of slice
+generator g_k is minor k on L0, row k of T (`ACMCurve.base_line`), so a
+degree-r monomial b has the normal form b - sum c_k g_k with c = T^-1 e_b: a
+border basis (Mourrain, AAECC 1999; Kehrein, Kreuzer and Robbiano 2005).
 
-Every plane of the pencil contains L0 = {x2 = x3 = 0}, the charts' line at
-infinity.  A curve that misses L0 (`avoids_base_line`) has finite slices
-with exact restricted Hilbert-Burch complexes, on which x2 is a
-nonzerodivisor: the affine profile is `expected_hilbert`, and u^a v^b,
-a + b <= r - 1, is a basis.  The degree-r part of slice generator g_k is
-minor k on L0, row k of T (`ACMCurve.base_line`), so a degree-r monomial b
-has the normal form b - sum c_k g_k with c = T^-1 e_b: a border basis
-(Mourrain, AAECC 1999; Kehrein, Kreuzer and Robbiano 2005).  A curve that
-meets L0 falls back to `AffineFiber`, the echelon of the truncated ideal.
+A curve that meets L0 is not a curve of Z, and every slice entry point
+refuses it with one ValueError that names L0.  Its point p on L0 lies in
+every plane of the pencil, at infinity in the chart, so the affine slice is
+only the part residual to the line at infinity, of length at most d - 1.
+The slice ideal truncated at degree c counts all d points in degree c but
+only that residual below it, so its Hilbert function never settles and
+depends on the cutoff, not on the fibre.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..exact_algebra.ideals import Row, normal_form_table, sparse_echelon
 from ..exact_algebra.linalg import ExactMatrix
 from ..exact_algebra.scalars import GaussianRational
 from .curve import avoids_base_line
@@ -33,9 +37,6 @@ from .curve import avoids_base_line
 # a slice generator: its nonzero Gaussian-integer numerators (a, b) by
 # (u, v) exponent, over one positive denominator
 Bivar = Tuple[Dict[Tuple[int, int], Tuple[int, int]], int]
-
-_ZERO = GaussianRational(0, 0)
-_ONE = GaussianRational(1, 0)
 
 
 def fiber_generators(curve, t: GaussianRational, at_infinity: bool = False) -> List[Bivar]:
@@ -67,95 +68,27 @@ def fiber_generators(curve, t: GaussianRational, at_infinity: bool = False) -> L
     return out
 
 
-def _columns(cutoff: int) -> List[Tuple[int, int]]:
-    """Monomials of total degree <= cutoff, highest degree first."""
-    cols = [(i, j) for i in range(cutoff + 1) for j in range(cutoff + 1 - i)]
-    return sorted(cols, key=lambda m: (-(m[0] + m[1]), -m[0]))
-
-
-class AffineFiber:
-    """Echelonized truncation of a slice ideal up to a degree cutoff."""
-
-    def __init__(self, generators: Sequence[Bivar], cutoff: int):
-        if not generators:
-            raise ValueError("no nonzero slice generators")
-        self.cutoff = cutoff
-        self.columns = _columns(cutoff)
-        self.col_index = index = {m: i for i, m in enumerate(self.columns)}
-        rows: List[Row] = []
-        for g, _ in generators:
-            gdeg = max(i + j for i, j in g)
-            # the numerators are a nonzero multiple of the generator; a shift
-            # keeps their column order
-            terms = sorted(((m, a, b) for m, (a, b) in g.items()), key=lambda t: index[t[0]])
-            for mi in range(cutoff - gdeg + 1):
-                for mj in range(cutoff - gdeg - mi + 1):
-                    rows.append([(index[(i + mi, j + mj)], a, b) for (i, j), a, b in terms])
-        self.echelon = sparse_echelon(rows)
-        self.pivot_cols = {row[0][0] for row in self.echelon}
-
-    def hilbert(self, k: int) -> int:
-        """dim of polynomials of degree <= k modulo the truncated ideal."""
-        if k < 0:
-            return 0
-        k = min(k, self.cutoff)
-        inside = sum(1 for row in self.echelon if sum(self.columns[row[0][0]]) <= k)
-        return (k + 1) * (k + 2) // 2 - inside
-
-    def profile(self) -> Tuple[int, ...]:
-        return tuple(self.hilbert(k) for k in range(self.cutoff + 1))
-
-    def stabilized(self) -> bool:
-        return len({self.hilbert(self.cutoff - i) for i in range(3)}) == 1
-
-    def quotient_basis(self) -> List[Tuple[int, int]]:
-        """Non-pivot monomials; valid as a module basis once stabilized."""
-        return [m for i, m in enumerate(self.columns) if i not in self.pivot_cols]
-
-    def multiplication_matrices(self) -> Tuple[ExactMatrix, ExactMatrix]:
-        """Matrices of multiplication by u and v on the quotient basis.
-
-        Requires a stabilized profile so the basis sits two degrees below
-        the cutoff and products stay inside the truncation.
-        """
-        if not self.stabilized():
-            raise ValueError("profile not stabilized; cutoff too small")
-        basis = self.quotient_basis()
-        basis_index = {m: i for i, m in enumerate(basis)}
-        prods = [(self.col_index[(a + 1, b)], self.col_index[(a, b + 1)]) for a, b in basis]
-        # tails hold larger columns only, so the rows from the lowest product column on suffice
-        low = min((min(pair) for pair in prods), default=len(self.columns))
-        table = normal_form_table(self.echelon[sum(row[0][0] < low for row in self.echelon):])
-        mats = []
-        for side in (0, 1):
-            cols = []
-            for pair in prods:
-                # a column with no normal form is a basis monomial
-                col = [_ZERO] * len(basis)
-                for c2, v2 in table.get(pair[side], {pair[side]: _ONE}).items():
-                    col[basis_index[self.columns[c2]]] = v2
-                cols.append(col)
-            mats.append(ExactMatrix([list(row) for row in zip(*cols)]))
-        return mats[0], mats[1]
+def _refuse_base_line(curve) -> None:
+    if not avoids_base_line(curve):
+        raise ValueError("curve meets the base line L0 = {x2 = x3 = 0}: not a curve of Z, no slices")
 
 
 def hilbert_profile(curve, t: GaussianRational, at_infinity: bool = False) -> Tuple[int, ...]:
-    """H(0), ..., H(r+2), by the theorem when the curve misses L0."""
-    if avoids_base_line(curve):
-        return tuple(expected_hilbert(curve.r, k) for k in range(curve.r + 3))
-    return AffineFiber(fiber_generators(curve, t, at_infinity=at_infinity), curve.r + 2).profile()
+    """H(0), ..., H(r+2) of every slice of a curve that misses L0, by the theorem."""
+    _refuse_base_line(curve)
+    return tuple(expected_hilbert(curve.r, k) for k in range(curve.r + 3))
 
 
 def _border_matrices(curve, gens: Sequence[Bivar], t: GaussianRational, entry) -> List[list]:
     """The u and v matrices of a curve that misses L0 on the basis u^a v^b,
-    a + b <= r - 1, in `AffineFiber`'s order, entries `entry(a, b, den)` for
+    a + b <= r - 1, highest degree first, entries `entry(a, b, den)` for
     (a + b*i) / den.  With T^-1 = A / L, the normal form of u^(r-j) v^j is
     -sum_k A[j][k] (N_k below degree r) / (L te^r): the degree-r part of
     generator k's numerators N_k is te^r times row k of T."""
     r = curve.r
     inverse, scale = curve.base_line_inverse
     den = scale * t.integer_parts()[2] ** r
-    basis = _columns(r - 1)
+    basis = sorted(((a, b) for a in range(r) for b in range(r - a)), key=lambda m: (-sum(m), -m[0]))
     forms = []
     for row in inverse:
         acc = {m: [0, 0] for m in basis}
@@ -177,9 +110,8 @@ def _border_matrices(curve, gens: Sequence[Bivar], t: GaussianRational, entry) -
 def fiber_multiplication_matrices(
     curve, t: GaussianRational, at_infinity: bool = False
 ) -> Tuple[ExactMatrix, ExactMatrix]:
+    _refuse_base_line(curve)
     gens = fiber_generators(curve, t, at_infinity=at_infinity)
-    if not avoids_base_line(curve):
-        return AffineFiber(gens, curve.r + 2).multiplication_matrices()
     mu, mv = _border_matrices(
         curve, gens, t, lambda a, b, n: GaussianRational(Fraction(a, n), Fraction(b, n)))
     return ExactMatrix(mu), ExactMatrix(mv)
@@ -197,18 +129,15 @@ def fiber_points(
     validated against every generator and sorted deterministically.
     Raises ArithmeticError when the slice is not reduced enough for the
     eigenvector method (clustered spectrum, large residuals).  A curve that
-    meets L0 raises ValueError("profile not stabilized") on every slice: its
-    point on L0 lies at infinity there, so the echelon never stabilizes.
+    meets L0 raises the ValueError that names L0: its point there lies at
+    infinity on every slice, so no slice holds all its points.
     """
+    _refuse_base_line(curve)
     gens = fiber_generators(curve, t, at_infinity=at_infinity)
     # int / int is correctly rounded: each part is the float nearest the
-    # coefficient, so both routes give the same matrices
+    # coefficient, the float of the exact matrices' entry
     cgens = [[(i, j, complex(a / den, b / den)) for (i, j), (a, b) in g.items()] for g, den in gens]
-    if avoids_base_line(curve):
-        nu, nv = map(np.array, _border_matrices(curve, gens, t, lambda a, b, n: complex(a / n, b / n)))
-    else:
-        mu, mv = AffineFiber(gens, curve.r + 2).multiplication_matrices()
-        nu, nv = np.array(mu.to_complex()), np.array(mv.to_complex())
+    nu, nv = map(np.array, _border_matrices(curve, gens, t, lambda a, b, n: complex(a / n, b / n)))
     rng = np.random.default_rng(2)
     for _ in range(6):
         a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
@@ -282,10 +211,12 @@ class FiberScheme:
 
 
 def restrict_to_fiber(curve, t: GaussianRational, at_infinity: bool = False) -> FiberScheme:
-    """Slice of a certified curve over one plane of the pencil.
+    """Slice of a certified curve that misses L0 over one plane of the pencil.
 
     Refuses uncertified curves: the length and Hilbert statements below
-    only follow from the resolution, so the certificate runs first.
+    only follow from the resolution, so the certificate runs first.  A
+    certified curve that meets L0 is refused next, with the ValueError that
+    names L0 (an uncertified curve always meets L0).
     """
     if not curve.certificate().ok:
         raise ValueError("resolution certificate failed; slice data unreliable")

@@ -300,8 +300,9 @@ def _verify_stages(
 
     t0 = time.perf_counter()
     fibers = []
-    fibers_ok = True
-    for t in random_fiber_parameters(num_fibers, seed):
+    # a curve that meets L0 is not a curve of Z and has no slices
+    fibers_ok = avoids_base_line(curve)
+    for t in random_fiber_parameters(num_fibers, seed) if fibers_ok else ():
         scheme = restrict_to_fiber(curve, t)
         stratum = stratum_check(scheme)
         length_ok = scheme.length() == curve.degree

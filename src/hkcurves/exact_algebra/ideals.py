@@ -9,14 +9,15 @@ row's denominators with `integer_row`.
 
 A pivot is kept monic over one positive denominator D, as the primitive row
 leading with (column, D, 0); its lead is made real by the lead's conjugate.
-`sparse_echelon` returns these rows; GaussianRational is built only for the
-entries of `normal_form_table` and in `GradedIdeal.normal_form`.  A row
-under reduction matters only up to a scalar, so `eliminate` cross-multiplies
-and divides out the integer content.  Entry sizes follow the span, not the
-path: a monic pivot row is the one vector of its input rows' span with lead
-1 and zeros at the pivot columns it was reduced against, so by Cramer's rule
-its entries are ratios of minors of the input rows; a deferred row is kept
-primitive, so its content does not compound along a reduction chain.
+`sparse_echelon` returns these rows, and `reduced_echelon` clears them at
+the other pivots.  GaussianRational is built only for the entries of
+`normal_form_table` and in `GradedIdeal.normal_form`.  A row under reduction
+matters only up to a scalar, so `eliminate` cross-multiplies and divides out
+the integer content.  Entry sizes follow the span, not the path: a monic
+pivot row is the one vector of its input rows' span with lead 1 and zeros at
+the pivot columns it was reduced against, so by Cramer's rule its entries
+are ratios of minors of the input rows; a deferred row is kept primitive, so
+its content does not compound along a reduction chain.
 
 A graded level I_k is spanned by the monomial shifts of the reduced
 generators.  `certified_rank` is the one rank sandwich: rank mod p <= exact
@@ -149,11 +150,11 @@ def certified_rank(rows: Sequence[Row], ncols: int, bound: Optional[int]) -> int
     return len(sparse_echelon(rows, bound))
 
 
-def normal_form_table(echelon: Sequence[Row]) -> Dict[int, Dict[int, GaussianRational]]:
-    """Normal forms of the pivot columns of `sparse_echelon` rows: pivot
-    column -> {non-pivot column: coeff}."""
+def reduced_echelon(echelon: Sequence[Row]) -> Dict[int, Row]:
+    """The reduced echelon form of `sparse_echelon` rows: pivot column -> its
+    primitive row, led by (column, D, 0) with D > 0 and zero at every other
+    pivot column."""
     reduced: Dict[int, Row] = {}
-    table: Dict[int, Dict[int, GaussianRational]] = {}
     # tails only hold columns larger than the pivot, so descending pivot
     # order sees every tail pivot already resolved
     for row in reversed(echelon):
@@ -165,11 +166,16 @@ def normal_form_table(echelon: Sequence[Row]) -> Dict[int, Dict[int, GaussianRat
             else:
                 row = eliminate(row, k, sub)
         reduced[row[0][0]] = row
-        d = -row[0][1]
-        table[row[0][0]] = {
-            c: GaussianRational(Fraction(a, d), Fraction(b, d)) for c, a, b in row[1:]
-        }
-    return table
+    return reduced
+
+
+def normal_form_table(echelon: Sequence[Row]) -> Dict[int, Dict[int, GaussianRational]]:
+    """Normal forms of the pivot columns of `sparse_echelon` rows: pivot
+    column -> {non-pivot column: coeff}."""
+    return {
+        col: {c: GaussianRational(Fraction(-a, row[0][1]), Fraction(-b, row[0][1])) for c, a, b in row[1:]}
+        for col, row in reduced_echelon(echelon).items()
+    }
 
 
 class GradedIdeal:

@@ -3,11 +3,12 @@
 ExactMatrix is an immutable dense container with one integer form: its
 entries as Gaussian-integer (re, im) pairs over one denominator D > 0,
 built once on first use.  Products, equality and the exact methods read
-that form; a product is born in it, over D_L * D_R, and builds its Q(i)
-entries (`data`) only when they are read.  Rank, right kernel and inverse
-come from the sparse echelon of `ideals` (`sparse_echelon` and its reduced
-`normal_form_table`) on the form's rows, and the determinant from the
-Laplace kernel of `polys`.  There is no floating fallback here.
+that form; a product is born in it, over D_L * D_R, and so is an inverse,
+and each builds its Q(i) entries (`data`) only when they are read.  Rank,
+right kernel and inverse come from the sparse echelon of `ideals`
+(`sparse_echelon` and its `reduced_echelon`) on the form's rows, and the
+determinant from the Laplace kernel of `polys`.  There is no floating
+fallback here.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import random
 from fractions import Fraction
 from math import lcm
 
-from .ideals import normal_form_table, sparse_echelon, sparse_row_rank
+from .ideals import normal_form_table, reduced_echelon, sparse_echelon, sparse_row_rank
 from .polys import linear_dets
 from .scalars import GaussianRational, random_gaussian_rows
 
@@ -39,7 +40,9 @@ class ExactMatrix:
                 raise ValueError("ragged rows")
 
     @staticmethod
-    def _from_form(rows: tuple, den: int, cols: int) -> "ExactMatrix":
+    def from_integer_form(rows: tuple, den: int, cols: int) -> "ExactMatrix":
+        """The matrix of (re, im) int pair rows over one denominator den > 0,
+        holding only that form until its entries are read."""
         m = ExactMatrix.__new__(ExactMatrix)
         for name, value in zip(m.__slots__, (None, (rows, den), len(rows), cols)):
             object.__setattr__(m, name, value)
@@ -63,7 +66,7 @@ class ExactMatrix:
     @property
     def integer_form(self) -> tuple:
         """(rows, D): the entries as (re, im) int pairs over one D > 0, the
-        lcm of their denominators unless the matrix is a product."""
+        lcm of their denominators unless the matrix was born in its form."""
         if self._form is None:
             den = lcm(*(q.denominator for row in self._data for z in row for q in (z.re, z.im)))
             rows = tuple(
@@ -182,7 +185,7 @@ class ExactMatrix:
                     im += a * d + b * c
                 out_row.append((re, im))
             out.append(tuple(out_row))
-        return ExactMatrix._from_form(tuple(out), ld * rd, other.cols)
+        return ExactMatrix.from_integer_form(tuple(out), ld * rd, other.cols)
 
     def apply(self, vec):
         """Matrix times column vector (list)."""
@@ -229,18 +232,26 @@ class ExactMatrix:
         return GaussianRational(Fraction(re, den**n), Fraction(im, den**n))
 
     def inverse(self) -> "ExactMatrix":
-        """The reduced echelon form of [M | I] is [I | M^-1], so M^-1 is minus
-        the normal forms of the pivots 0..n-1; the closing product check
+        """The reduced echelon form of [M | I] is [I | M^-1]: row i is
+        L_i [e_i | row i of M^-1] with L_i > 0, so over L = lcm(L_i) row i
+        of M^-1 is L / L_i times its tail.  The closing product check
         certifies it."""
         if self.rows != self.cols:
             raise ValueError("inverse of non-square matrix")
         n, den = self.rows, self.integer_form[1]
         # D times the rows of [M | I]
         rows = [row + [(n + i, den, 0)] for i, row in enumerate(self._sparse_rows())]
-        table = normal_form_table(sparse_echelon(rows))
-        if sorted(table) != list(range(n)):
+        reduced = reduced_echelon(sparse_echelon(rows))
+        if sorted(reduced) != list(range(n)):
             raise ValueError("singular matrix")
-        inv = ExactMatrix([[-table[i].get(n + j, _ZERO) for j in range(n)] for i in range(n)])
+        L = lcm(*(reduced[i][0][1] for i in range(n)))
+        form = []
+        for i in range(n):
+            scale, out = L // reduced[i][0][1], [(0, 0)] * n
+            for c, a, b in reduced[i][1:]:
+                out[c - n] = (a * scale, b * scale)
+            form.append(tuple(out))
+        inv = ExactMatrix.from_integer_form(tuple(form), L, n)
         if (self @ inv) != ExactMatrix.identity(n):
             raise ValueError("singular matrix")
         return inv

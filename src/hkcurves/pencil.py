@@ -155,7 +155,8 @@ def _shift_gauge(A1: ExactMatrix, A2: ExactMatrix, r: int) -> KroneckerReduction
     what = [[m.coeffs.get((k, r - k), _ZERO) for m in minors] for k in range(r + 1)]
     P = ExactMatrix([[-c for c in row] if k % 2 else row for k, row in enumerate(what)])
     PA1 = P @ A1
-    Q = ExactMatrix(PA1.data[:r]).inverse()
+    rows, den = PA1.integer_form
+    Q = ExactMatrix.from_integer_form(rows[:r], den, r).inverse()
     S, T = canonical_pair(r)
     if PA1 @ Q != S or P @ A2 @ Q != T:
         raise AssertionError("reduction verification failed")

@@ -334,8 +334,8 @@ def extract_metric(
     exact quadratic whose three coefficients carry the three forms.  The
     metric is the I-pairing composed with I, and the J and K pairings
     are checked against it as quaternionic residuals.  A curve that meets
-    L0 is refused as a whole, not fiber by fiber: `fiber_points` raises
-    ValueError on every slice of it, and that propagates from here.
+    L0 is not a curve of Z and is refused as a whole, not fiber by fiber:
+    the ValueError of `fiber_points` that names L0 propagates from here.
     """
     r = chart.r
     curve = chart.curve()

@@ -6,17 +6,16 @@ raises AssertionError inside, so a return means every instance held.
 
 import random
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from hkcurves.acm_curve import ACMCurve, random_real_curve
 from hkcurves.acm_curve.fibers import (
-    AffineFiber,
     Bivar,
     fiber_generators,
     fiber_multiplication_matrices,
     fiber_points,
 )
-from hkcurves.exact_algebra.ideals import integer_row, sparse_echelon
+from hkcurves.exact_algebra.ideals import integer_row, normal_form_table, sparse_echelon
 from hkcurves.exact_algebra.linalg import ExactMatrix, random_invertible
 from hkcurves.exact_algebra.polys import HomogPoly, monomial_basis, monomial_index
 from hkcurves.exact_algebra.scalars import GaussianRational
@@ -37,6 +36,85 @@ def random_gauss(rng: random.Random, span: int = 6) -> GaussianRational:
         Fraction(rng.randint(-span, span), rng.randint(1, 3)),
         Fraction(rng.randint(-span, span), rng.randint(1, 3)),
     )
+
+
+def slice_columns(cutoff: int) -> List[Tuple[int, int]]:
+    """Monomials (a, b) of u^a v^b of total degree <= cutoff, highest degree first."""
+    cols = [(i, j) for i in range(cutoff + 1) for j in range(cutoff + 1 - i)]
+    return sorted(cols, key=lambda m: (-(m[0] + m[1]), -m[0]))
+
+
+class AffineFiber:
+    """Echelonized truncation of a slice ideal up to a degree cutoff: the
+    tests' reference for the border basis of `acm_curve.fibers`.
+
+    For a curve that misses L0 and cutoff r + 2 the profile stabilizes at
+    the slice length, and the multiplication matrices on the non-pivot
+    monomials are the library's.  For a curve that meets L0 the profile
+    never stabilizes: its point on L0 is at infinity on every slice.
+    """
+
+    def __init__(self, generators: Sequence[Bivar], cutoff: int):
+        if not generators:
+            raise ValueError("no nonzero slice generators")
+        self.cutoff = cutoff
+        self.columns = slice_columns(cutoff)
+        self.col_index = index = {m: i for i, m in enumerate(self.columns)}
+        rows = []
+        for g, _ in generators:
+            gdeg = max(i + j for i, j in g)
+            # the numerators are a nonzero multiple of the generator; a shift
+            # keeps their column order
+            terms = sorted(((m, a, b) for m, (a, b) in g.items()), key=lambda t: index[t[0]])
+            for mi in range(cutoff - gdeg + 1):
+                for mj in range(cutoff - gdeg - mi + 1):
+                    rows.append([(index[(i + mi, j + mj)], a, b) for (i, j), a, b in terms])
+        self.echelon = sparse_echelon(rows)
+        self.pivot_cols = {row[0][0] for row in self.echelon}
+
+    def hilbert(self, k: int) -> int:
+        """dim of polynomials of degree <= k modulo the truncated ideal."""
+        if k < 0:
+            return 0
+        k = min(k, self.cutoff)
+        inside = sum(1 for row in self.echelon if sum(self.columns[row[0][0]]) <= k)
+        return (k + 1) * (k + 2) // 2 - inside
+
+    def profile(self) -> Tuple[int, ...]:
+        return tuple(self.hilbert(k) for k in range(self.cutoff + 1))
+
+    def stabilized(self) -> bool:
+        return len({self.hilbert(self.cutoff - i) for i in range(3)}) == 1
+
+    def quotient_basis(self) -> List[Tuple[int, int]]:
+        """Non-pivot monomials; valid as a module basis once stabilized."""
+        return [m for i, m in enumerate(self.columns) if i not in self.pivot_cols]
+
+    def multiplication_matrices(self) -> Tuple[ExactMatrix, ExactMatrix]:
+        """Matrices of multiplication by u and v on the quotient basis.
+
+        Requires a stabilized profile so the basis sits two degrees below
+        the cutoff and products stay inside the truncation.
+        """
+        if not self.stabilized():
+            raise ValueError("profile not stabilized; cutoff too small")
+        basis = self.quotient_basis()
+        basis_index = {m: i for i, m in enumerate(basis)}
+        prods = [(self.col_index[(a + 1, b)], self.col_index[(a, b + 1)]) for a, b in basis]
+        # tails hold larger columns only, so the rows from the lowest product column on suffice
+        low = min((min(pair) for pair in prods), default=len(self.columns))
+        table = normal_form_table(self.echelon[sum(row[0][0] < low for row in self.echelon):])
+        mats = []
+        for side in (0, 1):
+            cols = []
+            for pair in prods:
+                # a column with no normal form is a basis monomial
+                col = [ZERO] * len(basis)
+                for c2, v2 in table.get(pair[side], {pair[side]: ONE}).items():
+                    col[basis_index[self.columns[c2]]] = v2
+                cols.append(col)
+            mats.append(ExactMatrix([list(row) for row in zip(*cols)]))
+        return mats[0], mats[1]
 
 
 # ---------------------------------------------------------------------------

@@ -232,7 +232,8 @@ def test_restrict_to_fiber_requires_certificate():
     A2 = ExactMatrix([[ZERO, ZERO], [ZERO, ONE], [ONE, ZERO]])
     zero = ExactMatrix([[ZERO, ZERO], [ZERO, ZERO], [ZERO, ZERO]])
     bad = ACMCurve(LinearMatrix(2, A1, A2, zero, zero))
-    with pytest.raises(ValueError):
+    # the certificate runs before the base-line refusal
+    with pytest.raises(ValueError, match="resolution certificate failed"):
         restrict_to_fiber(bad, GaussianRational(1, 0))
 
 

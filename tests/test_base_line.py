@@ -3,8 +3,9 @@
 When the (r+1) x (r+1) matrix T of the minors restricted to L0 is
 invertible, the curve misses L0: the certificate ranks no level, every
 slice has the expected Hilbert function, and the multiplication matrices
-come from T^-1 with no echelon.  The echelon of `AffineFiber` is the oracle
-here, and a curve that meets L0 must take the old routes unchanged.
+come from T^-1 with no echelon.  The echelon of `suites.AffineFiber` is the
+oracle here.  A curve that meets L0 keeps the certificate's level route,
+and every slice entry point refuses it: it is not a curve of Z.
 """
 
 from fractions import Fraction
@@ -28,22 +29,24 @@ from hkcurves.acm_curve import (
     stratum_check,
 )
 from hkcurves.acm_curve import fibers
-from hkcurves.acm_curve.fibers import AffineFiber, fiber_generators, hilbert_profile
+from hkcurves.acm_curve.fibers import fiber_generators, hilbert_profile
 from hkcurves.cli import document_to_curve
 from hkcurves.exact_algebra.ideals import GradedIdeal
 from hkcurves.exact_algebra.linalg import ExactMatrix
 from hkcurves.exact_algebra.scalars import GaussianRational
 from hkcurves.pencil import is_injective_pencil
-from hkcurves.twistor_metric import sample_parameters
+from hkcurves.twistor_metric import extract_metric, raw_chart, sample_parameters
 
+from suites import AffineFiber
 from test_cli import _degenerate_document
 from test_resolution_exactness import FACTORS, _common_factor_matrix
 
 SPECIAL = [GaussianRational(0), GaussianRational(1), GaussianRational(0, 1)]
+MEETS_L0 = "meets the base line L0"
 
 
 def singular_base_line(monkeypatch):
-    """Report T singular on every curve, which forces the old routes."""
+    """Report T singular on every curve, which forces the certificate's level route."""
     monkeypatch.setattr(ACMCurve, "base_line_rank", property(lambda curve: curve.r))
 
 
@@ -71,7 +74,6 @@ def meets_base_line(seed=0):
 
 def test_curve_sections_pool_takes_the_border_route(monkeypatch):
     # the call sequence of one curve-sections item, on the seeds 1-3 pools
-    echelons = record_calls(monkeypatch, fibers, "AffineFiber")
     levels = record_calls(monkeypatch, GradedIdeal, "dimension")
     for n in (1, 2, 3):
         for k in range(6):
@@ -88,8 +90,7 @@ def test_curve_sections_pool_takes_the_border_route(monkeypatch):
                 assert stratum_check(scheme)
                 assert scheme.length() == fresh.degree
                 assert profile == AffineFiber(fiber_generators(fresh, t), 5).profile()
-    # the reference echelons above are built outside `fibers`
-    assert echelons == [] and levels == []
+    assert levels == []
 
 
 def seeded_curves(r):
@@ -127,12 +128,14 @@ def test_border_points_equal_the_echelon_points(r, monkeypatch):
     curve = random_sigma_curve(r, 1)
     params = random_fiber_parameters(3, r) + SPECIAL
     border = [fiber_points(curve, t) for t in params]
-    singular_base_line(monkeypatch)
-    echelon = [fiber_points(ACMCurve(curve.matrix), t) for t in params]
+    # the same eigensolve on the reference echelon's matrices
+    monkeypatch.setattr(fibers, "_border_matrices", lambda curve, gens, t, entry: [
+        m.to_complex() for m in AffineFiber(gens, curve.r + 2).multiplication_matrices()])
+    echelon = [fiber_points(curve, t) for t in params]
     assert all(np.array_equal(a, b) for a, b in zip(border, echelon))
 
 
-def test_curve_meeting_the_base_line_takes_both_fallbacks(monkeypatch):
+def test_curve_meeting_the_base_line_ranks_a_level_and_is_refused(monkeypatch):
     curve = meets_base_line()
     assert curve.base_line_rank < curve.r + 1
     assert not avoids_base_line(curve)
@@ -140,21 +143,23 @@ def test_curve_meeting_the_base_line_takes_both_fallbacks(monkeypatch):
     cert = curve.certificate()
     assert cert.ok and cert.dimensions == cert.expected
     assert [args[1] for args in levels] == [2 * curve.r - 1]
-    echelons = record_calls(monkeypatch, fibers, "AffineFiber")
     t = GaussianRational(Fraction(1, 2), 1)
-    fiber = AffineFiber(fiber_generators(curve, t), curve.r + 2)
     # the point [1:0:0:0] lies on every plane, at infinity in the chart, so
     # the affine slice has two points and the truncated profile never settles
-    scheme = restrict_to_fiber(curve, t)
-    assert scheme.hilbert_function() == fiber.profile() == hilbert_profile(curve, t) == (1, 2, 2, 2, 3)
-    assert not stratum_check(scheme)
-    for route in (fiber.multiplication_matrices, lambda: fiber_multiplication_matrices(curve, t)):
-        with pytest.raises(ValueError, match="not stabilized"):
+    for cutoff, profile in ((4, (1, 2, 2, 2, 3)), (6, (1, 2, 2, 2, 2, 2, 3))):
+        fiber = AffineFiber(fiber_generators(curve, t), cutoff)
+        assert fiber.profile() == profile and not fiber.stabilized()
+    routes = [
+        lambda: hilbert_profile(curve, t),
+        lambda: restrict_to_fiber(curve, t),
+        lambda: fiber_multiplication_matrices(curve, t),
+        lambda: fiber_points(curve, t),
+        lambda: fiber_points(curve, t, at_infinity=True),
+        lambda: extract_metric(raw_chart(curve)),
+    ]
+    for route in routes:
+        with pytest.raises(ValueError, match=MEETS_L0):
             route()
-    with pytest.raises(ValueError, match="not stabilized"):
-        fiber_points(curve, t)
-    # one echelon in each of the four library calls above
-    assert len(echelons) == 4
 
 
 @pytest.mark.parametrize("r, ells", FACTORS[:2])

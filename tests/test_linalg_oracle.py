@@ -9,7 +9,8 @@ others) and the identical inverse, and raise where the reference raises.
 
 Products, `==` and `hash` read the matrix's one integer form.  They are
 checked against entry-wise Fraction-pair products and entry-wise equality,
-and the pencil stabilizer against its rows cleared one by one with
+the inverse, born in its form, against Gauss-Jordan on Fraction pairs, and
+the pencil stabilizer against its rows cleared one by one with
 `integer_row`, the route it took before it read the form.
 """
 
@@ -214,6 +215,37 @@ def test_det_and_inverse_match_reference(seed, kw):
             m.inverse()
     else:
         assert m.inverse() == _ref_inverse(m)
+
+
+def _ref_gauss_jordan_inverse(m):
+    """Gauss-Jordan on [M | I], entry by entry on Fraction pairs."""
+    n = m.rows
+    rows = [list(row) + [_ONE if i == j else _ZERO for j in range(n)] for i, row in enumerate(m.data)]
+    for c in range(n):
+        p = next(i for i in range(c, n) if not rows[i][c].is_zero())
+        rows[c], rows[p] = rows[p], rows[c]
+        lead = rows[c][c]
+        rows[c] = [z / lead for z in rows[c]]
+        for i in range(n):
+            if i != c and not rows[i][c].is_zero():
+                f = rows[i][c]
+                rows[i] = [z - f * w for z, w in zip(rows[i], rows[c])]
+    return ExactMatrix([row[n:] for row in rows], cols=n)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_inverse_is_born_in_its_form_and_matches_fraction_reference(seed):
+    # from entries, from a product (over D_L * D_R) and from an integer form
+    a, b = _matrix(seed, 7, 7), _matrix(seed + 10, 4, 4)
+    square = b @ _matrix(seed + 20, 4, 4)
+    rows, den = square.integer_form
+    for m in (a, _matrix(seed, 1, 1), square, ExactMatrix.from_integer_form(rows, den, 4)):
+        inv = m.inverse()
+        ref = _ref_gauss_jordan_inverse(m)
+        assert inv._data is None
+        assert inv == ref and inv._data is None  # == read only the integer forms
+        assert inv.data == ref.data
+        assert inv.integer_form[1] > 0
 
 
 def test_planted_cases_cover_both_outcomes():

@@ -8,7 +8,6 @@ import pytest
 
 from hkcurves.acm_curve import (
     ACMCurve,
-    AffineFiber,
     LinearMatrix,
     fiber_generators,
     fiber_points,
@@ -39,6 +38,8 @@ from hkcurves.twistor_metric import (
     section_arrays,
     section_structure_at,
 )
+
+from suites import AffineFiber
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)

@@ -18,9 +18,10 @@ run it on both and diff:
     diff parent.txt change.txt
 
 The input documents that no command writes (curves whose minors share a
-common factor, degenerate pencils, rational maps) are built before any
-command runs, by this checkout's library and the test helpers that build
-them for the tests (`_common_factor_matrix`, `_degenerate_document`), so
+common factor, degenerate pencils, a certified curve through the base line
+L0, rational maps) are built before any command runs, by this checkout's
+library and the test helpers that build them for the tests
+(`_common_factor_matrix`, `_degenerate_document`, `meets_base_line`), so
 both trees read the same bytes.
 """
 
@@ -38,6 +39,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(REPO / "src"), str(REPO / "tests")]
 
+from test_base_line import meets_base_line  # noqa: E402
 from test_cli import _degenerate_document  # noqa: E402
 from test_resolution_exactness import FACTOR_IDS, FACTORS, _common_factor_matrix  # noqa: E402
 
@@ -78,6 +80,7 @@ def commands() -> list[list[str]]:
     failing = [f"inputs/common_{name}.json" for name in FACTOR_IDS] + [f"inputs/degenerate_r{r}.json" for r in (3, 4)]
     for path in failing:
         cmds += [["acm", "verify", path], ["cohomology", "table", "--curve", path]]
+    cmds.append(["acm", "verify", "inputs/meets_l0.json"])
     return cmds
 
 
@@ -88,6 +91,7 @@ def write_inputs(root: Path) -> None:
         for name, (r, ells) in zip(FACTOR_IDS, FACTORS)
     }
     docs.update({f"degenerate_r{r}": _degenerate_document(r) for r in (3, 4)})
+    docs["meets_l0"] = curve_to_document(meets_base_line(0))
     docs.update({f"map_{name}": {"forms": forms} for name, forms in _MAPS.items()})
     (root / "inputs").mkdir()
     for name, doc in docs.items():
