@@ -203,68 +203,94 @@ def structure_arrays(r: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _read_only(tuple(np.array(M.to_complex()).real for M in complex_structures(r)))
 
 
+# column-replaced minor stacks above this size are split by points
+_DET_STACK_BYTES = 1 << 24
+
+
+def _solve(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    # one right-hand side per solve: LAPACK may take another path for several
+    J = np.broadcast_to(J[..., None, :, :], rhs.shape + (2,))
+    return np.linalg.solve(J, rhs[..., None])[..., 0]
+
+
 def point_derivative(
     numeric: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    t: GaussianRational,
-    point: Tuple[complex, complex],
+    ts: Sequence[GaussianRational],
+    points: Sequence[Tuple[complex, complex]],
     sections: Tuple[np.ndarray, np.ndarray],
     consistency_tol: float = 1e-8,
-) -> np.ndarray:
-    """First-order move (du, dv) of one fiber point under each chart move.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """First-order moves (du, dv) of fiber points under each chart move.
 
-    The point solves every maximal minor of the chart matrix `numeric` at
-    its plane; differentiating the two best-conditioned minors gives a 2x2
-    linear solve, and a second minor pair must agree within tolerance.  One
-    stacked det call per minor gives the column-replaced determinants of u,
-    v and every section, added in column order: each section gets the
-    floats it would alone.  Row s of the result belongs to section s.
+    Point p solves every maximal minor of the chart matrix `numeric` on the
+    plane of parameter ts[p], so points of several fibers can share a call.
+    The two best-conditioned minors give a 2x2 linear solve, and a second
+    minor pair must agree within tolerance.  Returns deltas, of shape
+    (P, S, 2) with deltas[p, s] for section s, and ok[p], False (deltas[p]
+    meaningless) when every minor pair is singular at p, its two pairs
+    disagree or LAPACK finds one of its solves singular.  One stacked det
+    call, summed in column order, and one right-hand side per solve give
+    each point the floats it would get alone.
     """
     A1n, A2n, A3n, A4n = numeric
-    r = A1n.shape[1]
-    u, v = point
-    tn = complex(t)
+    r, P = A1n.shape[1], len(points)
+    u, v = np.array(points, dtype=complex).reshape(P, 2).T[:, :, None, None]
+    tn = np.array([complex(t) for t in ts], dtype=complex)[:, None, None]
+    # operands in the one-point order: numpy's complex product is not commutative bitwise
     M = A1n * u + A2n * v + A3n + tn * A4n
-    moves = np.concatenate([A1n[None], A2n[None], sections[0] + tn * sections[1]])
+    lead = np.broadcast_to(np.stack([A1n, A2n]), (P, 2) + A1n.shape)
+    moves = np.concatenate([lead, sections[0] + tn[:, None] * sections[1]], axis=1)
+    rows = np.array([[a for a in range(r + 1) if a != k] for k in range(r + 1)])
     cols = np.arange(r)
-    grads = []
-    for k in range(r + 1):
-        rows = [a for a in range(r + 1) if a != k]
-        # replaced[c, s]: the minor's matrix with column c taken from move s
-        replaced = np.repeat(M[None, None, rows], r, axis=0).repeat(len(moves), axis=1)
-        replaced[cols, :, :, cols] = moves[:, rows].transpose(2, 0, 1)
-        grads.append(sum(np.linalg.det(replaced)).tolist())
-    pairs = sorted(
-        (
-            (abs(grads[a][0] * grads[b][1] - grads[a][1] * grads[b][0]), a, b)
-            for a in range(r + 1)
-            for b in range(a + 1, r + 1)
-        ),
-        reverse=True,
-    )
-    solvable = [
-        (a, b, np.array([[grads[a][0], grads[a][1]], [grads[b][0], grads[b][1]]]))
-        for det_ab, a, b in pairs[:2]
-        if det_ab != 0
-    ]
-    if not solvable:
-        raise ArithmeticError("all minor gradient pairs are singular at the point")
-    # one right-hand side per solve: LAPACK may take another path for several
-    best, *others = [
-        np.linalg.solve(
-            np.broadcast_to(J, (len(moves) - 2, 2, 2)),
-            -np.array([grads[a][2:], grads[b][2:]]).T[:, :, None],
-        )[:, :, 0]
-        for a, b, J in solvable
-    ]
-    scale = np.maximum(1.0, np.abs(best).max(axis=1))
-    for sol in others:
-        if (np.abs(sol - best).max(axis=1) > consistency_tol * scale).any():
-            raise ArithmeticError("minor pairs disagree on the point derivative")
-    return best
+    grads = np.empty((P, r + 1, moves.shape[1]), dtype=complex)
+    step = max(1, _DET_STACK_BYTES // (16 * (r + 1) * r**3 * moves.shape[1]))
+    for part in (slice(lo, lo + step) for lo in range(0, P, step)):
+        # replaced[p, k, c, s]: minor k with column c taken from move s
+        Mk = M[part][:, rows][:, :, None, None]
+        replaced = np.broadcast_to(Mk, Mk.shape[:2] + (r, moves.shape[1], r, r)).copy()
+        replaced[:, :, cols, :, :, cols] = moves[part][:, :, rows].transpose(4, 0, 2, 1, 3)
+        dets = np.linalg.det(replaced)
+        grads[part] = sum(dets[:, :, c] for c in range(r))
+    # the two gradient pairs a < b of largest |det|, ties to the later, as (|det|, a, b) sort
+    a, b = np.triu_indices(r + 1, 1)
+    x, y = grads[:, a, :2], grads[:, b, 1::-1]
+    # x * y rounded as Python's complex product, which has always ranked the pairs
+    re, im = x.real * y.real - x.imag * y.imag, x.real * y.imag + x.imag * y.real
+    size = np.hypot(re[..., 0] - re[..., 1], im[..., 0] - im[..., 1])
+    order = np.lexsort((np.broadcast_to(np.arange(len(a)), size.shape), size))[:, :-3:-1]
+    valid = np.take_along_axis(size, order, axis=1) != 0
+    ga, gb = grads[np.arange(P)[:, None], a[order]], grads[np.arange(P)[:, None], b[order]]
+    J = np.stack([ga[..., :2], gb[..., :2]], axis=-2)
+    J[~valid] = np.eye(2)
+    rhs = -np.stack([ga[..., 2:], gb[..., 2:]], axis=-1)
+    ok = valid[:, 0].copy()
+    try:
+        sol = _solve(J, rhs)
+    except np.linalg.LinAlgError:
+        sol = np.zeros_like(rhs)
+        for p in range(P):
+            try:
+                sol[p] = _solve(J[p], rhs[p])
+            except np.linalg.LinAlgError:
+                ok[p] = False
+    best = sol[:, 0]
+    if order.shape[1] == 2:
+        scale = np.maximum(1.0, np.abs(best).max(axis=2))
+        apart = (np.abs(sol[:, 1] - best).max(axis=2) > consistency_tol * scale).any(axis=1)
+        ok &= ~(valid[:, 1] & apart)
+    return best, ok
 
 
 # ---------------------------------------------------------------------------
 # sampling and fitting
+
+
+@functools.lru_cache(maxsize=None)
+def _candidate(k: int) -> GaussianRational:
+    """Candidate k of `sample_parameters`; it depends on k mod 16 only."""
+    radius = 0.5 if k % 2 == 0 else 2.0
+    angle = 2.0 * cmath.pi * ((k * 5) % 16) / 16.0 + 0.17
+    return GaussianRational.from_complex(radius * cmath.exp(1j * angle), limit=16)
 
 
 def sample_parameters(count: int = 7, skip: int = 0) -> List[GaussianRational]:
@@ -272,17 +298,10 @@ def sample_parameters(count: int = 7, skip: int = 0) -> List[GaussianRational]:
 
     Radii 1/2 and 2 straddle the unit circle so a quadratic in t is
     well conditioned; `skip` walks further along the deterministic
-    candidate list when a fiber had to be rejected.
+    candidate list when a fiber had to be rejected.  The list repeats
+    with period 16, and its (immutable) entries are built once and shared.
     """
-    out = []
-    k = skip
-    while len(out) < count:
-        radius = 0.5 if k % 2 == 0 else 2.0
-        angle = 2.0 * cmath.pi * ((k * 5) % 16) / 16.0 + 0.17
-        z = radius * cmath.exp(1j * angle)
-        out.append(GaussianRational.from_complex(z, limit=16))
-        k += 1
-    return out
+    return [_candidate(k % 16) for k in range(skip, skip + count)]
 
 
 def fit_quadratic(ts: Sequence[complex], ws: np.ndarray) -> Tuple[np.ndarray, float]:
@@ -346,19 +365,29 @@ def extract_metric(
     all_deltas: List[np.ndarray] = []
     skip = 0
     while len(ts) < num_fibers and skip < 8 * num_fibers:
-        t = sample_parameters(1, skip=skip)[0]
-        skip += 1
-        if t in ts:
-            continue
-        try:
-            pts = fiber_points(curve, t)
-            deltas = np.empty((n, len(pts), 2), dtype=complex)
-            for p_idx, (u, v) in enumerate(pts):
-                deltas[:, p_idx] = point_derivative(numeric, t, (complex(u), complex(v)), basis)
-        except (ArithmeticError, np.linalg.LinAlgError):
-            continue
-        ts.append(t)
-        all_deltas.append(deltas)
+        # the walk's next fibers, as many as are missing, share one derivative batch
+        new_ts, fibers = [], []
+        while len(ts) + len(new_ts) < num_fibers and skip < 8 * num_fibers:
+            t = sample_parameters(1, skip=skip)[0]
+            skip += 1
+            if t in ts or t in new_ts:
+                continue
+            try:
+                fibers.append(fiber_points(curve, t))
+            except (ArithmeticError, np.linalg.LinAlgError):
+                continue
+            new_ts.append(t)
+        deltas, ok = point_derivative(
+            numeric,
+            [t for t, pts in zip(new_ts, fibers) for _ in pts],
+            [(complex(u), complex(v)) for pts in fibers for u, v in pts],
+            basis,
+        )
+        cuts = np.cumsum([len(pts) for pts in fibers])[:-1]
+        for t, d, good in zip(new_ts, np.split(deltas, cuts), np.split(ok, cuts)):
+            if good.all():
+                ts.append(t)
+                all_deltas.append(np.ascontiguousarray(d.transpose(1, 0, 2)))
     if len(ts) < min_fibers:
         raise ArithmeticError(
             f"only {len(ts)} usable fibers of {min_fibers} needed"
@@ -386,7 +415,8 @@ def extract_metric(
         "omega_J": float(np.abs(omega_J - Jmat.T @ gram_c).max()) / scale,
         "omega_K": float(np.abs(omega_K - Kmat.T @ gram_c).max()) / scale,
     }
-    gram = gram_c.real
+    # a copy, so that the frame does not keep gram_c alive through a view
+    gram = gram_c.real.copy()
     eigs = np.linalg.eigvalsh(0.5 * (gram + gram.T))
     cut = 1e-8 * max(1.0, float(np.abs(eigs).max()))
     signature = (int((eigs > cut).sum()), int((eigs < -cut).sum()))
@@ -451,10 +481,10 @@ def frames_report(
     signatures = [frame.signature for frame in frames]
     fit_res = max(frame.fit_residual for frame in frames)
     quat_res = max(max(frame.quaternion_residuals.values()) for frame in frames)
-    stack = np.stack(grams)
-    mean = stack.mean(axis=0)
+    # adds as np.stack(grams).mean(axis=0) does, without a long scan's largest array
+    mean = sum(grams[1:], grams[0]) / len(grams)
     scale = max(1.0, float(np.abs(mean).max()))
-    deviation = float(np.abs(stack - mean).max()) / scale
+    deviation = max(float(np.abs(g - mean).max()) for g in grams) / scale
     sig_const = len(set(signatures)) == 1
     return MetricReport(
         r=r,

@@ -2,10 +2,12 @@
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from hkcurves import twistor_metric
 from hkcurves.acm_curve import (
     ACMCurve,
     LinearMatrix,
@@ -26,6 +28,7 @@ from hkcurves.twistor_metric import (
     extract_metric,
     fit_quadratic,
     flatness_scan,
+    frames_report,
     normalize_to_flat_chart,
     point_derivative,
     random_scrambled_curve,
@@ -167,7 +170,9 @@ def test_point_derivative_matches_central_difference():
     eps = Fraction(1, 10**5)
     for sec in (basis[0], basis[3], basis[8]):
         u, v = complex(pts[0][0]), complex(pts[0][1])
-        du, dv = point_derivative(chart.numeric(), t, (u, v), section_arrays([sec]))[0]
+        deltas, ok = point_derivative(chart.numeric(), [t], [(u, v)], section_arrays([sec]))
+        assert ok.tolist() == [True]
+        du, dv = deltas[0, 0]
 
         def nearest(sign):
             s = GaussianRational(sign * eps)
@@ -195,13 +200,13 @@ def test_point_derivative_matches_central_difference():
 def test_point_derivative_consistency_guard():
     chart = normalize_to_flat_chart(random_scrambled_curve(2, 3))
     t = sample_parameters(1)[0]
-    pts = fiber_points(chart.curve(), t)
+    pts = [(complex(u), complex(v)) for u, v in fiber_points(chart.curve(), t)]
     sec = real_tangent_basis(2)[1]
-    wrong = (complex(pts[0][0]) + 0.3, complex(pts[0][1]) - 0.2)
-    with pytest.raises(ArithmeticError):
-        point_derivative(
-            chart.numeric(), t, wrong, section_arrays([sec]), consistency_tol=1e-12
-        )
+    wrong = (pts[0][0] + 0.3, pts[0][1] - 0.2)
+    _, ok = point_derivative(
+        chart.numeric(), [t] * 4, pts + [wrong], section_arrays([sec]), consistency_tol=1e-12
+    )
+    assert ok.tolist() == [True, True, True, False]
 
 
 def _column_replaced_det(n, c, col):
@@ -262,16 +267,77 @@ def test_point_derivative_bit_identical_to_per_section_reference(r, seed, flat):
     curve = random_scrambled_curve(r, seed)
     chart = normalize_to_flat_chart(curve) if flat else raw_chart(curve)
     basis = real_tangent_basis(r)
-    numeric = chart.numeric()
-    checked = 0
+    ts, points = [], []
     for t in sample_parameters(3):
         for u, v in fiber_points(chart.curve(), t):
-            point = (complex(u), complex(v))
-            batched = point_derivative(numeric, t, point, basis_arrays(r))
-            reference = _reference_point_derivative(chart, t, point, basis)
-            assert np.array_equal(batched.view(np.float64), reference.view(np.float64))
-            checked += 1
-    assert checked == 3 * r * (r + 1) // 2
+            ts.append(t)
+            points.append((complex(u), complex(v)))
+    assert len(points) == 3 * r * (r + 1) // 2
+    # one call over the points of three fibers with different t
+    batched, ok = point_derivative(chart.numeric(), ts, points, basis_arrays(r))
+    assert batched.shape == (len(points), len(basis), 2)
+    assert ok.all()
+    for t, point, deltas in zip(ts, points, batched):
+        reference = _reference_point_derivative(chart, t, point, basis)
+        assert np.array_equal(deltas.view(np.float64), reference.view(np.float64))
+
+
+def _sequential_walk(chart, num_fibers=7):
+    """extract_metric's parameters as one fiber at a time would accept them."""
+    curve, numeric, basis = chart.curve(), chart.numeric(), basis_arrays(chart.r)
+    ts = []
+    skip = 0
+    while len(ts) < num_fibers and skip < 8 * num_fibers:
+        t = sample_parameters(1, skip=skip)[0]
+        skip += 1
+        if t in ts:
+            continue
+        pts = twistor_metric.fiber_points(curve, t)
+        points = [(complex(u), complex(v)) for u, v in pts]
+        if point_derivative(numeric, [t] * len(points), points, basis)[1].all():
+            ts.append(t)
+    return ts
+
+
+def test_extract_metric_skips_exactly_a_fiber_moved_off_the_curve(monkeypatch):
+    chart = normalize_to_flat_chart(random_scrambled_curve(2, 3))
+    moved = sample_parameters(7)[2]
+    real_points = twistor_metric.fiber_points
+
+    def off_the_curve(curve, t):
+        pts = real_points(curve, t)
+        return [(complex(u) + 0.3, complex(v) - 0.2) for u, v in pts] if t == moved else pts
+
+    monkeypatch.setattr(twistor_metric, "fiber_points", off_the_curve)
+    frame = extract_metric(chart)
+    assert moved not in frame.parameters
+    assert list(frame.parameters) == _sequential_walk(chart)
+    assert list(frame.parameters) == [t for t in sample_parameters(8) if t != moved]
+
+
+def test_singular_stacked_solve_drops_only_its_own_fiber(monkeypatch):
+    chart = normalize_to_flat_chart(random_scrambled_curve(2, 3))
+    clean = extract_metric(chart)
+    points_per_fiber = 3
+    real_solve = np.linalg.solve
+    calls = {"batch": 0, "point": 0}
+
+    def solve(a, b):
+        # the first stacked solve raises, and so does the re-solve of the
+        # first point of the third fiber
+        kind = "batch" if a.ndim == 5 else "point"
+        calls[kind] += 1
+        if (kind, calls[kind]) in (("batch", 1), ("point", 2 * points_per_fiber + 1)):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    frame = extract_metric(chart)
+    dropped = sample_parameters(7)[2]
+    assert calls == {"batch": 2, "point": 7 * points_per_fiber}
+    assert list(clean.parameters) == sample_parameters(7)
+    assert list(frame.parameters) == [t for t in sample_parameters(8) if t != dropped]
+    assert np.allclose(frame.gram, clean.gram, atol=1e-9)
 
 
 def _full_table_matrices(fiber):
@@ -331,6 +397,21 @@ def test_fit_quadratic_recovers_planted_coefficients():
     coeffs, resid = fit_quadratic(ts, ws)
     assert np.allclose(coeffs, planted, atol=1e-10)
     assert resid < 1e-10
+
+
+def test_frames_report_matches_the_stacked_mean():
+    rng = np.random.default_rng(5)
+    grams = [np.eye(12) * 3.0 + rng.normal(scale=1e-7, size=(12, 12)) for _ in range(300)]
+    frames = [
+        SimpleNamespace(gram=g, signature=(8, 4), fit_residual=0.0, quaternion_residuals={"x": 0.0})
+        for g in grams
+    ]
+    stack = np.stack(grams)
+    mean = stack.mean(axis=0)
+    expected = float(np.abs(stack - mean).max()) / max(1.0, float(np.abs(mean).max()))
+    report = frames_report(2, frames, skip_sigma_gauge=False)
+    assert report.max_relative_deviation == expected
+    assert report.passed
 
 
 def test_extract_metric_on_a_line_gives_the_flat_identity():
