@@ -117,6 +117,23 @@ def fiber_multiplication_matrices(
     return ExactMatrix(mu), ExactMatrix(mv)
 
 
+def backward_errors(r: int, gens: Sequence[Bivar], pts: np.ndarray) -> np.ndarray:
+    """Per point (u, v) of `pts`, the largest over the generators, of degree
+    at most r, of |g(p)| / sum |c| |u|^i |v|^j (see `fiber_points`)."""
+    coeffs = np.zeros((len(gens), r + 1, r + 1), dtype=complex)
+    for row, (g, den) in zip(coeffs, gens):
+        for (i, j), (a, b) in g.items():
+            # int / int is correctly rounded: the float nearest each part
+            row[i, j] = complex(a / den, b / den)
+    coeffs = coeffs.reshape(len(gens), -1)
+    powers = np.arange(r + 1)
+    monomials = (pts[:, :1] ** powers)[:, :, None] * (pts[:, 1:] ** powers)[:, None, :]
+    monomials = monomials.reshape(len(pts), -1)
+    values = np.abs(monomials @ coeffs.T)
+    bounds = np.abs(monomials) @ np.abs(coeffs).T
+    return np.divide(values, bounds, out=np.zeros_like(values), where=bounds > 0).max(axis=1, initial=0.0)
+
+
 def fiber_points(
     curve,
     t: GaussianRational,
@@ -126,7 +143,12 @@ def fiber_points(
     """Slice points as complex (u, v) pairs, via commuting multiplication ops.
 
     The matrices are exact; only the eigensolve is numeric.  Points are
-    validated against every generator and sorted deterministically.
+    sorted deterministically, and each must have a backward error of at
+    most `residual_tol` for every generator g = sum c u^i v^j:
+    |g(p)| / sum |c| |u|^i |v|^j is the smallest relative change of g's
+    coefficients that makes p an exact zero (Higham, Accuracy and Stability
+    of Numerical Algorithms, sec. 5.1).  Unlike |g(p)|, it does not grow
+    with the coefficients or with the points, which both grow with r.
     Raises ArithmeticError when the slice is not reduced enough for the
     eigenvector method (clustered spectrum, large residuals).  A curve that
     meets L0 raises the ValueError that names L0: its point there lies at
@@ -134,9 +156,6 @@ def fiber_points(
     """
     _refuse_base_line(curve)
     gens = fiber_generators(curve, t, at_infinity=at_infinity)
-    # int / int is correctly rounded: each part is the float nearest the
-    # coefficient, the float of the exact matrices' entry
-    cgens = [[(i, j, complex(a / den, b / den)) for (i, j), (a, b) in g.items()] for g, den in gens]
     nu, nv = map(np.array, _border_matrices(curve, gens, t, lambda a, b, n: complex(a / n, b / n)))
     rng = np.random.default_rng(2)
     for _ in range(6):
@@ -160,12 +179,7 @@ def fiber_points(
         ):
             continue
         pts = np.stack([du, dv], axis=1)
-        resid = max(
-            abs(sum(c * (u ** i) * (v ** j) for i, j, c in g))
-            for g in cgens
-            for u, v in pts
-        )
-        if resid > residual_tol:
+        if not (backward_errors(curve.r, gens, pts) <= residual_tol).all():
             continue
         order = np.lexsort([np.round(part(pts[:, c]), 9) for c in (1, 0) for part in (np.imag, np.real)])
         return pts[order]

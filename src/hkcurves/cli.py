@@ -205,9 +205,9 @@ def cmd_kronecker(args: argparse.Namespace) -> int:
     S, T = canonical_pair(args.r)
 
     def work(index: int) -> Dict[str, Any]:
-        A1, A2 = random_injective_pencil(args.r, args.seed * args.count + index)
         entry: Dict[str, Any] = {"index": index}
         try:
+            A1, A2 = random_injective_pencil(args.r, args.seed * args.count + index)
             red = kronecker_reduce(A1, A2)
             identity = apply_gauge(A1, A2, red.P, red.Q) == (S, T)
         except (ValueError, AssertionError) as exc:
@@ -352,7 +352,7 @@ def cmd_acm_random(args: argparse.Namespace) -> int:
     def work(index: int) -> Optional[ACMCurve]:
         try:
             return random_sigma_curve(args.r, args.seed * args.count + index)
-        except ValueError:
+        except (ValueError, RuntimeError):
             return None
 
     curves = [work(index) for index in range(args.count)]
@@ -423,7 +423,7 @@ def cmd_rational(args: argparse.Namespace) -> int:
         try:
             rmap = random_rational_map(args.d, args.seed * args.count + index)
             splitting = normal_splitting_type(rmap)
-        except (ValueError, ArithmeticError) as exc:
+        except (ValueError, ArithmeticError, RuntimeError) as exc:
             entry["error"] = str(exc)
             entry["ok"] = False
             return entry

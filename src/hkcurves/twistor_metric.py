@@ -203,14 +203,10 @@ def structure_arrays(r: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _read_only(tuple(np.array(M.to_complex()).real for M in complex_structures(r)))
 
 
-# column-replaced minor stacks above this size are split by points
-_DET_STACK_BYTES = 1 << 24
-
-
-def _solve(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    # one right-hand side per solve: LAPACK may take another path for several
-    J = np.broadcast_to(J[..., None, :, :], rhs.shape + (2,))
-    return np.linalg.solve(J, rhs[..., None])[..., 0]
+# backward error below which a singular value counts as zero
+_RANK_TOL = 1e-10
+# largest condition number of the 2x2 tangent system that is solved
+_COND_BOUND = 1e8
 
 
 def point_derivative(
@@ -218,67 +214,51 @@ def point_derivative(
     ts: Sequence[GaussianRational],
     points: Sequence[Tuple[complex, complex]],
     sections: Tuple[np.ndarray, np.ndarray],
-    consistency_tol: float = 1e-8,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """First-order moves (du, dv) of fiber points under each chart move.
 
-    Point p solves every maximal minor of the chart matrix `numeric` on the
-    plane of parameter ts[p], so points of several fibers can share a call.
-    The two best-conditioned minors give a 2x2 linear solve, and a second
-    minor pair must agree within tolerance.  Returns deltas, of shape
-    (P, S, 2) with deltas[p, s] for section s, and ok[p], False (deltas[p]
-    meaningless) when every minor pair is singular at p, its two pairs
-    disagree or LAPACK finds one of its solves singular.  One stacked det
-    call, summed in column order, and one right-hand side per solve give
-    each point the floats it would get alone.
+    Point p is where M = A1 u + A2 v + A3 + t A4 (`numeric`, t = ts[p]), of
+    shape (r+1, r), drops rank, so points of several fibers can share a
+    call.  One stacked SVD gives L, the left singular vectors of the two
+    smallest singular values, and x, the right one of the smallest: the
+    left and right kernels of M where it has corank one.  There the move
+    under E = dA3 + t dA4 solves J (du, dv) = -L E x, J = [L A1 x, L A2 x],
+    by the implicit function theorem.  It is the move of the maximal
+    minors: the adjugate of a corank-one square matrix is the outer product
+    of its kernel vectors, so each minor's derivative along any E is one
+    fixed combination of the two entries of L E x.
+
+    Returns deltas, (P, S, 2) with deltas[p, s] for section s, and ok[p],
+    False (deltas[p] meaningless) when, with scale(p) = |A1||u| + |A2||v| +
+    |A3| + |t||A4| >= |M(p)| in spectral norms, sigma_r > _RANK_TOL scale(p)
+    (sigma_k is the distance to rank k - 1, Eckart-Young), sigma_(r-1) <=
+    _RANK_TOL scale(p) for r >= 2, or cond(J) >= _COND_BOUND.  A failed J is
+    replaced by I.  Under the bound a 2x2 LU with partial pivoting meets no
+    zero pivot: its backward error, a few ulps of |J|, is far below
+    sigma_min(J) = |J| / cond(J).  So the one stacked solve cannot raise,
+    and each point gets the floats it would get alone.
     """
     A1n, A2n, A3n, A4n = numeric
     r, P = A1n.shape[1], len(points)
-    u, v = np.array(points, dtype=complex).reshape(P, 2).T[:, :, None, None]
-    tn = np.array([complex(t) for t in ts], dtype=complex)[:, None, None]
-    # operands in the one-point order: numpy's complex product is not commutative bitwise
-    M = A1n * u + A2n * v + A3n + tn * A4n
-    lead = np.broadcast_to(np.stack([A1n, A2n]), (P, 2) + A1n.shape)
-    moves = np.concatenate([lead, sections[0] + tn[:, None] * sections[1]], axis=1)
-    rows = np.array([[a for a in range(r + 1) if a != k] for k in range(r + 1)])
-    cols = np.arange(r)
-    grads = np.empty((P, r + 1, moves.shape[1]), dtype=complex)
-    step = max(1, _DET_STACK_BYTES // (16 * (r + 1) * r**3 * moves.shape[1]))
-    for part in (slice(lo, lo + step) for lo in range(0, P, step)):
-        # replaced[p, k, c, s]: minor k with column c taken from move s
-        Mk = M[part][:, rows][:, :, None, None]
-        replaced = np.broadcast_to(Mk, Mk.shape[:2] + (r, moves.shape[1], r, r)).copy()
-        replaced[:, :, cols, :, :, cols] = moves[part][:, :, rows].transpose(4, 0, 2, 1, 3)
-        dets = np.linalg.det(replaced)
-        grads[part] = sum(dets[:, :, c] for c in range(r))
-    # the two gradient pairs a < b of largest |det|, ties to the later, as (|det|, a, b) sort
-    a, b = np.triu_indices(r + 1, 1)
-    x, y = grads[:, a, :2], grads[:, b, 1::-1]
-    # x * y rounded as Python's complex product, which has always ranked the pairs
-    re, im = x.real * y.real - x.imag * y.imag, x.real * y.imag + x.imag * y.real
-    size = np.hypot(re[..., 0] - re[..., 1], im[..., 0] - im[..., 1])
-    order = np.lexsort((np.broadcast_to(np.arange(len(a)), size.shape), size))[:, :-3:-1]
-    valid = np.take_along_axis(size, order, axis=1) != 0
-    ga, gb = grads[np.arange(P)[:, None], a[order]], grads[np.arange(P)[:, None], b[order]]
-    J = np.stack([ga[..., :2], gb[..., :2]], axis=-2)
-    J[~valid] = np.eye(2)
-    rhs = -np.stack([ga[..., 2:], gb[..., 2:]], axis=-1)
-    ok = valid[:, 0].copy()
-    try:
-        sol = _solve(J, rhs)
-    except np.linalg.LinAlgError:
-        sol = np.zeros_like(rhs)
-        for p in range(P):
-            try:
-                sol[p] = _solve(J[p], rhs[p])
-            except np.linalg.LinAlgError:
-                ok[p] = False
-    best = sol[:, 0]
-    if order.shape[1] == 2:
-        scale = np.maximum(1.0, np.abs(best).max(axis=2))
-        apart = (np.abs(sol[:, 1] - best).max(axis=2) > consistency_tol * scale).any(axis=1)
-        ok &= ~(valid[:, 1] & apart)
-    return best, ok
+    u, v = np.array(points, dtype=complex).reshape(P, 2).T
+    tn = np.array([complex(t) for t in ts], dtype=complex)
+    M = u[:, None, None] * A1n + v[:, None, None] * A2n + A3n + tn[:, None, None] * A4n
+    U, sigma, Vh = np.linalg.svd(M)
+    L = U[:, :, r - 1:].conj().transpose(0, 2, 1)
+    x = Vh[:, r - 1].conj()
+    norms = np.linalg.norm(np.stack(numeric), 2, axis=(1, 2))
+    scale = norms[0] * abs(u) + norms[1] * abs(v) + norms[2] + norms[3] * abs(tn)
+    # corank one: of the singular values, in falling order, only the last is small
+    ok = (sigma <= _RANK_TOL * scale[:, None]).sum(axis=1) == 1
+    # (L E x)[p, a] = Lx[p, a] . E flattened; products stacked per point, batch-independent
+    Lx = (L[:, :, :, None] * x[:, None, None, :]).reshape(P, 2, (r + 1) * r)
+    J = Lx @ np.stack([A1n.ravel(), A2n.ravel()], axis=1)
+    sv = np.linalg.svd(J, compute_uv=False)
+    ok &= sv[:, 0] < _COND_BOUND * sv[:, 1]
+    J[~ok] = np.eye(2)
+    dA3, dA4 = (d.reshape(len(d), -1).T for d in sections)
+    rhs = -(Lx @ dA3 + tn[:, None, None] * (Lx @ dA4))
+    return np.linalg.solve(J, rhs).transpose(0, 2, 1), ok
 
 
 # ---------------------------------------------------------------------------

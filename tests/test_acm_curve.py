@@ -23,11 +23,13 @@ from hkcurves.acm_curve import (
     signed_maximal_minors,
     stratum_check,
 )
+from hkcurves.acm_curve.fibers import backward_errors, fiber_generators, fiber_points
 from hkcurves.exact_algebra.ideals import GradedIdeal
 from hkcurves.exact_algebra.linalg import ExactMatrix
 from hkcurves.exact_algebra.polys import HomogPoly
 from hkcurves.exact_algebra.scalars import GaussianRational
 from hkcurves.pencil import canonical_pair, is_injective_pencil
+from hkcurves.twistor_metric import sample_parameters, scan_chart
 from hkcurves.reality import is_sigma_invariant_ideal
 
 ZERO = GaussianRational(0, 0)
@@ -242,3 +244,20 @@ def test_certify_resolution_is_idempotent():
     first = certify_resolution(curve)
     second = curve.certificate()
     assert first == second
+
+
+@pytest.mark.parametrize("r", [2, 6])
+def test_slice_residual_is_a_backward_error(r):
+    # the chart of `hkcurves metric --r r --count 1 --seed 0`; at r = 6 its
+    # slice generators have coefficients up to 3.7e6 and points up to 32 in
+    # modulus, and |g(p)| at the true points is 4e-8 to 5e-6
+    curve = scan_chart(r, 0, 1, 0).curve()
+    for t in sample_parameters(3):
+        pts = fiber_points(curve, t)
+        gens = fiber_generators(curve, t)
+        assert backward_errors(r, gens, pts).max() < 1e-13
+        # one point moved off the curve by a relative 1e-6 fails fiber_points' test
+        moved = pts.copy()
+        moved[0] *= 1 + 1e-6
+        errors = backward_errors(r, gens, moved)
+        assert errors[0] > 1e-8 and errors[1:].max() < 1e-13

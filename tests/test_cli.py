@@ -7,6 +7,7 @@ import time
 import pytest
 from test_resolution_exactness import X0, _common_factor_matrix
 
+from hkcurves import cli
 from hkcurves.acm_curve import ACMCurve, random_sigma_curve
 from hkcurves.cli import MAX_DOCUMENT_R, curve_to_document, document_to_curve, main
 
@@ -165,6 +166,15 @@ def test_metric_scan_writes_gram_csv(tmp_path, capsys):
         assert len(csv) == 4
         assert all(len(row.split(",")) == 4 for row in csv)
     assert (out_dir / "metric_report.json").exists()
+
+
+def test_metric_at_r6_accepts_its_slices(capsys):
+    # an absolute slice residual rejected every slice of this chart (exit 4)
+    code, out = run(capsys, ["metric", "--r", "6", "--count", "1", "--seed", "0"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["passed"] is True
+    assert doc["signatures"] == [[36, 48]]
 
 
 def test_cohomology_table_matches_frozen_row(capsys):
@@ -328,6 +338,59 @@ def test_exit_4_emits_reproduction_bundle(tmp_path, capsys, monkeypatch):
     assert set(bundle["chart"]) == {"A1", "A2", "A3", "A4"}
     on_disk = json.loads((out_dir / "reproduction_bundle.json").read_text())
     assert on_disk == bundle
+
+
+def _failing_first_draw(monkeypatch, name, exc):
+    """Make the drawer `name` in the CLI raise `exc` for item 0 only."""
+    real = getattr(cli, name)
+
+    def draw(size, seed, *args, **kwargs):
+        if seed == 0:
+            raise exc
+        return real(size, seed, *args, **kwargs)
+
+    monkeypatch.setattr(cli, name, draw)
+
+
+def test_kronecker_draw_failure_is_an_item_error(capsys, monkeypatch):
+    failure = ValueError("no injective pencil found within the retry bound")
+    _failing_first_draw(monkeypatch, "random_injective_pencil", failure)
+    code, out = run(capsys, ["kronecker", "--r", "2", "--count", "2", "--seed", "0"])
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["passed"] is False
+    assert doc["results"][0] == {
+        "index": 0,
+        "identity": False,
+        "stabilizer_dimension": None,
+        "error": str(failure),
+        "ok": False,
+    }
+    assert doc["results"][1]["ok"] is True
+
+
+def test_acm_random_draw_failure_is_an_item_error(tmp_path, capsys, monkeypatch):
+    failure = RuntimeError("no certified curve after 64 draws (r=2, seed=0)")
+    _failing_first_draw(monkeypatch, "random_sigma_curve", failure)
+    out_dir = tmp_path / "curves"
+    code, out = run(
+        capsys,
+        ["acm", "random", "--r", "2", "--count", "2", "--seed", "0", "--out", str(out_dir)],
+    )
+    assert code == 1
+    assert json.loads(out)["written"] == ["curve_r2_s0_001.json"]
+
+
+def test_rational_draw_failure_is_an_item_error(capsys, monkeypatch):
+    failure = RuntimeError("no valid map after 64 draws (d=3, seed=0)")
+    _failing_first_draw(monkeypatch, "random_rational_map", failure)
+    code, out = run(capsys, ["rational", "--d", "3", "--count", "2", "--seed", "0"])
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["passed"] is False
+    assert doc["results"][0] == {"index": 0, "error": str(failure), "ok": False}
+    assert doc["results"][1]["ok"] is True
+    assert sum(doc["histogram"].values()) == 1
 
 
 # sha256 of stdout, pinned so that changes to the exact and modular routes
