@@ -29,14 +29,13 @@ from .cohomology import (
     normal_sections,
     normal_sheaf_report,
 )
-from .exact_algebra import ExactMatrix, GaussianRational, gauss
+from .exact_algebra import ExactMatrix, GaussianRational
 from .exact_algebra.scalars import parse_gauss
 from .pencil import (
     canonical_pair,
     is_injective_pencil,
     kronecker_reduce,
     pair_stabilizer_dimension,
-    stabilizer_dimension,
 )
 from .rational_curve import (
     RationalCurveMap,

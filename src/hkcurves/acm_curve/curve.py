@@ -10,7 +10,7 @@ from typing import List, Optional, Tuple
 from ..exact_algebra.ideals import GradedIdeal, certified_rank
 from ..exact_algebra.linalg import ExactMatrix
 from ..exact_algebra.polys import HomogPoly, linear_combination, monomial_count, signed_maximal_minors
-from ..exact_algebra.scalars import random_gaussian_rows
+from ..exact_algebra.scalars import DRAW_SPAN, MAX_DRAWS, random_gaussian_rows
 from ..pencil import canonical_pair
 from ..reality import make_sigma_invariant_pencil, reality_conjugate
 
@@ -205,34 +205,32 @@ def avoids_base_line(curve: ACMCurve) -> bool:
     return curve.base_line_rank == curve.r + 1
 
 
-def random_real_curve(
-    r: int, seed: int, span: int = 3, max_tries: int = 64
-) -> ACMCurve:
+def random_real_curve(r: int, seed: int) -> ACMCurve:
     """Random canonical-gauge curve with the reality constraint, certified.
 
     Draws integer matrices until the resolution certificate passes; the
     base line is avoided automatically in the canonical gauge.
     """
     rng = random.Random(seed)
-    for _ in range(max_tries):
-        A3 = ExactMatrix(random_gaussian_rows(rng, r + 1, r, span))
+    for _ in range(MAX_DRAWS):
+        A3 = ExactMatrix(random_gaussian_rows(rng, r + 1, r, DRAW_SPAN))
         try:
             curve = ACMCurve.from_real_pair(A3)
         except ValueError:
             continue
         if curve.certificate().ok:
             return curve
-    raise RuntimeError(f"no certified curve after {max_tries} draws (r={r}, seed={seed})")
+    raise RuntimeError(f"no certified curve after {MAX_DRAWS} draws (r={r}, seed={seed})")
 
 
-def random_sigma_curve(r: int, seed: int, max_tries: int = 64) -> ACMCurve:
+def random_sigma_curve(r: int, seed: int) -> ACMCurve:
     """Random sigma-paired curve in its raw gauge, drawn until certified."""
-    for attempt in range(max_tries):
-        coeffs = make_sigma_invariant_pencil(r, seed * max_tries + attempt)
+    for attempt in range(MAX_DRAWS):
+        coeffs = make_sigma_invariant_pencil(r, seed * MAX_DRAWS + attempt)
         try:
             curve = ACMCurve(coeffs)
         except ValueError:
             continue
         if curve.certificate().ok:
             return curve
-    raise RuntimeError(f"no certified curve after {max_tries} draws (r={r}, seed={seed})")
+    raise RuntimeError(f"no certified curve after {MAX_DRAWS} draws (r={r}, seed={seed})")

@@ -2,12 +2,13 @@
 
 Every plane of the pencil contains L0 = {x2 = x3 = 0}, so Z fibres over the
 parameter line.  The slice over a finite parameter t lives in the affine
-chart x2 = 1 with coordinates (u, v) = (x0/x2, x1/x2); the chart at infinity
-uses x3 = 1 and the reciprocal parameter, and L0 is the line at infinity of
-both.  A curve that misses L0 (`avoids_base_line`) lies in Z and has finite
-slices of length d = r(r+1)/2 with exact restricted Hilbert-Burch complexes,
-on which x2 is a nonzerodivisor: the affine profile is `expected_hilbert`,
-and u^a v^b, a + b <= r - 1, is a basis.  The degree-r part of slice
+chart x2 = 1 with coordinates (u, v) = (x0/x2, x1/x2), and L0 is its line at
+infinity.  The slice over t = infinity is the finite slice over 0 of the
+same curve with A3 and A4 swapped, which swaps x2 and x3.  A curve that
+misses L0 (`avoids_base_line`) lies in Z and has finite slices of length
+d = r(r+1)/2 with exact restricted Hilbert-Burch complexes, on which x2 is a
+nonzerodivisor: the affine profile is `expected_hilbert`, and u^a v^b,
+a + b <= r - 1, is a basis.  The degree-r part of slice
 generator g_k is minor k on L0, row k of T (`ACMCurve.base_line`), so a
 degree-r monomial b has the normal form b - sum c_k g_k with c = T^-1 e_b: a
 border basis (Mourrain, AAECC 1999; Kehrein, Kreuzer and Robbiano 2005).
@@ -39,13 +40,10 @@ from .curve import avoids_base_line
 Bivar = Tuple[Dict[Tuple[int, int], Tuple[int, int]], int]
 
 
-def fiber_generators(curve, t: GaussianRational, at_infinity: bool = False) -> List[Bivar]:
-    """Generators of the slice ideal in (u, v), from the curve's minors, as
-    Gaussian-integer numerators over one denominator.
-
-    Finite chart: x0 = u, x1 = v, x2 = 1, x3 = t.  Infinity chart:
-    x0 = u, x1 = v, x2 = t, x3 = 1 (t is the reciprocal parameter there).
-    """
+def fiber_generators(curve, t: GaussianRational) -> List[Bivar]:
+    """Generators of the slice ideal in (u, v) at x0 = u, x1 = v, x2 = 1,
+    x3 = t, from the curve's minors, as Gaussian-integer numerators over one
+    denominator."""
     ta, tb, te = t.integer_parts()
     out: List[Bivar] = []
     for minor in curve.minors:
@@ -57,9 +55,8 @@ def fiber_generators(curve, t: GaussianRational, at_infinity: bool = False) -> L
             powers.append((a * ta - b * tb, a * tb + b * ta))
         acc: Dict[Tuple[int, int], Tuple[int, int]] = {}
         for (m0, m1, m2, m3), (a, b) in minor.terms.items():
-            e = m2 if at_infinity else m3
-            pa, pb = powers[e]
-            scale = te ** (minor.degree - e)
+            pa, pb = powers[m3]
+            scale = te ** (minor.degree - m3)
             prev = acc.get((m0, m1), (0, 0))
             acc[(m0, m1)] = (prev[0] + (a * pa - b * pb) * scale, prev[1] + (a * pb + b * pa) * scale)
         terms = {k: ab for k, ab in acc.items() if ab[0] or ab[1]}
@@ -73,7 +70,7 @@ def _refuse_base_line(curve) -> None:
         raise ValueError("curve meets the base line L0 = {x2 = x3 = 0}: not a curve of Z, no slices")
 
 
-def hilbert_profile(curve, t: GaussianRational, at_infinity: bool = False) -> Tuple[int, ...]:
+def hilbert_profile(curve, t: GaussianRational) -> Tuple[int, ...]:
     """H(0), ..., H(r+2) of every slice of a curve that misses L0, by the theorem."""
     _refuse_base_line(curve)
     return tuple(expected_hilbert(curve.r, k) for k in range(curve.r + 3))
@@ -107,11 +104,9 @@ def _border_matrices(curve, gens: Sequence[Bivar], t: GaussianRational, entry) -
     ]
 
 
-def fiber_multiplication_matrices(
-    curve, t: GaussianRational, at_infinity: bool = False
-) -> Tuple[ExactMatrix, ExactMatrix]:
+def fiber_multiplication_matrices(curve, t: GaussianRational) -> Tuple[ExactMatrix, ExactMatrix]:
     _refuse_base_line(curve)
-    gens = fiber_generators(curve, t, at_infinity=at_infinity)
+    gens = fiber_generators(curve, t)
     mu, mv = _border_matrices(
         curve, gens, t, lambda a, b, n: GaussianRational(Fraction(a, n), Fraction(b, n)))
     return ExactMatrix(mu), ExactMatrix(mv)
@@ -134,17 +129,16 @@ def backward_errors(r: int, gens: Sequence[Bivar], pts: np.ndarray) -> np.ndarra
     return np.divide(values, bounds, out=np.zeros_like(values), where=bounds > 0).max(axis=1, initial=0.0)
 
 
-def fiber_points(
-    curve,
-    t: GaussianRational,
-    at_infinity: bool = False,
-    residual_tol: float = 1e-8,
-) -> np.ndarray:
+# the largest relative residual `fiber_points` accepts
+_RESIDUAL_TOL = 1e-8
+
+
+def fiber_points(curve, t: GaussianRational) -> np.ndarray:
     """Slice points as complex (u, v) pairs, via commuting multiplication ops.
 
     The matrices are exact; only the eigensolve is numeric.  Points are
     sorted deterministically, and each must have a backward error of at
-    most `residual_tol` for every generator g = sum c u^i v^j:
+    most `_RESIDUAL_TOL` for every generator g = sum c u^i v^j:
     |g(p)| / sum |c| |u|^i |v|^j is the smallest relative change of g's
     coefficients that makes p an exact zero (Higham, Accuracy and Stability
     of Numerical Algorithms, sec. 5.1).  Unlike |g(p)|, it does not grow
@@ -155,7 +149,7 @@ def fiber_points(
     infinity on every slice, so no slice holds all its points.
     """
     _refuse_base_line(curve)
-    gens = fiber_generators(curve, t, at_infinity=at_infinity)
+    gens = fiber_generators(curve, t)
     nu, nv = map(np.array, _border_matrices(curve, gens, t, lambda a, b, n: complex(a / n, b / n)))
     rng = np.random.default_rng(2)
     for _ in range(6):
@@ -174,12 +168,12 @@ def fiber_points(
         dv = np.diag(inv @ nv @ vecs)
         off_u = inv @ nu @ vecs - np.diag(du)
         off_v = inv @ nv @ vecs - np.diag(dv)
-        if max(np.abs(off_u).max(), np.abs(off_v).max()) > residual_tol * max(
+        if max(np.abs(off_u).max(), np.abs(off_v).max()) > _RESIDUAL_TOL * max(
             1.0, np.abs(du).max(), np.abs(dv).max()
         ):
             continue
         pts = np.stack([du, dv], axis=1)
-        if not (backward_errors(curve.r, gens, pts) <= residual_tol).all():
+        if not (backward_errors(curve.r, gens, pts) <= _RESIDUAL_TOL).all():
             continue
         order = np.lexsort([np.round(part(pts[:, c]), 9) for c in (1, 0) for part in (np.imag, np.real)])
         return pts[order]
@@ -209,22 +203,18 @@ def expected_hilbert(r: int, k: int) -> int:
 
 @dataclass(frozen=True)
 class FiberScheme:
-    """One certified slice: parameter, chart, H(0), ..., H(r+2)."""
+    """One certified slice: parameter, H(0), ..., H(r+2)."""
 
     r: int
     d: int
     t: GaussianRational
-    at_infinity: bool
     profile: Tuple[int, ...]
-
-    def hilbert_function(self) -> Tuple[int, ...]:
-        return self.profile
 
     def length(self) -> int:
         return self.profile[-1]
 
 
-def restrict_to_fiber(curve, t: GaussianRational, at_infinity: bool = False) -> FiberScheme:
+def restrict_to_fiber(curve, t: GaussianRational) -> FiberScheme:
     """Slice of a certified curve that misses L0 over one plane of the pencil.
 
     Refuses uncertified curves: the length and Hilbert statements below
@@ -234,16 +224,16 @@ def restrict_to_fiber(curve, t: GaussianRational, at_infinity: bool = False) -> 
     """
     if not curve.certificate().ok:
         raise ValueError("resolution certificate failed; slice data unreliable")
-    return FiberScheme(curve.r, curve.degree, t, at_infinity, hilbert_profile(curve, t, at_infinity))
+    return FiberScheme(curve.r, curve.degree, t, hilbert_profile(curve, t))
 
 
 def fiber_hilbert_function(scheme: FiberScheme) -> Tuple[int, ...]:
     """H(0), ..., H(r+2) of the slice."""
-    return scheme.hilbert_function()
+    return scheme.profile
 
 
 def stratum_check(scheme: FiberScheme) -> bool:
     """True when the slice sits in the open stratum: full Hilbert growth
     below degree r, then constant at the curve degree."""
-    profile = scheme.hilbert_function()
+    profile = scheme.profile
     return all(profile[k] == expected_hilbert(scheme.r, k) for k in range(len(profile)))

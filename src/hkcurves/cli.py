@@ -15,7 +15,7 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .acm_curve import (
 )
 from .cohomology import cohomology_table, ellia_stability_check, normal_sheaf_report
 from .exact_algebra.linalg import ExactMatrix
-from .exact_algebra.scalars import format_gauss, parse_gauss
+from .exact_algebra.scalars import GaussianRational, format_gauss, parse_gauss
 from .pencil import (
     apply_gauge,
     canonical_pair,
@@ -82,6 +82,10 @@ class NumericFailure(Exception):
 # ---------------------------------------------------------------------------
 # shared plumbing
 
+# each cmd_* returns its report document and exit code; `main` times the
+# call, prints the document and writes it under --out
+Report = Tuple[Dict[str, Any], int]
+
 
 def _stderr(message: str) -> None:
     print(message, file=sys.stderr)
@@ -91,10 +95,10 @@ def _timing(label: str, t0: float) -> None:
     _stderr(f"[time] {label}: {time.perf_counter() - t0:.3f}s")
 
 
-def _emit_json(doc: Dict[str, Any], out: Optional[Path], name: str) -> None:
+def _emit_json(doc: Dict[str, Any], out: Optional[Path], name: Optional[str]) -> None:
     text = json.dumps(doc, indent=2) + "\n"
     sys.stdout.write(text)
-    if out is not None:
+    if out is not None and name is not None:
         out.mkdir(parents=True, exist_ok=True)
         (out / name).write_text(text)
 
@@ -119,6 +123,16 @@ def _matrix_literals(m: ExactMatrix) -> List[List[str]]:
     return [[format_gauss(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
 
 
+def _literal(entry: Any, where: str) -> GaussianRational:
+    """The value of the GAUSS literal `entry`, read from `where`."""
+    if not isinstance(entry, str):
+        raise InvalidObject(f"entries of {where} must be literal strings")
+    try:
+        return parse_gauss(entry)
+    except ValueError as exc:
+        raise ParseFailure(f"bad literal {entry!r} in {where}: {exc}") from exc
+
+
 def _literal_matrix(value: Any, rows: int, cols: int, label: str) -> ExactMatrix:
     if not isinstance(value, list) or len(value) != rows:
         raise InvalidObject(f"{label} must be a {rows} x {cols} array of literals")
@@ -126,15 +140,7 @@ def _literal_matrix(value: Any, rows: int, cols: int, label: str) -> ExactMatrix
     for row in value:
         if not isinstance(row, list) or len(row) != cols:
             raise InvalidObject(f"{label} must be a {rows} x {cols} array of literals")
-        out_row = []
-        for entry in row:
-            if not isinstance(entry, str):
-                raise InvalidObject(f"{label} entries must be literal strings")
-            try:
-                out_row.append(parse_gauss(entry))
-            except ValueError as exc:
-                raise ParseFailure(f"bad literal {entry!r} in {label}: {exc}") from exc
-        parsed.append(out_row)
+        parsed.append([_literal(entry, label) for entry in row])
     return ExactMatrix(parsed)
 
 
@@ -179,17 +185,7 @@ def document_to_map(doc: Any) -> RationalCurveMap:
     lengths = {len(f) for f in forms if isinstance(f, list)}
     if len(lengths) != 1 or not all(isinstance(f, list) for f in forms):
         raise InvalidObject("forms rows must be lists of one common length")
-    parsed = []
-    for idx, row in enumerate(forms):
-        coeffs = []
-        for entry in row:
-            if not isinstance(entry, str):
-                raise InvalidObject("form coefficients must be literal strings")
-            try:
-                coeffs.append(parse_gauss(entry))
-            except ValueError as exc:
-                raise ParseFailure(f"bad literal {entry!r} in forms[{idx}]") from exc
-        parsed.append(tuple(coeffs))
+    parsed = [tuple(_literal(entry, f"forms[{idx}]") for entry in row) for idx, row in enumerate(forms)]
     try:
         return RationalCurveMap(tuple(parsed))
     except ValueError as exc:
@@ -200,8 +196,7 @@ def document_to_map(doc: Any) -> RationalCurveMap:
 # kronecker
 
 
-def cmd_kronecker(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
+def cmd_kronecker(args: argparse.Namespace) -> Report:
     S, T = canonical_pair(args.r)
 
     def work(index: int) -> Dict[str, Any]:
@@ -232,9 +227,7 @@ def cmd_kronecker(args: argparse.Namespace) -> int:
         "results": results,
         "passed": passed,
     }
-    _emit_json(doc, args.out, "kronecker_report.json")
-    _timing("kronecker", t0)
-    return EXIT_PASS if passed else EXIT_FAIL
+    return doc, EXIT_PASS if passed else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +243,13 @@ def _certificate_stage(curve: ACMCurve) -> Dict[str, Any]:
         "expected": list(cert.expected),
         "mismatches": [list(m) for m in cert.mismatches],
     }
+
+
+def _table_rows(table) -> List[Dict[str, int]]:
+    return [
+        {"k": k, "h0": row[0], "h1": row[1], "h2": row[2], "h3": row[3]}
+        for k, row in zip(range(table.kmin, table.kmax + 1), table.rows)
+    ]
 
 
 def _verify_stages(
@@ -275,10 +275,7 @@ def _verify_stages(
         {
             "stage": "cohomology",
             "ok": bool(ellia),
-            "table": [
-                {"k": k, "h0": row[0], "h1": row[1], "h2": row[2], "h3": row[3]}
-                for k, row in zip(range(table.kmin, table.kmax + 1), table.rows)
-            ],
+            "table": _table_rows(table),
             "ellia_stable": bool(ellia),
         }
     )
@@ -321,8 +318,7 @@ def _verify_stages(
     return stages
 
 
-def cmd_acm_verify(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
+def cmd_acm_verify(args: argparse.Namespace) -> Report:
     curve = document_to_curve(_load_json(args.curve))
     stages = _verify_stages(curve, args.seed, args.fibers)
     failed = next((s["stage"] for s in stages if not s["ok"]), None)
@@ -337,18 +333,14 @@ def cmd_acm_verify(args: argparse.Namespace) -> int:
         "failed_stage": failed,
         "passed": failed is None,
     }
-    _emit_json(doc, args.out, "acm_verify_report.json")
-    _timing("acm verify", t0)
-    return EXIT_PASS if failed is None else EXIT_FAIL
+    return doc, EXIT_PASS if failed is None else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------
 # acm random
 
 
-def cmd_acm_random(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-
+def cmd_acm_random(args: argparse.Namespace) -> Report:
     def work(index: int) -> Optional[ACMCurve]:
         try:
             return random_sigma_curve(args.r, args.seed * args.count + index)
@@ -373,17 +365,14 @@ def cmd_acm_random(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "written": written,
     }
-    _emit_json(summary, None, "")
-    _timing("acm random", t0)
-    return EXIT_PASS if len(written) == args.count else EXIT_FAIL
+    return summary, EXIT_PASS if len(written) == args.count else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------
 # rational
 
 
-def cmd_rational(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
+def cmd_rational(args: argparse.Namespace) -> Report:
     if args.map is not None:
         rmap = document_to_map(_load_json(args.map))
         validation = validate_map(rmap)
@@ -402,18 +391,14 @@ def cmd_rational(args: argparse.Namespace) -> int:
         }
         if not validation.ok:
             doc["passed"] = False
-            _emit_json(doc, args.out, "rational_report.json")
-            _timing("rational", t0)
-            return EXIT_INVALID
+            return doc, EXIT_INVALID
         splitting = normal_splitting_type(rmap)
         doc["a"] = splitting.a
         doc["b"] = splitting.b
         doc["stable"] = stability_check(splitting)
         doc["riemann_roch"] = riemann_roch_consistent(rmap, splitting)
         doc["passed"] = bool(doc["riemann_roch"])
-        _emit_json(doc, args.out, "rational_report.json")
-        _timing("rational", t0)
-        return EXIT_PASS if doc["passed"] else EXIT_FAIL
+        return doc, EXIT_PASS if doc["passed"] else EXIT_FAIL
 
     if args.d is None:
         raise InvalidObject("rational needs either --map FILE or --d")
@@ -452,18 +437,14 @@ def cmd_rational(args: argparse.Namespace) -> int:
         "stable_fraction": stable_count / max(1, args.count),
         "passed": passed,
     }
-    _emit_json(doc, args.out, "rational_report.json")
-    _timing("rational", t0)
-    return EXIT_PASS if passed else EXIT_FAIL
+    return doc, EXIT_PASS if passed else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------
 # metric
 
 
-def cmd_metric(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-
+def cmd_metric(args: argparse.Namespace) -> Report:
     def work(index: int):
         chart = scan_chart(
             args.r, args.seed, args.count, index, args.skip_sigma_gauge
@@ -505,17 +486,14 @@ def cmd_metric(args: argparse.Namespace) -> int:
         "max_quaternion_residual": float(report.max_quaternion_residual),
         "passed": report.passed,
     }
-    _emit_json(doc, args.out, "metric_report.json")
-    _timing("metric", t0)
-    return EXIT_PASS if report.passed else EXIT_FAIL
+    return doc, EXIT_PASS if report.passed else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------
 # cohomology table
 
 
-def cmd_cohomology_table(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
+def cmd_cohomology_table(args: argparse.Namespace) -> Report:
     if args.curve is not None:
         curve = document_to_curve(_load_json(args.curve))
         source = args.curve
@@ -536,9 +514,7 @@ def cmd_cohomology_table(args: argparse.Namespace) -> int:
             "failed_stage": cert["stage"],
             "passed": False,
         }
-        _emit_json(doc, args.out, "cohomology_table.json")
-        _timing("cohomology table", t0)
-        return EXIT_FAIL
+        return doc, EXIT_FAIL
     table = cohomology_table(curve, r - 3, r + 1)
     ellia = ellia_stability_check(curve)
     doc = {
@@ -547,16 +523,11 @@ def cmd_cohomology_table(args: argparse.Namespace) -> int:
         "r": r,
         "kmin": table.kmin,
         "kmax": table.kmax,
-        "rows": [
-            {"k": k, "h0": row[0], "h1": row[1], "h2": row[2], "h3": row[3]}
-            for k, row in zip(range(table.kmin, table.kmax + 1), table.rows)
-        ],
+        "rows": _table_rows(table),
         "ellia_stable": bool(ellia),
         "passed": bool(ellia),
     }
-    _emit_json(doc, args.out, "cohomology_table.json")
-    _timing("cohomology table", t0)
-    return EXIT_PASS if ellia else EXIT_FAIL
+    return doc, EXIT_PASS if ellia else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_kron.add_argument("--count", type=positive_int, default=10)
     p_kron.add_argument("--seed", type=int, default=0)
     p_kron.add_argument("--out", type=Path, default=None)
-    p_kron.set_defaults(func=cmd_kronecker)
+    p_kron.set_defaults(func=cmd_kronecker, report="kronecker_report.json", label="kronecker")
 
     p_acm = sub.add_parser("acm", help="determinantal curve commands")
     acm_sub = p_acm.add_subparsers(dest="acm_command", required=True)
@@ -602,14 +573,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--fibers", type=positive_int, default=5)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--out", type=Path, default=None)
-    p_verify.set_defaults(func=cmd_acm_verify)
+    p_verify.set_defaults(func=cmd_acm_verify, report="acm_verify_report.json", label="acm verify")
 
     p_random = acm_sub.add_parser("random", help="write certified curve documents")
     p_random.add_argument("--r", type=document_r, required=True)
     p_random.add_argument("--count", type=positive_int, default=1)
     p_random.add_argument("--seed", type=int, default=0)
     p_random.add_argument("--out", type=Path, required=True)
-    p_random.set_defaults(func=cmd_acm_random)
+    # --out holds the curve documents, so the summary is not written there
+    p_random.set_defaults(func=cmd_acm_random, report=None, label="acm random")
 
     p_rat = sub.add_parser("rational", help="splitting types of rational maps")
     p_rat.add_argument("--d", type=positive_int, default=None)
@@ -617,7 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rat.add_argument("--seed", type=int, default=0)
     p_rat.add_argument("--map", default=None, help="explicit map document (JSON)")
     p_rat.add_argument("--out", type=Path, default=None)
-    p_rat.set_defaults(func=cmd_rational)
+    p_rat.set_defaults(func=cmd_rational, report="rational_report.json", label="rational")
 
     p_metric = sub.add_parser("metric", help="metric constancy scan")
     p_metric.add_argument("--r", type=positive_int, required=True)
@@ -625,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_metric.add_argument("--seed", type=int, default=0)
     p_metric.add_argument("--skip-sigma-gauge", action="store_true")
     p_metric.add_argument("--out", type=Path, default=None)
-    p_metric.set_defaults(func=cmd_metric)
+    p_metric.set_defaults(func=cmd_metric, report="metric_report.json", label="metric")
 
     p_coh = sub.add_parser("cohomology", help="cohomology commands")
     coh_sub = p_coh.add_subparsers(dest="cohomology_command", required=True)
@@ -634,7 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--curve", default=None, help="curve document (JSON)")
     p_table.add_argument("--seed", type=int, default=0)
     p_table.add_argument("--out", type=Path, default=None)
-    p_table.set_defaults(func=cmd_cohomology_table)
+    p_table.set_defaults(func=cmd_cohomology_table, report="cohomology_table.json", label="cohomology table")
 
     return parser
 
@@ -642,8 +614,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        doc, code = args.func(args)
     except ParseFailure as exc:
         _stderr(f"parse error: {exc}")
         return EXIT_PARSE
@@ -654,6 +627,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         _stderr(f"numeric extraction failure: {exc}")
         _emit_json(exc.bundle, args.out, "reproduction_bundle.json")
         return EXIT_NUMERIC
+    _emit_json(doc, args.out, args.report)
+    _timing(args.label, t0)
+    return code
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from .polys import (
     monomial_index,
     uni_gcd,
 )
-from .scalars import GaussianRational, gauss
+from .scalars import GaussianRational
 
 __all__ = [
     "GradedIdeal",
@@ -25,7 +25,6 @@ __all__ = [
     "HomogPoly",
     "UniPoly",
     "GaussianRational",
-    "gauss",
     "monomial_basis",
     "monomial_count",
     "monomial_index",

@@ -36,11 +36,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from . import modp
 from .modp import sparse_rank_certificate
 from .polys import HomogPoly, monomial_basis, monomial_count, monomial_index
-from .scalars import GaussianRational
+from .scalars import ZERO, GaussianRational
 
 Row = List[Tuple[int, int, int]]
-
-_ZERO = GaussianRational(0, 0)
 
 
 def _primitive(row: Row) -> Row:
@@ -187,15 +185,18 @@ class GradedIdeal:
     its level as soon as that rank is reached.
     """
 
-    def __init__(self, generators: Sequence[HomogPoly], num_vars: int = 4):
+    def __init__(self, generators: Sequence[HomogPoly]):
         gens = [g for g in generators if g.terms]
         if not gens:
             raise ValueError("need at least one nonzero generator")
         degs = {g.degree for g in gens}
         if len(degs) != 1:
             raise ValueError(f"generators must share one degree, got {sorted(degs)}")
+        counts = {g.num_vars for g in gens}
+        if len(counts) != 1:
+            raise ValueError(f"generators must share one variable count, got {sorted(counts)}")
         self.gen_degree = degs.pop()
-        self.num_vars = num_vars
+        self.num_vars = counts.pop()
         self.generators = list(gens)
         self._levels: Dict[int, List[Row]] = {}
         self._dims: Dict[int, int] = {}
@@ -270,38 +271,31 @@ class GradedIdeal:
         self._dims[k] = dim
         return dim
 
-    def pivot_columns(self, k: int) -> List[int]:
-        return [row[0][0] for row in self._build(k)]
-
     def quotient_basis(self, k: int) -> List[int]:
-        """Column indices of monomials spanning (R/I)_k."""
-        taken = set(self.pivot_columns(k))
+        """Column indices of monomials spanning (R/I)_k: the non-pivot columns."""
+        taken = {row[0][0] for row in self._build(k)}
         total = len(monomial_basis(self.num_vars, k))
         return [c for c in range(total) if c not in taken]
 
     # -- normal forms -----------------------------------------------------
 
-    def reduction_table(self, k: int) -> Dict[int, Dict[int, GaussianRational]]:
-        """Normal forms of the degree-k pivot columns, built once per degree."""
-        key = ("rref", k)
-        cached = self._cache.get(key)
-        if cached is None:
-            cached = self._cache[key] = normal_form_table(self._build(k))
-        return cached  # type: ignore[return-value]
-
     def normal_form(self, poly: HomogPoly) -> Dict[int, GaussianRational]:
-        """Coordinates of poly mod I_k on the quotient monomial basis."""
-        table = self.reduction_table(poly.degree)
+        """Coordinates of poly mod I_k on the quotient monomial basis, from
+        the normal forms of the degree-k pivot columns, built once per degree."""
+        key = ("rref", poly.degree)
+        table = self._cache.get(key)
+        if table is None:
+            table = self._cache[key] = normal_form_table(self._build(poly.degree))
         index = monomial_index(self.num_vars, poly.degree)
         acc: Dict[int, GaussianRational] = {}
         for mono, val in poly.coeffs.items():
             col = index[mono]
             sub = table.get(col)
             if sub is None:
-                acc[col] = acc.get(col, _ZERO) + val
+                acc[col] = acc.get(col, ZERO) + val
             else:
                 for c2, v2 in sub.items():
-                    acc[c2] = acc.get(c2, _ZERO) + val * v2
+                    acc[c2] = acc.get(c2, ZERO) + val * v2
         return {c: v for c, v in acc.items() if v.re or v.im}
 
 

@@ -19,10 +19,7 @@ from math import lcm
 
 from .ideals import normal_form_table, reduced_echelon, sparse_echelon, sparse_row_rank
 from .polys import linear_dets
-from .scalars import GaussianRational, random_gaussian_rows
-
-_ZERO = GaussianRational(0)
-_ONE = GaussianRational(1)
+from .scalars import ONE, ZERO, GaussianRational, random_gaussian_rows
 
 
 class ExactMatrix:
@@ -88,24 +85,11 @@ class ExactMatrix:
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "ExactMatrix":
-        z = GaussianRational(0)
-        return ExactMatrix([[z] * cols for _ in range(rows)], cols=cols)
+        return ExactMatrix([[ZERO] * cols for _ in range(rows)], cols=cols)
 
     @staticmethod
     def identity(n: int) -> "ExactMatrix":
-        z, o = GaussianRational(0), GaussianRational(1)
-        return ExactMatrix([[o if i == j else z for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def from_columns(columns, rows: int) -> "ExactMatrix":
-        if not columns:
-            return ExactMatrix([[] for _ in range(rows)])
-        return ExactMatrix(
-            [[col[i] for col in columns] for i in range(rows)]
-        )
-
-    def column(self, j: int):
-        return [self.data[i][j] for i in range(self.rows)]
+        return ExactMatrix([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
 
     # -- structure ------------------------------------------------------
 
@@ -136,16 +120,6 @@ class ExactMatrix:
 
     def conj(self) -> "ExactMatrix":
         return ExactMatrix([[z.conj() for z in row] for row in self.data])
-
-    def conj_transpose(self) -> "ExactMatrix":
-        return self.transpose().conj()
-
-    def hstack(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.rows != other.rows:
-            raise ValueError("row mismatch")
-        return ExactMatrix(
-            [list(self.data[i]) + list(other.data[i]) for i in range(self.rows)]
-        )
 
     # -- arithmetic -------------------------------------------------------
 
@@ -187,18 +161,6 @@ class ExactMatrix:
             out.append(tuple(out_row))
         return ExactMatrix.from_integer_form(tuple(out), ld * rd, other.cols)
 
-    def apply(self, vec):
-        """Matrix times column vector (list)."""
-        zero = GaussianRational(0)
-        out = []
-        for row in self.data:
-            acc = zero
-            for a, b in zip(row, vec):
-                if not (a.is_zero() or b.is_zero()):
-                    acc = acc + a * b
-            out.append(acc)
-        return out
-
     # -- certified elimination ---------------------------------------------
 
     def rank(self) -> int:
@@ -213,14 +175,9 @@ class ExactMatrix:
         """
         n = self.cols
         table = normal_form_table(sparse_echelon(self._sparse_rows()))
-        basis = []
-        for f in (j for j in range(n) if j not in table):
-            v = [_ZERO] * n
-            v[f] = _ONE
-            for pc, nf in table.items():
-                v[pc] = nf.get(f, _ZERO)
-            basis.append(v)
-        return ExactMatrix.from_columns(basis, n)
+        free = [j for j in range(n) if j not in table]
+        rows = [[ONE if i == f else table.get(i, {}).get(f, ZERO) for f in free] for i in range(n)]
+        return ExactMatrix(rows, cols=len(free))
 
     def det(self) -> GaussianRational:
         """`polys.linear_dets` on the forms x0 * M[i][j] of the integer form,
@@ -269,10 +226,11 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols}: {body})"
 
 
-def random_invertible(size: int, rng: random.Random, span: int = 2) -> ExactMatrix:
-    """Seeded invertible Gaussian-integer matrix: draws until full rank."""
+def random_invertible(size: int, rng: random.Random) -> ExactMatrix:
+    """Seeded invertible Gaussian-integer matrix, both parts of each entry in
+    [-2, 2]: draws until full rank."""
     while True:
-        m = ExactMatrix(random_gaussian_rows(rng, size, size, span))
+        m = ExactMatrix(random_gaussian_rows(rng, size, size, 2))
         if m.rank() == size:
             return m
 

@@ -24,9 +24,7 @@ from math import comb, gcd, lcm
 from operator import add
 from types import MappingProxyType
 
-from .scalars import GaussianRational
-
-_ZERO = GaussianRational(0)
+from .scalars import ONE, ZERO, GaussianRational
 
 
 @lru_cache(maxsize=None)
@@ -164,14 +162,10 @@ class HomogPoly:
                 out[m] = (prev[0] + a1 * a2 - b1 * b2, prev[1] + a1 * b2 + b1 * a2)
         return self._like(out, self.den * other.den, self.degree + other.degree)
 
-    def mul_monomial(self, mono: tuple) -> "HomogPoly":
-        shift = {tuple(map(add, m, mono)): ab for m, ab in self.terms.items()}
-        return self._like(shift, self.den, self.degree + sum(mono))
-
     def evaluate(self, point):
         """Exact evaluation at a tuple of GaussianRational (or int) values."""
         vals = [p if isinstance(p, GaussianRational) else GaussianRational(p) for p in point]
-        total = _ZERO
+        total = ZERO
         for mono, c in self.coeffs.items():
             term = c
             for v, e in zip(vals, mono):
@@ -179,9 +173,6 @@ class HomogPoly:
                     term = term * v
             total = total + term
         return total
-
-    def conj_coeffs(self) -> "HomogPoly":
-        return self._like({m: (a, -b) for m, (a, b) in self.terms.items()}, self.den)
 
     def __repr__(self):
         if not self.terms:
@@ -322,8 +313,8 @@ class UniPoly:
         n = max(len(self.coeffs), len(other.coeffs))
         out = []
         for k in range(n):
-            a = self.coeffs[k] if k < len(self.coeffs) else _ZERO
-            b = other.coeffs[k] if k < len(other.coeffs) else _ZERO
+            a = self.coeffs[k] if k < len(self.coeffs) else ZERO
+            b = other.coeffs[k] if k < len(other.coeffs) else ZERO
             out.append(a + b)
         return UniPoly(out)
 
@@ -338,7 +329,7 @@ class UniPoly:
             return UniPoly([c * other for c in self.coeffs])
         if self.is_zero() or other.is_zero():
             return UniPoly([])
-        out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a.is_zero():
                 continue
@@ -359,7 +350,7 @@ class UniPoly:
         dq = len(rem) - len(other.coeffs)
         if dq < 0:
             return UniPoly([]), self
-        quot = [_ZERO] * (dq + 1)
+        quot = [ZERO] * (dq + 1)
         lead = other.coeffs[-1]
         for k in range(dq, -1, -1):
             c = rem[k + len(other.coeffs) - 1] / lead
@@ -370,7 +361,7 @@ class UniPoly:
         return UniPoly(quot), UniPoly(rem[: len(other.coeffs) - 1])
 
     def evaluate(self, x):
-        acc = _ZERO
+        acc = ZERO
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
@@ -398,7 +389,7 @@ def uni_interpolate(points, values) -> UniPoly:
             coef[i] = (coef[i] - coef[i - 1]) / (pts[i] - pts[i - j])
     poly = UniPoly([coef[-1]])
     for i in range(n - 2, -1, -1):
-        poly = poly * UniPoly([-pts[i], GaussianRational(1)]) + UniPoly([coef[i]])
+        poly = poly * UniPoly([-pts[i], ONE]) + UniPoly([coef[i]])
     return poly
 
 

@@ -192,9 +192,10 @@ ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
 
-
-def gauss(re=0, im=0) -> GaussianRational:
-    return GaussianRational(re, im)
+# the seeded drawers: both parts of an entry in [-DRAW_SPAN, DRAW_SPAN], and
+# MAX_DRAWS draws before one gives up
+DRAW_SPAN = 3
+MAX_DRAWS = 64
 
 
 def random_gaussian_rows(

@@ -16,18 +16,15 @@ from typing import List, Optional, Tuple
 from .exact_algebra.linalg import ExactMatrix
 from .exact_algebra.ideals import certified_rank
 from .exact_algebra.polys import HomogPoly, UniPoly, signed_maximal_minors, uni_gcd
-from .exact_algebra.scalars import GaussianRational, random_gaussian_rows
-
-_ZERO = GaussianRational(0, 0)
-_ONE = GaussianRational(1, 0)
+from .exact_algebra.scalars import DRAW_SPAN, MAX_DRAWS, ONE, ZERO, GaussianRational, random_gaussian_rows
 
 
 def canonical_pair(r: int) -> Tuple[ExactMatrix, ExactMatrix]:
     """(S, T): S[i,j] = [i==j], T[i,j] = [i==j+1], both (r+1) x r."""
     if r < 1:
         raise ValueError("need r >= 1")
-    s_rows = [[_ONE if i == j else _ZERO for j in range(r)] for i in range(r + 1)]
-    t_rows = [[_ONE if i == j + 1 else _ZERO for j in range(r)] for i in range(r + 1)]
+    s_rows = [[ONE if i == j else ZERO for j in range(r)] for i in range(r + 1)]
+    t_rows = [[ONE if i == j + 1 else ZERO for j in range(r)] for i in range(r + 1)]
     return ExactMatrix(s_rows), ExactMatrix(t_rows)
 
 
@@ -56,7 +53,7 @@ def pencil_minors(A1: ExactMatrix, A2: ExactMatrix) -> List[UniPoly]:
     r = _check_shape(A1, A2)
     out = []
     for i, m in enumerate(_signed_minors(A1, A2)):
-        minor = UniPoly([m.coeffs.get((r - k, k), _ZERO) for k in range(r + 1)])
+        minor = UniPoly([m.coeffs.get((r - k, k), ZERO) for k in range(r + 1)])
         out.append(-minor if i % 2 else minor)
     return out
 
@@ -83,9 +80,9 @@ def is_injective_pencil(A1: ExactMatrix, A2: ExactMatrix) -> InjectivityReport:
     minors = pencil_minors(A1, A2)
     if all(m.is_zero() for m in minors):
         # rank deficient at every point; lambda = 0 is a concrete witness
-        return InjectivityReport(False, (_ONE, _ZERO), None)
+        return InjectivityReport(False, (ONE, ZERO), None)
     if all(m.degree < r for m in minors):
-        return InjectivityReport(False, (_ZERO, _ONE), None)
+        return InjectivityReport(False, (ZERO, ONE), None)
     g = uni_gcd(minors)
     if g.degree == 0:
         return InjectivityReport(True, None, None)
@@ -100,7 +97,7 @@ def is_injective_pencil(A1: ExactMatrix, A2: ExactMatrix) -> InjectivityReport:
             raise AssertionError("squarefree reduction left a remainder")
     if reduced.degree == 1:
         lam = -(reduced.coeffs[0] / reduced.coeffs[1])
-        return InjectivityReport(False, (_ONE, lam), g)
+        return InjectivityReport(False, (ONE, lam), g)
     return InjectivityReport(False, None, g)
 
 
@@ -152,7 +149,7 @@ def _shift_gauge(A1: ExactMatrix, A2: ExactMatrix, r: int) -> KroneckerReduction
     # the c_k of the docstring up to one nonzero scalar.  With the sign
     # flips, P*A2 is P*A1 shifted down a row, P*A1 has a zero last row, and
     # Q inverts the top r rows of P*A1.
-    what = [[m.coeffs.get((k, r - k), _ZERO) for m in minors] for k in range(r + 1)]
+    what = [[m.coeffs.get((k, r - k), ZERO) for m in minors] for k in range(r + 1)]
     P = ExactMatrix([[-c for c in row] if k % 2 else row for k, row in enumerate(what)])
     PA1 = P @ A1
     rows, den = PA1.integer_form
@@ -167,12 +164,6 @@ def apply_gauge(
     A1: ExactMatrix, A2: ExactMatrix, P: ExactMatrix, Q: ExactMatrix
 ) -> Tuple[ExactMatrix, ExactMatrix]:
     return P @ A1 @ Q, P @ A2 @ Q
-
-
-def stabilizer_dimension(pair: Tuple[ExactMatrix, ExactMatrix]) -> int:
-    """dim {(X, Y) : X*S + S*Y = 0, X*T + T*Y = 0} for the canonical pair."""
-    S, T = pair
-    return pair_stabilizer_dimension(S, T)
 
 
 def pair_stabilizer_dimension(A1: ExactMatrix, A2: ExactMatrix) -> int:
@@ -199,13 +190,11 @@ def pair_stabilizer_dimension(A1: ExactMatrix, A2: ExactMatrix) -> int:
     return num - certified_rank(sparse, num, num - 1)
 
 
-def random_injective_pencil(
-    r: int, seed: int, span: int = 3, max_tries: int = 64
-) -> Tuple[ExactMatrix, ExactMatrix]:
+def random_injective_pencil(r: int, seed: int) -> Tuple[ExactMatrix, ExactMatrix]:
     """Seeded (A1, A2) with every member of full column rank."""
     rng = random.Random(seed)
-    for _ in range(max_tries):
-        mats = [ExactMatrix(random_gaussian_rows(rng, r + 1, r, span)) for _k in range(2)]
+    for _ in range(MAX_DRAWS):
+        mats = [ExactMatrix(random_gaussian_rows(rng, r + 1, r, DRAW_SPAN)) for _k in range(2)]
         if is_injective_pencil(mats[0], mats[1]).ok:
             return mats[0], mats[1]
     raise ValueError("no injective pencil found within the retry bound")

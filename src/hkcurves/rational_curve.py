@@ -27,9 +27,7 @@ import numpy as np
 from .exact_algebra import modp
 from .exact_algebra.ideals import Row, sparse_echelon
 from .exact_algebra.polys import UniPoly, uni_gcd
-from .exact_algebra.scalars import GaussianRational, random_gaussian_rows
-
-_ZERO = GaussianRational(0)
+from .exact_algebra.scalars import DRAW_SPAN, MAX_DRAWS, ONE, ZERO, GaussianRational, random_gaussian_rows
 
 BinaryForm = Tuple[GaussianRational, ...]  # coeffs[k] multiplies s^(d-k) t^k
 IntForm = Sequence[Sequence[int]]  # Gaussian-integer (re, im) pairs, same order
@@ -48,6 +46,8 @@ class RationalCurveMap:
     forms: Tuple[BinaryForm, BinaryForm, BinaryForm, BinaryForm]
 
     def __post_init__(self):
+        if len(self.forms) != 4:
+            raise ValueError(f"need four forms, got {len(self.forms)}")
         forms = tuple(_as_form(f) for f in self.forms)
         lengths = {len(f) for f in forms}
         if len(lengths) != 1 or min(lengths) < 2:
@@ -73,14 +73,13 @@ class RationalCurveMap:
 
     def evaluate(self, s: GaussianRational, t: GaussianRational) -> List[GaussianRational]:
         d = self.degree
-        spow = [GaussianRational(1)]
-        tpow = [GaussianRational(1)]
+        spow, tpow = [ONE], [ONE]
         for _ in range(d):
             spow.append(spow[-1] * s)
             tpow.append(tpow[-1] * t)
         out = []
         for f in self.forms:
-            acc = _ZERO
+            acc = ZERO
             for k, c in enumerate(f):
                 acc = acc + c * spow[d - k] * tpow[k]
             out.append(acc)
@@ -216,13 +215,13 @@ def _common_zero_witness(
 ) -> Tuple[bool, Optional[Tuple[GaussianRational, GaussianRational]], Optional[UniPoly]]:
     """Shared zero of binary forms given dehomogenizations and t-top coefficients."""
     if all(c.is_zero() for c in leading):
-        return True, (GaussianRational(0), GaussianRational(1)), None
+        return True, (ZERO, ONE), None
     g = uni_gcd(p for p in polys if p.degree >= 0)
     if g.degree <= 0:
         return False, None, None
     root = _rational_root_witness(g)
     if root is not None:
-        return True, (GaussianRational(1), root), g
+        return True, (ONE, root), g
     return True, None, g
 
 
@@ -342,13 +341,13 @@ def stability_check(splitting: SplittingType) -> bool:
     return splitting.a == splitting.b == 2 * splitting.d - 1
 
 
-def riemann_roch_consistent(curve_map: RationalCurveMap, splitting: SplittingType,
-                            twists: Sequence[int] = (0, 1, 2)) -> bool:
-    """Primal section counts against the split model, independent route."""
+def riemann_roch_consistent(curve_map: RationalCurveMap, splitting: SplittingType) -> bool:
+    """Primal section counts at twists 0, 1, 2 against the split model,
+    independent route."""
     return all(
         normal_twisted_sections(curve_map, m)
         == (splitting.a + m + 1) + (splitting.b + m + 1)
-        for m in twists
+        for m in range(3)
     )
 
 
@@ -360,17 +359,17 @@ def twisted_cubic_map() -> RationalCurveMap:
     return RationalCurveMap(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
 
 
-def random_rational_map(d: int, seed: int, span: int = 3, max_tries: int = 64) -> RationalCurveMap:
+def random_rational_map(d: int, seed: int) -> RationalCurveMap:
     """Random valid degree-d map with small Gaussian integer coefficients."""
     if d < 1:
         raise ValueError("need degree >= 1")
     rng = random.Random(seed * 1_000_003 + d)
-    for _ in range(max_tries):
-        forms = random_gaussian_rows(rng, 4, d + 1, span)
+    for _ in range(MAX_DRAWS):
+        forms = random_gaussian_rows(rng, 4, d + 1, DRAW_SPAN)
         try:
             curve_map = RationalCurveMap(forms)
         except ValueError:
             continue
         if validate_map(curve_map).ok:
             return curve_map
-    raise RuntimeError(f"no valid map after {max_tries} draws (d={d}, seed={seed})")
+    raise RuntimeError(f"no valid map after {MAX_DRAWS} draws (d={d}, seed={seed})")

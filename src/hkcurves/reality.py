@@ -18,10 +18,8 @@ from typing import Sequence, Tuple
 from .exact_algebra.ideals import GradedIdeal
 from .exact_algebra.linalg import ExactMatrix
 from .exact_algebra.polys import HomogPoly
-from .exact_algebra.scalars import GaussianRational, random_gaussian_rows
+from .exact_algebra.scalars import DRAW_SPAN, MAX_DRAWS, ZERO, GaussianRational, random_gaussian_rows
 from .pencil import is_injective_pencil
-
-_ZERO = GaussianRational(0, 0)
 
 
 def sigma_point(p: Sequence[GaussianRational]) -> Tuple[GaussianRational, ...]:
@@ -41,7 +39,7 @@ def sigma_form(f: HomogPoly) -> HomogPoly:
         if (m0 + m2) % 2:
             val = -val
         mono = (m1, m0, m3, m2)
-        coeffs[mono] = coeffs.get(mono, _ZERO) + val
+        coeffs[mono] = coeffs.get(mono, ZERO) + val
     return HomogPoly(4, f.degree, {m: v for m, v in coeffs.items() if not v.is_zero()})
 
 
@@ -82,9 +80,7 @@ def _sigma_linear_coeffs(
     return (c1.conj(), -c0.conj(), c3.conj(), -c2.conj())
 
 
-def make_sigma_invariant_pencil(
-    r: int, seed: int, span: int = 3, max_tries: int = 64
-) -> Tuple[ExactMatrix, ExactMatrix, ExactMatrix, ExactMatrix]:
+def make_sigma_invariant_pencil(r: int, seed: int) -> Tuple[ExactMatrix, ExactMatrix, ExactMatrix, ExactMatrix]:
     """Coefficients (A1..A4) of a random linear matrix whose minor ideal is
     invariant under the involution.
 
@@ -99,18 +95,18 @@ def make_sigma_invariant_pencil(
     rng = random.Random(1000003 * seed + r)
 
     n = r + 1
-    for _ in range(max_tries):
+    for _ in range(MAX_DRAWS):
         entries = [[None] * r for _ in range(n)]
         if r % 2 == 1:
             for k in range(n // 2):
                 for j in range(r):
-                    c = random_gaussian_rows(rng, 1, 4, span)[0]
+                    c = random_gaussian_rows(rng, 1, 4, DRAW_SPAN)[0]
                     entries[2 * k][j] = c
                     entries[2 * k + 1][j] = _sigma_linear_coeffs(c)
         else:
             for k in range(r // 2):
                 for i in range(n):
-                    c = random_gaussian_rows(rng, 1, 4, span)[0]
+                    c = random_gaussian_rows(rng, 1, 4, DRAW_SPAN)[0]
                     entries[i][2 * k] = c
                     entries[i][2 * k + 1] = _sigma_linear_coeffs(c)
         mats = tuple(
@@ -119,9 +115,7 @@ def make_sigma_invariant_pencil(
         )
         if is_injective_pencil(mats[0], mats[1]).ok:
             return mats
-    raise RuntimeError(
-        f"no injective draw after {max_tries} tries (r={r}, seed={seed})"
-    )
+    raise RuntimeError(f"no injective draw after {MAX_DRAWS} tries (r={r}, seed={seed})")
 
 
 def conjugation_matrices(r: int) -> Tuple[ExactMatrix, ExactMatrix]:
@@ -134,7 +128,7 @@ def conjugation_matrices(r: int) -> Tuple[ExactMatrix, ExactMatrix]:
     g0 = ExactMatrix(
         [
             [
-                (GaussianRational((-1) ** j) if i + j == r else _ZERO)
+                (GaussianRational((-1) ** j) if i + j == r else ZERO)
                 for j in range(r + 1)
             ]
             for i in range(r + 1)
@@ -143,7 +137,7 @@ def conjugation_matrices(r: int) -> Tuple[ExactMatrix, ExactMatrix]:
     h0 = ExactMatrix(
         [
             [
-                (GaussianRational((-1) ** i) if i + j == r - 1 else _ZERO)
+                (GaussianRational((-1) ** i) if i + j == r - 1 else ZERO)
                 for j in range(r)
             ]
             for i in range(r)

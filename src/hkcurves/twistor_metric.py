@@ -21,13 +21,9 @@ import numpy as np
 from .acm_curve.curve import ACMCurve, LinearMatrix, random_real_curve
 from .acm_curve.fibers import fiber_points
 from .exact_algebra.linalg import ExactMatrix, random_invertible
-from .exact_algebra.scalars import GaussianRational
+from .exact_algebra.scalars import ONE, ZERO, GaussianRational, I
 from .pencil import canonical_pair, kronecker_reduce
 from .reality import reality_conjugate
-
-_ZERO = GaussianRational(0)
-_ONE = GaussianRational(1)
-_I = GaussianRational(0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +96,7 @@ class TangentSection:
 
 
 def _unit_matrix(r: int, i: int, j: int, value: GaussianRational) -> ExactMatrix:
-    rows = [[_ZERO] * r for _ in range(r + 1)]
+    rows = [[ZERO] * r for _ in range(r + 1)]
     rows[i][j] = value
     return ExactMatrix(rows)
 
@@ -113,7 +109,7 @@ def real_tangent_basis(r: int) -> List[TangentSection]:
     real parts, the rest the imaginary parts, both row-major.
     """
     out = []
-    for value in (_ONE, _I):
+    for value in (ONE, I):
         for i in range(r + 1):
             for j in range(r):
                 d = _unit_matrix(r, i, j, value)
@@ -122,11 +118,11 @@ def real_tangent_basis(r: int) -> List[TangentSection]:
 
 
 def section_I(x: TangentSection) -> TangentSection:
-    return TangentSection(x.dA3.scale(_I), x.dA4.scale(-_I))
+    return TangentSection(x.dA3.scale(I), x.dA4.scale(-I))
 
 
 def section_J(x: TangentSection) -> TangentSection:
-    return TangentSection(x.dA4.scale(_I), x.dA3.scale(_I))
+    return TangentSection(x.dA4.scale(I), x.dA3.scale(I))
 
 
 def section_K(x: TangentSection) -> TangentSection:
@@ -156,7 +152,7 @@ def _operator_matrix(r: int, op) -> ExactMatrix:
     cols = []
     for x in basis:
         y = op(x)
-        col = [_ZERO] * n
+        col = [ZERO] * n
         for i in range(r + 1):
             for j in range(r):
                 v = y.dA3[i, j]
@@ -273,15 +269,14 @@ def _candidate(k: int) -> GaussianRational:
     return GaussianRational.from_complex(radius * cmath.exp(1j * angle), limit=16)
 
 
-def sample_parameters(count: int = 7, skip: int = 0) -> List[GaussianRational]:
+def sample_parameters(count: int) -> List[GaussianRational]:
     """Exact plane parameters near two circles, small denominators.
 
     Radii 1/2 and 2 straddle the unit circle so a quadratic in t is
-    well conditioned; `skip` walks further along the deterministic
-    candidate list when a fiber had to be rejected.  The list repeats
-    with period 16, and its (immutable) entries are built once and shared.
+    well conditioned.  The list repeats with period 16, and its
+    (immutable) entries are built once and shared.
     """
-    return [_candidate(k % 16) for k in range(skip, skip + count)]
+    return [_candidate(k % 16) for k in range(count)]
 
 
 def fit_quadratic(ts: Sequence[complex], ws: np.ndarray) -> Tuple[np.ndarray, float]:
@@ -320,12 +315,14 @@ class HKFrame:
     parameters: Tuple[GaussianRational, ...]
 
 
-def extract_metric(
-    chart: Chart,
-    num_fibers: int = 7,
-    min_fibers: int = 5,
-    fit_tol: float = 1e-8,
-) -> HKFrame:
+# fibers sampled per chart, the fewest a frame is fitted on, and the largest
+# relative residual of the quadratic fit
+_NUM_FIBERS = 7
+_MIN_FIBERS = 5
+_FIT_TOL = 1e-8
+
+
+def extract_metric(chart: Chart) -> HKFrame:
     """All three symplectic pairings of a chart from fiberwise sampling.
 
     Every tangent basis pair is paired on each sampled fiber through the
@@ -335,6 +332,10 @@ def extract_metric(
     are checked against it as quaternionic residuals.  A curve that meets
     L0 is not a curve of Z and is refused as a whole, not fiber by fiber:
     the ValueError of `fiber_points` that names L0 propagates from here.
+
+    The candidate fibers are one period of `sample_parameters`, walked
+    once: a fiber's points and their derivatives are deterministic, so a
+    fiber rejected once would be rejected again.
     """
     r = chart.r
     curve = chart.curve()
@@ -343,20 +344,20 @@ def extract_metric(
     n = len(basis[0])
     ts: List[GaussianRational] = []
     all_deltas: List[np.ndarray] = []
-    skip = 0
-    while len(ts) < num_fibers and skip < 8 * num_fibers:
+    walk = iter(sample_parameters(16))
+    while len(ts) < _NUM_FIBERS:
         # the walk's next fibers, as many as are missing, share one derivative batch
         new_ts, fibers = [], []
-        while len(ts) + len(new_ts) < num_fibers and skip < 8 * num_fibers:
-            t = sample_parameters(1, skip=skip)[0]
-            skip += 1
-            if t in ts or t in new_ts:
-                continue
+        for t in walk:
             try:
                 fibers.append(fiber_points(curve, t))
             except (ArithmeticError, np.linalg.LinAlgError):
                 continue
             new_ts.append(t)
+            if len(ts) + len(new_ts) == _NUM_FIBERS:
+                break
+        if not new_ts:
+            break
         deltas, ok = point_derivative(
             numeric,
             [t for t, pts in zip(new_ts, fibers) for _ in pts],
@@ -368,10 +369,8 @@ def extract_metric(
             if good.all():
                 ts.append(t)
                 all_deltas.append(np.ascontiguousarray(d.transpose(1, 0, 2)))
-    if len(ts) < min_fibers:
-        raise ArithmeticError(
-            f"only {len(ts)} usable fibers of {min_fibers} needed"
-        )
+    if len(ts) < _MIN_FIBERS:
+        raise ArithmeticError(f"only {len(ts)} usable fibers of {_MIN_FIBERS} needed")
     # omega samples: W[k, a, b] = sum_p du_a dv_b - dv_a du_b at t_k
     W = np.empty((len(ts), n, n), dtype=complex)
     for k, deltas in enumerate(all_deltas):
@@ -379,7 +378,7 @@ def extract_metric(
         dv = deltas[:, :, 1]
         W[k] = du @ dv.T - dv @ du.T
     coeffs, resid = fit_quadratic([complex(t) for t in ts], W)
-    if resid > fit_tol * max(1.0, float(np.abs(W).max())):
+    if resid > _FIT_TOL * max(1.0, float(np.abs(W).max())):
         raise ArithmeticError(f"parameter fit residual {resid:.2e} too large")
     c0, c1, c2 = coeffs[0], coeffs[1], coeffs[2]
     omega_I = 0.5j * c1
@@ -450,12 +449,11 @@ def scan_chart(
     return raw_chart(curve) if skip_sigma_gauge else normalize_to_flat_chart(curve)
 
 
-def frames_report(
-    r: int,
-    frames: Sequence[HKFrame],
-    skip_sigma_gauge: bool,
-    deviation_tol: float = 1e-6,
-) -> MetricReport:
+# the largest relative deviation of a chart's gram from the mean that passes
+_DEVIATION_TOL = 1e-6
+
+
+def frames_report(r: int, frames: Sequence[HKFrame], skip_sigma_gauge: bool) -> MetricReport:
     """Constancy verdict over already extracted frames."""
     grams = [frame.gram for frame in frames]
     signatures = [frame.signature for frame in frames]
@@ -475,17 +473,11 @@ def frames_report(
         max_fit_residual=fit_res,
         max_quaternion_residual=quat_res,
         signature_constant=sig_const,
-        passed=deviation < deviation_tol and sig_const,
+        passed=deviation < _DEVIATION_TOL and sig_const,
     )
 
 
-def flatness_scan(
-    r: int,
-    num_points: int,
-    seed: int,
-    skip_sigma_gauge: bool = False,
-    deviation_tol: float = 1e-6,
-) -> MetricReport:
+def flatness_scan(r: int, num_points: int, seed: int, skip_sigma_gauge: bool = False) -> MetricReport:
     """Extract the metric at several random charts and compare.
 
     Each sample is an invariant curve in a scrambled gauge.  The honest
@@ -499,4 +491,4 @@ def flatness_scan(
         extract_metric(scan_chart(r, seed, num_points, k, skip_sigma_gauge))
         for k in range(num_points)
     ]
-    return frames_report(r, frames, skip_sigma_gauge, deviation_tol)
+    return frames_report(r, frames, skip_sigma_gauge)

@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from hkcurves.acm_curve import ACMCurve, random_real_curve
+from hkcurves.acm_curve import ACMCurve, LinearMatrix, random_real_curve
 from hkcurves.acm_curve.fibers import (
     Bivar,
     fiber_generators,
@@ -36,6 +36,14 @@ def random_gauss(rng: random.Random, span: int = 6) -> GaussianRational:
         Fraction(rng.randint(-span, span), rng.randint(1, 3)),
         Fraction(rng.randint(-span, span), rng.randint(1, 3)),
     )
+
+
+def swapped(curve: ACMCurve) -> ACMCurve:
+    """The curve with A3 and A4 swapped, which swaps x2 and x3: its finite
+    slice over t is `curve`'s slice over the plane x2 = t * x3, the chart at
+    infinity with the reciprocal parameter."""
+    A1, A2, A3, A4 = curve.coeffs
+    return ACMCurve(LinearMatrix(curve.r, A1, A2, A4, A3))
 
 
 def slice_columns(cutoff: int) -> List[Tuple[int, int]]:

@@ -167,8 +167,8 @@ def test_criterion_5_splitting_types():
 
 def test_criterion_6_metric_constancy():
     t0 = time.perf_counter()
-    line = flatness_scan(1, num_points=10, seed=0, deviation_tol=1e-8)
-    ok = line.passed and line.signature_constant
+    line = flatness_scan(1, num_points=10, seed=0)
+    ok = line.passed and line.max_relative_deviation < 1e-8 and line.signature_constant
     ok = ok and line.max_quaternion_residual < 1e-10
 
     surface = flatness_scan(2, num_points=10, seed=0)

@@ -32,6 +32,8 @@ from hkcurves.pencil import canonical_pair, is_injective_pencil
 from hkcurves.twistor_metric import sample_parameters, scan_chart
 from hkcurves.reality import is_sigma_invariant_ideal
 
+from suites import swapped
+
 ZERO = GaussianRational(0, 0)
 ONE = GaussianRational(1, 0)
 
@@ -216,9 +218,9 @@ def test_fiber_length_and_profile():
 
 
 def test_fiber_at_infinity_chart():
+    # the slice over t = infinity is the slice over 0 of the swapped curve
     curve = random_sigma_curve(2, 2)
-    scheme = restrict_to_fiber(curve, GaussianRational(0, 0), at_infinity=True)
-    assert scheme.at_infinity
+    scheme = restrict_to_fiber(swapped(curve), GaussianRational(0, 0))
     assert scheme.length() == curve.degree
     assert stratum_check(scheme)
 
@@ -226,7 +228,7 @@ def test_fiber_at_infinity_chart():
 def test_hilbert_profile_matches_scheme():
     curve = random_sigma_curve(2, 3)
     t = GaussianRational(Fraction(1, 2), 1)
-    assert hilbert_profile(curve, t) == restrict_to_fiber(curve, t).hilbert_function()
+    assert hilbert_profile(curve, t) == restrict_to_fiber(curve, t).profile
 
 
 def test_restrict_to_fiber_requires_certificate():

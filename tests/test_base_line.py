@@ -37,7 +37,7 @@ from hkcurves.exact_algebra.scalars import GaussianRational
 from hkcurves.pencil import is_injective_pencil
 from hkcurves.twistor_metric import extract_metric, raw_chart, sample_parameters
 
-from suites import AffineFiber
+from suites import AffineFiber, swapped
 from test_cli import _degenerate_document
 from test_resolution_exactness import FACTORS, _common_factor_matrix
 
@@ -101,26 +101,26 @@ def seeded_curves(r):
 def test_border_matrices_equal_the_echelon(r, monkeypatch):
     # the matrices that fiber_points diagonalizes, as floats
     floats = record_calls(monkeypatch, fibers, "_border_matrices", results=True)
-    for curve in seeded_curves(r):
+    # each curve's slices, then its slices at infinity: those of the swapped curve
+    for curve in (c for seeded in seeded_curves(r) for c in (seeded, swapped(seeded))):
         assert avoids_base_line(curve)
         for t in sample_parameters(7) + SPECIAL:
-            for at_infinity in (False, True):
-                gens = fiber_generators(curve, t, at_infinity=at_infinity)
-                fiber = AffineFiber(gens, r + 2)
-                mu, mv = fiber_multiplication_matrices(curve, t, at_infinity=at_infinity)
-                ref_u, ref_v = fiber.multiplication_matrices()
-                # equal to the echelon's, and commuting: Mourrain's criterion
-                assert (mu, mv) == (ref_u, ref_v)
-                assert mu @ mv == mv @ mu
-                assert hilbert_profile(curve, t, at_infinity) == fiber.profile()
-                floats.clear()
-                try:
-                    fiber_points(curve, t, at_infinity=at_infinity)
-                except ArithmeticError:
-                    pass  # a clustered spectrum; the matrices were built
-                nu, nv = floats[0]
-                assert np.array_equal(np.array(nu), np.array(ref_u.to_complex()))
-                assert np.array_equal(np.array(nv), np.array(ref_v.to_complex()))
+            gens = fiber_generators(curve, t)
+            fiber = AffineFiber(gens, r + 2)
+            mu, mv = fiber_multiplication_matrices(curve, t)
+            ref_u, ref_v = fiber.multiplication_matrices()
+            # equal to the echelon's, and commuting: Mourrain's criterion
+            assert (mu, mv) == (ref_u, ref_v)
+            assert mu @ mv == mv @ mu
+            assert hilbert_profile(curve, t) == fiber.profile()
+            floats.clear()
+            try:
+                fiber_points(curve, t)
+            except ArithmeticError:
+                pass  # a clustered spectrum; the matrices were built
+            nu, nv = floats[0]
+            assert np.array_equal(np.array(nu), np.array(ref_u.to_complex()))
+            assert np.array_equal(np.array(nv), np.array(ref_v.to_complex()))
 
 
 @pytest.mark.parametrize("r", [2, 3])
@@ -154,7 +154,7 @@ def test_curve_meeting_the_base_line_ranks_a_level_and_is_refused(monkeypatch):
         lambda: restrict_to_fiber(curve, t),
         lambda: fiber_multiplication_matrices(curve, t),
         lambda: fiber_points(curve, t),
-        lambda: fiber_points(curve, t, at_infinity=True),
+        lambda: fiber_points(swapped(curve), t),
         lambda: extract_metric(raw_chart(curve)),
     ]
     for route in routes:
@@ -206,4 +206,4 @@ def test_avoids_base_line_is_the_pencil_test():
 def test_expected_profile_is_the_display():
     curve = random_sigma_curve(2, 0)
     scheme = restrict_to_fiber(curve, GaussianRational(2, -1))
-    assert scheme.hilbert_function() == tuple(expected_hilbert(2, k) for k in range(5))
+    assert scheme.profile == tuple(expected_hilbert(2, k) for k in range(5))

@@ -238,6 +238,15 @@ def test_exit_2_on_zero_denominator(literal, tmp_path, capsys):
     assert run(capsys, ["rational", "--map", path])[0] == 2
 
 
+def test_map_literal_error_names_its_reason(tmp_path, capsys):
+    forms = [list(row) for row in CUBIC_DOC["forms"]]
+    forms[2][1] = "1/0"
+    path = write_doc(tmp_path, "zero_den_map.json", {"forms": forms})
+    assert main(["rational", "--map", path]) == 2
+    err = capsys.readouterr().err
+    assert "bad literal '1/0' in forms[2]: zero denominator in GAUSS literal" in err
+
+
 def test_exit_3_on_wrong_shape(tmp_path, capsys):
     doc = curve_to_document(random_sigma_curve(1, 0))
     doc["A1"] = [["1"]]

@@ -21,7 +21,7 @@ from hkcurves.exact_algebra.ideals import (
     sparse_echelon,
     sparse_row_rank,
 )
-from hkcurves.exact_algebra.polys import monomial_index
+from hkcurves.exact_algebra.polys import HomogPoly, monomial_basis, monomial_index
 from hkcurves.exact_algebra.scalars import GaussianRational
 from hkcurves.pencil import canonical_pair, pair_stabilizer_dimension, random_injective_pencil
 
@@ -168,7 +168,10 @@ def test_graded_levels_match_reference(r, levels):
         full = assert_matches_reference(rows)
         bounded = assert_matches_reference(rows, curve.ideal.dimension(k))
         assert [row[0][0] for row in bounded] == [row[0][0] for row in full]
-        assert ideal.reduction_table(k) == _ref_normal_form_table(_monic(ideal._build(k)))
+        # the normal form of each monomial: a pivot's table entry, else itself
+        table = _ref_normal_form_table(_monic(ideal._build(k)))
+        for col, mono in enumerate(monomial_basis(4, k)):
+            assert ideal.normal_form(HomogPoly(4, k, {mono: 1})) == table.get(col, {col: _ONE})
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
@@ -177,9 +180,10 @@ def test_fiber_slices_match_reference(r, monkeypatch):
     # the slices' reference echelon, on the rows and tables it hands the kernel
     echelons = _recording(monkeypatch, suites, "sparse_echelon")
     tables = _recording(monkeypatch, suites, "normal_form_table")
+    # the slices in both charts: at infinity, those of the swapped curve
     for t in random_fiber_parameters(3, r):
-        for at_infinity in (False, True):
-            gens = fiber_generators(curve, t, at_infinity=at_infinity)
+        for chart in (curve, suites.swapped(curve)):
+            gens = fiber_generators(chart, t)
             fiber = suites.AffineFiber(gens, r + 2)
             (rows,) = echelons.pop()
             assert _monic(fiber.echelon) == _ref_sparse_echelon(_gauss(rows))

@@ -104,6 +104,15 @@ def _ref_det(m):
     return _gauss(rows[n - 1][n - 1]) * sign / denom
 
 
+def _from_columns(columns, rows):
+    return ExactMatrix([[col[i] for col in columns] for i in range(rows)], cols=len(columns))
+
+
+def _augmented(m):
+    """The rows of [M | I]."""
+    return [list(row) + [_ONE if i == j else _ZERO for j in range(m.rows)] for i, row in enumerate(m.data)]
+
+
 def _ref_kernel_basis(m):
     n = m.cols
     rows, _ = _ref_int_rows(m.data)
@@ -120,12 +129,12 @@ def _ref_kernel_basis(m):
                 acc = acc + row[j] * v[j]
             v[pc] = -acc / row[pc]
         basis.append(v)
-    return ExactMatrix.from_columns(basis, n)
+    return _from_columns(basis, n)
 
 
 def _ref_inverse(m):
     n = m.rows
-    rows, _ = _ref_int_rows(m.hstack(ExactMatrix.identity(n)).data)
+    rows, _ = _ref_int_rows(_augmented(m))
     _, pivots, _ = _ref_bareiss(rows, 2 * n)
     if pivots != list(range(n)):
         raise ValueError("singular matrix")
@@ -139,7 +148,7 @@ def _ref_inverse(m):
                 acc = acc - g_rows[i][j] * x[j]
             x[i] = acc / g_rows[i][i]
         cols.append(x)
-    return ExactMatrix.from_columns(cols, n)
+    return _from_columns(cols, n)
 
 
 def _entry(rng):
@@ -199,8 +208,7 @@ def test_rank_and_kernel_match_reference(seed, kw):
     kernel = m.kernel_basis()
     assert kernel == _ref_kernel_basis(m)
     assert kernel.shape == (m.cols, m.cols - m.rank())
-    for j in range(kernel.cols):
-        assert all(x.is_zero() for x in m.apply(kernel.column(j)))
+    assert (m @ kernel).is_zero()
 
 
 @pytest.mark.parametrize("seed,kw", _cases(square=True))
@@ -220,7 +228,7 @@ def test_det_and_inverse_match_reference(seed, kw):
 def _ref_gauss_jordan_inverse(m):
     """Gauss-Jordan on [M | I], entry by entry on Fraction pairs."""
     n = m.rows
-    rows = [list(row) + [_ONE if i == j else _ZERO for j in range(n)] for i, row in enumerate(m.data)]
+    rows = _augmented(m)
     for c in range(n):
         p = next(i for i in range(c, n) if not rows[i][c].is_zero())
         rows[c], rows[p] = rows[p], rows[c]

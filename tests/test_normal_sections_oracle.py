@@ -37,7 +37,7 @@ def _ref_normal_sections(curve, twist):
         for s_pos, s_col in enumerate(src_cols):
             col = i * n_src + s_pos
             for j in range(r):
-                nf = ideal.normal_form(curve.entries[i][j].mul_monomial(src_basis[s_col]))
+                nf = ideal.normal_form(curve.entries[i][j] * HomogPoly(4, m_src, {src_basis[s_col]: 1}))
                 for c, v in nf.items():
                     acc = rows[j * n_tgt + tgt_pos[c]]
                     acc[col] = acc.get(col, _ZERO) + v

@@ -12,7 +12,6 @@ from hkcurves.pencil import (
     pair_stabilizer_dimension,
     pencil_minors,
     random_injective_pencil,
-    stabilizer_dimension,
 )
 
 ZERO = GaussianRational(0, 0)
@@ -92,7 +91,7 @@ def test_reduction_of_canonical_pair_is_gauge():
 
 def test_stabilizer_dimension_canonical():
     for r in (1, 2, 3, 4):
-        assert stabilizer_dimension(canonical_pair(r)) == 1
+        assert pair_stabilizer_dimension(*canonical_pair(r)) == 1
 
 
 def test_stabilizer_dimension_gauge_invariant():

@@ -82,7 +82,7 @@ def _ref_gauge(A1, A2):
             rows.append(row)
     kernel = ExactMatrix(rows, cols=n * n).kernel_basis()
     assert kernel.shape[1] == 1
-    c = kernel.column(0)
+    c = [kernel[i, 0] for i in range(kernel.rows)]
     what = ExactMatrix([[c[k * n + i] for i in range(n)] for k in range(n)])
     rprime = what @ A1
     rp = ExactMatrix([[rprime[k, j] for j in range(r)] for k in range(r)])

@@ -67,9 +67,6 @@ class _RefPoly:
             total = total + term
         return total
 
-    def conj_coeffs(self):
-        return _RefPoly(self.num_vars, self.degree, {m: v.conj() for m, v in self.coeffs.items()})
-
 
 def _ref(poly):
     return _RefPoly(poly.num_vars, poly.degree, poly.coeffs)
@@ -125,12 +122,11 @@ def test_arithmetic_matches_reference():
     for f in forms:
         ref = _ref(f)
         assert_same(-f, -ref)
-        assert_same(f.conj_coeffs(), ref.conj_coeffs())
         c = _rational(rng)
         assert_same(f.scale(c), ref.scale(c))
         assert_same(f.scale(_ZERO), ref.scale(_ZERO))
         mono = (rng.randint(0, 2), 0, rng.randint(0, 2), 1)
-        assert_same(f.mul_monomial(mono), ref.mul_monomial(mono))
+        assert_same(f * HomogPoly(4, sum(mono), {mono: 1}), ref.mul_monomial(mono))
         point = tuple(_rational(rng, 4, 3) for _ in range(4))
         assert f.evaluate(point) == ref.evaluate(point)
         for g in forms:
@@ -150,7 +146,7 @@ def test_equal_forms_compare_and_hash_equal():
         (x.scale(GaussianRational(Fraction(1, 2))), half),
         ((x * third) * three, x),  # (1 + i)/3 * 3(1 - i)/2 = 1
         (x - x, HomogPoly(4, 1, {})),
-        (half.conj_coeffs().conj_coeffs(), half),
+        (-(-half), half),
     ]
     for got, want in pairs:
         assert got == want

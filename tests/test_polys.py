@@ -63,18 +63,6 @@ def test_homog_ring_identities():
         assert (f * g).degree == 3
 
 
-def test_mul_monomial_shifts_degree():
-    f = HomogPoly(4, 1, {(1, 0, 0, 0): ONE, (0, 0, 0, 1): GaussianRational(0, 1)})
-    g = f.mul_monomial((0, 1, 0, 0))
-    assert g.degree == 2
-    assert g.coeffs[(1, 1, 0, 0)] == ONE
-
-
-def test_conj_coeffs_is_coefficientwise():
-    f = HomogPoly(4, 1, {(1, 0, 0, 0): GaussianRational(1, 2)})
-    assert f.conj_coeffs().coeffs[(1, 0, 0, 0)] == GaussianRational(1, -2)
-
-
 def test_evaluate_agrees_with_coefficients():
     f = HomogPoly(4, 2, {(1, 1, 0, 0): GaussianRational(3, 0)})
     pt = [GaussianRational(2, 0), GaussianRational(0, 1), ONE, ONE]
@@ -117,6 +105,17 @@ def test_graded_ideal_normal_form_is_projection():
     assert ideal.normal_form(inside) == {}
     nf = ideal.normal_form(outside)
     assert len(nf) == 1 and list(nf.values())[0] == ONE
+
+
+def test_graded_ideal_reads_its_variable_count():
+    # the count comes from the generators, and mixed counts are refused as
+    # mixed degrees are
+    x0 = HomogPoly(4, 1, {(1, 0, 0, 0): ONE})
+    y0 = HomogPoly(2, 1, {(1, 0): ONE})
+    assert GradedIdeal([x0]).num_vars == 4
+    assert GradedIdeal([y0]).dimension(2) == 2
+    with pytest.raises(ValueError, match="one variable count"):
+        GradedIdeal([x0, y0])
 
 
 def test_unipoly_divmod_round_trip():

@@ -40,6 +40,12 @@ BASE_POINT_MAP = _map([(0, 1, 0), (0, 0, 1), (0, 1, 1), (0, 0, 0)])
 CUSP_MAP = _map([(1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 0, 0)])
 
 
+@pytest.mark.parametrize("count", [3, 5])
+def test_map_needs_exactly_four_forms(count):
+    with pytest.raises(ValueError, match=f"need four forms, got {count}"):
+        RationalCurveMap(tuple((ONE, ZERO) for _ in range(count)))
+
+
 def test_line_splitting():
     split = normal_splitting_type(line_map())
     assert split.pair == (1, 1)

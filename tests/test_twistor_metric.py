@@ -310,12 +310,9 @@ def _sequential_walk(chart, num_fibers=7):
     """extract_metric's parameters as one fiber at a time would accept them."""
     curve, numeric, basis = chart.curve(), chart.numeric(), basis_arrays(chart.r)
     ts = []
-    skip = 0
-    while len(ts) < num_fibers and skip < 8 * num_fibers:
-        t = sample_parameters(1, skip=skip)[0]
-        skip += 1
-        if t in ts:
-            continue
+    for t in sample_parameters(16):
+        if len(ts) == num_fibers:
+            break
         pts = twistor_metric.fiber_points(curve, t)
         points = [(complex(u), complex(v)) for u, v in pts]
         if point_derivative(numeric, [t] * len(points), points, basis)[1].all():
@@ -337,6 +334,20 @@ def test_extract_metric_skips_exactly_a_fiber_moved_off_the_curve(monkeypatch):
     assert moved not in frame.parameters
     assert list(frame.parameters) == _sequential_walk(chart)
     assert list(frame.parameters) == [t for t in sample_parameters(8) if t != moved]
+
+
+def test_extract_metric_walks_one_period_of_candidates(monkeypatch):
+    # every candidate is rejected; the walk tries each of the 16 once
+    calls = []
+
+    def refused(curve, t):
+        calls.append(t)
+        raise ArithmeticError("slice spectrum not separable; slice may be non-reduced")
+
+    monkeypatch.setattr(twistor_metric, "fiber_points", refused)
+    with pytest.raises(ArithmeticError, match=r"^only 0 usable fibers of 5 needed$"):
+        extract_metric(normalize_to_flat_chart(random_scrambled_curve(2, 3)))
+    assert calls == sample_parameters(16)
 
 
 def test_singular_stacked_solve_drops_only_its_own_fiber(monkeypatch):
@@ -401,10 +412,12 @@ def test_basis_arrays_are_cached_and_read_only():
 
 
 def test_sample_parameters_distinct_and_offset_consistent():
-    ts = sample_parameters(7)
-    assert len(set(ts)) == 7
-    assert ts == sample_parameters(7)
-    assert sample_parameters(3, skip=2) == ts[2:5]
+    ts = sample_parameters(16)
+    assert len(set(ts)) == 16
+    assert ts == sample_parameters(16)
+    assert sample_parameters(7) == ts[:7]
+    # period 16: the walk of extract_metric sees every candidate in one period
+    assert sample_parameters(35)[16:] == ts + ts[:3]
     for t in ts:
         assert not t.is_zero()
 
