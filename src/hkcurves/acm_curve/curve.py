@@ -7,6 +7,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from ..exact_algebra.ideals import GradedIdeal, certified_rank
 from ..exact_algebra.linalg import ExactMatrix
 from ..exact_algebra.polys import HomogPoly, linear_combination, monomial_count, signed_maximal_minors
@@ -126,6 +128,44 @@ class ACMCurve:
         denominator."""
         T = ExactMatrix.from_integer_form(tuple(map(tuple, self.base_line)), 1, self.r + 1)
         return T.inverse().integer_form
+
+    @cached_property
+    def slice_tables(self) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
+        """(gens, gens_den, mats, mats_den): the slices over x3 = t x2 as
+        polynomials in t.  Each table is an object array of Gaussian-integer
+        coefficients, (re, im) first and the coefficient of t^e, e <= r,
+        last; its denominators broadcast against the axes between.
+        - gens (2, r+1, r+1, r+1, r+1): minor k on x2 = 1, x3 = t, its
+          numerator of u^i v^j at [:, k, i, j], over minor k's denominator;
+        - mats (2, 2, d, d, r+1), None for a curve that meets L0: the u and v
+          matrices on the basis u^a v^b, a + b <= r - 1, highest degree
+          first, over L with T^-1 = A / L.  u^a v^b times u or v is a basis
+          monomial or u^(r-j) v^j, whose normal form is -sum_k A[j][k] times
+          minor k below degree r, over L: the degree-r part of minor k on
+          x2 = 1 is row k of T (a border basis, see `fibers`)."""
+        r = self.r
+        gens = np.zeros((2, r + 1, r + 1, r + 1, r + 1), dtype=object)
+        for k, minor in enumerate(self.minors):
+            for (i, j, _, e), ab in minor.terms.items():
+                gens[:, k, i, j, e] = ab
+        gens_den = np.array([m.den for m in self.minors], dtype=object).reshape(-1, 1, 1)
+        if self.base_line_rank < r + 1:
+            return gens, gens_den, None, None
+        inverse, scale = self.base_line_inverse
+        a_re, a_im = np.moveaxis(np.array(inverse, dtype=object), -1, 0)
+        basis = sorted(((a, b) for a in range(r) for b in range(r - a)), key=lambda m: (-sum(m), -m[0]))
+        d = len(basis)
+        low_re, low_im = gens[:, :, [a for a, _ in basis], [b for _, b in basis]].reshape(2, r + 1, -1)
+        forms = np.stack([a_im @ low_im - a_re @ low_re, -(a_re @ low_im + a_im @ low_re)])
+        forms = forms.reshape(2, r + 1, d, r + 1)
+        mats = np.zeros((2, 2, d, d, r + 1), dtype=object)
+        for side, (du, dv) in enumerate(((1, 0), (0, 1))):
+            for col, (a, b) in enumerate(basis):
+                if a + b == r - 1:
+                    mats[:, side, :, col] = forms[:, b + dv]
+                else:
+                    mats[0, side, basis.index((a + du, b + dv)), col, 0] = scale
+        return gens, gens_den, mats, np.full((1, 1, 1), scale, dtype=object)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,14 @@ generator g_k is minor k on L0, row k of T (`ACMCurve.base_line`), so a
 degree-r monomial b has the normal form b - sum c_k g_k with c = T^-1 e_b: a
 border basis (Mourrain, AAECC 1999; Kehrein, Kreuzer and Robbiano 2005).
 
+The slice data depend on t only through polynomials of degree at most r,
+so `ACMCurve.slice_tables` holds the generators and the border-basis
+matrices once per curve, as Gaussian-integer coefficient lists in t.  A
+slice evaluates them with integers: the numerators a slice built from the
+minors alone forms, so the same exact matrices, and since int / int is
+correctly rounded, the same floats.  `fiber_points` slices many parameters
+in one pass of stacked eigensolves.
+
 A curve that meets L0 is not a curve of Z, and every slice entry point
 refuses it with one ValueError that names L0.  Its point p on L0 lies in
 every plane of the pencil, at infinity in the chart, so the affine slice is
@@ -27,7 +35,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,27 +50,43 @@ Bivar = Tuple[Dict[Tuple[int, int], Tuple[int, int]], int]
 
 def fiber_generators(curve, t: GaussianRational) -> List[Bivar]:
     """Generators of the slice ideal in (u, v) at x0 = u, x1 = v, x2 = 1,
-    x3 = t, from the curve's minors, as Gaussian-integer numerators over one
-    denominator."""
-    ta, tb, te = t.integer_parts()
+    x3 = t: the curve's minors, read off its slice tables, as
+    Gaussian-integer numerators over one denominator."""
+    gens, den, _, _ = curve.slice_tables
+    (re, im), dens = _evaluate(gens, den, [t])
     out: List[Bivar] = []
-    for minor in curve.minors:
-        # t^e = (ta + tb*i)^e / te^e, so over minor.den * te^degree a term
-        # with t^e gains the factor te^(degree - e)
-        powers = [(1, 0)]
-        for _ in range(minor.degree):
-            a, b = powers[-1]
-            powers.append((a * ta - b * tb, a * tb + b * ta))
-        acc: Dict[Tuple[int, int], Tuple[int, int]] = {}
-        for (m0, m1, m2, m3), (a, b) in minor.terms.items():
-            pa, pb = powers[m3]
-            scale = te ** (minor.degree - m3)
-            prev = acc.get((m0, m1), (0, 0))
-            acc[(m0, m1)] = (prev[0] + (a * pa - b * pb) * scale, prev[1] + (a * pb + b * pa) * scale)
-        terms = {k: ab for k, ab in acc.items() if ab[0] or ab[1]}
+    for a, b, n in zip(re[0], im[0], dens[0].flat):
+        terms = {m: (a[m], b[m]) for m in np.ndindex(a.shape) if a[m] or b[m]}
         if terms:
-            out.append((terms, minor.den * te ** minor.degree))
+            out.append((terms, n))
     return out
+
+
+def _weights(t: GaussianRational, r: int) -> Tuple[Tuple[Tuple[int, int], ...], int]:
+    """((ta + i tb)^e te^(r-e) for e = 0..r, te^r) at t = (ta + i tb) / te."""
+    ta, tb, te = t.integer_parts()
+    pa, pb, out = 1, 0, []
+    for e in range(r + 1):
+        out.append((pa * te ** (r - e), pb * te ** (r - e)))
+        pa, pb = pa * ta - pb * tb, pa * tb + pb * ta
+    return tuple(out), te ** r
+
+
+def _evaluate(table, den, ts: Sequence[GaussianRational]) -> Tuple[np.ndarray, np.ndarray]:
+    """A table of `ACMCurve.slice_tables` at each t, t first: (numerators,
+    denominators).  At t = (ta + i tb) / te the coefficients c_e give
+    sum_e c_e (ta + i tb)^e te^(r-e) over den te^r."""
+    weights, scales = zip(*(_weights(t, table.shape[-1] - 1) for t in ts))
+    (re, im), (wa, wb) = table, np.array(weights, dtype=object).transpose(2, 1, 0)
+    num = np.stack([re @ wa - im @ wb, re @ wb + im @ wa])
+    return np.moveaxis(num, -1, 1), np.multiply.outer(np.array(scales, dtype=object), den)
+
+
+def _floats(table, den, ts: Sequence[GaussianRational]) -> np.ndarray:
+    """complex(a / n, b / n) of each entry (a + b i) / n of the table at each
+    t: int / int is correctly rounded, the float nearest each exact part."""
+    num, dens = _evaluate(table, den, ts)
+    return np.ascontiguousarray(np.moveaxis(num / dens, 0, -1), dtype=float).view(complex)[..., 0]
 
 
 def _refuse_base_line(curve) -> None:
@@ -76,108 +100,107 @@ def hilbert_profile(curve, t: GaussianRational) -> Tuple[int, ...]:
     return tuple(expected_hilbert(curve.r, k) for k in range(curve.r + 3))
 
 
-def _border_matrices(curve, gens: Sequence[Bivar], t: GaussianRational, entry) -> List[list]:
-    """The u and v matrices of a curve that misses L0 on the basis u^a v^b,
-    a + b <= r - 1, highest degree first, entries `entry(a, b, den)` for
-    (a + b*i) / den.  With T^-1 = A / L, the normal form of u^(r-j) v^j is
-    -sum_k A[j][k] (N_k below degree r) / (L te^r): the degree-r part of
-    generator k's numerators N_k is te^r times row k of T."""
-    r = curve.r
-    inverse, scale = curve.base_line_inverse
-    den = scale * t.integer_parts()[2] ** r
-    basis = sorted(((a, b) for a in range(r) for b in range(r - a)), key=lambda m: (-sum(m), -m[0]))
-    forms = []
-    for row in inverse:
-        acc = {m: [0, 0] for m in basis}
-        for (g, _), (ca, cb) in zip(gens, row):
-            for m, (a, b) in g.items():
-                if m in acc:
-                    acc[m][0] -= ca * a - cb * b
-                    acc[m][1] -= ca * b + cb * a
-        forms.append([entry(a, b, den) for a, b in acc.values()])
-    one, zero = entry(den, 0, den), entry(0, 0, den)
-    # row m, column (a, b): u or v times u^a v^b is a basis monomial or of degree r
-    return [
-        [[forms[b + dv][i] if a + b == r - 1 else one if m == (a + du, b + dv) else zero for a, b in basis]
-         for i, m in enumerate(basis)]
-        for du, dv in ((1, 0), (0, 1))
-    ]
-
-
 def fiber_multiplication_matrices(curve, t: GaussianRational) -> Tuple[ExactMatrix, ExactMatrix]:
     _refuse_base_line(curve)
-    gens = fiber_generators(curve, t)
-    mu, mv = _border_matrices(
-        curve, gens, t, lambda a, b, n: GaussianRational(Fraction(a, n), Fraction(b, n)))
-    return ExactMatrix(mu), ExactMatrix(mv)
+    _, _, mats, den = curve.slice_tables
+    num, dens = _evaluate(mats, den, [t])
+    n = dens.flat[0]
+    exact = np.frompyfunc(lambda a, b: GaussianRational(Fraction(a, n), Fraction(b, n)), 2, 1)(*num[:, 0])
+    return ExactMatrix(exact[0].tolist()), ExactMatrix(exact[1].tolist())
 
 
-def backward_errors(r: int, gens: Sequence[Bivar], pts: np.ndarray) -> np.ndarray:
-    """Per point (u, v) of `pts`, the largest over the generators, of degree
-    at most r, of |g(p)| / sum |c| |u|^i |v|^j (see `fiber_points`)."""
-    coeffs = np.zeros((len(gens), r + 1, r + 1), dtype=complex)
-    for row, (g, den) in zip(coeffs, gens):
-        for (i, j), (a, b) in g.items():
-            # int / int is correctly rounded: the float nearest each part
-            row[i, j] = complex(a / den, b / den)
-    coeffs = coeffs.reshape(len(gens), -1)
-    powers = np.arange(r + 1)
-    monomials = (pts[:, :1] ** powers)[:, :, None] * (pts[:, 1:] ** powers)[:, None, :]
-    monomials = monomials.reshape(len(pts), -1)
-    values = np.abs(monomials @ coeffs.T)
-    bounds = np.abs(monomials) @ np.abs(coeffs).T
-    return np.divide(values, bounds, out=np.zeros_like(values), where=bounds > 0).max(axis=1, initial=0.0)
+def backward_errors(coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Per slice and point (u, v) of `pts` (..., P, 2), the largest over the
+    slice's generators, `coeffs` (..., G, r+1, r+1) with the coefficient of
+    u^i v^j at [i, j], of |g(p)| / sum |c| |u|^i |v|^j (see `fiber_points`)."""
+    powers = np.arange(coeffs.shape[-1])
+    monomials = (pts[..., :1] ** powers)[..., :, None] * (pts[..., 1:] ** powers)[..., None, :]
+    monomials = monomials.reshape(pts.shape[:-1] + (len(powers) ** 2,))
+    coeffs = coeffs.reshape(coeffs.shape[:-2] + (len(powers) ** 2,))
+    values = np.abs(monomials @ coeffs.swapaxes(-1, -2))
+    bounds = np.abs(monomials) @ np.abs(coeffs).swapaxes(-1, -2)
+    return np.divide(values, bounds, out=np.zeros_like(values), where=bounds > 0).max(axis=-1, initial=0.0)
+
+
+def _each(solve, stack: np.ndarray) -> Tuple[tuple, np.ndarray]:
+    """`solve` over a stack of matrices in one call, or matrix by matrix when
+    that raises LinAlgError: (its outputs on the matrices it solves, stacked,
+    and the mask of those).  LAPACK runs once per matrix either way."""
+    try:
+        return tuple(solve(stack)), np.ones(len(stack), dtype=bool)
+    except np.linalg.LinAlgError:
+        outs = []
+        for m in stack:
+            try:
+                outs.append(tuple(solve(m)))
+            except np.linalg.LinAlgError:
+                outs.append(None)
+    ok = np.array([out is not None for out in outs], dtype=bool)
+    if not ok.any():
+        return tuple(solve(stack[:0])), ok
+    return tuple(np.stack(parts) for parts in zip(*(out for out in outs if out is not None))), ok
 
 
 # the largest relative residual `fiber_points` accepts
 _RESIDUAL_TOL = 1e-8
 
 
-def fiber_points(curve, t: GaussianRational) -> np.ndarray:
-    """Slice points as complex (u, v) pairs, via commuting multiplication ops.
+def fiber_points(curve, ts: Sequence[GaussianRational]) -> List[Optional[np.ndarray]]:
+    """The slice points over each t, as complex (u, v) pairs, or None where
+    the slice is rejected, via commuting multiplication operators.
 
-    The matrices are exact; only the eigensolve is numeric.  Points are
-    sorted deterministically, and each must have a backward error of at
-    most `_RESIDUAL_TOL` for every generator g = sum c u^i v^j:
-    |g(p)| / sum |c| |u|^i |v|^j is the smallest relative change of g's
-    coefficients that makes p an exact zero (Higham, Accuracy and Stability
-    of Numerical Algorithms, sec. 5.1).  Unlike |g(p)|, it does not grow
-    with the coefficients or with the points, which both grow with r.
-    Raises ArithmeticError when the slice is not reduced enough for the
-    eigenvector method (clustered spectrum, large residuals).  A curve that
-    meets L0 raises the ValueError that names L0: its point there lies at
-    infinity on every slice, so no slice holds all its points.
+    The matrices are exact, from `ACMCurve.slice_tables` evaluated with
+    integers: the same numerators as a slice built alone, so the same
+    floats.  Only the eigensolve is numeric: each attempt diagonalizes a Mu
+    + b Mv for one draw (a, b), shared by every slice still pending, in one
+    stacked eigensolve; the draws are those of a slice alone, so each slice
+    gets the floats it gets alone.  A slice passes an attempt when its
+    eigenvalues are separated, its eigenvectors invert and diagonalize Mu
+    and Mv, and each point has a backward error of at most `_RESIDUAL_TOL`
+    for every generator g = sum c u^i v^j: |g(p)| / sum |c| |u|^i |v|^j is
+    the smallest relative change of g's coefficients that makes p an exact
+    zero (Higham, Accuracy and Stability of Numerical Algorithms, sec.
+    5.1).  Unlike |g(p)|, it does not grow with the coefficients or with the
+    points, which both grow with r.  Points are sorted deterministically.
+    A slice that fails six attempts, not reduced enough for the eigenvector
+    method, or whose eigensolve raises LinAlgError is rejected.  A curve
+    that meets L0 raises the ValueError that names L0: its point there
+    lies at infinity on every slice, so no slice holds all its points.
     """
     _refuse_base_line(curve)
-    gens = fiber_generators(curve, t)
-    nu, nv = map(np.array, _border_matrices(curve, gens, t, lambda a, b, n: complex(a / n, b / n)))
+    out: List[Optional[np.ndarray]] = [None] * len(ts)
+    if not ts:
+        return out
+    gens, gens_den, mats, mats_den = curve.slice_tables
+    mats = _floats(mats, mats_den, ts)
+    coeffs = _floats(gens, gens_den, ts)
+    n = mats.shape[-1]
+    pending = np.arange(len(ts))
     rng = np.random.default_rng(2)
     for _ in range(6):
+        if not len(pending):
+            break
         a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
-        comb = a * nu + b * nv
-        vals, vecs = np.linalg.eig(comb)
-        if len(vals) > 1:
-            gap = min(abs(vals[i] - vals[j]) for i in range(len(vals)) for j in range(i))
-            if gap < 1e-9 * max(1.0, np.abs(vals).max()):
-                continue
-        try:
-            inv = np.linalg.inv(vecs)
-        except np.linalg.LinAlgError:
-            continue
-        du = np.diag(inv @ nu @ vecs)
-        dv = np.diag(inv @ nv @ vecs)
-        off_u = inv @ nu @ vecs - np.diag(du)
-        off_v = inv @ nv @ vecs - np.diag(dv)
-        if max(np.abs(off_u).max(), np.abs(off_v).max()) > _RESIDUAL_TOL * max(
-            1.0, np.abs(du).max(), np.abs(dv).max()
-        ):
-            continue
-        pts = np.stack([du, dv], axis=1)
-        if not (backward_errors(curve.r, gens, pts) <= _RESIDUAL_TOL).all():
-            continue
-        order = np.lexsort([np.round(part(pts[:, c]), 9) for c in (1, 0) for part in (np.imag, np.real)])
-        return pts[order]
-    raise ArithmeticError("slice spectrum not separable; slice may be non-reduced")
+        (vals, vecs), solved = _each(np.linalg.eig, a * mats[pending, 0] + b * mats[pending, 1])
+        pending = pending[solved]
+        gaps = np.abs(vals[:, :, None] - vals[:, None, :]) + np.diag(np.full(n, np.inf))
+        apart = ~(gaps.min(axis=(1, 2)) < 1e-9 * np.maximum(1.0, np.abs(vals).max(axis=1)))
+        (inv,), inverted = _each(lambda m: (np.linalg.inv(m),), vecs[apart])
+        idx, vecs = pending[apart][inverted], vecs[apart][inverted]
+        # inv M vecs for M = Mu, Mv: the points on the diagonal, nothing off it
+        proj = inv[:, None] @ mats[idx] @ vecs[:, None]
+        diag = np.diagonal(proj, axis1=2, axis2=3)
+        off = np.abs(proj)
+        off[..., range(n), range(n)] = 0
+        good = ~(off.max(axis=(1, 2, 3)) > _RESIDUAL_TOL * np.maximum(1.0, np.abs(diag).max(axis=(1, 2))))
+        idx, pts = idx[good], diag[good].transpose(0, 2, 1)
+        good = (backward_errors(coeffs[idx], pts) <= _RESIDUAL_TOL).all(axis=1)
+        idx, pts = idx[good], pts[good]
+        order = np.lexsort([np.round(part(pts[..., c]), 9) for c in (1, 0) for part in (np.imag, np.real)])
+        for q, p, o in zip(idx, pts, order):
+            out[q] = p[o]
+        pending = pending[[out[q] is None for q in pending]]
+    return out
 
 
 def random_fiber_parameters(count: int, seed: int) -> List[GaussianRational]:

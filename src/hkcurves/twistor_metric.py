@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
@@ -346,26 +347,20 @@ def extract_metric(chart: Chart) -> HKFrame:
     all_deltas: List[np.ndarray] = []
     walk = iter(sample_parameters(16))
     while len(ts) < _NUM_FIBERS:
-        # the walk's next fibers, as many as are missing, share one derivative batch
-        new_ts, fibers = [], []
-        for t in walk:
-            try:
-                fibers.append(fiber_points(curve, t))
-            except (ArithmeticError, np.linalg.LinAlgError):
-                continue
-            new_ts.append(t)
-            if len(ts) + len(new_ts) == _NUM_FIBERS:
-                break
-        if not new_ts:
+        # the walk's next fibers, as many as are missing, share one slice pass
+        # and one derivative batch
+        batch = list(itertools.islice(walk, _NUM_FIBERS - len(ts)))
+        if not batch:
             break
+        sliced = [(t, pts) for t, pts in zip(batch, fiber_points(curve, batch)) if pts is not None]
         deltas, ok = point_derivative(
             numeric,
-            [t for t, pts in zip(new_ts, fibers) for _ in pts],
-            [(complex(u), complex(v)) for pts in fibers for u, v in pts],
+            [t for t, pts in sliced for _ in pts],
+            [(complex(u), complex(v)) for _, pts in sliced for u, v in pts],
             basis,
         )
-        cuts = np.cumsum([len(pts) for pts in fibers])[:-1]
-        for t, d, good in zip(new_ts, np.split(deltas, cuts), np.split(ok, cuts)):
+        cuts = np.cumsum([len(pts) for _, pts in sliced])[:-1]
+        for (t, _), d, good in zip(sliced, np.split(deltas, cuts), np.split(ok, cuts)):
             if good.all():
                 ts.append(t)
                 all_deltas.append(np.ascontiguousarray(d.transpose(1, 0, 2)))

@@ -8,9 +8,12 @@ import random
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
+
 from hkcurves.acm_curve import ACMCurve, LinearMatrix, random_real_curve
 from hkcurves.acm_curve.fibers import (
     Bivar,
+    backward_errors,
     fiber_generators,
     fiber_multiplication_matrices,
     fiber_points,
@@ -123,6 +126,82 @@ class AffineFiber:
                 cols.append(col)
             mats.append(ExactMatrix([list(row) for row in zip(*cols)]))
         return mats[0], mats[1]
+
+
+# ---------------------------------------------------------------------------
+# the per-slice route: the oracle for the stacked slice pass of `fibers`
+
+
+def reference_generators(curve: ACMCurve, t: GaussianRational) -> List[Bivar]:
+    """The slice generators by substituting t into each minor alone: the
+    reference for `fiber_generators`, which reads the curve's slice tables."""
+    ta, tb, te = t.integer_parts()
+    out: List[Bivar] = []
+    for minor in curve.minors:
+        # t^e = (ta + tb*i)^e / te^e, so over minor.den * te^degree a term
+        # with t^e gains the factor te^(degree - e)
+        powers = [(1, 0)]
+        for _ in range(minor.degree):
+            a, b = powers[-1]
+            powers.append((a * ta - b * tb, a * tb + b * ta))
+        acc: Dict[Tuple[int, int], Tuple[int, int]] = {}
+        for (m0, m1, m2, m3), (a, b) in minor.terms.items():
+            pa, pb = powers[m3]
+            scale = te ** (minor.degree - m3)
+            prev = acc.get((m0, m1), (0, 0))
+            acc[(m0, m1)] = (prev[0] + (a * pa - b * pb) * scale, prev[1] + (a * pb + b * pa) * scale)
+        terms = {k: ab for k, ab in acc.items() if ab[0] or ab[1]}
+        if terms:
+            out.append((terms, minor.den * te ** minor.degree))
+    return out
+
+
+def generator_floats(r: int, gens: Sequence[Bivar]) -> np.ndarray:
+    """(G, r+1, r+1): the coefficient of u^i v^j of each generator at [i, j]."""
+    coeffs = np.zeros((len(gens), r + 1, r + 1), dtype=complex)
+    for row, (g, den) in zip(coeffs, gens):
+        for (i, j), (a, b) in g.items():
+            # int / int is correctly rounded: the float nearest each part
+            row[i, j] = complex(a / den, b / den)
+    return coeffs
+
+
+def reference_fiber_points(curve: ACMCurve, t: GaussianRational):
+    """One slice alone, or None where it is rejected: the per-slice route
+    that `fibers.fiber_points` stacks, on the `AffineFiber` echelon's
+    matrices.  The same six draws (a, b), the same eigen-gap, inverse,
+    off-diagonal and backward-error tests, in the same order."""
+    gens = reference_generators(curve, t)
+    nu, nv = (np.array(m.to_complex()) for m in AffineFiber(gens, curve.r + 2).multiplication_matrices())
+    coeffs = generator_floats(curve.r, gens)
+    rng = np.random.default_rng(2)
+    for _ in range(6):
+        a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
+        try:
+            vals, vecs = np.linalg.eig(a * nu + b * nv)
+        except np.linalg.LinAlgError:
+            return None
+        if len(vals) > 1:
+            gap = min(abs(vals[i] - vals[j]) for i in range(len(vals)) for j in range(i))
+            if gap < 1e-9 * max(1.0, np.abs(vals).max()):
+                continue
+        try:
+            inv = np.linalg.inv(vecs)
+        except np.linalg.LinAlgError:
+            continue
+        du = np.diag(inv @ nu @ vecs)
+        dv = np.diag(inv @ nv @ vecs)
+        off_u = inv @ nu @ vecs - np.diag(du)
+        off_v = inv @ nv @ vecs - np.diag(dv)
+        scale = max(1.0, np.abs(du).max(), np.abs(dv).max())
+        if max(np.abs(off_u).max(), np.abs(off_v).max()) > 1e-8 * scale:
+            continue
+        pts = np.stack([du, dv], axis=1)
+        if not (backward_errors(coeffs, pts) <= 1e-8).all():
+            continue
+        order = np.lexsort([np.round(part(pts[:, c]), 9) for c in (1, 0) for part in (np.imag, np.real)])
+        return pts[order]
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +390,8 @@ def fiber_trace_suite(pool: Dict[int, List[ACMCurve]], count: int = 50) -> int:
         rng = random.Random(47000 + i)
         t = random_gauss(rng)
         i += 1
-        try:
-            pts = fiber_points(curve, t)
-        except ArithmeticError:
+        pts = fiber_points(curve, [t])[0]
+        if pts is None:
             continue
         mu, mv = fiber_multiplication_matrices(curve, t)
         assert mu @ mv == mv @ mu

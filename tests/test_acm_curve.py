@@ -32,7 +32,7 @@ from hkcurves.pencil import canonical_pair, is_injective_pencil
 from hkcurves.twistor_metric import sample_parameters, scan_chart
 from hkcurves.reality import is_sigma_invariant_ideal
 
-from suites import swapped
+from suites import generator_floats, swapped
 
 ZERO = GaussianRational(0, 0)
 ONE = GaussianRational(1, 0)
@@ -255,11 +255,11 @@ def test_slice_residual_is_a_backward_error(r):
     # modulus, and |g(p)| at the true points is 4e-8 to 5e-6
     curve = scan_chart(r, 0, 1, 0).curve()
     for t in sample_parameters(3):
-        pts = fiber_points(curve, t)
-        gens = fiber_generators(curve, t)
-        assert backward_errors(r, gens, pts).max() < 1e-13
+        pts = fiber_points(curve, [t])[0]
+        coeffs = generator_floats(r, fiber_generators(curve, t))
+        assert backward_errors(coeffs, pts).max() < 1e-13
         # one point moved off the curve by a relative 1e-6 fails fiber_points' test
         moved = pts.copy()
         moved[0] *= 1 + 1e-6
-        errors = backward_errors(r, gens, moved)
+        errors = backward_errors(coeffs, moved)
         assert errors[0] > 1e-8 and errors[1:].max() < 1e-13

@@ -37,7 +37,7 @@ from hkcurves.exact_algebra.scalars import GaussianRational
 from hkcurves.pencil import is_injective_pencil
 from hkcurves.twistor_metric import extract_metric, raw_chart, sample_parameters
 
-from suites import AffineFiber, swapped
+from suites import AffineFiber, reference_fiber_points, reference_generators, swapped
 from test_cli import _degenerate_document
 from test_resolution_exactness import FACTORS, _common_factor_matrix
 
@@ -99,13 +99,18 @@ def seeded_curves(r):
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
 def test_border_matrices_equal_the_echelon(r, monkeypatch):
-    # the matrices that fiber_points diagonalizes, as floats
-    floats = record_calls(monkeypatch, fibers, "_border_matrices", results=True)
+    # the tables in floats: the matrices that fiber_points diagonalizes, then the generators
+    floats = record_calls(monkeypatch, fibers, "_floats", results=True)
+    params = sample_parameters(7) + SPECIAL
     # each curve's slices, then its slices at infinity: those of the swapped curve
     for curve in (c for seeded in seeded_curves(r) for c in (seeded, swapped(seeded))):
         assert avoids_base_line(curve)
-        for t in sample_parameters(7) + SPECIAL:
+        floats.clear()
+        fiber_points(curve, params)
+        matrices, _ = floats
+        for t, (nu, nv) in zip(params, matrices):
             gens = fiber_generators(curve, t)
+            assert gens == reference_generators(curve, t)
             fiber = AffineFiber(gens, r + 2)
             mu, mv = fiber_multiplication_matrices(curve, t)
             ref_u, ref_v = fiber.multiplication_matrices()
@@ -113,25 +118,17 @@ def test_border_matrices_equal_the_echelon(r, monkeypatch):
             assert (mu, mv) == (ref_u, ref_v)
             assert mu @ mv == mv @ mu
             assert hilbert_profile(curve, t) == fiber.profile()
-            floats.clear()
-            try:
-                fiber_points(curve, t)
-            except ArithmeticError:
-                pass  # a clustered spectrum; the matrices were built
-            nu, nv = floats[0]
-            assert np.array_equal(np.array(nu), np.array(ref_u.to_complex()))
-            assert np.array_equal(np.array(nv), np.array(ref_v.to_complex()))
+            assert np.array_equal(nu, np.array(ref_u.to_complex()))
+            assert np.array_equal(nv, np.array(ref_v.to_complex()))
 
 
 @pytest.mark.parametrize("r", [2, 3])
-def test_border_points_equal_the_echelon_points(r, monkeypatch):
+def test_border_points_equal_the_echelon_points(r):
     curve = random_sigma_curve(r, 1)
     params = random_fiber_parameters(3, r) + SPECIAL
-    border = [fiber_points(curve, t) for t in params]
-    # the same eigensolve on the reference echelon's matrices
-    monkeypatch.setattr(fibers, "_border_matrices", lambda curve, gens, t, entry: [
-        m.to_complex() for m in AffineFiber(gens, curve.r + 2).multiplication_matrices()])
-    echelon = [fiber_points(curve, t) for t in params]
+    border = fiber_points(curve, params)
+    # the same eigensolve, slice by slice, on the reference echelon's matrices
+    echelon = [reference_fiber_points(curve, t) for t in params]
     assert all(np.array_equal(a, b) for a, b in zip(border, echelon))
 
 
@@ -153,8 +150,8 @@ def test_curve_meeting_the_base_line_ranks_a_level_and_is_refused(monkeypatch):
         lambda: hilbert_profile(curve, t),
         lambda: restrict_to_fiber(curve, t),
         lambda: fiber_multiplication_matrices(curve, t),
-        lambda: fiber_points(curve, t),
-        lambda: fiber_points(swapped(curve), t),
+        lambda: fiber_points(curve, [t]),
+        lambda: fiber_points(swapped(curve), [t]),
         lambda: extract_metric(raw_chart(curve)),
     ]
     for route in routes:

@@ -42,7 +42,7 @@ from hkcurves.twistor_metric import (
     section_structure_at,
 )
 
-from suites import AffineFiber
+from suites import AffineFiber, reference_fiber_points
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
@@ -165,7 +165,7 @@ def test_real_tangent_basis_drags_the_conjugate_slot():
 def test_point_derivative_matches_central_difference():
     chart = normalize_to_flat_chart(random_scrambled_curve(2, 3))
     t = sample_parameters(1)[0]
-    pts = fiber_points(chart.curve(), t)
+    pts = fiber_points(chart.curve(), [t])[0]
     basis = real_tangent_basis(2)
     eps = Fraction(1, 10**5)
     for sec in (basis[0], basis[3], basis[8]):
@@ -184,7 +184,7 @@ def test_point_derivative_matches_central_difference():
                 chart.A4 + sec.dA4.scale(s),
                 False,
             )
-            cand = fiber_points(moved.curve(), t)
+            cand = fiber_points(moved.curve(), [t])[0]
             return min(
                 cand, key=lambda p: abs(complex(p[0]) - u) + abs(complex(p[1]) - v)
             )
@@ -202,7 +202,7 @@ def test_point_derivative_consistency_guard():
     for r in (2, 3):
         chart = normalize_to_flat_chart(random_scrambled_curve(r, 3))
         t = sample_parameters(1)[0]
-        pts = [(complex(u), complex(v)) for u, v in fiber_points(chart.curve(), t)]
+        pts = [(complex(u), complex(v)) for u, v in fiber_points(chart.curve(), [t])[0]]
         moved = [(pts[0][0] + delta, pts[0][1] - delta) for delta in (1e-6, 1e-7)]
         _, ok = point_derivative(
             chart.numeric(), [t] * (len(pts) + 2), pts + moved, section_arrays([real_tangent_basis(r)[1]])
@@ -288,8 +288,8 @@ def test_point_derivative_bit_identical_to_per_section_reference(r, seed, flat):
     chart = normalize_to_flat_chart(curve) if flat else raw_chart(curve)
     basis = real_tangent_basis(r)
     ts, points = [], []
-    for t in sample_parameters(3):
-        for u, v in fiber_points(chart.curve(), t):
+    for t, pts in zip(sample_parameters(3), fiber_points(chart.curve(), sample_parameters(3))):
+        for u, v in pts:
             ts.append(t)
             points.append((complex(u), complex(v)))
     assert len(points) == 3 * r * (r + 1) // 2
@@ -306,33 +306,47 @@ def test_point_derivative_bit_identical_to_per_section_reference(r, seed, flat):
         assert np.array_equal(alone[0].real, deltas.real) and np.array_equal(alone[0].imag, deltas.imag)
 
 
-def _sequential_walk(chart, num_fibers=7):
+def _sequential_walk(chart, slice_points=reference_fiber_points, num_fibers=7):
     """extract_metric's parameters as one fiber at a time would accept them."""
     curve, numeric, basis = chart.curve(), chart.numeric(), basis_arrays(chart.r)
     ts = []
     for t in sample_parameters(16):
         if len(ts) == num_fibers:
             break
-        pts = twistor_metric.fiber_points(curve, t)
+        pts = slice_points(curve, t)
+        if pts is None:
+            continue
         points = [(complex(u), complex(v)) for u, v in pts]
         if point_derivative(numeric, [t] * len(points), points, basis)[1].all():
             ts.append(t)
     return ts
 
 
+@pytest.mark.parametrize(
+    "r, seed, flat", [(1, 0, True), (2, 3, True), (2, 5, False), (3, 1, True), (3, 2, False)]
+)
+def test_extract_metric_accepts_the_parameters_of_the_per_slice_walk(r, seed, flat):
+    curve = random_scrambled_curve(r, seed)
+    chart = normalize_to_flat_chart(curve) if flat else raw_chart(curve)
+    assert list(extract_metric(chart).parameters) == _sequential_walk(chart)
+
+
 def test_extract_metric_skips_exactly_a_fiber_moved_off_the_curve(monkeypatch):
     chart = normalize_to_flat_chart(random_scrambled_curve(2, 3))
     moved = sample_parameters(7)[2]
-    real_points = twistor_metric.fiber_points
+    real_pass = twistor_metric.fiber_points
 
-    def off_the_curve(curve, t):
-        pts = real_points(curve, t)
+    def off_the_curve(t, pts):
         return [(complex(u) + 0.3, complex(v) - 0.2) for u, v in pts] if t == moved else pts
 
-    monkeypatch.setattr(twistor_metric, "fiber_points", off_the_curve)
+    def moved_pass(curve, ts):
+        return [off_the_curve(t, pts) for t, pts in zip(ts, real_pass(curve, ts))]
+
+    monkeypatch.setattr(twistor_metric, "fiber_points", moved_pass)
     frame = extract_metric(chart)
     assert moved not in frame.parameters
-    assert list(frame.parameters) == _sequential_walk(chart)
+    assert list(frame.parameters) == _sequential_walk(
+        chart, lambda curve, t: off_the_curve(t, reference_fiber_points(curve, t)))
     assert list(frame.parameters) == [t for t in sample_parameters(8) if t != moved]
 
 
@@ -340,9 +354,9 @@ def test_extract_metric_walks_one_period_of_candidates(monkeypatch):
     # every candidate is rejected; the walk tries each of the 16 once
     calls = []
 
-    def refused(curve, t):
-        calls.append(t)
-        raise ArithmeticError("slice spectrum not separable; slice may be non-reduced")
+    def refused(curve, ts):
+        calls.extend(ts)
+        return [None] * len(ts)
 
     monkeypatch.setattr(twistor_metric, "fiber_points", refused)
     with pytest.raises(ArithmeticError, match=r"^only 0 usable fibers of 5 needed$"):
