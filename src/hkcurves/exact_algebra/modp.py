@@ -115,9 +115,9 @@ def _eliminate(m: np.ndarray, p: int, stop: int | None) -> List[int]:
         pending += 1
         view = m[rank:, c + 1 :]
         if 2 * hit.size > len(col):
-            view -= np.outer(col, row)
+            view -= col[:, None] * row
         else:
-            view[hit] -= np.outer(col[hit], row)
+            view[hit] -= col[hit, None] * row
     return pivots
 
 

@@ -8,7 +8,8 @@ partial derivatives, swept over twists.  Each rank is a mod-p rank
 that meets the proven upper bound stated with its count (rank mod p
 never exceeds the exact rank), else the exact sparse echelon: the
 sandwich of `ideals.certified_rank`, except that the band matrices are
-scattered from the forms reduced once per prime (see `_FormRows`).
+scattered from the forms reduced once per prime, through index layouts
+built once per shape (see `_FormRows`).
 The forms are Gaussian-integer rows times one common denominator,
 which scales every block alike and so keeps every rank.
 """
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -86,6 +87,31 @@ class RationalCurveMap:
         return out
 
 
+@lru_cache(maxsize=None)
+def _band_layout(lengths: Tuple[int, ...], width: int, blocks: Tuple, col_degrees: Tuple[int, ...]):
+    """Shape and read-only (row, column, source) indices of the matrix of
+    (g_c) -> (sum_c F[blocks[o][c]] * g_c)_o, g_c of degree col_degrees[c], for
+    forms F of these lengths; source q * width + i is coefficient i of F[q].
+    Each output o has one degree, so its rows do not depend on c."""
+    rows, cols, src = [], [], []
+    ncols = 0
+    for c, cd in enumerate(col_degrees):
+        nrows = 0
+        for block in blocks:
+            q = block[c]
+            n = lengths[q]
+            for k in range(cd + 1):
+                rows.extend(range(nrows + k, nrows + k + n))
+                cols.extend([ncols + k] * n)
+                src.extend(range(q * width, q * width + n))
+            nrows += n + cd
+        ncols += cd + 1
+    arrays = np.array(rows), np.array(cols), np.array(src)
+    for a in arrays:
+        a.setflags(write=False)
+    return ((nrows, ncols), *arrays)
+
+
 class _FormRows:
     """Binary forms with Gaussian-integer coefficients, their rows reduced
     once per prime, and the banded multiplication matrices built on them.
@@ -95,14 +121,19 @@ class _FormRows:
     same few forms, so each prime reduces the forms once here.  Reducing
     each band's own rows through `certified_rank` instead read
     `rational-split` `item_p50_ms` 5.0 -> 6.9 ms (six runs each, seed 1,
-    2-core Xeon VM, Python 3.11.7).
+    2-core Xeon VM, Python 3.11.7).  A band's index layout depends on the form
+    lengths only, so `_band_layout` builds it once per shape, for all maps.
     """
 
     def __init__(self, forms: Sequence[IntForm]):
         self.ints = forms
-        self.forms = [tuple(GaussianRational(a, b) for a, b in f) for f in forms]
-        self.width = max(len(f) for f in forms)
+        self.lengths = tuple(len(f) for f in forms)
+        self.width = max(self.lengths)
         self._mod: Dict[int, np.ndarray] = {}
+
+    @cached_property
+    def forms(self) -> List[BinaryForm]:
+        return [tuple(GaussianRational(a, b) for a, b in f) for f in self.ints]
 
     def _reduced(self, p: int, s: int) -> np.ndarray:
         if p not in self._mod:
@@ -111,24 +142,8 @@ class _FormRows:
         return self._mod[p]
 
     def band(self, blocks: List[List[int]], col_degrees: List[int]):
-        """Shape and (row, column, source) indices of the matrix of
-        (g_c) -> (sum_c forms[blocks[o][c]] * g_c)_o, g_c of degree
-        col_degrees[c]; source q * width + i is coefficient i of forms[q].
-        Each output o has one degree, so its rows do not depend on c."""
-        rows, cols, src = [], [], []
-        ncols = 0
-        for c, cd in enumerate(col_degrees):
-            nrows = 0
-            for block in blocks:
-                q = block[c]
-                n = len(self.forms[q])
-                for k in range(cd + 1):
-                    rows.extend(range(nrows + k, nrows + k + n))
-                    cols.extend([ncols + k] * n)
-                    src.extend(range(q * self.width, q * self.width + n))
-                nrows += n + cd
-            ncols += cd + 1
-        return (nrows, ncols), np.array(rows), np.array(cols), np.array(src)
+        """`_band_layout` of these forms."""
+        return _band_layout(self.lengths, self.width, tuple(map(tuple, blocks)), tuple(col_degrees))
 
     def certified(self, band, bound: int) -> bool:
         """True when a prime gives the band matrix rank `bound`, which the

@@ -92,6 +92,30 @@ def test_kernel_matches_reducing_kernel(monkeypatch, cut):
             _check(m, p)
 
 
+@pytest.mark.parametrize("cut", [None, 1, 2, 3])
+def test_kernel_takes_both_update_branches(monkeypatch, cut):
+    # column 0 hits all five rows below its pivot (more than half: the update
+    # of every row) and column 1 only row 4 (the update of the hit rows); row
+    # 0's entry in column 4 makes the first update change values
+    if cut is not None:
+        monkeypatch.setattr(modp, "budget", lambda p: cut)
+    pattern = np.array(
+        [
+            [1, 0, 0, 0, 1],
+            [1, 1, 0, 0, 0],
+            [1, 0, 1, 0, 0],
+            [1, 0, 0, 1, 0],
+            [1, 1, 0, 0, 1],
+            [1, 0, 0, 0, 0],
+        ]
+    )
+    rng = np.random.default_rng(5)
+    for p, _ in modp.PRIMES:
+        m = pattern * rng.integers(1, p, pattern.shape)
+        _check(m, p)
+        assert _ref_pivots(m.copy(), p) == [0, 1, 2, 3, 4]
+
+
 def test_kernel_matches_reducing_kernel_on_a_large_matrix():
     # about the size of the r = 6 certificate levels (1155 x 680)
     rng = np.random.default_rng(7)

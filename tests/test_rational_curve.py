@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from hkcurves.exact_algebra.ideals import integer_row
@@ -12,6 +13,7 @@ from hkcurves.rational_curve import (
     _common_zero_witness,
     _dehom,
     _FormRows,
+    _minors,
     _no_common_zero,
     line_map,
     normal_splitting_type,
@@ -149,6 +151,77 @@ def _dense(rows, band):
     for i, c, q in zip(row_idx.tolist(), col_idx.tolist(), src.tolist()):
         dense[i][c] = rows.forms[q // rows.width][q % rows.width]
     return ExactMatrix(dense)
+
+
+def _ref_band(rows, blocks, col_degrees):
+    """`_FormRows.band` as it ran before layouts were cached by shape: the
+    index lists rebuilt from the forms on every call."""
+    row_idx, col_idx, src = [], [], []
+    ncols = 0
+    for c, cd in enumerate(col_degrees):
+        nrows = 0
+        for block in blocks:
+            q = block[c]
+            n = len(rows.forms[q])
+            for k in range(cd + 1):
+                row_idx.extend(range(nrows + k, nrows + k + n))
+                col_idx.extend([ncols + k] * n)
+                src.extend(range(q * rows.width, q * rows.width + n))
+            nrows += n + cd
+        ncols += cd + 1
+    return (nrows, ncols), np.array(row_idx), np.array(col_idx), np.array(src)
+
+
+def _band_cases(d):
+    """(rows, blocks, col_degrees) for every band pattern a degree-d map uses."""
+    rows = random_rational_map(d, 5)._rows
+    for m in range(d, d + 3):  # conormal_sections
+        yield rows, [[4, 5, 6, 7], [8, 9, 10, 11]], [m - d] * 4
+    for m in range(3):  # normal_twisted_sections
+        yield rows, [[a, 4 + a, 8 + a] for a in range(4)], [m, m + 1, m + 1]
+    # validate_map: no common zero of the forms, then of the minors
+    yield rows, [list(range(4))], [d - 1] * 4
+    yield _FormRows(_minors(rows.ints[4:])), [list(range(6))], [max(2 * d - 3, 0)] * 6
+
+
+def _check_band(rows, blocks, col_degrees):
+    got, want = rows.band(blocks, col_degrees), _ref_band(rows, blocks, col_degrees)
+    assert got[0] == want[0], (blocks, col_degrees)
+    for a, b in zip(got[1:], want[1:]):
+        assert np.array_equal(a, b), (blocks, col_degrees)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_band_layout_matches_per_call_reference(d):
+    for case in _band_cases(d):
+        _check_band(*case)
+
+
+def test_band_layout_with_unequal_form_lengths():
+    zeros = [[(0, 0)]] * 6
+    for e in range(3):
+        _check_band(_FormRows(zeros[:5] + [[(2, 1)]]), [list(range(6))], [e] * 6)
+    mixed = [[(1, 0), (0, 1), (2, 2)], [(3, 0)], [(1, 1), (0, 0)]]
+    for rows in (_FormRows(mixed), _FormRows(mixed[::-1])):
+        for blocks in ([[0, 1, 2]], [[2, 1, 0], [1, 0, 2]]):
+            _check_band(rows, blocks, [1, 2, 0])
+
+
+def test_band_layout_is_cached_read_only_and_keyed_by_lengths():
+    blocks, col_degrees = [[0, 1]], [1, 1]
+    first = _FormRows([[(1, 0), (2, 0), (3, 0)], [(0, 1), (1, 1)]])
+    # other coefficients, same lengths: the very same layout
+    same = _FormRows([[(5, 5), (0, 0), (7, 1)], [(2, 0), (0, 3)]])
+    layout = first.band(blocks, col_degrees)
+    assert same.band(blocks, col_degrees) is layout
+    for array in layout[1:]:
+        with pytest.raises(ValueError):
+            array[0] = 1
+    # the lengths swapped at the same width: another layout
+    other = _FormRows([[(1, 0), (2, 0)], [(0, 1), (1, 1), (3, 0)]])
+    swapped = other.band(blocks, col_degrees)
+    assert swapped is not layout
+    assert not all(np.array_equal(a, b) for a, b in zip(swapped[1:], layout[1:]))
 
 
 @pytest.mark.parametrize("d", range(1, 6))
