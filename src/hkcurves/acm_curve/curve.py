@@ -11,7 +11,7 @@ import numpy as np
 
 from ..exact_algebra.ideals import GradedIdeal, certified_rank
 from ..exact_algebra.linalg import ExactMatrix
-from ..exact_algebra.polys import HomogPoly, linear_combination, monomial_count, signed_maximal_minors
+from ..exact_algebra.polys import HomogPoly, linear_combination, linear_entries, monomial_count, signed_maximal_minors
 from ..exact_algebra.scalars import DRAW_SPAN, MAX_DRAWS, random_gaussian_rows
 from ..pencil import canonical_pair
 from ..reality import make_sigma_invariant_pencil, reality_conjugate
@@ -61,11 +61,7 @@ class LinearMatrix:
         return (self.A1, self.A2, self.A3, self.A4)
 
     def entry_polys(self) -> List[List[HomogPoly]]:
-        A1, A2, A3, A4 = self.coeffs
-        return [
-            [HomogPoly.linear_form([A1[i, j], A2[i, j], A3[i, j], A4[i, j]]) for j in range(self.r)]
-            for i in range(self.r + 1)
-        ]
+        return linear_entries([A.integer_form for A in self.coeffs])
 
     def gauge(self, P: ExactMatrix, Q: ExactMatrix) -> "LinearMatrix":
         return LinearMatrix(self.r, *(P @ A @ Q for A in self.coeffs))

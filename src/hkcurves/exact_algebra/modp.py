@@ -60,9 +60,10 @@ def rows_mod(rows: SparseRows, ncols: int, p: int, s: int) -> np.ndarray:
     prime or the exact route.
     """
     out = np.zeros((len(rows), ncols), dtype=np.int64)
-    for i, row in enumerate(rows):
-        for col, a, b in row:
-            out[i, col] = (a + s * b) % p
+    # reduced with Python ints, as entries may exceed int64, then one scatter
+    rows_idx = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
+    cols_idx = [col for row in rows for col, _, _ in row]
+    out[rows_idx, cols_idx] = [(a + s * b) % p for row in rows for _, a, b in row]
     return out
 
 

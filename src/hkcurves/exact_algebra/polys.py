@@ -108,11 +108,6 @@ class HomogPoly:
             object.__setattr__(self, "_coeffs", MappingProxyType(view))
         return self._coeffs
 
-    @staticmethod
-    def linear_form(coeffs) -> "HomogPoly":
-        n = len(coeffs)
-        return HomogPoly(n, 1, {tuple(int(j == i) for j in range(n)): c for i, c in enumerate(coeffs)})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -237,6 +232,21 @@ def linear_dets(rows: list, num_vars: int, size: int) -> dict:
                 _mul_add(re, im, dets[rowset[:pos] + rowset[pos + 1 :]], form, shifts)
         dets = nxt
     return dets
+
+
+def linear_entries(forms: list) -> list[list[HomogPoly]]:
+    """Entries of sum_v A_v x_v as linear forms, read off the integer forms
+    (rows, D_v) of A_0 .. A_(n-1), one shape, over lcm(D_v)."""
+    den = lcm(*(d for _, d in forms))
+    units, scales = monomial_basis(len(forms), 1), [den // d for _, d in forms]
+    out = []
+    for row in zip(*(rows for rows, _ in forms)):
+        out.append([])
+        for pairs in zip(*row):
+            poly = HomogPoly.__new__(HomogPoly)
+            poly._fill(len(forms), 1, {m: (a * k, b * k) for m, (a, b), k in zip(units, pairs, scales)}, den)
+            out[-1].append(poly)
+    return out
 
 
 def signed_maximal_minors(entries: list[list[HomogPoly]]) -> list[HomogPoly]:

@@ -9,18 +9,20 @@ is equivalent, by exact left/right gauge matrices, to the canonical pair
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .exact_algebra.linalg import ExactMatrix
 from .exact_algebra.ideals import certified_rank
-from .exact_algebra.polys import HomogPoly, UniPoly, signed_maximal_minors, uni_gcd
+from .exact_algebra.polys import HomogPoly, UniPoly, linear_entries, signed_maximal_minors, uni_gcd
 from .exact_algebra.scalars import DRAW_SPAN, MAX_DRAWS, ONE, ZERO, GaussianRational, random_gaussian_rows
 
 
+@functools.lru_cache(maxsize=None)
 def canonical_pair(r: int) -> Tuple[ExactMatrix, ExactMatrix]:
-    """(S, T): S[i,j] = [i==j], T[i,j] = [i==j+1], both (r+1) x r."""
+    """(S, T): S[i,j] = [i==j], T[i,j] = [i==j+1], both (r+1) x r, built once per r."""
     if r < 1:
         raise ValueError("need r >= 1")
     s_rows = [[ONE if i == j else ZERO for j in range(r)] for i in range(r + 1)]
@@ -44,8 +46,7 @@ def _signed_minors(A1: ExactMatrix, A2: ExactMatrix) -> List[HomogPoly]:
     signed minor of A1 + lambda*A2, and that of x0^k x1^(r-k) is the
     lambda^k coefficient of the signed minor of A2 + lambda*A1.
     """
-    rows = zip(A1.data, A2.data)
-    return signed_maximal_minors([[HomogPoly.linear_form(ab) for ab in zip(*pair)] for pair in rows])
+    return signed_maximal_minors(linear_entries([A1.integer_form, A2.integer_form]))
 
 
 def pencil_minors(A1: ExactMatrix, A2: ExactMatrix) -> List[UniPoly]:

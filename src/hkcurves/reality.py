@@ -8,6 +8,8 @@ x1 -> x0, x2 -> -x3, x3 -> x2, so that (sigma f)(p) = conj(f(sigma p)).
 In the canonical pencil gauge (S, T) the involution is implemented by a
 fixed pair of real sign-reversal matrices (g0, h0); a matrix pair (A3, A4)
 cuts out a sigma-invariant curve exactly when A4 = conj(g0 * A3 * h0).
+As anti-diagonal signs, (g0, h0) act on A3 as a signed index permutation,
+which `reality_conjugate` applies to A3's integer form with no product.
 """
 
 from __future__ import annotations
@@ -147,12 +149,17 @@ def conjugation_matrices(r: int) -> Tuple[ExactMatrix, ExactMatrix]:
 
 
 def reality_conjugate(A3: ExactMatrix) -> ExactMatrix:
-    """The antilinear involution-up-to-sign tau(B) = conj(g0 B h0); tau^2 = -id."""
+    """The antilinear involution-up-to-sign tau(B) = conj(g0 B h0); tau^2 = -id.
+    Entry (i, j) is conj((-1)^(i+j+1) B[r-i][r-1-j]), over B's denominator."""
     r = A3.cols
     if A3.rows != r + 1:
         raise ValueError(f"expected (r+1) x r, got {A3.shape}")
-    g0, h0 = conjugation_matrices(r)
-    return (g0 @ A3 @ h0).conj()
+    rows, den = A3.integer_form
+    out = tuple(
+        tuple((a, -b) if (i + j) % 2 else (-a, b) for j, (a, b) in enumerate(reversed(rows[r - i])))
+        for i in range(r + 1)
+    )
+    return ExactMatrix.from_integer_form(out, den, r)
 
 
 def is_real_pair(A3: ExactMatrix, A4: ExactMatrix) -> bool:

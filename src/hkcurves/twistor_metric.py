@@ -14,8 +14,8 @@ import cmath
 import functools
 import itertools
 import random
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,12 +46,18 @@ class Chart:
     A3: ExactMatrix
     A4: ExactMatrix
     sigma_fixed: bool
+    # the certified curve `scan_chart` drew and found this flat chart to be
+    drawn: Optional[ACMCurve] = field(default=None, compare=False, repr=False)
 
     def curve(self) -> ACMCurve:
+        if self.drawn is not None:
+            return self.drawn
         return ACMCurve(LinearMatrix(self.r, self.A1, self.A2, self.A3, self.A4))
 
     def numeric(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        return tuple(np.array(A.to_complex()) for A in (self.A1, self.A2, self.A3, self.A4))
+        # int / int is correctly rounded, so these are the floats of complex(entry)
+        forms = (A.integer_form for A in (self.A1, self.A2, self.A3, self.A4))
+        return tuple(np.array([[complex(a / d, b / d) for a, b in row] for row in rows]) for rows, d in forms)
 
 
 def normalize_to_flat_chart(curve: ACMCurve | LinearMatrix) -> Chart:
@@ -414,13 +420,17 @@ def extract_metric(chart: Chart) -> HKFrame:
 # flatness scan
 
 
-def random_scrambled_curve(r: int, seed: int) -> LinearMatrix:
-    """Matrix of an invariant certified curve, pushed out of its canonical gauge."""
+def _drawn_and_scrambled(r: int, seed: int) -> Tuple[ACMCurve, LinearMatrix]:
     curve = random_real_curve(r, seed=seed * 7919 + 11)
     rng = random.Random(seed * 104729 + r)
     G = random_invertible(r + 1, rng)
     H = random_invertible(r, rng)
-    return curve.matrix.gauge(G, H)
+    return curve, curve.matrix.gauge(G, H)
+
+
+def random_scrambled_curve(r: int, seed: int) -> LinearMatrix:
+    """Matrix of an invariant certified curve, pushed out of its canonical gauge."""
+    return _drawn_and_scrambled(r, seed)[1]
 
 
 @dataclass(frozen=True)
@@ -439,9 +449,20 @@ class MetricReport:
 def scan_chart(
     r: int, seed: int, num_points: int, index: int, skip_sigma_gauge: bool = False
 ) -> Chart:
-    """Chart number `index` of a flatness scan, one derivation for all callers."""
-    curve = random_scrambled_curve(r, seed * num_points + index)
-    return raw_chart(curve) if skip_sigma_gauge else normalize_to_flat_chart(curve)
+    """Chart number `index` of a flatness scan, one derivation for all callers.
+
+    A flat chart is normalized in full, then must give back the drawn A3
+    exactly: the stabilizer of (S, T) is {(cI, c^-1 I)}, so the reduction
+    (P, Q) of the scrambled pencil (G S H, G T H) has P G = cI, H Q = c^-1 I.
+    The chart then keeps the certified curve it was drawn as.
+    """
+    drawn, curve = _drawn_and_scrambled(r, seed * num_points + index)
+    if skip_sigma_gauge:
+        return raw_chart(curve)
+    chart = normalize_to_flat_chart(curve)
+    if chart.A3 != drawn.coeffs[2]:
+        raise AssertionError("the flat chart does not give back the drawn curve")
+    return replace(chart, drawn=drawn)
 
 
 # the largest relative deviation of a chart's gram from the mean that passes

@@ -49,6 +49,14 @@ def swapped(curve: ACMCurve) -> ACMCurve:
     return ACMCurve(LinearMatrix(curve.r, A1, A2, A4, A3))
 
 
+def linear_form(coeffs) -> HomogPoly:
+    """The form sum_i coeffs[i] x_i, built from its Q(i) coefficients: the
+    tests' reference for the entries `polys.linear_entries` reads off
+    integer forms."""
+    n = len(coeffs)
+    return HomogPoly(n, 1, {tuple(int(j == i) for j in range(n)): c for i, c in enumerate(coeffs)})
+
+
 def slice_columns(cutoff: int) -> List[Tuple[int, int]]:
     """Monomials (a, b) of u^a v^b of total degree <= cutoff, highest degree first."""
     cols = [(i, j) for i in range(cutoff + 1) for j in range(cutoff + 1 - i)]

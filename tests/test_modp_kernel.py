@@ -156,3 +156,31 @@ def test_sqrt_minus_one_names_a_residue():
     # 4 = 2^2 is a square mod every odd prime, so its (p-1)/4 power is +-1
     with pytest.raises(AssertionError, match="not a quadratic non-residue"):
         modp._sqrt_minus_one(modp.PRIMES[0][0], 4)
+
+
+def _ref_rows_mod(rows, ncols, p, s):
+    """`rows_mod` as it ran before its one scatter: one assignment per entry."""
+    out = np.zeros((len(rows), ncols), dtype=np.int64)
+    for i, row in enumerate(rows):
+        for col, a, b in row:
+            out[i, col] = (a + s * b) % p
+    return out
+
+
+def test_rows_mod_scatter_matches_the_per_entry_reduction():
+    rng = np.random.default_rng(13)
+    big = 2**63 + 2**40 + 5
+    rows = [
+        [(0, big, -big), (3, -(2**70), 2**64 + 1), (5, -1, 0)],
+        [],
+        [(c, int(a), int(b)) for c, a, b in zip(range(0, 9, 2), rng.integers(-99, 99, 5), rng.integers(-99, 99, 5))],
+        [],
+        [(8, 0, -(2**65))],
+    ]
+    for p, s in modp.PRIMES:
+        for case, ncols in ((rows, 9), ([[], []], 4), ([], 3), ([[(1, -3, 2**80)]], 2)):
+            got = modp.rows_mod(case, ncols, p, s)
+            want = _ref_rows_mod(case, ncols, p, s)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert ((0 <= got) & (got < p)).all()

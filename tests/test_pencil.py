@@ -32,6 +32,11 @@ def test_canonical_pair_rejects_r_zero():
         canonical_pair(0)
 
 
+def test_canonical_pair_is_built_once_per_r():
+    assert canonical_pair(3) is canonical_pair(3)
+    assert canonical_pair(2) is not canonical_pair(3)
+
+
 def test_canonical_pair_is_injective():
     for r in (1, 2, 3, 4):
         S, T = canonical_pair(r)

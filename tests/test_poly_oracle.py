@@ -12,9 +12,12 @@ from fractions import Fraction
 import pytest
 
 from hkcurves.acm_curve import LinearMatrix, signed_maximal_minors
+from hkcurves.pencil import pencil_minors
 from hkcurves.exact_algebra.linalg import ExactMatrix
-from hkcurves.exact_algebra.polys import HomogPoly, linear_combination, monomial_basis
+from hkcurves.exact_algebra.polys import HomogPoly, linear_combination, linear_entries, monomial_basis
 from hkcurves.exact_algebra.scalars import GaussianRational, random_gaussian_rows
+
+from suites import linear_form
 
 _ZERO = GaussianRational(0, 0)
 _ONE = GaussianRational(1, 0)
@@ -186,7 +189,7 @@ def test_minors_and_cofactors_match_reference(r):
 
 def _random_linear(rng, zero_vars=(), density=0.7):
     # each entry its own denominators; some coefficients and whole variables zero
-    return HomogPoly.linear_form(
+    return linear_form(
         [_ZERO if v in zero_vars or rng.random() > density else _rational(rng) for v in range(4)]
     )
 
@@ -238,6 +241,37 @@ def test_kernel_refuses_entries_that_are_not_linear():
     entries = [[_random_form(rng, 2)], [_random_form(rng, 2)]]
     with pytest.raises(ValueError, match="linear"):
         signed_maximal_minors(entries)
+
+
+def _ref_entries(mats):
+    """Entries of sum_v A_v x_v built by `linear_form` from Q(i) entries."""
+    return [[linear_form([A[i, j] for A in mats]) for j in range(mats[0].cols)] for i in range(mats[0].rows)]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 5])
+def test_linear_entries_equal_the_linear_form_entries(r):
+    rng = random.Random(90 + r)
+
+    def matrix(density):
+        return ExactMatrix([[_rational(rng) if rng.random() < density else _ZERO for _ in range(r)] for _ in range(r + 1)])
+
+    A, B, C = matrix(1.0), matrix(0.6), matrix(0.3)
+    # a product holds an unreduced denominator D_L * D_R; zero matrices hold D = 1
+    product = A @ ExactMatrix([[_rational(rng, 4, 5) for _ in range(r)] for _ in range(r)])
+    zero = ExactMatrix.zeros(r + 1, r)
+    assert len({M.integer_form[1] for M in (A, B, C, product, zero)}) > 2
+    for mats in ((A, B, C, product), (zero, B, zero, C), (zero,) * 4, (A, product), (zero, zero), (C,)):
+        got, want = linear_entries([M.integer_form for M in mats]), _ref_entries(mats)
+        assert got == want
+        assert [[(e.terms, e.den) for e in row] for row in got] == [[(e.terms, e.den) for e in row] for row in want]
+    assert any(e.is_zero() for row in linear_entries([C.integer_form]) for e in row)
+    assert LinearMatrix(r, A, B, C, product).entry_polys() == _ref_entries((A, B, C, product))
+    # the pencil minors: coefficients of the reference minors of x0 A1 + x1 A2
+    for A1, A2 in ((A, B), (product, C), (B, zero)):
+        minors = signed_maximal_minors(_ref_entries((A1, A2)))
+        want = [[m.coeffs.get((r - k, k), _ZERO) * (-1) ** i for k in range(r + 1)] for i, m in enumerate(minors)]
+        got = pencil_minors(A1, A2)
+        assert [list(p.coeffs) + [_ZERO] * (r + 1 - len(p.coeffs)) for p in got] == want
 
 
 def _ref_det(rows):

@@ -20,7 +20,7 @@ from hkcurves.exact_algebra.polys import (
 )
 from hkcurves.exact_algebra.scalars import GaussianRational
 
-from suites import graded_matrix
+from suites import graded_matrix, linear_form
 
 ZERO = GaussianRational(0, 0)
 ONE = GaussianRational(1, 0)
@@ -157,7 +157,7 @@ def test_uni_interpolate_recovers_polynomial():
 
 
 def test_copy_and_pickle_round_trips():
-    x, y, z = (HomogPoly.linear_form([ONE if j == i else ZERO for j in range(3)]) for i in range(3))
+    x, y, z = (linear_form([ONE if j == i else ZERO for j in range(3)]) for i in range(3))
     half = GaussianRational(Fraction(1, 2), Fraction(-3, 4))
     forms = [x * y + (z * z).scale(half), HomogPoly(3, 2), x]
     unis = [UniPoly([half, ZERO, ONE]), UniPoly([])]

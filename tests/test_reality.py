@@ -155,6 +155,27 @@ def test_reality_conjugate_squares_to_minus_one():
         assert reality_conjugate(reality_conjugate(A3)) == A3.scale(-ONE)
 
 
+def test_reality_conjugate_is_the_conjugated_product():
+    # the signed index permutation against its definition conj(g0 A h0), on
+    # entries with mixed denominators and on a product born in its integer form
+    rng = random.Random(12)
+
+    def entry():
+        return GaussianRational(
+            Fraction(rng.randint(-7, 7), rng.choice([1, 2, 3, 5, 12])),
+            Fraction(rng.randint(-7, 7), rng.choice([1, 4, 9])),
+        )
+
+    for r in range(1, 7):
+        g0, h0 = conjugation_matrices(r)
+        A = ExactMatrix([[entry() for _ in range(r)] for _ in range(r + 1)])
+        product = A @ ExactMatrix([[entry() for _ in range(r)] for _ in range(r)])
+        for B in (A, product, ExactMatrix.zeros(r + 1, r)):
+            got, want = reality_conjugate(B), (g0 @ B @ h0).conj()
+            assert got == want
+            assert got.data == want.data
+
+
 def test_real_pair_detection():
     rng = random.Random(9)
     for r in (1, 2):

@@ -14,6 +14,7 @@ from hkcurves.acm_curve import (
     fiber_generators,
     fiber_points,
     random_fiber_parameters,
+    random_real_curve,
 )
 from hkcurves.exact_algebra.ideals import normal_form_table
 from hkcurves.exact_algebra.linalg import ExactMatrix
@@ -34,6 +35,7 @@ from hkcurves.twistor_metric import (
     random_scrambled_curve,
     raw_chart,
     real_tangent_basis,
+    scan_chart,
     sample_parameters,
     section_I,
     section_J,
@@ -92,6 +94,63 @@ def test_normalize_rejects_broken_conjugation_tie():
     )
     with pytest.raises(ValueError):
         normalize_to_flat_chart(spoiled)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_flat_scan_chart_keeps_the_drawn_certified_curve(r):
+    for seed in range(3):
+        chart = scan_chart(r, seed, 1, 0)
+        curve = chart.curve()
+        # the curve random_scrambled_curve(r, seed) scrambles, not a rebuilt one
+        assert curve is chart.curve() is chart.drawn
+        assert curve.coeffs == random_real_curve(r, seed=seed * 7919 + 11).coeffs
+        assert curve.certificate().ok
+        flat = normalize_to_flat_chart(random_scrambled_curve(r, seed))
+        assert (chart.A1, chart.A2, chart.A3, chart.A4) == (flat.A1, flat.A2, flat.A3, flat.A4)
+        assert curve.coeffs == (flat.A1, flat.A2, flat.A3, flat.A4)
+        # the drawn curve does not take part in the chart's equality
+        assert chart == flat
+        # the raw control keeps building its curve from its own gauge
+        raw = scan_chart(r, seed, 1, 0, skip_sigma_gauge=True)
+        assert raw.drawn is None and raw.curve().coeffs == random_scrambled_curve(r, seed).coeffs
+
+
+def test_scan_chart_rejects_a_flat_chart_that_moved_the_drawn_curve(monkeypatch):
+    normalize = twistor_metric.normalize_to_flat_chart
+
+    def moved(curve):
+        chart = normalize(curve)
+        A3 = chart.A3 + ExactMatrix([[ONE, ZERO], [ZERO, ZERO], [ZERO, ZERO]])
+        return Chart(chart.r, chart.A1, chart.A2, A3, reality_conjugate(A3), True)
+
+    assert scan_chart(2, 4, 1, 0).A3 == normalize(random_scrambled_curve(2, 4)).A3
+    monkeypatch.setattr(twistor_metric, "normalize_to_flat_chart", moved)
+    with pytest.raises(AssertionError, match="drawn curve"):
+        scan_chart(2, 4, 1, 0)
+
+
+def test_numeric_reads_the_integer_forms_as_complex_does():
+    # a product is born in its integer form over D_L * D_R; entries past 2^53
+    # must round as complex(GaussianRational) does, correctly
+    rng = random.Random(31)
+    big = GaussianRational(Fraction(2**60 + 1, 3), Fraction(-(2**70) - 7, 9))
+    # rounding 2^54 + 3 to a float before dividing by 3 moves the quotient
+    tie = GaussianRational(Fraction(2**54 + 3, 3), Fraction(-(2**54) - 3, 3))
+    assert float(2**54 + 3) / 3 != (2**54 + 3) / 3
+    for r in (1, 2, 3):
+        chart = normalize_to_flat_chart(random_scrambled_curve(r, r))
+        products = (
+            chart.A3.scale(big) @ ExactMatrix(
+                [[GaussianRational(Fraction(rng.randint(-9, 9), rng.randint(1, 7))) for _ in range(r)] for _ in range(r)]
+            ),
+            ExactMatrix([[tie] * r] * (r + 1)) @ ExactMatrix.identity(r),
+        )
+        for A3 in products:
+            moved = Chart(r, chart.A1, chart.A2, A3, reality_conjugate(A3), True)
+            for got, A in zip(moved.numeric(), (chart.A1, chart.A2, A3, reality_conjugate(A3))):
+                want = np.array([[complex(z) for z in row] for row in A.data])
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
 
 def test_section_operators_square_to_minus_one():
