@@ -11,7 +11,7 @@ import numpy as np
 
 from ..exact_algebra.ideals import GradedIdeal, certified_rank
 from ..exact_algebra.linalg import ExactMatrix
-from ..exact_algebra.polys import HomogPoly, linear_combination, linear_entries, monomial_count, signed_maximal_minors
+from ..exact_algebra.polys import HomogPoly, column_combinations, form_pairs, linear_entries, monomial_count, signed_minors
 from ..exact_algebra.scalars import DRAW_SPAN, MAX_DRAWS, random_gaussian_rows
 from ..pencil import canonical_pair
 from ..reality import make_sigma_invariant_pencil, reality_conjugate
@@ -78,8 +78,10 @@ class ACMCurve:
         self.r = r = matrix.r
         self.coeffs = matrix.coeffs
         self.d, self.g = invariants(self.r)
-        self.entries = matrix.entry_polys()
-        self.minors = signed_maximal_minors(self.entries)
+        # the matrix as the Laplace kernel reads it, for the minors and the
+        # cofactor check
+        self.pairs = form_pairs([A.integer_form for A in self.coeffs])
+        self.minors = signed_minors(*self.pairs)
         if all(m.is_zero() for m in self.minors):
             raise ValueError("all maximal minors vanish identically")
         self.ideal = GradedIdeal([m for m in self.minors if not m.is_zero()])
@@ -87,6 +89,10 @@ class ACMCurve:
         self.base_line = [[m.terms.get((r - j, j, 0, 0), (0, 0)) for j in range(r + 1)]
                           for m in self.minors]
         self._certificate: Optional["ResolutionCertificate"] = None
+
+    @cached_property
+    def entries(self) -> List[List[HomogPoly]]:
+        return self.matrix.entry_polys()
 
     @property
     def degree(self) -> int:
@@ -205,7 +211,7 @@ def certify_resolution(curve: ACMCurve) -> ResolutionCertificate:
     ideal.  A mismatch sweeps it, so a failing report lists every mismatch.
     """
     r = curve.r
-    cofactor = all(linear_combination(curve.minors, col).is_zero() for col in zip(*curve.entries))
+    cofactor = all(s.is_zero() for s in column_combinations(curve.minors, *curve.pairs))
     injective = any(not m.is_zero() for m in curve.minors)
     bounded = cofactor and injective
     window = range(0, 2 * r + 3)

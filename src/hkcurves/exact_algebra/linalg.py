@@ -7,8 +7,9 @@ that form; a product is born in it, over D_L * D_R, and so is an inverse,
 and each builds its Q(i) entries (`data`) only when they are read.  Rank,
 right kernel and inverse come from the sparse echelon of `ideals`
 (`sparse_echelon` and its `reduced_echelon`) on the form's rows, and the
-determinant from the Laplace kernel of `polys`.  There is no floating
-fallback here.
+determinant from the array Laplace kernel of `polys`, on the form as a
+matrix of forms in one variable, in int64 under its bound and in exact
+ints above it.  There is no floating fallback here.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 from math import lcm
 
 from .ideals import normal_form_table, reduced_echelon, sparse_echelon, sparse_row_rank
-from .polys import linear_dets
+from .polys import form_pairs, laplace
 from .scalars import ONE, ZERO, GaussianRational, random_gaussian_rows
 
 
@@ -180,13 +181,13 @@ class ExactMatrix:
         return ExactMatrix(rows, cols=len(free))
 
     def det(self) -> GaussianRational:
-        """`polys.linear_dets` on the forms x0 * M[i][j] of the integer form,
+        """`polys.laplace` on the forms x0 * M[i][j] of the integer form,
         over D^n: O(n * 2^n) products, so meant for small n."""
         if self.rows != self.cols:
             raise ValueError("det of non-square matrix")
-        (rows, den), n = self.integer_form, self.rows
-        (re,), (im,) = linear_dets([[(z,) for z in row] for row in rows], 1, n)[tuple(range(n))]
-        return GaussianRational(Fraction(re, den**n), Fraction(im, den**n))
+        pairs, den = form_pairs([self.integer_form])
+        [[(re, im)]] = laplace(pairs).tolist()
+        return GaussianRational(Fraction(re, den**self.rows), Fraction(im, den**self.rows))
 
     def inverse(self) -> "ExactMatrix":
         """The reduced echelon form of [M | I] is [I | M^-1]: row i is

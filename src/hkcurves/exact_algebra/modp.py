@@ -99,7 +99,7 @@ def _eliminate(m: np.ndarray, p: int, stop: int | None) -> List[int]:
         if nz.size == 0:
             continue
         first = int(nz[0])
-        inv = pow(int(col[first]), p - 2, p)
+        inv = pow(int(col[first]), -1, p)
         # col[0] is the pivot row's and stays out of the update; the row
         # swapped down from there was zero in this column
         col[first] = 0

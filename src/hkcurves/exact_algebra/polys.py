@@ -6,12 +6,21 @@ positive integer denominator, with gcd(den, content) = 1, so arithmetic
 runs on ints and equal forms are equal structurally; GaussianRational
 coefficients appear only in the `coeffs` view read at the boundary.
 Monomial bases are lexicographically descending, so coordinate layouts are
-reproducible across runs.  `linear_dets` is the one Laplace kernel, for
-matrices of linear forms: a sub-determinant is a dense pair of int lists
-(real and imaginary numerators) over a monomial basis, and a Laplace step
-is one shifted multiply-add per variable.  It gives the maximal minors of
-curves (four variables) and pencils (two) and `ExactMatrix.det` (one);
-the cofactor identity, `linear_combination`, shares the multiply-add.
+reproducible across runs.
+
+`laplace` is the one Laplace kernel, for matrices of linear forms given as
+numpy arrays of Gaussian-integer pairs over one denominator (`form_pairs`,
+straight from the integer forms of the coefficient matrices).  Each entry
+becomes, per variable, the real 2 x 2 block of c + d*i; a depth of the
+expansion, for all row subsets at once, is a gather of the child
+sub-determinants through a subset plan, one contraction with the blocks,
+and one gather that shifts each variable's terms to their monomials and
+sums them.  The arrays are int64 under a proven bound and exact Python
+ints otherwise, through the same code; on exact ints a variable with a
+single nonzero row in a column skips the contraction.  The kernel gives
+the maximal minors of curves (four variables) and pencils (two) and
+`ExactMatrix.det` (one); the cofactor identity, `column_combinations`,
+runs the same contraction on stored forms.
 UniPoly is the univariate workhorse for pencil minor gcds and binary forms.
 """
 
@@ -20,9 +29,11 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, prod
 from operator import add
 from types import MappingProxyType
+
+import numpy as np
 
 from .scalars import ONE, ZERO, GaussianRational
 
@@ -188,50 +199,257 @@ class HomogPoly:
 # ---------------------------------------------------------------------------
 # the one Laplace kernel, for matrices of linear forms
 
+_INT64_MAX = 2**63 - 1
+# the most gathered values one product reads: this bounds the temporaries
+# of a depth, whose values are exact ints at large r
+_GATHER = 2**16
+# the subset plans of a row count whose depths all hold at most this many
+# subsets are kept; larger ones live for one call
+_KEPT_SUBSETS = 2048
+
+
+def _pair_array(values: list, shape: tuple) -> np.ndarray:
+    """Nested (re, im) int pairs as an int64 array where every value fits,
+    else as an array of the exact ints."""
+    try:
+        return np.array(values, dtype=np.int64).reshape(shape)
+    except OverflowError:
+        return np.array(values, dtype=object).reshape(shape)
+
+
+def form_pairs(forms: list) -> tuple[np.ndarray, int]:
+    """(X, D) for the matrix sum_v A_v x_v of linear forms, read off the
+    integer forms (rows, D_v) of A_0 .. A_(n-1), one shape R x C.
+    X[j, i, v] is the (re, im) numerator pair of x_v in entry (i, j), over
+    D = lcm(D_v); X is int64 where every numerator fits, else exact ints."""
+    den = lcm(*(d for _, d in forms))
+    first = forms[0][0]
+    values = [
+        rows if d == den else [[(a * (den // d), b * (den // d)) for a, b in row] for row in rows]
+        for rows, d in forms
+    ]
+    shape = (len(forms), len(first), len(first[0]) if first else 0, 2)
+    return _pair_array(values, shape).transpose(2, 1, 0, 3), den
+
+
+def poly_pairs(entries: list[list[HomogPoly]]) -> tuple[np.ndarray, int]:
+    """`form_pairs` for a matrix of linear HomogPoly entries, over the lcm of
+    their denominators."""
+    if any(e.degree != 1 for row in entries for e in row):
+        raise ValueError("the Laplace kernel takes linear entries")
+    num_vars, den = entries[0][0].num_vars, lcm(*(e.den for row in entries for e in row))
+    units = monomial_basis(num_vars, 1)
+    values = [
+        [[(a * (den // e.den), b * (den // e.den)) for a, b in map(e.terms.get, units, [(0, 0)] * num_vars)]
+         for e in row]
+        for row in entries
+    ]
+    return _pair_array(values, (len(entries), len(entries[0]), num_vars, 2)).transpose(1, 0, 2, 3), den
+
+
+def _l1(X: np.ndarray) -> list[int]:
+    """|c| + |d| summed over the variables, for entry (i, j) of X at
+    j * R + i: the l1 norm of each entry, as exact ints."""
+    ncols, nrows, num_vars = X.shape[:3]
+    return [sum(map(abs, entry)) for entry in X.reshape(ncols * nrows, 2 * num_vars).tolist()]
+
+
+# column s * 4 + b * 2 + a: (c, d) to (-1)^s times entry (b, a) of [[c, d], [-d, c]]
+_SIGNED_BLOCKS = np.array([[1, 0, 0, 1, -1, 0, 0, -1], [0, 1, -1, 0, 0, -1, 1, 0]])
+
+
+def _blocks(X: np.ndarray, bound: int) -> np.ndarray:
+    """(C, 2R, 2, n, 2): the pair (c, d) of X at [j, i, v] as the real 2 x 2
+    block [[c, d], [-d, c]] at [j, i, :, v, :], whose row b maps part b
+    (re, im) of a factor to the (re, im) of its product with c + d*i; rows
+    R .. 2R - 1 of a column hold the negated blocks.  int64 when bound <=
+    2^63 - 1, else exact ints."""
+    ncols, nrows, num_vars = X.shape[:3]
+    X = X.astype(np.int64 if bound <= _INT64_MAX else object, copy=False)
+    signed = (X @ _SIGNED_BLOCKS).reshape(ncols, nrows, num_vars, 2, 2, 2)
+    return signed.transpose(0, 3, 1, 4, 2, 5).reshape(ncols, 2 * nrows, 2, num_vars, 2)
+
 
 @lru_cache(maxsize=None)
-def _shifts(num_vars: int, degree: int) -> tuple:
-    """Row v: where m * x_v sits in degree + 1, m running over the degree's basis."""
-    index = monomial_index(num_vars, degree + 1)
-    basis = monomial_basis(num_vars, degree)
-    return tuple(tuple(index[m[:v] + (m[v] + 1,) + m[v + 1 :]] for m in basis) for v in range(num_vars))
+def _spots(num_vars: int, degree: int) -> np.ndarray:
+    """(W', n): where the term of m / x_v sits among one subset's products
+    with the variables, m running over the monomials of degree + 1: at
+    i * n + v for m / x_v the i-th monomial of the degree, and at W * n + v,
+    in a zero row past the W monomials, where x_v does not divide m."""
+    index = monomial_index(num_vars, degree)
+    pad = len(index)
+    out = np.array(
+        [[(index[m[:v] + (m[v] - 1,) + m[v + 1 :]] if m[v] else pad) * num_vars + v for v in range(num_vars)]
+         for m in monomial_basis(num_vars, degree + 1)],
+        dtype=np.intp,
+    ).reshape(-1, num_vars)
+    out.flags.writeable = False
+    return out
 
 
-def _mul_add(re: list, im: list, vec: tuple, form, shifts: tuple) -> None:
-    """(re, im) += vec * form on dense numerator lists: one shifted
-    multiply-add per variable, form[v] = (c, d) for (c + d*i) x_v."""
-    vre, vim = vec
-    for (c, d), shift in zip(form, shifts):
-        if c or d:
-            for k, a, b in zip(shift, vre, vim):
-                re[k] += a * c - b * d
-                im[k] += a * d + b * c
+def _depth_plans(nrows: int):
+    """(plan, child) per depth k = 0 .. nrows - 1: the (k+1)-subsets T of the
+    rows in colex order, child[t, p] the colex rank of T minus its p-th row
+    and plan[t, p] that row, plus nrows where its cofactor sign
+    (-1)^(p + k) is negative.  With rank(S) = sum_j C(s_j, j + 1), the
+    subsets whose largest row is x follow all those below it."""
+    elems = child = np.zeros((1, 0), dtype=np.intp)
+    for k in range(nrows):
+        sizes = [(x, comb(x, k)) for x in range(k, nrows)]
+        elems, child = (
+            np.concatenate([np.column_stack([elems[:c], np.full(c, x)]) for x, c in sizes]),
+            np.concatenate([np.column_stack([child[:c] + comb(x, k), np.arange(c)]) for x, c in sizes]),
+        )
+        yield elems + nrows * ((np.arange(k + 1) + k) % 2), child
 
 
-def _linear_pairs(form: HomogPoly, den: int) -> list:
-    """A linear form's numerators (c, d) of x_0 .. x_(n-1) over den, a multiple of its own."""
-    if form.degree != 1:
-        raise ValueError("the Laplace kernel takes linear entries")
-    pairs = [form.terms.get(m, (0, 0)) for m in monomial_basis(form.num_vars, 1)]
-    return [(a * (den // form.den), b * (den // form.den)) for a, b in pairs]
+@lru_cache(maxsize=None)
+def _kept_plans(nrows: int) -> tuple:
+    plans = tuple(_depth_plans(nrows))
+    for array in itertools.chain.from_iterable(plans):
+        array.flags.writeable = False
+    return plans
 
 
-def linear_dets(rows: list, num_vars: int, size: int) -> dict:
-    """Determinant of every `size`-subset of the rows against the first `size`
-    columns, by ascending row tuple, as dense (re, im) numerator lists over
-    monomial_basis(num_vars, size); rows[i][j] holds entry (i, j)'s pairs of
-    `_linear_pairs`.  Each subset expands along its last column."""
-    dets = {(): ([1], [0])}
-    for depth in range(size):
-        shifts, width, nxt = _shifts(num_vars, depth), monomial_count(num_vars, depth + 1), {}
-        for rowset in itertools.combinations(range(len(rows)), depth + 1):
-            re, im = nxt[rowset] = [0] * width, [0] * width
-            for pos, i in enumerate(rowset):
-                sign = -1 if (pos + depth) % 2 else 1
-                form = [(sign * c, sign * d) for c, d in rows[i][depth]]
-                _mul_add(re, im, dets[rowset[:pos] + rowset[pos + 1 :]], form, shifts)
-        dets = nxt
-    return dets
+def _plans(nrows: int):
+    return _kept_plans(nrows) if comb(nrows, nrows // 2) <= _KEPT_SUBSETS else _depth_plans(nrows)
+
+
+def _contract(level: np.ndarray, child: np.ndarray, spots: np.ndarray, factors: np.ndarray, plan: np.ndarray) -> np.ndarray:
+    """out[t, m, a] = sum over p, v, b of level[child[t, p], m / x_v, b] *
+    factors[plan[t, p], b, v, a], terms with x_v not dividing m left out:
+    the forms sum_p (form child[t, p]) * (linear form plan[t, p]), forms as
+    (monomial, re/im) arrays, factors as blocks of `_blocks` and `spots` as
+    in `_spots`.  One product contracts position and re/im for all
+    variables at once, and one gather through `spots` sums the variables,
+    per chunk of rows t of at most about _GATHER values.
+
+    On exact ints a zero term still costs a product and a copy, so there a
+    variable with a single nonzero factor row (as the shift matrices of a
+    canonical-gauge curve have) stays out of the product: that row's term
+    is added, shifted, to the subsets that hold it, each once.  On int64 a
+    zero term is cheap and the extra passes are not: there every variable
+    goes through the product.
+    """
+    (count, npos), (width, lanes) = child.shape, spots.shape
+    inner, dense, single = level.shape[1], factors, ()
+    if level.dtype == object:
+        nonzero = factors[:, 0].any(axis=-1)
+        many = nonzero.sum(axis=0) > 2
+        pre = spots // lanes
+        dense, single, lanes = factors[:, :, many], np.flatnonzero(~many), int(many.sum())
+        spots = pre[:, many] * lanes + np.arange(lanes)
+    out = np.empty((count, width, 2), dtype=level.dtype)
+    chunk = max(1, _GATHER // (2 * max(inner * npos, width * lanes)))
+    for lo in range(0, count, chunk):
+        part = slice(lo, lo + chunk)
+        rows = child[part]
+        gathered = level[rows[:, None, :], np.arange(inner)[None, :, None]]
+        terms = np.zeros((len(rows), inner + 1, 2 * lanes), dtype=level.dtype)
+        np.matmul(gathered.reshape(len(rows), inner, -1), dense[plan[part]].reshape(len(rows), 2 * npos, -1),
+                  out=terms[:, :inner])
+        out[part] = terms.reshape(len(rows), -1, 2)[:, spots].sum(axis=2)
+    for v in single:
+        # the index of m x_v for each monomial m of the level
+        shift = np.empty(inner, dtype=np.intp)
+        hit = pre[:, v] < inner
+        shift[pre[hit, v]] = np.flatnonzero(hit)
+        for j in np.flatnonzero(nonzero[:, v]):
+            subsets, positions = np.nonzero(plan == j)
+            for lo in range(0, subsets.size, chunk):
+                part = slice(lo, lo + chunk)
+                out[subsets[part, None], shift] += level[child[subsets[part], positions[part]]] @ factors[j, :, v]
+    return out
+
+
+def laplace(X: np.ndarray) -> np.ndarray:
+    """Determinant of every C-subset of the rows of the R x C matrix of
+    linear forms X of `form_pairs` (R >= C), subsets in colex order, as
+    (re, im) numerators over D^C of monomial_basis(n, C): an array
+    (C(R, C), monomial_count(n, C), 2).
+
+    Depth k expands each (k+1)-subset along column k, for all subsets at
+    once (`_contract`): a gather of the child sub-determinants through the
+    subset plan, one contraction over position and re/im with the signed
+    blocks of column k for every variable, and one gather that moves the
+    terms of x_v to their monomials m x_v and sums the variables.  Depth 0
+    is column 0 itself.
+
+    The arrays are int64 when B = prod_i max(R_i, 1) <= 2^63 - 1, R_i the
+    l1 norm of row i (|c| + |d| over its entries and variables), and hold
+    exact ints otherwise.  B bounds every entry, product and partial sum:
+    |Re xy| + |Im xy| <= (|Re x| + |Im x|)(|Re y| + |Im y|), so a partial
+    sum of the expansion of a sub-determinant on rows S is at most the
+    permanent of the l1 norms of its entries, which is at most prod_(i in
+    S) R_i <= B.
+    """
+    ncols, nrows, num_vars = X.shape[:3]
+    norms = _l1(X)
+    blocks = _blocks(X, prod(max(sum(norms[i::nrows]), 1) for i in range(nrows)))
+    if not ncols:
+        return np.array([[[1, 0]]], dtype=blocks.dtype)
+    # depth 0: the 1-subsets, row i at colex rank i, are the entries of
+    # column 0, the (re, im) row of their blocks over x_0 .. x_(n-1)
+    level = blocks[0, :nrows, 0]
+    for k, (plan, child) in itertools.islice(zip(range(ncols), _plans(nrows)), 1, None):
+        level = _contract(level, child, _spots(num_vars, k), blocks[k], plan)
+    return level
+
+
+def _to_forms(values: np.ndarray, num_vars: int, degree: int, den: int) -> list[HomogPoly]:
+    """The forms (monomial, re/im) rows of values over den."""
+    basis, out = monomial_basis(num_vars, degree), []
+    for rows in values.tolist():
+        poly = HomogPoly.__new__(HomogPoly)
+        poly._fill(num_vars, degree, {m: (a, b) for m, (a, b) in zip(basis, rows) if a or b}, den)
+        out.append(poly)
+    return out
+
+
+def signed_minors(X: np.ndarray, den: int) -> list[HomogPoly]:
+    """(-1)^i * det(matrix with row i deleted), i = 0..r, for the (r+1) x r
+    matrix of linear forms (X, den) of `form_pairs`: one `laplace` pass,
+    minors over D^r.  The rows without row i have colex rank r - i."""
+    ncols, nrows, num_vars = X.shape[:3]
+    if nrows != ncols + 1:
+        raise ValueError(f"expected (r+1) x r entries, got {nrows} x {ncols}")
+    dets = laplace(X)[::-1]
+    dets[1::2] *= -1
+    return _to_forms(dets, num_vars, ncols, den**ncols)
+
+
+def signed_maximal_minors(entries: list[list[HomogPoly]]) -> list[HomogPoly]:
+    """`signed_minors` of a matrix of linear HomogPoly entries."""
+    nrows, ncols = len(entries), len(entries[0]) if entries else 0
+    if nrows != ncols + 1:
+        raise ValueError(f"expected (r+1) x r entries, got {nrows} x {ncols}")
+    return signed_minors(*poly_pairs(entries))
+
+
+def column_combinations(forms: list[HomogPoly], X: np.ndarray, den: int) -> list[HomogPoly]:
+    """sum_i forms[i] * entry (i, j) for every column j of the matrix of
+    linear forms (X, den) of `form_pairs`, forms of one degree: one
+    contraction for all columns (`_contract`), over D times the lcm of the
+    forms' denominators.
+
+    Int64 when B = (sum_i max(|f_i|, 1)) * max(1, max_(i,j) |e_ij|) <=
+    2^63 - 1, with |.| the l1 norm of the numerators over those
+    denominators; else exact ints.  B bounds every value, and a partial
+    sum of column j is at most sum_i |f_i| |e_ij| <= B by the inequality
+    of `laplace`.  The bound is read off the forms as given, so it also
+    holds for forms that are not the matrix's minors.
+    """
+    ncols, nrows, num_vars = X.shape[:3]
+    degree, fden = forms[0].degree, lcm(*(f.den for f in forms))
+    basis, zero = monomial_basis(num_vars, degree), (0, 0)
+    values = [[x * (fden // f.den) for m in basis for x in f.terms.get(m, zero)] for f in forms]
+    norms = [sum(map(abs, row)) for row in values]
+    blocks = _blocks(X, sum(max(x, 1) for x in norms) * max([1, *_l1(X)]))
+    level = _pair_array(values, (nrows, len(basis), 2)).astype(blocks.dtype, copy=False)
+    child = np.zeros((ncols, 1), dtype=np.intp) + np.arange(nrows)
+    plan = child + 2 * nrows * np.arange(ncols)[:, None]
+    out = _contract(level, child, _spots(num_vars, degree), blocks.reshape(-1, 2, num_vars, 2), plan)
+    return _to_forms(out, num_vars, degree + 1, fden * den)
 
 
 def linear_entries(forms: list) -> list[list[HomogPoly]]:
@@ -247,36 +465,6 @@ def linear_entries(forms: list) -> list[list[HomogPoly]]:
             poly._fill(len(forms), 1, {m: (a * k, b * k) for m, (a, b), k in zip(units, pairs, scales)}, den)
             out[-1].append(poly)
     return out
-
-
-def signed_maximal_minors(entries: list[list[HomogPoly]]) -> list[HomogPoly]:
-    """(-1)^i * det(matrix with row i deleted), i = 0..r, for linear entries
-    over one denominator D: one `linear_dets` pass, minors over D^r."""
-    nrows = len(entries)
-    ncols = len(entries[0]) if entries else 0
-    if nrows != ncols + 1:
-        raise ValueError(f"expected (r+1) x r entries, got {nrows} x {ncols}")
-    first, den = entries[0][0], lcm(*(e.den for row in entries for e in row))
-    dets = linear_dets([[_linear_pairs(e, den) for e in row] for row in entries], first.num_vars, ncols)
-    basis, out = monomial_basis(first.num_vars, ncols), []
-    for skip in range(nrows):
-        re, im = dets[tuple(a for a in range(nrows) if a != skip)]
-        s = -1 if skip % 2 else 1
-        out.append(first._like({m: (s * a, s * b) for m, a, b in zip(basis, re, im)}, den**ncols, ncols))
-    return out
-
-
-def linear_combination(forms: list[HomogPoly], linears: list[HomogPoly]) -> HomogPoly:
-    """sum_i forms[i] * linears[i] for forms of one degree and linear forms,
-    by the Laplace kernel's multiply-add on one common denominator."""
-    n, degree = forms[0].num_vars, forms[0].degree
-    den = lcm(*(f.den * g.den for f, g in zip(forms, linears)))
-    basis, width = monomial_basis(n, degree), monomial_count(n, degree + 1)
-    re, im = [0] * width, [0] * width
-    for f, g in zip(forms, linears):
-        vec = tuple(zip(*(f.terms.get(m, (0, 0)) for m in basis)))
-        _mul_add(re, im, vec, _linear_pairs(g, den // f.den), _shifts(n, degree))
-    return forms[0]._like(dict(zip(monomial_basis(n, degree + 1), zip(re, im))), den, degree + 1)
 
 
 # ---------------------------------------------------------------------------

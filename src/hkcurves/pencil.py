@@ -16,7 +16,7 @@ from typing import List, Optional, Tuple
 
 from .exact_algebra.linalg import ExactMatrix
 from .exact_algebra.ideals import certified_rank
-from .exact_algebra.polys import HomogPoly, UniPoly, linear_entries, signed_maximal_minors, uni_gcd
+from .exact_algebra.polys import HomogPoly, UniPoly, form_pairs, signed_minors, uni_gcd
 from .exact_algebra.scalars import DRAW_SPAN, MAX_DRAWS, ONE, ZERO, GaussianRational, random_gaussian_rows
 
 
@@ -46,7 +46,7 @@ def _signed_minors(A1: ExactMatrix, A2: ExactMatrix) -> List[HomogPoly]:
     signed minor of A1 + lambda*A2, and that of x0^k x1^(r-k) is the
     lambda^k coefficient of the signed minor of A2 + lambda*A1.
     """
-    return signed_maximal_minors(linear_entries([A1.integer_form, A2.integer_form]))
+    return signed_minors(*form_pairs([A1.integer_form, A2.integer_form]))
 
 
 def pencil_minors(A1: ExactMatrix, A2: ExactMatrix) -> List[UniPoly]:

@@ -214,7 +214,7 @@ _COND_BOUND = 1e8
 
 def point_derivative(
     numeric: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    ts: Sequence[GaussianRational],
+    ts: Sequence[complex | GaussianRational],
     points: Sequence[Tuple[complex, complex]],
     sections: Tuple[np.ndarray, np.ndarray],
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -229,7 +229,8 @@ def point_derivative(
     by the implicit function theorem.  It is the move of the maximal
     minors: the adjugate of a corank-one square matrix is the outer product
     of its kernel vectors, so each minor's derivative along any E is one
-    fixed combination of the two entries of L E x.
+    fixed combination of the two entries of L E x.  A parameter in ts may
+    be exact or its complex value.
 
     Returns deltas, (P, S, 2) with deltas[p, s] for section s, and ok[p],
     False (deltas[p] meaningless) when, with scale(p) = |A1||u| + |A2||v| +
@@ -269,11 +270,13 @@ def point_derivative(
 
 
 @functools.lru_cache(maxsize=None)
-def _candidate(k: int) -> GaussianRational:
-    """Candidate k of `sample_parameters`; it depends on k mod 16 only."""
+def _candidate(k: int) -> Tuple[GaussianRational, complex]:
+    """Candidate k of `sample_parameters` and its complex value; it depends
+    on k mod 16 only."""
     radius = 0.5 if k % 2 == 0 else 2.0
     angle = 2.0 * cmath.pi * ((k * 5) % 16) / 16.0 + 0.17
-    return GaussianRational.from_complex(radius * cmath.exp(1j * angle), limit=16)
+    t = GaussianRational.from_complex(radius * cmath.exp(1j * angle), limit=16)
+    return t, complex(t)
 
 
 def sample_parameters(count: int) -> List[GaussianRational]:
@@ -283,7 +286,7 @@ def sample_parameters(count: int) -> List[GaussianRational]:
     well conditioned.  The list repeats with period 16, and its
     (immutable) entries are built once and shared.
     """
-    return [_candidate(k % 16) for k in range(count)]
+    return [_candidate(k % 16)[0] for k in range(count)]
 
 
 def fit_quadratic(ts: Sequence[complex], ws: np.ndarray) -> Tuple[np.ndarray, float]:
@@ -349,36 +352,38 @@ def extract_metric(chart: Chart) -> HKFrame:
     numeric = chart.numeric()
     basis = basis_arrays(r)
     n = len(basis[0])
-    ts: List[GaussianRational] = []
+    # (t, complex(t)) of the accepted fibers
+    fibers: List[Tuple[GaussianRational, complex]] = []
     all_deltas: List[np.ndarray] = []
-    walk = iter(sample_parameters(16))
-    while len(ts) < _NUM_FIBERS:
+    walk = map(_candidate, range(16))
+    while len(fibers) < _NUM_FIBERS:
         # the walk's next fibers, as many as are missing, share one slice pass
         # and one derivative batch
-        batch = list(itertools.islice(walk, _NUM_FIBERS - len(ts)))
+        batch = list(itertools.islice(walk, _NUM_FIBERS - len(fibers)))
         if not batch:
             break
-        sliced = [(t, pts) for t, pts in zip(batch, fiber_points(curve, batch)) if pts is not None]
+        slices = fiber_points(curve, [t for t, _ in batch])
+        sliced = [(fiber, pts) for fiber, pts in zip(batch, slices) if pts is not None]
         deltas, ok = point_derivative(
             numeric,
-            [t for t, pts in sliced for _ in pts],
+            [tc for (_, tc), pts in sliced for _ in pts],
             [(complex(u), complex(v)) for _, pts in sliced for u, v in pts],
             basis,
         )
         cuts = np.cumsum([len(pts) for _, pts in sliced])[:-1]
-        for (t, _), d, good in zip(sliced, np.split(deltas, cuts), np.split(ok, cuts)):
+        for (fiber, _), d, good in zip(sliced, np.split(deltas, cuts), np.split(ok, cuts)):
             if good.all():
-                ts.append(t)
+                fibers.append(fiber)
                 all_deltas.append(np.ascontiguousarray(d.transpose(1, 0, 2)))
-    if len(ts) < _MIN_FIBERS:
-        raise ArithmeticError(f"only {len(ts)} usable fibers of {_MIN_FIBERS} needed")
+    if len(fibers) < _MIN_FIBERS:
+        raise ArithmeticError(f"only {len(fibers)} usable fibers of {_MIN_FIBERS} needed")
     # omega samples: W[k, a, b] = sum_p du_a dv_b - dv_a du_b at t_k
-    W = np.empty((len(ts), n, n), dtype=complex)
+    W = np.empty((len(fibers), n, n), dtype=complex)
     for k, deltas in enumerate(all_deltas):
         du = deltas[:, :, 0]
         dv = deltas[:, :, 1]
         W[k] = du @ dv.T - dv @ du.T
-    coeffs, resid = fit_quadratic([complex(t) for t in ts], W)
+    coeffs, resid = fit_quadratic([tc for _, tc in fibers], W)
     if resid > _FIT_TOL * max(1.0, float(np.abs(W).max())):
         raise ArithmeticError(f"parameter fit residual {resid:.2e} too large")
     c0, c1, c2 = coeffs[0], coeffs[1], coeffs[2]
@@ -412,7 +417,7 @@ def extract_metric(chart: Chart) -> HKFrame:
         signature=signature,
         fit_residual=resid,
         quaternion_residuals=residuals,
-        parameters=tuple(ts),
+        parameters=tuple(t for t, _ in fibers),
     )
 
 

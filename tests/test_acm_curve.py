@@ -26,7 +26,7 @@ from hkcurves.acm_curve import (
 from hkcurves.acm_curve.fibers import backward_errors, fiber_generators, fiber_points
 from hkcurves.exact_algebra.ideals import GradedIdeal
 from hkcurves.exact_algebra.linalg import ExactMatrix
-from hkcurves.exact_algebra.polys import HomogPoly
+from hkcurves.exact_algebra.polys import HomogPoly, form_pairs
 from hkcurves.exact_algebra.scalars import GaussianRational
 from hkcurves.pencil import canonical_pair, is_injective_pencil
 from hkcurves.twistor_metric import sample_parameters, scan_chart
@@ -81,6 +81,22 @@ def test_cofactor_check_fails_on_a_perturbed_minor(r, k):
     x0_r = HomogPoly(4, r, {(r, 0, 0, 0): ONE})
     curve.minors = [m + x0_r if i == k else m for i, m in enumerate(curve.minors)]
     cert = certify_resolution(curve)
+    assert cert.cofactor_identity is False
+    assert cert.ok is False
+
+
+@pytest.mark.parametrize("r,i,j", [(2, 0, 1), (2, 2, 0), (3, 1, 2)])
+def test_cofactor_check_fails_on_a_perturbed_entry(r, i, j):
+    # the check reads the stored minors against the stored matrix, so a
+    # wrong matrix entry shows though every minor is kept
+    curve = random_real_curve(r, seed=0)
+    minors = list(curve.minors)
+    assert all(not m.is_zero() for m in minors)
+    A1, A2, A3, A4 = curve.coeffs
+    bumped = ExactMatrix([[z + ONE if (a, b) == (i, j) else z for b, z in enumerate(row)] for a, row in enumerate(A3.data)])
+    curve.pairs = form_pairs([M.integer_form for M in (A1, A2, bumped, A4)])
+    cert = certify_resolution(curve)
+    assert curve.minors == minors
     assert cert.cofactor_identity is False
     assert cert.ok is False
 

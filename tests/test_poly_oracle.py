@@ -8,19 +8,32 @@ with frozenset row keys.  The library must give equal forms.
 import itertools
 import random
 from fractions import Fraction
+from math import lcm, prod
 
+import numpy as np
 import pytest
 
 from hkcurves.acm_curve import LinearMatrix, signed_maximal_minors
-from hkcurves.pencil import pencil_minors
+from hkcurves.pencil import canonical_pair, pencil_minors
 from hkcurves.exact_algebra.linalg import ExactMatrix
-from hkcurves.exact_algebra.polys import HomogPoly, linear_combination, linear_entries, monomial_basis
+from hkcurves.exact_algebra import polys
+from hkcurves.exact_algebra.polys import (
+    HomogPoly,
+    column_combinations,
+    form_pairs,
+    laplace,
+    linear_entries,
+    monomial_basis,
+    poly_pairs,
+    signed_minors,
+)
 from hkcurves.exact_algebra.scalars import GaussianRational, random_gaussian_rows
 
 from suites import linear_form
 
 _ZERO = GaussianRational(0, 0)
 _ONE = GaussianRational(1, 0)
+_I = GaussianRational(0, 1)
 
 
 class _RefPoly:
@@ -199,12 +212,12 @@ def _check_minors_and_cofactors(entries):
     minors = signed_maximal_minors(entries)
     for got, want in zip(minors, _ref_signed_maximal_minors(ref_entries), strict=True):
         assert_same(got, want)
-    for j in range(len(entries[0])):
-        column = [row[j] for row in entries]
-        want = _RefPoly(4, len(column), {})
-        for m, e in zip(minors, column):
-            want = want + _ref(m) * _ref(e)
-        assert_same(linear_combination(minors, column), want)
+    combined = column_combinations(minors, *poly_pairs(entries))
+    for j, got in enumerate(combined):
+        want = _RefPoly(4, len(entries), {})
+        for m, row in zip(minors, entries):
+            want = want + _ref(m) * _ref(row[j])
+        assert_same(got, want)
         assert want.is_zero()
 
 
@@ -314,4 +327,145 @@ def test_linear_combination_matches_reference():
         for f, g in zip(forms, linears):
             want = want + _ref(f) * _ref(g)
         assert not want.is_zero()
-        assert_same(linear_combination(forms, linears), want)
+        (got,) = column_combinations(forms, *poly_pairs([[g] for g in linears]))
+        assert_same(got, want)
+
+
+# ---------------------------------------------------------------------------
+# the array kernel on both sides of its int64 bound
+
+_INT64_MAX = 2**63 - 1
+
+
+def _bound(mats):
+    """prod_i max(R_i, 1), R_i the l1 norm of row i of sum_v A_v x_v over lcm(D_v)."""
+    forms = [M.integer_form for M in mats]
+    den = lcm(*(d for _, d in forms))
+    norms = [
+        sum((abs(a) + abs(b)) * (den // d) for rows, d in forms for a, b in rows[i])
+        for i in range(mats[0].rows)
+    ]
+    return prod(max(x, 1) for x in norms)
+
+
+def _scaled(mats, row, s):
+    return [ExactMatrix([[z * s if i == row else z for z in M.data[i]] for i in range(M.rows)]) for M in mats]
+
+
+def _kernel_minors(mats):
+    """The minors by both entry points, required equal, and the route taken."""
+    forms = [M.integer_form for M in mats]
+    got = signed_minors(*form_pairs(forms))
+    assert signed_maximal_minors(linear_entries(forms)) == got
+    return got, laplace(form_pairs(forms)[0]).dtype
+
+
+def _matrices(rng, r, nvars, small=False, zero_row=None, zero_vars=()):
+    def entry():
+        if small:
+            return GaussianRational(rng.randint(-1, 1), rng.randint(-1, 1)) if rng.random() < 0.6 else _ZERO
+        return _rational(rng) if rng.random() < 0.8 else _ZERO
+
+    return [
+        ExactMatrix([[_ZERO if i == zero_row or v in zero_vars else entry() for _ in range(r)] for i in range(r + 1)])
+        for v in range(nvars)
+    ]
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+@pytest.mark.parametrize("nvars", [2, 4])
+def test_minors_match_reference_on_both_sides_of_the_bound(r, nvars):
+    rng = random.Random(100 * nvars + r)
+    # at r >= 7 in four variables a zero variable keeps the reference's products small
+    zero_vars = (2,) if nvars == 4 and r >= 7 else ()
+    # small Gaussian integers stay on the int64 side at every r here
+    small = _matrices(rng, r, nvars, small=True, zero_vars=zero_vars)
+    # row 1, which the scaling below scales, is not zero
+    small[0] = ExactMatrix([[_ONE + _I if (i, j) == (1, 0) else z for j, z in enumerate(row)]
+                            for i, row in enumerate(small[0].data)])
+    # mixed denominators and a zero row
+    mixed = _matrices(rng, r, nvars, zero_row=r // 2 if r > 1 else None, zero_vars=zero_vars)
+    assert len({q.denominator for M in mixed for row in M.data for z in row for q in (z.re, z.im)}) > 1
+    # the canonical gauge (S, T, A3, A4): each column of S and T has one
+    # nonzero row, which the exact-int side adds row by row
+    gauged = [*canonical_pair(r), *small[2:]] if nvars == 4 else []
+    for mats in (small, mixed, gauged) if r <= 6 else (small, mixed):
+        if not mats:
+            continue
+        got, route = _kernel_minors(mats)
+        want = _ref_signed_maximal_minors([[_ref(e) for e in row] for row in linear_entries([M.integer_form for M in mats])], nvars)
+        for g, w in zip(got, want, strict=True):
+            assert_same(g, w)
+        assert route == (np.int64 if _bound(mats) <= _INT64_MAX else object)
+    # scaling row 1 by s multiplies every minor but the one without row 1 by s;
+    # the largest s with B s <= 2^63 - 1 stays on int64, the next one does not
+    for mats in (small, gauged) if gauged else (small,):
+        bound = _bound(mats)
+        assert bound <= _INT64_MAX
+        plain, _ = _kernel_minors(mats)
+        top = _INT64_MAX // bound
+        for s, side in ((top, np.int64), (top + 1, object)):
+            scaled = _scaled(mats, 1, s)
+            assert (_bound(scaled) <= _INT64_MAX) == (side is np.int64)
+            got, route = _kernel_minors(scaled)
+            assert route == side
+            assert got == [m if k == 1 else m.scale(GaussianRational(s)) for k, m in enumerate(plain)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 6])
+def test_det_matches_cofactor_expansion_on_both_sides_of_the_bound(n):
+    rng = random.Random(110 + n)
+    rows = [[GaussianRational(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
+    rows[0][0] = GaussianRational(1, 1)
+    bound = _bound([ExactMatrix(rows)])
+    top = _INT64_MAX // bound
+    for s, side in ((top, np.int64), (top + 1, object)):
+        scaled = [[z * s for z in row] if i == 0 else row for i, row in enumerate(rows)]
+        M = ExactMatrix(scaled)
+        assert laplace(form_pairs([M.integer_form])[0]).dtype == side
+        got = M.det()
+        assert (got.re, got.im) == _ref_det([[(z.re, z.im) for z in row] for row in scaled])
+    # a diagonal matrix, past the bound from n = 2 on: each column has a
+    # single nonzero row, so the exact-int side adds every term row by row
+    diagonal = [[GaussianRational(2**40 + i, i) if i == j else _ZERO for j in range(n)] for i in range(n)]
+    M = ExactMatrix(diagonal)
+    assert laplace(form_pairs([M.integer_form])[0]).dtype == (object if n > 1 else np.int64)
+    got = M.det()
+    assert (got.re, got.im) == _ref_det([[(z.re, z.im) for z in row] for row in diagonal])
+
+
+def test_chunked_contractions_and_per_call_plans_give_the_same_minors(monkeypatch):
+    # one subset per product and no kept plans: the route of large r
+    rng = random.Random(120)
+    cases = [_matrices(rng, 5, 2), _matrices(rng, 3, 4, zero_row=1), _matrices(rng, 2, 4, small=True)]
+    want = [_kernel_minors(mats) for mats in cases]
+    monkeypatch.setattr(polys, "_GATHER", 1)
+    monkeypatch.setattr(polys, "_KEPT_SUBSETS", 0)
+    assert [_kernel_minors(mats) for mats in cases] == want
+
+
+def test_minors_past_the_kept_plans_are_a_syzygy():
+    # r = 13: 14 rows have more than _KEPT_SUBSETS subsets of size 7, so the
+    # plans are built for the call, and B is past 2^63 - 1
+    rng = random.Random(140)
+    mats = _matrices(rng, 13, 2)
+    assert polys._plans(14) is not polys._plans(14) and _bound(mats) > _INT64_MAX
+    X, den = form_pairs([M.integer_form for M in mats])
+    minors = signed_minors(X, den)
+    assert any(not m.is_zero() for m in minors)
+    assert all(s.is_zero() for s in column_combinations(minors, X, den))
+
+
+def test_column_combinations_read_their_bound_off_the_forms():
+    # forms far past the minors' bound, here with 2^70 coefficients, take
+    # the exact-int route and still get the exact sums
+    rng = random.Random(130)
+    mats = _matrices(rng, 3, 4, small=True)
+    entries = linear_entries([M.integer_form for M in mats])
+    big = [_random_form(rng, 3).scale(GaussianRational(2**70, 1)) for _ in range(4)]
+    got = column_combinations(big, *form_pairs([M.integer_form for M in mats]))
+    for j, g in enumerate(got):
+        want = _RefPoly(4, 4, {})
+        for f, row in zip(big, entries):
+            want = want + _ref(f) * _ref(row[j])
+        assert_same(g, want)
