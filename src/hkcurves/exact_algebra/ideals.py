@@ -31,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import modp
 from .modp import sparse_rank_certificate
@@ -131,7 +131,12 @@ def sparse_echelon(rows: Iterable[Row], target: Optional[int] = None) -> List[Ro
     return [pivots[c] for c in sorted(pivots)]
 
 
-def certified_rank(rows: Sequence[Row], ncols: int, bound: Optional[int]) -> int:
+def certified_rank(
+    rows: Sequence[Row] | Callable[[], Sequence[Row]],
+    ncols: int,
+    bound: Optional[int],
+    level: Optional[Callable[[int, int], modp.Level]] = None,
+) -> int:
     """Rank of Gaussian-integer rows with `ncols` columns, given `bound`, a
     proven upper bound on it, or None.
 
@@ -142,10 +147,16 @@ def certified_rank(rows: Sequence[Row], ncols: int, bound: Optional[int]) -> int
     Otherwise `sparse_echelon` ranks the rows exactly and stops at the
     bound; rows with more distinct lead columns than the bound raise
     ArithmeticError there too.  With no bound no prime is tried.
+
+    A caller that ranks its rows mod p more cheaply than `modp.rows_mod`
+    and `modp.rank_mod` do passes `level`, a `modp.sparse_rank_certificate`
+    level of the same rank mod p as the rows; `rows` may then be a function
+    that builds them, called only when no prime meets the bound.
     """
-    if bound is not None and sparse_rank_certificate(bound, lambda p, s: modp.rows_mod(rows, ncols, p, s)):
+    level = level or (lambda p, s: modp.rows_mod(rows, ncols, p, s))
+    if bound is not None and sparse_rank_certificate(bound, level):
         return bound
-    return len(sparse_echelon(rows, bound))
+    return len(sparse_echelon(rows() if callable(rows) else rows, bound))
 
 
 def reduced_echelon(echelon: Sequence[Row]) -> Dict[int, Row]:

@@ -5,8 +5,11 @@ to a square root s of -1), rank mod p never exceeds the exact rank.  Callers
 that already hold a proven upper bound can therefore certify the exact rank
 by hitting the bound modulo a single prime (`sparse_rank_certificate`).  A
 prime that misses the bound proves nothing; callers fall back to exact
-arithmetic (`ideals.certified_rank` pairs the two).  Only ranks are read
-here: no echelon or product mod p leaves this module.
+arithmetic (`ideals.certified_rank` pairs the two).  Ranks are what callers
+read; the one echelon that leaves this module is `kernel_mod`'s right
+kernel of a small matrix, which a caller uses to eliminate a block mod p
+before it hands the remaining matrix back for its rank.  No product mod p
+leaves it.
 
 Rows arrive in the Gaussian-integer row format of `ideals`, and no Q(i)
 value is built here.
@@ -14,7 +17,7 @@ value is built here.
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -128,18 +131,62 @@ def rank_mod(matrix: np.ndarray, p: int, stop_rank: int | None = None) -> int:
     return len(_eliminate(matrix, p, stop_rank))
 
 
-def sparse_rank_certificate(upper_bound: int, level: Callable[[int, int], np.ndarray]) -> bool:
+def kernel_mod(matrix: np.ndarray, p: int) -> np.ndarray:
+    """Right kernel mod p of a matrix with entries in [0, p): the ncols x
+    (ncols - rank) matrix K with M*K = 0 mod p, entries in [0, p), from the
+    reduced echelon form.  Column f of K is 1 at the f-th free (non-pivot)
+    column, 0 at the other free ones and minus the echelon's entry at each
+    pivot, so K has an identity block on the free columns.
+
+    Meant for small matrices: each pivot reduces every row.  The entries
+    stay in [0, p) between steps, so a step's products are below p^2 < 2^52
+    and int64 is safe.
+    """
+    m = matrix.copy()
+    nrows, ncols = m.shape
+    pivots: List[int] = []
+    for c in range(ncols):
+        rank = len(pivots)
+        if rank == nrows:
+            break
+        nz = m[rank:, c].nonzero()[0]
+        if nz.size == 0:
+            continue
+        first = rank + int(nz[0])
+        if first != rank:
+            m[[rank, first]] = m[[first, rank]]
+        m[rank] = m[rank] * pow(int(m[rank, c]), -1, p) % p
+        col = m[:, c].copy()
+        col[rank] = 0
+        m = (m - col[:, None] * m[rank]) % p
+        pivots.append(c)
+    free = [c for c in range(ncols) if c not in pivots]
+    kernel = np.zeros((ncols, len(free)), dtype=np.int64)
+    kernel[free, np.arange(len(free))] = 1
+    kernel[pivots] = -m[: len(pivots), free] % p
+    return kernel
+
+
+# a level: the matrix reduced at p, or (k, M) when k pivots mod p are
+# already found by block elimination and M is what is left to rank
+Level = Union[np.ndarray, Tuple[int, np.ndarray]]
+
+
+def sparse_rank_certificate(upper_bound: int, level: Callable[[int, int], Level]) -> bool:
     """True iff some prime exhibits rank == upper_bound (then exact rank == bound).
 
-    `level(p, s)` returns the matrix reduced at p.  rank mod p <= exact
-    rank <= upper_bound for every prime p, so a modular rank at the bound
-    pins the exact rank, and one above it proves the bound false: that
-    raises ArithmeticError.  False means no tried prime reached the
-    bound; the exact rank may still equal it, so the caller must recheck
-    exactly before concluding anything.
+    `level(p, s)` returns the matrix reduced at p, whose rank mod p is
+    rank_mod of it, or a pair (k, M) for a matrix whose rank mod p is
+    k + rank_mod(M).  rank mod p <= exact rank <= upper_bound for every
+    prime p, so a modular rank at the bound pins the exact rank, and one
+    above it proves the bound false: that raises ArithmeticError.  False
+    means no tried prime reached the bound; the exact rank may still equal
+    it, so the caller must recheck exactly before concluding anything.
     """
     for p, s in PRIMES:
-        rank = rank_mod(level(p, s), p, upper_bound + 1)
+        found = level(p, s)
+        known, rest = found if isinstance(found, tuple) else (0, found)
+        rank = known + rank_mod(rest, p, upper_bound + 1 - known)
         if rank > upper_bound:
             raise ArithmeticError(f"rank {rank} mod p exceeds certified bound {upper_bound}")
         if rank == upper_bound:

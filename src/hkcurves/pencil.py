@@ -12,10 +12,15 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from fractions import Fraction
+from math import lcm
+from typing import Callable, List, Optional, Tuple
 
+import numpy as np
+
+from .exact_algebra import modp
 from .exact_algebra.linalg import ExactMatrix
-from .exact_algebra.ideals import certified_rank
+from .exact_algebra.ideals import Row, certified_rank
 from .exact_algebra.polys import HomogPoly, UniPoly, form_pairs, signed_minors, uni_gcd
 from .exact_algebra.scalars import DRAW_SPAN, MAX_DRAWS, ONE, ZERO, GaussianRational, random_gaussian_rows
 
@@ -54,8 +59,11 @@ def pencil_minors(A1: ExactMatrix, A2: ExactMatrix) -> List[UniPoly]:
     r = _check_shape(A1, A2)
     out = []
     for i, m in enumerate(_signed_minors(A1, A2)):
-        minor = UniPoly([m.coeffs.get((r - k, k), ZERO) for k in range(r + 1)])
-        out.append(-minor if i % 2 else minor)
+        # undo the sign of the signed minor on the numerators
+        sign = -1 if i % 2 else 1
+        parts = [m.terms.get((r - k, k), (0, 0)) for k in range(r + 1)]
+        coeffs = [GaussianRational(Fraction(sign * a, m.den), Fraction(sign * b, m.den)) for a, b in parts]
+        out.append(UniPoly(coeffs))
     return out
 
 
@@ -139,24 +147,37 @@ def kronecker_reduce(A1: ExactMatrix, A2: ExactMatrix) -> KroneckerReduction:
 
 
 def _shift_gauge(A1: ExactMatrix, A2: ExactMatrix, r: int) -> KroneckerReduction:
-    """The gauge of kronecker_reduce; raises when a step or the check fails."""
+    """The gauge of kronecker_reduce; raises when a step or the check fails.
+
+    `inverse` certifies M*Q = I for the top r rows M of P*A1, so
+    P*A1*Q = S holds exactly when the last row of P*A1 is zero (Q is
+    invertible); that row is checked in place of the product.
+    """
     minors = _signed_minors(A1, A2)
     if all(m.is_zero() for m in minors):
         raise ValueError("all maximal minors vanish; pencil not injective")
-    # Row k of `what` holds the lambda^k coefficients of the signed minors of
-    # A2 + lambda*A1.  Pairing them with any column is the Laplace expansion
-    # of a determinant with a repeated column, so they lie in the left
-    # kernel; for an injective pencil that kernel is a line, so these are
-    # the c_k of the docstring up to one nonzero scalar.  With the sign
-    # flips, P*A2 is P*A1 shifted down a row, P*A1 has a zero last row, and
-    # Q inverts the top r rows of P*A1.
-    what = [[m.coeffs.get((k, r - k), ZERO) for m in minors] for k in range(r + 1)]
-    P = ExactMatrix([[-c for c in row] if k % 2 else row for k, row in enumerate(what)])
-    PA1 = P @ A1
-    rows, den = PA1.integer_form
+    # Row k of P holds the lambda^k coefficients of the signed minors of
+    # A2 + lambda*A1, negated on odd k.  Pairing them with any column is the
+    # Laplace expansion of a determinant with a repeated column, so they lie
+    # in the left kernel; for an injective pencil that kernel is a line, so
+    # these are the c_k of the docstring up to one nonzero scalar.  With the
+    # sign flips, P*A2 is P*A1 shifted down a row, P*A1 has a zero last row,
+    # and Q inverts the top r rows of P*A1.  P is born in its integer form:
+    # the minors' numerators over the lcm of their denominators.
+    den = lcm(*(m.den for m in minors))
+    form = []
+    for k in range(r + 1):
+        sign = -1 if k % 2 else 1
+        row = []
+        for m in minors:
+            a, b = m.terms.get((k, r - k), (0, 0))
+            scale = sign * (den // m.den)
+            row.append((a * scale, b * scale))
+        form.append(tuple(row))
+    P = ExactMatrix.from_integer_form(tuple(form), den, r + 1)
+    rows, den = (P @ A1).integer_form
     Q = ExactMatrix.from_integer_form(rows[:r], den, r).inverse()
-    S, T = canonical_pair(r)
-    if PA1 @ Q != S or P @ A2 @ Q != T:
+    if any(a or b for a, b in rows[r]) or P @ A2 @ Q != canonical_pair(r)[1]:
         raise AssertionError("reduction verification failed")
     return KroneckerReduction(P=P, Q=Q, r=r)
 
@@ -167,17 +188,11 @@ def apply_gauge(
     return P @ A1 @ Q, P @ A2 @ Q
 
 
-def pair_stabilizer_dimension(A1: ExactMatrix, A2: ExactMatrix) -> int:
-    """dim of {(X, Y) : X*Ai + Ai*Y = 0, i = 1, 2}.
-
-    One for the canonical pair: only (zI, -zI) survives, which pins the
-    gauge freedom of any further matrices transported along with (S, T).
-    """
-    r = _check_shape(A1, A2)
-    n = r + 1
-    # unknowns: X (n x n) flattened first, then Y (r x r)
-    num = n * n + r * r
-    # a row's entries come from one integer form: D times its Q(i) row, same rank
+def _stabilizer_rows(A1: ExactMatrix, A2: ExactMatrix) -> List[Row]:
+    """The system X*Ai + Ai*Y = 0 as Gaussian-integer rows: unknowns X
+    (n x n) flattened first, then Y (r x r).  A row's entries come from one
+    integer form: D times its Q(i) row, same rank."""
+    n, r = A1.shape
     sparse = []
     for A, _ in (A1.integer_form, A2.integer_form):
         for i in range(n):
@@ -186,9 +201,59 @@ def pair_stabilizer_dimension(A1: ExactMatrix, A2: ExactMatrix) -> int:
                 x_part = [(i * n + l, *A[l][j]) for l in range(n)]
                 y_part = [(n * n + l * r + j, *A[i][l]) for l in range(r)]
                 sparse.append([t for t in x_part + y_part if t[1] or t[2]])
-    # (zI, -zI) always solves the system, so the kernel holds a line and
-    # the rank stays below num
-    return num - certified_rank(sparse, num, num - 1)
+    return sparse
+
+
+def _stabilizer_level(A1: ExactMatrix, A2: ExactMatrix) -> Callable[[int, int], Tuple[int, np.ndarray]]:
+    """The `modp.sparse_rank_certificate` level of `_stabilizer_rows`: at
+    (p, s), the pair (n * rho, W) of `pair_stabilizer_dimension`, from the
+    same integer forms reduced mod p."""
+    n, r = A1.shape
+    # B = [A1 | A2], n x 2r, as rows of (column, a, b) triples
+    joined = [
+        [(j, a, b) for j, (a, b) in enumerate(row1 + row2)]
+        for row1, row2 in zip(A1.integer_form[0], A2.integer_form[0])
+    ]
+
+    def level(p: int, s: int) -> Tuple[int, np.ndarray]:
+        B = modp.rows_mod(joined, 2 * r, p, s)
+        K = modp.kernel_mod(B, p)
+        free = K.shape[1]
+        # W[(i, w), (l, j)] = A1[i, l] K[j, w] + A2[i, l] K[r + j, w]: each
+        # product is below p^2 < 2^52, so the sum of two fits an int64
+        W = np.einsum("itl,tjw->iwlj", B.reshape(n, 2, r), K.reshape(2, r, free))
+        return n * (2 * r - free), W.reshape(n * free, r * r) % p
+
+    return level
+
+
+def pair_stabilizer_dimension(A1: ExactMatrix, A2: ExactMatrix) -> int:
+    """dim of {(X, Y) : X*Ai + Ai*Y = 0, i = 1, 2}.
+
+    One for the canonical pair: only (zI, -zI) survives, which pins the
+    gauge freedom of any further matrices transported along with (S, T).
+
+    (zI, -zI) always solves the system, so its rank is at most
+    num - 1 = n^2 + r^2 - 1 (n = r + 1), and `certified_rank` pins it with
+    one prime that meets that bound.  At a prime it ranks the system by
+    block elimination.  Row i of X meets the equations only as
+    x_i * B = -[(A1*Y)[i, :], (A2*Y)[i, :]] with B = [A1 | A2] (n x 2r).
+    With rho = rank_p(B) and K a basis of the right kernel of B mod p, each
+    of these n blocks gives rho pivots on its own row of X, and the
+    combinations of its equations by the columns of K hold Y alone, so
+
+        rank_p(system) = n * rho + rank_p(W),
+        W[(i, w), (l, j)] = A1[i, l] K[j, w] + A2[i, l] K[r + j, w],
+
+    with W of shape n (2r - rho) x r^2.  This is the rank mod p of the same
+    integer matrix as the full system, so rank_p <= exact rank <= num - 1
+    still holds.  When no prime meets the bound, the system's rows are
+    built and eliminated exactly.
+    """
+    r = _check_shape(A1, A2)
+    num = (r + 1) ** 2 + r * r
+    rank = certified_rank(lambda: _stabilizer_rows(A1, A2), num, num - 1, _stabilizer_level(A1, A2))
+    return num - rank
 
 
 def random_injective_pencil(r: int, seed: int) -> Tuple[ExactMatrix, ExactMatrix]:
