@@ -192,8 +192,9 @@ class ExactMatrix:
     def inverse(self) -> "ExactMatrix":
         """The reduced echelon form of [M | I] is [I | M^-1]: row i is
         L_i [e_i | row i of M^-1] with L_i > 0, so over L = lcm(L_i) row i
-        of M^-1 is L / L_i times its tail.  The closing product check
-        certifies it."""
+        of M^-1 is L / L_i times its tail.  The closing check certifies it:
+        the integer form (rows, D') of M * inv is compared with D' * I as
+        integer pairs, with no Q(i) identity built."""
         if self.rows != self.cols:
             raise ValueError("inverse of non-square matrix")
         n, den = self.rows, self.integer_form[1]
@@ -210,7 +211,9 @@ class ExactMatrix:
                 out[c - n] = (a * scale, b * scale)
             form.append(tuple(out))
         inv = ExactMatrix.from_integer_form(tuple(form), L, n)
-        if (self @ inv) != ExactMatrix.identity(n):
+        # M * inv == I exactly when the product's form (rows, D') is D' * I
+        prod, prod_den = (self @ inv).integer_form
+        if prod != tuple(tuple((prod_den if i == j else 0, 0) for j in range(n)) for i in range(n)):
             raise ValueError("singular matrix")
         return inv
 

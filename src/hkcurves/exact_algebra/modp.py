@@ -13,6 +13,11 @@ leaves it.
 
 Rows arrive in the Gaussian-integer row format of `ideals`, and no Q(i)
 value is built here.
+
+The rank kernel `_eliminate` takes two pivot columns per round wherever
+their top 2 x 2 block is invertible mod p, and one otherwise, with the
+pivots of one-column elimination either way; the int64 entries are
+reduced once per `budget(p)` products, a two-column round counting two.
 """
 
 from __future__ import annotations
@@ -76,28 +81,67 @@ def _eliminate(m: np.ndarray, p: int, stop: int | None) -> List[int]:
 
     Pivots are taken column by column from the left, so they are the first
     columns independent mod p; elimination stops once `stop` pivots are
-    found.  Each step reduces only the pivot column, to find the pivot, and
-    the pivot row, which it makes monic.  It then subtracts col * row from
-    the rows below the pivot that the column hits, on the columns right of
-    the pivot only, and reduces nothing there.  No step reads a column left
-    of its own again: there the rows below the rank are zero mod p.
+    found.  A step reads no column left of its own again: there the rows
+    below the rank are zero mod p.  It updates only the columns right of
+    its pivots, and reduces nothing there.
 
-    Soundness of the int64 arithmetic: the entries start with |x| < p, and
-    each step subtracts a product in [0, (p-1)^2], so after t steps
-    |x| < t (p-1)^2 + p.  The rows a step may update are reduced once
-    t = budget(p) = (2^63 - 1 - p) // (p-1)^2 steps have run since the
-    last reduction, so t (p-1)^2 + p <= 2^63 - 1 and no entry overflows.
+    A block step takes columns c and c+1 at once when both are left, `stop`
+    allows two more pivots and the top 2 x 2 block B = [[a, b], [e, d]] of
+    the reduced panel m[rank:, c:c+2] is invertible mod p.  The rows below
+    get multipliers F = panel * B^-1 (B^-1 the adjugate over ad - be), so
+    subtracting F times the two pivot rows clears both columns, in one
+    matrix product.  The one-column steps would take the same two pivots:
+    with a != 0 the second one meets the Schur entry (ad - be)/a != 0, and
+    with a = 0 both e and b are nonzero.  Each route leaves every row below
+    minus the one combination of the two pivot rows that clears columns c
+    and c+1, so all later pivots agree.
+
+    Otherwise a single step reduces the pivot column, to find the pivot,
+    and the pivot row, which it makes monic, and subtracts col * row from
+    the rows below the pivot that the column hits.
+
+    Soundness of the int64 arithmetic: the entries start with |x| < p.  A
+    single step subtracts one product in [0, (p-1)^2], and a block step,
+    whose F and pivot rows are reduced to [0, p), a sum of two such products,
+    so it counts as two steps.  After t counted steps |x| < t (p-1)^2 + p.
+    The rows a step may update are reduced first when its count would take
+    t past budget(p) = (2^63 - 1 - p) // (p-1)^2, so t (p-1)^2 + p <=
+    2^63 - 1 and no entry overflows; the same bound with t = 2 covers the
+    products that form F.  A block step needs budget(p) >= 2, so with a
+    budget of 1 only single steps run.
     """
     nrows, ncols = m.shape
     limit = nrows if stop is None else min(stop, nrows)
     step = budget(p)
     pending = 0
     pivots: List[int] = []
-    for c in range(ncols):
+    c = 0
+    while c < ncols:
         rank = len(pivots)
         if rank >= limit:
             break
-        col = m[rank:, c] % p
+        if step >= 2 and rank + 2 <= limit and c + 1 < ncols:
+            panel = m[rank:, c : c + 2] % p
+            (a, b), (e, d) = panel[:2].tolist()
+            det = (a * d - b * e) % p
+            if det:
+                pivots += [c, c + 1]
+                c += 2
+                if c == ncols or rank + 2 == nrows:
+                    continue
+                if pending + 2 > step:
+                    m[rank:, c:] %= p
+                    pending = 0
+                pending += 2
+                inv = pow(det, -1, p)
+                adj = np.array([[d * inv % p, -b * inv % p], [-e * inv % p, a * inv % p]])
+                f = panel[2:] @ adj % p
+                m[rank + 2 :, c:] -= f @ (m[rank : rank + 2, c:] % p)
+                continue
+            col = panel[:, 0]
+        else:
+            col = m[rank:, c] % p
+        pivot, c = c, c + 1
         nz = col.nonzero()[0]
         if nz.size == 0:
             continue
@@ -108,16 +152,16 @@ def _eliminate(m: np.ndarray, p: int, stop: int | None) -> List[int]:
         col[first] = 0
         if first:
             m[[rank, rank + first]] = m[[rank + first, rank]]
-        row = m[rank, c + 1 :] % p * inv % p
-        pivots.append(c)
+        row = m[rank, c:] % p * inv % p
+        pivots.append(pivot)
         hit = nz[1:]
-        if hit.size == 0 or c + 1 == ncols:
+        if hit.size == 0 or c == ncols:
             continue
         if pending == step:
-            m[rank:, c + 1 :] %= p
+            m[rank:, c:] %= p
             pending = 0
         pending += 1
-        view = m[rank:, c + 1 :]
+        view = m[rank:, c:]
         if 2 * hit.size > len(col):
             view -= col[:, None] * row
         else:

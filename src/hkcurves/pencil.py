@@ -54,17 +54,69 @@ def _signed_minors(A1: ExactMatrix, A2: ExactMatrix) -> List[HomogPoly]:
     return signed_minors(*form_pairs([A1.integer_form, A2.integer_form]))
 
 
+def _minor_numerators(minors: List[HomogPoly], r: int) -> List[List[Tuple[int, int]]]:
+    """Each signed minor's Gaussian-integer numerators (a, b), lambda^0 to
+    lambda^r: the minor of A1 + lambda*A2 up to sign, times its den."""
+    return [[m.terms.get((r - k, k), (0, 0)) for k in range(r + 1)] for m in minors]
+
+
 def pencil_minors(A1: ExactMatrix, A2: ExactMatrix) -> List[UniPoly]:
     """Maximal minors of A1 + lambda*A2 as polynomials in lambda, degree <= r."""
     r = _check_shape(A1, A2)
+    minors = _signed_minors(A1, A2)
     out = []
-    for i, m in enumerate(_signed_minors(A1, A2)):
+    for i, (m, parts) in enumerate(zip(minors, _minor_numerators(minors, r))):
         # undo the sign of the signed minor on the numerators
         sign = -1 if i % 2 else 1
-        parts = [m.terms.get((r - k, k), (0, 0)) for k in range(r + 1)]
         coeffs = [GaussianRational(Fraction(sign * a, m.den), Fraction(sign * b, m.den)) for a, b in parts]
         out.append(UniPoly(coeffs))
     return out
+
+
+def _trim(f: List[int]) -> List[int]:
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def _gcd_mod(f: List[int], g: List[int], p: int) -> List[int]:
+    """gcd mod p of two trimmed coefficient lists (lowest degree first),
+    by Euclid on copies; [] stands for 0."""
+    f, g = list(f), list(g)
+    while g:
+        inv = pow(g[-1], -1, p)
+        while len(f) >= len(g):
+            q, shift = f[-1] * inv % p, len(f) - len(g)
+            for j, c in enumerate(g):
+                f[shift + j] = (f[shift + j] - q * c) % p
+            _trim(f)
+        f, g = g, f
+    return f
+
+
+def _coprime_mod_p(numerators: List[List[Tuple[int, int]]]) -> bool:
+    """True when some prime of `modp.PRIMES` proves the minors' gcd over
+    Q(i) constant; False proves nothing.
+
+    At a prime (p, s), with i -> s, take a minor f whose leading
+    coefficient over Z[i] stays nonzero mod p.  The primitive gcd h of the
+    minors in Z[i][lambda] divides each of them there (Gauss's lemma), so
+    lc(h) divides lc(f): h keeps its degree mod p and divides every reduced
+    minor.  So deg gcd mod p >= deg h, and a constant gcd mod p proves
+    h = 1.
+    """
+    lengths = [len(_trim([a or b for a, b in f])) for f in numerators]
+    for p, s in modp.PRIMES:
+        reduced = [_trim([(a + s * b) % p for a, b in f]) for f in numerators]
+        # a nonzero minor keeps its leading coefficient iff it keeps its length
+        if not any(len(f) == n > 0 for f, n in zip(reduced, lengths)):
+            continue
+        g: List[int] = []
+        for f in reduced:
+            g = _gcd_mod(g, f, p)
+            if len(g) == 1:
+                return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -83,16 +135,20 @@ def is_injective_pencil(A1: ExactMatrix, A2: ExactMatrix) -> InjectivityReport:
     Read off the maximal minors of A1 + lambda*A2.  Their lambda^r
     coefficients are the maximal minors of A2, so A2 drops rank (the point
     at infinity) exactly when every minor has degree below r; finite rank
-    drops are the roots of the minors' gcd.
+    drops are the roots of the minors' gcd.  A prime that proves the gcd
+    constant (`_coprime_mod_p`) settles injectivity; otherwise the gcd is
+    taken exactly.
     """
     r = _check_shape(A1, A2)
-    minors = pencil_minors(A1, A2)
-    if all(m.is_zero() for m in minors):
+    numerators = _minor_numerators(_signed_minors(A1, A2), r)
+    if not any(a or b for f in numerators for a, b in f):
         # rank deficient at every point; lambda = 0 is a concrete witness
         return InjectivityReport(False, (ONE, ZERO), None)
-    if all(m.degree < r for m in minors):
+    if not any(a or b for f in numerators for a, b in f[r:]):
         return InjectivityReport(False, (ZERO, ONE), None)
-    g = uni_gcd(minors)
+    if _coprime_mod_p(numerators):
+        return InjectivityReport(True, None, None)
+    g = uni_gcd(pencil_minors(A1, A2))
     if g.degree == 0:
         return InjectivityReport(True, None, None)
     reduced = g
@@ -149,9 +205,11 @@ def kronecker_reduce(A1: ExactMatrix, A2: ExactMatrix) -> KroneckerReduction:
 def _shift_gauge(A1: ExactMatrix, A2: ExactMatrix, r: int) -> KroneckerReduction:
     """The gauge of kronecker_reduce; raises when a step or the check fails.
 
-    `inverse` certifies M*Q = I for the top r rows M of P*A1, so
-    P*A1*Q = S holds exactly when the last row of P*A1 is zero (Q is
-    invertible); that row is checked in place of the product.
+    `inverse` certifies M*Q = I for the top r rows M of P*A1, so Q is
+    invertible with inverse M.  Hence P*A1*Q = S holds exactly when the
+    last row of P*A1 is zero, and P*A2*Q = T exactly when P*A2 = T*M: row 0
+    of P*A2 is zero and row k+1 of P*A2 is row k of M, compared over the
+    two denominators.  Both are checked in place of products with Q.
     """
     minors = _signed_minors(A1, A2)
     if all(m.is_zero() for m in minors):
@@ -176,8 +234,13 @@ def _shift_gauge(A1: ExactMatrix, A2: ExactMatrix, r: int) -> KroneckerReduction
         form.append(tuple(row))
     P = ExactMatrix.from_integer_form(tuple(form), den, r + 1)
     rows, den = (P @ A1).integer_form
-    Q = ExactMatrix.from_integer_form(rows[:r], den, r).inverse()
-    if any(a or b for a, b in rows[r]) or P @ A2 @ Q != canonical_pair(r)[1]:
+    M = ExactMatrix.from_integer_form(rows[:r], den, r)
+    Q = M.inverse()
+    shifted, shifted_den = (P @ A2).integer_form
+    if (
+        any(a or b for a, b in rows[r] + shifted[0])
+        or ExactMatrix.from_integer_form(shifted[1:], shifted_den, r) != M
+    ):
         raise AssertionError("reduction verification failed")
     return KroneckerReduction(P=P, Q=Q, r=r)
 

@@ -19,7 +19,9 @@ from hkcurves.exact_algebra import ideals, modp
 from hkcurves.exact_algebra.ideals import GradedIdeal, certified_rank
 from hkcurves.exact_algebra.linalg import ExactMatrix
 from hkcurves.exact_algebra.polys import monomial_count
-from hkcurves.pencil import canonical_pair, pair_stabilizer_dimension, random_injective_pencil
+from hkcurves.exact_algebra.scalars import ONE, ZERO, GaussianRational
+from hkcurves import pencil
+from hkcurves.pencil import canonical_pair, is_injective_pencil, pair_stabilizer_dimension, random_injective_pencil
 from hkcurves.rational_curve import (
     RationalCurveMap,
     normal_splitting_type,
@@ -96,6 +98,42 @@ def test_pair_stabilizer_dimension_when_primes_divide_the_scale(monkeypatch):
     scaled = [scaled_by_every_prime(pair) for pair in pairs]
     assert [pair_stabilizer_dimension(A1, A2) for A1, A2 in scaled] == [1] * len(pairs)
     assert len(exact_ranks) == len(pairs)
+
+
+def test_injectivity_reports_on_the_exact_gcd_route(monkeypatch):
+    # a prime proves the minors coprime for every injective pencil here;
+    # with no primes, and with every minor scaled by every prime, the
+    # exact gcd must give the same reports, also where the pencil drops rank
+    exact_gcds = []
+    uni_gcd = pencil.uni_gcd
+
+    def counting_gcd(polys):
+        exact_gcds.append(len(polys))
+        return uni_gcd(polys)
+
+    monkeypatch.setattr(pencil, "uni_gcd", counting_gcd)
+    S, T = canonical_pair(2)
+    B1 = ExactMatrix([[ZERO, GaussianRational(2)], [ONE, ZERO], [ZERO, ZERO]])
+    B2 = ExactMatrix([[ONE, ZERO], [ZERO, ONE], [ZERO, ZERO]])
+    C1 = ExactMatrix([[ONE, ZERO], [ZERO, ZERO], [ZERO, ZERO]])
+    C2 = ExactMatrix([[ZERO, ZERO], [ZERO, ONE], [ONE, ZERO]])
+    injective = [random_injective_pencil(r, 40 + r) for r in (1, 2, 3)] + [(S, T)]
+    pairs = injective + [(B1, B2), (C1, C2), (S, S)]
+    default = [is_injective_pencil(A1, A2) for A1, A2 in pairs]
+    assert [report.ok for report in default] == [True] * 4 + [False] * 3
+    assert default[4].minor_gcd.degree == 2 and default[5].witness == (ONE, ZERO)
+    assert default[6].witness == (ONE, -ONE)
+    exact_gcds.clear()
+    assert [is_injective_pencil(A1, A2) for A1, A2 in injective] == default[:4]
+    assert exact_gcds == [], "a prime should prove every injective pencil's minors coprime"
+    with monkeypatch.context() as patch:
+        patch.setattr(modp, "PRIMES", ())
+        assert [is_injective_pencil(A1, A2) for A1, A2 in pairs] == default
+    assert len(exact_gcds) >= len(injective)
+    exact_gcds.clear()
+    scaled = [scaled_by_every_prime(pair) for pair in injective]
+    assert [is_injective_pencil(A1, A2) for A1, A2 in scaled] == default[: len(injective)]
+    assert len(exact_gcds) == len(injective)
 
 
 def test_sections_and_cohomology_when_primes_divide_the_scale(monkeypatch):

@@ -86,6 +86,26 @@ def test_inverse_of_singular_matrix_raises():
             ExactMatrix(rows).inverse()
 
 
+def test_inverse_closing_check_rejects_a_wrong_echelon(monkeypatch):
+    # one entry of the reduced [M | I] off by one: the candidate is not
+    # M^-1, and the check of M * inv against D' * I must say so
+    from hkcurves.exact_algebra import linalg
+
+    reduced_echelon = linalg.reduced_echelon
+
+    def off_by_one(echelon):
+        reduced = reduced_echelon(echelon)
+        lead, (c, a, b), *rest = reduced[0]
+        reduced[0] = [lead, (c, a + 1, b), *rest]
+        return reduced
+
+    m = ExactMatrix([[ONE, GaussianRational(2, 1)], [GaussianRational(3), GaussianRational(0, 4)]])
+    assert m @ m.inverse() == ExactMatrix.identity(2)
+    monkeypatch.setattr(linalg, "reduced_echelon", off_by_one)
+    with pytest.raises(ValueError, match="singular"):
+        m.inverse()
+
+
 def test_combine_rows_eliminates_pivot():
     # 2 + x2 against the pivot 4 + x1, kept over D = 4 as (0, 4, 0), (1, 1, 0)
     out = eliminate([(0, 2, 0), (2, 1, 0)], 0, [(0, 4, 0), (1, 1, 0)])

@@ -5,12 +5,15 @@ The private reference below is `rank_mod` as it ran before
 kernel must return the same rank, with and without a stop rank, and the
 same pivot columns at every prime of `modp.PRIMES`, also with
 `modp.budget` cut to 1, 2 and 3 so that its block reduction runs every
-step or every few steps.
+step or every few steps.  A cut to 1 leaves only one-column steps; the
+cases below also reach the kernel's two-column steps at cuts 2 and 3 and
+at p = 2^31 - 1, whose budget is 2.
 """
 
 import numpy as np
 import pytest
 
+from hkcurves import rational_curve
 from hkcurves.exact_algebra import modp
 
 
@@ -133,6 +136,151 @@ def test_kernel_reduces_within_budget_near_2_31():
     rng = np.random.default_rng(11)
     wide = rng.integers(0, p, (30, 40))
     for m in (wide, _planted(rng, p, 40, 30, 12), np.maximum(wide, p - 2)):
+        _check(m, p)
+
+
+# the primes of the table and one whose budget is 2, for the block tests
+BLOCK_PRIMES = [p for p, _ in modp.PRIMES] + [2**31 - 1]
+
+
+def _mix(rng, p, m):
+    """L * m mod p for a random unit lower triangular L, row operations
+    that keep every pivot and every singular leading block; one product at
+    a time so that no int64 sum overflows at p = 2^31 - 1."""
+    n = len(m)
+    low = np.tril(rng.integers(0, p, (n, n)), -1)
+    low[np.arange(n), np.arange(n)] = 1
+    out = np.zeros_like(m)
+    for k in range(len(m)):
+        out = (out + low[:, k : k + 1] * m[k]) % p
+    return out
+
+
+@pytest.mark.parametrize("cut", [None, 1, 2, 3])
+def test_block_step_falls_back_mid_matrix(monkeypatch, cut):
+    # columns 0, 1 make an invertible block; at rank 2 the block of
+    # columns 2, 3 is singular ([1, 1] twice) although both are pivots, so
+    # a one-column step runs there; the block of columns 3, 4 then has
+    # a = 0 (the one-column route swaps rows) and columns 5, 6 are
+    # independent again
+    if cut is not None:
+        monkeypatch.setattr(modp, "budget", lambda p: cut)
+    pattern = np.array(
+        [
+            [1, 1, 0, 0, 0, 1, 0],
+            [2, 1, 0, 0, 0, 0, 1],
+            [0, 0, 1, 1, 0, 0, 0],
+            [0, 0, 1, 1, 1, 0, 0],
+            [0, 0, 0, 2, 0, 1, 0],
+            [0, 0, 0, 0, 0, 1, 1],
+            [0, 0, 0, 0, 0, 1, 2],
+            [0, 0, 0, 0, 0, 0, 0],
+        ]
+    )
+    rng = np.random.default_rng(17)
+    for p in BLOCK_PRIMES:
+        assert _ref_pivots(pattern.copy(), p) == [0, 1, 2, 3, 4, 5, 6]
+        for m in (pattern, _mix(rng, p, pattern)):
+            _check(m, p)
+            assert modp._eliminate(m.copy(), p, None) == [0, 1, 2, 3, 4, 5, 6]
+
+
+@pytest.mark.parametrize("cut", [None, 1, 2, 3])
+def test_block_step_skips_a_dependent_column(monkeypatch, cut):
+    # column 1 is 3 times column 0 and column 4 is column 2 plus column 3,
+    # so every block over them is singular and those columns are no pivots
+    if cut is not None:
+        monkeypatch.setattr(modp, "budget", lambda p: cut)
+    rng = np.random.default_rng(19)
+    for p in BLOCK_PRIMES:
+        m = rng.integers(0, p, (9, 8))
+        m[:, 1] = 3 * m[:, 0] % p
+        m[:, 4] = (m[:, 2] + m[:, 3]) % p
+        for case in (m, _mix(rng, p, m)):
+            _check(case, p)
+            assert modp._eliminate(case.copy(), p, None) == [0, 2, 3, 5, 6, 7]
+
+
+@pytest.mark.parametrize("cut", [None, 1, 2, 3])
+def test_block_step_stops_at_an_odd_rank(monkeypatch, cut):
+    # rank 5 over more columns: stops below, at and above every prefix
+    # rank, so that no two-column step runs past the stop
+    if cut is not None:
+        monkeypatch.setattr(modp, "budget", lambda p: cut)
+    rng = np.random.default_rng(23)
+    for p in BLOCK_PRIMES:
+        m = _mix(rng, p, np.pad(rng.integers(0, p, (5, 11)), ((0, 4), (0, 0))))
+        want = _ref_pivots(m.copy(), p)
+        assert len(want) == 5
+        for stop in range(8):
+            got = modp._eliminate(m.copy(), p, stop)
+            assert got == _ref_pivots(m.copy(), p, stop) == want[:stop]
+
+
+@pytest.mark.parametrize("cut", [None, 1, 2, 3])
+def test_block_step_on_dense_matrices_near_2_31(monkeypatch, cut):
+    # budget 2 at p = 2^31 - 1: a two-column step fills the whole budget,
+    # so a block counted as one product overflows on consecutive blocks
+    if cut is not None:
+        monkeypatch.setattr(modp, "budget", lambda p: cut)
+    p = 2**31 - 1
+    rng = np.random.default_rng(29)
+    for nrows, ncols, rank in ((20, 24, 9), (24, 20, 13), (30, 30, 30)):
+        m = _planted(rng, p, nrows, ncols, rank)
+        _check(m, p)
+        m[:, ::3] = p - 1
+        _check(m, p)
+
+
+def test_block_steps_fill_the_budget_near_2_31():
+    # M = L U of rank 6 at p = 2^31 - 1 (budget 2), with 2 x 2 identity
+    # pivot blocks, every multiplier and every pivot-row entry p - 1: each
+    # two-column step subtracts 2 (p-1)^2 from every entry below, so two
+    # steps without a reduction between them overflow int64
+    p = 2**31 - 1
+    nrows, ncols, rank = 10, 9, 6
+    low = np.full((nrows, rank), p - 1, dtype=object)
+    up = np.full((rank, ncols), p - 1, dtype=object)
+    for k in range(0, rank, 2):
+        low[k : k + 2] = 0
+        low[k : k + 2, k : k + 2] = np.eye(2, dtype=int)
+        up[k : k + 2, : k + 2] = 0
+        up[k : k + 2, k : k + 2] = np.eye(2, dtype=int)
+    low[rank:, :] = p - 1
+    m = (low @ up % p).astype(np.int64)
+    assert _ref_pivots(m.copy(), p) == list(range(rank))
+    _check(m, p)
+
+
+def _split_bands(seed):
+    """The band matrices `normal_splitting_type` and
+    `riemann_roch_consistent` certify for one degree-5 map, scattered
+    through `_band_layout` at every prime."""
+    seen = []
+    certified = rational_curve._FormRows.certified
+
+    def spy(self, band, bound):
+        seen.append((self, band))
+        return certified(self, band, bound)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rational_curve._FormRows, "certified", spy)
+        curve_map = rational_curve.random_rational_map(5, seed)
+        rational_curve.riemann_roch_consistent(curve_map, rational_curve.normal_splitting_type(curve_map))
+    for rows, ((nrows, ncols), r, c, src) in seen:
+        for p, s in modp.PRIMES:
+            out = np.zeros((nrows, ncols), dtype=np.int64)
+            out[r, c] = rows._reduced(p, s).ravel()[src]
+            yield out, p
+
+
+@pytest.mark.parametrize("cut", [None, 1, 2, 3])
+def test_block_step_on_rational_split_bands(monkeypatch, cut):
+    bands = list(_split_bands(1001))
+    if cut is not None:
+        monkeypatch.setattr(modp, "budget", lambda p: cut)
+    assert len(bands) >= 12 * len(modp.PRIMES)
+    for m, p in bands:
         _check(m, p)
 
 

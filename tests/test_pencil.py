@@ -1,7 +1,12 @@
 """Pencil injectivity and the exact reduction to the shift pair."""
 
+import math
+from fractions import Fraction
+
 import pytest
 
+from hkcurves import pencil
+from hkcurves.exact_algebra import modp
 from hkcurves.exact_algebra.linalg import ExactMatrix
 from hkcurves.exact_algebra.scalars import GaussianRational
 from hkcurves.pencil import (
@@ -55,6 +60,18 @@ def test_injectivity_failure_produces_witness():
     assert member.rank() < 2
 
 
+def test_injectivity_when_every_prime_divides_the_leading_coefficient():
+    # A1 + lambda*A2 = (1 + P*lambda) [1, 2]^T drops rank at lambda = -1/P.
+    # Mod each prime of P both minors are constants, coprime, but no minor
+    # keeps its leading coefficient there, so no prime may decide
+    P = math.prod(p for p, _ in modp.PRIMES)
+    A1 = ExactMatrix([[ONE], [GaussianRational(2)]])
+    A2 = A1.scale(GaussianRational(P))
+    report = is_injective_pencil(A1, A2)
+    assert not report.ok
+    assert report.witness == (ONE, GaussianRational(Fraction(-1, P)))
+
+
 def test_reduce_rejects_non_injective():
     A1 = ExactMatrix([[ONE, ZERO], [ZERO, ZERO], [ZERO, ZERO]])
     A2 = ExactMatrix([[ZERO, ZERO], [ZERO, ONE], [ONE, ZERO]])
@@ -84,6 +101,24 @@ def test_reduction_identity_seeded():
         assert not red.P.det().is_zero()
         assert not red.Q.det().is_zero()
         assert apply_gauge(A1, A2, red.P, red.Q) == canonical_pair(r)
+
+
+def test_shift_gauge_check_rejects_a_wrong_gauge(monkeypatch):
+    # P from another pencil's minors; then P from the right minors with A2
+    # moved by P^-1 E, so that P*A1 passes and P*A2 = T*M + E fails only in
+    # row 0 of E, or only in a later row
+    r = 3
+    A1, A2 = random_injective_pencil(r, 7)
+    B1, B2 = random_injective_pencil(r, 8)
+    P_inv = kronecker_reduce(A1, A2).P.inverse()
+    cases = [(pencil._signed_minors(B1, B2), A2)]
+    for row in (0, 2):
+        E = [[GaussianRational(1, 1) if (i, j) == (row, 1) else ZERO for j in range(r)] for i in range(r + 1)]
+        cases.append((pencil._signed_minors(A1, A2), A2 + P_inv @ ExactMatrix(E)))
+    for minors, moved in cases:
+        monkeypatch.setattr(pencil, "_signed_minors", lambda X, Y: minors)
+        with pytest.raises(AssertionError, match="verification failed"):
+            pencil._shift_gauge(A1, moved, r)
 
 
 def test_reduction_of_canonical_pair_is_gauge():
