@@ -59,7 +59,7 @@ EXIT_NUMERIC = 4
 # largest curve-document r that `acm verify` takes: a generic document
 # verifies in 0.06-0.10 s at r = 7 on a 2-core Xeon VM (certificate 0.04-0.06 s),
 # and one whose minors share a factor, swept through 2r+2 by exact elimination,
-# fails in 0.93 s at r = 4, 6.0 s at r = 5 and 26 s at r = 6 (ROADMAP item 7)
+# fails in 0.93 s at r = 4, 6.0 s at r = 5 and 26 s at r = 6 (ROADMAP item 5)
 MAX_DOCUMENT_R = 7
 
 

@@ -114,11 +114,6 @@ class ExactMatrix:
     def is_zero(self) -> bool:
         return all(z.is_zero() for row in self.data for z in row)
 
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
-
     def conj(self) -> "ExactMatrix":
         return ExactMatrix([[z.conj() for z in row] for row in self.data])
 

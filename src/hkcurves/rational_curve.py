@@ -7,7 +7,7 @@ are read off kernel dimensions of multiplication maps built from the
 partial derivatives, swept over twists.  Each rank is a mod-p rank
 that meets the proven upper bound stated with its count (rank mod p
 never exceeds the exact rank), else the exact sparse echelon: the
-sandwich of `ideals.certified_rank`, except that the band matrices are
+sandwich of `ideals.certified_rank`, with the band matrices mod p
 scattered from the forms reduced once per prime, through index layouts
 built once per shape (see `_FormRows`).
 The forms are Gaussian-integer rows times one common denominator,
@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .exact_algebra import modp
-from .exact_algebra.ideals import Row, sparse_echelon
+from .exact_algebra.ideals import Row, certified_rank
 from .exact_algebra.polys import UniPoly, uni_gcd
 from .exact_algebra.scalars import DRAW_SPAN, MAX_DRAWS, ONE, ZERO, GaussianRational, random_gaussian_rows
 
@@ -116,10 +116,10 @@ class _FormRows:
     """Binary forms with Gaussian-integer coefficients, their rows reduced
     once per prime, and the banded multiplication matrices built on them.
 
-    This is the one rank sandwich outside `ideals.certified_rank`.  A
+    `level` hands a band matrix mod p to `ideals.certified_rank`.  A
     degree-5 split certifies eleven band matrices, all scattered from the
     same few forms, so each prime reduces the forms once here.  Reducing
-    each band's own rows through `certified_rank` instead read
+    each band's own rows, the default level of `certified_rank`, instead read
     `rational-split` `item_p50_ms` 5.0 -> 6.9 ms (six runs each, seed 1,
     2-core Xeon VM, Python 3.11.7).  A band's index layout depends on the form
     lengths only, so `_band_layout` builds it once per shape, for all maps.
@@ -145,9 +145,9 @@ class _FormRows:
         """`_band_layout` of these forms."""
         return _band_layout(self.lengths, self.width, tuple(map(tuple, blocks)), tuple(col_degrees))
 
-    def certified(self, band, bound: int) -> bool:
-        """True when a prime gives the band matrix rank `bound`, which the
-        caller has proven to be an upper bound."""
+    def level(self, band):
+        """The band matrix mod p, a `modp.sparse_rank_certificate` level,
+        scattered from the forms reduced once per prime."""
         shape, rows, cols, src = band
 
         def level(p: int, s: int) -> np.ndarray:
@@ -155,7 +155,7 @@ class _FormRows:
             out[rows, cols] = self._reduced(p, s).ravel()[src]
             return out
 
-        return modp.sparse_rank_certificate(bound, level)
+        return level
 
     def exact_rows(self, band) -> List[Row]:
         """The band matrix as Gaussian-integer rows of (column, a, b) triples."""
@@ -172,9 +172,7 @@ class _FormRows:
         when a prime meets it, else the exact sparse echelon, which raises
         ArithmeticError on a rank above the bound."""
         band = self.band(blocks, col_degrees)
-        if self.certified(band, bound):
-            return bound
-        return len(sparse_echelon(self.exact_rows(band), bound))
+        return certified_rank(lambda: self.exact_rows(band), band[0][1], bound, self.level(band))
 
 
 def _minors(partials: Sequence[IntForm]) -> List[IntForm]:
@@ -195,7 +193,7 @@ def _no_common_zero(rows: _FormRows, forms: range, e: int) -> bool:
     `forms`, share no zero on the projective line (see `validate_map`)."""
     source = max(e - 1, 0)
     band = rows.band([list(forms)], [source] * len(forms))
-    return rows.certified(band, source + e + 1)
+    return modp.sparse_rank_certificate(source + e + 1, rows.level(band))
 
 
 def _dehom(f: BinaryForm) -> UniPoly:

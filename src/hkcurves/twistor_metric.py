@@ -150,39 +150,6 @@ def section_structure_at(zeta: GaussianRational, x: TangentSection) -> TangentSe
     )
 
 
-def _operator_matrix(r: int, op) -> ExactMatrix:
-    """Matrix of a section operator on the real tangent basis, exact."""
-    basis = real_tangent_basis(r)
-    m = r * (r + 1)
-    n = 2 * m
-    # coordinates of dA3 on the basis: entry (i, j) real and imaginary parts
-    cols = []
-    for x in basis:
-        y = op(x)
-        col = [ZERO] * n
-        for i in range(r + 1):
-            for j in range(r):
-                v = y.dA3[i, j]
-                col[i * r + j] = GaussianRational(v.re)
-                col[m + i * r + j] = GaussianRational(v.im)
-        cols.append(col)
-    return ExactMatrix([[cols[j][i] for j in range(n)] for i in range(n)])
-
-
-@functools.lru_cache(maxsize=None)
-def complex_structures(r: int) -> Tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
-    """Exact matrices of the three quaternionic operators on real coordinates."""
-    return (
-        _operator_matrix(r, section_I),
-        _operator_matrix(r, section_J),
-        _operator_matrix(r, section_K),
-    )
-
-
-# ---------------------------------------------------------------------------
-# fiberwise point derivatives
-
-
 def section_arrays(sections: Sequence[TangentSection]) -> Tuple[np.ndarray, np.ndarray]:
     """Numeric dA3 and dA4 of the sections, each of shape (S, r+1, r)."""
     return tuple(np.array([getattr(x, f).to_complex() for x in sections]) for f in ("dA3", "dA4"))
@@ -196,14 +163,47 @@ def _read_only(arrays: Tuple[np.ndarray, ...]) -> Tuple[np.ndarray, ...]:
 
 @functools.lru_cache(maxsize=None)
 def basis_arrays(r: int) -> Tuple[np.ndarray, np.ndarray]:
-    """`section_arrays(real_tangent_basis(r))`, built once per r and read-only."""
-    return _read_only(section_arrays(real_tangent_basis(r)))
+    """`section_arrays(real_tangent_basis(r))`, built once per r and read-only.
+
+    dA3 runs over the unit matrices, then i times them; dA4 = tau(dA3) is
+    entry (i, j) = conj((-1)^(i+j+1) dA3[r-i, r-1-j]), as in
+    `reality_conjugate` (+ 0j turns its negative zeros positive).
+    """
+    m = r * (r + 1)
+    dA3 = np.concatenate([np.eye(m), 1j * np.eye(m)]).reshape(2 * m, r + 1, r)
+    s = np.where(np.add.outer(np.arange(r + 1), np.arange(r)) % 2, 1.0, -1.0)
+    return _read_only((dA3, np.conj(s * dA3[:, ::-1, ::-1]) + 0j))
 
 
 @functools.lru_cache(maxsize=None)
 def structure_arrays(r: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Real views of `complex_structures(r)`, built once per r and read-only."""
-    return _read_only(tuple(np.array(M.to_complex()).real for M in complex_structures(r)))
+    """I, J and K on the real coordinates, built once per r and read-only.
+
+    Column k holds the coordinates of the operator applied to basis move k
+    (`real_tangent_basis`): the real parts of its dA3, row-major, then the
+    imaginary parts.  I x has dA3 = i dA3(x) and J x has dA3 = i dA4(x)
+    (`section_I`, `section_J`), and i (a + b i) = -b + a i, so each is a
+    signed permutation, and K = I J is exact in floats.  + 0.0 turns
+    negative zeros positive.
+    """
+    dA3, dA4 = (d.reshape(len(d), -1) for d in basis_arrays(r))
+    Imat, Jmat = (np.concatenate([-d.imag, d.real], axis=1).T + 0.0 for d in (dA3, dA4))
+    return _read_only((Imat, Jmat, Imat @ Jmat + 0.0))
+
+
+@functools.lru_cache(maxsize=None)
+def complex_structures(r: int) -> Tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
+    """Exact matrices of the three quaternionic operators on real
+    coordinates: the integer matrices of `structure_arrays`."""
+    n = 2 * r * (r + 1)
+    return tuple(
+        ExactMatrix.from_integer_form(tuple(tuple((v, 0) for v in row) for row in M.astype(int).tolist()), 1, n)
+        for M in structure_arrays(r)
+    )
+
+
+# ---------------------------------------------------------------------------
+# fiberwise point derivatives
 
 
 # backward error below which a singular value counts as zero

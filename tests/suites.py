@@ -29,6 +29,7 @@ from hkcurves.pencil import (
     pair_stabilizer_dimension,
     random_injective_pencil,
 )
+from hkcurves.twistor_metric import real_tangent_basis
 
 ZERO = GaussianRational(0, 0)
 ONE = GaussianRational(1, 0)
@@ -210,6 +211,26 @@ def reference_fiber_points(curve: ACMCurve, t: GaussianRational):
         order = np.lexsort([np.round(part(pts[:, c]), 9) for c in (1, 0) for part in (np.imag, np.real)])
         return pts[order]
     return None
+
+
+def _operator_matrix(r: int, op) -> ExactMatrix:
+    """Matrix of a section operator on the real tangent basis, exact: the
+    reference for `twistor_metric.complex_structures`."""
+    basis = real_tangent_basis(r)
+    m = r * (r + 1)
+    n = 2 * m
+    # coordinates of dA3 on the basis: entry (i, j) real and imaginary parts
+    cols = []
+    for x in basis:
+        y = op(x)
+        col = [ZERO] * n
+        for i in range(r + 1):
+            for j in range(r):
+                v = y.dA3[i, j]
+                col[i * r + j] = GaussianRational(v.re)
+                col[m + i * r + j] = GaussianRational(v.im)
+        cols.append(col)
+    return ExactMatrix([[cols[j][i] for j in range(n)] for i in range(n)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Exact fallbacks behind the modular rank shortcuts.
 
 Every modular shortcut goes through `modp.sparse_rank_certificate`, which
-tries the primes of `modp.PRIMES` in turn, and all but `rational_curve`'s
-through `ideals.certified_rank`.  With no primes at all, and again with
+tries the primes of `modp.PRIMES` in turn, and every rank through
+`ideals.certified_rank`.  With no primes at all, and again with
 every prime reducing each row to zero, each caller must reach the same
 answer by exact elimination alone.
 """
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from hkcurves.acm_curve import ACMCurve, predicted_ideal_dimension, random_sigma_curve
-from hkcurves import cohomology, rational_curve
+from hkcurves import cohomology
 from hkcurves.cohomology import cohomology_table, normal_sections
 from hkcurves.exact_algebra import ideals, modp
 from hkcurves.exact_algebra.ideals import GradedIdeal, certified_rank
@@ -205,13 +205,13 @@ def count_rank_calls(monkeypatch):
 def test_rational_curve_without_primes(monkeypatch):
     # one exact echelon per rank the primes leave undecided
     exact_ranks = []
-    sparse_echelon = rational_curve.sparse_echelon
+    sparse_echelon = ideals.sparse_echelon
 
     def counting_echelon(rows, target=None):
         exact_ranks.append(len(rows))
         return sparse_echelon(rows, target)
 
-    monkeypatch.setattr(rational_curve, "sparse_echelon", counting_echelon)
+    monkeypatch.setattr(ideals, "sparse_echelon", counting_echelon)
     balanced = [twisted_cubic_map()]
     balanced += [random_rational_map(d, s) for d in range(3, 6) for s in (0, 1)]
     conics = [STANDARD_CONIC] + [random_rational_map(2, s) for s in (0, 1)]

@@ -257,14 +257,14 @@ def _split_bands(seed):
     `riemann_roch_consistent` certify for one degree-5 map, scattered
     through `_band_layout` at every prime."""
     seen = []
-    certified = rational_curve._FormRows.certified
+    level = rational_curve._FormRows.level
 
-    def spy(self, band, bound):
+    def spy(self, band):
         seen.append((self, band))
-        return certified(self, band, bound)
+        return level(self, band)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(rational_curve._FormRows, "certified", spy)
+        patch.setattr(rational_curve._FormRows, "level", spy)
         curve_map = rational_curve.random_rational_map(5, seed)
         rational_curve.riemann_roch_consistent(curve_map, rational_curve.normal_splitting_type(curve_map))
     for rows, ((nrows, ncols), r, c, src) in seen:

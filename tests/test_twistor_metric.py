@@ -42,9 +42,10 @@ from hkcurves.twistor_metric import (
     section_K,
     section_arrays,
     section_structure_at,
+    structure_arrays,
 )
 
-from suites import AffineFiber, reference_fiber_points
+from suites import AffineFiber, _operator_matrix, reference_fiber_points
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
@@ -185,6 +186,36 @@ def test_operator_matrices_are_a_quaternion_triple():
         assert Kop @ Kop == minus_id
         assert Iop @ Jop == Kop
         assert Jop @ Iop == Kop.scale(GaussianRational(-1))
+
+
+def test_complex_structures_match_the_section_operators():
+    for r in range(1, 6):
+        assert complex_structures(r) == tuple(_operator_matrix(r, op) for op in (section_I, section_J, section_K))
+
+
+def _no_negative_zero(a):
+    return not (np.signbit(a) & (a == 0)).any()
+
+
+def test_basis_arrays_are_the_tangent_basis_arrays():
+    for r in range(1, 9):
+        built, reference = basis_arrays(r), section_arrays(real_tangent_basis(r))
+        for got, want in zip(built, reference):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape) == (np.complex128, (2 * r * (r + 1), r + 1, r))
+            assert got.tobytes() == want.tobytes()
+            assert all(_no_negative_zero(part) for part in (got.real, got.imag, want.real, want.imag))
+
+
+def test_structure_arrays_are_a_signed_permutation_triple():
+    for r in range(1, 13):
+        Imat, Jmat, Kmat = structure_arrays(r)
+        minus_id = -np.eye(2 * r * (r + 1))
+        for M in (Imat, Jmat, Kmat):
+            assert set(np.unique(M)) <= {-1.0, 0.0, 1.0} and _no_negative_zero(M)
+            assert (np.abs(M).sum(axis=0) == 1).all() and (np.abs(M).sum(axis=1) == 1).all()
+            assert np.array_equal(M @ M, minus_id)
+        assert np.array_equal(Imat @ Jmat, Kmat)
+        assert np.array_equal(Jmat @ Imat, -Kmat)
 
 
 def test_structure_at_origin_is_I():

@@ -73,6 +73,7 @@ def commands() -> list[list[str]]:
         ["metric", "--r", "2", "--count", "10", "--seed", "0", "--skip-sigma-gauge", "--out", "metric_skip"],
         ["metric", "--r", "3", "--count", "3", "--seed", "1"],
         ["metric", "--r", "4", "--count", "2", "--seed", "0"],
+        ["metric", "--r", "8", "--count", "1", "--seed", "0", "--out", "metric8"],
     ]
     for r in ("6", "7"):
         cmds.append(["acm", "random", "--r", r, "--count", "1", "--seed", "0", "--out", f"docs{r}"])
