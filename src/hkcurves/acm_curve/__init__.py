@@ -22,6 +22,7 @@ from .curve import (
     random_sigma_curve,
 )
 from .fibers import (
+    MAX_FIBERS,
     FiberScheme,
     expected_hilbert,
     fiber_generators,
@@ -47,6 +48,7 @@ __all__ = [
     "random_real_curve",
     "random_sigma_curve",
     "signed_maximal_minors",
+    "MAX_FIBERS",
     "FiberScheme",
     "expected_hilbert",
     "fiber_generators",

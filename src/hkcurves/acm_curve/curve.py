@@ -9,11 +9,11 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..exact_algebra.ideals import GradedIdeal, certified_rank
+from ..exact_algebra.ideals import GradedIdeal
 from ..exact_algebra.linalg import ExactMatrix
 from ..exact_algebra.polys import HomogPoly, column_combinations, form_pairs, linear_entries, monomial_count, signed_minors
 from ..exact_algebra.scalars import DRAW_SPAN, MAX_DRAWS, random_gaussian_rows
-from ..pencil import canonical_pair
+from ..pencil import canonical_pair, minor_coefficient_rank
 from ..reality import make_sigma_invariant_pencil, reality_conjugate
 
 CoeffTuple = Tuple[ExactMatrix, ExactMatrix, ExactMatrix, ExactMatrix]
@@ -120,8 +120,7 @@ class ACMCurve:
     @cached_property
     def base_line_rank(self) -> int:
         """Rank of T, certified; r + 1 exactly when the curve misses L0."""
-        rows = [[(j, a, b) for j, (a, b) in enumerate(row) if a or b] for row in self.base_line]
-        return certified_rank(rows, self.r + 1, self.r + 1)
+        return minor_coefficient_rank(self.base_line)
 
     @cached_property
     def base_line_inverse(self) -> Tuple[Tuple[Tuple[Tuple[int, int], ...], ...], int]:
@@ -240,9 +239,8 @@ def avoids_base_line(curve: ACMCurve) -> bool:
     """True when the curve misses the line L0 = {x2 = x3 = 0}: the pencil
     x0*A1 + x1*A2 has full rank on all of L0, which keeps the projection to
     the parameter line defined on all of the curve.  That holds exactly
-    when T is invertible: its rows then span x0^r and x1^r, and a pencil of
-    full rank on L0 has the one Kronecker block L_r^T, whose minors are the
-    monomials x0^(r-j) x1^j up to sign.
+    when T, the pencil's minor coefficients, is invertible
+    (`pencil.minor_coefficient_rank`).
     """
     return curve.base_line_rank == curve.r + 1
 

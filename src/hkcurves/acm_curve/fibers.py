@@ -203,18 +203,24 @@ def fiber_points(curve, ts: Sequence[GaussianRational]) -> List[Optional[np.ndar
     return out
 
 
+# a part n/q, |n| <= 9, 1 <= q <= 4, is the integer 12n/q over 12; there are
+# 51 of them, so `random_fiber_parameters` has 51^2 = 2601 values to give
+MAX_FIBERS = len({12 // q * n for n in range(-9, 10) for q in range(1, 5)}) ** 2
+
+
 def random_fiber_parameters(count: int, seed: int) -> List[GaussianRational]:
-    """`count` distinct seeded plane parameters with small denominators."""
+    """`count` distinct seeded plane parameters with small denominators, in
+    the order of their first draw; at most MAX_FIBERS."""
+    if count > MAX_FIBERS:
+        raise ValueError(f"at most {MAX_FIBERS} distinct fiber parameters, asked for {count}")
     rng = random.Random(seed)
-    out: List[GaussianRational] = []
+    out: Dict[Tuple[int, int], GaussianRational] = {}
     while len(out) < count:
-        t = GaussianRational(
-            Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
-            Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
-        )
-        if t not in out:
-            out.append(t)
-    return out
+        a, b, c, d = rng.randint(-9, 9), rng.randint(1, 4), rng.randint(-9, 9), rng.randint(1, 4)
+        key = (12 // b * a, 12 // d * c)
+        if key not in out:
+            out[key] = GaussianRational(Fraction(a, b), Fraction(c, d))
+    return list(out.values())
 
 
 def expected_hilbert(r: int, k: int) -> int:

@@ -20,6 +20,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from .acm_curve import (
+    MAX_FIBERS,
     ACMCurve,
     LinearMatrix,
     avoids_base_line,
@@ -111,11 +112,12 @@ def _write_gram_csv(path: Path, gram: np.ndarray) -> None:
 def _load_json(path: str) -> Any:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseFailure(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the decoder's stack
         raise ParseFailure(f"{path} is not JSON: {exc}") from exc
 
 
@@ -550,6 +552,15 @@ def document_r(text: str) -> int:
     return value
 
 
+def fiber_count(text: str) -> int:
+    """Argument type for --fibers: 1 to MAX_FIBERS, the distinct parameters
+    `random_fiber_parameters` can draw."""
+    value = positive_int(text)
+    if value > MAX_FIBERS:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_FIBERS}, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hkcurves",
@@ -570,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = acm_sub.add_parser("verify", help="full report on one curve file")
     p_verify.add_argument("curve", help="curve document (JSON)")
-    p_verify.add_argument("--fibers", type=positive_int, default=5)
+    p_verify.add_argument("--fibers", type=fiber_count, default=5)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--out", type=Path, default=None)
     p_verify.set_defaults(func=cmd_acm_verify, report="acm_verify_report.json", label="acm verify")

@@ -24,6 +24,9 @@ generators.  `certified_rank` is the one rank sandwich: rank mod p <= exact
 rank <= a proven bound, so a prime that meets the bound pins the rank, and
 exact elimination decides otherwise.  Its rows hold no denominator, so
 every prime gives a matrix; one that loses rank mod p only misses the bound.
+Every modular shortcut of the package is a rank through it: graded levels,
+the base-line matrix T of pencil injectivity, the pencil stabilizer and the
+band matrices of rational maps.
 """
 
 from __future__ import annotations

@@ -1,11 +1,13 @@
 """Modular ranks, used as the lower side of a rank sandwich.
 
 For a Gaussian-integer matrix reduced mod p (p prime, p = 1 mod 4, i sent
-to a square root s of -1), rank mod p never exceeds the exact rank.  Callers
-that already hold a proven upper bound can therefore certify the exact rank
-by hitting the bound modulo a single prime (`sparse_rank_certificate`).  A
-prime that misses the bound proves nothing; callers fall back to exact
-arithmetic (`ideals.certified_rank` pairs the two).  Ranks are what callers
+to a square root s of -1), rank mod p never exceeds the exact rank.  A
+caller that already holds a proven upper bound can therefore certify the
+exact rank by hitting the bound modulo a single prime
+(`sparse_rank_certificate`).  A prime that misses the bound proves nothing,
+and exact arithmetic decides.  `ideals.certified_rank` pairs the two, and
+it is the only caller of `sparse_rank_certificate`: no other module tries
+the primes of `PRIMES` itself.  Ranks are what callers
 read; the one echelon that leaves this module is `kernel_mod`'s right
 kernel of a small matrix, which a caller uses to eliminate a block mod p
 before it hands the remaining matrix back for its rank.  No product mod p

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -73,50 +73,20 @@ def pencil_minors(A1: ExactMatrix, A2: ExactMatrix) -> List[UniPoly]:
     return out
 
 
-def _trim(f: List[int]) -> List[int]:
-    while f and not f[-1]:
-        f.pop()
-    return f
+def minor_coefficient_rank(T: Sequence[Sequence[Tuple[int, int]]]) -> int:
+    """Certified rank of T, whose row k holds the Gaussian-integer numerators
+    of signed minor k of x0*A1 + x1*A2 at x0^(r-j) x1^j: r + 1 exactly when
+    the pencil is injective (`certified_rank`, bound r + 1).
 
-
-def _gcd_mod(f: List[int], g: List[int], p: int) -> List[int]:
-    """gcd mod p of two trimmed coefficient lists (lowest degree first),
-    by Euclid on copies; [] stands for 0."""
-    f, g = list(f), list(g)
-    while g:
-        inv = pow(g[-1], -1, p)
-        while len(f) >= len(g):
-            q, shift = f[-1] * inv % p, len(f) - len(g)
-            for j, c in enumerate(g):
-                f[shift + j] = (f[shift + j] - q * c) % p
-            _trim(f)
-        f, g = g, f
-    return f
-
-
-def _coprime_mod_p(numerators: List[List[Tuple[int, int]]]) -> bool:
-    """True when some prime of `modp.PRIMES` proves the minors' gcd over
-    Q(i) constant; False proves nothing.
-
-    At a prime (p, s), with i -> s, take a minor f whose leading
-    coefficient over Z[i] stays nonzero mod p.  The primitive gcd h of the
-    minors in Z[i][lambda] divides each of them there (Gauss's lemma), so
-    lc(h) divides lc(f): h keeps its degree mod p and divides every reduced
-    minor.  So deg gcd mod p >= deg h, and a constant gcd mod p proves
-    h = 1.
+    If T is invertible, the minors span x0^r and x1^r, which share no zero.
+    Conversely an injective pencil is one Kronecker block L_r^T (Gantmacher,
+    Theory of Matrices II, ch. XII): a gauge (P, Q) of the `canonical_pair`,
+    whose minors are the monomials up to sign.  By Cauchy-Binet the gauge
+    mixes them by the r-th exterior power of P and scales them by det Q,
+    both invertible.  Row scales, the minors' denominators, keep the rank.
     """
-    lengths = [len(_trim([a or b for a, b in f])) for f in numerators]
-    for p, s in modp.PRIMES:
-        reduced = [_trim([(a + s * b) % p for a, b in f]) for f in numerators]
-        # a nonzero minor keeps its leading coefficient iff it keeps its length
-        if not any(len(f) == n > 0 for f, n in zip(reduced, lengths)):
-            continue
-        g: List[int] = []
-        for f in reduced:
-            g = _gcd_mod(g, f, p)
-            if len(g) == 1:
-                return True
-    return False
+    rows = [[(j, a, b) for j, (a, b) in enumerate(row) if a or b] for row in T]
+    return certified_rank(rows, len(T), len(T))
 
 
 @dataclass(frozen=True)
@@ -134,10 +104,9 @@ def is_injective_pencil(A1: ExactMatrix, A2: ExactMatrix) -> InjectivityReport:
 
     Read off the maximal minors of A1 + lambda*A2.  Their lambda^r
     coefficients are the maximal minors of A2, so A2 drops rank (the point
-    at infinity) exactly when every minor has degree below r; finite rank
-    drops are the roots of the minors' gcd.  A prime that proves the gcd
-    constant (`_coprime_mod_p`) settles injectivity; otherwise the gcd is
-    taken exactly.
+    at infinity) exactly when every minor has degree below r.  Injectivity
+    is `minor_coefficient_rank`; the finite rank drops of a pencil that
+    fails it are the roots of the minors' exact gcd.
     """
     r = _check_shape(A1, A2)
     numerators = _minor_numerators(_signed_minors(A1, A2), r)
@@ -146,11 +115,11 @@ def is_injective_pencil(A1: ExactMatrix, A2: ExactMatrix) -> InjectivityReport:
         return InjectivityReport(False, (ONE, ZERO), None)
     if not any(a or b for f in numerators for a, b in f[r:]):
         return InjectivityReport(False, (ZERO, ONE), None)
-    if _coprime_mod_p(numerators):
+    if minor_coefficient_rank(numerators) == r + 1:
         return InjectivityReport(True, None, None)
     g = uni_gcd(pencil_minors(A1, A2))
     if g.degree == 0:
-        return InjectivityReport(True, None, None)
+        raise ArithmeticError("T is singular, yet the minors' gcd is constant")
     reduced = g
     while reduced.degree > 1:
         # strip repeated factors; a linear squarefree part gives an exact root

@@ -4,7 +4,8 @@ A map to projective 3-space is four binary forms of one degree d; when
 the map is base-point-free and an immersion, its normal bundle splits as
 a sum of two line bundles of degrees summing to 4d - 2.  Both degrees
 are read off kernel dimensions of multiplication maps built from the
-partial derivatives, swept over twists.  Each rank is a mod-p rank
+partial derivatives, swept over twists; base points and ramification
+are ranks of such maps too.  Each rank is a mod-p rank
 that meets the proven upper bound stated with its count (rank mod p
 never exceeds the exact rank), else the exact sparse echelon: the
 sandwich of `ideals.certified_rank`, with the band matrices mod p
@@ -188,29 +189,7 @@ def _minors(partials: Sequence[IntForm]) -> List[IntForm]:
     return out
 
 
-def _no_common_zero(rows: _FormRows, forms: range, e: int) -> bool:
-    """True when a prime certifies that the degree-e rows.forms[q], q in
-    `forms`, share no zero on the projective line (see `validate_map`)."""
-    source = max(e - 1, 0)
-    band = rows.band([list(forms)], [source] * len(forms))
-    return modp.sparse_rank_certificate(source + e + 1, rows.level(band))
-
-
-def _dehom(f: BinaryForm) -> UniPoly:
-    """f(1, t) as a univariate polynomial."""
-    return UniPoly(list(f))
-
-
-def _rational_root_witness(g: UniPoly) -> Optional[GaussianRational]:
-    """A verified exact root of g, when the numeric candidates rationalize."""
-    cs = [complex(c) for c in g.coeffs]
-    candidates = np.roots(cs[::-1]) if g.degree >= 1 else []
-    for z in candidates:
-        for limit in (1, 12, 10**6):
-            t0 = GaussianRational.from_complex(complex(z), limit=limit)
-            if g.evaluate(t0).is_zero():
-                return t0
-    return None
+Witness = Optional[Tuple[GaussianRational, GaussianRational]]
 
 
 @dataclass(frozen=True)
@@ -219,53 +198,65 @@ class MapValidation:
     immersion: bool
     ok: bool
     # [s0 : t0] where the property fails, when a root rationalizes exactly
-    witness: Optional[Tuple[GaussianRational, GaussianRational]]
+    witness: Witness
     obstruction_gcd: Optional[UniPoly]
 
 
-def _common_zero_witness(
-    polys: List[UniPoly], leading: List[GaussianRational]
-) -> Tuple[bool, Optional[Tuple[GaussianRational, GaussianRational]], Optional[UniPoly]]:
-    """Shared zero of binary forms given dehomogenizations and t-top coefficients."""
-    if all(c.is_zero() for c in leading):
+def _common_zero_witness(forms: Sequence[BinaryForm]) -> Tuple[bool, Witness, Optional[UniPoly]]:
+    """Shared zero of binary forms: [0 : 1] when every t-top coefficient
+    vanishes, else a root of the exact gcd g of the f(1, t), given when one
+    of the numeric roots of g rationalizes to an exact root."""
+    if all(f[-1].is_zero() for f in forms):
         return True, (ZERO, ONE), None
-    g = uni_gcd(p for p in polys if p.degree >= 0)
+    g = uni_gcd(p for p in map(UniPoly, forms) if p.degree >= 0)
     if g.degree <= 0:
         return False, None, None
-    root = _rational_root_witness(g)
-    if root is not None:
-        return True, (ONE, root), g
+    for z in np.roots([complex(c) for c in reversed(g.coeffs)]):
+        for limit in (1, 12, 10**6):
+            t0 = GaussianRational.from_complex(complex(z), limit=limit)
+            if g.evaluate(t0).is_zero():
+                return True, (ONE, t0), g
     return True, None, g
+
+
+def _common_zero(rows: _FormRows, forms: range, e: int) -> Optional[Tuple[Witness, Optional[UniPoly]]]:
+    """None when the degree-e rows.forms[q], q in `forms`, share no zero on
+    the projective line, which their band's full row rank decides (see
+    `validate_map`); else the witness and exact gcd of their common zero."""
+    source = max(e - 1, 0)
+    target = source + e + 1
+    if rows.rank([list(forms)], [source] * len(forms), target) == target:
+        return None
+    found, witness, gcd = _common_zero_witness([rows.forms[q] for q in forms])
+    if not found:
+        raise ArithmeticError("the band rank proves a common zero that the exact gcd lacks")
+    return witness, gcd
 
 
 def validate_map(curve_map: RationalCurveMap) -> MapValidation:
     """Base-point-freeness and immersion.
 
     A common zero of the four forms is a base point; a common zero of the
-    six Jacobian minors is a point where the derivative drops rank.  A
-    common zero of forms f_q of degree e is a zero of every sum_q g_q f_q,
-    while some form of each degree >= 0 misses it.  So a mod-p rank of
-    (g_q) -> sum_q g_q f_q, from degree max(e-1, 0) to degree max(2e-1, e),
-    equal to its row count rules one out.  (At e = 0 the target is the
-    constants; the empty degree -1 is reached by every map.)  Otherwise
-    exact univariate gcds decide, with a verified rational witness when
-    one of the numeric roots rationalizes.
+    six Jacobian minors is a point where the derivative drops rank.  Forms
+    f_q of degree e share no zero exactly when (g_q) -> sum_q g_q f_q, from
+    degree max(e-1, 0) to degree max(2e-1, e), has rank equal to its row
+    count (`_FormRows.rank`).  A common zero is a zero of every sum, while
+    some form of each degree >= 0 misses it.  With none, two combinations
+    g, h share none either (each zero of a nonzero g is missed by every h
+    off a hyperplane), and (a, b) -> a g + b h from degree e-1 to 2e-1 is
+    square with their resultant as determinant.  (At e = 0 the target is
+    the constants; the empty degree -1 is reached by every map.)  Exact
+    gcds, which are monic and so ignore the forms' common scale, only
+    report a proven common zero.
     """
-    forms = curve_map.forms
     rows = curve_map._rows
-    if not _no_common_zero(rows, range(4), curve_map.degree):
-        has_base, witness, gcd = _common_zero_witness(
-            [_dehom(f) for f in forms], [f[-1] for f in forms]
-        )
-        if has_base:
-            return MapValidation(False, False, False, witness, gcd)
+    base = _common_zero(rows, range(4), curve_map.degree)
+    if base is not None:
+        return MapValidation(False, False, False, *base)
     minors = _FormRows(_minors(rows.ints[4:]))
-    if not _no_common_zero(minors, range(6), 2 * curve_map.degree - 2):
-        ramified, witness, gcd = _common_zero_witness(
-            [_dehom(m) for m in minors.forms], [m[-1] for m in minors.forms]
-        )
-        if ramified:
-            return MapValidation(True, False, False, witness, gcd)
+    ramification = _common_zero(minors, range(6), 2 * curve_map.degree - 2)
+    if ramification is not None:
+        return MapValidation(True, False, False, *ramification)
     return MapValidation(True, True, True, None, None)
 
 

@@ -1,11 +1,13 @@
 """Determinantal curves: invariants, certificates, and planar slices."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from hkcurves.acm_curve import (
+    MAX_FIBERS,
     ACMCurve,
     LinearMatrix,
     avoids_base_line,
@@ -17,6 +19,7 @@ from hkcurves.acm_curve import (
     hilbert_profile,
     invariants,
     predicted_ideal_dimension,
+    random_fiber_parameters,
     random_real_curve,
     random_sigma_curve,
     restrict_to_fiber,
@@ -279,3 +282,27 @@ def test_slice_residual_is_a_backward_error(r):
         moved[0] *= 1 + 1e-6
         errors = backward_errors(coeffs, moved)
         assert errors[0] > 1e-8 and errors[1:].max() < 1e-13
+
+
+def test_fiber_parameters_are_first_draws_in_order():
+    # each value at its first draw, in draw order, as a scan of the list so
+    # far finds them; all MAX_FIBERS = 51^2 values come quickly, one more
+    # is refused
+    for seed in (0, 1):
+        rng = random.Random(seed)
+        drawn = []
+        while len(drawn) < 200:
+            t = GaussianRational(
+                Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+                Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+            )
+            if t not in drawn:
+                drawn.append(t)
+        assert random_fiber_parameters(200, seed) == drawn
+    start = time.perf_counter()
+    every = random_fiber_parameters(MAX_FIBERS, 0)
+    assert time.perf_counter() - start < 1.0
+    assert MAX_FIBERS == 2601 and len(set(every)) == MAX_FIBERS
+    assert every[:200] == random_fiber_parameters(200, 0)
+    with pytest.raises(ValueError, match="at most 2601"):
+        random_fiber_parameters(MAX_FIBERS + 1, 0)

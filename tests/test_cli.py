@@ -8,7 +8,7 @@ import pytest
 from test_resolution_exactness import X0, _common_factor_matrix
 
 from hkcurves import cli
-from hkcurves.acm_curve import ACMCurve, random_sigma_curve
+from hkcurves.acm_curve import MAX_FIBERS, ACMCurve, random_sigma_curve
 from hkcurves.cli import MAX_DOCUMENT_R, curve_to_document, document_to_curve, main
 
 CUBIC_DOC = {
@@ -83,6 +83,16 @@ def test_acm_verify_passes_on_certified_curve(tmp_path, capsys):
         "normal_sections",
         "fibers",
     ]
+
+
+def test_acm_verify_slices_every_fiber_parameter(tmp_path, capsys):
+    # --fibers at its bound draws all 2601 distinct parameters, each draw
+    # looked up in a dict rather than scanned for in the list so far
+    path = write_doc(tmp_path, "curve.json", curve_to_document(random_sigma_curve(1, 0)))
+    start = time.perf_counter()
+    code, out = run(capsys, ["acm", "verify", path, "--fibers", str(MAX_FIBERS)])
+    assert time.perf_counter() - start < 2.0
+    assert code == 0 and len(json.loads(out)["stages"][-1]["fibers"]) == MAX_FIBERS == 2601
 
 
 def test_acm_verify_fails_on_degenerate_pencil(tmp_path, capsys):
@@ -214,6 +224,21 @@ def test_exit_2_on_malformed_json(tmp_path, capsys):
     assert run(capsys, ["acm", "verify", str(path)])[0] == 2
 
 
+@pytest.mark.parametrize(
+    "name, data",
+    # nested deeper than the JSON decoder's stack; not UTF-8
+    [("deep.json", b"[" * 200_000), ("latin.json", b"\xff\xfe{}")],
+    ids=["deep", "undecodable"],
+)
+def test_exit_2_on_undecodable_document(name, data, tmp_path, capsys):
+    path = tmp_path / name
+    path.write_bytes(data)
+    for argv in (["acm", "verify", str(path)], ["rational", "--map", str(path)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_exit_2_on_missing_file(capsys):
     assert run(capsys, ["acm", "verify", "/nonexistent/curve.json"])[0] == 2
 
@@ -295,6 +320,8 @@ def test_exit_3_on_r_above_document_ceiling(tmp_path, capsys, monkeypatch):
         ["acm", "random", "--r", "0", "--out", "unused"],
         ["acm", "random", "--r", "2", "--count", "0", "--out", "unused"],
         ["acm", "verify", "unused.json", "--fibers", "0"],
+        # random_fiber_parameters has 2601 distinct values to draw
+        ["acm", "verify", "unused.json", "--fibers", "2602"],
         ["cohomology", "table", "--r", "0"],
         ["rational", "--d", "0"],
         ["rational", "--d", "3", "--count", "0"],

@@ -1,10 +1,11 @@
 """Exact fallbacks behind the modular rank shortcuts.
 
-Every modular shortcut goes through `modp.sparse_rank_certificate`, which
-tries the primes of `modp.PRIMES` in turn, and every rank through
-`ideals.certified_rank`.  With no primes at all, and again with
-every prime reducing each row to zero, each caller must reach the same
-answer by exact elimination alone.
+Every modular shortcut is a rank through `ideals.certified_rank`, whose
+`modp.sparse_rank_certificate` tries the primes of `modp.PRIMES` in turn:
+graded levels, the pencil stabilizer, the base-line matrix T of pencil
+injectivity, and the band matrices of rational maps.  With no primes at
+all, and again with every prime reducing each row to zero, each caller must
+reach the same answer by exact elimination alone.
 """
 
 import math
@@ -101,39 +102,51 @@ def test_pair_stabilizer_dimension_when_primes_divide_the_scale(monkeypatch):
 
 
 def test_injectivity_reports_on_the_exact_gcd_route(monkeypatch):
-    # a prime proves the minors coprime for every injective pencil here;
-    # with no primes, and with every minor scaled by every prime, the
-    # exact gcd must give the same reports, also where the pencil drops rank
-    exact_gcds = []
-    uni_gcd = pencil.uni_gcd
+    # a prime ranks T invertible for every injective pencil here; with no
+    # usable prime, and with every minor scaled by every prime, the exact
+    # echelon of T must give the same reports, and a pencil that drops rank
+    # takes the same exact gcd for its report
+    exact_ranks, exact_gcds = [], []
+    uni_gcd, sparse_echelon = pencil.uni_gcd, ideals.sparse_echelon
 
     def counting_gcd(polys):
         exact_gcds.append(len(polys))
         return uni_gcd(polys)
 
+    def counting_echelon(rows, target=None):
+        exact_ranks.append(len(rows))
+        return sparse_echelon(rows, target)
+
     monkeypatch.setattr(pencil, "uni_gcd", counting_gcd)
+    monkeypatch.setattr(ideals, "sparse_echelon", counting_echelon)
     S, T = canonical_pair(2)
     B1 = ExactMatrix([[ZERO, GaussianRational(2)], [ONE, ZERO], [ZERO, ZERO]])
     B2 = ExactMatrix([[ONE, ZERO], [ZERO, ONE], [ZERO, ZERO]])
     C1 = ExactMatrix([[ONE, ZERO], [ZERO, ZERO], [ZERO, ZERO]])
     C2 = ExactMatrix([[ZERO, ZERO], [ZERO, ONE], [ONE, ZERO]])
     injective = [random_injective_pencil(r, 40 + r) for r in (1, 2, 3)] + [(S, T)]
-    pairs = injective + [(B1, B2), (C1, C2), (S, S)]
-    default = [is_injective_pencil(A1, A2) for A1, A2 in pairs]
+    dropping = [(B1, B2), (C1, C2), (S, S)]
+    default = [is_injective_pencil(A1, A2) for A1, A2 in injective + dropping]
     assert [report.ok for report in default] == [True] * 4 + [False] * 3
     assert default[4].minor_gcd.degree == 2 and default[5].witness == (ONE, ZERO)
     assert default[6].witness == (ONE, -ONE)
+    gcds = list(exact_gcds)
+    assert gcds, "a pencil that drops at a finite point takes the exact gcd"
+    exact_ranks.clear()
     exact_gcds.clear()
     assert [is_injective_pencil(A1, A2) for A1, A2 in injective] == default[:4]
-    assert exact_gcds == [], "a prime should prove every injective pencil's minors coprime"
-    with monkeypatch.context() as patch:
-        patch.setattr(modp, "PRIMES", ())
-        assert [is_injective_pencil(A1, A2) for A1, A2 in pairs] == default
-    assert len(exact_gcds) >= len(injective)
-    exact_gcds.clear()
+    assert exact_ranks == [] and exact_gcds == [], "a prime should rank every injective pencil's T"
+    for mode in no_primes(monkeypatch):
+        exact_ranks.clear()
+        exact_gcds.clear()
+        assert [is_injective_pencil(A1, A2) for A1, A2 in injective] == default[:4], mode
+        assert exact_ranks == [A1.cols + 1 for A1, _ in injective] and exact_gcds == [], mode
+        assert [is_injective_pencil(A1, A2) for A1, A2 in dropping] == default[4:], mode
+        assert exact_gcds == gcds, mode
+    exact_ranks.clear()
     scaled = [scaled_by_every_prime(pair) for pair in injective]
     assert [is_injective_pencil(A1, A2) for A1, A2 in scaled] == default[: len(injective)]
-    assert len(exact_gcds) == len(injective)
+    assert len(exact_ranks) == len(injective)
 
 
 def test_sections_and_cohomology_when_primes_divide_the_scale(monkeypatch):
@@ -234,8 +247,9 @@ def test_rational_curve_without_primes(monkeypatch):
         exact_ranks.clear()
         fresh = [RationalCurveMap(m.forms) for m in balanced + conics]
         assert splitting(fresh) == default, mode
-        # conormal twists d..b+2, each once, and primal twists 0, 1, 2
-        expected = sum(b + 3 - m.degree + 3 for ((_, b), _), m in zip(default, fresh))
+        # validate_map's two bands, conormal twists d..b+2, each once, and
+        # primal twists 0, 1, 2
+        expected = sum(2 + b + 3 - m.degree + 3 for ((_, b), _), m in zip(default, fresh))
         assert len(exact_ranks) == expected, mode
         assert [validate_map(RationalCurveMap(m.forms)) for m in flawed_maps] == flawed, mode
     assert default[-3:] == [((2, 4), True)] * 3 and flawed[0].witness is not None

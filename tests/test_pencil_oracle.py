@@ -154,3 +154,24 @@ def test_injectivity_report_matches_rank_route(name):
     pair = REPORT_PENCILS[name]
     report = is_injective_pencil(*pair)
     assert (report.ok, report.witness, report.minor_gcd) == _ref_report(*pair)
+
+
+def test_injectivity_reports_match_on_degenerate_pencils():
+    # entries in {-1, 0, 1} + {-1, 0, 1}i, half of them zeroed, make every
+    # kind of report common: the rank of T decides injectivity, and the
+    # witness and gcd of a pencil that drops rank are the reference's
+    rng = random.Random(35)
+
+    def entry():
+        return GaussianRational(rng.randint(-1, 1), rng.randint(-1, 1)) if rng.random() < 0.5 else _ZERO
+
+    verdicts = []
+    for r in (1, 2, 3, 4):
+        for _ in range(30):
+            A1, A2 = (ExactMatrix([[entry() for _ in range(r)] for _ in range(r + 1)]) for _ in range(2))
+            report = is_injective_pencil(A1, A2)
+            assert (report.ok, report.witness, report.minor_gcd) == _ref_report(A1, A2), r
+            verdicts.append((report.ok, report.witness is None, report.minor_gcd is None))
+    # injective; a witness with the gcd of a finite drop; a witness alone
+    kinds = ((True, True, True), (False, False, False), (False, False, True))
+    assert all(verdicts.count(kind) >= 20 for kind in kinds)

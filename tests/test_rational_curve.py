@@ -10,11 +10,10 @@ from hkcurves.exact_algebra.linalg import ExactMatrix
 from hkcurves.exact_algebra.scalars import GaussianRational, random_gaussian_rows
 from hkcurves.rational_curve import (
     RationalCurveMap,
+    _common_zero,
     _common_zero_witness,
-    _dehom,
     _FormRows,
     _minors,
-    _no_common_zero,
     line_map,
     normal_splitting_type,
     normal_twisted_sections,
@@ -242,14 +241,33 @@ def test_euler_vectors_lie_in_normal_matrix_kernel(d):
             assert (matrix @ ExactMatrix([[v] for v in vector])).is_zero(), (m, j)
 
 
+def _ramified_forms(rng, half, c):
+    """Four forms g_a((s - c t)^2, t^2), each g_a of degree `half` with
+    small integer coefficients: the map factors through a double cover
+    ramified at [c : 1], where every Jacobian minor vanishes."""
+    square, t2 = np.array([1, -2 * c, c * c]), np.array([0, 0, 1])
+    forms = []
+    for _ in range(4):
+        f = np.zeros(2 * half + 1, dtype=np.int64)
+        for k in range(half + 1):
+            term = np.array([rng.randint(-2, 2)])
+            for factor in [square] * (half - k) + [t2] * k:
+                term = np.convolve(term, factor)
+            f += term
+        forms.append([GaussianRational(int(x)) for x in f])
+    return forms
+
+
 def test_surjectivity_certificate_matches_exact_gcd():
+    # the band rank decides a common zero of the forms, and of the Jacobian
+    # minors, exactly as the exact gcd does
     rng = random.Random(7)
-    verdicts = []
-    for seed in range(20):
+    verdicts, minor_verdicts = [], []
+    for seed in range(40):
         d = 1 + seed % 4
         if seed % 2:
             forms = random_gaussian_rows(rng, 4, d + 1, 2)
-        else:
+        elif seed < 20:
             # (s - c t) * g_a: a planted common zero at [c : 1]
             c = rng.randint(-2, 2)
             g = random_gaussian_rows(rng, 4, d, 2)
@@ -257,17 +275,25 @@ def test_surjectivity_certificate_matches_exact_gcd():
                 [(f[k] if k < d else ZERO) - (c * f[k - 1] if k else ZERO) for k in range(d + 1)]
                 for f in g
             ]
+        else:
+            d = 2 * (1 + seed % 3)
+            forms = _ramified_forms(rng, d // 2, rng.randint(-2, 2))
         try:
             rmap = RationalCurveMap(forms)
         except ValueError:
             continue
-        common_zero, _, _ = _common_zero_witness(
-            [_dehom(f) for f in rmap.forms], [f[-1] for f in rmap.forms]
-        )
-        certified = _no_common_zero(rmap._rows, range(4), d)
-        assert certified == (not common_zero), seed
-        verdicts.append(certified)
+        if seed < 20:
+            common_zero, _, _ = _common_zero_witness(rmap.forms)
+            certified = _common_zero(rmap._rows, range(4), d) is None
+            assert certified == (not common_zero), seed
+            verdicts.append(certified)
+        minors = _FormRows(_minors(rmap._rows.ints[4:]))
+        ramified, _, _ = _common_zero_witness(minors.forms)
+        certified = _common_zero(minors, range(6), 2 * d - 2) is None
+        assert certified == (not ramified), seed
+        minor_verdicts.append(certified)
     assert len(verdicts) >= 18 and 5 <= sum(verdicts) < len(verdicts)
+    assert len(minor_verdicts) >= 36 and 10 <= sum(minor_verdicts) <= len(minor_verdicts) - 10
 
 
 def test_degree_one_maps_and_constant_forms():
@@ -279,5 +305,5 @@ def test_degree_one_maps_and_constant_forms():
     assert broken.evaluate(*report.witness) == [ZERO, ZERO, ZERO, ZERO]
     # at e = 0 the target is the constants, so vanishing constants certify nothing
     zeros = [[(0, 0)]] * 6
-    assert not _no_common_zero(_FormRows(zeros), range(6), 0)
-    assert _no_common_zero(_FormRows(zeros[:5] + [[(2, 1)]]), range(6), 0)
+    assert _common_zero(_FormRows(zeros), range(6), 0) is not None
+    assert _common_zero(_FormRows(zeros[:5] + [[(2, 1)]]), range(6), 0) is None

@@ -76,6 +76,26 @@ def test_layering():
     assert found == []
 
 
+def _uses(name):
+    """(file, is_call) for each use of `name` under src/ as a value, bare or
+    as an attribute; an import or an `__all__` entry is no use."""
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            if name in (getattr(node, "id", None), getattr(node, "attr", None)):
+                yield path.relative_to(SRC).as_posix(), id(node) in called
+
+
+def test_one_certified_rank_primitive():
+    # every modular shortcut is a rank through `ideals.certified_rank`: it
+    # alone calls `sparse_rank_certificate`, and no module but `modp` reads,
+    # so none iterates, the primes; the package only re-exports both names
+    callers = {path for path, call in _uses("sparse_rank_certificate") if call}
+    assert callers == {"hkcurves/exact_algebra/ideals.py"}
+    assert {path for path, _ in _uses("PRIMES")} == {"hkcurves/exact_algebra/modp.py"}
+
+
 def test_optimized_run_matches(tmp_path):
     # seeded slices under python -O must behave exactly as without them,
     # the resolution certificate and the cohomology table included, and so
