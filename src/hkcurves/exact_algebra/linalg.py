@@ -8,8 +8,8 @@ and each builds its Q(i) entries (`data`) only when they are read.  Rank,
 right kernel and inverse come from the sparse echelon of `ideals`
 (`sparse_echelon` and its `reduced_echelon`) on the form's rows, and the
 determinant from the array Laplace kernel of `polys`, on the form as a
-matrix of forms in one variable, in int64 under its bound and in exact
-ints above it.  There is no floating fallback here.
+matrix of forms in one variable, in int64, lifted by `modp.crt_lift`
+above its bound.  There is no floating fallback here.
 """
 
 from __future__ import annotations
@@ -177,7 +177,7 @@ class ExactMatrix:
 
     def det(self) -> GaussianRational:
         """`polys.laplace` on the forms x0 * M[i][j] of the integer form,
-        over D^n: O(n * 2^n) products, so meant for small n."""
+        over D^n: O(n * 2^n) products per modulus, so meant for small n."""
         if self.rows != self.cols:
             raise ValueError("det of non-square matrix")
         pairs, den = form_pairs([self.integer_form])

@@ -14,7 +14,7 @@ before it hands the remaining matrix back for its rank.  No product mod p
 leaves it.
 
 Rows arrive in the Gaussian-integer row format of `ideals`, and no Q(i)
-value is built here.
+value is built here; `crt_lift` lifts the Laplace kernel past int64.
 
 The rank kernel `_eliminate` takes two pivot columns per round wherever
 their top 2 x 2 block is invertible mod p, and one otherwise, with the
@@ -24,6 +24,7 @@ reduced once per `budget(p)` products, a two-column round counting two.
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Callable, List, Sequence, Tuple, Union
 
 import numpy as np
@@ -238,3 +239,26 @@ def sparse_rank_certificate(upper_bound: int, level: Callable[[int, int], Level]
         if rank == upper_bound:
             return True
     return False
+
+
+def crt_lift(run: Callable[[int | None], np.ndarray], bound: int) -> np.ndarray:
+    """The array x, |x| <= bound, that `run` computes: `run(None)` in int64
+    when bound <= 2^63 - 1, else the lift into (-M/2, M/2], as exact ints,
+    of the residues x mod m = `run(m)` over pairwise coprime m < 2^26,
+    counted down from 2^26 (not `PRIMES`) until their product M > 2 * bound,
+    one Garner digit per m (von zur Gathen and Gerhard, Modern Computer
+    Algebra, ch. 5).  Sound as x -> x mod m is a ring map, so a run that
+    adds, subtracts and multiplies gives x mod m, and |x| <= bound < M/2.
+    In a run, values in (-m, m) multiply to below 2^52, so int64 holds a
+    sum of 2^11 products: `polys` sums 2 (k+1) n per value at depth k of
+    `laplace` and 2 R n in `column_combinations`, <= 2^11 while R n <= 2^10.
+    """
+    if bound <= 2**63 - 1:
+        return run(None)
+    lifted, total, m = np.zeros((), dtype=object), 1, 2**26
+    while total <= 2 * bound:
+        m -= 1
+        if gcd(m, total) == 1:
+            lifted = lifted + total * ((run(m) - lifted % m) * pow(total, -1, m) % m)
+            total *= m
+    return np.where(2 * lifted > total, lifted - total, lifted)

@@ -15,12 +15,12 @@ becomes, per variable, the real 2 x 2 block of c + d*i; a depth of the
 expansion, for all row subsets at once, is a gather of the child
 sub-determinants through a subset plan, one contraction with the blocks,
 and one gather that shifts each variable's terms to their monomials and
-sums them.  The arrays are int64 under a proven bound and exact Python
-ints otherwise, through the same code; on exact ints a variable with a
-single nonzero row in a column skips the contraction.  The kernel gives
-the maximal minors of curves (four variables) and pencils (two) and
-`ExactMatrix.det` (one); the cofactor identity, `column_combinations`,
-runs the same contraction on stored forms.
+sums them.  The arrays are always int64: under a proven bound B <= 2^63 - 1
+the pass runs directly, and above it once per word-size modulus, reduced
+after each depth, and `modp.crt_lift` lifts the residues to the exact
+values.  The kernel gives the maximal minors of curves (four variables)
+and pencils (two) and `ExactMatrix.det` (one); the cofactor identity,
+`column_combinations`, runs the same contraction on stored forms.
 UniPoly is the univariate workhorse for pencil minor gcds and binary forms.
 """
 
@@ -35,6 +35,7 @@ from types import MappingProxyType
 
 import numpy as np
 
+from .modp import crt_lift
 from .scalars import ONE, ZERO, GaussianRational
 
 
@@ -199,9 +200,7 @@ class HomogPoly:
 # ---------------------------------------------------------------------------
 # the one Laplace kernel, for matrices of linear forms
 
-_INT64_MAX = 2**63 - 1
-# the most gathered values one product reads: this bounds the temporaries
-# of a depth, whose values are exact ints at large r
+# the most gathered values one product reads, to bound a depth's temporaries
 _GATHER = 2**16
 # the subset plans of a row count whose depths all hold at most this many
 # subsets are kept; larger ones live for one call
@@ -258,15 +257,21 @@ def _l1(X: np.ndarray) -> list[int]:
 _SIGNED_BLOCKS = np.array([[1, 0, 0, 1, -1, 0, 0, -1], [0, 1, -1, 0, 0, -1, 1, 0]])
 
 
-def _blocks(X: np.ndarray, bound: int) -> np.ndarray:
-    """(C, 2R, 2, n, 2): the pair (c, d) of X at [j, i, v] as the real 2 x 2
-    block [[c, d], [-d, c]] at [j, i, :, v, :], whose row b maps part b
-    (re, im) of a factor to the (re, im) of its product with c + d*i; rows
-    R .. 2R - 1 of a column hold the negated blocks.  int64 when bound <=
-    2^63 - 1, else exact ints."""
+def _reduced(values: np.ndarray, m: int | None) -> np.ndarray:
+    """values as int64, taken into [0, m) when a modulus m is given."""
+    return (values if m is None else values % m).astype(np.int64, copy=False)
+
+
+def _blocks(X: np.ndarray, m: int | None) -> np.ndarray:
+    """(C, 2R, 2, n, 2) int64: (c, d) of X, or of X mod m, at [j, i, v] as
+    the real 2 x 2 block [[c, d], [-d, c]] at [j, i, :, v, :], whose row b
+    maps part b (re, im) of a factor to the (re, im) of its product with
+    c + d*i; rows R .. 2R - 1 of a column hold the negated blocks.  A value
+    mod m sums at most 2 R n products, which `crt_lift` allows up to 2^11."""
     ncols, nrows, num_vars = X.shape[:3]
-    X = X.astype(np.int64 if bound <= _INT64_MAX else object, copy=False)
-    signed = (X @ _SIGNED_BLOCKS).reshape(ncols, nrows, num_vars, 2, 2, 2)
+    if m is not None and nrows * num_vars > 2**10:
+        raise ValueError(f"{nrows} rows of {num_vars} variables exceed the int64 bound of the modular pass")
+    signed = (_reduced(X, m) @ _SIGNED_BLOCKS).reshape(ncols, nrows, num_vars, 2, 2, 2)
     return signed.transpose(0, 3, 1, 4, 2, 5).reshape(ncols, 2 * nrows, 2, num_vars, 2)
 
 
@@ -323,22 +328,9 @@ def _contract(level: np.ndarray, child: np.ndarray, spots: np.ndarray, factors: 
     in `_spots`.  One product contracts position and re/im for all
     variables at once, and one gather through `spots` sums the variables,
     per chunk of rows t of at most about _GATHER values.
-
-    On exact ints a zero term still costs a product and a copy, so there a
-    variable with a single nonzero factor row (as the shift matrices of a
-    canonical-gauge curve have) stays out of the product: that row's term
-    is added, shifted, to the subsets that hold it, each once.  On int64 a
-    zero term is cheap and the extra passes are not: there every variable
-    goes through the product.
     """
     (count, npos), (width, lanes) = child.shape, spots.shape
-    inner, dense, single = level.shape[1], factors, ()
-    if level.dtype == object:
-        nonzero = factors[:, 0].any(axis=-1)
-        many = nonzero.sum(axis=0) > 2
-        pre = spots // lanes
-        dense, single, lanes = factors[:, :, many], np.flatnonzero(~many), int(many.sum())
-        spots = pre[:, many] * lanes + np.arange(lanes)
+    inner = level.shape[1]
     out = np.empty((count, width, 2), dtype=level.dtype)
     chunk = max(1, _GATHER // (2 * max(inner * npos, width * lanes)))
     for lo in range(0, count, chunk):
@@ -346,19 +338,9 @@ def _contract(level: np.ndarray, child: np.ndarray, spots: np.ndarray, factors: 
         rows = child[part]
         gathered = level[rows[:, None, :], np.arange(inner)[None, :, None]]
         terms = np.zeros((len(rows), inner + 1, 2 * lanes), dtype=level.dtype)
-        np.matmul(gathered.reshape(len(rows), inner, -1), dense[plan[part]].reshape(len(rows), 2 * npos, -1),
+        np.matmul(gathered.reshape(len(rows), inner, -1), factors[plan[part]].reshape(len(rows), 2 * npos, -1),
                   out=terms[:, :inner])
         out[part] = terms.reshape(len(rows), -1, 2)[:, spots].sum(axis=2)
-    for v in single:
-        # the index of m x_v for each monomial m of the level
-        shift = np.empty(inner, dtype=np.intp)
-        hit = pre[:, v] < inner
-        shift[pre[hit, v]] = np.flatnonzero(hit)
-        for j in np.flatnonzero(nonzero[:, v]):
-            subsets, positions = np.nonzero(plan == j)
-            for lo in range(0, subsets.size, chunk):
-                part = slice(lo, lo + chunk)
-                out[subsets[part, None], shift] += level[child[subsets[part], positions[part]]] @ factors[j, :, v]
     return out
 
 
@@ -375,25 +357,27 @@ def laplace(X: np.ndarray) -> np.ndarray:
     terms of x_v to their monomials m x_v and sums the variables.  Depth 0
     is column 0 itself.
 
-    The arrays are int64 when B = prod_i max(R_i, 1) <= 2^63 - 1, R_i the
-    l1 norm of row i (|c| + |d| over its entries and variables), and hold
-    exact ints otherwise.  B bounds every entry, product and partial sum:
+    B = prod_i max(R_i, 1), R_i the l1 norm of row i (|c| + |d| over its
+    entries and variables), bounds every entry, product and partial sum:
     |Re xy| + |Im xy| <= (|Re x| + |Im x|)(|Re y| + |Im y|), so a partial
     sum of the expansion of a sub-determinant on rows S is at most the
     permanent of the l1 norms of its entries, which is at most prod_(i in
-    S) R_i <= B.
+    S) R_i <= B.  The pass runs through `modp.crt_lift` with that bound, in
+    int64 or, past it, mod each modulus (reduced every depth) and lifted.
     """
     ncols, nrows, num_vars = X.shape[:3]
-    norms = _l1(X)
-    blocks = _blocks(X, prod(max(sum(norms[i::nrows]), 1) for i in range(nrows)))
     if not ncols:
-        return np.array([[[1, 0]]], dtype=blocks.dtype)
-    # depth 0: the 1-subsets, row i at colex rank i, are the entries of
-    # column 0, the (re, im) row of their blocks over x_0 .. x_(n-1)
-    level = blocks[0, :nrows, 0]
-    for k, (plan, child) in itertools.islice(zip(range(ncols), _plans(nrows)), 1, None):
-        level = _contract(level, child, _spots(num_vars, k), blocks[k], plan)
-    return level
+        return np.array([[[1, 0]]], dtype=np.int64)
+    norms = _l1(X)
+    def run(m):
+        blocks = _blocks(X, m)
+        # depth 0: the 1-subsets, row i at colex rank i, are the entries of
+        # column 0, the (re, im) row of their blocks over x_0 .. x_(n-1)
+        level = blocks[0, :nrows, 0]
+        for k, (plan, child) in itertools.islice(zip(range(ncols), _plans(nrows)), 1, None):
+            level = _reduced(_contract(level, child, _spots(num_vars, k), blocks[k], plan), m)
+        return level
+    return crt_lift(run, prod(max(sum(norms[i::nrows]), 1) for i in range(nrows)))
 
 
 def _to_forms(values: np.ndarray, num_vars: int, degree: int, den: int) -> list[HomogPoly]:
@@ -432,23 +416,25 @@ def column_combinations(forms: list[HomogPoly], X: np.ndarray, den: int) -> list
     contraction for all columns (`_contract`), over D times the lcm of the
     forms' denominators.
 
-    Int64 when B = (sum_i max(|f_i|, 1)) * max(1, max_(i,j) |e_ij|) <=
-    2^63 - 1, with |.| the l1 norm of the numerators over those
-    denominators; else exact ints.  B bounds every value, and a partial
-    sum of column j is at most sum_i |f_i| |e_ij| <= B by the inequality
-    of `laplace`.  The bound is read off the forms as given, so it also
-    holds for forms that are not the matrix's minors.
+    It runs through `modp.crt_lift` with B = (sum_i max(|f_i|, 1)) *
+    max(1, max_(i,j) |e_ij|), |.| the l1 norm of the numerators over those
+    denominators.  B bounds every value: a partial sum of column j is at
+    most sum_i |f_i| |e_ij| <= B by the inequality of `laplace`.  The bound
+    is read off the forms as given, so it also holds for forms that are
+    not the matrix's minors.
     """
     ncols, nrows, num_vars = X.shape[:3]
     degree, fden = forms[0].degree, lcm(*(f.den for f in forms))
     basis, zero = monomial_basis(num_vars, degree), (0, 0)
     values = [[x * (fden // f.den) for m in basis for x in f.terms.get(m, zero)] for f in forms]
     norms = [sum(map(abs, row)) for row in values]
-    blocks = _blocks(X, sum(max(x, 1) for x in norms) * max([1, *_l1(X)]))
-    level = _pair_array(values, (nrows, len(basis), 2)).astype(blocks.dtype, copy=False)
+    level = _pair_array(values, (nrows, len(basis), 2))
     child = np.zeros((ncols, 1), dtype=np.intp) + np.arange(nrows)
     plan = child + 2 * nrows * np.arange(ncols)[:, None]
-    out = _contract(level, child, _spots(num_vars, degree), blocks.reshape(-1, 2, num_vars, 2), plan)
+    def run(m):
+        blocks = _blocks(X, m).reshape(-1, 2, num_vars, 2)
+        return _reduced(_contract(_reduced(level, m), child, _spots(num_vars, degree), blocks, plan), m)
+    out = crt_lift(run, sum(max(x, 1) for x in norms) * max([1, *_l1(X)]))
     return _to_forms(out, num_vars, degree + 1, fden * den)
 
 

@@ -8,7 +8,14 @@ same pivot columns at every prime of `modp.PRIMES`, also with
 step or every few steps.  A cut to 1 leaves only one-column steps; the
 cases below also reach the kernel's two-column steps at cuts 2 and 3 and
 at p = 2^31 - 1, whose budget is 2.
+
+`modp.crt_lift` must give back exactly the integers its run reduces, on
+both sides of 2^63 - 1, with or without the primes.
 """
+
+import itertools
+import math
+import random
 
 import numpy as np
 import pytest
@@ -332,3 +339,44 @@ def test_rows_mod_scatter_matches_the_per_entry_reduction():
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got, want)
             assert ((0 <= got) & (got < p)).all()
+
+
+def _lifted(values, bound):
+    """crt_lift of a run that reduces `values` mod m, with the moduli it was given."""
+    seen = []
+
+    def run(m):
+        seen.append(m)
+        if m is None:
+            return np.array(values, dtype=np.int64)
+        return np.array([v % m for v in values], dtype=np.int64)
+
+    return modp.crt_lift(run, bound), seen
+
+
+def test_crt_lift_runs_int64_directly_up_to_2_63():
+    bound = 2**63 - 1
+    values = [0, 1, -1, bound, -bound, 12345]
+    got, seen = _lifted(values, bound)
+    assert seen == [None]
+    assert got.dtype == np.int64 and got.tolist() == values
+
+
+@pytest.mark.parametrize("no_primes", [False, True])
+@pytest.mark.parametrize("bound", [2**63, 2**63 + 12345, 2**2000])
+def test_crt_lift_returns_every_value_within_its_bound(monkeypatch, no_primes, bound):
+    if no_primes:
+        monkeypatch.setattr(modp, "PRIMES", ())
+    rng = random.Random(bound % 1009)
+    values = [0, 1, -1, bound, -bound, bound - 1, 1 - bound] + [rng.randint(-bound, bound) for _ in range(40)]
+    got, moduli = _lifted(values, bound)
+    assert got.dtype == object and got.tolist() == values
+    assert all(type(x) is int for x in got.tolist())
+    assert all(0 < m < 2**26 for m in moduli)
+    assert all(math.gcd(a, b) == 1 for a, b in itertools.combinations(moduli, 2))
+    # the moduli stop at the first product past 2 * bound
+    assert math.prod(moduli) > 2 * bound >= math.prod(moduli[:-1])
+    # a 2-D run comes back in its shape
+    square = np.array(values[:4], dtype=object).reshape(2, 2)
+    lifted = modp.crt_lift(lambda m: (square % m).astype(np.int64), bound)
+    assert lifted.shape == (2, 2) and lifted.tolist() == square.tolist()

@@ -332,9 +332,25 @@ def test_linear_combination_matches_reference():
 
 
 # ---------------------------------------------------------------------------
-# the array kernel on both sides of its int64 bound
+# the array kernel on both sides of its int64 bound: directly in int64 below
+# it, modulo word-size moduli and lifted by `modp.crt_lift` above it
 
 _INT64_MAX = 2**63 - 1
+
+
+@pytest.fixture
+def contracted_dtypes(monkeypatch):
+    """The dtypes of every array `polys._contract` reads or returns in the test."""
+    seen = set()
+    contract = polys._contract
+
+    def spy(level, child, spots, factors, plan):
+        out = contract(level, child, spots, factors, plan)
+        seen.update((level.dtype, factors.dtype, out.dtype))
+        return out
+
+    monkeypatch.setattr(polys, "_contract", spy)
+    return seen
 
 
 def _bound(mats):
@@ -374,7 +390,7 @@ def _matrices(rng, r, nvars, small=False, zero_row=None, zero_vars=()):
 
 @pytest.mark.parametrize("r", range(1, 9))
 @pytest.mark.parametrize("nvars", [2, 4])
-def test_minors_match_reference_on_both_sides_of_the_bound(r, nvars):
+def test_minors_match_reference_on_both_sides_of_the_bound(r, nvars, contracted_dtypes):
     rng = random.Random(100 * nvars + r)
     # at r >= 7 in four variables a zero variable keeps the reference's products small
     zero_vars = (2,) if nvars == 4 and r >= 7 else ()
@@ -387,7 +403,7 @@ def test_minors_match_reference_on_both_sides_of_the_bound(r, nvars):
     mixed = _matrices(rng, r, nvars, zero_row=r // 2 if r > 1 else None, zero_vars=zero_vars)
     assert len({q.denominator for M in mixed for row in M.data for z in row for q in (z.re, z.im)}) > 1
     # the canonical gauge (S, T, A3, A4): each column of S and T has one
-    # nonzero row, which the exact-int side adds row by row
+    # nonzero row, so most products of a depth are zero, on either side
     gauged = [*canonical_pair(r), *small[2:]] if nvars == 4 else []
     for mats in (small, mixed, gauged) if r <= 6 else (small, mixed):
         if not mats:
@@ -410,10 +426,13 @@ def test_minors_match_reference_on_both_sides_of_the_bound(r, nvars):
             got, route = _kernel_minors(scaled)
             assert route == side
             assert got == [m if k == 1 else m.scale(GaussianRational(s)) for k, m in enumerate(plain)]
+    # the lifted side contracts residues in int64 as well
+    if r > 1:
+        assert contracted_dtypes == {np.dtype(np.int64)}
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 6])
-def test_det_matches_cofactor_expansion_on_both_sides_of_the_bound(n):
+def test_det_matches_cofactor_expansion_on_both_sides_of_the_bound(n, contracted_dtypes):
     rng = random.Random(110 + n)
     rows = [[GaussianRational(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
     rows[0][0] = GaussianRational(1, 1)
@@ -426,12 +445,32 @@ def test_det_matches_cofactor_expansion_on_both_sides_of_the_bound(n):
         got = M.det()
         assert (got.re, got.im) == _ref_det([[(z.re, z.im) for z in row] for row in scaled])
     # a diagonal matrix, past the bound from n = 2 on: each column has a
-    # single nonzero row, so the exact-int side adds every term row by row
+    # single nonzero row, so each sub-determinant has one nonzero term at most
     diagonal = [[GaussianRational(2**40 + i, i) if i == j else _ZERO for j in range(n)] for i in range(n)]
     M = ExactMatrix(diagonal)
     assert laplace(form_pairs([M.integer_form])[0]).dtype == (object if n > 1 else np.int64)
     got = M.det()
     assert (got.re, got.im) == _ref_det([[(z.re, z.im) for z in row] for row in diagonal])
+    if n > 1:
+        assert contracted_dtypes == {np.dtype(np.int64)}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_det_at_its_bound_lifts_to_both_signs(n, contracted_dtypes):
+    # positive integers on the diagonal: each row's l1 norm is its entry, so
+    # the det is the bound B itself, past 2^63 - 1; one negated entry gives -B
+    rng = random.Random(150 + n)
+    entries = [2**40 + rng.randint(1, 2**20) for _ in range(n - 1)]
+    entries.append(2**64 // prod(entries) + 1)
+    bound = prod(entries)
+    assert bound > _INT64_MAX
+    for sign in (1, -1):
+        diagonal = [[GaussianRational(sign * x if i == 0 else x) if i == j else _ZERO for j in range(n)]
+                    for i, x in enumerate(entries)]
+        M = ExactMatrix(diagonal)
+        assert _bound([M]) == bound
+        assert M.det() == GaussianRational(sign * bound)
+    assert contracted_dtypes == {np.dtype(np.int64)}
 
 
 def test_chunked_contractions_and_per_call_plans_give_the_same_minors(monkeypatch):
@@ -444,7 +483,7 @@ def test_chunked_contractions_and_per_call_plans_give_the_same_minors(monkeypatc
     assert [_kernel_minors(mats) for mats in cases] == want
 
 
-def test_minors_past_the_kept_plans_are_a_syzygy():
+def test_minors_past_the_kept_plans_are_a_syzygy(contracted_dtypes):
     # r = 13: 14 rows have more than _KEPT_SUBSETS subsets of size 7, so the
     # plans are built for the call, and B is past 2^63 - 1
     rng = random.Random(140)
@@ -454,11 +493,12 @@ def test_minors_past_the_kept_plans_are_a_syzygy():
     minors = signed_minors(X, den)
     assert any(not m.is_zero() for m in minors)
     assert all(s.is_zero() for s in column_combinations(minors, X, den))
+    assert contracted_dtypes == {np.dtype(np.int64)}
 
 
-def test_column_combinations_read_their_bound_off_the_forms():
+def test_column_combinations_read_their_bound_off_the_forms(contracted_dtypes):
     # forms far past the minors' bound, here with 2^70 coefficients, take
-    # the exact-int route and still get the exact sums
+    # the lifted route and still get the exact sums
     rng = random.Random(130)
     mats = _matrices(rng, 3, 4, small=True)
     entries = linear_entries([M.integer_form for M in mats])
@@ -469,3 +509,16 @@ def test_column_combinations_read_their_bound_off_the_forms():
         for f, row in zip(big, entries):
             want = want + _ref(f) * _ref(row[j])
         assert_same(g, want)
+    assert contracted_dtypes == {np.dtype(np.int64)}
+
+
+def test_modular_pass_refuses_sums_past_int64():
+    # 2 R n products per value mod m < 2^26 fit int64 only while R n <= 2^10:
+    # 257 forms in four variables past the bound are refused, not wrapped
+    forms = [HomogPoly(4, 0, {(0, 0, 0, 0): GaussianRational(2**70)})] * 257
+    X = np.ones((1, 257, 4, 2), dtype=np.int64)
+    with pytest.raises(ValueError, match="int64"):
+        column_combinations(forms, X, 1)
+    # 256 of them fit, and sum exactly
+    (got,) = column_combinations(forms[:256], X[:, :256], 1)
+    assert got.terms == {m: (256 * 2**70, 256 * 2**70) for m in monomial_basis(4, 1)}

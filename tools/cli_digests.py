@@ -59,6 +59,7 @@ def commands() -> list[list[str]]:
     cmds = [
         ["kronecker", "--r", "6", "--count", "10", "--seed", "0"],
         ["kronecker", "--r", "3", "--count", "2", "--seed", "0"],
+        ["kronecker", "--r", "10", "--count", "2", "--seed", "0"],
         ["acm", "random", "--r", "3", "--count", "2", "--seed", "0", "--out", "docs"],
         ["acm", "verify", "docs/curve_r3_s0_000.json"],
         ["acm", "verify", "docs/curve_r3_s0_001.json"],
