@@ -7,7 +7,6 @@ Fibration by the last two coordinates slices the curve into finite
 planar point sets whose Hilbert functions stratify the parameter line.
 """
 
-from ..exact_algebra.polys import signed_maximal_minors
 from .curve import (
     ACMCurve,
     LinearMatrix,
@@ -47,7 +46,6 @@ __all__ = [
     "predicted_ideal_dimension",
     "random_real_curve",
     "random_sigma_curve",
-    "signed_maximal_minors",
     "MAX_FIBERS",
     "FiberScheme",
     "expected_hilbert",

@@ -5,13 +5,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..exact_algebra.ideals import GradedIdeal
 from ..exact_algebra.linalg import ExactMatrix
-from ..exact_algebra.polys import HomogPoly, column_combinations, form_pairs, linear_entries, monomial_count, signed_minors
+from ..exact_algebra.polys import column_combinations, form_pairs, monomial_count, signed_minors
 from ..exact_algebra.scalars import DRAW_SPAN, MAX_DRAWS, random_gaussian_rows
 from ..pencil import canonical_pair, minor_coefficient_rank
 from ..reality import make_sigma_invariant_pencil, reality_conjugate
@@ -60,9 +60,6 @@ class LinearMatrix:
     def coeffs(self) -> CoeffTuple:
         return (self.A1, self.A2, self.A3, self.A4)
 
-    def entry_polys(self) -> List[List[HomogPoly]]:
-        return linear_entries([A.integer_form for A in self.coeffs])
-
     def gauge(self, P: ExactMatrix, Q: ExactMatrix) -> "LinearMatrix":
         return LinearMatrix(self.r, *(P @ A @ Q for A in self.coeffs))
 
@@ -89,10 +86,6 @@ class ACMCurve:
         self.base_line = [[m.terms.get((r - j, j, 0, 0), (0, 0)) for j in range(r + 1)]
                           for m in self.minors]
         self._certificate: Optional["ResolutionCertificate"] = None
-
-    @cached_property
-    def entries(self) -> List[List[HomogPoly]]:
-        return self.matrix.entry_polys()
 
     @property
     def degree(self) -> int:

@@ -63,6 +63,12 @@ EXIT_NUMERIC = 4
 # fails in 0.93 s at r = 4, 6.0 s at r = 5 and 26 s at r = 6 (ROADMAP item 5)
 MAX_DOCUMENT_R = 7
 
+# largest map degree that `rational` takes, by --d or as a map document:
+# `rational --d D --count 1 --seed 0` runs in 1.6 s (94 MB) at D = 80, 16 s
+# (474 MB) at D = 160 and 40 s (872 MB) at D = 200 on a 2-core Xeon VM,
+# about x10 in time per doubling, so a map of degree 1000 would take hours
+MAX_MAP_DEGREE = 200
+
 
 class ParseFailure(Exception):
     """Unreadable input: bad JSON or a bad scalar literal."""
@@ -187,6 +193,9 @@ def document_to_map(doc: Any) -> RationalCurveMap:
     lengths = {len(f) for f in forms if isinstance(f, list)}
     if len(lengths) != 1 or not all(isinstance(f, list) for f in forms):
         raise InvalidObject("forms rows must be lists of one common length")
+    (length,) = lengths
+    if length - 1 > MAX_MAP_DEGREE:
+        raise InvalidObject(f"map document degree {length - 1} exceeds the ceiling {MAX_MAP_DEGREE}")
     parsed = [tuple(_literal(entry, f"forms[{idx}]") for entry in row) for idx, row in enumerate(forms)]
     try:
         return RationalCurveMap(tuple(parsed))
@@ -552,6 +561,14 @@ def document_r(text: str) -> int:
     return value
 
 
+def map_degree(text: str) -> int:
+    """Argument type for --d of `rational`: 1 to MAX_MAP_DEGREE."""
+    value = positive_int(text)
+    if value > MAX_MAP_DEGREE:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_MAP_DEGREE}, got {value}")
+    return value
+
+
 def fiber_count(text: str) -> int:
     """Argument type for --fibers: 1 to MAX_FIBERS, the distinct parameters
     `random_fiber_parameters` can draw."""
@@ -595,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_random.set_defaults(func=cmd_acm_random, report=None, label="acm random")
 
     p_rat = sub.add_parser("rational", help="splitting types of rational maps")
-    p_rat.add_argument("--d", type=positive_int, default=None)
+    p_rat.add_argument("--d", type=map_degree, default=None)
     p_rat.add_argument("--count", type=positive_int, default=20)
     p_rat.add_argument("--seed", type=int, default=0)
     p_rat.add_argument("--map", default=None, help="explicit map document (JSON)")

@@ -8,9 +8,12 @@ coefficients appear only in the `coeffs` view read at the boundary.
 Monomial bases are lexicographically descending, so coordinate layouts are
 reproducible across runs.
 
-`laplace` is the one Laplace kernel, for matrices of linear forms given as
-numpy arrays of Gaussian-integer pairs over one denominator (`form_pairs`,
-straight from the integer forms of the coefficient matrices).  Each entry
+`laplace` is the one Laplace kernel, for matrices of linear forms with one
+way in and one way out.  In, the integer forms of the coefficient matrices
+as numpy arrays of Gaussian-integer pairs over one denominator
+(`form_pairs`); out, for the maximal minors, one signed-minor table
+(`signed_minor_table`), which the pencils read as it is and the curves as
+forms (`signed_minors`).  Each entry
 becomes, per variable, the real 2 x 2 block of c + d*i; a depth of the
 expansion, for all row subsets at once, is a gather of the child
 sub-determinants through a subset plan, one contraction with the blocks,
@@ -18,7 +21,7 @@ and one gather that shifts each variable's terms to their monomials and
 sums them.  The arrays are always int64: under a proven bound B <= 2^63 - 1
 the pass runs directly, and above it once per word-size modulus, reduced
 after each depth, and `modp.crt_lift` lifts the residues to the exact
-values.  The kernel gives the maximal minors of curves (four variables)
+values.  The kernel gives the minor tables of curves (four variables)
 and pencils (two) and `ExactMatrix.det` (one); the cofactor identity,
 `column_combinations`, runs the same contraction on stored forms.
 UniPoly is the univariate workhorse for pencil minor gcds and binary forms.
@@ -231,21 +234,6 @@ def form_pairs(forms: list) -> tuple[np.ndarray, int]:
     return _pair_array(values, shape).transpose(2, 1, 0, 3), den
 
 
-def poly_pairs(entries: list[list[HomogPoly]]) -> tuple[np.ndarray, int]:
-    """`form_pairs` for a matrix of linear HomogPoly entries, over the lcm of
-    their denominators."""
-    if any(e.degree != 1 for row in entries for e in row):
-        raise ValueError("the Laplace kernel takes linear entries")
-    num_vars, den = entries[0][0].num_vars, lcm(*(e.den for row in entries for e in row))
-    units = monomial_basis(num_vars, 1)
-    values = [
-        [[(a * (den // e.den), b * (den // e.den)) for a, b in map(e.terms.get, units, [(0, 0)] * num_vars)]
-         for e in row]
-        for row in entries
-    ]
-    return _pair_array(values, (len(entries), len(entries[0]), num_vars, 2)).transpose(1, 0, 2, 3), den
-
-
 def _l1(X: np.ndarray) -> list[int]:
     """|c| + |d| summed over the variables, for entry (i, j) of X at
     j * R + i: the l1 norm of each entry, as exact ints."""
@@ -390,24 +378,23 @@ def _to_forms(values: np.ndarray, num_vars: int, degree: int, den: int) -> list[
     return out
 
 
+def signed_minor_table(X: np.ndarray) -> np.ndarray:
+    """(r+1, monomial_count(n, r), 2): row i holds the (re, im) numerators
+    of (-1)^i * det(matrix with row i deleted), over D^r, for the (r+1) x r
+    matrix of linear forms X of `form_pairs`: one `laplace` pass, whose
+    rows without row i have colex rank r - i."""
+    ncols, nrows = X.shape[:2]
+    if nrows != ncols + 1:
+        raise ValueError(f"expected (r+1) x r entries, got {nrows} x {ncols}")
+    table = laplace(X)[::-1]
+    table[1::2] *= -1
+    return table
+
+
 def signed_minors(X: np.ndarray, den: int) -> list[HomogPoly]:
-    """(-1)^i * det(matrix with row i deleted), i = 0..r, for the (r+1) x r
-    matrix of linear forms (X, den) of `form_pairs`: one `laplace` pass,
-    minors over D^r.  The rows without row i have colex rank r - i."""
-    ncols, nrows, num_vars = X.shape[:3]
-    if nrows != ncols + 1:
-        raise ValueError(f"expected (r+1) x r entries, got {nrows} x {ncols}")
-    dets = laplace(X)[::-1]
-    dets[1::2] *= -1
-    return _to_forms(dets, num_vars, ncols, den**ncols)
-
-
-def signed_maximal_minors(entries: list[list[HomogPoly]]) -> list[HomogPoly]:
-    """`signed_minors` of a matrix of linear HomogPoly entries."""
-    nrows, ncols = len(entries), len(entries[0]) if entries else 0
-    if nrows != ncols + 1:
-        raise ValueError(f"expected (r+1) x r entries, got {nrows} x {ncols}")
-    return signed_minors(*poly_pairs(entries))
+    """The rows of `signed_minor_table` as forms over D^r."""
+    ncols, _, num_vars = X.shape[:3]
+    return _to_forms(signed_minor_table(X), num_vars, ncols, den**ncols)
 
 
 def column_combinations(forms: list[HomogPoly], X: np.ndarray, den: int) -> list[HomogPoly]:
@@ -436,21 +423,6 @@ def column_combinations(forms: list[HomogPoly], X: np.ndarray, den: int) -> list
         return _reduced(_contract(_reduced(level, m), child, _spots(num_vars, degree), blocks, plan), m)
     out = crt_lift(run, sum(max(x, 1) for x in norms) * max([1, *_l1(X)]))
     return _to_forms(out, num_vars, degree + 1, fden * den)
-
-
-def linear_entries(forms: list) -> list[list[HomogPoly]]:
-    """Entries of sum_v A_v x_v as linear forms, read off the integer forms
-    (rows, D_v) of A_0 .. A_(n-1), one shape, over lcm(D_v)."""
-    den = lcm(*(d for _, d in forms))
-    units, scales = monomial_basis(len(forms), 1), [den // d for _, d in forms]
-    out = []
-    for row in zip(*(rows for rows, _ in forms)):
-        out.append([])
-        for pairs in zip(*row):
-            poly = HomogPoly.__new__(HomogPoly)
-            poly._fill(len(forms), 1, {m: (a * k, b * k) for m, (a, b), k in zip(units, pairs, scales)}, den)
-            out[-1].append(poly)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -21,7 +20,7 @@ import numpy as np
 from .exact_algebra import modp
 from .exact_algebra.linalg import ExactMatrix
 from .exact_algebra.ideals import Row, certified_rank
-from .exact_algebra.polys import HomogPoly, UniPoly, form_pairs, signed_minors, uni_gcd
+from .exact_algebra.polys import UniPoly, form_pairs, signed_minor_table, uni_gcd
 from .exact_algebra.scalars import DRAW_SPAN, MAX_DRAWS, ONE, ZERO, GaussianRational, random_gaussian_rows
 
 
@@ -44,33 +43,32 @@ def _check_shape(A1: ExactMatrix, A2: ExactMatrix) -> int:
     return cols
 
 
-def _signed_minors(A1: ExactMatrix, A2: ExactMatrix) -> List[HomogPoly]:
-    """Signed maximal minors of x0*A1 + x1*A2: binary forms of degree r.
-
-    The coefficient of x0^(r-k) x1^k is the lambda^k coefficient of the
-    signed minor of A1 + lambda*A2, and that of x0^k x1^(r-k) is the
-    lambda^k coefficient of the signed minor of A2 + lambda*A1.
-    """
-    return signed_minors(*form_pairs([A1.integer_form, A2.integer_form]))
+# T[i][j] = [a, b]: the numerators of the lambda^j coefficient of signed minor i
+MinorTable = List[List[List[int]]]
 
 
-def _minor_numerators(minors: List[HomogPoly], r: int) -> List[List[Tuple[int, int]]]:
-    """Each signed minor's Gaussian-integer numerators (a, b), lambda^0 to
-    lambda^r: the minor of A1 + lambda*A2 up to sign, times its den."""
-    return [[m.terms.get((r - k, k), (0, 0)) for k in range(r + 1)] for m in minors]
+def _minor_table(A1: ExactMatrix, A2: ExactMatrix) -> Tuple[MinorTable, int]:
+    """(T, D^r) from one Laplace pass: the signed maximal minors of
+    x0*A1 + x1*A2 over D^r, column j at x0^(r-j) x1^j, so the lambda^j
+    coefficients of those of A1 + lambda*A2; column r - k holds the
+    lambda^k coefficients of those of A2 + lambda*A1."""
+    X, den = form_pairs([A1.integer_form, A2.integer_form])
+    return signed_minor_table(X).tolist(), den ** A1.cols
+
+
+def _uni_minors(T: MinorTable, den: int) -> List[UniPoly]:
+    """The maximal minors of A1 + lambda*A2 as polynomials in lambda, from
+    the table of `_minor_table`: the sign of row i undone, over den."""
+    return [
+        UniPoly([GaussianRational(Fraction((-1) ** i * a, den), Fraction((-1) ** i * b, den)) for a, b in row])
+        for i, row in enumerate(T)
+    ]
 
 
 def pencil_minors(A1: ExactMatrix, A2: ExactMatrix) -> List[UniPoly]:
     """Maximal minors of A1 + lambda*A2 as polynomials in lambda, degree <= r."""
-    r = _check_shape(A1, A2)
-    minors = _signed_minors(A1, A2)
-    out = []
-    for i, (m, parts) in enumerate(zip(minors, _minor_numerators(minors, r))):
-        # undo the sign of the signed minor on the numerators
-        sign = -1 if i % 2 else 1
-        coeffs = [GaussianRational(Fraction(sign * a, m.den), Fraction(sign * b, m.den)) for a, b in parts]
-        out.append(UniPoly(coeffs))
-    return out
+    _check_shape(A1, A2)
+    return _uni_minors(*_minor_table(A1, A2))
 
 
 def minor_coefficient_rank(T: Sequence[Sequence[Tuple[int, int]]]) -> int:
@@ -108,16 +106,21 @@ def is_injective_pencil(A1: ExactMatrix, A2: ExactMatrix) -> InjectivityReport:
     is `minor_coefficient_rank`; the finite rank drops of a pencil that
     fails it are the roots of the minors' exact gcd.
     """
-    r = _check_shape(A1, A2)
-    numerators = _minor_numerators(_signed_minors(A1, A2), r)
-    if not any(a or b for f in numerators for a, b in f):
+    _check_shape(A1, A2)
+    return _injectivity(*_minor_table(A1, A2))
+
+
+def _injectivity(T: MinorTable, den: int) -> InjectivityReport:
+    """`is_injective_pencil` on the table (T, den) of `_minor_table`."""
+    r = len(T) - 1
+    if not any(a or b for row in T for a, b in row):
         # rank deficient at every point; lambda = 0 is a concrete witness
         return InjectivityReport(False, (ONE, ZERO), None)
-    if not any(a or b for f in numerators for a, b in f[r:]):
+    if not any(a or b for row in T for a, b in row[r:]):
         return InjectivityReport(False, (ZERO, ONE), None)
-    if minor_coefficient_rank(numerators) == r + 1:
+    if minor_coefficient_rank(T) == r + 1:
         return InjectivityReport(True, None, None)
-    g = uni_gcd(pencil_minors(A1, A2))
+    g = uni_gcd(_uni_minors(T, den))
     if g.degree == 0:
         raise ArithmeticError("T is singular, yet the minors' gcd is constant")
     reduced = g
@@ -157,10 +160,11 @@ def kronecker_reduce(A1: ExactMatrix, A2: ExactMatrix) -> KroneckerReduction:
     only to word a failed construction.
     """
     r = _check_shape(A1, A2)
+    T, den = _minor_table(A1, A2)
     try:
-        return _shift_gauge(A1, A2, r)
+        return _shift_gauge(A1, A2, r, T, den)
     except (ValueError, AssertionError):
-        report = is_injective_pencil(A1, A2)
+        report = _injectivity(T, den)
         if report.ok:
             raise
         if report.witness is not None:
@@ -171,37 +175,28 @@ def kronecker_reduce(A1: ExactMatrix, A2: ExactMatrix) -> KroneckerReduction:
         ) from None
 
 
-def _shift_gauge(A1: ExactMatrix, A2: ExactMatrix, r: int) -> KroneckerReduction:
-    """The gauge of kronecker_reduce; raises when a step or the check fails.
+def _shift_gauge(A1: ExactMatrix, A2: ExactMatrix, r: int, T: MinorTable, den: int) -> KroneckerReduction:
+    """The gauge of kronecker_reduce from the minor table (T, den) of
+    `_minor_table`; raises when a step or the check fails.
 
     `inverse` certifies M*Q = I for the top r rows M of P*A1, so Q is
-    invertible with inverse M.  Hence P*A1*Q = S holds exactly when the
-    last row of P*A1 is zero, and P*A2*Q = T exactly when P*A2 = T*M: row 0
-    of P*A2 is zero and row k+1 of P*A2 is row k of M, compared over the
-    two denominators.  Both are checked in place of products with Q.
+    invertible with inverse M.  Hence P*A1*Q = S exactly when the last row
+    of P*A1 is zero, and P*A2*Q is the down-shift exactly when row 0 of
+    P*A2 is zero and row k+1 is row k of M, over the two denominators.
+    Both are checked in place of products with Q.
     """
-    minors = _signed_minors(A1, A2)
-    if all(m.is_zero() for m in minors):
+    if not any(a or b for row in T for a, b in row):
         raise ValueError("all maximal minors vanish; pencil not injective")
     # Row k of P holds the lambda^k coefficients of the signed minors of
-    # A2 + lambda*A1, negated on odd k.  Pairing them with any column is the
-    # Laplace expansion of a determinant with a repeated column, so they lie
-    # in the left kernel; for an injective pencil that kernel is a line, so
-    # these are the c_k of the docstring up to one nonzero scalar.  With the
-    # sign flips, P*A2 is P*A1 shifted down a row, P*A1 has a zero last row,
-    # and Q inverts the top r rows of P*A1.  P is born in its integer form:
-    # the minors' numerators over the lcm of their denominators.
-    den = lcm(*(m.den for m in minors))
-    form = []
-    for k in range(r + 1):
-        sign = -1 if k % 2 else 1
-        row = []
-        for m in minors:
-            a, b = m.terms.get((k, r - k), (0, 0))
-            scale = sign * (den // m.den)
-            row.append((a * scale, b * scale))
-        form.append(tuple(row))
-    P = ExactMatrix.from_integer_form(tuple(form), den, r + 1)
+    # A2 + lambda*A1, column r - k of T, negated on odd k.  Pairing them with
+    # any column is the Laplace expansion of a determinant with a repeated
+    # column, so they lie in the left kernel; for an injective pencil that
+    # kernel is a line, so these are the c_k of the docstring up to one
+    # nonzero scalar.  With the sign flips, P*A2 is P*A1 shifted down a row,
+    # P*A1 has a zero last row, and Q inverts the top r rows of P*A1.  P is
+    # born in its integer form, over the table's D^r.
+    form = tuple(tuple(tuple((-1) ** k * x for x in row[r - k]) for row in T) for k in range(r + 1))
+    P = ExactMatrix.from_integer_form(form, den, r + 1)
     rows, den = (P @ A1).integer_form
     M = ExactMatrix.from_integer_form(rows[:r], den, r)
     Q = M.inverse()

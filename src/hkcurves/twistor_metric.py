@@ -22,7 +22,7 @@ import numpy as np
 from .acm_curve.curve import ACMCurve, LinearMatrix, random_real_curve
 from .acm_curve.fibers import fiber_points
 from .exact_algebra.linalg import ExactMatrix, random_invertible
-from .exact_algebra.scalars import ONE, ZERO, GaussianRational, I
+from .exact_algebra.scalars import GaussianRational
 from .pencil import canonical_pair, kronecker_reduce
 from .reality import reality_conjugate
 
@@ -85,74 +85,8 @@ def raw_chart(curve: ACMCurve | LinearMatrix) -> Chart:
 
 
 # ---------------------------------------------------------------------------
-# tangent sections and quaternionic operators
-
-
-@dataclass(frozen=True)
-class TangentSection:
-    """First-order move of the chart coordinates: (dA3, dA4)."""
-
-    dA3: ExactMatrix
-    dA4: ExactMatrix
-
-    def scale(self, c: GaussianRational) -> "TangentSection":
-        return TangentSection(self.dA3.scale(c), self.dA4.scale(c))
-
-    def __add__(self, other: "TangentSection") -> "TangentSection":
-        return TangentSection(self.dA3 + other.dA3, self.dA4 + other.dA4)
-
-
-def _unit_matrix(r: int, i: int, j: int, value: GaussianRational) -> ExactMatrix:
-    rows = [[ZERO] * r for _ in range(r + 1)]
-    rows[i][j] = value
-    return ExactMatrix(rows)
-
-
-def real_tangent_basis(r: int) -> List[TangentSection]:
-    """Real coordinates on the invariant chart: unit moves then their i-moves.
-
-    Each move of A3 drags A4 along through the conjugation, so the span
-    stays inside the invariant locus; the first r(r+1) entries are the
-    real parts, the rest the imaginary parts, both row-major.
-    """
-    out = []
-    for value in (ONE, I):
-        for i in range(r + 1):
-            for j in range(r):
-                d = _unit_matrix(r, i, j, value)
-                out.append(TangentSection(d, reality_conjugate(d)))
-    return out
-
-
-def section_I(x: TangentSection) -> TangentSection:
-    return TangentSection(x.dA3.scale(I), x.dA4.scale(-I))
-
-
-def section_J(x: TangentSection) -> TangentSection:
-    return TangentSection(x.dA4.scale(I), x.dA3.scale(I))
-
-
-def section_K(x: TangentSection) -> TangentSection:
-    return section_I(section_J(x))
-
-
-def section_structure_at(zeta: GaussianRational, x: TangentSection) -> TangentSection:
-    """The complex structure of the fiber direction zeta, on one section."""
-    n = zeta.norm()
-    denom = GaussianRational(1 + n)
-    c1 = GaussianRational(1 - n) / denom
-    c2 = GaussianRational(2 * zeta.re) / denom
-    c3 = GaussianRational(2 * zeta.im) / denom
-    return (
-        section_I(x).scale(c1)
-        + section_J(x).scale(c2)
-        + section_K(x).scale(c3)
-    )
-
-
-def section_arrays(sections: Sequence[TangentSection]) -> Tuple[np.ndarray, np.ndarray]:
-    """Numeric dA3 and dA4 of the sections, each of shape (S, r+1, r)."""
-    return tuple(np.array([getattr(x, f).to_complex() for x in sections]) for f in ("dA3", "dA4"))
+# the real tangent basis and the quaternionic operators, as arrays; their
+# exact reference, the section operators, is in tests/suites.py
 
 
 def _read_only(arrays: Tuple[np.ndarray, ...]) -> Tuple[np.ndarray, ...]:
@@ -163,9 +97,14 @@ def _read_only(arrays: Tuple[np.ndarray, ...]) -> Tuple[np.ndarray, ...]:
 
 @functools.lru_cache(maxsize=None)
 def basis_arrays(r: int) -> Tuple[np.ndarray, np.ndarray]:
-    """`section_arrays(real_tangent_basis(r))`, built once per r and read-only.
+    """The numeric (dA3, dA4) of the real tangent basis, each (2 r(r+1), r+1, r),
+    built once per r and read-only; `section_arrays(real_tangent_basis(r))`
+    of tests/suites.py is its exact reference.
 
-    dA3 runs over the unit matrices, then i times them; dA4 = tau(dA3) is
+    Each move of A3 drags A4 along through the conjugation, so the span
+    stays inside the invariant locus.  dA3 runs over the unit matrices,
+    row-major (the real coordinates), then i times them (the imaginary
+    ones); dA4 = tau(dA3) is
     entry (i, j) = conj((-1)^(i+j+1) dA3[r-i, r-1-j]), as in
     `reality_conjugate` (+ 0j turns its negative zeros positive).
     """
@@ -180,11 +119,12 @@ def structure_arrays(r: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """I, J and K on the real coordinates, built once per r and read-only.
 
     Column k holds the coordinates of the operator applied to basis move k
-    (`real_tangent_basis`): the real parts of its dA3, row-major, then the
-    imaginary parts.  I x has dA3 = i dA3(x) and J x has dA3 = i dA4(x)
-    (`section_I`, `section_J`), and i (a + b i) = -b + a i, so each is a
-    signed permutation, and K = I J is exact in floats.  + 0.0 turns
-    negative zeros positive.
+    (`basis_arrays`): the real parts of its dA3, row-major, then the
+    imaginary parts.  I x has dA3 = i dA3(x) and J x has dA3 = i dA4(x),
+    and i (a + b i) = -b + a i, so each is a signed permutation, and
+    K = I J is exact in floats.  + 0.0 turns negative zeros positive.  The
+    exact reference is `section_I`, `section_J` and `section_K` of
+    tests/suites.py on `real_tangent_basis`.
     """
     dA3, dA4 = (d.reshape(len(d), -1) for d in basis_arrays(r))
     Imat, Jmat = (np.concatenate([-d.imag, d.real], axis=1).T + 0.0 for d in (dA3, dA4))

@@ -5,6 +5,7 @@ raises AssertionError inside, so a return means every instance held.
 """
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
@@ -21,7 +22,7 @@ from hkcurves.acm_curve.fibers import (
 from hkcurves.exact_algebra.ideals import integer_row, normal_form_table, sparse_echelon
 from hkcurves.exact_algebra.linalg import ExactMatrix, random_invertible
 from hkcurves.exact_algebra.polys import HomogPoly, monomial_basis, monomial_index
-from hkcurves.exact_algebra.scalars import GaussianRational
+from hkcurves.exact_algebra.scalars import GaussianRational, I
 from hkcurves.pencil import (
     apply_gauge,
     canonical_pair,
@@ -29,7 +30,7 @@ from hkcurves.pencil import (
     pair_stabilizer_dimension,
     random_injective_pencil,
 )
-from hkcurves.twistor_metric import real_tangent_basis
+from hkcurves.reality import reality_conjugate
 
 ZERO = GaussianRational(0, 0)
 ONE = GaussianRational(1, 0)
@@ -51,11 +52,16 @@ def swapped(curve: ACMCurve) -> ACMCurve:
 
 
 def linear_form(coeffs) -> HomogPoly:
-    """The form sum_i coeffs[i] x_i, built from its Q(i) coefficients: the
-    tests' reference for the entries `polys.linear_entries` reads off
-    integer forms."""
+    """The form sum_i coeffs[i] x_i, built from its Q(i) coefficients."""
     n = len(coeffs)
     return HomogPoly(n, 1, {tuple(int(j == i) for j in range(n)): c for i, c in enumerate(coeffs)})
+
+
+def entry_forms(mats: Sequence[ExactMatrix]) -> List[List[HomogPoly]]:
+    """The entries of sum_v A_v x_v as `linear_form`s, from the Q(i) entries
+    of the coefficient matrices A_v: the tests' reference for the matrix of
+    linear forms that `polys.form_pairs` reads off their integer forms."""
+    return [[linear_form([A[i, j] for A in mats]) for j in range(mats[0].cols)] for i in range(mats[0].rows)]
 
 
 def slice_columns(cutoff: int) -> List[Tuple[int, int]]:
@@ -211,6 +217,78 @@ def reference_fiber_points(curve: ACMCurve, t: GaussianRational):
         order = np.lexsort([np.round(part(pts[:, c]), 9) for c in (1, 0) for part in (np.imag, np.real)])
         return pts[order]
     return None
+
+
+# ---------------------------------------------------------------------------
+# tangent sections and the quaternionic operators, exact: the reference for
+# `twistor_metric.basis_arrays`, `structure_arrays` and `complex_structures`
+
+
+@dataclass(frozen=True)
+class TangentSection:
+    """First-order move of the chart coordinates: (dA3, dA4)."""
+
+    dA3: ExactMatrix
+    dA4: ExactMatrix
+
+    def scale(self, c: GaussianRational) -> "TangentSection":
+        return TangentSection(self.dA3.scale(c), self.dA4.scale(c))
+
+    def __add__(self, other: "TangentSection") -> "TangentSection":
+        return TangentSection(self.dA3 + other.dA3, self.dA4 + other.dA4)
+
+
+def _unit_matrix(r: int, i: int, j: int, value: GaussianRational) -> ExactMatrix:
+    rows = [[ZERO] * r for _ in range(r + 1)]
+    rows[i][j] = value
+    return ExactMatrix(rows)
+
+
+def real_tangent_basis(r: int) -> List[TangentSection]:
+    """Real coordinates on the invariant chart: unit moves then their i-moves.
+
+    Each move of A3 drags A4 along through the conjugation, so the span
+    stays inside the invariant locus; the first r(r+1) entries are the
+    real parts, the rest the imaginary parts, both row-major.
+    """
+    out = []
+    for value in (ONE, I):
+        for i in range(r + 1):
+            for j in range(r):
+                d = _unit_matrix(r, i, j, value)
+                out.append(TangentSection(d, reality_conjugate(d)))
+    return out
+
+
+def section_I(x: TangentSection) -> TangentSection:
+    return TangentSection(x.dA3.scale(I), x.dA4.scale(-I))
+
+
+def section_J(x: TangentSection) -> TangentSection:
+    return TangentSection(x.dA4.scale(I), x.dA3.scale(I))
+
+
+def section_K(x: TangentSection) -> TangentSection:
+    return section_I(section_J(x))
+
+
+def section_structure_at(zeta: GaussianRational, x: TangentSection) -> TangentSection:
+    """The complex structure of the fiber direction zeta, on one section."""
+    n = zeta.norm()
+    denom = GaussianRational(1 + n)
+    c1 = GaussianRational(1 - n) / denom
+    c2 = GaussianRational(2 * zeta.re) / denom
+    c3 = GaussianRational(2 * zeta.im) / denom
+    return (
+        section_I(x).scale(c1)
+        + section_J(x).scale(c2)
+        + section_K(x).scale(c3)
+    )
+
+
+def section_arrays(sections: Sequence[TangentSection]) -> Tuple[np.ndarray, np.ndarray]:
+    """Numeric dA3 and dA4 of the sections, each of shape (S, r+1, r)."""
+    return tuple(np.array([getattr(x, f).to_complex() for x in sections]) for f in ("dA3", "dA4"))
 
 
 def _operator_matrix(r: int, op) -> ExactMatrix:

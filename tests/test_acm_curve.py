@@ -23,7 +23,6 @@ from hkcurves.acm_curve import (
     random_real_curve,
     random_sigma_curve,
     restrict_to_fiber,
-    signed_maximal_minors,
     stratum_check,
 )
 from hkcurves.acm_curve.fibers import backward_errors, fiber_generators, fiber_points
@@ -35,7 +34,7 @@ from hkcurves.pencil import canonical_pair, is_injective_pencil
 from hkcurves.twistor_metric import sample_parameters, scan_chart
 from hkcurves.reality import is_sigma_invariant_ideal
 
-from suites import generator_floats, swapped
+from suites import entry_forms, generator_floats, swapped
 
 ZERO = GaussianRational(0, 0)
 ONE = GaussianRational(1, 0)
@@ -66,7 +65,7 @@ def test_cofactor_identity_of_signed_minors():
     # Laplace: the signed minors are a syzygy of every column
     for seed in range(4):
         curve = random_real_curve(2, seed=seed)
-        entries = curve.entries
+        entries = entry_forms(curve.coeffs)
         minors = curve.minors
         r = curve.r
         for j in range(r):
@@ -105,9 +104,11 @@ def test_cofactor_check_fails_on_a_perturbed_entry(r, i, j):
 
 
 def test_signed_minors_match_unsigned_up_to_sign():
+    # the minors are the cofactors of an appended column: (-1)^i times the
+    # determinant without row i, here expanded from the reference entries
     curve = random_real_curve(2, seed=1)
-    plain = signed_maximal_minors(curve.entries)
-    assert plain == list(curve.minors)
+    (a, b), (c, d), (e, f) = entry_forms(curve.coeffs)
+    assert [c * f - d * e, -(a * f - b * e), a * d - b * c] == list(curve.minors)
 
 
 def test_constructor_rejects_identically_singular_matrix():

@@ -9,7 +9,7 @@ from test_resolution_exactness import X0, _common_factor_matrix
 
 from hkcurves import cli
 from hkcurves.acm_curve import MAX_FIBERS, ACMCurve, random_sigma_curve
-from hkcurves.cli import MAX_DOCUMENT_R, curve_to_document, document_to_curve, main
+from hkcurves.cli import MAX_DOCUMENT_R, MAX_MAP_DEGREE, curve_to_document, document_to_curve, main
 
 CUBIC_DOC = {
     "forms": [
@@ -308,6 +308,21 @@ def test_exit_3_on_r_above_document_ceiling(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("hkcurves.cli._literal_matrix", None)
     path = write_doc(tmp_path, "big_r.json", doc)
     assert run(capsys, ["acm", "verify", path])[0] == 3
+
+
+def test_map_degree_ceiling_stops_before_any_rank(tmp_path, capsys, monkeypatch):
+    # one degree past the ceiling: a map document exits 3 before any
+    # literal is read, and --d exits 2 in the parser; nothing is ranked
+    for name in ("validate_map", "normal_splitting_type", "random_rational_map", "_literal"):
+        monkeypatch.setattr(f"hkcurves.cli.{name}", None)
+    monkeypatch.setattr("hkcurves.exact_algebra.modp.rank_mod", None)
+    path = write_doc(tmp_path, "big_map.json", {"forms": [["1"] * (MAX_MAP_DEGREE + 2)] * 4})
+    assert main(["rational", "--map", path]) == 3
+    assert f"degree {MAX_MAP_DEGREE + 1} exceeds the ceiling" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["rational", "--d", str(MAX_MAP_DEGREE + 1)])
+    assert exc.value.code == 2
+    assert f"at most {MAX_MAP_DEGREE}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -21,6 +21,8 @@ from hkcurves.exact_algebra.linalg import ExactMatrix, random_invertible
 from hkcurves.exact_algebra.polys import HomogPoly, monomial_basis
 from hkcurves.exact_algebra.scalars import GaussianRational
 
+from suites import entry_forms
+
 _ZERO = GaussianRational(0)
 
 
@@ -33,11 +35,12 @@ def _ref_normal_sections(curve, twist):
     n_src, n_tgt = len(src_cols), len(tgt_cols)
     # rows (j, target column), columns (i, source column)
     rows = [dict() for _ in range(r * n_tgt)]
+    entries = entry_forms(curve.coeffs)
     for i in range(r + 1):
         for s_pos, s_col in enumerate(src_cols):
             col = i * n_src + s_pos
             for j in range(r):
-                nf = ideal.normal_form(curve.entries[i][j] * HomogPoly(4, m_src, {src_basis[s_col]: 1}))
+                nf = ideal.normal_form(entries[i][j] * HomogPoly(4, m_src, {src_basis[s_col]: 1}))
                 for c, v in nf.items():
                     acc = rows[j * n_tgt + tgt_pos[c]]
                     acc[col] = acc.get(col, _ZERO) + v

@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 from hkcurves import pencil
-from hkcurves.exact_algebra import modp
+from hkcurves.exact_algebra import modp, polys
 from hkcurves.exact_algebra.linalg import ExactMatrix
+from hkcurves.exact_algebra.polys import UniPoly
 from hkcurves.exact_algebra.scalars import GaussianRational
 from hkcurves.pencil import (
     apply_gauge,
@@ -103,22 +104,50 @@ def test_reduction_identity_seeded():
         assert apply_gauge(A1, A2, red.P, red.Q) == canonical_pair(r)
 
 
-def test_shift_gauge_check_rejects_a_wrong_gauge(monkeypatch):
-    # P from another pencil's minors; then P from the right minors with A2
-    # moved by P^-1 E, so that P*A1 passes and P*A2 = T*M + E fails only in
-    # row 0 of E, or only in a later row
+def test_shift_gauge_check_rejects_a_wrong_gauge():
+    # P from another pencil's minor table; then P from the right table with
+    # A2 moved by P^-1 E, so that P*A1 passes and P*A2 = T*M + E fails only
+    # in row 0 of E, or only in a later row
     r = 3
     A1, A2 = random_injective_pencil(r, 7)
     B1, B2 = random_injective_pencil(r, 8)
     P_inv = kronecker_reduce(A1, A2).P.inverse()
-    cases = [(pencil._signed_minors(B1, B2), A2)]
+    cases = [(pencil._minor_table(B1, B2), A2)]
     for row in (0, 2):
         E = [[GaussianRational(1, 1) if (i, j) == (row, 1) else ZERO for j in range(r)] for i in range(r + 1)]
-        cases.append((pencil._signed_minors(A1, A2), A2 + P_inv @ ExactMatrix(E)))
-    for minors, moved in cases:
-        monkeypatch.setattr(pencil, "_signed_minors", lambda X, Y: minors)
+        cases.append((pencil._minor_table(A1, A2), A2 + P_inv @ ExactMatrix(E)))
+    for (T, den), moved in cases:
         with pytest.raises(AssertionError, match="verification failed"):
-            pencil._shift_gauge(A1, moved, r)
+            pencil._shift_gauge(A1, moved, r, T, den)
+
+
+def test_one_laplace_pass_per_pencil(monkeypatch):
+    # the minor table is built once and read by every step: the injectivity
+    # test, the gauge, and the wording of a failed reduction
+    calls = []
+    laplace = polys.laplace
+
+    def spy(X):
+        calls.append(X.shape)
+        return laplace(X)
+
+    monkeypatch.setattr(polys, "laplace", spy)
+    r = 3
+    A1, A2 = random_injective_pencil(r, 11)
+    for run in (lambda: is_injective_pencil(A1, A2).ok, lambda: kronecker_reduce(A1, A2).r, lambda: pencil_minors(A1, A2)):
+        calls.clear()
+        assert run()
+        assert len(calls) == 1
+    # A1 + lambda*A1 drops rank at lambda = -1 only, where the gcd (1 + lambda)^3 vanishes
+    calls.clear()
+    report = is_injective_pencil(A1, A1)
+    assert len(calls) == 1
+    cube = [GaussianRational(c) for c in (1, 3, 3, 1)]
+    assert report == pencil.InjectivityReport(False, (ONE, GaussianRational(-1)), UniPoly(cube))
+    calls.clear()
+    with pytest.raises(ValueError, match=r"^pencil drops rank at \[1:-1\]; cannot reduce$"):
+        kronecker_reduce(A1, A1)
+    assert len(calls) == 1
 
 
 def test_reduction_of_canonical_pair_is_gauge():

@@ -1,8 +1,10 @@
 """Equality of the Gaussian-integer `HomogPoly` and Laplace kernel with the Q(i) ones.
 
 The private reference below is the polynomial arithmetic as it ran on a
-{monomial: GaussianRational} dict, and `signed_maximal_minors` as it ran,
-with frozenset row keys.  The library must give equal forms.
+{monomial: GaussianRational} dict, and the signed maximal minors as they
+ran, with frozenset row keys, on the `entry_forms` of the coefficient
+matrices.  The kernel reads those matrices' integer forms (`form_pairs`),
+and must give equal forms.
 """
 
 import itertools
@@ -13,7 +15,6 @@ from math import lcm, prod
 import numpy as np
 import pytest
 
-from hkcurves.acm_curve import LinearMatrix, signed_maximal_minors
 from hkcurves.pencil import canonical_pair, pencil_minors
 from hkcurves.exact_algebra.linalg import ExactMatrix
 from hkcurves.exact_algebra import polys
@@ -22,14 +23,13 @@ from hkcurves.exact_algebra.polys import (
     column_combinations,
     form_pairs,
     laplace,
-    linear_entries,
     monomial_basis,
-    poly_pairs,
+    signed_minor_table,
     signed_minors,
 )
 from hkcurves.exact_algebra.scalars import GaussianRational, random_gaussian_rows
 
-from suites import linear_form
+from suites import entry_forms
 
 _ZERO = GaussianRational(0, 0)
 _ONE = GaussianRational(1, 0)
@@ -175,13 +175,23 @@ def test_equal_forms_compare_and_hash_equal():
         half.coeffs[(1, 0, 0, 0)] = _ONE
 
 
-def _linear_entries(r, rng, nvars, den=1):
-    coeffs = [
-        ExactMatrix([[v / den for v in row] for row in random_gaussian_rows(rng, r + 1, r, 3)])
-        for _ in range(nvars)
-    ]
-    coeffs += [ExactMatrix([[_ZERO] * r for _ in range(r + 1)])] * (4 - nvars)
-    return LinearMatrix(r, *coeffs).entry_polys()
+def _pairs(mats):
+    return form_pairs([M.integer_form for M in mats])
+
+
+def _ref_minors(mats):
+    """The reference minors of sum_v A_v x_v, from its `entry_forms`."""
+    return _ref_signed_maximal_minors([[_ref(e) for e in row] for row in entry_forms(mats)], len(mats))
+
+
+def _random_matrices(rng, r, nvars=4, zero_vars=(), density=1.0, cols=None):
+    """nvars coefficient matrices (r+1) x cols (cols = r by default): each
+    entry its own denominators, density its share of nonzero entries, and
+    the matrices of zero_vars zero."""
+    def entry(v):
+        return _rational(rng) if v not in zero_vars and rng.random() < density else _ZERO
+
+    return [ExactMatrix([[entry(v) for _ in range(cols or r)] for _ in range(r + 1)]) for v in range(nvars)]
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
@@ -189,33 +199,29 @@ def test_minors_and_cofactors_match_reference(r):
     rng = random.Random(20 + r)
     # r = 5, 6 in two variables keep the reference's products small
     nvars = 4 if r <= 4 else 2
-    cases = [_linear_entries(r, rng, nvars)]
+    gauss = [
+        [ExactMatrix(random_gaussian_rows(rng, r + 1, r, 3)) for _ in range(nvars)],
+    ]
     if r <= 4:
-        cases.append(_linear_entries(r, rng, 4, den=GaussianRational(Fraction(3, 2), Fraction(1, 5))))
+        den = GaussianRational(Fraction(3, 2), Fraction(1, 5))
+        gauss.append([ExactMatrix([[v / den for v in row] for row in random_gaussian_rows(rng, r + 1, r, 3)])
+                      for _ in range(4)])
     # the signed maximal minors are the cofactors along a column appended
     # to the matrix, so the name covers them
-    for entries in cases:
-        ref_entries = [[_ref(e) for e in row] for row in entries]
-        for got, want in zip(signed_maximal_minors(entries), _ref_signed_maximal_minors(ref_entries)):
+    for mats in gauss:
+        for got, want in zip(signed_minors(*_pairs(mats)), _ref_minors(mats), strict=True):
             assert_same(got, want)
 
 
-def _random_linear(rng, zero_vars=(), density=0.7):
-    # each entry its own denominators; some coefficients and whole variables zero
-    return linear_form(
-        [_ZERO if v in zero_vars or rng.random() > density else _rational(rng) for v in range(4)]
-    )
-
-
-def _check_minors_and_cofactors(entries):
-    ref_entries = [[_ref(e) for e in row] for row in entries]
-    minors = signed_maximal_minors(entries)
-    for got, want in zip(minors, _ref_signed_maximal_minors(ref_entries), strict=True):
+def _check_minors_and_cofactors(mats):
+    X, den = _pairs(mats)
+    minors = signed_minors(X, den)
+    for got, want in zip(minors, _ref_minors(mats), strict=True):
         assert_same(got, want)
-    combined = column_combinations(minors, *poly_pairs(entries))
+    combined = column_combinations(minors, X, den)
     for j, got in enumerate(combined):
-        want = _RefPoly(4, len(entries), {})
-        for m, row in zip(minors, entries):
+        want = _RefPoly(4, mats[0].cols + 1, {})
+        for m, row in zip(minors, entry_forms(mats)):
             want = want + _ref(m) * _ref(row[j])
         assert_same(got, want)
         assert want.is_zero()
@@ -224,45 +230,38 @@ def _check_minors_and_cofactors(entries):
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_kernel_takes_a_denominator_per_entry(r):
     rng = random.Random(40 + r)
-    entries = [[_random_linear(rng, density=1.0) for _ in range(r)] for _ in range(r + 1)]
-    assert len({e.den for row in entries for e in row}) > 1
-    _check_minors_and_cofactors(entries)
+    mats = _random_matrices(rng, r)
+    assert len({e.den for row in entry_forms(mats) for e in row}) > 1
+    _check_minors_and_cofactors(mats)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_kernel_takes_zero_coefficients_and_zero_variables(r):
     rng = random.Random(50 + r)
-    entries = [[_random_linear(rng, zero_vars=(2,), density=0.5) for _ in range(r)] for _ in range(r + 1)]
-    entries[0][0] = HomogPoly(4, 1, {})
-    assert any(e.is_zero() for row in entries for e in row)
-    _check_minors_and_cofactors(entries)
+    mats = _random_matrices(rng, r, zero_vars=(2,), density=0.5)
+    mats = [ExactMatrix([[_ZERO if (i, j) == (0, 0) else z for j, z in enumerate(row)] for i, row in enumerate(M.data)])
+            for M in mats]
+    assert entry_forms(mats)[0][0].is_zero() and mats[2].is_zero()
+    _check_minors_and_cofactors(mats)
     # a zero column makes every minor zero, of degree r
-    zeroed = [[HomogPoly(4, 1, {}) if j == 0 else e for j, e in enumerate(row)] for row in entries]
-    assert signed_maximal_minors(zeroed) == [HomogPoly(4, r, {})] * (r + 1)
+    zeroed = [ExactMatrix([[_ZERO if j == 0 else z for j, z in enumerate(row)] for row in M.data]) for M in mats]
+    assert signed_minors(*_pairs(zeroed)) == [HomogPoly(4, r, {})] * (r + 1)
 
 
 def test_kernel_at_r_1_is_the_column_up_to_sign():
     rng = random.Random(60)
     for _ in range(5):
-        a, b = _random_linear(rng), _random_linear(rng)
-        assert signed_maximal_minors([[a], [b]]) == [b, -a]
-        _check_minors_and_cofactors([[a], [b]])
-
-
-def test_kernel_refuses_entries_that_are_not_linear():
-    rng = random.Random(61)
-    entries = [[_random_form(rng, 2)], [_random_form(rng, 2)]]
-    with pytest.raises(ValueError, match="linear"):
-        signed_maximal_minors(entries)
-
-
-def _ref_entries(mats):
-    """Entries of sum_v A_v x_v built by `linear_form` from Q(i) entries."""
-    return [[linear_form([A[i, j] for A in mats]) for j in range(mats[0].cols)] for i in range(mats[0].rows)]
+        mats = _random_matrices(rng, 1, density=0.7)
+        [a], [b] = entry_forms(mats)
+        assert signed_minors(*_pairs(mats)) == [b, -a]
+        _check_minors_and_cofactors(mats)
+    # the table is of the maximal minors of an (r+1) x r matrix only
+    with pytest.raises(ValueError, match="expected"):
+        signed_minor_table(_pairs(_random_matrices(rng, 1, cols=2))[0])
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 5])
-def test_linear_entries_equal_the_linear_form_entries(r):
+def test_minors_read_every_integer_form(r):
     rng = random.Random(90 + r)
 
     def matrix(density):
@@ -274,14 +273,11 @@ def test_linear_entries_equal_the_linear_form_entries(r):
     zero = ExactMatrix.zeros(r + 1, r)
     assert len({M.integer_form[1] for M in (A, B, C, product, zero)}) > 2
     for mats in ((A, B, C, product), (zero, B, zero, C), (zero,) * 4, (A, product), (zero, zero), (C,)):
-        got, want = linear_entries([M.integer_form for M in mats]), _ref_entries(mats)
-        assert got == want
-        assert [[(e.terms, e.den) for e in row] for row in got] == [[(e.terms, e.den) for e in row] for row in want]
-    assert any(e.is_zero() for row in linear_entries([C.integer_form]) for e in row)
-    assert LinearMatrix(r, A, B, C, product).entry_polys() == _ref_entries((A, B, C, product))
+        for got, want in zip(signed_minors(*_pairs(mats)), _ref_minors(mats), strict=True):
+            assert_same(got, want)
     # the pencil minors: coefficients of the reference minors of x0 A1 + x1 A2
     for A1, A2 in ((A, B), (product, C), (B, zero)):
-        minors = signed_maximal_minors(_ref_entries((A1, A2)))
+        minors = _ref_minors((A1, A2))
         want = [[m.coeffs.get((r - k, k), _ZERO) * (-1) ** i for k in range(r + 1)] for i, m in enumerate(minors)]
         got = pencil_minors(A1, A2)
         assert [list(p.coeffs) + [_ZERO] * (r + 1 - len(p.coeffs)) for p in got] == want
@@ -322,12 +318,13 @@ def test_linear_combination_matches_reference():
     rng = random.Random(80)
     for degree in (0, 1, 2, 3):
         forms = [_random_form(rng, degree) for _ in range(4)]
-        linears = [_random_linear(rng, zero_vars=(3,)) for _ in range(4)]
+        # a column of four linear forms, each entry its own denominators
+        mats = _random_matrices(rng, 3, zero_vars=(3,), density=0.7, cols=1)
         want = _RefPoly(4, degree + 1, {})
-        for f, g in zip(forms, linears):
+        for f, [g] in zip(forms, entry_forms(mats)):
             want = want + _ref(f) * _ref(g)
         assert not want.is_zero()
-        (got,) = column_combinations(forms, *poly_pairs([[g] for g in linears]))
+        (got,) = column_combinations(forms, *_pairs(mats))
         assert_same(got, want)
 
 
@@ -369,11 +366,9 @@ def _scaled(mats, row, s):
 
 
 def _kernel_minors(mats):
-    """The minors by both entry points, required equal, and the route taken."""
-    forms = [M.integer_form for M in mats]
-    got = signed_minors(*form_pairs(forms))
-    assert signed_maximal_minors(linear_entries(forms)) == got
-    return got, laplace(form_pairs(forms)[0]).dtype
+    """The minors read off the integer forms, and the route taken."""
+    X, den = _pairs(mats)
+    return signed_minors(X, den), laplace(X).dtype
 
 
 def _matrices(rng, r, nvars, small=False, zero_row=None, zero_vars=()):
@@ -409,8 +404,7 @@ def test_minors_match_reference_on_both_sides_of_the_bound(r, nvars, contracted_
         if not mats:
             continue
         got, route = _kernel_minors(mats)
-        want = _ref_signed_maximal_minors([[_ref(e) for e in row] for row in linear_entries([M.integer_form for M in mats])], nvars)
-        for g, w in zip(got, want, strict=True):
+        for g, w in zip(got, _ref_minors(mats), strict=True):
             assert_same(g, w)
         assert route == (np.int64 if _bound(mats) <= _INT64_MAX else object)
     # scaling row 1 by s multiplies every minor but the one without row 1 by s;
@@ -501,7 +495,7 @@ def test_column_combinations_read_their_bound_off_the_forms(contracted_dtypes):
     # the lifted route and still get the exact sums
     rng = random.Random(130)
     mats = _matrices(rng, 3, 4, small=True)
-    entries = linear_entries([M.integer_form for M in mats])
+    entries = entry_forms(mats)
     big = [_random_form(rng, 3).scale(GaussianRational(2**70, 1)) for _ in range(4)]
     got = column_combinations(big, *form_pairs([M.integer_form for M in mats]))
     for j, g in enumerate(got):

@@ -26,7 +26,7 @@ from hkcurves.exact_algebra.linalg import ExactMatrix
 from hkcurves.exact_algebra.polys import monomial_count
 from hkcurves.exact_algebra.scalars import GaussianRational, random_gaussian_rows
 
-from suites import graded_matrix
+from suites import entry_forms, graded_matrix
 
 
 def _syzygy_rank(curve, k):
@@ -38,7 +38,7 @@ def _syzygy_rank(curve, k):
     source_degree = r - k - 4
     if source_degree < 0:
         return 0
-    phi_t = [[curve.entries[i][j] for i in range(r + 1)] for j in range(r)]
+    phi_t = [list(column) for column in zip(*entry_forms(curve.coeffs))]
     matrix = graded_matrix(phi_t, source_degree, 4)
     rows = [integer_row(enumerate(row)) for row in matrix.data]
     bound = matrix.cols - monomial_count(4, -k - 4)

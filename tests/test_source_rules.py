@@ -96,6 +96,23 @@ def test_one_certified_rank_primitive():
     assert {path for path, _ in _uses("PRIMES")} == {"hkcurves/exact_algebra/modp.py"}
 
 
+def _names(path):
+    """Every name `path` uses, as a value or an attribute, or imports."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        yield from (getattr(node, key, None) for key in ("id", "attr"))
+        if isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_one_door_into_the_laplace_kernel():
+    # every exact minor starts from `polys.signed_minor_table` (or, for a
+    # determinant, `ExactMatrix.det`), so the kernel has one place to be
+    # replaced; the pencils read that table as it is, not as forms
+    named = {path.relative_to(SRC).as_posix() for path in SRC.rglob("*.py") if "laplace" in set(_names(path))}
+    assert named == {"hkcurves/exact_algebra/polys.py", "hkcurves/exact_algebra/linalg.py"}
+    assert not {"HomogPoly", "signed_minors"} & set(_names(SRC / "hkcurves" / "pencil.py"))
+
+
 def test_optimized_run_matches(tmp_path):
     # seeded slices under python -O must behave exactly as without them,
     # the resolution certificate and the cohomology table included, and so

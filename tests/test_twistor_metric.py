@@ -23,7 +23,6 @@ from hkcurves.pencil import canonical_pair
 from hkcurves.reality import reality_conjugate
 from hkcurves.twistor_metric import (
     Chart,
-    TangentSection,
     basis_arrays,
     complex_structures,
     extract_metric,
@@ -34,18 +33,23 @@ from hkcurves.twistor_metric import (
     point_derivative,
     random_scrambled_curve,
     raw_chart,
-    real_tangent_basis,
     scan_chart,
     sample_parameters,
-    section_I,
-    section_J,
-    section_K,
-    section_arrays,
-    section_structure_at,
     structure_arrays,
 )
 
-from suites import AffineFiber, _operator_matrix, reference_fiber_points
+from suites import (
+    AffineFiber,
+    TangentSection,
+    _operator_matrix,
+    real_tangent_basis,
+    reference_fiber_points,
+    section_arrays,
+    section_I,
+    section_J,
+    section_K,
+    section_structure_at,
+)
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
