@@ -29,8 +29,8 @@ from .cohomology import (
     normal_sections,
     normal_sheaf_report,
 )
-from .exact_algebra import ExactMatrix, GaussianRational
-from .exact_algebra.scalars import parse_gauss
+from .exact_algebra.linalg import ExactMatrix
+from .exact_algebra.scalars import GaussianRational, parse_gauss
 from .pencil import (
     canonical_pair,
     is_injective_pencil,

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -105,7 +104,7 @@ def fiber_multiplication_matrices(curve, t: GaussianRational) -> Tuple[ExactMatr
     _, _, mats, den = curve.slice_tables
     num, dens = _evaluate(mats, den, [t])
     n = dens.flat[0]
-    exact = np.frompyfunc(lambda a, b: GaussianRational(Fraction(a, n), Fraction(b, n)), 2, 1)(*num[:, 0])
+    exact = np.frompyfunc(lambda a, b: GaussianRational.over(a, b, n), 2, 1)(*num[:, 0])
     return ExactMatrix(exact[0].tolist()), ExactMatrix(exact[1].tolist())
 
 
@@ -219,7 +218,7 @@ def random_fiber_parameters(count: int, seed: int) -> List[GaussianRational]:
         a, b, c, d = rng.randint(-9, 9), rng.randint(1, 4), rng.randint(-9, 9), rng.randint(1, 4)
         key = (12 // b * a, 12 // d * c)
         if key not in out:
-            out[key] = GaussianRational(Fraction(a, b), Fraction(c, d))
+            out[key] = GaussianRational.over(*key, 12)
     return list(out.values())
 
 

@@ -15,7 +15,7 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -64,10 +64,20 @@ EXIT_NUMERIC = 4
 MAX_DOCUMENT_R = 7
 
 # largest map degree that `rational` takes, by --d or as a map document:
-# `rational --d D --count 1 --seed 0` runs in 1.6 s (94 MB) at D = 80, 16 s
-# (474 MB) at D = 160 and 40 s (872 MB) at D = 200 on a 2-core Xeon VM,
-# about x10 in time per doubling, so a map of degree 1000 would take hours
+# `rational --d D --count 1 --seed 0` runs in 1.8 s (95 MB) at D = 80, 16-19 s
+# (505 MB) at D = 160 and 33 s (939 MB) at D = 200 on a 2-core Xeon VM,
+# about x9 in time per doubling, so a map of degree 1000 would take hours
 MAX_MAP_DEGREE = 200
+
+# largest --r of `kronecker` and of `metric`, the last r that runs in about a
+# minute: both spend their time in the Laplace pass over all 2^(r+1) row
+# subsets, about x2 per step of r.  On a 2-core Xeon VM,
+# `kronecker --r R --count 1 --seed 0` took 27 s (129 MB) at R = 18, 54 s
+# (199 MB) at 19 and 113 s (370 MB) at 20, and `metric --r R --count 1
+# --seed 0` 11 s (134 MB) at R = 14, 25 s (164 MB) at 15, 57 s (333 MB) at
+# 16 and 133 s (648 MB) at 17
+MAX_PENCIL_R = 19
+MAX_METRIC_R = 16
 
 
 class ParseFailure(Exception):
@@ -553,29 +563,16 @@ def positive_int(text: str) -> int:
     return value
 
 
-def document_r(text: str) -> int:
-    """Argument type for --r of commands that certify curves: 1 to MAX_DOCUMENT_R."""
-    value = positive_int(text)
-    if value > MAX_DOCUMENT_R:
-        raise argparse.ArgumentTypeError(f"must be at most {MAX_DOCUMENT_R}, got {value}")
-    return value
+def at_most(ceiling: int) -> Callable[[str], int]:
+    """Argument type for a count or size from 1 to `ceiling`."""
 
+    def integer(text: str) -> int:
+        value = positive_int(text)
+        if value > ceiling:
+            raise argparse.ArgumentTypeError(f"must be at most {ceiling}, got {value}")
+        return value
 
-def map_degree(text: str) -> int:
-    """Argument type for --d of `rational`: 1 to MAX_MAP_DEGREE."""
-    value = positive_int(text)
-    if value > MAX_MAP_DEGREE:
-        raise argparse.ArgumentTypeError(f"must be at most {MAX_MAP_DEGREE}, got {value}")
-    return value
-
-
-def fiber_count(text: str) -> int:
-    """Argument type for --fibers: 1 to MAX_FIBERS, the distinct parameters
-    `random_fiber_parameters` can draw."""
-    value = positive_int(text)
-    if value > MAX_FIBERS:
-        raise argparse.ArgumentTypeError(f"must be at most {MAX_FIBERS}, got {value}")
-    return value
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -587,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_kron = sub.add_parser("kronecker", help="reduce random injective pencils")
-    p_kron.add_argument("--r", type=positive_int, required=True)
+    p_kron.add_argument("--r", type=at_most(MAX_PENCIL_R), required=True)
     p_kron.add_argument("--count", type=positive_int, default=10)
     p_kron.add_argument("--seed", type=int, default=0)
     p_kron.add_argument("--out", type=Path, default=None)
@@ -598,13 +595,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = acm_sub.add_parser("verify", help="full report on one curve file")
     p_verify.add_argument("curve", help="curve document (JSON)")
-    p_verify.add_argument("--fibers", type=fiber_count, default=5)
+    # MAX_FIBERS: the distinct parameters `random_fiber_parameters` can draw
+    p_verify.add_argument("--fibers", type=at_most(MAX_FIBERS), default=5)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--out", type=Path, default=None)
     p_verify.set_defaults(func=cmd_acm_verify, report="acm_verify_report.json", label="acm verify")
 
     p_random = acm_sub.add_parser("random", help="write certified curve documents")
-    p_random.add_argument("--r", type=document_r, required=True)
+    p_random.add_argument("--r", type=at_most(MAX_DOCUMENT_R), required=True)
     p_random.add_argument("--count", type=positive_int, default=1)
     p_random.add_argument("--seed", type=int, default=0)
     p_random.add_argument("--out", type=Path, required=True)
@@ -612,7 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_random.set_defaults(func=cmd_acm_random, report=None, label="acm random")
 
     p_rat = sub.add_parser("rational", help="splitting types of rational maps")
-    p_rat.add_argument("--d", type=map_degree, default=None)
+    p_rat.add_argument("--d", type=at_most(MAX_MAP_DEGREE), default=None)
     p_rat.add_argument("--count", type=positive_int, default=20)
     p_rat.add_argument("--seed", type=int, default=0)
     p_rat.add_argument("--map", default=None, help="explicit map document (JSON)")
@@ -620,7 +618,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rat.set_defaults(func=cmd_rational, report="rational_report.json", label="rational")
 
     p_metric = sub.add_parser("metric", help="metric constancy scan")
-    p_metric.add_argument("--r", type=positive_int, required=True)
+    p_metric.add_argument("--r", type=at_most(MAX_METRIC_R), required=True)
     p_metric.add_argument("--count", type=positive_int, default=10)
     p_metric.add_argument("--seed", type=int, default=0)
     p_metric.add_argument("--skip-sigma-gauge", action="store_true")
@@ -630,7 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_coh = sub.add_parser("cohomology", help="cohomology commands")
     coh_sub = p_coh.add_subparsers(dest="cohomology_command", required=True)
     p_table = coh_sub.add_parser("table", help="twisted ideal cohomology table")
-    p_table.add_argument("--r", type=document_r, default=None)
+    p_table.add_argument("--r", type=at_most(MAX_DOCUMENT_R), default=None)
     p_table.add_argument("--curve", default=None, help="curve document (JSON)")
     p_table.add_argument("--seed", type=int, default=0)
     p_table.add_argument("--out", type=Path, default=None)

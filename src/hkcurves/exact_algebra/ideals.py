@@ -31,15 +31,14 @@ band matrices of rational maps.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import add
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import modp
 from .modp import sparse_rank_certificate
 from .polys import HomogPoly, monomial_basis, monomial_count, monomial_index
-from .scalars import ZERO, GaussianRational
+from .scalars import ZERO, GaussianRational, integer_pairs
 
 Row = List[Tuple[int, int, int]]
 
@@ -93,11 +92,8 @@ def integer_row(row: Iterable[Tuple[object, GaussianRational]]) -> list:
     """The row times the lcm of its denominators, as (key, a, b) triples
     for its nonzero entries a + b*i, in the given order."""
     row = [(c, v) for c, v in row if v.re or v.im]
-    den = lcm(*(q.denominator for _, v in row for q in (v.re, v.im)))
-    return [
-        (c, v.re.numerator * (den // v.re.denominator), v.im.numerator * (den // v.im.denominator))
-        for c, v in row
-    ]
+    pairs, _ = integer_pairs(v for _, v in row)
+    return [(c, a, b) for (c, _), (a, b) in zip(row, pairs)]
 
 
 def sparse_echelon(rows: Iterable[Row], target: Optional[int] = None) -> List[Row]:
@@ -185,7 +181,7 @@ def normal_form_table(echelon: Sequence[Row]) -> Dict[int, Dict[int, GaussianRat
     """Normal forms of the pivot columns of `sparse_echelon` rows: pivot
     column -> {non-pivot column: coeff}."""
     return {
-        col: {c: GaussianRational(Fraction(-a, row[0][1]), Fraction(-b, row[0][1])) for c, a, b in row[1:]}
+        col: {c: GaussianRational.over(-a, -b, row[0][1]) for c, a, b in row[1:]}
         for col, row in reduced_echelon(echelon).items()
     }
 

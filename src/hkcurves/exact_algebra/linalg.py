@@ -2,9 +2,10 @@
 
 ExactMatrix is an immutable dense container with one integer form: its
 entries as Gaussian-integer (re, im) pairs over one denominator D > 0,
-built once on first use.  Products, equality and the exact methods read
-that form; a product is born in it, over D_L * D_R, and so is an inverse,
-and each builds its Q(i) entries (`data`) only when they are read.  Rank,
+cleared once by `scalars.integer_pairs` when built from entries.  Products,
+equality and the exact methods read that form; a product is born in it,
+over D_L * D_R, and so is an inverse, and each builds its Q(i) entries
+(`data`) only when they are read, by `GaussianRational.over`.  Rank,
 right kernel and inverse come from the sparse echelon of `ideals`
 (`sparse_echelon` and its `reduced_echelon`) on the form's rows, and the
 determinant from the array Laplace kernel of `polys`, on the form as a
@@ -15,27 +16,29 @@ above its bound.  There is no floating fallback here.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from math import lcm
 
 from .ideals import normal_form_table, reduced_echelon, sparse_echelon, sparse_row_rank
 from .polys import form_pairs, laplace
-from .scalars import ONE, ZERO, GaussianRational, random_gaussian_rows
+from .scalars import ONE, ZERO, GaussianRational, integer_pairs, random_gaussian_rows
 
 
 class ExactMatrix:
-    """Immutable dense matrix over GaussianRational."""
+    """Immutable dense matrix over GaussianRational.  `integer_form` is (rows, D):
+    the entries as (re, im) int pairs over one D > 0, the lcm of their
+    denominators, or for a product or inverse the D it was built over."""
 
-    __slots__ = ("_data", "_form", "rows", "cols")
+    __slots__ = ("_data", "integer_form", "rows", "cols")
 
     def __init__(self, data, cols: int | None = None):
         norm = tuple(tuple(z if isinstance(z, GaussianRational) else GaussianRational(z) for z in row) for row in data)
         cols = len(norm[0]) if norm else (cols if cols is not None else 0)
-        for name, value in zip(self.__slots__, (norm, None, len(norm), cols)):
+        if any(len(row) != cols for row in norm):
+            raise ValueError("ragged rows")
+        pairs, den = integer_pairs(z for row in norm for z in row)
+        form = tuple(tuple(pairs[i * cols : (i + 1) * cols]) for i in range(len(norm)))
+        for name, value in zip(self.__slots__, (norm, (form, den), len(norm), cols)):
             object.__setattr__(self, name, value)
-        for row in norm:
-            if len(row) != self.cols:
-                raise ValueError("ragged rows")
 
     @staticmethod
     def from_integer_form(rows: tuple, den: int, cols: int) -> "ExactMatrix":
@@ -50,29 +53,15 @@ class ExactMatrix:
         raise AttributeError("ExactMatrix is immutable")
 
     def __reduce__(self):
-        # copy and pickle rebuild from the entries, not the cached form
+        # copy and pickle rebuild through __init__, not the blocked __setattr__
         return (ExactMatrix, (self.data, self.cols))
 
     @property
     def data(self) -> tuple:
         if self._data is None:
-            rows, d = self._form
-            entries = tuple(tuple(GaussianRational(Fraction(a, d), Fraction(b, d)) for a, b in row) for row in rows)
-            object.__setattr__(self, "_data", entries)
+            rows, d = self.integer_form
+            object.__setattr__(self, "_data", tuple(tuple(GaussianRational.over(a, b, d) for a, b in row) for row in rows))
         return self._data
-
-    @property
-    def integer_form(self) -> tuple:
-        """(rows, D): the entries as (re, im) int pairs over one D > 0, the
-        lcm of their denominators unless the matrix was born in its form."""
-        if self._form is None:
-            den = lcm(*(q.denominator for row in self._data for z in row for q in (z.re, z.im)))
-            rows = tuple(
-                tuple((z.re.numerator * (den // z.re.denominator), z.im.numerator * (den // z.im.denominator)) for z in row)
-                for row in self._data
-            )
-            object.__setattr__(self, "_form", (rows, den))
-        return self._form
 
     def _sparse_rows(self) -> list:
         """The form's rows as sparse (column, a, b) triples: each D times its row."""
@@ -182,7 +171,7 @@ class ExactMatrix:
             raise ValueError("det of non-square matrix")
         pairs, den = form_pairs([self.integer_form])
         [[(re, im)]] = laplace(pairs).tolist()
-        return GaussianRational(Fraction(re, den**self.rows), Fraction(im, den**self.rows))
+        return GaussianRational.over(re, im, den**self.rows)
 
     def inverse(self) -> "ExactMatrix":
         """The reduced echelon form of [M | I] is [I | M^-1]: row i is

@@ -30,7 +30,6 @@ UniPoly is the univariate workhorse for pencil minor gcds and binary forms.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm, prod
 from operator import add
@@ -39,7 +38,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .modp import crt_lift
-from .scalars import ONE, ZERO, GaussianRational
+from .scalars import ONE, ZERO, GaussianRational, integer_pairs
 
 
 @lru_cache(maxsize=None)
@@ -87,10 +86,9 @@ class HomogPoly:
                 continue
             if len(mono) != num_vars or sum(mono) != degree or min(mono) < 0:
                 raise ValueError(f"monomial {mono} not of degree {degree}")
-            parts[tuple(mono)] = c.integer_parts()
-        den = lcm(*(e for _, _, e in parts.values()))
-        terms = {m: (a * (den // e), b * (den // e)) for m, (a, b, e) in parts.items()}
-        self._fill(num_vars, degree, terms, den)
+            parts[tuple(mono)] = c
+        pairs, den = integer_pairs(parts.values())
+        self._fill(num_vars, degree, dict(zip(parts, pairs)), den)
 
     def _fill(self, num_vars: int, degree: int, terms: dict, den: int) -> None:
         # drop zero numerators and divide gcd(den, content) out of both
@@ -118,8 +116,7 @@ class HomogPoly:
     @property
     def coeffs(self) -> MappingProxyType:
         if self._coeffs is None:
-            d = self.den
-            view = {m: GaussianRational(Fraction(a, d), Fraction(b, d)) for m, (a, b) in self.terms.items()}
+            view = {m: GaussianRational.over(a, b, self.den) for m, (a, b) in self.terms.items()}
             object.__setattr__(self, "_coeffs", MappingProxyType(view))
         return self._coeffs
 

@@ -1,7 +1,9 @@
 """Exact arithmetic over the Gaussian rationals Q(i).
 
 Scalars are pairs of stdlib Fractions, so every value is in canonical lowest
-terms automatically.  The string grammar used by all JSON documents is
+terms automatically.  Only `integer_pairs` and `GaussianRational.over` turn
+values into, and back from, the Gaussian-integer (re, im) pairs over one
+denominator that the exact kernels read.  JSON documents write scalars as
 
     RAT   := INT | INT "/" POSINT
     GAUSS := RAT | RAT "i" | RAT ("+"|"-") RAT "i"
@@ -16,7 +18,7 @@ import random
 import re
 from fractions import Fraction
 from math import lcm
-from typing import Tuple
+from typing import Iterable, List, Tuple
 
 _RAT = r"[+-]?\d+(?:/\d+)?"
 _URAT = r"\d+(?:/\d+)?"
@@ -62,6 +64,11 @@ class GaussianRational:
             return GaussianRational(Fraction(first), Fraction(second))
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in GAUSS literal: {text!r}") from None
+
+    @staticmethod
+    def over(a: int, b: int, den: int) -> "GaussianRational":
+        """(a + b*i) / den for ints a, b and den != 0, in lowest terms."""
+        return GaussianRational(Fraction(a, den), Fraction(b, den))
 
     @staticmethod
     def from_complex(z: complex, limit: int = 10**6) -> "GaussianRational":
@@ -140,9 +147,8 @@ class GaussianRational:
 
     def integer_parts(self) -> Tuple[int, int, int]:
         """(a, b, den) with self = (a + b*i) / den and den > 0 the lcm of both denominators."""
-        x, y = self.re, self.im
-        den = lcm(x.denominator, y.denominator)
-        return x.numerator * (den // x.denominator), y.numerator * (den // y.denominator), den
+        [(a, b)], den = integer_pairs([self])
+        return a, b, den
 
     # -- predicates / conversions ---------------------------------------
 
@@ -170,6 +176,14 @@ class GaussianRational:
 
     def __str__(self):
         return format_gauss(self)
+
+
+def integer_pairs(values: Iterable[GaussianRational]) -> Tuple[List[Tuple[int, int]], int]:
+    """(pairs, den): each value as (a, b) with value = (a + b*i) / den, and
+    den > 0 the lcm of all their denominators (1 for no values)."""
+    values = list(values)
+    den = lcm(*(q.denominator for z in values for q in (z.re, z.im)))
+    return [(z.re.numerator * (den // z.re.denominator), z.im.numerator * (den // z.im.denominator)) for z in values], den
 
 
 def _fmt_rat(q: Fraction) -> str:

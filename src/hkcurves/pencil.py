@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -59,10 +58,7 @@ def _minor_table(A1: ExactMatrix, A2: ExactMatrix) -> Tuple[MinorTable, int]:
 def _uni_minors(T: MinorTable, den: int) -> List[UniPoly]:
     """The maximal minors of A1 + lambda*A2 as polynomials in lambda, from
     the table of `_minor_table`: the sign of row i undone, over den."""
-    return [
-        UniPoly([GaussianRational(Fraction((-1) ** i * a, den), Fraction((-1) ** i * b, den)) for a, b in row])
-        for i, row in enumerate(T)
-    ]
+    return [UniPoly([GaussianRational.over(a, b, (-1) ** i * den) for a, b in row]) for i, row in enumerate(T)]
 
 
 def pencil_minors(A1: ExactMatrix, A2: ExactMatrix) -> List[UniPoly]:

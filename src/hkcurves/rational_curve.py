@@ -17,7 +17,6 @@ which scales every block alike and so keeps every rank.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -29,7 +28,7 @@ import numpy as np
 from .exact_algebra import modp
 from .exact_algebra.ideals import Row, certified_rank
 from .exact_algebra.polys import UniPoly, uni_gcd
-from .exact_algebra.scalars import DRAW_SPAN, MAX_DRAWS, ONE, ZERO, GaussianRational, random_gaussian_rows
+from .exact_algebra.scalars import DRAW_SPAN, MAX_DRAWS, ONE, ZERO, GaussianRational, integer_pairs, random_gaussian_rows
 
 BinaryForm = Tuple[GaussianRational, ...]  # coeffs[k] multiplies s^(d-k) t^k
 IntForm = Sequence[Sequence[int]]  # Gaussian-integer (re, im) pairs, same order
@@ -66,9 +65,9 @@ class RationalCurveMap:
     def _rows(self) -> "_FormRows":
         """f_a, ds f_a, dt f_a (rows 0-3, 4-7, 8-11), all times one common
         positive denominator of the coefficients."""
-        den = math.lcm(*(q.denominator for f in self.forms for c in f for q in (c.re, c.im)))
-        forms = [[(int(c.re * den), int(c.im * den)) for c in f] for f in self.forms]
         d = self.degree
+        pairs, _ = integer_pairs(c for f in self.forms for c in f)
+        forms = [pairs[k * (d + 1) : (k + 1) * (d + 1)] for k in range(4)]
         ds = [[(a * (d - k), b * (d - k)) for k, (a, b) in enumerate(f[:-1])] for f in forms]
         dt = [[(a * k, b * k) for k, (a, b) in enumerate(f)][1:] for f in forms]
         return _FormRows(forms + ds + dt)
@@ -93,24 +92,23 @@ def _band_layout(lengths: Tuple[int, ...], width: int, blocks: Tuple, col_degree
     """Shape and read-only (row, column, source) indices of the matrix of
     (g_c) -> (sum_c F[blocks[o][c]] * g_c)_o, g_c of degree col_degrees[c], for
     forms F of these lengths; source q * width + i is coefficient i of F[q].
-    Each output o has one degree, so its rows do not depend on c."""
-    rows, cols, src = [], [], []
-    ncols = 0
-    for c, cd in enumerate(col_degrees):
-        nrows = 0
-        for block in blocks:
-            q = block[c]
-            n = lengths[q]
-            for k in range(cd + 1):
-                rows.extend(range(nrows + k, nrows + k + n))
-                cols.extend([ncols + k] * n)
-                src.extend(range(q * width, q * width + n))
-            nrows += n + cd
-        ncols += cd + 1
-    arrays = np.array(rows), np.array(cols), np.array(src)
+    Each output o has one degree, so its rows do not depend on c.
+
+    Entry (c, o, k, i), for k <= col_degrees[c] and i < lengths[q], puts
+    coefficient i of F[q], q = blocks[o][c], at row rows0[c, o] + k + i and
+    column cols0[c] + k, rows0 and cols0 the running sums of the block
+    heights and widths; `np.nonzero` lists the entries in that order."""
+    q = np.array(blocks, dtype=np.int64).reshape(len(blocks), len(col_degrees)).T
+    cd = np.array(col_degrees, dtype=np.int64)
+    n = np.array(lengths, dtype=np.int64)[q]
+    heights = n + cd[:, None]
+    rows0, cols0 = np.cumsum(heights, axis=1) - heights, np.cumsum(cd + 1) - (cd + 1)
+    grid = (np.arange(cd.max() + 1)[:, None] <= cd[:, None, None, None]) & (np.arange(width) < n[:, :, None, None])
+    c, o, k, i = np.nonzero(grid)
+    arrays = rows0[c, o] + k + i, cols0[c] + k, q[c, o] * width + i
     for a in arrays:
         a.setflags(write=False)
-    return ((nrows, ncols), *arrays)
+    return ((int(heights[-1].sum()), int(cols0[-1] + cd[-1] + 1)), *arrays)
 
 
 class _FormRows:

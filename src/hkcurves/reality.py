@@ -35,14 +35,11 @@ def sigma_form(f: HomogPoly) -> HomogPoly:
     """Pullback on forms; applied twice gives (-1)^degree times the form."""
     if f.num_vars != 4:
         raise ValueError("expected a form in 4 variables")
-    coeffs = {}
-    for (m0, m1, m2, m3), c in f.coeffs.items():
-        val = c.conj()
-        if (m0 + m2) % 2:
-            val = -val
-        mono = (m1, m0, m3, m2)
-        coeffs[mono] = coeffs.get(mono, ZERO) + val
-    return HomogPoly(4, f.degree, {m: v for m, v in coeffs.items() if not v.is_zero()})
+    terms = {}
+    for (m0, m1, m2, m3), (a, b) in f.terms.items():
+        # conj(a + b*i), negated where m0 + m2 is odd; no two monomials merge
+        terms[(m1, m0, m3, m2)] = (-a, b) if (m0 + m2) % 2 else (a, -b)
+    return f._like(terms, f.den)
 
 
 def sigma_matrix_tuple(

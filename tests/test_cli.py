@@ -9,7 +9,16 @@ from test_resolution_exactness import X0, _common_factor_matrix
 
 from hkcurves import cli
 from hkcurves.acm_curve import MAX_FIBERS, ACMCurve, random_sigma_curve
-from hkcurves.cli import MAX_DOCUMENT_R, MAX_MAP_DEGREE, curve_to_document, document_to_curve, main
+from hkcurves.cli import (
+    MAX_DOCUMENT_R,
+    MAX_MAP_DEGREE,
+    MAX_METRIC_R,
+    MAX_PENCIL_R,
+    build_parser,
+    curve_to_document,
+    document_to_curve,
+    main,
+)
 
 CUBIC_DOC = {
     "forms": [
@@ -323,6 +332,19 @@ def test_map_degree_ceiling_stops_before_any_rank(tmp_path, capsys, monkeypatch)
         main(["rational", "--d", str(MAX_MAP_DEGREE + 1)])
     assert exc.value.code == 2
     assert f"at most {MAX_MAP_DEGREE}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, ceiling", [("kronecker", MAX_PENCIL_R), ("metric", MAX_METRIC_R)])
+def test_pencil_and_metric_ceilings_stop_before_any_draw(command, ceiling, capsys, monkeypatch):
+    # the ceiling itself parses; one r past it exits 2 in the parser, and
+    # nothing is drawn
+    assert build_parser().parse_args([command, "--r", str(ceiling)]).r == ceiling
+    for name in ("canonical_pair", "random_injective_pencil", "scan_chart", "extract_metric"):
+        monkeypatch.setattr(f"hkcurves.cli.{name}", None)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--r", str(ceiling + 1), "--count", "1"])
+    assert exc.value.code == 2
+    assert f"at most {ceiling}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

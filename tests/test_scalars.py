@@ -10,6 +10,7 @@ import pytest
 from hkcurves.exact_algebra.scalars import (
     GaussianRational,
     format_gauss,
+    integer_pairs,
     parse_gauss,
 )
 
@@ -19,6 +20,34 @@ def test_constructor_and_equality():
     assert a == GaussianRational(Fraction(1), Fraction(2))
     assert a != GaussianRational(1, 3)
     assert GaussianRational(Fraction(1, 2)) == GaussianRational(Fraction(1, 2), 0)
+
+
+def test_integer_pairs_clear_one_common_denominator():
+    assert integer_pairs([]) == ([], 1)
+    # mixed denominators, given negative too: one lcm, signs on the numerators
+    values = [
+        GaussianRational(Fraction(1, -2), Fraction(2, 3)),
+        GaussianRational(3, Fraction(5, -4)),
+        GaussianRational(0),
+        GaussianRational(Fraction(-7, -6)),
+    ]
+    pairs, den = integer_pairs(values)
+    assert (pairs, den) == ([(-6, 8), (36, -15), (0, 0), (14, 0)], 12)
+    assert [GaussianRational.over(a, b, den) for a, b in pairs] == values
+    # one pass over an iterator, and integer_parts is the single-value case
+    assert integer_pairs(iter(values)) == (pairs, den)
+    assert values[0].integer_parts() == (-3, 4, 6)
+
+
+def test_over_normalizes_sign_and_lowest_terms():
+    z = GaussianRational.over(2, -4, -6)
+    assert (z.re, z.im) == (Fraction(-1, 3), Fraction(2, 3))
+    assert z.re.denominator == z.im.denominator == 3
+    assert GaussianRational.over(-3, 0, -1) == 3
+    with pytest.raises(ZeroDivisionError):
+        GaussianRational.over(1, 0, 0)
+    with pytest.raises(ZeroDivisionError):
+        GaussianRational.over(0, 0, 0)
 
 
 def test_hash_agrees_with_equality():

@@ -11,6 +11,7 @@ from test_resolution_exactness import X0, _common_factor_matrix
 
 from hkcurves.acm_curve import ACMCurve
 from hkcurves.cli import curve_to_document
+from hkcurves.exact_algebra.linalg import ExactMatrix
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -90,7 +91,7 @@ def _uses(name):
 def test_one_certified_rank_primitive():
     # every modular shortcut is a rank through `ideals.certified_rank`: it
     # alone calls `sparse_rank_certificate`, and no module but `modp` reads,
-    # so none iterates, the primes; the package only re-exports both names
+    # so none iterates, the primes
     callers = {path for path, call in _uses("sparse_rank_certificate") if call}
     assert callers == {"hkcurves/exact_algebra/ideals.py"}
     assert {path for path, _ in _uses("PRIMES")} == {"hkcurves/exact_algebra/modp.py"}
@@ -111,6 +112,21 @@ def test_one_door_into_the_laplace_kernel():
     named = {path.relative_to(SRC).as_posix() for path in SRC.rglob("*.py") if "laplace" in set(_names(path))}
     assert named == {"hkcurves/exact_algebra/polys.py", "hkcurves/exact_algebra/linalg.py"}
     assert not {"HomogPoly", "signed_minors"} & set(_names(SRC / "hkcurves" / "pencil.py"))
+
+
+def test_one_boundary_for_q_i_scalars():
+    # `scalars` alone turns Q(i) values into Gaussian-integer pairs over one
+    # denominator (`integer_pairs`) and back (`GaussianRational.over`): no
+    # other module names Fraction or reads a numerator or denominator, and
+    # a matrix is born with its integer form, not given it lazily
+    found = sorted(
+        f"{path.relative_to(SRC).as_posix()} uses {name}"
+        for path in SRC.rglob("*.py")
+        if path.name != "scalars.py"
+        for name in {"Fraction", "numerator", "denominator"} & set(_names(path))
+    )
+    assert found == []
+    assert "integer_form" in ExactMatrix.__slots__ and "_form" not in ExactMatrix.__slots__
 
 
 def test_optimized_run_matches(tmp_path):
