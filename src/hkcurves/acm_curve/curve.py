@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -12,7 +13,7 @@ import numpy as np
 from ..exact_algebra.ideals import GradedIdeal
 from ..exact_algebra.linalg import ExactMatrix
 from ..exact_algebra.polys import column_combinations, form_pairs, monomial_count, signed_minors
-from ..exact_algebra.scalars import DRAW_SPAN, MAX_DRAWS, random_gaussian_rows
+from ..exact_algebra.scalars import DRAW_SPAN, MAX_DRAWS, first_draw, random_gaussian_rows
 from ..pencil import canonical_pair, minor_coefficient_rank
 from ..reality import make_sigma_invariant_pencil, reality_conjugate
 
@@ -244,26 +245,18 @@ def random_real_curve(r: int, seed: int) -> ACMCurve:
     Draws integer matrices until the resolution certificate passes; the
     base line is avoided automatically in the canonical gauge.
     """
+    if r < 1:
+        raise ValueError("need r >= 1")
     rng = random.Random(seed)
-    for _ in range(MAX_DRAWS):
-        A3 = ExactMatrix(random_gaussian_rows(rng, r + 1, r, DRAW_SPAN))
-        try:
-            curve = ACMCurve.from_real_pair(A3)
-        except ValueError:
-            continue
-        if curve.certificate().ok:
-            return curve
-    raise RuntimeError(f"no certified curve after {MAX_DRAWS} draws (r={r}, seed={seed})")
+    draw = lambda: ACMCurve.from_real_pair(ExactMatrix(random_gaussian_rows(rng, r + 1, r, DRAW_SPAN)))
+    return first_draw("certified curve", draw, lambda curve: curve.certificate().ok, r=r, seed=seed)
 
 
 def random_sigma_curve(r: int, seed: int) -> ACMCurve:
-    """Random sigma-paired curve in its raw gauge, drawn until certified."""
-    for attempt in range(MAX_DRAWS):
-        coeffs = make_sigma_invariant_pencil(r, seed * MAX_DRAWS + attempt)
-        try:
-            curve = ACMCurve(coeffs)
-        except ValueError:
-            continue
-        if curve.certificate().ok:
-            return curve
-    raise RuntimeError(f"no certified curve after {MAX_DRAWS} draws (r={r}, seed={seed})")
+    """Random sigma-paired curve in its raw gauge, drawn until certified;
+    draw k takes its pencil from seed seed * MAX_DRAWS + k."""
+    if r < 1:
+        raise ValueError("need r >= 1")
+    seeds = itertools.count(seed * MAX_DRAWS)
+    draw = lambda: ACMCurve(make_sigma_invariant_pencil(r, next(seeds)))
+    return first_draw("certified curve", draw, lambda curve: curve.certificate().ok, r=r, seed=seed)

@@ -60,13 +60,13 @@ EXIT_NUMERIC = 4
 # largest curve-document r that `acm verify` takes: a generic document
 # verifies in 0.06-0.10 s at r = 7 on a 2-core Xeon VM (certificate 0.04-0.06 s),
 # and one whose minors share a factor, swept through 2r+2 by exact elimination,
-# fails in 0.93 s at r = 4, 6.0 s at r = 5 and 26 s at r = 6 (ROADMAP item 5)
+# fails in 0.93 s at r = 4, 6.0 s at r = 5 and 26 s at r = 6 (ROADMAP item 6)
 MAX_DOCUMENT_R = 7
 
 # largest map degree that `rational` takes, by --d or as a map document:
-# `rational --d D --count 1 --seed 0` runs in 1.8 s (95 MB) at D = 80, 16-19 s
-# (505 MB) at D = 160 and 33 s (939 MB) at D = 200 on a 2-core Xeon VM,
-# about x9 in time per doubling, so a map of degree 1000 would take hours
+# `rational --d D --count 1 --seed 0` runs in 1.8-2.0 s (56 MB) at D = 80,
+# 14-17 s (132 MB) at D = 160 and 38-40 s (195 MB) at D = 200 on a 2-core Xeon
+# VM, about x8 in time per doubling, so a map of degree 1000 would take hours
 MAX_MAP_DEGREE = 200
 
 # largest --r of `kronecker` and of `metric`, the last r that runs in about a
@@ -226,7 +226,7 @@ def cmd_kronecker(args: argparse.Namespace) -> Report:
             A1, A2 = random_injective_pencil(args.r, args.seed * args.count + index)
             red = kronecker_reduce(A1, A2)
             identity = apply_gauge(A1, A2, red.P, red.Q) == (S, T)
-        except (ValueError, AssertionError) as exc:
+        except (ValueError, AssertionError, RuntimeError) as exc:
             entry["identity"] = False
             entry["stabilizer_dimension"] = None
             entry["error"] = str(exc)

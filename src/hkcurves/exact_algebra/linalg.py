@@ -20,7 +20,7 @@ from math import lcm
 
 from .ideals import normal_form_table, reduced_echelon, sparse_echelon, sparse_row_rank
 from .polys import form_pairs, laplace
-from .scalars import ONE, ZERO, GaussianRational, integer_pairs, random_gaussian_rows
+from .scalars import ONE, ZERO, GaussianRational, first_draw, integer_pairs, random_gaussian_rows
 
 
 class ExactMatrix:
@@ -217,8 +217,6 @@ class ExactMatrix:
 def random_invertible(size: int, rng: random.Random) -> ExactMatrix:
     """Seeded invertible Gaussian-integer matrix, both parts of each entry in
     [-2, 2]: draws until full rank."""
-    while True:
-        m = ExactMatrix(random_gaussian_rows(rng, size, size, 2))
-        if m.rank() == size:
-            return m
+    draw = lambda: ExactMatrix(random_gaussian_rows(rng, size, size, 2))
+    return first_draw("invertible matrix", draw, lambda m: m.rank() == size, size=size)
 

@@ -18,7 +18,7 @@ import random
 import re
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, List, Tuple
+from typing import Callable, Iterable, List, Tuple
 
 _RAT = r"[+-]?\d+(?:/\d+)?"
 _URAT = r"\d+(?:/\d+)?"
@@ -207,7 +207,7 @@ ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
 
 # the seeded drawers: both parts of an entry in [-DRAW_SPAN, DRAW_SPAN], and
-# MAX_DRAWS draws before one gives up
+# MAX_DRAWS draws before `first_draw` gives up
 DRAW_SPAN = 3
 MAX_DRAWS = 64
 
@@ -227,3 +227,18 @@ def random_gaussian_rows(
         )
         for _ in range(rows)
     )
+
+
+def first_draw(what: str, draw: Callable, accept: Callable, **context):
+    """The first value of `draw()` that `accept` takes, in at most MAX_DRAWS
+    calls of `draw`, of which a ValueError counts as a rejected draw; else
+    RuntimeError("no <what> after MAX_DRAWS draws (<context as key=value>)")."""
+    for _ in range(MAX_DRAWS):
+        try:
+            value = draw()
+        except ValueError:
+            continue
+        if accept(value):
+            return value
+    where = ", ".join(f"{key}={val}" for key, val in context.items())
+    raise RuntimeError(f"no {what} after {MAX_DRAWS} draws ({where})")

@@ -20,7 +20,7 @@ from .exact_algebra import modp
 from .exact_algebra.linalg import ExactMatrix
 from .exact_algebra.ideals import Row, certified_rank
 from .exact_algebra.polys import UniPoly, form_pairs, signed_minor_table, uni_gcd
-from .exact_algebra.scalars import DRAW_SPAN, MAX_DRAWS, ONE, ZERO, GaussianRational, random_gaussian_rows
+from .exact_algebra.scalars import DRAW_SPAN, ONE, ZERO, GaussianRational, first_draw, random_gaussian_rows
 
 
 @functools.lru_cache(maxsize=None)
@@ -282,8 +282,5 @@ def pair_stabilizer_dimension(A1: ExactMatrix, A2: ExactMatrix) -> int:
 def random_injective_pencil(r: int, seed: int) -> Tuple[ExactMatrix, ExactMatrix]:
     """Seeded (A1, A2) with every member of full column rank."""
     rng = random.Random(seed)
-    for _ in range(MAX_DRAWS):
-        mats = [ExactMatrix(random_gaussian_rows(rng, r + 1, r, DRAW_SPAN)) for _k in range(2)]
-        if is_injective_pencil(mats[0], mats[1]).ok:
-            return mats[0], mats[1]
-    raise ValueError("no injective pencil found within the retry bound")
+    draw = lambda: tuple(ExactMatrix(random_gaussian_rows(rng, r + 1, r, DRAW_SPAN)) for _k in range(2))
+    return first_draw("injective pencil", draw, lambda mats: is_injective_pencil(*mats).ok, r=r, seed=seed)

@@ -28,7 +28,7 @@ import numpy as np
 from .exact_algebra import modp
 from .exact_algebra.ideals import Row, certified_rank
 from .exact_algebra.polys import UniPoly, uni_gcd
-from .exact_algebra.scalars import DRAW_SPAN, MAX_DRAWS, ONE, ZERO, GaussianRational, integer_pairs, random_gaussian_rows
+from .exact_algebra.scalars import DRAW_SPAN, ONE, ZERO, GaussianRational, first_draw, integer_pairs, random_gaussian_rows
 
 BinaryForm = Tuple[GaussianRational, ...]  # coeffs[k] multiplies s^(d-k) t^k
 IntForm = Sequence[Sequence[int]]  # Gaussian-integer (re, im) pairs, same order
@@ -87,7 +87,10 @@ class RationalCurveMap:
         return out
 
 
-@lru_cache(maxsize=None)
+# a degree-5 split visits 12 shapes (2 in `validate_map`, 7 for the conormal
+# twists, 3 in `riemann_roch_consistent`), so 16 keeps a small map's layouts
+# while a large-degree run does not hold every layout it ever built
+@lru_cache(maxsize=16)
 def _band_layout(lengths: Tuple[int, ...], width: int, blocks: Tuple, col_degrees: Tuple[int, ...]):
     """Shape and read-only (row, column, source) indices of the matrix of
     (g_c) -> (sum_c F[blocks[o][c]] * g_c)_o, g_c of degree col_degrees[c], for
@@ -366,12 +369,5 @@ def random_rational_map(d: int, seed: int) -> RationalCurveMap:
     if d < 1:
         raise ValueError("need degree >= 1")
     rng = random.Random(seed * 1_000_003 + d)
-    for _ in range(MAX_DRAWS):
-        forms = random_gaussian_rows(rng, 4, d + 1, DRAW_SPAN)
-        try:
-            curve_map = RationalCurveMap(forms)
-        except ValueError:
-            continue
-        if validate_map(curve_map).ok:
-            return curve_map
-    raise RuntimeError(f"no valid map after {MAX_DRAWS} draws (d={d}, seed={seed})")
+    draw = lambda: RationalCurveMap(random_gaussian_rows(rng, 4, d + 1, DRAW_SPAN))
+    return first_draw("valid map", draw, lambda curve_map: validate_map(curve_map).ok, d=d, seed=seed)

@@ -20,7 +20,7 @@ from typing import Sequence, Tuple
 from .exact_algebra.ideals import GradedIdeal
 from .exact_algebra.linalg import ExactMatrix
 from .exact_algebra.polys import HomogPoly
-from .exact_algebra.scalars import DRAW_SPAN, MAX_DRAWS, ZERO, GaussianRational, random_gaussian_rows
+from .exact_algebra.scalars import DRAW_SPAN, ZERO, GaussianRational, first_draw, random_gaussian_rows
 from .pencil import is_injective_pencil
 
 
@@ -92,9 +92,9 @@ def make_sigma_invariant_pencil(r: int, seed: int) -> Tuple[ExactMatrix, ExactMa
     if r < 1:
         raise ValueError("need r >= 1")
     rng = random.Random(1000003 * seed + r)
-
     n = r + 1
-    for _ in range(MAX_DRAWS):
+
+    def draw():
         entries = [[None] * r for _ in range(n)]
         if r % 2 == 1:
             for k in range(n // 2):
@@ -108,13 +108,12 @@ def make_sigma_invariant_pencil(r: int, seed: int) -> Tuple[ExactMatrix, ExactMa
                     c = random_gaussian_rows(rng, 1, 4, DRAW_SPAN)[0]
                     entries[i][2 * k] = c
                     entries[i][2 * k + 1] = _sigma_linear_coeffs(c)
-        mats = tuple(
+        return tuple(
             ExactMatrix([[entries[i][j][v] for j in range(r)] for i in range(n)])
             for v in range(4)
         )
-        if is_injective_pencil(mats[0], mats[1]).ok:
-            return mats
-    raise RuntimeError(f"no injective draw after {MAX_DRAWS} tries (r={r}, seed={seed})")
+
+    return first_draw("injective pencil", draw, lambda mats: is_injective_pencil(*mats[:2]).ok, r=r, seed=seed)
 
 
 def conjugation_matrices(r: int) -> Tuple[ExactMatrix, ExactMatrix]:

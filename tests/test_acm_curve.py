@@ -180,6 +180,17 @@ def test_random_curves_are_deterministic():
     assert c.matrix == d.matrix
 
 
+@pytest.mark.parametrize("drawer", [random_real_curve, random_sigma_curve])
+def test_curve_drawers_reject_r_0_before_drawing(drawer, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew a matrix")
+
+    monkeypatch.setattr("hkcurves.acm_curve.curve.random_gaussian_rows", no_draw)
+    monkeypatch.setattr("hkcurves.acm_curve.curve.make_sigma_invariant_pencil", no_draw)
+    with pytest.raises(ValueError, match="need r >= 1"):
+        drawer(0, 3)
+
+
 def test_random_sigma_curve_is_certified_invariant():
     for r in (2, 3):
         curve = random_sigma_curve(r, 0)

@@ -426,7 +426,7 @@ def _failing_first_draw(monkeypatch, name, exc):
 
 
 def test_kronecker_draw_failure_is_an_item_error(capsys, monkeypatch):
-    failure = ValueError("no injective pencil found within the retry bound")
+    failure = RuntimeError("no injective pencil after 64 draws (r=2, seed=0)")
     _failing_first_draw(monkeypatch, "random_injective_pencil", failure)
     code, out = run(capsys, ["kronecker", "--r", "2", "--count", "2", "--seed", "0"])
     assert code == 1

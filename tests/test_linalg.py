@@ -10,9 +10,9 @@ import pytest
 
 from hkcurves.exact_algebra import modp
 from hkcurves.exact_algebra.ideals import eliminate, integer_row
-from hkcurves.exact_algebra.linalg import ExactMatrix
+from hkcurves.exact_algebra.linalg import ExactMatrix, random_invertible
 from hkcurves.exact_algebra.modp import PRIMES, rank_mod, rows_mod, sparse_rank_certificate
-from hkcurves.exact_algebra.scalars import GaussianRational
+from hkcurves.exact_algebra.scalars import MAX_DRAWS, GaussianRational
 
 ZERO = GaussianRational(0, 0)
 ONE = GaussianRational(1, 0)
@@ -189,3 +189,18 @@ def test_copy_and_pickle_round_trips():
             assert clone.shape == value.shape
             assert clone == value and clone.data == value.data
             assert hash(clone) == hash(value)
+
+
+def test_random_invertible_gives_up_instead_of_hanging(monkeypatch):
+    ranked = []
+
+    def rank(self):
+        ranked.append(self)
+        if len(ranked) > MAX_DRAWS:
+            raise AssertionError("drew past the bound")
+        return 0
+
+    monkeypatch.setattr(ExactMatrix, "rank", rank)
+    with pytest.raises(RuntimeError, match=f"^no invertible matrix after {MAX_DRAWS} draws \\(size=3\\)$"):
+        random_invertible(3, random.Random(0))
+    assert len(ranked) == MAX_DRAWS

@@ -8,7 +8,9 @@ from fractions import Fraction
 import pytest
 
 from hkcurves.exact_algebra.scalars import (
+    MAX_DRAWS,
     GaussianRational,
+    first_draw,
     format_gauss,
     integer_pairs,
     parse_gauss,
@@ -165,3 +167,40 @@ def test_no_power_operator():
 def test_complex_embedding():
     v = GaussianRational(Fraction(1, 2), Fraction(-3, 2))
     assert complex(v) == 0.5 - 1.5j
+
+
+def test_first_draw_returns_the_first_accepted_value():
+    values = iter(range(MAX_DRAWS))
+    assert first_draw("odd number", lambda: next(values), lambda v: v % 2 == 1) == 1
+    # it stops drawing once a value is accepted
+    assert next(values) == 2
+
+
+def test_first_draw_counts_a_value_error_as_a_rejected_draw():
+    calls = []
+
+    def draw():
+        calls.append(None)
+        if len(calls) < MAX_DRAWS:
+            raise ValueError("degenerate draw")
+        return "last"
+
+    assert first_draw("value", draw, lambda v: True) == "last"
+    assert len(calls) == MAX_DRAWS
+
+    # only `draw` is forgiven: a ValueError from `accept` is raised at once
+    def accept(value):
+        calls.append(None)
+        raise ValueError("need r >= 1")
+
+    with pytest.raises(ValueError, match="need r >= 1"):
+        first_draw("value", lambda: 0, accept)
+    assert len(calls) == MAX_DRAWS + 1
+
+
+def test_first_draw_fails_after_max_draws_naming_what():
+    calls = []
+    with pytest.raises(RuntimeError) as info:
+        first_draw("widget", lambda: calls.append(None), lambda v: False, r=2, seed=5)
+    assert str(info.value) == f"no widget after {MAX_DRAWS} draws (r=2, seed=5)"
+    assert len(calls) == MAX_DRAWS

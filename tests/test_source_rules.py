@@ -129,6 +129,23 @@ def test_one_boundary_for_q_i_scalars():
     assert "integer_form" in ExactMatrix.__slots__ and "_form" not in ExactMatrix.__slots__
 
 
+def test_one_seeded_drawer():
+    # every retry-until-accepted draw goes through `scalars.first_draw`, so
+    # there is one bound, one rejection rule and one failure: no loop under
+    # src/ runs unbounded, and only `scalars` loops over range(MAX_DRAWS)
+    unbounded, bounded = [], set()
+    for path in sorted(SRC.rglob("*.py")):
+        name = path.relative_to(SRC).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.While) and isinstance(node.test, ast.Constant) and node.test.value is True:
+                unbounded.append(f"{name}:{node.lineno}")
+            elif isinstance(node, (ast.For, ast.comprehension)) and isinstance(node.iter, ast.Call):
+                if getattr(node.iter.func, "id", None) == "range" and "MAX_DRAWS" in set(map(ast.unparse, node.iter.args)):
+                    bounded.add(name)
+    assert unbounded == []
+    assert bounded == {"hkcurves/exact_algebra/scalars.py"}
+
+
 def test_optimized_run_matches(tmp_path):
     # seeded slices under python -O must behave exactly as without them,
     # the resolution certificate and the cohomology table included, and so
