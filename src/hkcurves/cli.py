@@ -4,8 +4,9 @@ Every command takes one explicit --seed and derives per-item seeds as
 seed * count + index, so reruns with the same arguments write the same
 bytes to stdout.  Items run one after another in index order.  Timing
 lines go to stderr only.  Exit codes: 0 all checks passed, 1 a
-verification failed, 2 unreadable input or an out-of-range argument, 3
-readable input that is not a usable object, 4 numeric extraction failure.
+verification, a seeded draw or a normalization failed, 2 unreadable input
+or an out-of-range argument, 3 readable input that is not a usable object,
+4 numeric extraction failure.
 """
 
 from __future__ import annotations
@@ -102,6 +103,16 @@ class NumericFailure(Exception):
 # each cmd_* returns its report document and exit code; `main` times the
 # call, prints the document and writes it under --out
 Report = Tuple[Dict[str, Any], int]
+
+
+# what a failed draw or normalization raises: the drawer's RuntimeError, a
+# rejected matrix's ValueError, a failed exact check's AssertionError
+_DRAW_FAILURES = (ValueError, AssertionError, RuntimeError)
+
+
+def _failed_draw(command: str, exc: Exception, **fields: Any) -> Report:
+    """The report of a command that stops at a failed draw: exit 1."""
+    return {"command": command, **fields, "error": str(exc), "passed": False}, EXIT_FAIL
 
 
 def _stderr(message: str) -> None:
@@ -466,10 +477,7 @@ def cmd_rational(args: argparse.Namespace) -> Report:
 
 
 def cmd_metric(args: argparse.Namespace) -> Report:
-    def work(index: int):
-        chart = scan_chart(
-            args.r, args.seed, args.count, index, args.skip_sigma_gauge
-        )
+    def extract(index: int, chart):
         try:
             return extract_metric(chart)
         except (ArithmeticError, np.linalg.LinAlgError) as exc:
@@ -488,7 +496,16 @@ def cmd_metric(args: argparse.Namespace) -> Report:
             }
             raise NumericFailure(str(exc), bundle) from exc
 
-    frames = [work(index) for index in range(args.count)]
+    frames = []
+    for index in range(args.count):
+        try:
+            chart = scan_chart(args.r, args.seed, args.count, index, args.skip_sigma_gauge)
+        except _DRAW_FAILURES as exc:
+            return _failed_draw(
+                "metric", exc, r=args.r, count=args.count, seed=args.seed,
+                skip_sigma_gauge=args.skip_sigma_gauge, index=index,
+            )
+        frames.append(extract(index, chart))
     report = frames_report(args.r, frames, args.skip_sigma_gauge)
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
@@ -521,8 +538,11 @@ def cmd_cohomology_table(args: argparse.Namespace) -> Report:
     else:
         if args.r is None:
             raise InvalidObject("cohomology table needs --curve FILE or --r")
-        curve = random_sigma_curve(args.r, args.seed)
         source = f"random_sigma_curve(r={args.r}, seed={args.seed})"
+        try:
+            curve = random_sigma_curve(args.r, args.seed)
+        except _DRAW_FAILURES as exc:
+            return _failed_draw("cohomology table", exc, input=source, r=args.r)
     r = curve.matrix.r
     cert = _certificate_stage(curve)
     if not cert["ok"]:

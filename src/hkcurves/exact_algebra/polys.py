@@ -24,7 +24,9 @@ after each depth, and `modp.crt_lift` lifts the residues to the exact
 values.  The kernel gives the minor tables of curves (four variables)
 and pencils (two) and `ExactMatrix.det` (one); the cofactor identity,
 `column_combinations`, runs the same contraction on stored forms.
-UniPoly is the univariate workhorse for pencil minor gcds and binary forms.
+UniPoly is the univariate polynomial of the exact gcd, `uni_gcd`, and
+`binary_common_zero` reads the one witness of a common zero of binary
+forms (a pencil's minors, a map's forms or its Jacobian minors) off it.
 """
 
 from __future__ import annotations
@@ -558,3 +560,32 @@ def uni_gcd(polys) -> UniPoly:
         if g.is_constant() and not g.is_zero():
             return g  # already trivial, no need to continue
     return g
+
+
+def binary_common_zero(forms: list) -> tuple:
+    """(witness, gcd) of binary forms of one degree d that share a zero on
+    P^1, rows of Gaussian-integer (re, im) pairs with entry k at
+    s^(d-k) t^k; no form's scale or sign moves either.  [1 : 0] when every
+    form vanishes, [0 : 1] when every t^d coefficient does, both with no
+    gcd; else the exact monic gcd g of the f(1, t) and [1 : t0], t0 the
+    first exact root of g among its numeric roots rationalized at
+    denominators up to 1, 12 and 10^6, then the mean -g_(n-1) / n of its n
+    roots, exact for a power of one linear factor (None if no candidate is
+    a root).  A constant g raises ArithmeticError."""
+    if not any(a or b for f in forms for a, b in f):
+        return (ONE, ZERO), None
+    if not any(a or b for f in forms for a, b in f[-1:]):
+        return (ZERO, ONE), None
+    g = uni_gcd([UniPoly([GaussianRational(a, b) for a, b in f]) for f in forms])
+    if g.degree < 1:
+        raise ArithmeticError("a rank proves a common zero that the exact gcd lacks")
+    try:
+        roots = np.roots([complex(c) for c in reversed(g.coeffs)])
+    except OverflowError:  # a coefficient past the float range
+        roots = []
+    candidates = itertools.chain(
+        (GaussianRational.from_complex(complex(z), limit) for z in roots for limit in (1, 12, 10**6)),
+        [-g.coeffs[-2] / g.degree],
+    )
+    t0 = next((t for t in candidates if g.evaluate(t).is_zero()), None)
+    return (None if t0 is None else (ONE, t0)), g

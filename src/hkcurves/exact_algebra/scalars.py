@@ -72,7 +72,9 @@ class GaussianRational:
 
     @staticmethod
     def from_complex(z: complex, limit: int = 10**6) -> "GaussianRational":
-        """Nearest Gaussian rational with bounded denominators (testing aid)."""
+        """Nearest Gaussian rational with denominators up to `limit`: the
+        metric's sample parameters and the numeric root candidates of
+        `polys.binary_common_zero`."""
         return GaussianRational(
             Fraction(z.real).limit_denominator(limit),
             Fraction(z.imag).limit_denominator(limit),

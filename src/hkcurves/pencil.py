@@ -19,7 +19,7 @@ import numpy as np
 from .exact_algebra import modp
 from .exact_algebra.linalg import ExactMatrix
 from .exact_algebra.ideals import Row, certified_rank
-from .exact_algebra.polys import UniPoly, form_pairs, signed_minor_table, uni_gcd
+from .exact_algebra.polys import UniPoly, binary_common_zero, form_pairs, signed_minor_table
 from .exact_algebra.scalars import DRAW_SPAN, ONE, ZERO, GaussianRational, first_draw, random_gaussian_rows
 
 
@@ -88,8 +88,8 @@ class InjectivityReport:
     ok: bool
     # point (mu, lam) with mu*A1 + lam*A2 of deficient rank, when one is known
     witness: Optional[Tuple[GaussianRational, GaussianRational]]
-    # non-constant gcd of the maximal minors, when rank drops at a finite
-    # point the gcd does not factor rationally
+    # monic gcd of the maximal minors in lambda, with or without a witness,
+    # when the pencil drops rank and some minor keeps its lambda^r term
     minor_gcd: Optional[UniPoly]
 
 
@@ -99,39 +99,18 @@ def is_injective_pencil(A1: ExactMatrix, A2: ExactMatrix) -> InjectivityReport:
     Read off the maximal minors of A1 + lambda*A2.  Their lambda^r
     coefficients are the maximal minors of A2, so A2 drops rank (the point
     at infinity) exactly when every minor has degree below r.  Injectivity
-    is `minor_coefficient_rank`; the finite rank drops of a pencil that
-    fails it are the roots of the minors' exact gcd.
+    is `minor_coefficient_rank`; a pencil that fails it takes its witness
+    and the minors' exact gcd from `polys.binary_common_zero`.
     """
     _check_shape(A1, A2)
-    return _injectivity(*_minor_table(A1, A2))
+    return _injectivity(_minor_table(A1, A2)[0])
 
 
-def _injectivity(T: MinorTable, den: int) -> InjectivityReport:
-    """`is_injective_pencil` on the table (T, den) of `_minor_table`."""
-    r = len(T) - 1
-    if not any(a or b for row in T for a, b in row):
-        # rank deficient at every point; lambda = 0 is a concrete witness
-        return InjectivityReport(False, (ONE, ZERO), None)
-    if not any(a or b for row in T for a, b in row[r:]):
-        return InjectivityReport(False, (ZERO, ONE), None)
-    if minor_coefficient_rank(T) == r + 1:
+def _injectivity(T: MinorTable) -> InjectivityReport:
+    """`is_injective_pencil` on the table T of `_minor_table`."""
+    if minor_coefficient_rank(T) == len(T):
         return InjectivityReport(True, None, None)
-    g = uni_gcd(_uni_minors(T, den))
-    if g.degree == 0:
-        raise ArithmeticError("T is singular, yet the minors' gcd is constant")
-    reduced = g
-    while reduced.degree > 1:
-        # strip repeated factors; a linear squarefree part gives an exact root
-        square_part = uni_gcd([reduced, reduced.derivative()])
-        if square_part.degree == 0:
-            break
-        reduced, rem = reduced.divmod(square_part)
-        if not rem.is_zero():
-            raise AssertionError("squarefree reduction left a remainder")
-    if reduced.degree == 1:
-        lam = -(reduced.coeffs[0] / reduced.coeffs[1])
-        return InjectivityReport(False, (ONE, lam), g)
-    return InjectivityReport(False, None, g)
+    return InjectivityReport(False, *binary_common_zero(T))
 
 
 @dataclass(frozen=True)
@@ -160,7 +139,7 @@ def kronecker_reduce(A1: ExactMatrix, A2: ExactMatrix) -> KroneckerReduction:
     try:
         return _shift_gauge(A1, A2, r, T, den)
     except (ValueError, AssertionError):
-        report = _injectivity(T, den)
+        report = _injectivity(T)
         if report.ok:
             raise
         if report.witness is not None:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .exact_algebra import modp
 from .exact_algebra.ideals import Row, certified_rank
-from .exact_algebra.polys import UniPoly, uni_gcd
+from .exact_algebra.polys import UniPoly, binary_common_zero
 from .exact_algebra.scalars import DRAW_SPAN, ONE, ZERO, GaussianRational, first_draw, integer_pairs, random_gaussian_rows
 
 BinaryForm = Tuple[GaussianRational, ...]  # coeffs[k] multiplies s^(d-k) t^k
@@ -198,40 +198,21 @@ class MapValidation:
     base_point_free: bool
     immersion: bool
     ok: bool
-    # [s0 : t0] where the property fails, when a root rationalizes exactly
+    # [s0 : t0] where the property fails, when `binary_common_zero` finds one
     witness: Witness
     obstruction_gcd: Optional[UniPoly]
 
 
-def _common_zero_witness(forms: Sequence[BinaryForm]) -> Tuple[bool, Witness, Optional[UniPoly]]:
-    """Shared zero of binary forms: [0 : 1] when every t-top coefficient
-    vanishes, else a root of the exact gcd g of the f(1, t), given when one
-    of the numeric roots of g rationalizes to an exact root."""
-    if all(f[-1].is_zero() for f in forms):
-        return True, (ZERO, ONE), None
-    g = uni_gcd(p for p in map(UniPoly, forms) if p.degree >= 0)
-    if g.degree <= 0:
-        return False, None, None
-    for z in np.roots([complex(c) for c in reversed(g.coeffs)]):
-        for limit in (1, 12, 10**6):
-            t0 = GaussianRational.from_complex(complex(z), limit=limit)
-            if g.evaluate(t0).is_zero():
-                return True, (ONE, t0), g
-    return True, None, g
-
-
 def _common_zero(rows: _FormRows, forms: range, e: int) -> Optional[Tuple[Witness, Optional[UniPoly]]]:
-    """None when the degree-e rows.forms[q], q in `forms`, share no zero on
-    the projective line, which their band's full row rank decides (see
-    `validate_map`); else the witness and exact gcd of their common zero."""
+    """None when the degree-e forms rows.ints[q], q in `forms`, share no zero
+    on the projective line, which their band's full row rank decides (see
+    `validate_map`); else the witness and exact gcd of their common zero,
+    from `polys.binary_common_zero`."""
     source = max(e - 1, 0)
     target = source + e + 1
     if rows.rank([list(forms)], [source] * len(forms), target) == target:
         return None
-    found, witness, gcd = _common_zero_witness([rows.forms[q] for q in forms])
-    if not found:
-        raise ArithmeticError("the band rank proves a common zero that the exact gcd lacks")
-    return witness, gcd
+    return binary_common_zero([rows.ints[q] for q in forms])
 
 
 def validate_map(curve_map: RationalCurveMap) -> MapValidation:

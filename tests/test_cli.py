@@ -466,6 +466,52 @@ def test_rational_draw_failure_is_an_item_error(capsys, monkeypatch):
     assert sum(doc["histogram"].values()) == 1
 
 
+
+@pytest.mark.parametrize(
+    "failure",
+    [
+        RuntimeError("no certified curve after 64 draws (r=1, seed=1)"),
+        ValueError("not a flat chart"),
+        AssertionError("the flat chart does not give back the drawn curve"),
+    ],
+    ids=["draw", "value", "check"],
+)
+def test_metric_draw_failure_reports_its_index(failure, capsys, monkeypatch):
+    real = cli.scan_chart
+
+    def scan(r, seed, count, index, *args):
+        if index == 1:
+            raise failure
+        return real(r, seed, count, index, *args)
+
+    monkeypatch.setattr(cli, "scan_chart", scan)
+    code, out = run(capsys, ["metric", "--r", "1", "--count", "2", "--seed", "0"])
+    assert code == 1
+    assert json.loads(out) == {
+        "command": "metric",
+        "r": 1,
+        "count": 2,
+        "seed": 0,
+        "skip_sigma_gauge": False,
+        "index": 1,
+        "error": str(failure),
+        "passed": False,
+    }
+
+
+def test_cohomology_table_draw_failure_is_reported(capsys, monkeypatch):
+    failure = RuntimeError("no certified curve after 64 draws (r=2, seed=0)")
+    _failing_first_draw(monkeypatch, "random_sigma_curve", failure)
+    code, out = run(capsys, ["cohomology", "table", "--r", "2", "--seed", "0"])
+    assert code == 1
+    assert json.loads(out) == {
+        "command": "cohomology table",
+        "input": "random_sigma_curve(r=2, seed=0)",
+        "r": 2,
+        "error": str(failure),
+        "passed": False,
+    }
+
 # sha256 of stdout, pinned so that changes to the exact and modular routes
 # keep the reports byte for byte
 TABLE_R3_SHA256 = "6f69f04ad4dd2529dd04dd4695adc66e2cadc3169b8b3fb974d0d724c18ed373"

@@ -16,12 +16,11 @@ import pytest
 from hkcurves.acm_curve import ACMCurve, predicted_ideal_dimension, random_sigma_curve
 from hkcurves import cohomology
 from hkcurves.cohomology import cohomology_table, normal_sections
-from hkcurves.exact_algebra import ideals, modp
+from hkcurves.exact_algebra import ideals, modp, polys
 from hkcurves.exact_algebra.ideals import GradedIdeal, certified_rank
 from hkcurves.exact_algebra.linalg import ExactMatrix
 from hkcurves.exact_algebra.polys import monomial_count
 from hkcurves.exact_algebra.scalars import ONE, ZERO, GaussianRational
-from hkcurves import pencil
 from hkcurves.pencil import canonical_pair, is_injective_pencil, pair_stabilizer_dimension, random_injective_pencil
 from hkcurves.rational_curve import (
     RationalCurveMap,
@@ -107,7 +106,7 @@ def test_injectivity_reports_on_the_exact_gcd_route(monkeypatch):
     # echelon of T must give the same reports, and a pencil that drops rank
     # takes the same exact gcd for its report
     exact_ranks, exact_gcds = [], []
-    uni_gcd, sparse_echelon = pencil.uni_gcd, ideals.sparse_echelon
+    uni_gcd, sparse_echelon = polys.uni_gcd, ideals.sparse_echelon
 
     def counting_gcd(polys):
         exact_gcds.append(len(polys))
@@ -117,7 +116,7 @@ def test_injectivity_reports_on_the_exact_gcd_route(monkeypatch):
         exact_ranks.append(len(rows))
         return sparse_echelon(rows, target)
 
-    monkeypatch.setattr(pencil, "uni_gcd", counting_gcd)
+    monkeypatch.setattr(polys, "uni_gcd", counting_gcd)
     monkeypatch.setattr(ideals, "sparse_echelon", counting_echelon)
     S, T = canonical_pair(2)
     B1 = ExactMatrix([[ZERO, GaussianRational(2)], [ONE, ZERO], [ZERO, ZERO]])

@@ -92,6 +92,19 @@ def test_reduce_rejects_non_injective():
         kronecker_reduce(B1, B2)
 
 
+
+def test_pencil_dropping_at_two_points_gets_a_witness():
+    # A1 + lambda*A2 = [[lambda, 0], [0, lambda - 1], [0, 0]] drops rank at
+    # lambda = 0 and lambda = 1: the minors' gcd lambda^2 - lambda has two
+    # distinct roots, and the first numeric root names the point
+    A1 = ExactMatrix([[ZERO, ZERO], [ZERO, -ONE], [ZERO, ZERO]])
+    A2 = ExactMatrix([[ONE, ZERO], [ZERO, ONE], [ZERO, ZERO]])
+    report = is_injective_pencil(A1, A2)
+    assert report == pencil.InjectivityReport(False, (ONE, ONE), UniPoly([0, -1, 1]))
+    assert (A1 + A2).rank() < 2
+    with pytest.raises(ValueError, match=r"^pencil drops rank at \[1:1\]; cannot reduce$"):
+        kronecker_reduce(A1, A2)
+
 def test_reduction_identity_seeded():
     for seed in range(12):
         r = 1 + seed % 4

@@ -10,6 +10,7 @@ a nonzero scalar on P and its inverse on Q, so the comparison is on P*A*Q.
 
 import random
 
+import numpy as np
 import pytest
 
 from hkcurves.exact_algebra.linalg import ExactMatrix
@@ -45,7 +46,9 @@ def _ref_pencil_minors(A1, A2):
 
 
 def _ref_report(A1, A2):
-    """(ok, witness, minor_gcd) as `is_injective_pencil` computed them."""
+    """(ok, witness, minor_gcd) as `is_injective_pencil` computed them, the
+    witness of a finite drop then also from the rationalized numeric roots
+    of the gcd when its squarefree part is not linear."""
     r = A1.cols
     minors = _ref_pencil_minors(A1, A2)
     if all(m.is_zero() for m in minors):
@@ -63,6 +66,11 @@ def _ref_report(A1, A2):
         reduced, _ = reduced.divmod(square_part)
     if reduced.degree == 1:
         return False, (_ONE, -(reduced.coeffs[0] / reduced.coeffs[1])), g
+    for z in np.roots([complex(c) for c in reversed(g.coeffs)]):
+        for limit in (1, 12, 10**6):
+            lam = GaussianRational.from_complex(complex(z), limit=limit)
+            if g.evaluate(lam).is_zero():
+                return False, (_ONE, lam), g
     return False, None, g
 
 

@@ -6,12 +6,14 @@ import random
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 
 from hkcurves.exact_algebra.ideals import GradedIdeal
 from hkcurves.exact_algebra.polys import (
     HomogPoly,
     UniPoly,
+    binary_common_zero,
     monomial_basis,
     monomial_count,
     monomial_index,
@@ -147,6 +149,65 @@ def test_uni_gcd_coprime_is_constant():
 def test_uni_gcd_single_argument_family():
     with pytest.raises(TypeError):
         uni_gcd(UniPoly([1, 1]), UniPoly([1]))  # two positional args is an error
+
+
+def _binary(*rows):
+    """Binary forms with integer coefficients as (re, im) rows."""
+    return [[(c, 0) for c in row] for row in rows]
+
+
+# (q t - 1)^2 and t (t - 1), each times s, t, s + t and s - t: cubics that
+# share a double zero at [1 : 1/q], and two simple zeros
+_Q = 1000003
+_DOUBLE = _binary(
+    [1, -2 * _Q, _Q**2, 0],
+    [0, 1, -2 * _Q, _Q**2],
+    [1, 1 - 2 * _Q, _Q**2 - 2 * _Q, _Q**2],
+    [1, -1 - 2 * _Q, _Q**2 + 2 * _Q, -(_Q**2)],
+)
+_TWO_POINTS = _binary([0, -1, 1, 0], [0, 0, -1, 1], [0, -1, 0, 1], [0, -1, 2, -1])
+
+
+def test_binary_common_zero_at_the_two_coordinate_points():
+    assert binary_common_zero(_binary([0, 0], [0, 0])) == ((ONE, ZERO), None)
+    # s and 2i*s vanish at [0 : 1], with every t^1 coefficient zero
+    assert binary_common_zero([[(1, 0), (0, 0)], [(0, 2), (0, 0)]]) == ((ZERO, ONE), None)
+
+
+def test_binary_common_zero_of_a_repeated_root_is_the_mean():
+    # numpy splits the double root 1/q, and no denominator up to 10^6
+    # rationalizes it; the mean of the gcd's roots is exact
+    witness, g = binary_common_zero(_DOUBLE)
+    root = GaussianRational(Fraction(1, _Q))
+    assert g == UniPoly([root * root, -(root + root), ONE])
+    assert witness == (ONE, root)
+    numeric = [
+        GaussianRational.from_complex(complex(z), limit)
+        for z in np.roots([complex(c) for c in reversed(g.coeffs)])
+        for limit in (1, 12, 10**6)
+    ]
+    assert root not in numeric
+
+
+def test_binary_common_zero_takes_the_first_numeric_root():
+    witness, g = binary_common_zero(_TWO_POINTS)
+    assert g == UniPoly([0, -1, 1])
+    first = np.roots([1, -1, 0])[0]
+    assert witness == (ONE, GaussianRational(round(first.real)))
+    assert witness == (ONE, ONE)
+
+
+def test_binary_common_zero_ignores_scale_and_sign():
+    for forms in (_DOUBLE, _TWO_POINTS, [[(1, 0), (0, 0)], [(0, 2), (0, 0)]]):
+        units = [(-1, 0), (2, 3), (0, -5), (7, 0)]
+        scaled = [[(a * x - b * y, a * y + b * x) for a, b in f] for f, (x, y) in zip(forms, units)]
+        assert binary_common_zero(scaled) == binary_common_zero(forms)
+
+
+def test_binary_common_zero_raises_on_a_constant_gcd():
+    # s and t share no zero, so a caller's rank never sends them here
+    with pytest.raises(ArithmeticError, match="exact gcd lacks"):
+        binary_common_zero(_binary([1, 0], [0, 1]))
 
 
 def test_uni_interpolate_recovers_polynomial():

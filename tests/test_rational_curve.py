@@ -1,17 +1,18 @@
 """Parametrized rational curves: validation and normal bundle splitting."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from hkcurves.exact_algebra.ideals import integer_row
 from hkcurves.exact_algebra.linalg import ExactMatrix
+from hkcurves.exact_algebra.polys import UniPoly, binary_common_zero
 from hkcurves.exact_algebra.scalars import GaussianRational, random_gaussian_rows
 from hkcurves.rational_curve import (
     RationalCurveMap,
     _common_zero,
-    _common_zero_witness,
     _FormRows,
     _minors,
     line_map,
@@ -258,6 +259,15 @@ def _ramified_forms(rng, half, c):
     return forms
 
 
+def _shares_a_zero(forms):
+    """Whether the exact gcd route finds a common zero of the integer forms."""
+    try:
+        binary_common_zero(forms)
+    except ArithmeticError:
+        return False
+    return True
+
+
 def test_surjectivity_certificate_matches_exact_gcd():
     # the band rank decides a common zero of the forms, and of the Jacobian
     # minors, exactly as the exact gcd does
@@ -283,17 +293,37 @@ def test_surjectivity_certificate_matches_exact_gcd():
         except ValueError:
             continue
         if seed < 20:
-            common_zero, _, _ = _common_zero_witness(rmap.forms)
+            common_zero = _shares_a_zero(rmap._rows.ints[:4])
             certified = _common_zero(rmap._rows, range(4), d) is None
             assert certified == (not common_zero), seed
             verdicts.append(certified)
         minors = _FormRows(_minors(rmap._rows.ints[4:]))
-        ramified, _, _ = _common_zero_witness(minors.forms)
+        ramified = _shares_a_zero(minors.ints)
         certified = _common_zero(minors, range(6), 2 * d - 2) is None
         assert certified == (not ramified), seed
         minor_verdicts.append(certified)
     assert len(verdicts) >= 18 and 5 <= sum(verdicts) < len(verdicts)
     assert len(minor_verdicts) >= 36 and 10 <= sum(minor_verdicts) <= len(minor_verdicts) - 10
+
+
+
+@pytest.mark.parametrize(
+    "root, m", [(Fraction(1, 1000003), 2), (Fraction(2**1100), 1)], ids=["double", "past-float-range"]
+)
+def test_base_point_gets_its_exact_witness(root, m):
+    # (t - root)^m times 1, t, 1 + t, 1 - t: numpy's split roots of a double
+    # root at 1/q rationalize to no root, and a root past the float range
+    # has no numeric roots; the mean of the gcd's roots is exact
+    gcd = UniPoly([ONE])
+    for _ in range(m):
+        gcd = gcd * UniPoly([GaussianRational(-root), ONE])
+    forms = [gcd * UniPoly(ell) for ell in ([1], [0, 1], [1, 1], [1, -1])]
+    rmap = RationalCurveMap(tuple(f.coeffs + (ZERO,) * (m + 2 - len(f.coeffs)) for f in forms))
+    report = validate_map(rmap)
+    assert not report.base_point_free and not report.ok
+    assert report.witness == (ONE, GaussianRational(root))
+    assert report.obstruction_gcd == gcd
+    assert rmap.evaluate(*report.witness) == [ZERO] * 4
 
 
 def test_degree_one_maps_and_constant_forms():

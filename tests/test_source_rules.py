@@ -146,6 +146,14 @@ def test_one_seeded_drawer():
     assert bounded == {"hkcurves/exact_algebra/scalars.py"}
 
 
+def test_one_witness_for_a_common_zero():
+    # a proven common zero of binary forms (a pencil's minors, a map's forms
+    # or its Jacobian minors) is named by `polys.binary_common_zero` alone:
+    # no other module takes an exact gcd or numeric roots
+    gcd_callers = {path for path, call in _uses("uni_gcd") if call}
+    root_namers = {path.relative_to(SRC).as_posix() for path in SRC.rglob("*.py") if "roots" in set(_names(path))}
+    assert gcd_callers == root_namers == {"hkcurves/exact_algebra/polys.py"}
+
 def test_optimized_run_matches(tmp_path):
     # seeded slices under python -O must behave exactly as without them,
     # the resolution certificate and the cohomology table included, and so

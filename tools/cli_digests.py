@@ -51,6 +51,9 @@ _MAPS = {
     "base_point": [["0", "1", "0"], ["0", "0", "1"], ["0", "1", "1"], ["0", "0", "0"]],
     "cusp": [["1", "0", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"], ["0", "0", "0", "0"]],
     "fractions": [["1/2", "0", "0", "0"], ["0", "3/4", "0", "0"], ["0", "0", "1/3", "0"], ["0", "0", "0", "1"]],
+    # (q t - 1)^2 and t (t - 1), q = 1000003, each times 1, t, 1 + t, 1 - t
+    "double_base_point": [["1", "-2000006", "1000006000009", "0"], ["0", "1", "-2000006", "1000006000009"], ["1", "-2000005", "1000004000003", "1000006000009"], ["1", "-2000007", "1000008000015", "-1000006000009"]],
+    "two_base_points": [["0", "-1", "1", "0"], ["0", "0", "-1", "1"], ["0", "-1", "0", "1"], ["0", "-1", "2", "-1"]],
 }
 
 
