@@ -4,8 +4,9 @@ A map to projective 3-space is four binary forms of one degree d; when
 the map is base-point-free and an immersion, its normal bundle splits as
 a sum of two line bundles of degrees summing to 4d - 2.  Both degrees
 are read off kernel dimensions of multiplication maps built from the
-partial derivatives, swept over twists; base points and ramification
-are ranks of such maps too.  Each rank is a mod-p rank
+partial derivatives, at twist 2d - 2 for the smaller degree a and at
+twists a - 1 and 2d - 1 to check the split model; base points and
+ramification are ranks of such maps too.  Each rank is a mod-p rank
 that meets the proven upper bound stated with its count (rank mod p
 never exceeds the exact rank), else the exact sparse echelon: the
 sandwich of `ideals.certified_rank`, with the band matrices mod p
@@ -87,7 +88,7 @@ class RationalCurveMap:
         return out
 
 
-# a degree-5 split visits 12 shapes (2 in `validate_map`, 7 for the conormal
+# a degree-5 split visits 7 shapes (2 in `validate_map`, 2 for the conormal
 # twists, 3 in `riemann_roch_consistent`), so 16 keeps a small map's layouts
 # while a large-degree run does not hold every layout it ever built
 @lru_cache(maxsize=16)
@@ -132,10 +133,6 @@ class _FormRows:
         self.lengths = tuple(len(f) for f in forms)
         self.width = max(self.lengths)
         self._mod: Dict[int, np.ndarray] = {}
-
-    @cached_property
-    def forms(self) -> List[BinaryForm]:
-        return [tuple(GaussianRational(a, b) for a, b in f) for f in self.ints]
 
     def _reduced(self, p: int, s: int) -> np.ndarray:
         if p not in self._mod:
@@ -294,31 +291,29 @@ class SplittingType:
 
 
 def normal_splitting_type(curve_map: RationalCurveMap) -> SplittingType:
-    """Splitting degrees (a, b), a <= b, of the normal bundle.
+    """Splitting degrees (a, b), a <= b, of the normal bundle, from three twists.
 
-    The first twist with a conormal section is a; the degree sum fixes b;
-    the full section profile through twist b+2 is then verified against
-    the split model, so a wrong first kernel cannot slip through.
+    Every bundle on the projective line splits (Grothendieck), so the
+    conormal count at twist m is c(m) = max(m-a+1, 0) + max(m-b+1, 0).  As
+    a + b = 4d-2 and a <= b, a <= 2d-1 <= b, so c(2d-2) = 2d-1-a: one rank
+    gives a.  The count is 0 below twist d, which the model allows only for
+    a >= d.  Twists a-1 (count 0) and 2d-1 then check the model, each ranked
+    when it is at least d and not 2d-2; `riemann_roch_consistent` sees only
+    a + b.  The profiles of (2d-2, 2d) and (2d-1, 2d-1) differ only at 2d-2,
+    so that count rests on its certified rank alone.
     """
     report = validate_map(curve_map)
     if not report.ok:
         raise ValueError("map has base points or ramification; bundle not defined")
     d = curve_map.degree
-    # counts at twists d, d+1, ...: the profile check reuses the search's
-    counts = [conormal_sections(curve_map, d)]
-    while counts[-1] == 0 and len(counts) < d:
-        counts.append(conormal_sections(curve_map, d + len(counts)))
-    if counts[-1] == 0:
-        raise ArithmeticError("no conormal sections through the balanced twist")
-    a = d + len(counts) - 1
-    b = 4 * d - 2 - a
-    counts += [conormal_sections(curve_map, m) for m in range(d + len(counts), b + 3)]
-    for m, got in enumerate(counts, start=d):
-        expected = max(m - a + 1, 0) + max(m - b + 1, 0)
+    c = conormal_sections(curve_map, 2 * d - 2)
+    a, b = 2 * d - 1 - c, 2 * d - 1 + c
+    if a < d:
+        raise ArithmeticError(f"{c} conormal sections at twist {2 * d - 2} put a = {a} below the degree {d}")
+    for m in [m for m in (a - 1, 2 * d - 1) if m >= d and m != 2 * d - 2]:
+        got, expected = conormal_sections(curve_map, m), max(m - a + 1, 0) + max(m - b + 1, 0)
         if got != expected:
-            raise ArithmeticError(
-                f"section profile breaks the split model at twist {m}: {got} != {expected}"
-            )
+            raise ArithmeticError(f"section profile breaks the split model at twist {m}: {got} != {expected}")
     return SplittingType(d=d, a=a, b=b)
 
 

@@ -246,10 +246,13 @@ def test_rational_curve_without_primes(monkeypatch):
         exact_ranks.clear()
         fresh = [RationalCurveMap(m.forms) for m in balanced + conics]
         assert splitting(fresh) == default, mode
-        # validate_map's two bands, conormal twists d..b+2, each once, and
-        # primal twists 0, 1, 2
-        expected = sum(2 + b + 3 - m.degree + 3 for ((_, b), _), m in zip(default, fresh))
-        assert len(exact_ranks) == expected, mode
+        # validate_map's two bands, the conormal twists among 2d-2, 2d-1 and
+        # a-1 at or above d, each once, and primal twists 0, 1, 2
+        expected = sum(
+            2 + len({2 * m.degree - 2, 2 * m.degree - 1, a - 1} - set(range(m.degree))) + 3
+            for ((a, _), _), m in zip(default, fresh)
+        )
+        assert len(exact_ranks) == expected == 70, mode
         assert [validate_map(RationalCurveMap(m.forms)) for m in flawed_maps] == flawed, mode
     assert default[-3:] == [((2, 4), True)] * 3 and flawed[0].witness is not None
 

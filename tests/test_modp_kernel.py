@@ -261,8 +261,9 @@ def test_block_steps_fill_the_budget_near_2_31():
 
 def _split_bands(seed):
     """The band matrices `normal_splitting_type` and
-    `riemann_roch_consistent` certify for one degree-5 map, scattered
-    through `_band_layout` at every prime."""
+    `riemann_roch_consistent` certify for one degree-5 map, and its conormal
+    bands at every twist from d to 2d + 1 (the split ranks two of them; the
+    others are taller), scattered through `_band_layout` at every prime."""
     seen = []
     level = rational_curve._FormRows.level
 
@@ -274,6 +275,8 @@ def _split_bands(seed):
         patch.setattr(rational_curve._FormRows, "level", spy)
         curve_map = rational_curve.random_rational_map(5, seed)
         rational_curve.riemann_roch_consistent(curve_map, rational_curve.normal_splitting_type(curve_map))
+        for m in range(5, 12):
+            rational_curve.conormal_sections(curve_map, m)
     for rows, ((nrows, ncols), r, c, src) in seen:
         for p, s in modp.PRIMES:
             out = np.zeros((nrows, ncols), dtype=np.int64)

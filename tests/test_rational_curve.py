@@ -10,8 +10,10 @@ from hkcurves.exact_algebra.ideals import integer_row
 from hkcurves.exact_algebra.linalg import ExactMatrix
 from hkcurves.exact_algebra.polys import UniPoly, binary_common_zero
 from hkcurves.exact_algebra.scalars import GaussianRational, random_gaussian_rows
+from hkcurves import rational_curve
 from hkcurves.rational_curve import (
     RationalCurveMap,
+    _band_layout,
     _common_zero,
     _FormRows,
     _minors,
@@ -40,6 +42,22 @@ STANDARD_CONIC = _map([(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)])
 BASE_POINT_MAP = _map([(0, 1, 0), (0, 0, 1), (0, 1, 1), (0, 0, 0)])
 # cuspidal cubic: immersion fails at [1:0] where both partials align
 CUSP_MAP = _map([(1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 0, 0)])
+# f = alpha (g ^ g' ^ h1) + beta (g ^ g' ^ h2) in the affine coordinate t,
+# g four forms of degree e, g' = dg/dt, alpha and beta of degree 2, h1 and
+# h2 constant: f lies on the line cut out by the planes g and g', so
+# g . ds f = g . dt f = 0 and g is a conormal section at twist d + e.  Here
+# d < a < 2d - 1, so twist a - 1 is ranked too.
+UNBALANCED_QUARTIC = _map(  # e = 2: (6, 8)
+    [(16, -10, -14, 48, -24), (29, 58, -84, -18, 30), (10, -8, -84, 44, 20), (15, 16, -42, -18, 30)]
+)
+UNBALANCED_SEXTIC = _map(  # e = 3: (9, 13)
+    [
+        (12, 54, 84, 130, 87, 4, 8),
+        (0, 78, 178, 150, -167, 134, 69),
+        (-24, -108, -82, 106, -188, -6, -12),
+        (-18, 36, 180, 120, -339, 114, -33),
+    ]
+)
 
 
 @pytest.mark.parametrize("count", [3, 5])
@@ -64,6 +82,77 @@ def test_twisted_cubic_splitting():
     split = normal_splitting_type(twisted_cubic_map())
     assert split.pair == (5, 5)
     assert stability_check(split)
+
+
+def _conormal_spy(monkeypatch, twist=None, count=None):
+    """The twists `normal_splitting_type` asks `conormal_sections` for, with
+    `count` in place of the true count at `twist`."""
+    true = rational_curve.conormal_sections
+    asked = []
+
+    def spy(curve_map, m):
+        asked.append(m)
+        return count if m == twist else true(curve_map, m)
+
+    monkeypatch.setattr(rational_curve, "conormal_sections", spy)
+    return asked
+
+
+@pytest.mark.parametrize(
+    "rmap, pair, twists",
+    [
+        (line_map(), (1, 1), [0, 1]),  # twist 0 < d is not ranked
+        (STANDARD_CONIC, (2, 4), [2, 3]),
+        (twisted_cubic_map(), (5, 5), [4, 5]),
+        (UNBALANCED_QUARTIC, (6, 8), [6, 5, 7]),
+        (UNBALANCED_SEXTIC, (9, 13), [10, 8, 11]),
+    ],
+    ids=["line", "conic", "cubic", "quartic", "sextic"],
+)
+def test_split_reads_a_at_2d_minus_2_and_checks_two_twists(monkeypatch, rmap, pair, twists):
+    asked = _conormal_spy(monkeypatch)
+    split = normal_splitting_type(rmap)
+    assert split.pair == pair and riemann_roch_consistent(rmap, split)
+    assert asked == twists
+
+
+@pytest.mark.parametrize(
+    "rmap, twist, count, match",
+    [
+        # 2d - 2: a count above d - 1 puts a below d
+        (STANDARD_CONIC, 2, 2, "a = 1 below the degree 2"),
+        (twisted_cubic_map(), 4, 3, "a = 2 below the degree 3"),
+        (UNBALANCED_QUARTIC, 6, 4, "a = 3 below the degree 4"),
+        # 2d - 2: a wrong a that the count at 2d - 1 refutes
+        (twisted_cubic_map(), 4, 2, "at twist 5: 2 != 3"),
+        (UNBALANCED_QUARTIC, 6, 2, "at twist 7: 2 != 3"),
+        # 2d - 1
+        (STANDARD_CONIC, 3, 3, "at twist 3: 3 != 2"),
+        (twisted_cubic_map(), 5, 1, "at twist 5: 1 != 2"),
+        (UNBALANCED_QUARTIC, 7, 3, "at twist 7: 3 != 2"),
+        # a - 1, ranked only when it is at least d and not 2d - 2
+        (UNBALANCED_QUARTIC, 5, 1, "at twist 5: 1 != 0"),
+        (UNBALANCED_SEXTIC, 8, 2, "at twist 8: 2 != 0"),
+    ],
+    ids=[
+        "conic-guard", "cubic-guard", "quartic-guard", "cubic-at-2d-2", "quartic-at-2d-2",
+        "conic-at-2d-1", "cubic-at-2d-1", "quartic-at-2d-1", "quartic-at-a-1", "sextic-at-a-1",
+    ],
+)
+def test_wrong_conormal_count_breaks_the_split(monkeypatch, rmap, twist, count, match):
+    asked = _conormal_spy(monkeypatch, twist, count)
+    with pytest.raises(ArithmeticError, match=match):
+        normal_splitting_type(rmap)
+    assert twist in asked
+
+
+def test_band_layout_cache_holds_every_shape_of_a_large_split():
+    # a degree-20 split visits 7 shapes, within the cache's 16
+    _band_layout.cache_clear()
+    for k in range(4):
+        rmap = random_rational_map(20, k)
+        assert riemann_roch_consistent(rmap, normal_splitting_type(rmap))
+    assert _band_layout.cache_info().misses == 7
 
 
 def test_conic_in_moved_plane_still_unbalanced():
@@ -149,7 +238,7 @@ def _dense(rows, band):
     (nrows, ncols), row_idx, col_idx, src = band
     dense = [[ZERO] * ncols for _ in range(nrows)]
     for i, c, q in zip(row_idx.tolist(), col_idx.tolist(), src.tolist()):
-        dense[i][c] = rows.forms[q // rows.width][q % rows.width]
+        dense[i][c] = GaussianRational(*rows.ints[q // rows.width][q % rows.width])
     return ExactMatrix(dense)
 
 
@@ -162,7 +251,7 @@ def _ref_band(rows, blocks, col_degrees):
         nrows = 0
         for block in blocks:
             q = block[c]
-            n = len(rows.forms[q])
+            n = len(rows.ints[q])
             for k in range(cd + 1):
                 row_idx.extend(range(nrows + k, nrows + k + n))
                 col_idx.extend([ncols + k] * n)
@@ -175,7 +264,7 @@ def _ref_band(rows, blocks, col_degrees):
 def _band_cases(d):
     """(rows, blocks, col_degrees) for every band pattern a degree-d map uses."""
     rows = random_rational_map(d, 5)._rows
-    for m in range(d, d + 3):  # conormal_sections
+    for m in range(max(d, 2 * d - 2), 2 * d):  # conormal_sections of a balanced split
         yield rows, [[4, 5, 6, 7], [8, 9, 10, 11]], [m - d] * 4
     for m in range(3):  # normal_twisted_sections
         yield rows, [[a, 4 + a, 8 + a] for a in range(4)], [m, m + 1, m + 1]
