@@ -54,7 +54,6 @@ from .reality import (
     sigma_point,
 )
 from .twistor_metric import (
-    Chart,
     HKFrame,
     MetricReport,
     complex_structures,

@@ -64,6 +64,11 @@ class LinearMatrix:
     def gauge(self, P: ExactMatrix, Q: ExactMatrix) -> "LinearMatrix":
         return LinearMatrix(self.r, *(P @ A @ Q for A in self.coeffs))
 
+    def numeric(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        # int / int is correctly rounded, so these are the floats of complex(entry)
+        forms = (A.integer_form for A in self.coeffs)
+        return tuple(np.array([[complex(a / d, b / d) for a, b in row] for row in rows]) for rows, d in forms)
+
 
 class ACMCurve:
     """Curve data: linear matrix, minor generators, graded ideal."""

@@ -47,7 +47,6 @@ from .rational_curve import (
     random_rational_map,
     riemann_roch_consistent,
     stability_check,
-    validate_map,
 )
 from .reality import is_sigma_invariant_ideal
 from .twistor_metric import extract_metric, frames_report, scan_chart
@@ -65,18 +64,17 @@ EXIT_NUMERIC = 4
 MAX_DOCUMENT_R = 7
 
 # largest map degree that `rational` takes, by --d or as a map document:
-# `rational --d D --count 1 --seed 0` runs in 1.8-2.0 s (56 MB) at D = 80,
-# 14-17 s (132 MB) at D = 160 and 38-40 s (195 MB) at D = 200 on a 2-core Xeon
-# VM, about x8 in time per doubling, so a map of degree 1000 would take hours
+# `rational --d D --count 1 --seed 0` runs in 0.41-0.43 s (41 MB) at D = 80,
+# 1.4-1.8 s (70 MB) at D = 160 and 2.5-2.6 s (91 MB) at D = 200 on a 2-core
+# Xeon VM, two runs each, about x4 in time from 80 to 160
 MAX_MAP_DEGREE = 200
 
-# largest --r of `kronecker` and of `metric`, the last r that runs in about a
+# largest --r of `kronecker` and of `metric`, the last r that runs in under a
 # minute: both spend their time in the Laplace pass over all 2^(r+1) row
-# subsets, about x2 per step of r.  On a 2-core Xeon VM,
-# `kronecker --r R --count 1 --seed 0` took 27 s (129 MB) at R = 18, 54 s
-# (199 MB) at 19 and 113 s (370 MB) at 20, and `metric --r R --count 1
-# --seed 0` 11 s (134 MB) at R = 14, 25 s (164 MB) at 15, 57 s (333 MB) at
-# 16 and 133 s (648 MB) at 17
+# subsets, about x2 per step of r.  On a 2-core Xeon VM at commit 76050d2,
+# `kronecker --r R --count 1 --seed 0` took 3.5 s (57 MB) at R = 16, 17.8 s
+# (129 MB) at 18 and 43.3 s (199 MB) at 19, and `metric --r R --count 1
+# --seed 0` 6.5 s (134 MB) at R = 14 and 42.8 s (333 MB) at 16
 MAX_PENCIL_R = 19
 MAX_METRIC_R = 16
 
@@ -237,7 +235,7 @@ def cmd_kronecker(args: argparse.Namespace) -> Report:
             A1, A2 = random_injective_pencil(args.r, args.seed * args.count + index)
             red = kronecker_reduce(A1, A2)
             identity = apply_gauge(A1, A2, red.P, red.Q) == (S, T)
-        except (ValueError, AssertionError, RuntimeError) as exc:
+        except _DRAW_FAILURES as exc:
             entry["identity"] = False
             entry["stabilizer_dimension"] = None
             entry["error"] = str(exc)
@@ -407,7 +405,7 @@ def cmd_acm_random(args: argparse.Namespace) -> Report:
 def cmd_rational(args: argparse.Namespace) -> Report:
     if args.map is not None:
         rmap = document_to_map(_load_json(args.map))
-        validation = validate_map(rmap)
+        validation = rmap.validation
         doc: Dict[str, Any] = {
             "command": "rational",
             "input": args.map,
@@ -477,9 +475,9 @@ def cmd_rational(args: argparse.Namespace) -> Report:
 
 
 def cmd_metric(args: argparse.Namespace) -> Report:
-    def extract(index: int, chart):
+    def extract(index: int, curve: ACMCurve):
         try:
-            return extract_metric(chart)
+            return extract_metric(curve)
         except (ArithmeticError, np.linalg.LinAlgError) as exc:
             bundle = {
                 "command": "metric",
@@ -489,7 +487,7 @@ def cmd_metric(args: argparse.Namespace) -> Report:
                 "index": index,
                 "skip_sigma_gauge": args.skip_sigma_gauge,
                 "chart": {
-                    name: _matrix_literals(getattr(chart, name))
+                    name: _matrix_literals(getattr(curve.matrix, name))
                     for name in ("A1", "A2", "A3", "A4")
                 },
                 "error": str(exc),
@@ -499,13 +497,13 @@ def cmd_metric(args: argparse.Namespace) -> Report:
     frames = []
     for index in range(args.count):
         try:
-            chart = scan_chart(args.r, args.seed, args.count, index, args.skip_sigma_gauge)
+            curve = scan_chart(args.r, args.seed, args.count, index, args.skip_sigma_gauge)
         except _DRAW_FAILURES as exc:
             return _failed_draw(
                 "metric", exc, r=args.r, count=args.count, seed=args.seed,
                 skip_sigma_gauge=args.skip_sigma_gauge, index=index,
             )
-        frames.append(extract(index, chart))
+        frames.append(extract(index, curve))
     report = frames_report(args.r, frames, args.skip_sigma_gauge)
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)

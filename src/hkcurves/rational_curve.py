@@ -73,6 +73,11 @@ class RationalCurveMap:
         dt = [[(a * k, b * k) for k, (a, b) in enumerate(f)][1:] for f in forms]
         return _FormRows(forms + ds + dt)
 
+    @cached_property
+    def validation(self) -> "MapValidation":
+        """`validate_map` of this map, run once: the map is immutable."""
+        return validate_map(self)
+
     def evaluate(self, s: GaussianRational, t: GaussianRational) -> List[GaussianRational]:
         d = self.degree
         spow, tpow = [ONE], [ONE]
@@ -302,8 +307,7 @@ def normal_splitting_type(curve_map: RationalCurveMap) -> SplittingType:
     a + b.  The profiles of (2d-2, 2d) and (2d-1, 2d-1) differ only at 2d-2,
     so that count rests on its certified rank alone.
     """
-    report = validate_map(curve_map)
-    if not report.ok:
+    if not curve_map.validation.ok:
         raise ValueError("map has base points or ramification; bundle not defined")
     d = curve_map.degree
     c = conormal_sections(curve_map, 2 * d - 2)
@@ -346,4 +350,4 @@ def random_rational_map(d: int, seed: int) -> RationalCurveMap:
         raise ValueError("need degree >= 1")
     rng = random.Random(seed * 1_000_003 + d)
     draw = lambda: RationalCurveMap(random_gaussian_rows(rng, 4, d + 1, DRAW_SPAN))
-    return first_draw("valid map", draw, lambda curve_map: validate_map(curve_map).ok, d=d, seed=seed)
+    return first_draw("valid map", draw, lambda curve_map: curve_map.validation.ok, d=d, seed=seed)

@@ -1,11 +1,13 @@
 """Metric extraction from the fibration of an invariant curve.
 
-A curve in a flat chart (canonical first two coefficients, conjugation
-constraint between the last two) is a point of a parameter space that
-carries three symplectic forms, one per quaternionic complex structure.
-Pairing tangent directions through fiberwise point derivatives and
-fitting the parameter dependence recovers all three at once; the metric
-must then come out constant across charts, which is the flatness test.
+A point of the parameter space is a sigma-invariant curve, an `ACMCurve`.
+Its flat chart is the same curve in the canonical gauge (S, T, A3,
+tau(A3)), as `ACMCurve.from_real_pair` builds it, with A3 as the local
+coordinates.  The space carries three symplectic forms, one per
+quaternionic complex structure.  Pairing tangent directions through
+fiberwise point derivatives and fitting the parameter dependence
+recovers all three at once; the metric must then come out constant
+across charts, which is the flatness test.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ import cmath
 import functools
 import itertools
 import random
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -28,46 +30,17 @@ from .reality import reality_conjugate
 
 
 # ---------------------------------------------------------------------------
-# charts
+# flat charts
 
 
-@dataclass(frozen=True)
-class Chart:
-    """Matrix tuple with the A3/A4 slots treated as local coordinates.
+def normalize_to_flat_chart(curve: ACMCurve | LinearMatrix) -> LinearMatrix:
+    """The canonical gauge (S, T, A3, tau(A3)) of a curve or bare matrix.
 
-    sigma_fixed marks a flat chart: first two coefficients canonical and
-    A4 the conjugate of A3, so the coordinates are honest invariant data.
-    Raw charts skip that normalization and are only useful as a control.
-    """
-
-    r: int
-    A1: ExactMatrix
-    A2: ExactMatrix
-    A3: ExactMatrix
-    A4: ExactMatrix
-    sigma_fixed: bool
-    # the certified curve `scan_chart` drew and found this flat chart to be
-    drawn: Optional[ACMCurve] = field(default=None, compare=False, repr=False)
-
-    def curve(self) -> ACMCurve:
-        if self.drawn is not None:
-            return self.drawn
-        return ACMCurve(LinearMatrix(self.r, self.A1, self.A2, self.A3, self.A4))
-
-    def numeric(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        # int / int is correctly rounded, so these are the floats of complex(entry)
-        forms = (A.integer_form for A in (self.A1, self.A2, self.A3, self.A4))
-        return tuple(np.array([[complex(a / d, b / d) for a, b in row] for row in rows]) for rows, d in forms)
-
-
-def normalize_to_flat_chart(curve: ACMCurve | LinearMatrix) -> Chart:
-    """Reduce the pencil part to canonical form and verify the reality tie.
-
-    Only `r` and `coeffs` are read, so a bare matrix will do.  The
-    reduction is exact; the transported last two coefficients are unique
-    because the canonical pair has no continuous symmetry acting on them,
-    so the conjugation constraint must hold exactly or the curve was not
-    invariant in the first place.
+    Only `r` and `coeffs` are read.  The pencil part is reduced to
+    canonical form exactly; the transported last two coefficients are
+    unique because the canonical pair has no continuous symmetry acting on
+    them, so the conjugation constraint must hold exactly or the curve was
+    not invariant in the first place.
     """
     red = kronecker_reduce(curve.coeffs[0], curve.coeffs[1])
     S, T = canonical_pair(curve.r)
@@ -75,13 +48,7 @@ def normalize_to_flat_chart(curve: ACMCurve | LinearMatrix) -> Chart:
     A4 = red.P @ curve.coeffs[3] @ red.Q
     if A4 != reality_conjugate(A3):
         raise ValueError("conjugation constraint fails in the flat chart")
-    return Chart(r=curve.r, A1=S, A2=T, A3=A3, A4=A4, sigma_fixed=True)
-
-
-def raw_chart(curve: ACMCurve | LinearMatrix) -> Chart:
-    """The own gauge of a curve or bare matrix as a chart; control path only."""
-    A1, A2, A3, A4 = curve.coeffs
-    return Chart(r=curve.r, A1=A1, A2=A2, A3=A3, A4=A4, sigma_fixed=False)
+    return LinearMatrix(curve.r, S, T, A3, A4)
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +239,9 @@ _MIN_FIBERS = 5
 _FIT_TOL = 1e-8
 
 
-def extract_metric(chart: Chart) -> HKFrame:
-    """All three symplectic pairings of a chart from fiberwise sampling.
+def extract_metric(curve: ACMCurve) -> HKFrame:
+    """All three symplectic pairings of a curve's chart, its own gauge,
+    from fiberwise sampling.
 
     Every tangent basis pair is paired on each sampled fiber through the
     point derivatives; the parameter dependence of the pairing is an
@@ -287,9 +255,8 @@ def extract_metric(chart: Chart) -> HKFrame:
     once: a fiber's points and their derivatives are deterministic, so a
     fiber rejected once would be rejected again.
     """
-    r = chart.r
-    curve = chart.curve()
-    numeric = chart.numeric()
+    r = curve.r
+    numeric = curve.matrix.numeric()
     basis = basis_arrays(r)
     n = len(basis[0])
     # (t, complex(t)) of the accepted fibers
@@ -393,21 +360,23 @@ class MetricReport:
 
 def scan_chart(
     r: int, seed: int, num_points: int, index: int, skip_sigma_gauge: bool = False
-) -> Chart:
-    """Chart number `index` of a flatness scan, one derivation for all callers.
+) -> ACMCurve:
+    """The curve of chart number `index` of a flatness scan, one derivation
+    for all callers.
 
     A flat chart is normalized in full, then must give back the drawn A3
     exactly: the stabilizer of (S, T) is {(cI, c^-1 I)}, so the reduction
     (P, Q) of the scrambled pencil (G S H, G T H) has P G = cI, H Q = c^-1 I.
-    The chart then keeps the certified curve it was drawn as.
+    The chart is then the certified curve it was drawn as, that object
+    itself.  The control skips the normalization and reads the scrambled
+    matrix in its own gauge.
     """
-    drawn, curve = _drawn_and_scrambled(r, seed * num_points + index)
+    drawn, scrambled = _drawn_and_scrambled(r, seed * num_points + index)
     if skip_sigma_gauge:
-        return raw_chart(curve)
-    chart = normalize_to_flat_chart(curve)
-    if chart.A3 != drawn.coeffs[2]:
+        return ACMCurve(scrambled)
+    if normalize_to_flat_chart(scrambled).A3 != drawn.coeffs[2]:
         raise AssertionError("the flat chart does not give back the drawn curve")
-    return replace(chart, drawn=drawn)
+    return drawn
 
 
 # the largest relative deviation of a chart's gram from the mean that passes

@@ -284,7 +284,7 @@ def test_slice_residual_is_a_backward_error(r):
     # the chart of `hkcurves metric --r r --count 1 --seed 0`; at r = 6 its
     # slice generators have coefficients up to 3.7e6 and points up to 32 in
     # modulus, and |g(p)| at the true points is 4e-8 to 5e-6
-    curve = scan_chart(r, 0, 1, 0).curve()
+    curve = scan_chart(r, 0, 1, 0)
     for t in sample_parameters(3):
         pts = fiber_points(curve, [t])[0]
         coeffs = generator_floats(r, fiber_generators(curve, t))

@@ -35,7 +35,7 @@ from hkcurves.exact_algebra.ideals import GradedIdeal
 from hkcurves.exact_algebra.linalg import ExactMatrix
 from hkcurves.exact_algebra.scalars import GaussianRational
 from hkcurves.pencil import is_injective_pencil
-from hkcurves.twistor_metric import extract_metric, raw_chart, sample_parameters
+from hkcurves.twistor_metric import extract_metric, sample_parameters
 
 from suites import AffineFiber, reference_fiber_points, reference_generators, swapped
 from test_cli import _degenerate_document
@@ -152,7 +152,7 @@ def test_curve_meeting_the_base_line_ranks_a_level_and_is_refused(monkeypatch):
         lambda: fiber_multiplication_matrices(curve, t),
         lambda: fiber_points(curve, [t]),
         lambda: fiber_points(swapped(curve), [t]),
-        lambda: extract_metric(raw_chart(curve)),
+        lambda: extract_metric(curve),
     ]
     for route in routes:
         with pytest.raises(ValueError, match=MEETS_L0):

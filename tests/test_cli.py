@@ -322,8 +322,10 @@ def test_exit_3_on_r_above_document_ceiling(tmp_path, capsys, monkeypatch):
 def test_map_degree_ceiling_stops_before_any_rank(tmp_path, capsys, monkeypatch):
     # one degree past the ceiling: a map document exits 3 before any
     # literal is read, and --d exits 2 in the parser; nothing is ranked
-    for name in ("validate_map", "normal_splitting_type", "random_rational_map", "_literal"):
+    for name in ("normal_splitting_type", "random_rational_map", "_literal"):
         monkeypatch.setattr(f"hkcurves.cli.{name}", None)
+    # the CLI validates a map through `RationalCurveMap.validation`
+    monkeypatch.setattr("hkcurves.rational_curve.validate_map", None)
     monkeypatch.setattr("hkcurves.exact_algebra.modp.rank_mod", None)
     path = write_doc(tmp_path, "big_map.json", {"forms": [["1"] * (MAX_MAP_DEGREE + 2)] * 4})
     assert main(["rational", "--map", path]) == 3

@@ -186,6 +186,37 @@ def test_splitting_requires_valid_map():
         normal_splitting_type(BASE_POINT_MAP)
 
 
+def test_a_map_is_validated_once(monkeypatch):
+    calls = []
+
+    def counting(curve_map):
+        calls.append(curve_map)
+        return validate_map(curve_map)
+
+    monkeypatch.setattr(rational_curve, "validate_map", counting)
+    # the draw validated its accepted map; its split and the Riemann-Roch
+    # check read that validation
+    rmap = random_rational_map(4, 2)
+    drawn = len(calls)
+    assert drawn >= 1 and calls[-1] is rmap
+    split = normal_splitting_type(rmap)
+    assert riemann_roch_consistent(rmap, split)
+    assert rmap.validation.ok and len(calls) == drawn
+    # a fresh map of the same forms is validated once, on first read
+    fresh = RationalCurveMap(rmap.forms)
+    assert len(calls) == drawn
+    assert normal_splitting_type(fresh) == split
+    assert fresh.validation == rmap.validation
+    assert riemann_roch_consistent(fresh, split)
+    assert calls[drawn:] == [fresh] and calls[-1] is fresh
+    # flawed maps still refuse a split, fresh or already validated
+    for flawed in (BASE_POINT_MAP, CUSP_MAP):
+        for m in (flawed, RationalCurveMap(flawed.forms)):
+            with pytest.raises(ValueError, match="base points or ramification"):
+                normal_splitting_type(m)
+            assert not m.validation.ok
+
+
 def test_map_constructor_validation():
     with pytest.raises(ValueError):
         _map([(0, 0), (0, 0), (0, 0), (0, 0)])  # identically zero

@@ -29,20 +29,20 @@ def same(pass_points, reference):
 @pytest.mark.parametrize("flat", [True, False])
 def test_pass_is_bit_identical_to_the_per_slice_route(r, seeds, flat):
     for seed in seeds:
-        curve = scan_chart(r, seed, 1, 0, skip_sigma_gauge=not flat).curve()
+        curve = scan_chart(r, seed, 1, 0, skip_sigma_gauge=not flat)
         points = fiber_points(curve, CANDIDATES)
         assert same(points, [reference_fiber_points(curve, t) for t in CANDIDATES])
         assert all(p is not None and p.shape == (r * (r + 1) // 2, 2) for p in points)
 
 
 def test_pass_over_no_parameters():
-    assert fiber_points(scan_chart(2, 0, 1, 0).curve(), []) == []
+    assert fiber_points(scan_chart(2, 0, 1, 0), []) == []
 
 
 @pytest.fixture
 def pass_case():
     """An r = 2 chart, seven parameters, and their per-slice points."""
-    curve = scan_chart(2, 3, 1, 0).curve()
+    curve = scan_chart(2, 3, 1, 0)
     ts = sample_parameters(7)
     return curve, ts, [reference_fiber_points(curve, t) for t in ts]
 

@@ -154,6 +154,29 @@ def test_one_witness_for_a_common_zero():
     root_namers = {path.relative_to(SRC).as_posix() for path in SRC.rglob("*.py") if "roots" in set(_names(path))}
     assert gcd_callers == root_namers == {"hkcurves/exact_algebra/polys.py"}
 
+
+def _call_sites(name):
+    """(file, innermost enclosing function or None) of each call of `name`
+    under src/, bare or as an attribute."""
+    def visit(node, where, file):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            yield file, where
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, where, file)
+
+    for path in sorted(SRC.rglob("*.py")):
+        yield from visit(ast.parse(path.read_text(), filename=str(path)), None, path.relative_to(SRC).as_posix())
+
+
+def test_one_validation_per_map():
+    # a map is validated once, by the cached `RationalCurveMap.validation`,
+    # the only caller of `validate_map` under src/; every other reader
+    # reads the property
+    assert list(_call_sites("validate_map")) == [("hkcurves/rational_curve.py", "validation")]
+
+
 def test_optimized_run_matches(tmp_path):
     # seeded slices under python -O must behave exactly as without them,
     # the resolution certificate and the cohomology table included, and so

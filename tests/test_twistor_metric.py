@@ -22,7 +22,6 @@ from hkcurves.exact_algebra.scalars import GaussianRational
 from hkcurves.pencil import canonical_pair
 from hkcurves.reality import reality_conjugate
 from hkcurves.twistor_metric import (
-    Chart,
     basis_arrays,
     complex_structures,
     extract_metric,
@@ -32,7 +31,6 @@ from hkcurves.twistor_metric import (
     normalize_to_flat_chart,
     point_derivative,
     random_scrambled_curve,
-    raw_chart,
     scan_chart,
     sample_parameters,
     structure_arrays,
@@ -75,20 +73,22 @@ def test_normalize_to_flat_chart_properties():
     for r, seed in ((1, 0), (2, 4), (3, 9)):
         chart = normalize_to_flat_chart(random_scrambled_curve(r, seed))
         S, T = canonical_pair(r)
-        assert chart.sigma_fixed
         assert chart.A1 == S
         assert chart.A2 == T
         assert chart.A4 == reality_conjugate(chart.A3)
-        rebuilt = chart.curve()
+        rebuilt = ACMCurve(chart)
         assert rebuilt.d == r * (r + 1) // 2
         assert rebuilt.certificate().ok
 
 
 def test_raw_chart_keeps_the_curve_gauge():
+    # the control of a scan reads the scrambled matrix in its own gauge,
+    # which is not the canonical one
     curve = random_scrambled_curve(2, 7)
-    chart = raw_chart(curve)
-    assert not chart.sigma_fixed
-    assert (chart.A1, chart.A2, chart.A3, chart.A4) == tuple(curve.coeffs)
+    chart = scan_chart(2, 7, 1, 0, skip_sigma_gauge=True)
+    assert isinstance(chart, ACMCurve)
+    assert chart.coeffs == curve.coeffs
+    assert chart.coeffs[:2] != canonical_pair(2)
 
 
 def test_normalize_rejects_broken_conjugation_tie():
@@ -102,22 +102,42 @@ def test_normalize_rejects_broken_conjugation_tie():
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
-def test_flat_scan_chart_keeps_the_drawn_certified_curve(r):
+def test_flat_scan_chart_keeps_the_drawn_certified_curve(r, monkeypatch):
+    draw = twistor_metric._drawn_and_scrambled
+    drawn = []
+
+    def recorded(r, seed):
+        out = draw(r, seed)
+        drawn.append(out[0])
+        return out
+
+    monkeypatch.setattr(twistor_metric, "_drawn_and_scrambled", recorded)
     for seed in range(3):
-        chart = scan_chart(r, seed, 1, 0)
-        curve = chart.curve()
+        curve = scan_chart(r, seed, 1, 0)
         # the curve random_scrambled_curve(r, seed) scrambles, not a rebuilt one
-        assert curve is chart.curve() is chart.drawn
+        assert curve is drawn[-1]
         assert curve.coeffs == random_real_curve(r, seed=seed * 7919 + 11).coeffs
         assert curve.certificate().ok
         flat = normalize_to_flat_chart(random_scrambled_curve(r, seed))
-        assert (chart.A1, chart.A2, chart.A3, chart.A4) == (flat.A1, flat.A2, flat.A3, flat.A4)
-        assert curve.coeffs == (flat.A1, flat.A2, flat.A3, flat.A4)
-        # the drawn curve does not take part in the chart's equality
-        assert chart == flat
-        # the raw control keeps building its curve from its own gauge
+        assert curve.coeffs == flat.coeffs
+        # the raw control builds its curve from its own gauge
         raw = scan_chart(r, seed, 1, 0, skip_sigma_gauge=True)
-        assert raw.drawn is None and raw.curve().coeffs == random_scrambled_curve(r, seed).coeffs
+        assert raw is not drawn[-1] and raw.coeffs == random_scrambled_curve(r, seed).coeffs
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_drawn_curve_reads_the_floats_of_the_normalized_chart(r):
+    # the drawn curve's integer forms have other denominators than the
+    # normalized chart's, but the rationals are equal and int / int is
+    # correctly rounded, so the floats and the frames are the same bits
+    for seed in range(3):
+        curve = scan_chart(r, seed, 1, 0)
+        flat = normalize_to_flat_chart(random_scrambled_curve(r, seed))
+        for got, want in zip(curve.matrix.numeric(), flat.numeric()):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        gram = extract_metric(curve).gram
+        assert gram.tobytes() == extract_metric(ACMCurve(flat)).gram.tobytes()
 
 
 def test_scan_chart_rejects_a_flat_chart_that_moved_the_drawn_curve(monkeypatch):
@@ -126,9 +146,9 @@ def test_scan_chart_rejects_a_flat_chart_that_moved_the_drawn_curve(monkeypatch)
     def moved(curve):
         chart = normalize(curve)
         A3 = chart.A3 + ExactMatrix([[ONE, ZERO], [ZERO, ZERO], [ZERO, ZERO]])
-        return Chart(chart.r, chart.A1, chart.A2, A3, reality_conjugate(A3), True)
+        return LinearMatrix(chart.r, chart.A1, chart.A2, A3, reality_conjugate(A3))
 
-    assert scan_chart(2, 4, 1, 0).A3 == normalize(random_scrambled_curve(2, 4)).A3
+    assert scan_chart(2, 4, 1, 0).coeffs[2] == normalize(random_scrambled_curve(2, 4)).A3
     monkeypatch.setattr(twistor_metric, "normalize_to_flat_chart", moved)
     with pytest.raises(AssertionError, match="drawn curve"):
         scan_chart(2, 4, 1, 0)
@@ -151,7 +171,7 @@ def test_numeric_reads_the_integer_forms_as_complex_does():
             ExactMatrix([[tie] * r] * (r + 1)) @ ExactMatrix.identity(r),
         )
         for A3 in products:
-            moved = Chart(r, chart.A1, chart.A2, A3, reality_conjugate(A3), True)
+            moved = LinearMatrix(r, chart.A1, chart.A2, A3, reality_conjugate(A3))
             for got, A in zip(moved.numeric(), (chart.A1, chart.A2, A3, reality_conjugate(A3))):
                 want = np.array([[complex(z) for z in row] for row in A.data])
                 assert got.dtype == want.dtype and got.shape == want.shape
@@ -259,7 +279,7 @@ def test_real_tangent_basis_drags_the_conjugate_slot():
 def test_point_derivative_matches_central_difference():
     chart = normalize_to_flat_chart(random_scrambled_curve(2, 3))
     t = sample_parameters(1)[0]
-    pts = fiber_points(chart.curve(), [t])[0]
+    pts = fiber_points(ACMCurve(chart), [t])[0]
     basis = real_tangent_basis(2)
     eps = Fraction(1, 10**5)
     for sec in (basis[0], basis[3], basis[8]):
@@ -270,15 +290,14 @@ def test_point_derivative_matches_central_difference():
 
         def nearest(sign):
             s = GaussianRational(sign * eps)
-            moved = Chart(
+            moved = LinearMatrix(
                 chart.r,
                 chart.A1,
                 chart.A2,
                 chart.A3 + sec.dA3.scale(s),
                 chart.A4 + sec.dA4.scale(s),
-                False,
             )
-            cand = fiber_points(moved.curve(), [t])[0]
+            cand = fiber_points(ACMCurve(moved), [t])[0]
             return min(
                 cand, key=lambda p: abs(complex(p[0]) - u) + abs(complex(p[1]) - v)
             )
@@ -296,7 +315,7 @@ def test_point_derivative_consistency_guard():
     for r in (2, 3):
         chart = normalize_to_flat_chart(random_scrambled_curve(r, 3))
         t = sample_parameters(1)[0]
-        pts = [(complex(u), complex(v)) for u, v in fiber_points(chart.curve(), [t])[0]]
+        pts = [(complex(u), complex(v)) for u, v in fiber_points(ACMCurve(chart), [t])[0]]
         moved = [(pts[0][0] + delta, pts[0][1] - delta) for delta in (1e-6, 1e-7)]
         _, ok = point_derivative(
             chart.numeric(), [t] * (len(pts) + 2), pts + moved, section_arrays([real_tangent_basis(r)[1]])
@@ -379,10 +398,10 @@ def _reference_point_derivative(chart, t, point, sections, consistency_tol=1e-8)
 )
 def test_point_derivative_bit_identical_to_per_section_reference(r, seed, flat):
     curve = random_scrambled_curve(r, seed)
-    chart = normalize_to_flat_chart(curve) if flat else raw_chart(curve)
+    chart = normalize_to_flat_chart(curve) if flat else curve
     basis = real_tangent_basis(r)
     ts, points = [], []
-    for t, pts in zip(sample_parameters(3), fiber_points(chart.curve(), sample_parameters(3))):
+    for t, pts in zip(sample_parameters(3), fiber_points(ACMCurve(chart), sample_parameters(3))):
         for u, v in pts:
             ts.append(t)
             points.append((complex(u), complex(v)))
@@ -400,9 +419,9 @@ def test_point_derivative_bit_identical_to_per_section_reference(r, seed, flat):
         assert np.array_equal(alone[0].real, deltas.real) and np.array_equal(alone[0].imag, deltas.imag)
 
 
-def _sequential_walk(chart, slice_points=reference_fiber_points, num_fibers=7):
+def _sequential_walk(curve, slice_points=reference_fiber_points, num_fibers=7):
     """extract_metric's parameters as one fiber at a time would accept them."""
-    curve, numeric, basis = chart.curve(), chart.numeric(), basis_arrays(chart.r)
+    numeric, basis = curve.matrix.numeric(), basis_arrays(curve.r)
     ts = []
     for t in sample_parameters(16):
         if len(ts) == num_fibers:
@@ -421,12 +440,12 @@ def _sequential_walk(chart, slice_points=reference_fiber_points, num_fibers=7):
 )
 def test_extract_metric_accepts_the_parameters_of_the_per_slice_walk(r, seed, flat):
     curve = random_scrambled_curve(r, seed)
-    chart = normalize_to_flat_chart(curve) if flat else raw_chart(curve)
+    chart = ACMCurve(normalize_to_flat_chart(curve) if flat else curve)
     assert list(extract_metric(chart).parameters) == _sequential_walk(chart)
 
 
 def test_extract_metric_skips_exactly_a_fiber_moved_off_the_curve(monkeypatch):
-    chart = normalize_to_flat_chart(random_scrambled_curve(2, 3))
+    chart = ACMCurve(normalize_to_flat_chart(random_scrambled_curve(2, 3)))
     moved = sample_parameters(7)[2]
     real_pass = twistor_metric.fiber_points
 
@@ -454,12 +473,12 @@ def test_extract_metric_walks_one_period_of_candidates(monkeypatch):
 
     monkeypatch.setattr(twistor_metric, "fiber_points", refused)
     with pytest.raises(ArithmeticError, match=r"^only 0 usable fibers of 5 needed$"):
-        extract_metric(normalize_to_flat_chart(random_scrambled_curve(2, 3)))
+        extract_metric(ACMCurve(normalize_to_flat_chart(random_scrambled_curve(2, 3))))
     assert calls == sample_parameters(16)
 
 
 def test_singular_stacked_solve_drops_only_its_own_fiber(monkeypatch):
-    chart = normalize_to_flat_chart(random_scrambled_curve(2, 3))
+    chart = ACMCurve(normalize_to_flat_chart(random_scrambled_curve(2, 3)))
     clean = extract_metric(chart)
     points_per_fiber = 3
     real_svd = np.linalg.svd
@@ -500,7 +519,7 @@ def _full_table_matrices(fiber):
 
 def test_truncated_table_gives_the_full_multiplication_matrices():
     pairs = [
-        (normalize_to_flat_chart(random_scrambled_curve(r, seed)).curve(), t)
+        (ACMCurve(normalize_to_flat_chart(random_scrambled_curve(r, seed))), t)
         for r, seed in ((2, 0), (3, 1))
         for t in random_fiber_parameters(5, seed)
     ]
@@ -556,7 +575,7 @@ def test_frames_report_matches_the_stacked_mean():
 
 
 def test_extract_metric_on_a_line_gives_the_flat_identity():
-    chart = normalize_to_flat_chart(random_scrambled_curve(1, 5))
+    chart = ACMCurve(normalize_to_flat_chart(random_scrambled_curve(1, 5)))
     frame = extract_metric(chart)
     assert frame.gram.shape == (4, 4)
     assert np.allclose(frame.gram, np.eye(4), atol=1e-9)
@@ -567,7 +586,7 @@ def test_extract_metric_on_a_line_gives_the_flat_identity():
 
 
 def test_gram_is_I_invariant():
-    chart = normalize_to_flat_chart(random_scrambled_curve(2, 6))
+    chart = ACMCurve(normalize_to_flat_chart(random_scrambled_curve(2, 6)))
     frame = extract_metric(chart)
     g = frame.gram
     assert np.allclose(g, g.T, atol=1e-8 * max(1.0, np.abs(g).max()))
