@@ -10,7 +10,6 @@ planar point sets whose Hilbert functions stratify the parameter line.
 from .curve import (
     ACMCurve,
     LinearMatrix,
-    ResolutionCertificate,
     avoids_base_line,
     certify_resolution,
     curve_degree,
@@ -22,7 +21,6 @@ from .curve import (
 )
 from .fibers import (
     MAX_FIBERS,
-    FiberScheme,
     expected_hilbert,
     fiber_generators,
     fiber_hilbert_function,
@@ -33,28 +31,3 @@ from .fibers import (
     restrict_to_fiber,
     stratum_check,
 )
-
-__all__ = [
-    "ACMCurve",
-    "LinearMatrix",
-    "ResolutionCertificate",
-    "avoids_base_line",
-    "certify_resolution",
-    "curve_degree",
-    "curve_genus",
-    "invariants",
-    "predicted_ideal_dimension",
-    "random_real_curve",
-    "random_sigma_curve",
-    "MAX_FIBERS",
-    "FiberScheme",
-    "expected_hilbert",
-    "fiber_generators",
-    "fiber_hilbert_function",
-    "fiber_multiplication_matrices",
-    "fiber_points",
-    "hilbert_profile",
-    "random_fiber_parameters",
-    "restrict_to_fiber",
-    "stratum_check",
-]

@@ -42,8 +42,8 @@ def _check_shape(A1: ExactMatrix, A2: ExactMatrix) -> int:
     return cols
 
 
-# T[i][j] = [a, b]: the numerators of the lambda^j coefficient of signed minor i
-MinorTable = List[List[List[int]]]
+# T[i][j] = (a, b): the numerators of the lambda^j coefficient of signed minor i
+MinorTable = Tuple[Tuple[Tuple[int, int], ...], ...]
 
 
 def _minor_table(A1: ExactMatrix, A2: ExactMatrix) -> Tuple[MinorTable, int]:
@@ -51,8 +51,16 @@ def _minor_table(A1: ExactMatrix, A2: ExactMatrix) -> Tuple[MinorTable, int]:
     x0*A1 + x1*A2 over D^r, column j at x0^(r-j) x1^j, so the lambda^j
     coefficients of those of A1 + lambda*A2; column r - k holds the
     lambda^k coefficients of those of A2 + lambda*A1."""
-    X, den = form_pairs([A1.integer_form, A2.integer_form])
-    return signed_minor_table(X).tolist(), den ** A1.cols
+    return _form_minor_table(A1.integer_form, A2.integer_form, A1.cols)
+
+
+# One entry: a drawn pencil is tested for injectivity, then reduced, so the
+# reduction reads the table its draw built.  T is tuples, so no caller can
+# change the table another one reads.
+@functools.lru_cache(maxsize=1)
+def _form_minor_table(form1: tuple, form2: tuple, r: int) -> Tuple[MinorTable, int]:
+    X, den = form_pairs([form1, form2])
+    return tuple(tuple(map(tuple, row)) for row in signed_minor_table(X).tolist()), den**r
 
 
 def _uni_minors(T: MinorTable, den: int) -> List[UniPoly]:

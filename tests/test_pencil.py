@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hkcurves import pencil
+from hkcurves import cli, pencil
 from hkcurves.exact_algebra import modp, polys
 from hkcurves.exact_algebra.linalg import ExactMatrix
 from hkcurves.exact_algebra.polys import UniPoly
@@ -134,9 +134,8 @@ def test_shift_gauge_check_rejects_a_wrong_gauge():
             pencil._shift_gauge(A1, moved, r, T, den)
 
 
-def test_one_laplace_pass_per_pencil(monkeypatch):
-    # the minor table is built once and read by every step: the injectivity
-    # test, the gauge, and the wording of a failed reduction
+def _laplace_calls(monkeypatch):
+    """The list that each `polys.laplace` call appends its input shape to."""
     calls = []
     laplace = polys.laplace
 
@@ -145,22 +144,46 @@ def test_one_laplace_pass_per_pencil(monkeypatch):
         return laplace(X)
 
     monkeypatch.setattr(polys, "laplace", spy)
+    return calls
+
+
+def test_one_laplace_pass_per_pencil(monkeypatch):
+    # the minor table is built once and read by every step: the injectivity
+    # test, the gauge, and the wording of a failed reduction; the cache of
+    # the last table is cleared before each run, so each builds it once
+    calls = _laplace_calls(monkeypatch)
     r = 3
     A1, A2 = random_injective_pencil(r, 11)
+    # the draw's injectivity test built the table the reduction reads
+    calls.clear()
+    assert kronecker_reduce(A1, A2).r == r
+    assert calls == []
     for run in (lambda: is_injective_pencil(A1, A2).ok, lambda: kronecker_reduce(A1, A2).r, lambda: pencil_minors(A1, A2)):
+        pencil._form_minor_table.cache_clear()
         calls.clear()
         assert run()
         assert len(calls) == 1
     # A1 + lambda*A1 drops rank at lambda = -1 only, where the gcd (1 + lambda)^3 vanishes
+    pencil._form_minor_table.cache_clear()
     calls.clear()
     report = is_injective_pencil(A1, A1)
     assert len(calls) == 1
     cube = [GaussianRational(c) for c in (1, 3, 3, 1)]
     assert report == pencil.InjectivityReport(False, (ONE, GaussianRational(-1)), UniPoly(cube))
+    pencil._form_minor_table.cache_clear()
     calls.clear()
     with pytest.raises(ValueError, match=r"^pencil drops rank at \[1:-1\]; cannot reduce$"):
         kronecker_reduce(A1, A1)
     assert len(calls) == 1
+
+
+def test_kronecker_command_makes_one_laplace_pass_per_item(monkeypatch, capsys):
+    # each item draws its pencil, accepted at the first draw, and reduces it
+    # from the table that draw built
+    calls = _laplace_calls(monkeypatch)
+    assert cli.main(["kronecker", "--r", "3", "--count", "2", "--seed", "0"]) == 0
+    assert '"passed": true' in capsys.readouterr().out
+    assert len(calls) == 2
 
 
 def test_reduction_of_canonical_pair_is_gauge():

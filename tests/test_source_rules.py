@@ -203,3 +203,30 @@ def test_optimized_run_matches(tmp_path):
         ]
         assert [run.returncode for run in runs] == [code, code], command
         assert runs[0].stdout == runs[1].stdout, command
+
+
+def test_package_roots_bind_only_modules():
+    # `hkcurves` imports its submodules and binds no name of its own, no
+    # package lists an `__all__`, and `import hkcurves`, the library load
+    # that perfbench times as `setup_s`, loads every module but `cli`
+    root = ast.parse((SRC / "hkcurves" / "__init__.py").read_text())
+    doc, *imports = root.body
+    assert isinstance(doc, ast.Expr) and isinstance(doc.value, ast.Constant) and isinstance(doc.value.value, str)
+    for node in imports:
+        assert isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None, ast.unparse(node)
+    assigned = [
+        path.relative_to(SRC).as_posix()
+        for path in SRC.rglob("__init__.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Name) and node.id == "__all__" and isinstance(node.ctx, ast.Store)
+    ]
+    assert assigned == []
+    modules = {
+        ".".join(path.relative_to(SRC).with_suffix("").parts[: -1 if path.name == "__init__.py" else None])
+        for path in (SRC / "hkcurves").rglob("*.py")
+    }
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, hkcurves; print(*sorted(m for m in sys.modules if m.split('.')[0] == 'hkcurves'))"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, check=True, timeout=60,
+    ).stdout.split()
+    assert loaded == sorted(modules - {"hkcurves.cli"})
