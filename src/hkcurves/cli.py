@@ -71,10 +71,10 @@ MAX_MAP_DEGREE = 200
 
 # largest --r of `kronecker` and of `metric`, the last r that runs in under a
 # minute: both spend their time in the Laplace pass over all 2^(r+1) row
-# subsets, about x2 per step of r.  On a 2-core Xeon VM at commit 76050d2,
-# `kronecker --r R --count 1 --seed 0` took 3.5 s (57 MB) at R = 16, 17.8 s
-# (129 MB) at 18 and 43.3 s (199 MB) at 19, and `metric --r R --count 1
-# --seed 0` 6.5 s (134 MB) at R = 14 and 42.8 s (333 MB) at 16
+# subsets, about x2 per step of r.  On a 2-core Xeon VM, `kronecker --r R
+# --count 1 --seed 0` took 2.2 s (57 MB) at R = 16, 7.0 s (126 MB) at 18 and
+# 15.4 s (199 MB) at 19 at commit 03abbfb, and `metric --r R --count 1 --seed
+# 0` 6.5 s (134 MB) at R = 14 and 42.8 s (333 MB) at 16 at commit 76050d2
 MAX_PENCIL_R = 19
 MAX_METRIC_R = 16
 
