@@ -5,20 +5,20 @@ entries as Gaussian-integer (re, im) pairs over one denominator D > 0,
 cleared once by `scalars.integer_pairs` when built from entries.  Products,
 equality and the exact methods read that form; a product is born in it,
 over D_L * D_R, and so is an inverse, and each builds its Q(i) entries
-(`data`) only when they are read, by `GaussianRational.over`.  Rank,
-right kernel and inverse come from the sparse echelon of `ideals`
-(`sparse_echelon` and its `reduced_echelon`) on the form's rows, and the
-determinant from the array Laplace kernel of `polys`, on the form as a
-matrix of forms in one variable, in int64, lifted by `modp.crt_lift`
-above its bound.  There is no floating fallback here.
+(`data`) only when they are read, by `GaussianRational.over`.  Rank and
+right kernel come from the sparse echelon of `ideals` on the form's rows,
+the inverse from fraction-free Gauss-Jordan on the form's rows packed into
+bigints (`_pack`), and the determinant from the array Laplace kernel of
+`polys`, on the form as a matrix of forms in one variable, in int64,
+lifted by `modp.crt_lift` above its bound.  There is no floating fallback.
 """
 
 from __future__ import annotations
 
 import random
-from math import lcm
+from math import gcd, prod
 
-from .ideals import normal_form_table, reduced_echelon, sparse_echelon, sparse_row_rank
+from .ideals import normal_form_table, sparse_echelon, sparse_row_rank
 from .polys import form_pairs, laplace
 from .scalars import ONE, ZERO, GaussianRational, first_draw, integer_pairs, random_gaussian_rows
 
@@ -174,30 +174,53 @@ class ExactMatrix:
         return GaussianRational.over(re, im, den**self.rows)
 
     def inverse(self) -> "ExactMatrix":
-        """The reduced echelon form of [M | I] is [I | M^-1]: row i is
-        L_i [e_i | row i of M^-1] with L_i > 0, so over L = lcm(L_i) row i
-        of M^-1 is L / L_i times its tail.  The closing check certifies it:
-        the integer form (rows, D') of M * inv is compared with D' * I as
+        """Fraction-free Gauss-Jordan (Bareiss) over Z[i] on [N | I], N = D*M,
+        each row packed by `_pack` as one int of real and one of imaginary
+        parts.  Step k swaps up the first row >= k with a nonzero field k,
+        then sets row_i = (p*row_i - x_i*row_k) / prev for i != k: p the
+        pivot, x_i field k of row i, prev the last pivot, and the division a
+        product by conj(prev) and an exact // by |prev|^2.
+
+        Minor theorem (Sylvester's identity): after step k every field is
+        +- a (k+1)-minor of the row-permuted [N | I], so each division is
+        exact, and row i ends as [d e_i | R_i], d the last pivot: M^-1 is
+        D*R*conj(d) / |d|^2, and over |d|^2 divided by its gcd with every
+        part, the lcm of the entries' denominators.  Bound: such a minor is
+        +- a minor of N, so |Re| + |Im| of it is at most H = prod_i max(1,
+        l1(row i of N)), as in `polys.laplace`, and with K = bits(H) + 2
+        every field read is exact.  The closing check certifies the result:
+        the integer form (rows, E) of M * inv is compared with E * I as
         integer pairs, with no Q(i) identity built."""
         if self.rows != self.cols:
             raise ValueError("inverse of non-square matrix")
-        n, den = self.rows, self.integer_form[1]
-        # D times the rows of [M | I]
-        rows = [row + [(n + i, den, 0)] for i, row in enumerate(self._sparse_rows())]
-        reduced = reduced_echelon(sparse_echelon(rows))
-        if sorted(reduced) != list(range(n)):
-            raise ValueError("singular matrix")
-        L = lcm(*(reduced[i][0][1] for i in range(n)))
-        form = []
-        for i in range(n):
-            scale, out = L // reduced[i][0][1], [(0, 0)] * n
-            for c, a, b in reduced[i][1:]:
-                out[c - n] = (a * scale, b * scale)
-            form.append(tuple(out))
-        inv = ExactMatrix.from_integer_form(tuple(form), L, n)
-        # M * inv == I exactly when the product's form (rows, D') is D' * I
-        prod, prod_den = (self @ inv).integer_form
-        if prod != tuple(tuple((prod_den if i == j else 0, 0) for j in range(n)) for i in range(n)):
+        n, (form, den) = self.rows, self.integer_form
+        K = prod(max(1, sum(abs(a) + abs(b) for a, b in row)) for row in form).bit_length() + 2
+        # row i of [N | I]: the identity's 1 is field n + i of the real parts
+        rows = [[_pack([a for a, _ in row] + [0] * i + [1], K), _pack([b for _, b in row], K)] for i, row in enumerate(form)]
+        (pa, pb), q = (1, 0), 1
+        for k in range(n):
+            col = [(_field(re, k, K), _field(im, k, K)) for re, im in rows]
+            piv = next((i for i in range(k, n) if col[i] != (0, 0)), None)
+            if piv is None:
+                raise ValueError("singular matrix")
+            rows[k], rows[piv], col[k], col[piv] = rows[piv], rows[k], col[piv], col[k]
+            # x_i * conj(prev) for every row, the pivot's too; then // |prev|^2
+            c = [(xa * pa + xb * pb, xb * pa - xa * pb) for xa, xb in col]
+            (ua, ub), (ka, kb) = c[k], rows[k]
+            for i, (ra, rb) in enumerate(rows):
+                if i != k:
+                    ya, yb = c[i]
+                    rows[i] = [(ua * ra - ub * rb - ya * ka + yb * kb) // q, (ua * rb + ub * ra - ya * kb - yb * ka) // q]
+            (pa, pb), q = col[k], col[k][0] ** 2 + col[k][1] ** 2
+        # row i of M^-1 is D * R_i * conj(d) / |d|^2, made lowest
+        out = [[(_field(re, j, K), _field(im, j, K)) for j in range(n, 2 * n)] for re, im in rows]
+        out = [[(den * (a * pa + b * pb), den * (b * pa - a * pb)) for a, b in row] for row in out]
+        g = gcd(q, *(x for row in out for pair in row for x in pair))
+        inv_form = tuple(tuple((a // g, b // g) for a, b in row) for row in out)
+        inv = ExactMatrix.from_integer_form(inv_form, q // g, n)
+        # M * inv == I exactly when the product's form (rows, E) is E * I
+        product, product_den = (self @ inv).integer_form
+        if product != tuple(tuple((product_den if i == j else 0, 0) for j in range(n)) for i in range(n)):
             raise ValueError("singular matrix")
         return inv
 
@@ -212,6 +235,20 @@ class ExactMatrix:
             " ".join(str(z) for z in row) for row in self.data
         )
         return f"ExactMatrix({self.rows}x{self.cols}: {body})"
+
+
+def _pack(values, K: int) -> int:
+    """The ints as the balanced K-bit fields of one int, sum_j values[j] * 2^(K*j)
+    (Kronecker substitution): a row operation is then a few bigint products."""
+    return sum(v << K * j for j, v in enumerate(values))
+
+
+def _field(packed: int, j: int, K: int) -> int:
+    """Field j of `_pack(values, K)`, exact when every |value| < 2^(K-1):
+    rounding at bit K*j absorbs the fields below, and the field is the
+    balanced residue mod 2^K of what is left."""
+    t = (packed + ((1 << K * j) >> 1)) >> K * j
+    return ((t + (1 << K - 1)) & ((1 << K) - 1)) - (1 << K - 1)
 
 
 def random_invertible(size: int, rng: random.Random) -> ExactMatrix:

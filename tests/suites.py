@@ -7,6 +7,7 @@ raises AssertionError inside, so a return means every instance held.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -19,7 +20,7 @@ from hkcurves.acm_curve.fibers import (
     fiber_multiplication_matrices,
     fiber_points,
 )
-from hkcurves.exact_algebra.ideals import integer_row, normal_form_table, sparse_echelon
+from hkcurves.exact_algebra.ideals import integer_row, normal_form_table, reduced_echelon, sparse_echelon
 from hkcurves.exact_algebra.linalg import ExactMatrix, random_invertible
 from hkcurves.exact_algebra.polys import HomogPoly, monomial_basis, monomial_index
 from hkcurves.exact_algebra.scalars import GaussianRational, I
@@ -309,6 +310,32 @@ def _operator_matrix(r: int, op) -> ExactMatrix:
                 col[m + i * r + j] = GaussianRational(v.im)
         cols.append(col)
     return ExactMatrix([[cols[j][i] for j in range(n)] for i in range(n)])
+
+
+# ---------------------------------------------------------------------------
+# the echelon inverse: the oracle for `ExactMatrix.inverse`
+
+
+def echelon_inverse(m: ExactMatrix) -> ExactMatrix:
+    """The reduced echelon form of [M | I] is [I | M^-1]: row i is
+    L_i [e_i | row i of M^-1] with L_i > 0 and the row primitive, so over
+    L = lcm(L_i), the lcm of the entries' denominators, row i of M^-1 is
+    L / L_i times its tail.  The route `inverse` took before it packed rows;
+    raises ValueError("singular matrix") where M has no inverse."""
+    n, den = m.rows, m.integer_form[1]
+    # D times the rows of [M | I]
+    rows = [row + [(n + i, den, 0)] for i, row in enumerate(m._sparse_rows())]
+    reduced = reduced_echelon(sparse_echelon(rows))
+    if sorted(reduced) != list(range(n)):
+        raise ValueError("singular matrix")
+    L = lcm(*(reduced[i][0][1] for i in range(n)))
+    form = []
+    for i in range(n):
+        scale, out = L // reduced[i][0][1], [(0, 0)] * n
+        for c, a, b in reduced[i][1:]:
+            out[c - n] = (a * scale, b * scale)
+        form.append(tuple(out))
+    return ExactMatrix.from_integer_form(tuple(form), L, n)
 
 
 # ---------------------------------------------------------------------------

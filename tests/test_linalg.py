@@ -4,13 +4,14 @@ import copy
 import pickle
 import random
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
 from hkcurves.exact_algebra import modp
 from hkcurves.exact_algebra.ideals import eliminate, integer_row
-from hkcurves.exact_algebra.linalg import ExactMatrix, random_invertible
+from hkcurves.exact_algebra.linalg import ExactMatrix, _field, _pack, random_invertible
 from hkcurves.exact_algebra.modp import PRIMES, rank_mod, rows_mod, sparse_rank_certificate
 from hkcurves.exact_algebra.scalars import MAX_DRAWS, GaussianRational
 
@@ -87,23 +88,48 @@ def test_inverse_of_singular_matrix_raises():
 
 
 def test_inverse_closing_check_rejects_a_wrong_echelon(monkeypatch):
-    # one entry of the reduced [M | I] off by one: the candidate is not
-    # M^-1, and the check of M * inv against D' * I must say so
+    # field 0 of the first packed row of [N | I] off by one: the elimination
+    # inverts [[2, 2 + i], [3, 4i]], which is invertible, so the candidate is
+    # not M^-1, and the check of M * inv against D' * I must say so
     from hkcurves.exact_algebra import linalg
 
-    reduced_echelon = linalg.reduced_echelon
+    pack, calls = linalg._pack, []
 
-    def off_by_one(echelon):
-        reduced = reduced_echelon(echelon)
-        lead, (c, a, b), *rest = reduced[0]
-        reduced[0] = [lead, (c, a + 1, b), *rest]
-        return reduced
+    def off_by_one(values, K):
+        calls.append(values)
+        return pack(values, K) + (len(calls) == 1)
 
     m = ExactMatrix([[ONE, GaussianRational(2, 1)], [GaussianRational(3), GaussianRational(0, 4)]])
     assert m @ m.inverse() == ExactMatrix.identity(2)
-    monkeypatch.setattr(linalg, "reduced_echelon", off_by_one)
+    monkeypatch.setattr(linalg, "_pack", off_by_one)
     with pytest.raises(ValueError, match="singular"):
         m.inverse()
+    assert calls and calls[0][0] == 1
+
+
+def test_singular_matrix_missing_its_last_pivot_raises_before_the_check(monkeypatch):
+    # row 2 = row 0 + i * row 1: pivots at columns 0 and 1, none at column 2,
+    # so the pivot search raises and no closing product is formed
+    r0 = [ONE, GaussianRational(2), GaussianRational(3, 1)]
+    r1 = [GaussianRational(0, 2), ONE, GaussianRational(4)]
+    r2 = [GaussianRational(-1), GaussianRational(2, 1), GaussianRational(3, 5)]
+    m = ExactMatrix([r0, r1, r2])
+    assert m.rank() == 2 and ExactMatrix([r0, r1]).rank() == 2
+    monkeypatch.setattr(ExactMatrix, "__matmul__", lambda *args: pytest.fail("closing check reached"))
+    with pytest.raises(ValueError, match="^singular matrix$"):
+        m.inverse()
+
+
+def test_pack_and_field_round_trip_with_adjacent_negative_fields():
+    # every field |v| < 2^(K-1), negative next to negative, zero and extreme
+    for values in product(range(-3, 4), repeat=3):
+        packed = _pack(list(values), 3)
+        assert [_field(packed, j, 3) for j in range(4)] == [*values, 0]
+    K, top = 70, 2**69 - 1
+    values = [-1, -top, top, -top, -1, 0, -5, top, 1]
+    packed = _pack(values, K)
+    assert [_field(packed, j, K) for j in range(len(values))] == values
+    assert _pack([], K) == 0 and _field(0, 3, K) == 0
 
 
 def test_combine_rows_eliminates_pivot():

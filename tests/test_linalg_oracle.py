@@ -12,6 +12,11 @@ checked against entry-wise Fraction-pair products and entry-wise equality,
 the inverse, born in its form, against Gauss-Jordan on Fraction pairs, and
 the pencil stabilizer against its rows cleared one by one with
 `integer_row`, the route it took before it read the form.
+
+The inverse's integer form, from fraction-free Gauss-Jordan on packed rows,
+must be identical to the form of `suites.echelon_inverse`, the reduced
+echelon of [M | I] that `inverse` ran on before: the lcm of the entries'
+denominators and the numerators over it.
 """
 
 import random
@@ -23,7 +28,9 @@ import pytest
 from hkcurves.exact_algebra.ideals import certified_rank, integer_row
 from hkcurves.exact_algebra.linalg import ExactMatrix
 from hkcurves.exact_algebra.scalars import GaussianRational
-from hkcurves.pencil import canonical_pair, pair_stabilizer_dimension, random_injective_pencil
+from hkcurves.pencil import _minor_table, canonical_pair, kronecker_reduce, pair_stabilizer_dimension, random_injective_pencil
+
+from suites import echelon_inverse
 
 _ZERO = GaussianRational(0)
 _ONE = GaussianRational(1)
@@ -217,12 +224,62 @@ def test_det_and_inverse_match_reference(seed, kw):
     det = m.det()
     assert det == _ref_det(m)
     if det.is_zero():
-        with pytest.raises(ValueError, match="singular"):
-            _ref_inverse(m)
-        with pytest.raises(ValueError, match="singular"):
-            m.inverse()
+        for inverse in (_ref_inverse, echelon_inverse, ExactMatrix.inverse):
+            with pytest.raises(ValueError, match="singular"):
+                inverse(m)
     else:
         assert m.inverse() == _ref_inverse(m)
+        assert m.inverse().integer_form == echelon_inverse(m).integer_form
+
+
+def _pencil_gauge_matrix(r, seed, monkeypatch):
+    """The M that `kronecker_reduce` inverts for the seeded pencil of size r."""
+    seen, inverse = [], ExactMatrix.inverse
+    with monkeypatch.context() as patch:
+        patch.setattr(ExactMatrix, "inverse", lambda m: seen.append(m) or inverse(m))
+        kronecker_reduce(*random_injective_pencil(r, seed))
+    [m] = seen
+    return m
+
+
+def _gi(re, im=0):
+    return GaussianRational(re, im)
+
+
+_BIG = 2**63 + 5
+INVERSE_CASES = {
+    # leading zeros force a swap at step 0, and a zero met at step 1
+    "swap-at-step-0": [[_ZERO, _gi(1)], [_gi(2, 1), _gi(3)]],
+    "swap-at-step-1": [[_gi(1), _gi(1), _ZERO], [_gi(1), _gi(1), _gi(0, 1)], [_ZERO, _gi(1), _gi(1)]],
+    "1x1": [[_gi(Fraction(3, 4), -2)]],
+    "0x0": [],
+    "past-2^63": [[_gi(_BIG, -_BIG), _gi(3)], [_gi(-7, 2**70), _gi(_BIG * _BIG, 1)]],
+    "mixed-denominators": [
+        [_gi(Fraction(1, 2), Fraction(1, 3)), _gi(Fraction(5, 7)), _gi(0, Fraction(-1, 6))],
+        [_gi(Fraction(2, 5)), _gi(Fraction(-3, 4), 1), _gi(Fraction(1, 9))],
+        [_gi(1), _gi(0, Fraction(1, 11)), _gi(Fraction(7, 3), Fraction(-2, 5))],
+    ],
+}
+
+
+@pytest.mark.parametrize("name", INVERSE_CASES)
+def test_inverse_form_is_the_echelon_oracles_on_planted_cases(name):
+    m = ExactMatrix(INVERSE_CASES[name], cols=len(INVERSE_CASES[name]))
+    inv = m.inverse()
+    assert inv.integer_form == echelon_inverse(m).integer_form
+    assert m @ inv == ExactMatrix.identity(m.rows)
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_inverse_form_is_the_echelon_oracles_on_pencil_gauges(r, monkeypatch):
+    # the dense M of `kronecker_reduce`, and the signed anti-diagonal base
+    # line T of the canonical pencil, which a curve in canonical gauge has
+    mats = [_pencil_gauge_matrix(r, seed, monkeypatch) for seed in (1, 2)]
+    if r <= 4:
+        T, _ = _minor_table(*canonical_pair(r))
+        mats.append(ExactMatrix.from_integer_form(T, 1, r + 1))
+    for m in mats:
+        assert m.inverse().integer_form == echelon_inverse(m).integer_form
 
 
 def _ref_gauss_jordan_inverse(m):
