@@ -80,7 +80,7 @@ class ACMCurve:
         self.matrix = matrix
         self.r = r = matrix.r
         self.coeffs = matrix.coeffs
-        self.d, self.g = invariants(self.r)
+        self.degree, self.genus = invariants(r)
         # the matrix as the Laplace kernel reads it, for the minors and the
         # cofactor check
         self.pairs = form_pairs([A.integer_form for A in self.coeffs])
@@ -92,14 +92,6 @@ class ACMCurve:
         self.base_line = [[m.terms.get((r - j, j, 0, 0), (0, 0)) for j in range(r + 1)]
                           for m in self.minors]
         self._certificate: Optional["ResolutionCertificate"] = None
-
-    @property
-    def degree(self) -> int:
-        return self.d
-
-    @property
-    def genus(self) -> int:
-        return self.g
 
     @classmethod
     def from_real_pair(cls, A3: ExactMatrix) -> "ACMCurve":

@@ -141,8 +141,10 @@ def _load_json(path: str) -> Any:
         raise ParseFailure(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        # RecursionError: nesting deeper than the decoder's stack
+    except (ValueError, RecursionError) as exc:
+        # ValueError: a JSONDecodeError, or an integer longer than
+        # sys.get_int_max_str_digits(); RecursionError: nesting deeper
+        # than the decoder's stack
         raise ParseFailure(f"{path} is not JSON: {exc}") from exc
 
 

@@ -220,9 +220,6 @@ class HKFrame:
 
     r: int
     gram: np.ndarray                  # real symmetric, 2r(r+1) square
-    omega_I: np.ndarray
-    omega_J: np.ndarray
-    omega_K: np.ndarray
     I: np.ndarray
     J: np.ndarray
     K: np.ndarray
@@ -315,9 +312,6 @@ def extract_metric(curve: ACMCurve) -> HKFrame:
     return HKFrame(
         r=r,
         gram=gram,
-        omega_I=omega_I,
-        omega_J=omega_J,
-        omega_K=omega_K,
         I=Imat,
         J=Jmat,
         K=Kmat,

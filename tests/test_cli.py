@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 import time
 
 import pytest
@@ -246,6 +247,22 @@ def test_exit_2_on_undecodable_document(name, data, tmp_path, capsys):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["acm", "verify"], ["cohomology", "table", "--curve"], ["rational", "--map"]],
+    ids=["acm-verify", "cohomology-table", "rational"],
+)
+def test_exit_2_on_oversized_integer(command, tmp_path, capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter has no limit on integer digits")
+    path = tmp_path / "huge.json"
+    path.write_text('{"r": ' + "1" * (limit + 1) + "}")
+    assert main(command + [str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_exit_2_on_missing_file(capsys):

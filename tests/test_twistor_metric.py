@@ -1,5 +1,6 @@
 """Chart normalization, quaternionic section operators, metric extraction."""
 
+import dataclasses
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -77,7 +78,7 @@ def test_normalize_to_flat_chart_properties():
         assert chart.A2 == T
         assert chart.A4 == reality_conjugate(chart.A3)
         rebuilt = ACMCurve(chart)
-        assert rebuilt.d == r * (r + 1) // 2
+        assert rebuilt.degree == r * (r + 1) // 2
         assert rebuilt.certificate().ok
 
 
@@ -591,6 +592,17 @@ def test_gram_is_I_invariant():
     g = frame.gram
     assert np.allclose(g, g.T, atol=1e-8 * max(1.0, np.abs(g).max()))
     assert frame.quaternion_residuals["I_compatibility"] < 1e-8
+
+
+def test_frame_owns_no_array_but_its_gram():
+    # a scan keeps every frame, so a frame holds the gram and shares the rest
+    frame = extract_metric(ACMCurve(normalize_to_flat_chart(random_scrambled_curve(2, 3))))
+    values = {f.name: getattr(frame, f.name) for f in dataclasses.fields(frame)}
+    owned = [name for name, v in values.items()
+             if isinstance(v, np.ndarray) and v.flags.writeable and v.flags.owndata]
+    assert owned == ["gram"]
+    assert frame.gram.base is None
+    assert all(mine is shared for mine, shared in zip((frame.I, frame.J, frame.K), structure_arrays(2)))
 
 
 def test_flatness_scan_small():
