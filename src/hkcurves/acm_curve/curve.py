@@ -105,9 +105,6 @@ class ACMCurve:
             self._certificate = certify_resolution(self)
         return self._certificate
 
-    def gauge(self, P: ExactMatrix, Q: ExactMatrix) -> "ACMCurve":
-        return ACMCurve(self.matrix.gauge(P, Q))
-
     @cached_property
     def base_line_rank(self) -> int:
         """Rank of T, certified; r + 1 exactly when the curve misses L0."""

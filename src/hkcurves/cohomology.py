@@ -21,11 +21,6 @@ from .exact_algebra.polys import monomial_count
 Table = Tuple[int, int, int, int]
 
 
-def line_bundle_cohomology_P3(m: int) -> Table:
-    """(h^0, h^1, h^2, h^3) of the degree-m line bundle on projective 3-space."""
-    return (monomial_count(4, m), 0, 0, monomial_count(4, -m - 4))
-
-
 def chi_line_bundle(m: int) -> int:
     """Euler characteristic (m+1)(m+2)(m+3)/6, all integers m."""
     return (m + 1) * (m + 2) * (m + 3) // 6
@@ -67,11 +62,6 @@ class CohomologyTable:
     kmin: int
     kmax: int
     rows: Tuple[Table, ...]
-
-    def row(self, k: int) -> Table:
-        if not self.kmin <= k <= self.kmax:
-            raise KeyError(f"twist {k} outside [{self.kmin}, {self.kmax}]")
-        return self.rows[k - self.kmin]
 
 
 def cohomology_table(curve, kmin: int, kmax: int) -> CohomologyTable:

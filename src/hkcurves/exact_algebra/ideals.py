@@ -5,7 +5,7 @@ held as Gaussian integers: ascending (column, a, b) triples for nonzero
 a + b*i, standing for the Q(i) row up to a nonzero scalar, which changes no
 rank, pivot or echelon.  Column order follows monomial_basis, so the pivot
 is the lex-greatest monomial.  A caller holding Q(i) values clears each
-row's denominators with `integer_row`.
+row's denominators first, as `scalars.integer_pairs` does for a matrix.
 
 A pivot is kept monic over one positive denominator D, as the primitive row
 leading with (column, D, 0); its lead is made real by the lead's conjugate.
@@ -38,7 +38,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from . import modp
 from .modp import sparse_rank_certificate
 from .polys import HomogPoly, monomial_basis, monomial_count, monomial_index
-from .scalars import ZERO, GaussianRational, integer_pairs
+from .scalars import ZERO, GaussianRational
 
 Row = List[Tuple[int, int, int]]
 
@@ -86,14 +86,6 @@ def _pivot(row: Row) -> Row:
     col, a0, b0 = row[0]
     tail = [(c, a * a0 + b * b0, b * a0 - a * b0) for c, a, b in row[1:]]
     return _primitive([(col, a0 * a0 + b0 * b0, 0)] + tail)
-
-
-def integer_row(row: Iterable[Tuple[object, GaussianRational]]) -> list:
-    """The row times the lcm of its denominators, as (key, a, b) triples
-    for its nonzero entries a + b*i, in the given order."""
-    row = [(c, v) for c, v in row if v.re or v.im]
-    pairs, _ = integer_pairs(v for _, v in row)
-    return [(c, a, b) for (c, _), (a, b) in zip(row, pairs)]
 
 
 def sparse_echelon(rows: Iterable[Row], target: Optional[int] = None) -> List[Row]:

@@ -71,16 +71,6 @@ class ExactMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
-    # -- constructors ---------------------------------------------------
-
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "ExactMatrix":
-        return ExactMatrix([[ZERO] * cols for _ in range(rows)], cols=cols)
-
-    @staticmethod
-    def identity(n: int) -> "ExactMatrix":
-        return ExactMatrix([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
-
     # -- structure ------------------------------------------------------
 
     def __getitem__(self, ij):
@@ -100,33 +90,7 @@ class ExactMatrix:
     def __hash__(self):
         return hash((self.rows, self.cols, self.data))
 
-    def is_zero(self) -> bool:
-        return all(z.is_zero() for row in self.data for z in row)
-
-    def conj(self) -> "ExactMatrix":
-        return ExactMatrix([[z.conj() for z in row] for row in self.data])
-
     # -- arithmetic -------------------------------------------------------
-
-    def __add__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-        return ExactMatrix(
-            [
-                [self.data[i][j] + other.data[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return ExactMatrix([[-z for z in row] for row in self.data])
-
-    def scale(self, c) -> "ExactMatrix":
-        c = c if isinstance(c, GaussianRational) else GaussianRational(c)
-        return ExactMatrix([[z * c for z in row] for row in self.data])
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
@@ -223,12 +187,6 @@ class ExactMatrix:
         if product != tuple(tuple((product_den if i == j else 0, 0) for j in range(n)) for i in range(n)):
             raise ValueError("singular matrix")
         return inv
-
-    # -- conversion ----------------------------------------------------------
-
-    def to_complex(self):
-        """Nested lists of Python complex (floating boundary)."""
-        return [[complex(z) for z in row] for row in self.data]
 
     def __repr__(self):
         body = "; ".join(

@@ -473,12 +473,6 @@ class UniPoly:
             out.append(a + b)
         return UniPoly(out)
 
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return UniPoly([-c for c in self.coeffs])
-
     def __mul__(self, other):
         if isinstance(other, GaussianRational):
             return UniPoly([c * other for c in self.coeffs])
@@ -520,9 +514,6 @@ class UniPoly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def derivative(self) -> "UniPoly":
-        return UniPoly([c * k for k, c in enumerate(self.coeffs)][1:])
 
     def __repr__(self):
         if self.is_zero():

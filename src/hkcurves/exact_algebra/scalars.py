@@ -8,8 +8,9 @@ denominator that the exact kernels read.  JSON documents write scalars as
     RAT   := INT | INT "/" POSINT
     GAUSS := RAT | RAT "i" | RAT ("+"|"-") RAT "i"
 
-e.g. "3", "-1/2", "2+1/3i".  A unicode minus is accepted on input; output is
-ASCII and round-trips byte-identically.
+with INT and POSINT in ASCII digits, e.g. "3", "-1/2", "2+1/3i".  A
+unicode minus is accepted on input; output is ASCII and round-trips
+byte-identically.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ from typing import Callable, Iterable, List, Tuple
 
 _RAT = r"[+-]?\d+(?:/\d+)?"
 _URAT = r"\d+(?:/\d+)?"
+# re.ASCII: \d alone would match every Unicode decimal digit, and Fraction reads them
 _GAUSS_RE = re.compile(
-    rf"^\s*(?P<re>{_RAT})(?P<im_joined>[+-]{_URAT})?(?P<i1>i)?\s*$"
+    rf"^\s*(?P<re>{_RAT})(?P<im_joined>[+-]{_URAT})?(?P<i1>i)?\s*$", re.ASCII
 )
 
 

@@ -63,18 +63,6 @@ def _form_minor_table(form1: tuple, form2: tuple, r: int) -> Tuple[MinorTable, i
     return tuple(tuple(map(tuple, row)) for row in signed_minor_table(X).tolist()), den**r
 
 
-def _uni_minors(T: MinorTable, den: int) -> List[UniPoly]:
-    """The maximal minors of A1 + lambda*A2 as polynomials in lambda, from
-    the table of `_minor_table`: the sign of row i undone, over den."""
-    return [UniPoly([GaussianRational.over(a, b, (-1) ** i * den) for a, b in row]) for i, row in enumerate(T)]
-
-
-def pencil_minors(A1: ExactMatrix, A2: ExactMatrix) -> List[UniPoly]:
-    """Maximal minors of A1 + lambda*A2 as polynomials in lambda, degree <= r."""
-    _check_shape(A1, A2)
-    return _uni_minors(*_minor_table(A1, A2))
-
-
 def minor_coefficient_rank(T: Sequence[Sequence[Tuple[int, int]]]) -> int:
     """Certified rank of T, whose row k holds the Gaussian-integer numerators
     of signed minor k of x0*A1 + x1*A2 at x0^(r-j) x1^j: r + 1 exactly when

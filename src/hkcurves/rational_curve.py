@@ -29,7 +29,7 @@ import numpy as np
 from .exact_algebra import modp
 from .exact_algebra.ideals import Row, certified_rank
 from .exact_algebra.polys import UniPoly, binary_common_zero
-from .exact_algebra.scalars import DRAW_SPAN, ONE, ZERO, GaussianRational, first_draw, integer_pairs, random_gaussian_rows
+from .exact_algebra.scalars import DRAW_SPAN, GaussianRational, first_draw, integer_pairs, random_gaussian_rows
 
 BinaryForm = Tuple[GaussianRational, ...]  # coeffs[k] multiplies s^(d-k) t^k
 IntForm = Sequence[Sequence[int]]  # Gaussian-integer (re, im) pairs, same order
@@ -77,20 +77,6 @@ class RationalCurveMap:
     def validation(self) -> "MapValidation":
         """`validate_map` of this map, run once: the map is immutable."""
         return validate_map(self)
-
-    def evaluate(self, s: GaussianRational, t: GaussianRational) -> List[GaussianRational]:
-        d = self.degree
-        spow, tpow = [ONE], [ONE]
-        for _ in range(d):
-            spow.append(spow[-1] * s)
-            tpow.append(tpow[-1] * t)
-        out = []
-        for f in self.forms:
-            acc = ZERO
-            for k, c in enumerate(f):
-                acc = acc + c * spow[d - k] * tpow[k]
-            out.append(acc)
-        return out
 
 
 # a degree-5 split visits 7 shapes (2 in `validate_map`, 2 for the conormal

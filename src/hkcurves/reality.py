@@ -5,11 +5,13 @@ conj(x2)]; it squares to the identity on points and has no fixed points.
 On forms it acts by conjugating coefficients and substituting x0 -> -x1,
 x1 -> x0, x2 -> -x3, x3 -> x2, so that (sigma f)(p) = conj(f(sigma p)).
 
-In the canonical pencil gauge (S, T) the involution is implemented by a
-fixed pair of real sign-reversal matrices (g0, h0); a matrix pair (A3, A4)
-cuts out a sigma-invariant curve exactly when A4 = conj(g0 * A3 * h0).
-As anti-diagonal signs, (g0, h0) act on A3 as a signed index permutation,
-which `reality_conjugate` applies to A3's integer form with no product.
+In the canonical pencil gauge (S, T) a matrix pair (A3, A4) cuts out a
+sigma-invariant curve exactly when A4 = conj(g0 * A3 * h0), for a fixed
+pair (g0, h0) of real anti-diagonal sign matrices.  The library's action on
+matrices is `reality_conjugate`, which applies that signed index
+permutation to A3's integer form with no product.  Sigma on points and
+(g0, h0) as matrices are the tests' references for `sigma_form` and
+`reality_conjugate`.
 """
 
 from __future__ import annotations
@@ -20,15 +22,8 @@ from typing import Sequence, Tuple
 from .exact_algebra.ideals import GradedIdeal
 from .exact_algebra.linalg import ExactMatrix
 from .exact_algebra.polys import HomogPoly
-from .exact_algebra.scalars import DRAW_SPAN, ZERO, GaussianRational, first_draw, random_gaussian_rows
+from .exact_algebra.scalars import DRAW_SPAN, GaussianRational, first_draw, random_gaussian_rows
 from .pencil import is_injective_pencil
-
-
-def sigma_point(p: Sequence[GaussianRational]) -> Tuple[GaussianRational, ...]:
-    if len(p) != 4:
-        raise ValueError("expected 4 homogeneous coordinates")
-    x0, x1, x2, x3 = p
-    return (-x1.conj(), x0.conj(), -x3.conj(), x2.conj())
 
 
 def sigma_form(f: HomogPoly) -> HomogPoly:
@@ -40,14 +35,6 @@ def sigma_form(f: HomogPoly) -> HomogPoly:
         # conj(a + b*i), negated where m0 + m2 is odd; no two monomials merge
         terms[(m1, m0, m3, m2)] = (-a, b) if (m0 + m2) % 2 else (a, -b)
     return f._like(terms, f.den)
-
-
-def sigma_matrix_tuple(
-    A: Tuple[ExactMatrix, ExactMatrix, ExactMatrix, ExactMatrix]
-) -> Tuple[ExactMatrix, ExactMatrix, ExactMatrix, ExactMatrix]:
-    """Image of the coefficient tuple of A1*x0 + A2*x1 + A3*x2 + A4*x3."""
-    A1, A2, A3, A4 = A
-    return (A2.conj(), -A1.conj(), A4.conj(), -A3.conj())
 
 
 def is_sigma_invariant_ideal(generators: Sequence[HomogPoly], degree: int) -> bool:
@@ -116,34 +103,6 @@ def make_sigma_invariant_pencil(r: int, seed: int) -> Tuple[ExactMatrix, ExactMa
     return first_draw("injective pencil", draw, lambda mats: is_injective_pencil(*mats[:2]).ok, r=r, seed=seed)
 
 
-def conjugation_matrices(r: int) -> Tuple[ExactMatrix, ExactMatrix]:
-    """(g0, h0): real anti-diagonal sign matrices with
-
-    g0 S h0 = T,  g0 T h0 = -S,  g0^2 = (-1)^r I,  h0^2 = (-1)^(r-1) I.
-    """
-    if r < 1:
-        raise ValueError("need r >= 1")
-    g0 = ExactMatrix(
-        [
-            [
-                (GaussianRational((-1) ** j) if i + j == r else ZERO)
-                for j in range(r + 1)
-            ]
-            for i in range(r + 1)
-        ]
-    )
-    h0 = ExactMatrix(
-        [
-            [
-                (GaussianRational((-1) ** i) if i + j == r - 1 else ZERO)
-                for j in range(r)
-            ]
-            for i in range(r)
-        ]
-    )
-    return g0, h0
-
-
 def reality_conjugate(A3: ExactMatrix) -> ExactMatrix:
     """The antilinear involution-up-to-sign tau(B) = conj(g0 B h0); tau^2 = -id.
     Entry (i, j) is conj((-1)^(i+j+1) B[r-i][r-1-j]), over B's denominator."""
@@ -156,7 +115,3 @@ def reality_conjugate(A3: ExactMatrix) -> ExactMatrix:
         for i in range(r + 1)
     )
     return ExactMatrix.from_integer_form(out, den, r)
-
-
-def is_real_pair(A3: ExactMatrix, A4: ExactMatrix) -> bool:
-    return A4 == reality_conjugate(A3)

@@ -334,11 +334,6 @@ def _drawn_and_scrambled(r: int, seed: int) -> Tuple[ACMCurve, LinearMatrix]:
     return curve, curve.matrix.gauge(G, H)
 
 
-def random_scrambled_curve(r: int, seed: int) -> LinearMatrix:
-    """Matrix of an invariant certified curve, pushed out of its canonical gauge."""
-    return _drawn_and_scrambled(r, seed)[1]
-
-
 @dataclass(frozen=True)
 class MetricReport:
     r: int

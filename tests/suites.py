@@ -20,11 +20,13 @@ from hkcurves.acm_curve.fibers import (
     fiber_multiplication_matrices,
     fiber_points,
 )
-from hkcurves.exact_algebra.ideals import integer_row, normal_form_table, reduced_echelon, sparse_echelon
+from hkcurves.exact_algebra.ideals import normal_form_table, reduced_echelon, sparse_echelon
 from hkcurves.exact_algebra.linalg import ExactMatrix, random_invertible
-from hkcurves.exact_algebra.polys import HomogPoly, monomial_basis, monomial_index
-from hkcurves.exact_algebra.scalars import GaussianRational, I
+from hkcurves.exact_algebra.polys import HomogPoly, UniPoly, monomial_basis, monomial_index
+from hkcurves.exact_algebra.scalars import GaussianRational, I, integer_pairs
 from hkcurves.pencil import (
+    _check_shape,
+    _minor_table,
     apply_gauge,
     canonical_pair,
     kronecker_reduce,
@@ -50,6 +52,63 @@ def swapped(curve: ACMCurve) -> ACMCurve:
     infinity with the reciprocal parameter."""
     A1, A2, A3, A4 = curve.coeffs
     return ACMCurve(LinearMatrix(curve.r, A1, A2, A4, A3))
+
+
+# ---------------------------------------------------------------------------
+# references the library does not use: dense matrix arithmetic, rows cleared
+# of denominators, a pencil's minors as polynomials in lambda
+
+
+def zero_matrix(rows: int, cols: int) -> ExactMatrix:
+    return ExactMatrix([[ZERO] * cols for _ in range(rows)], cols=cols)
+
+
+def identity_matrix(n: int) -> ExactMatrix:
+    return ExactMatrix([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+
+
+def mat_add(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
+    if A.shape != B.shape:
+        raise ValueError("shape mismatch")
+    return ExactMatrix([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A.data, B.data)], cols=A.cols)
+
+
+def mat_scale(A: ExactMatrix, c) -> ExactMatrix:
+    c = c if isinstance(c, GaussianRational) else GaussianRational(c)
+    return ExactMatrix([[z * c for z in row] for row in A.data], cols=A.cols)
+
+
+def mat_sub(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
+    return mat_add(A, mat_scale(B, -ONE))
+
+
+def mat_conj(A: ExactMatrix) -> ExactMatrix:
+    return ExactMatrix([[z.conj() for z in row] for row in A.data], cols=A.cols)
+
+
+def mat_is_zero(A: ExactMatrix) -> bool:
+    return all(z.is_zero() for row in A.data for z in row)
+
+
+def to_complex(A: ExactMatrix) -> list:
+    """Nested lists of Python complex (floating boundary)."""
+    return [[complex(z) for z in row] for row in A.data]
+
+
+def integer_row(row) -> list:
+    """The (key, Q(i) value) row times the lcm of its denominators, as
+    (key, a, b) triples for its nonzero entries a + b*i, in the given order."""
+    row = [(c, v) for c, v in row if v.re or v.im]
+    pairs, _ = integer_pairs(v for _, v in row)
+    return [(c, a, b) for (c, _), (a, b) in zip(row, pairs)]
+
+
+def pencil_minors(A1: ExactMatrix, A2: ExactMatrix) -> List[UniPoly]:
+    """Maximal minors of A1 + lambda*A2 as polynomials in lambda, degree <= r,
+    from the table of `pencil._minor_table`: the sign of row i undone."""
+    _check_shape(A1, A2)
+    T, den = _minor_table(A1, A2)
+    return [UniPoly([GaussianRational.over(a, b, (-1) ** i * den) for a, b in row]) for i, row in enumerate(T)]
 
 
 def linear_form(coeffs) -> HomogPoly:
@@ -188,7 +247,7 @@ def reference_fiber_points(curve: ACMCurve, t: GaussianRational):
     matrices.  The same six draws (a, b), the same eigen-gap, inverse,
     off-diagonal and backward-error tests, in the same order."""
     gens = reference_generators(curve, t)
-    nu, nv = (np.array(m.to_complex()) for m in AffineFiber(gens, curve.r + 2).multiplication_matrices())
+    nu, nv = (np.array(to_complex(m)) for m in AffineFiber(gens, curve.r + 2).multiplication_matrices())
     coeffs = generator_floats(curve.r, gens)
     rng = np.random.default_rng(2)
     for _ in range(6):
@@ -233,10 +292,10 @@ class TangentSection:
     dA4: ExactMatrix
 
     def scale(self, c: GaussianRational) -> "TangentSection":
-        return TangentSection(self.dA3.scale(c), self.dA4.scale(c))
+        return TangentSection(mat_scale(self.dA3, c), mat_scale(self.dA4, c))
 
     def __add__(self, other: "TangentSection") -> "TangentSection":
-        return TangentSection(self.dA3 + other.dA3, self.dA4 + other.dA4)
+        return TangentSection(mat_add(self.dA3, other.dA3), mat_add(self.dA4, other.dA4))
 
 
 def _unit_matrix(r: int, i: int, j: int, value: GaussianRational) -> ExactMatrix:
@@ -262,11 +321,11 @@ def real_tangent_basis(r: int) -> List[TangentSection]:
 
 
 def section_I(x: TangentSection) -> TangentSection:
-    return TangentSection(x.dA3.scale(I), x.dA4.scale(-I))
+    return TangentSection(mat_scale(x.dA3, I), mat_scale(x.dA4, -I))
 
 
 def section_J(x: TangentSection) -> TangentSection:
-    return TangentSection(x.dA4.scale(I), x.dA3.scale(I))
+    return TangentSection(mat_scale(x.dA4, I), mat_scale(x.dA3, I))
 
 
 def section_K(x: TangentSection) -> TangentSection:
@@ -289,7 +348,7 @@ def section_structure_at(zeta: GaussianRational, x: TangentSection) -> TangentSe
 
 def section_arrays(sections: Sequence[TangentSection]) -> Tuple[np.ndarray, np.ndarray]:
     """Numeric dA3 and dA4 of the sections, each of shape (S, r+1, r)."""
-    return tuple(np.array([getattr(x, f).to_complex() for x in sections]) for f in ("dA3", "dA4"))
+    return tuple(np.array([to_complex(getattr(x, f)) for x in sections]) for f in ("dA3", "dA4"))
 
 
 def _operator_matrix(r: int, op) -> ExactMatrix:
@@ -368,7 +427,7 @@ def curve_gauge_suite(count: int = 50) -> int:
         curve = random_real_curve(r, seed=300 + i)
         G = random_invertible(r + 1, rng)
         H = random_invertible(r, rng)
-        gauged = curve.gauge(G, H)
+        gauged = ACMCurve(curve.matrix.gauge(G, H))
         assert gauged.degree == curve.degree
         assert gauged.genus == curve.genus
         for k in (r, r + 2):

@@ -218,7 +218,7 @@ def test_gauge_preserves_ideal_dimensions():
             if not m.det().is_zero():
                 return m
 
-    gauged = curve.gauge(inv(3), inv(2))
+    gauged = ACMCurve(curve.matrix.gauge(inv(3), inv(2)))
     for k in (2, 3, 4):
         assert gauged.ideal.dimension(k) == curve.ideal.dimension(k)
     assert gauged.degree == curve.degree and gauged.genus == curve.genus

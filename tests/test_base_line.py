@@ -37,7 +37,7 @@ from hkcurves.exact_algebra.scalars import GaussianRational
 from hkcurves.pencil import is_injective_pencil
 from hkcurves.twistor_metric import extract_metric, sample_parameters
 
-from suites import AffineFiber, reference_fiber_points, reference_generators, swapped
+from suites import AffineFiber, reference_fiber_points, reference_generators, swapped, to_complex
 from test_cli import _degenerate_document
 from test_resolution_exactness import FACTORS, _common_factor_matrix
 
@@ -118,8 +118,8 @@ def test_border_matrices_equal_the_echelon(r, monkeypatch):
             assert (mu, mv) == (ref_u, ref_v)
             assert mu @ mv == mv @ mu
             assert hilbert_profile(curve, t) == fiber.profile()
-            assert np.array_equal(nu, np.array(ref_u.to_complex()))
-            assert np.array_equal(nv, np.array(ref_v.to_complex()))
+            assert np.array_equal(nu, np.array(to_complex(ref_u)))
+            assert np.array_equal(nv, np.array(to_complex(ref_v)))
 
 
 @pytest.mark.parametrize("r", [2, 3])

@@ -269,9 +269,10 @@ def test_exit_2_on_missing_file(capsys):
     assert run(capsys, ["acm", "verify", "/nonexistent/curve.json"])[0] == 2
 
 
-def test_exit_2_on_bad_literal(tmp_path, capsys):
+@pytest.mark.parametrize("literal", ["1+i", "٣"])
+def test_exit_2_on_bad_literal(literal, tmp_path, capsys):
     doc = curve_to_document(random_sigma_curve(1, 0))
-    doc["A1"][0][0] = "1+i"
+    doc["A1"][0][0] = literal
     path = write_doc(tmp_path, "literal.json", doc)
     assert run(capsys, ["acm", "verify", path])[0] == 2
 

@@ -16,7 +16,6 @@ from hkcurves.acm_curve import fiber_generators, random_fiber_parameters, random
 from hkcurves.exact_algebra import ideals
 from hkcurves.exact_algebra.ideals import (
     GradedIdeal,
-    integer_row,
     normal_form_table,
     sparse_echelon,
     sparse_row_rank,
@@ -26,6 +25,7 @@ from hkcurves.exact_algebra.scalars import GaussianRational
 from hkcurves.pencil import canonical_pair, pair_stabilizer_dimension, random_injective_pencil
 
 import suites
+from suites import integer_row
 
 _ZERO = GaussianRational(0, 0)
 _ONE = GaussianRational(1, 0)

@@ -30,6 +30,7 @@ from hkcurves.rational_curve import (
     twisted_cubic_map,
     validate_map,
 )
+from suites import mat_scale
 from test_rational_curve import BASE_POINT_MAP, CUSP_MAP, STANDARD_CONIC
 
 
@@ -80,7 +81,7 @@ def scaled_by_every_prime(matrices):
     """The matrices times the product of `modp.PRIMES`: the Gaussian-integer
     rows built from them reduce to zero at every prime."""
     scale = math.prod(p for p, _ in modp.PRIMES)
-    return tuple(A.scale(scale) for A in matrices)
+    return tuple(mat_scale(A, scale) for A in matrices)
 
 
 def test_pair_stabilizer_dimension_when_primes_divide_the_scale(monkeypatch):

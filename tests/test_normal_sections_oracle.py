@@ -16,12 +16,12 @@ import pytest
 
 from hkcurves.acm_curve import ACMCurve, LinearMatrix, random_real_curve, random_sigma_curve
 from hkcurves.cohomology import normal_sections
-from hkcurves.exact_algebra.ideals import integer_row, sparse_row_rank
+from hkcurves.exact_algebra.ideals import sparse_row_rank
 from hkcurves.exact_algebra.linalg import ExactMatrix, random_invertible
 from hkcurves.exact_algebra.polys import HomogPoly, monomial_basis
 from hkcurves.exact_algebra.scalars import GaussianRational
 
-from suites import entry_forms
+from suites import entry_forms, integer_row
 
 _ZERO = GaussianRational(0)
 
@@ -55,7 +55,7 @@ def _check(curve):
 
 def _gauged(curve, seed):
     rng = random.Random(seed)
-    return curve.gauge(random_invertible(curve.r + 1, rng), random_invertible(curve.r, rng))
+    return ACMCurve(curve.matrix.gauge(random_invertible(curve.r + 1, rng), random_invertible(curve.r, rng)))
 
 
 def _matrix(r, entries: Dict[tuple, Dict[int, int]]):

@@ -14,15 +14,15 @@ import numpy as np
 import pytest
 
 from hkcurves.exact_algebra.linalg import ExactMatrix
-from hkcurves.exact_algebra.polys import uni_gcd, uni_interpolate
+from hkcurves.exact_algebra.polys import UniPoly, uni_gcd, uni_interpolate
 from hkcurves.exact_algebra.scalars import GaussianRational, random_gaussian_rows
 from hkcurves.pencil import (
     canonical_pair,
     is_injective_pencil,
     kronecker_reduce,
-    pencil_minors,
     random_injective_pencil,
 )
+from suites import mat_add, mat_scale, mat_sub, pencil_minors
 
 _ZERO = GaussianRational(0, 0)
 _ONE = GaussianRational(1, 0)
@@ -33,7 +33,7 @@ def _ref_pencil_minors(A1, A2):
     points = [GaussianRational(k) for k in range(r + 1)]
     samples = []
     for lam in points:
-        member = A1 + A2.scale(lam)
+        member = mat_add(A1, mat_scale(A2, lam))
         samples.append(
             [
                 ExactMatrix([[member[i, j] for j in range(r)] for i in range(r + 1) if i != skip]).det()
@@ -60,7 +60,8 @@ def _ref_report(A1, A2):
         return True, None, None
     reduced = g
     while reduced.degree > 1:
-        square_part = uni_gcd([reduced, reduced.derivative()])
+        derivative = UniPoly([c * k for k, c in enumerate(reduced.coeffs)][1:])
+        square_part = uni_gcd([reduced, derivative])
         if square_part.degree == 0:
             break
         reduced, _ = reduced.divmod(square_part)
@@ -115,7 +116,7 @@ def _report_pencils():
         # B has two equal columns, so A1 + lam*A2 = B drops rank at lam
         B = [row[: r - 1] + row[:1] for row in random_gaussian_rows(rng, r + 1, r, 3)]
         A2 = ExactMatrix(random_gaussian_rows(rng, r + 1, r, 3))
-        finite.append((f"finite-r{r}", (ExactMatrix(B) - A2.scale(lam), A2)))
+        finite.append((f"finite-r{r}", (mat_sub(ExactMatrix(B), mat_scale(A2, lam)), A2)))
     return [
         ("injective", random_injective_pencil(3, 5)),
         ("finite", (

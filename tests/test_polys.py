@@ -22,7 +22,7 @@ from hkcurves.exact_algebra.polys import (
 )
 from hkcurves.exact_algebra.scalars import GaussianRational
 
-from suites import graded_matrix, linear_form
+from suites import graded_matrix, linear_form, mat_add
 
 ZERO = GaussianRational(0, 0)
 ONE = GaussianRational(1, 0)
@@ -87,7 +87,7 @@ def test_graded_matrix_respects_linearity():
     mf = graded_matrix([[f]], 2, 4)
     mg = graded_matrix([[g]], 2, 4)
     mfg = graded_matrix([[f + g]], 2, 4)
-    assert mfg == mf + mg
+    assert mfg == mat_add(mf, mg)
 
 
 def test_graded_ideal_dimension_of_principal_ideal():

@@ -6,11 +6,12 @@ the block elimination that ranks the pencil stabilizer mod p."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hkcurves.exact_algebra.ideals import integer_row, sparse_row_rank
+from hkcurves.exact_algebra.ideals import sparse_row_rank
 from hkcurves.exact_algebra.linalg import ExactMatrix
 from hkcurves.exact_algebra.modp import PRIMES, rank_mod, rows_mod
 from hkcurves.exact_algebra.scalars import GaussianRational, format_gauss, parse_gauss
 from hkcurves.pencil import _stabilizer_level, _stabilizer_rows, pair_stabilizer_dimension
+from suites import integer_row
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=50)
 

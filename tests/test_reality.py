@@ -8,18 +8,31 @@ from hkcurves.exact_algebra.linalg import ExactMatrix
 from hkcurves.exact_algebra.polys import HomogPoly, monomial_basis
 from hkcurves.exact_algebra.scalars import GaussianRational
 from hkcurves.reality import (
-    conjugation_matrices,
-    is_real_pair,
+    _sigma_linear_coeffs,
     is_sigma_invariant_ideal,
     make_sigma_invariant_pencil,
     reality_conjugate,
     sigma_form,
-    sigma_matrix_tuple,
-    sigma_point,
 )
+from suites import identity_matrix, mat_add, mat_conj, mat_scale, zero_matrix
 
 ZERO = GaussianRational(0, 0)
 ONE = GaussianRational(1, 0)
+
+
+def sigma_point(p):
+    """Sigma on points, the reference for `sigma_form`."""
+    x0, x1, x2, x3 = p
+    return (-x1.conj(), x0.conj(), -x3.conj(), x2.conj())
+
+
+def conjugation_matrices(r):
+    """(g0, h0): real anti-diagonal sign matrices with g0 S h0 = T,
+    g0 T h0 = -S, g0^2 = (-1)^r I and h0^2 = (-1)^(r-1) I, the reference
+    for `reality_conjugate`."""
+    g0 = ExactMatrix([[GaussianRational((-1) ** j) if i + j == r else ZERO for j in range(r + 1)] for i in range(r + 1)])
+    h0 = ExactMatrix([[GaussianRational((-1) ** i) if i + j == r - 1 else ZERO for j in range(r)] for i in range(r)])
+    return g0, h0
 
 
 def _rand_point(rng):
@@ -30,6 +43,10 @@ def _rand_point(rng):
         )
         for _ in range(4)
     )
+
+
+def _rand_matrix(rng, r):
+    return ExactMatrix([[GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(r)] for _ in range(r + 1)])
 
 
 def _proportional(p, q):
@@ -90,69 +107,36 @@ def test_sigma_form_applied_twice():
 
 
 def test_sigma_matrix_tuple_matches_form_action():
-    # the tuple action mirrors sigma on the linear form A1 x0 + ... + A4 x3
+    # the coefficient rule of invariant pencils, applied to each entry of the
+    # tuple (A1, .., A4), mirrors sigma on the linear form A1 x0 + ... + A4 x3
     rng = random.Random(7)
     r = 2
-
-    def rand_mat():
-        return ExactMatrix(
-            [
-                [
-                    GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3))
-                    for _ in range(r)
-                ]
-                for _ in range(r + 1)
-            ]
-        )
-
-    A = tuple(rand_mat() for _ in range(4))
-    B = sigma_matrix_tuple(A)
+    A = [_rand_matrix(rng, r) for _ in range(4)]
+    units = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
     # entries of the matrix linear form transform like degree-1 forms
     for i in range(r + 1):
         for j in range(r):
-            f = HomogPoly(
-                4,
-                1,
-                {
-                    m: A[k][i, j]
-                    for k, m in enumerate(
-                        [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
-                    )
-                    if not A[k][i, j].is_zero()
-                },
-            )
-            g_coeffs = sigma_form(f).coeffs if sigma_form(f).coeffs else {}
-            got = [
-                g_coeffs.get(m, ZERO)
-                for m in [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
-            ]
-            assert got == [B[k][i, j] for k in range(4)]
+            c = tuple(A[k][i, j] for k in range(4))
+            g = sigma_form(HomogPoly(4, 1, {m: v for m, v in zip(units, c) if not v.is_zero()})).coeffs
+            assert [g.get(m, ZERO) for m in units] == list(_sigma_linear_coeffs(c))
 
 
 def test_conjugation_matrices_are_real_signs():
     g0, h0 = conjugation_matrices(2)
     assert g0.shape == (3, 3) and h0.shape == (2, 2)
-    prod_g = g0 @ g0.conj()
-    prod_h = h0 @ h0.conj()
+    prod_g = g0 @ mat_conj(g0)
+    prod_h = h0 @ mat_conj(h0)
     # squares are scalar (plus or minus identity), the usual quaternionic sign
-    eye3, eye2 = ExactMatrix.identity(3), ExactMatrix.identity(2)
-    assert prod_g == eye3 or prod_g == eye3.scale(-ONE)
-    assert prod_h == eye2 or prod_h == eye2.scale(-ONE)
+    eye3, eye2 = identity_matrix(3), identity_matrix(2)
+    assert prod_g == eye3 or prod_g == mat_scale(eye3, -ONE)
+    assert prod_h == eye2 or prod_h == mat_scale(eye2, -ONE)
 
 
 def test_reality_conjugate_squares_to_minus_one():
     rng = random.Random(8)
     for r in (1, 2, 3):
-        A3 = ExactMatrix(
-            [
-                [
-                    GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3))
-                    for _ in range(r)
-                ]
-                for _ in range(r + 1)
-            ]
-        )
-        assert reality_conjugate(reality_conjugate(A3)) == A3.scale(-ONE)
+        A3 = _rand_matrix(rng, r)
+        assert reality_conjugate(reality_conjugate(A3)) == mat_scale(A3, -ONE)
 
 
 def test_reality_conjugate_is_the_conjugated_product():
@@ -170,8 +154,8 @@ def test_reality_conjugate_is_the_conjugated_product():
         g0, h0 = conjugation_matrices(r)
         A = ExactMatrix([[entry() for _ in range(r)] for _ in range(r + 1)])
         product = A @ ExactMatrix([[entry() for _ in range(r)] for _ in range(r)])
-        for B in (A, product, ExactMatrix.zeros(r + 1, r)):
-            got, want = reality_conjugate(B), (g0 @ B @ h0).conj()
+        for B in (A, product, zero_matrix(r + 1, r)):
+            got, want = reality_conjugate(B), mat_conj(g0 @ B @ h0)
             assert got == want
             assert got.data == want.data
 
@@ -179,20 +163,12 @@ def test_reality_conjugate_is_the_conjugated_product():
 def test_real_pair_detection():
     rng = random.Random(9)
     for r in (1, 2):
-        A3 = ExactMatrix(
-            [
-                [
-                    GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3))
-                    for _ in range(r)
-                ]
-                for _ in range(r + 1)
-            ]
-        )
+        A3 = _rand_matrix(rng, r)
         A4 = reality_conjugate(A3)
-        assert is_real_pair(A3, A4)
+        assert A4 == reality_conjugate(A3)
         bump = [[ZERO] * r for _ in range(r + 1)]
         bump[0][0] = ONE
-        assert not is_real_pair(A3, A4 + ExactMatrix(bump))
+        assert mat_add(A4, ExactMatrix(bump)) != reality_conjugate(A3)
 
 
 def test_make_sigma_invariant_pencil_yields_invariant_span():

@@ -21,12 +21,12 @@ from hkcurves.acm_curve import (
 )
 from hkcurves.cohomology import ideal_cohomology, normal_sheaf_report
 from hkcurves.exact_algebra import ideals, modp
-from hkcurves.exact_algebra.ideals import GradedIdeal, integer_row, sparse_row_rank
+from hkcurves.exact_algebra.ideals import GradedIdeal, sparse_row_rank
 from hkcurves.exact_algebra.linalg import ExactMatrix
 from hkcurves.exact_algebra.polys import monomial_count
 from hkcurves.exact_algebra.scalars import GaussianRational, random_gaussian_rows
 
-from suites import entry_forms, graded_matrix
+from suites import entry_forms, graded_matrix, integer_row
 
 
 def _syzygy_rank(curve, k):

@@ -130,7 +130,8 @@ def test_parse_unicode_minus_in_ascii_out():
 
 def test_parse_rejects_garbage():
     # bare i and +i shorthands are outside the grammar: coefficients explicit
-    for bad in ("", "x", "1+", "i", "-i", "1+i", "i2", "1~2i", "1 + 2i3", "--1"):
+    # and digits are ASCII: Fraction alone would read "٣" (Arabic-Indic) as 3
+    for bad in ("", "x", "1+", "i", "-i", "1+i", "i2", "1~2i", "1 + 2i3", "--1", "٣", "３", "1/٢"):
         with pytest.raises(ValueError):
             parse_gauss(bad)
 

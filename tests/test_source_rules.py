@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 from test_resolution_exactness import X0, _common_factor_matrix
+from test_tracer_pins import _load_tracer
 
 from hkcurves.acm_curve import ACMCurve
 from hkcurves.cli import curve_to_document
@@ -230,3 +231,64 @@ def test_package_roots_bind_only_modules():
         env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, check=True, timeout=60,
     ).stdout.split()
     assert loaded == sorted(modules - {"hkcurves.cli"})
+
+
+# The paper-facing API: names the library does not read itself, kept for callers.
+API = {
+    "flatness_scan": "the metric's constancy over random charts, acceptance criterion 6",
+    "line_map": "the degree-1 map, the smallest rational curve the splitting tests read",
+    "twisted_cubic_map": "the degree-3 map, whose normal bundle the acceptance criterion splits",
+    "fiber_generators": "the slice ideal's generators, the fiber's exact description",
+    "fiber_multiplication_matrices": "the slice's multiplication operators, whose eigenvalues are the fiber points",
+    "sample_parameters": "the plane parameters a metric extraction samples, for callers choosing their own",
+}
+
+
+def _modules():
+    """(path, dotted module name, parsed tree) of every module under src/hkcurves."""
+    for path in sorted((SRC / "hkcurves").rglob("*.py")):
+        parts = path.relative_to(SRC).with_suffix("").parts[: -1 if path.name == "__init__.py" else None]
+        yield path, ".".join(parts), ast.parse(path.read_text(), filename=str(path))
+
+
+def test_every_public_name_has_a_reader_in_the_library():
+    # a public function, class or method that nothing under src/ reads
+    # outside its own body serves only the tests: it belongs in tests/,
+    # unless it is paper-facing API or the benchmark's tracer pins it
+    trees, traced = list(_modules()), set(_load_tracer().TRACED.values())
+    readers = {}
+    for _, _, tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                readers.setdefault(getattr(node, "id", None) or node.attr, []).append(node)
+    unread = []
+    for _, module, tree in trees:
+        for node in tree.body:
+            members = [(node.name, node)] if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else []
+            if isinstance(node, ast.ClassDef):
+                members += [(f"{node.name}.{item.name}", item) for item in node.body if isinstance(item, ast.FunctionDef)]
+            for path, member in members:
+                if member.name.startswith("_") or (module, path) in traced or member.name in API:
+                    continue
+                own = {id(n) for n in ast.walk(member)}
+                if all(id(n) in own for n in readers.get(member.name, [])):
+                    unread.append(f"{module}.{path}")
+    assert unread == []
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # `cohomology` keeps `sparse_row_rank`: perfbench/tracer.py patches that
+    # name there to count the exact fallbacks
+    unread = []
+    for path, module, tree in _modules():
+        if path.name == "__init__.py":
+            continue
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                unread += [
+                    f"{module}.{alias.asname or alias.name}"
+                    for alias in node.names
+                    if (alias.asname or alias.name.split(".")[0]) not in read
+                ]
+    assert [name for name in unread if name != "hkcurves.cohomology.sparse_row_rank"] == []

@@ -31,7 +31,6 @@ from hkcurves.twistor_metric import (
     frames_report,
     normalize_to_flat_chart,
     point_derivative,
-    random_scrambled_curve,
     scan_chart,
     sample_parameters,
     structure_arrays,
@@ -41,6 +40,9 @@ from suites import (
     AffineFiber,
     TangentSection,
     _operator_matrix,
+    identity_matrix,
+    mat_add,
+    mat_scale,
     real_tangent_basis,
     reference_fiber_points,
     section_arrays,
@@ -48,11 +50,16 @@ from suites import (
     section_J,
     section_K,
     section_structure_at,
+    to_complex,
 )
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
+
+
+def random_scrambled_curve(r, seed):
+    return twistor_metric._drawn_and_scrambled(r, seed)[1]
 
 
 def random_section(r, rng, span=4):
@@ -96,7 +103,7 @@ def test_normalize_rejects_broken_conjugation_tie():
     base = normalize_to_flat_chart(random_scrambled_curve(1, 2))
     bump = ExactMatrix([[ONE], [ZERO]])
     spoiled = ACMCurve(
-        LinearMatrix(1, base.A1, base.A2, base.A3, base.A4 + bump)
+        LinearMatrix(1, base.A1, base.A2, base.A3, mat_add(base.A4, bump))
     )
     with pytest.raises(ValueError):
         normalize_to_flat_chart(spoiled)
@@ -146,7 +153,7 @@ def test_scan_chart_rejects_a_flat_chart_that_moved_the_drawn_curve(monkeypatch)
 
     def moved(curve):
         chart = normalize(curve)
-        A3 = chart.A3 + ExactMatrix([[ONE, ZERO], [ZERO, ZERO], [ZERO, ZERO]])
+        A3 = mat_add(chart.A3, ExactMatrix([[ONE, ZERO], [ZERO, ZERO], [ZERO, ZERO]]))
         return LinearMatrix(chart.r, chart.A1, chart.A2, A3, reality_conjugate(A3))
 
     assert scan_chart(2, 4, 1, 0).coeffs[2] == normalize(random_scrambled_curve(2, 4)).A3
@@ -166,10 +173,10 @@ def test_numeric_reads_the_integer_forms_as_complex_does():
     for r in (1, 2, 3):
         chart = normalize_to_flat_chart(random_scrambled_curve(r, r))
         products = (
-            chart.A3.scale(big) @ ExactMatrix(
+            mat_scale(chart.A3, big) @ ExactMatrix(
                 [[GaussianRational(Fraction(rng.randint(-9, 9), rng.randint(1, 7))) for _ in range(r)] for _ in range(r)]
             ),
-            ExactMatrix([[tie] * r] * (r + 1)) @ ExactMatrix.identity(r),
+            ExactMatrix([[tie] * r] * (r + 1)) @ identity_matrix(r),
         )
         for A3 in products:
             moved = LinearMatrix(r, chart.A1, chart.A2, A3, reality_conjugate(A3))
@@ -205,12 +212,12 @@ def test_operator_matrices_are_a_quaternion_triple():
     for r in (1, 2):
         Iop, Jop, Kop = complex_structures(r)
         n = 2 * r * (r + 1)
-        minus_id = ExactMatrix.identity(n).scale(GaussianRational(-1))
+        minus_id = mat_scale(identity_matrix(n), -1)
         assert Iop @ Iop == minus_id
         assert Jop @ Jop == minus_id
         assert Kop @ Kop == minus_id
         assert Iop @ Jop == Kop
-        assert Jop @ Iop == Kop.scale(GaussianRational(-1))
+        assert Jop @ Iop == mat_scale(Kop, -1)
 
 
 def test_complex_structures_match_the_section_operators():
@@ -263,9 +270,9 @@ def test_structure_eigensections():
     rng = random.Random(35)
     for zeta in (ZERO, ONE, I, GaussianRational(1, -2)):
         w = random_section(2, rng).dA4
-        x = TangentSection(w.scale(zeta).scale(GaussianRational(-1)), w)
+        x = TangentSection(mat_scale(w, -zeta), w)
         assert section_structure_at(zeta, x) == x.scale(GaussianRational(0, -1))
-        y = TangentSection(w, w.scale(zeta.conj()))
+        y = TangentSection(w, mat_scale(w, zeta.conj()))
         assert section_structure_at(zeta, y) == y.scale(I)
 
 
@@ -295,8 +302,8 @@ def test_point_derivative_matches_central_difference():
                 chart.r,
                 chart.A1,
                 chart.A2,
-                chart.A3 + sec.dA3.scale(s),
-                chart.A4 + sec.dA4.scale(s),
+                mat_add(chart.A3, mat_scale(sec.dA3, s)),
+                mat_add(chart.A4, mat_scale(sec.dA4, s)),
             )
             cand = fiber_points(ACMCurve(moved), [t])[0]
             return min(
@@ -378,7 +385,7 @@ def _reference_point_derivative(chart, t, point, sections, consistency_tol=1e-8)
     ]
     out = np.empty((len(sections), 2), dtype=complex)
     for s_idx, section in enumerate(sections):
-        D = np.array(section.dA3.to_complex()) + tn * np.array(section.dA4.to_complex())
+        D = np.array(to_complex(section.dA3)) + tn * np.array(to_complex(section.dA4))
         deltas = [
             sum(_column_replaced_det(N, c, D[rows][:, c]) for c in range(r))
             for _gu, _gv, rows, N in grads
