@@ -13,7 +13,7 @@ import numpy as np
 from ..exact_algebra.ideals import GradedIdeal
 from ..exact_algebra.linalg import ExactMatrix
 from ..exact_algebra.polys import column_combinations, form_pairs, monomial_count, signed_minors
-from ..exact_algebra.scalars import DRAW_SPAN, MAX_DRAWS, first_draw, random_gaussian_rows
+from ..exact_algebra.scalars import DRAW_SPAN, MAX_DRAWS, first_draw, random_gaussian_pairs
 from ..pencil import canonical_pair, minor_coefficient_rank
 from ..reality import make_sigma_invariant_pencil, reality_conjugate
 
@@ -242,7 +242,9 @@ def random_real_curve(r: int, seed: int) -> ACMCurve:
     if r < 1:
         raise ValueError("need r >= 1")
     rng = random.Random(seed)
-    draw = lambda: ACMCurve.from_real_pair(ExactMatrix(random_gaussian_rows(rng, r + 1, r, DRAW_SPAN)))
+    draw = lambda: ACMCurve.from_real_pair(
+        ExactMatrix.from_integer_form(random_gaussian_pairs(rng, r + 1, r, DRAW_SPAN), 1, r)
+    )
     return first_draw("certified curve", draw, lambda curve: curve.certificate().ok, r=r, seed=seed)
 
 

@@ -19,7 +19,11 @@ matrices once per curve, as Gaussian-integer coefficient lists in t.  A
 slice evaluates them with integers: the numerators a slice built from the
 minors alone forms, so the same exact matrices, and since int / int is
 correctly rounded, the same floats.  `fiber_points` slices many parameters
-in one pass of stacked eigensolves.
+in one pass of stacked eigensolves, and evaluates the tables in float64
+where (r+1) max(1, C) W < 2^53 and every denominator is below 2^53 (C, W
+the largest |Re| + |Im| of a coefficient and of a weight (ta + i tb)^e
+te^(r-e)): every product and partial sum is then an exact integer, and the
+float quotient of two exact values is correctly rounded, as int / int is.
 
 A curve that meets L0 is not a curve of Z, and every slice entry point
 refuses it with one ValueError that names L0.  Its point p on L0 lies in
@@ -32,6 +36,7 @@ depends on the cutoff, not on the fibre.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -52,7 +57,7 @@ def fiber_generators(curve, t: GaussianRational) -> List[Bivar]:
     x3 = t: the curve's minors, read off its slice tables, as
     Gaussian-integer numerators over one denominator."""
     gens, den, _, _ = curve.slice_tables
-    (re, im), dens = _evaluate(gens, den, [t])
+    (re, im), dens = _evaluate(gens, den, _weights([t], curve.r))
     out: List[Bivar] = []
     for a, b, n in zip(re[0], im[0], dens[0].flat):
         terms = {m: (a[m], b[m]) for m in np.ndindex(a.shape) if a[m] or b[m]}
@@ -61,31 +66,53 @@ def fiber_generators(curve, t: GaussianRational) -> List[Bivar]:
     return out
 
 
-def _weights(t: GaussianRational, r: int) -> Tuple[Tuple[Tuple[int, int], ...], int]:
-    """((ta + i tb)^e te^(r-e) for e = 0..r, te^r) at t = (ta + i tb) / te."""
-    ta, tb, te = t.integer_parts()
-    pa, pb, out = 1, 0, []
-    for e in range(r + 1):
-        out.append((pa * te ** (r - e), pb * te ** (r - e)))
-        pa, pb = pa * ta - pb * tb, pa * tb + pb * ta
-    return tuple(out), te ** r
+def _weights(ts: Sequence[GaussianRational], r: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(w, scales), object arrays: w[:, e, k] the (re, im) of (ta + i tb)^e
+    te^(r-e) and scales[k] = te^r, at t_k = (ta + i tb) / te, e = 0..r."""
+    rows, scales = [], []
+    for t in ts:
+        ta, tb, te = t.integer_parts()
+        pa, pb, row = 1, 0, []
+        for e in range(r + 1):
+            row.append((pa * te ** (r - e), pb * te ** (r - e)))
+            pa, pb = pa * ta - pb * tb, pa * tb + pb * ta
+        rows.append(row)
+        scales.append(te**r)
+    return np.array(rows, dtype=object).transpose(2, 1, 0), np.array(scales, dtype=object)
 
 
-def _evaluate(table, den, ts: Sequence[GaussianRational]) -> Tuple[np.ndarray, np.ndarray]:
-    """A table of `ACMCurve.slice_tables` at each t, t first: (numerators,
-    denominators).  At t = (ta + i tb) / te the coefficients c_e give
-    sum_e c_e (ta + i tb)^e te^(r-e) over den te^r."""
-    weights, scales = zip(*(_weights(t, table.shape[-1] - 1) for t in ts))
-    (re, im), (wa, wb) = table, np.array(weights, dtype=object).transpose(2, 1, 0)
+def _evaluate(table, den, weights) -> Tuple[np.ndarray, np.ndarray]:
+    """A table of `ACMCurve.slice_tables` at each t of `_weights`, t first:
+    (numerators, denominators).  At t = (ta + i tb) / te the coefficients
+    c_e give sum_e c_e (ta + i tb)^e te^(r-e) over den te^r."""
+    (re, im), ((wa, wb), scales) = table, weights
     num = np.stack([re @ wa - im @ wb, re @ wb + im @ wa])
-    return np.moveaxis(num, -1, 1), np.multiply.outer(np.array(scales, dtype=object), den)
+    return np.moveaxis(num, -1, 1), np.multiply.outer(scales, den)
 
 
-def _floats(table, den, ts: Sequence[GaussianRational]) -> np.ndarray:
+def _floats(table, den, weights) -> np.ndarray:
     """complex(a / n, b / n) of each entry (a + b i) / n of the table at each
-    t: int / int is correctly rounded, the float nearest each exact part."""
-    num, dens = _evaluate(table, den, ts)
-    return np.ascontiguousarray(np.moveaxis(num / dens, 0, -1), dtype=float).view(complex)[..., 0]
+    t of `_weights`: int / int is correctly rounded, the float nearest each
+    exact part.
+
+    In float64 when (r+1) max(1, C) W < 2^53 and every n < 2^53, with C the
+    largest |Re c| + |Im c| of the table and W that of the weights: the real
+    block [[wa, wb], [-wb, wa]] makes every product and every partial sum,
+    in any order, an integer below 2^53, so a and b come out exact, and the
+    float quotient of two exact values is correctly rounded too.  `+ 0.0`
+    turns a zero numerator's -0.0 into the +0.0 of 0 / n.  Above the bound
+    the table is evaluated with Python ints."""
+    (re, im), ((wa, wb), scales) = table, weights
+    dens = np.multiply.outer(scales, den)
+    span = max(1, (np.abs(re) + np.abs(im)).max()) * (np.abs(wa) + np.abs(wb)).max()
+    if table.shape[-1] * span < 2**53 and dens.max() < 2**53:
+        wa, wb = wa.astype(float), wb.astype(float)
+        num = np.concatenate([re, im], axis=-1).astype(float) @ np.block([[wa, wb], [-wb, wa]])
+        num = np.moveaxis(num.reshape(num.shape[:-1] + (2, -1)), (-2, -1), (-1, 0))
+        num = num / dens.astype(float)[..., None] + 0.0
+    else:
+        num = np.moveaxis(_evaluate(table, den, weights)[0] / dens, 0, -1)
+    return np.ascontiguousarray(num, dtype=float).view(complex)[..., 0]
 
 
 def _refuse_base_line(curve) -> None:
@@ -102,7 +129,7 @@ def hilbert_profile(curve, t: GaussianRational) -> Tuple[int, ...]:
 def fiber_multiplication_matrices(curve, t: GaussianRational) -> Tuple[ExactMatrix, ExactMatrix]:
     _refuse_base_line(curve)
     _, _, mats, den = curve.slice_tables
-    num, dens = _evaluate(mats, den, [t])
+    num, dens = _evaluate(mats, den, _weights([t], curve.r))
     n = dens.flat[0]
     exact = np.frompyfunc(lambda a, b: GaussianRational.over(a, b, n), 2, 1)(*num[:, 0])
     return ExactMatrix(exact[0].tolist()), ExactMatrix(exact[1].tolist())
@@ -144,15 +171,25 @@ def _each(solve, stack: np.ndarray) -> Tuple[tuple, np.ndarray]:
 _RESIDUAL_TOL = 1e-8
 
 
+@functools.cache
+def _draws() -> Tuple[Tuple[complex, complex], ...]:
+    """The (a, b) of the six attempts of `fiber_points`, from default_rng(2),
+    drawn on first use: loading numpy.random at import costs every command
+    about 5 MB of RSS."""
+    rng = np.random.default_rng(2)
+    return tuple(tuple(rng.normal(size=2) + 1j * rng.normal(size=2)) for _ in range(6))
+
+
 def fiber_points(curve, ts: Sequence[GaussianRational]) -> List[Optional[np.ndarray]]:
     """The slice points over each t, as complex (u, v) pairs, or None where
     the slice is rejected, via commuting multiplication operators.
 
     The matrices are exact, from `ACMCurve.slice_tables` evaluated with
-    integers: the same numerators as a slice built alone, so the same
-    floats.  Only the eigensolve is numeric: each attempt diagonalizes a Mu
-    + b Mv for one draw (a, b), shared by every slice still pending, in one
-    stacked eigensolve; the draws are those of a slice alone, so each slice
+    exact integers (`_floats`, on weights built once for both tables): the
+    same numerators as a slice built alone, so the same floats.  Only the
+    eigensolve is numeric: each attempt diagonalizes a Mu + b Mv for one
+    draw (a, b), shared by every slice still pending, in one stacked
+    eigensolve; the draws are those of a slice alone, so each slice
     gets the floats it gets alone.  A slice passes an attempt when its
     eigenvalues are separated, its eigenvectors invert and diagonalize Mu
     and Mv, and each point has a backward error of at most `_RESIDUAL_TOL`
@@ -171,15 +208,14 @@ def fiber_points(curve, ts: Sequence[GaussianRational]) -> List[Optional[np.ndar
     if not ts:
         return out
     gens, gens_den, mats, mats_den = curve.slice_tables
-    mats = _floats(mats, mats_den, ts)
-    coeffs = _floats(gens, gens_den, ts)
+    weights = _weights(ts, curve.r)
+    mats = _floats(mats, mats_den, weights)
+    coeffs = _floats(gens, gens_den, weights)
     n = mats.shape[-1]
     pending = np.arange(len(ts))
-    rng = np.random.default_rng(2)
-    for _ in range(6):
+    for a, b in _draws():
         if not len(pending):
             break
-        a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
         (vals, vecs), solved = _each(np.linalg.eig, a * mats[pending, 0] + b * mats[pending, 1])
         pending = pending[solved]
         gaps = np.abs(vals[:, :, None] - vals[:, None, :]) + np.diag(np.full(n, np.inf))

@@ -20,7 +20,7 @@ from math import gcd, prod
 
 from .ideals import normal_form_table, sparse_echelon, sparse_row_rank
 from .polys import form_pairs, laplace
-from .scalars import ONE, ZERO, GaussianRational, first_draw, integer_pairs, random_gaussian_rows
+from .scalars import ONE, ZERO, GaussianRational, first_draw, integer_pairs, random_gaussian_pairs
 
 
 class ExactMatrix:
@@ -212,6 +212,6 @@ def _field(packed: int, j: int, K: int) -> int:
 def random_invertible(size: int, rng: random.Random) -> ExactMatrix:
     """Seeded invertible Gaussian-integer matrix, both parts of each entry in
     [-2, 2]: draws until full rank."""
-    draw = lambda: ExactMatrix(random_gaussian_rows(rng, size, size, 2))
+    draw = lambda: ExactMatrix.from_integer_form(random_gaussian_pairs(rng, size, size, 2), 1, size)
     return first_draw("invertible matrix", draw, lambda m: m.rank() == size, size=size)
 

@@ -154,12 +154,6 @@ class HomogPoly:
     def __neg__(self):
         return self._like({m: (-a, -b) for m, (a, b) in self.terms.items()}, self.den)
 
-    def scale(self, c) -> "HomogPoly":
-        c = c if isinstance(c, GaussianRational) else GaussianRational(c)
-        ca, cb, e = c.integer_parts()
-        out = {m: (a * ca - b * cb, a * cb + b * ca) for m, (a, b) in self.terms.items()}
-        return self._like(out, self.den * e)
-
     def __mul__(self, other: "HomogPoly") -> "HomogPoly":
         if self.num_vars != other.num_vars:
             raise ValueError("variable count mismatch")
@@ -170,18 +164,6 @@ class HomogPoly:
                 prev = out.get(m, (0, 0))
                 out[m] = (prev[0] + a1 * a2 - b1 * b2, prev[1] + a1 * b2 + b1 * a2)
         return self._like(out, self.den * other.den, self.degree + other.degree)
-
-    def evaluate(self, point):
-        """Exact evaluation at a tuple of GaussianRational (or int) values."""
-        vals = [p if isinstance(p, GaussianRational) else GaussianRational(p) for p in point]
-        total = ZERO
-        for mono, c in self.coeffs.items():
-            term = c
-            for v, e in zip(vals, mono):
-                for _ in range(e):
-                    term = term * v
-            total = total + term
-        return total
 
     def __repr__(self):
         if not self.terms:

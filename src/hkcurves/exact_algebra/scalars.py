@@ -145,10 +145,6 @@ class GaussianRational:
     def conj(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
 
-    def norm(self) -> Fraction:
-        """|z|^2, exact."""
-        return self.re * self.re + self.im * self.im
-
     def integer_parts(self) -> Tuple[int, int, int]:
         """(a, b, den) with self = (a + b*i) / den and den > 0 the lcm of both denominators."""
         [(a, b)], den = integer_pairs([self])
@@ -216,21 +212,23 @@ DRAW_SPAN = 3
 MAX_DRAWS = 64
 
 
-def random_gaussian_rows(
+def random_gaussian_pairs(
     rng: random.Random, rows: int, cols: int, span: int
-) -> Tuple[Tuple[GaussianRational, ...], ...]:
-    """rows x cols Gaussian integers, both parts uniform on [-span, span].
+) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+    """rows x cols Gaussian integers as (re, im) int pairs, both parts
+    uniform on [-span, span]: the integer form over 1 of an `ExactMatrix`.
 
     Entries are drawn row by row, real part before imaginary part, so a
     seeded rng always yields the same matrix.
     """
-    return tuple(
-        tuple(
-            GaussianRational(rng.randint(-span, span), rng.randint(-span, span))
-            for _ in range(cols)
-        )
-        for _ in range(rows)
-    )
+    return tuple(tuple((rng.randint(-span, span), rng.randint(-span, span)) for _ in range(cols)) for _ in range(rows))
+
+
+def random_gaussian_rows(
+    rng: random.Random, rows: int, cols: int, span: int
+) -> Tuple[Tuple[GaussianRational, ...], ...]:
+    """The draw of `random_gaussian_pairs`, as GaussianRationals."""
+    return tuple(tuple(GaussianRational(a, b) for a, b in row) for row in random_gaussian_pairs(rng, rows, cols, span))
 
 
 def first_draw(what: str, draw: Callable, accept: Callable, **context):

@@ -20,7 +20,7 @@ from .exact_algebra import modp
 from .exact_algebra.linalg import ExactMatrix
 from .exact_algebra.ideals import Row, certified_rank
 from .exact_algebra.polys import UniPoly, binary_common_zero, form_pairs, signed_minor_table
-from .exact_algebra.scalars import DRAW_SPAN, ONE, ZERO, GaussianRational, first_draw, random_gaussian_rows
+from .exact_algebra.scalars import DRAW_SPAN, ONE, ZERO, GaussianRational, first_draw, random_gaussian_pairs
 
 
 @functools.lru_cache(maxsize=None)
@@ -257,5 +257,7 @@ def pair_stabilizer_dimension(A1: ExactMatrix, A2: ExactMatrix) -> int:
 def random_injective_pencil(r: int, seed: int) -> Tuple[ExactMatrix, ExactMatrix]:
     """Seeded (A1, A2) with every member of full column rank."""
     rng = random.Random(seed)
-    draw = lambda: tuple(ExactMatrix(random_gaussian_rows(rng, r + 1, r, DRAW_SPAN)) for _k in range(2))
+    draw = lambda: tuple(
+        ExactMatrix.from_integer_form(random_gaussian_pairs(rng, r + 1, r, DRAW_SPAN), 1, r) for _k in range(2)
+    )
     return first_draw("injective pencil", draw, lambda mats: is_injective_pencil(*mats).ok, r=r, seed=seed)

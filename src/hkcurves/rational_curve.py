@@ -276,10 +276,6 @@ class SplittingType:
         if self.a > self.b or self.a + self.b != 4 * self.d - 2:
             raise ValueError("splitting degrees must be ordered and sum to 4d-2")
 
-    @property
-    def pair(self) -> Tuple[int, int]:
-        return (self.a, self.b)
-
 
 def normal_splitting_type(curve_map: RationalCurveMap) -> SplittingType:
     """Splitting degrees (a, b), a <= b, of the normal bundle, from three twists.

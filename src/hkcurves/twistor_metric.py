@@ -157,7 +157,8 @@ def point_derivative(
     U, sigma, Vh = np.linalg.svd(M)
     L = U[:, :, r - 1:].conj().transpose(0, 2, 1)
     x = Vh[:, r - 1].conj()
-    norms = np.linalg.norm(np.stack(numeric), 2, axis=(1, 2))
+    # the spectral norms of A1..A4, as np.linalg.norm(..., 2, axis=(1, 2)) gives them
+    norms = np.linalg.svd(np.stack(numeric), compute_uv=False)[:, 0]
     scale = norms[0] * abs(u) + norms[1] * abs(v) + norms[2] + norms[3] * abs(tn)
     # corank one: of the singular values, in falling order, only the last is small
     ok = (sigma <= _RANK_TOL * scale[:, None]).sum(axis=1) == 1

@@ -56,7 +56,8 @@ def swapped(curve: ACMCurve) -> ACMCurve:
 
 # ---------------------------------------------------------------------------
 # references the library does not use: dense matrix arithmetic, rows cleared
-# of denominators, a pencil's minors as polynomials in lambda
+# of denominators, a pencil's minors as polynomials in lambda, forms scaled
+# and evaluated, |z|^2, a splitting type's degree pair
 
 
 def zero_matrix(rows: int, cols: int) -> ExactMatrix:
@@ -109,6 +110,37 @@ def pencil_minors(A1: ExactMatrix, A2: ExactMatrix) -> List[UniPoly]:
     _check_shape(A1, A2)
     T, den = _minor_table(A1, A2)
     return [UniPoly([GaussianRational.over(a, b, (-1) ** i * den) for a, b in row]) for i, row in enumerate(T)]
+
+
+def poly_scale(f: HomogPoly, c) -> HomogPoly:
+    """c * f, exact."""
+    c = c if isinstance(c, GaussianRational) else GaussianRational(c)
+    ca, cb, e = c.integer_parts()
+    out = {m: (a * ca - b * cb, a * cb + b * ca) for m, (a, b) in f.terms.items()}
+    return f._like(out, f.den * e)
+
+
+def poly_evaluate(f: HomogPoly, point) -> GaussianRational:
+    """Exact value of f at a tuple of GaussianRational (or int) values."""
+    vals = [p if isinstance(p, GaussianRational) else GaussianRational(p) for p in point]
+    total = ZERO
+    for mono, c in f.coeffs.items():
+        term = c
+        for v, e in zip(vals, mono):
+            for _ in range(e):
+                term = term * v
+        total = total + term
+    return total
+
+
+def gauss_norm(z: GaussianRational) -> Fraction:
+    """|z|^2, exact."""
+    return z.re * z.re + z.im * z.im
+
+
+def splitting_pair(split) -> Tuple[int, int]:
+    """(a, b) of a `rational_curve.SplittingType`."""
+    return (split.a, split.b)
 
 
 def linear_form(coeffs) -> HomogPoly:
@@ -334,7 +366,7 @@ def section_K(x: TangentSection) -> TangentSection:
 
 def section_structure_at(zeta: GaussianRational, x: TangentSection) -> TangentSection:
     """The complex structure of the fiber direction zeta, on one section."""
-    n = zeta.norm()
+    n = gauss_norm(zeta)
     denom = GaussianRational(1 + n)
     c1 = GaussianRational(1 - n) / denom
     c2 = GaussianRational(2 * zeta.re) / denom

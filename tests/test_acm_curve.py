@@ -185,7 +185,7 @@ def test_curve_drawers_reject_r_0_before_drawing(drawer, monkeypatch):
     def no_draw(*args):
         raise AssertionError("drew a matrix")
 
-    monkeypatch.setattr("hkcurves.acm_curve.curve.random_gaussian_rows", no_draw)
+    monkeypatch.setattr("hkcurves.acm_curve.curve.random_gaussian_pairs", no_draw)
     monkeypatch.setattr("hkcurves.acm_curve.curve.make_sigma_invariant_pencil", no_draw)
     with pytest.raises(ValueError, match="need r >= 1"):
         drawer(0, 3)

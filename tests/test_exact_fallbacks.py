@@ -30,7 +30,7 @@ from hkcurves.rational_curve import (
     twisted_cubic_map,
     validate_map,
 )
-from suites import mat_scale
+from suites import mat_scale, splitting_pair
 from test_rational_curve import BASE_POINT_MAP, CUSP_MAP, STANDARD_CONIC
 
 
@@ -233,7 +233,7 @@ def test_rational_curve_without_primes(monkeypatch):
         out = []
         for rmap in maps:
             split = normal_splitting_type(rmap)
-            out.append((split.pair, riemann_roch_consistent(rmap, split)))
+            out.append((splitting_pair(split), riemann_roch_consistent(rmap, split)))
         return out
 
     default = splitting(balanced)

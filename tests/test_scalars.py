@@ -7,14 +7,22 @@ from fractions import Fraction
 
 import pytest
 
+from hkcurves.acm_curve import ACMCurve, random_real_curve
+from hkcurves.exact_algebra.linalg import ExactMatrix, random_invertible
 from hkcurves.exact_algebra.scalars import (
+    DRAW_SPAN,
     MAX_DRAWS,
     GaussianRational,
     first_draw,
     format_gauss,
     integer_pairs,
     parse_gauss,
+    random_gaussian_pairs,
+    random_gaussian_rows,
 )
+from hkcurves.pencil import is_injective_pencil, random_injective_pencil
+
+from suites import gauss_norm
 
 
 def test_constructor_and_equality():
@@ -94,7 +102,7 @@ def test_field_axioms_seeded():
         if not b.is_zero():
             assert (a / b) * b == a
         assert (a * b).conj() == a.conj() * b.conj()
-        assert a.norm() == a.re * a.re + a.im * a.im
+        assert gauss_norm(a) == a.re * a.re + a.im * a.im
 
 
 def test_division_by_zero():
@@ -105,7 +113,7 @@ def test_division_by_zero():
 def test_norm_multiplicative():
     a = GaussianRational(Fraction(3, 2), Fraction(-1, 4))
     b = GaussianRational(Fraction(-2, 3), Fraction(5, 7))
-    assert (a * b).norm() == a.norm() * b.norm()
+    assert gauss_norm(a * b) == gauss_norm(a) * gauss_norm(b)
 
 
 def test_parse_basic_literals():
@@ -205,3 +213,43 @@ def test_first_draw_fails_after_max_draws_naming_what():
         first_draw("widget", lambda: calls.append(None), lambda v: False, r=2, seed=5)
     assert str(info.value) == f"no widget after {MAX_DRAWS} draws (r=2, seed=5)"
     assert len(calls) == MAX_DRAWS
+
+
+@pytest.mark.parametrize("rows, cols, span", [(1, 4, 3), (3, 2, 3), (4, 4, 2), (0, 3, 1)])
+def test_pair_drawer_draws_the_row_drawers_values_in_its_order(rows, cols, span):
+    pair_rng, row_rng, flat_rng = random.Random(5), random.Random(5), random.Random(5)
+    pairs = random_gaussian_pairs(pair_rng, rows, cols, span)
+    assert random_gaussian_rows(row_rng, rows, cols, span) == tuple(
+        tuple(GaussianRational(a, b) for a, b in row) for row in pairs
+    )
+    assert pair_rng.getstate() == row_rng.getstate()
+    # row by row, real part before imaginary part
+    assert [v for row in pairs for pair in row for v in pair] == [
+        flat_rng.randint(-span, span) for _ in range(2 * rows * cols)
+    ]
+
+
+def test_seeded_drawers_give_the_matrices_of_their_rational_draws():
+    # the drawers build integer forms; the same seeds drawn as
+    # GaussianRational entries give the same matrices, form for form
+    def rational(rng, rows, cols, span):
+        return ExactMatrix(random_gaussian_rows(rng, rows, cols, span))
+
+    for r, seed in ((1, 0), (2, 3), (3, 1), (4, 2)):
+        rng = random.Random(seed)
+        pencil = first_draw(
+            "pencil", lambda: (rational(rng, r + 1, r, DRAW_SPAN), rational(rng, r + 1, r, DRAW_SPAN)),
+            lambda mats: is_injective_pencil(*mats).ok,
+        )
+        assert [m.integer_form for m in random_injective_pencil(r, seed)] == [m.integer_form for m in pencil]
+        rng = random.Random(seed)
+        curve = first_draw(
+            "curve", lambda: ACMCurve.from_real_pair(rational(rng, r + 1, r, DRAW_SPAN)),
+            lambda c: c.certificate().ok,
+        )
+        drawn = random_real_curve(r, seed)
+        assert [m.integer_form for m in drawn.coeffs] == [m.integer_form for m in curve.coeffs]
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        want = first_draw("invertible", lambda: rational(ref_rng, r, r, 2), lambda m: m.rank() == r)
+        got = random_invertible(r, rng)
+        assert got.integer_form == want.integer_form and got == want and got.data == want.data

@@ -150,3 +150,60 @@ def test_pass_whose_every_slice_fails_gives_none_everywhere(pass_case, monkeypat
     assert fiber_points(curve, ts) == [None] * 7
     # six attempts, each over every slice
     assert [len(a) for a in calls] == [7] * 6
+
+
+def exact_floats(table, den, weights):
+    """complex(a / n, b / n) of `_evaluate`'s exact numerators, entry by entry."""
+    (re, im), dens = fibers._evaluate(table, den, weights)
+    dens = np.broadcast_to(dens, re.shape)
+    out = [complex(a / n, b / n) for a, b, n in zip(re.flat, im.flat, dens.flat)]
+    return np.array(out, dtype=complex).reshape(re.shape)
+
+
+def floats_and_route(table, den, weights, monkeypatch):
+    """`_floats` of the table, and whether it took the object route."""
+    calls = []
+    evaluate = fibers._evaluate
+    monkeypatch.setattr(fibers, "_evaluate", lambda *args: calls.append(1) or evaluate(*args))
+    got = fibers._floats(table, den, weights)
+    monkeypatch.undo()
+    return got, bool(calls)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_float_route_is_the_exact_quotient_bit_for_bit(r, monkeypatch):
+    # under the 2^53 bound the tables are evaluated in float64; each part is
+    # the correctly rounded quotient of the exact numerator, +0.0 for zero
+    weights, parts = fibers._weights(CANDIDATES, r), []
+    for seed in range(2):
+        gens, gens_den, mats, mats_den = scan_chart(r, seed, 1, 0).slice_tables
+        for table, den in ((gens, gens_den), (mats, mats_den)):
+            want = exact_floats(table, den, weights)
+            got, objects = floats_and_route(table, den, weights, monkeypatch)
+            assert not objects
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            parts += [want.real.ravel(), want.imag.ravel()]
+    # the comparison covers zeros, and every one of them is +0.0
+    parts = np.concatenate(parts)
+    assert (parts == 0).any() and not np.signbit(parts[parts == 0]).any()
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_table_past_the_bound_takes_the_object_route_to_the_same_floats(r, monkeypatch):
+    # (k c) / (k n) is c / n, so the floats must not move; k = 3^34 > 2^53
+    # is odd, so k c is not c with a shifted exponent, and its floats round
+    weights, k = fibers._weights(CANDIDATES, r), 3**34
+    gens, gens_den, mats, mats_den = scan_chart(r, 0, 1, 0).slice_tables
+    for table, den in ((gens, gens_den), (mats, mats_den)):
+        big, big_den = table * k, den * k
+        got, objects = floats_and_route(big, big_den, weights, monkeypatch)
+        assert objects
+        assert got.tobytes() == exact_floats(big, big_den, weights).tobytes()
+        assert got.tobytes() == fibers._floats(table, den, weights).tobytes()
+
+
+def test_slice_draws_are_a_fresh_default_rng_2_sequence():
+    rng = np.random.default_rng(2)
+    want = [tuple(rng.normal(size=2) + 1j * rng.normal(size=2)) for _ in range(6)]
+    assert fibers._draws() == tuple(want)
+    assert fibers._draws() is fibers._draws()

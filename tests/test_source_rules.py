@@ -292,3 +292,13 @@ def test_no_module_imports_a_name_it_never_reads():
                     if (alias.asname or alias.name.split(".")[0]) not in read
                 ]
     assert [name for name in unread if name != "hkcurves.cohomology.sparse_row_rank"] == []
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # numpy.random adds about 5 MB of RSS to every command and to the
+    # library load perfbench times; only the slice pass reads it, on first use
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, hkcurves; print('numpy' in sys.modules, 'numpy.random' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, check=True, timeout=60,
+    ).stdout.split()
+    assert loaded == ["True", "False"]

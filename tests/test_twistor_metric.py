@@ -631,3 +631,12 @@ def test_random_scrambled_curve_is_deterministic():
     c = random_scrambled_curve(2, 12)
     assert tuple(a.coeffs) == tuple(b.coeffs)
     assert tuple(a.coeffs) != tuple(c.coeffs)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_point_derivative_chart_norms_are_the_spectral_norms(r):
+    # point_derivative reads the largest singular value of each coefficient
+    # matrix, the value np.linalg.norm(..., 2, axis=(1, 2)) returns
+    stack = np.stack(scan_chart(r, 0, 1, 0).matrix.numeric())
+    got = np.linalg.svd(stack, compute_uv=False)[:, 0]
+    assert got.tobytes() == np.linalg.norm(stack, 2, axis=(1, 2)).tobytes()
