@@ -130,9 +130,8 @@ def fiber_multiplication_matrices(curve, t: GaussianRational) -> Tuple[ExactMatr
     _refuse_base_line(curve)
     _, _, mats, den = curve.slice_tables
     num, dens = _evaluate(mats, den, _weights([t], curve.r))
-    n = dens.flat[0]
-    exact = np.frompyfunc(lambda a, b: GaussianRational.over(a, b, n), 2, 1)(*num[:, 0])
-    return ExactMatrix(exact[0].tolist()), ExactMatrix(exact[1].tolist())
+    pairs = [tuple(tuple(zip(ra, ia)) for ra, ia in zip(re, im)) for re, im in zip(*num[:, 0].tolist())]
+    return tuple(ExactMatrix.from_integer_form(rows, dens.flat[0], len(rows)) for rows in pairs)
 
 
 def backward_errors(coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:

@@ -4,9 +4,9 @@ Every command takes one explicit --seed and derives per-item seeds as
 seed * count + index, so reruns with the same arguments write the same
 bytes to stdout.  Items run one after another in index order.  Timing
 lines go to stderr only.  Exit codes: 0 all checks passed, 1 a
-verification, a seeded draw or a normalization failed, 2 unreadable input
-or an out-of-range argument, 3 readable input that is not a usable object,
-4 numeric extraction failure.
+verification, a seeded draw or a normalization failed, 2 unreadable input,
+an out-of-range argument or an --out at or under an existing file, 3
+readable input that is not a usable object, 4 numeric extraction failure.
 """
 
 from __future__ import annotations
@@ -595,6 +595,14 @@ def at_most(ceiling: int) -> Callable[[str], int]:
     return integer
 
 
+def out_dir(text: str) -> Path:
+    """Argument type for --out: a directory, or a path to make one at under no file."""
+    existing = next(p for p in (Path(text), *Path(text).parents) if p.exists())
+    if not existing.is_dir():
+        raise argparse.ArgumentTypeError(f"{existing} exists and is not a directory")
+    return Path(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hkcurves",
@@ -607,7 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_kron.add_argument("--r", type=at_most(MAX_PENCIL_R), required=True)
     p_kron.add_argument("--count", type=positive_int, default=10)
     p_kron.add_argument("--seed", type=int, default=0)
-    p_kron.add_argument("--out", type=Path, default=None)
+    p_kron.add_argument("--out", type=out_dir, default=None)
     p_kron.set_defaults(func=cmd_kronecker, report="kronecker_report.json", label="kronecker")
 
     p_acm = sub.add_parser("acm", help="determinantal curve commands")
@@ -618,14 +626,14 @@ def build_parser() -> argparse.ArgumentParser:
     # MAX_FIBERS: the distinct parameters `random_fiber_parameters` can draw
     p_verify.add_argument("--fibers", type=at_most(MAX_FIBERS), default=5)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--out", type=Path, default=None)
+    p_verify.add_argument("--out", type=out_dir, default=None)
     p_verify.set_defaults(func=cmd_acm_verify, report="acm_verify_report.json", label="acm verify")
 
     p_random = acm_sub.add_parser("random", help="write certified curve documents")
     p_random.add_argument("--r", type=at_most(MAX_DOCUMENT_R), required=True)
     p_random.add_argument("--count", type=positive_int, default=1)
     p_random.add_argument("--seed", type=int, default=0)
-    p_random.add_argument("--out", type=Path, required=True)
+    p_random.add_argument("--out", type=out_dir, required=True)
     # --out holds the curve documents, so the summary is not written there
     p_random.set_defaults(func=cmd_acm_random, report=None, label="acm random")
 
@@ -634,7 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rat.add_argument("--count", type=positive_int, default=20)
     p_rat.add_argument("--seed", type=int, default=0)
     p_rat.add_argument("--map", default=None, help="explicit map document (JSON)")
-    p_rat.add_argument("--out", type=Path, default=None)
+    p_rat.add_argument("--out", type=out_dir, default=None)
     p_rat.set_defaults(func=cmd_rational, report="rational_report.json", label="rational")
 
     p_metric = sub.add_parser("metric", help="metric constancy scan")
@@ -642,7 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_metric.add_argument("--count", type=positive_int, default=10)
     p_metric.add_argument("--seed", type=int, default=0)
     p_metric.add_argument("--skip-sigma-gauge", action="store_true")
-    p_metric.add_argument("--out", type=Path, default=None)
+    p_metric.add_argument("--out", type=out_dir, default=None)
     p_metric.set_defaults(func=cmd_metric, report="metric_report.json", label="metric")
 
     p_coh = sub.add_parser("cohomology", help="cohomology commands")
@@ -651,7 +659,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--r", type=at_most(MAX_DOCUMENT_R), default=None)
     p_table.add_argument("--curve", default=None, help="curve document (JSON)")
     p_table.add_argument("--seed", type=int, default=0)
-    p_table.add_argument("--out", type=Path, default=None)
+    p_table.add_argument("--out", type=out_dir, default=None)
     p_table.set_defaults(func=cmd_cohomology_table, report="cohomology_table.json", label="cohomology table")
 
     return parser

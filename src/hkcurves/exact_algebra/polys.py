@@ -1,10 +1,10 @@
 """Graded polynomial plumbing over Q(i).
 
-HomogPoly is a sparse homogeneous polynomial keyed by exponent tuples.  It
-stores Gaussian-integer numerators (a, b) for a + b*i per monomial over one
-positive integer denominator, with gcd(den, content) = 1, so arithmetic
-runs on ints and equal forms are equal structurally; GaussianRational
-coefficients appear only in the `coeffs` view read at the boundary.
+HomogPoly is a sparse homogeneous polynomial keyed by exponent tuples: a
+container of Gaussian-integer numerators (a, b) for a + b*i per monomial
+over one positive denominator, built only from those numerators (a minor
+table row, a product), with gcd(den, content) = 1.  GaussianRational
+coefficients appear only in its `coeffs` view, read outside the library.
 Monomial bases are lexicographically descending, so coordinate layouts are
 reproducible across runs.
 
@@ -40,7 +40,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .modp import crt_lift
-from .scalars import ONE, ZERO, GaussianRational, integer_pairs
+from .scalars import ONE, ZERO, GaussianRational
 
 
 @lru_cache(maxsize=None)
@@ -71,29 +71,16 @@ def monomial_count(num_vars: int, degree: int) -> int:
 class HomogPoly:
     """Homogeneous form sum_m (a_m + b_m*i) x^m / den over Q(i).
 
-    `terms` maps exponent tuples to nonzero Gaussian-integer numerators
-    (a, b) and `den` is one positive integer with gcd(den, every a and b)
-    = 1.  That representation of a form is unique, so == and hash compare
-    it directly.  `coeffs` is the read-only {monomial: GaussianRational}
-    view, built once on first use.
+    The one constructor takes `terms`, exponent tuples to Gaussian-integer
+    numerators (a, b), over one positive integer `den`; it drops zero
+    numerators and divides gcd(den, every a and b) out, so == and hash
+    compare the unique result directly.  `coeffs` is the read-only
+    {monomial: GaussianRational} view for readers outside the library.
     """
 
     __slots__ = ("num_vars", "degree", "terms", "den", "_coeffs")
 
-    def __init__(self, num_vars: int, degree: int, coeffs: dict | None = None):
-        parts = {}
-        for mono, c in (coeffs or {}).items():
-            c = c if isinstance(c, GaussianRational) else GaussianRational(c)
-            if c.is_zero():
-                continue
-            if len(mono) != num_vars or sum(mono) != degree or min(mono) < 0:
-                raise ValueError(f"monomial {mono} not of degree {degree}")
-            parts[tuple(mono)] = c
-        pairs, den = integer_pairs(parts.values())
-        self._fill(num_vars, degree, dict(zip(parts, pairs)), den)
-
-    def _fill(self, num_vars: int, degree: int, terms: dict, den: int) -> None:
-        # drop zero numerators and divide gcd(den, content) out of both
+    def __init__(self, num_vars: int, degree: int, terms: dict, den: int = 1):
         terms = {m: ab for m, ab in terms.items() if ab[0] or ab[1]}
         g = gcd(den, *(x for ab in terms.values() for x in ab)) if den > 1 else 1
         if g > 1:
@@ -102,18 +89,12 @@ class HomogPoly:
         for name, value in zip(self.__slots__, (num_vars, degree, terms, den, None)):
             object.__setattr__(self, name, value)
 
-    def _like(self, terms: dict, den: int, degree: int | None = None) -> "HomogPoly":
-        """The form terms / den in this form's variables (and degree, unless given)."""
-        poly = HomogPoly.__new__(HomogPoly)
-        poly._fill(self.num_vars, self.degree if degree is None else degree, terms, den)
-        return poly
-
     def __setattr__(self, name, value):
         raise AttributeError("HomogPoly is immutable")
 
     def __reduce__(self):
         # copy and pickle rebuild through __init__, not the blocked __setattr__
-        return (HomogPoly, (self.num_vars, self.degree, dict(self.coeffs)))
+        return (HomogPoly, (self.num_vars, self.degree, self.terms, self.den))
 
     @property
     def coeffs(self) -> MappingProxyType:
@@ -137,23 +118,6 @@ class HomogPoly:
     def __hash__(self):
         return hash((self.num_vars, self.degree, self.den, frozenset(self.terms.items())))
 
-    def __add__(self, other):
-        if self.num_vars != other.num_vars or self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        den = lcm(self.den, other.den)
-        s, t = den // self.den, den // other.den
-        out = {m: (a * s, b * s) for m, (a, b) in self.terms.items()}
-        for m, (a, b) in other.terms.items():
-            prev = out.get(m, (0, 0))
-            out[m] = (prev[0] + a * t, prev[1] + b * t)
-        return self._like(out, den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return self._like({m: (-a, -b) for m, (a, b) in self.terms.items()}, self.den)
-
     def __mul__(self, other: "HomogPoly") -> "HomogPoly":
         if self.num_vars != other.num_vars:
             raise ValueError("variable count mismatch")
@@ -163,7 +127,7 @@ class HomogPoly:
                 m = tuple(map(add, m1, m2))
                 prev = out.get(m, (0, 0))
                 out[m] = (prev[0] + a1 * a2 - b1 * b2, prev[1] + a1 * b2 + b1 * a2)
-        return self._like(out, self.den * other.den, self.degree + other.degree)
+        return HomogPoly(self.num_vars, self.degree + other.degree, out, self.den * other.den)
 
     def __repr__(self):
         if not self.terms:
@@ -351,12 +315,11 @@ def laplace(X: np.ndarray) -> np.ndarray:
 
 def _to_forms(values: np.ndarray, num_vars: int, degree: int, den: int) -> list[HomogPoly]:
     """The forms (monomial, re/im) rows of values over den."""
-    basis, out = monomial_basis(num_vars, degree), []
-    for rows in values.tolist():
-        poly = HomogPoly.__new__(HomogPoly)
-        poly._fill(num_vars, degree, {m: (a, b) for m, (a, b) in zip(basis, rows) if a or b}, den)
-        out.append(poly)
-    return out
+    basis = monomial_basis(num_vars, degree)
+    return [
+        HomogPoly(num_vars, degree, {m: (a, b) for m, (a, b) in zip(basis, rows) if a or b}, den)
+        for rows in values.tolist()
+    ]
 
 
 def signed_minor_table(X: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from .exact_algebra import modp
 from .exact_algebra.linalg import ExactMatrix
 from .exact_algebra.ideals import Row, certified_rank
 from .exact_algebra.polys import UniPoly, binary_common_zero, form_pairs, signed_minor_table
-from .exact_algebra.scalars import DRAW_SPAN, ONE, ZERO, GaussianRational, first_draw, random_gaussian_pairs
+from .exact_algebra.scalars import DRAW_SPAN, GaussianRational, first_draw, random_gaussian_pairs
 
 
 @functools.lru_cache(maxsize=None)
@@ -28,9 +28,8 @@ def canonical_pair(r: int) -> Tuple[ExactMatrix, ExactMatrix]:
     """(S, T): S[i,j] = [i==j], T[i,j] = [i==j+1], both (r+1) x r, built once per r."""
     if r < 1:
         raise ValueError("need r >= 1")
-    s_rows = [[ONE if i == j else ZERO for j in range(r)] for i in range(r + 1)]
-    t_rows = [[ONE if i == j + 1 else ZERO for j in range(r)] for i in range(r + 1)]
-    return ExactMatrix(s_rows), ExactMatrix(t_rows)
+    rows = tuple(tuple((int(i == j), 0) for j in range(r)) for i in range(r + 1))
+    return ExactMatrix.from_integer_form(rows, 1, r), ExactMatrix.from_integer_form((((0, 0),) * r,) + rows[:-1], 1, r)
 
 
 def _check_shape(A1: ExactMatrix, A2: ExactMatrix) -> int:

@@ -22,7 +22,7 @@ from typing import Sequence, Tuple
 from .exact_algebra.ideals import GradedIdeal
 from .exact_algebra.linalg import ExactMatrix
 from .exact_algebra.polys import HomogPoly
-from .exact_algebra.scalars import DRAW_SPAN, GaussianRational, first_draw, random_gaussian_rows
+from .exact_algebra.scalars import DRAW_SPAN, first_draw, random_gaussian_pairs
 from .pencil import is_injective_pencil
 
 
@@ -34,7 +34,7 @@ def sigma_form(f: HomogPoly) -> HomogPoly:
     for (m0, m1, m2, m3), (a, b) in f.terms.items():
         # conj(a + b*i), negated where m0 + m2 is odd; no two monomials merge
         terms[(m1, m0, m3, m2)] = (-a, b) if (m0 + m2) % 2 else (a, -b)
-    return f._like(terms, f.den)
+    return HomogPoly(4, f.degree, terms, f.den)
 
 
 def is_sigma_invariant_ideal(generators: Sequence[HomogPoly], degree: int) -> bool:
@@ -50,7 +50,7 @@ def is_sigma_invariant_ideal(generators: Sequence[HomogPoly], degree: int) -> bo
     for g in gens:
         if g.degree != degree:
             raise ValueError(f"generator of degree {g.degree}, stated degree {degree}")
-    gens = [g for g in gens if g.coeffs]
+    gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise ValueError("no nonzero generators")
     base = GradedIdeal(gens).dimension(degree)
@@ -58,12 +58,10 @@ def is_sigma_invariant_ideal(generators: Sequence[HomogPoly], degree: int) -> bo
     return base == both
 
 
-def _sigma_linear_coeffs(
-    c: Tuple[GaussianRational, GaussianRational, GaussianRational, GaussianRational]
-) -> Tuple[GaussianRational, GaussianRational, GaussianRational, GaussianRational]:
-    """Coefficient rule of the induced action on linear forms."""
-    c0, c1, c2, c3 = c
-    return (c1.conj(), -c0.conj(), c3.conj(), -c2.conj())
+def _sigma_linear_coeffs(c: Tuple[Tuple[int, int], ...]) -> Tuple[Tuple[int, int], ...]:
+    """Sigma on the (re, im) pairs of linear forms: c -> (conj c1, -conj c0, conj c3, -conj c2)."""
+    (a0, b0), (a1, b1), (a2, b2), (a3, b3) = c
+    return ((a1, -b1), (-a0, b0), (a3, -b3), (-a2, b2))
 
 
 def make_sigma_invariant_pencil(r: int, seed: int) -> Tuple[ExactMatrix, ExactMatrix, ExactMatrix, ExactMatrix]:
@@ -83,20 +81,16 @@ def make_sigma_invariant_pencil(r: int, seed: int) -> Tuple[ExactMatrix, ExactMa
 
     def draw():
         entries = [[None] * r for _ in range(n)]
-        if r % 2 == 1:
-            for k in range(n // 2):
-                for j in range(r):
-                    c = random_gaussian_rows(rng, 1, 4, DRAW_SPAN)[0]
-                    entries[2 * k][j] = c
-                    entries[2 * k + 1][j] = _sigma_linear_coeffs(c)
-        else:
-            for k in range(r // 2):
-                for i in range(n):
-                    c = random_gaussian_rows(rng, 1, 4, DRAW_SPAN)[0]
-                    entries[i][2 * k] = c
-                    entries[i][2 * k + 1] = _sigma_linear_coeffs(c)
+        # pair k: rows 2k and 2k + 1 for odd r, columns for even r
+        for k in range(n // 2):
+            for x in range(r if r % 2 else n):
+                c = random_gaussian_pairs(rng, 1, 4, DRAW_SPAN)[0]
+                if r % 2:
+                    entries[2 * k][x], entries[2 * k + 1][x] = c, _sigma_linear_coeffs(c)
+                else:
+                    entries[x][2 * k], entries[x][2 * k + 1] = c, _sigma_linear_coeffs(c)
         return tuple(
-            ExactMatrix([[entries[i][j][v] for j in range(r)] for i in range(n)])
+            ExactMatrix.from_integer_form(tuple(tuple(c[v] for c in row) for row in entries), 1, r)
             for v in range(4)
         )
 

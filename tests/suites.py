@@ -23,12 +23,13 @@ from hkcurves.acm_curve.fibers import (
 from hkcurves.exact_algebra.ideals import normal_form_table, reduced_echelon, sparse_echelon
 from hkcurves.exact_algebra.linalg import ExactMatrix, random_invertible
 from hkcurves.exact_algebra.polys import HomogPoly, UniPoly, monomial_basis, monomial_index
-from hkcurves.exact_algebra.scalars import GaussianRational, I, integer_pairs
+from hkcurves.exact_algebra.scalars import DRAW_SPAN, GaussianRational, I, first_draw, integer_pairs, random_gaussian_rows
 from hkcurves.pencil import (
     _check_shape,
     _minor_table,
     apply_gauge,
     canonical_pair,
+    is_injective_pencil,
     kronecker_reduce,
     pair_stabilizer_dimension,
     random_injective_pencil,
@@ -56,8 +57,9 @@ def swapped(curve: ACMCurve) -> ACMCurve:
 
 # ---------------------------------------------------------------------------
 # references the library does not use: dense matrix arithmetic, rows cleared
-# of denominators, a pencil's minors as polynomials in lambda, forms scaled
-# and evaluated, |z|^2, a splitting type's degree pair
+# of denominators, a pencil's minors as polynomials in lambda, forms built
+# from Q(i) coefficients, added, scaled and evaluated, |z|^2, a splitting
+# type's degree pair, and the invariant pencil drawn as Q(i) entries
 
 
 def zero_matrix(rows: int, cols: int) -> ExactMatrix:
@@ -117,7 +119,7 @@ def poly_scale(f: HomogPoly, c) -> HomogPoly:
     c = c if isinstance(c, GaussianRational) else GaussianRational(c)
     ca, cb, e = c.integer_parts()
     out = {m: (a * ca - b * cb, a * cb + b * ca) for m, (a, b) in f.terms.items()}
-    return f._like(out, f.den * e)
+    return HomogPoly(f.num_vars, f.degree, out, f.den * e)
 
 
 def poly_evaluate(f: HomogPoly, point) -> GaussianRational:
@@ -143,10 +145,81 @@ def splitting_pair(split) -> Tuple[int, int]:
     return (split.a, split.b)
 
 
+def form(num_vars: int, degree: int, coeffs: dict) -> HomogPoly:
+    """The form sum_m coeffs[m] x^m from its Q(i) (or int) coefficients by
+    monomial, cleared to numerators over one denominator by
+    `scalars.integer_pairs`; a monomial of another degree or variable count
+    raises ValueError."""
+    parts = {}
+    for mono, c in coeffs.items():
+        c = c if isinstance(c, GaussianRational) else GaussianRational(c)
+        if c.is_zero():
+            continue
+        if len(mono) != num_vars or sum(mono) != degree or min(mono) < 0:
+            raise ValueError(f"monomial {mono} not of degree {degree}")
+        parts[tuple(mono)] = c
+    pairs, den = integer_pairs(parts.values())
+    return HomogPoly(num_vars, degree, dict(zip(parts, pairs)), den)
+
+
+def poly_add(f: HomogPoly, g: HomogPoly) -> HomogPoly:
+    """f + g, exact, for forms of one degree in one set of variables."""
+    if f.num_vars != g.num_vars or f.degree != g.degree:
+        raise ValueError("degree mismatch")
+    den = lcm(f.den, g.den)
+    s, t = den // f.den, den // g.den
+    out = {m: (a * s, b * s) for m, (a, b) in f.terms.items()}
+    for m, (a, b) in g.terms.items():
+        prev = out.get(m, (0, 0))
+        out[m] = (prev[0] + a * t, prev[1] + b * t)
+    return HomogPoly(f.num_vars, f.degree, out, den)
+
+
+def poly_neg(f: HomogPoly) -> HomogPoly:
+    """-f, exact."""
+    return HomogPoly(f.num_vars, f.degree, {m: (-a, -b) for m, (a, b) in f.terms.items()}, f.den)
+
+
+def poly_sub(f: HomogPoly, g: HomogPoly) -> HomogPoly:
+    """f - g, exact."""
+    return poly_add(f, poly_neg(g))
+
+
 def linear_form(coeffs) -> HomogPoly:
     """The form sum_i coeffs[i] x_i, built from its Q(i) coefficients."""
     n = len(coeffs)
-    return HomogPoly(n, 1, {tuple(int(j == i) for j in range(n)): c for i, c in enumerate(coeffs)})
+    return form(n, 1, {tuple(int(j == i) for j in range(n)): c for i, c in enumerate(coeffs)})
+
+
+def rational_sigma_pencil(r: int, seed: int) -> Tuple[ExactMatrix, ...]:
+    """`reality.make_sigma_invariant_pencil` drawn as GaussianRational
+    entries: the same rng, draws and order, each drawn linear form c paired
+    with its image (conj c1, -conj c0, conj c3, -conj c2), and each
+    coefficient matrix built from its entries."""
+    rng = random.Random(1000003 * seed + r)
+    n = r + 1
+
+    def image(c):
+        c0, c1, c2, c3 = c
+        return (c1.conj(), -c0.conj(), c3.conj(), -c2.conj())
+
+    def draw():
+        entries = [[None] * r for _ in range(n)]
+        if r % 2 == 1:
+            for k in range(n // 2):
+                for j in range(r):
+                    c = random_gaussian_rows(rng, 1, 4, DRAW_SPAN)[0]
+                    entries[2 * k][j] = c
+                    entries[2 * k + 1][j] = image(c)
+        else:
+            for k in range(r // 2):
+                for i in range(n):
+                    c = random_gaussian_rows(rng, 1, 4, DRAW_SPAN)[0]
+                    entries[i][2 * k] = c
+                    entries[i][2 * k + 1] = image(c)
+        return tuple(ExactMatrix([[entries[i][j][v] for j in range(r)] for i in range(n)]) for v in range(4))
+
+    return first_draw("injective pencil", draw, lambda mats: is_injective_pencil(*mats[:2]).ok)
 
 
 def entry_forms(mats: Sequence[ExactMatrix]) -> List[List[HomogPoly]]:
@@ -561,7 +634,7 @@ def random_homog(rng: random.Random, degree: int) -> HomogPoly:
         }
         coeffs = {m: c for m, c in coeffs.items() if not c.is_zero()}
         if coeffs:
-            return HomogPoly(4, degree, coeffs)
+            return form(4, degree, coeffs)
 
 
 def graded_functoriality_suite(count: int = 50) -> int:
@@ -582,7 +655,7 @@ def graded_functoriality_suite(count: int = 50) -> int:
             psi = [[random_homog(rng, 1) for _ in range(2)] for _ in range(2)]
             prod = [
                 [
-                    phi[a][0] * psi[0][b] + phi[a][1] * psi[1][b]
+                    poly_add(phi[a][0] * psi[0][b], phi[a][1] * psi[1][b])
                     for b in range(2)
                 ]
                 for a in range(2)

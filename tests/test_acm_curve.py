@@ -28,13 +28,13 @@ from hkcurves.acm_curve import (
 from hkcurves.acm_curve.fibers import backward_errors, fiber_generators, fiber_points
 from hkcurves.exact_algebra.ideals import GradedIdeal
 from hkcurves.exact_algebra.linalg import ExactMatrix
-from hkcurves.exact_algebra.polys import HomogPoly, form_pairs
+from hkcurves.exact_algebra.polys import form_pairs
 from hkcurves.exact_algebra.scalars import GaussianRational
 from hkcurves.pencil import canonical_pair, is_injective_pencil
 from hkcurves.twistor_metric import sample_parameters, scan_chart
 from hkcurves.reality import is_sigma_invariant_ideal
 
-from suites import entry_forms, generator_floats, swapped
+from suites import entry_forms, form, generator_floats, poly_add, poly_neg, poly_sub, swapped
 
 ZERO = GaussianRational(0, 0)
 ONE = GaussianRational(1, 0)
@@ -69,10 +69,10 @@ def test_cofactor_identity_of_signed_minors():
         minors = curve.minors
         r = curve.r
         for j in range(r):
-            acc = HomogPoly(4, r + 1, {})
+            acc = form(4, r + 1, {})
             for i in range(r + 1):
-                acc = acc + entries[i][j] * minors[i]
-            assert acc == HomogPoly(4, r + 1, {})
+                acc = poly_add(acc, entries[i][j] * minors[i])
+            assert acc == form(4, r + 1, {})
 
 
 @pytest.mark.parametrize("r,k", [(2, 0), (2, 2), (3, 1)])
@@ -80,8 +80,8 @@ def test_cofactor_check_fails_on_a_perturbed_minor(r, k):
     # the check reads the stored minors and entries, so a wrong minor shows
     curve = random_real_curve(r, seed=0)
     assert certify_resolution(curve).cofactor_identity
-    x0_r = HomogPoly(4, r, {(r, 0, 0, 0): ONE})
-    curve.minors = [m + x0_r if i == k else m for i, m in enumerate(curve.minors)]
+    x0_r = form(4, r, {(r, 0, 0, 0): ONE})
+    curve.minors = [poly_add(m, x0_r) if i == k else m for i, m in enumerate(curve.minors)]
     cert = certify_resolution(curve)
     assert cert.cofactor_identity is False
     assert cert.ok is False
@@ -108,7 +108,7 @@ def test_signed_minors_match_unsigned_up_to_sign():
     # determinant without row i, here expanded from the reference entries
     curve = random_real_curve(2, seed=1)
     (a, b), (c, d), (e, f) = entry_forms(curve.coeffs)
-    assert [c * f - d * e, -(a * f - b * e), a * d - b * c] == list(curve.minors)
+    assert [poly_sub(c * f, d * e), poly_neg(poly_sub(a * f, b * e)), poly_sub(a * d, b * c)] == list(curve.minors)
 
 
 def test_constructor_rejects_identically_singular_matrix():

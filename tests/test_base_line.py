@@ -116,6 +116,14 @@ def test_border_matrices_equal_the_echelon(r, monkeypatch):
             ref_u, ref_v = fiber.multiplication_matrices()
             # equal to the echelon's, and commuting: Mourrain's criterion
             assert (mu, mv) == (ref_u, ref_v)
+            # born as integer forms, equal to the matrices built from the
+            # GaussianRational entries (a + b i) / n of the evaluated tables
+            num, dens = fibers._evaluate(curve.slice_tables[2], curve.slice_tables[3], fibers._weights([t], r))
+            built = [
+                ExactMatrix([[GaussianRational.over(a, b, dens.flat[0]) for a, b in zip(ra, ia)] for ra, ia in zip(re, im)])
+                for re, im in zip(*num[:, 0].tolist())
+            ]
+            assert [mu, mv] == built and [mu.data, mv.data] == [m.data for m in built]
             assert mu @ mv == mv @ mu
             assert hilbert_profile(curve, t) == fiber.profile()
             assert np.array_equal(nu, np.array(to_complex(ref_u)))

@@ -17,4 +17,4 @@ def test_one_call_reads_a_count_of_one():
     counts = {name: (int(calls), int(inside)) for calls, inside, name in map(str.split, run.stdout.splitlines())}
     assert counts["hkcurves.pencil.canonical_pair"] == (1, 0)
     # the call builds S and T from inside the library
-    assert counts["hkcurves.exact_algebra.linalg.ExactMatrix.__init__"] == (2, 2)
+    assert counts["hkcurves.exact_algebra.linalg.ExactMatrix.from_integer_form"] == (2, 2)

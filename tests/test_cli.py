@@ -394,6 +394,36 @@ def test_exit_2_on_out_of_range_argument(argv, capsys, monkeypatch):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["kronecker", "--r", "2", "--count", "1"],
+        ["acm", "verify", "unused.json"],
+        ["acm", "random", "--r", "2"],
+        ["rational", "--d", "3", "--count", "1"],
+        ["metric", "--r", "2", "--count", "1"],
+        ["cohomology", "table", "--r", "2"],
+    ],
+)
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_exit_2_when_out_is_a_file(command, under, tmp_path, capsys, monkeypatch):
+    # --out must be a directory or a path that can become one: the parser
+    # refuses an existing file, or a path below one, before any work, and
+    # the file keeps its bytes
+    for name in ("cmd_kronecker", "cmd_metric", "cmd_acm_random", "cmd_acm_verify",
+                 "cmd_cohomology_table", "cmd_rational"):
+        monkeypatch.setattr(f"hkcurves.cli.{name}", None)
+    path = tmp_path / "notes.txt"
+    path.write_bytes(b"kept\n")
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--out", str(path / "sub" if under else path)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{path} exists and is not a directory" in captured.err
+    assert path.read_bytes() == b"kept\n"
+
+
 @pytest.mark.parametrize("command", [["acm", "random"], ["cohomology", "table"]])
 def test_exit_2_on_r_above_document_ceiling(command, tmp_path, capsys):
     # a curve above the ceiling would make documents `acm verify` refuses;

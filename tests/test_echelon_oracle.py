@@ -20,12 +20,12 @@ from hkcurves.exact_algebra.ideals import (
     sparse_echelon,
     sparse_row_rank,
 )
-from hkcurves.exact_algebra.polys import HomogPoly, monomial_basis, monomial_index
+from hkcurves.exact_algebra.polys import monomial_basis, monomial_index
 from hkcurves.exact_algebra.scalars import GaussianRational
 from hkcurves.pencil import canonical_pair, pair_stabilizer_dimension, random_injective_pencil
 
 import suites
-from suites import integer_row
+from suites import form, integer_row
 
 _ZERO = GaussianRational(0, 0)
 _ONE = GaussianRational(1, 0)
@@ -171,7 +171,7 @@ def test_graded_levels_match_reference(r, levels):
         # the normal form of each monomial: a pivot's table entry, else itself
         table = _ref_normal_form_table(_monic(ideal._build(k)))
         for col, mono in enumerate(monomial_basis(4, k)):
-            assert ideal.normal_form(HomogPoly(4, k, {mono: 1})) == table.get(col, {col: _ONE})
+            assert ideal.normal_form(form(4, k, {mono: 1})) == table.get(col, {col: _ONE})
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])

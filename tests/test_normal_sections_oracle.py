@@ -18,10 +18,10 @@ from hkcurves.acm_curve import ACMCurve, LinearMatrix, random_real_curve, random
 from hkcurves.cohomology import normal_sections
 from hkcurves.exact_algebra.ideals import sparse_row_rank
 from hkcurves.exact_algebra.linalg import ExactMatrix, random_invertible
-from hkcurves.exact_algebra.polys import HomogPoly, monomial_basis
+from hkcurves.exact_algebra.polys import monomial_basis
 from hkcurves.exact_algebra.scalars import GaussianRational
 
-from suites import entry_forms, integer_row
+from suites import entry_forms, form, integer_row
 
 _ZERO = GaussianRational(0)
 
@@ -40,7 +40,7 @@ def _ref_normal_sections(curve, twist):
         for s_pos, s_col in enumerate(src_cols):
             col = i * n_src + s_pos
             for j in range(r):
-                nf = ideal.normal_form(entries[i][j] * HomogPoly(4, m_src, {src_basis[s_col]: 1}))
+                nf = ideal.normal_form(entries[i][j] * form(4, m_src, {src_basis[s_col]: 1}))
                 for c, v in nf.items():
                     acc = rows[j * n_tgt + tgt_pos[c]]
                     acc[col] = acc.get(col, _ZERO) + v
@@ -68,7 +68,7 @@ def _matrix(r, entries: Dict[tuple, Dict[int, int]]):
 
 
 def _form(terms):
-    return HomogPoly(4, 2, {mono: 1 for mono in terms})
+    return form(4, 2, {mono: 1 for mono in terms})
 
 
 @pytest.mark.parametrize("draw", [random_sigma_curve, random_real_curve], ids=["sigma", "real"])

@@ -31,6 +31,13 @@ def test_canonical_pair_shapes_and_entries():
         for j in range(3):
             assert S[i, j] == (ONE if i == j else ZERO)
             assert T[i, j] == (ONE if i == j + 1 else ZERO)
+    # born as integer forms over 1, S and T equal the matrices built from
+    # ONE and ZERO entries
+    for r in range(1, 6):
+        got = canonical_pair(r)
+        want = tuple(ExactMatrix([[ONE if i == j + k else ZERO for j in range(r)] for i in range(r + 1)]) for k in (0, 1))
+        assert got == want and [m.data for m in got] == [m.data for m in want]
+        assert [m.integer_form for m in got] == [m.integer_form for m in want]
 
 
 def test_canonical_pair_rejects_r_zero():

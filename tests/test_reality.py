@@ -5,8 +5,8 @@ from fractions import Fraction
 
 from hkcurves.acm_curve import ACMCurve
 from hkcurves.exact_algebra.linalg import ExactMatrix
-from hkcurves.exact_algebra.polys import HomogPoly, monomial_basis
-from hkcurves.exact_algebra.scalars import GaussianRational
+from hkcurves.exact_algebra.polys import monomial_basis
+from hkcurves.exact_algebra.scalars import GaussianRational, integer_pairs
 from hkcurves.reality import (
     _sigma_linear_coeffs,
     is_sigma_invariant_ideal,
@@ -14,7 +14,7 @@ from hkcurves.reality import (
     reality_conjugate,
     sigma_form,
 )
-from suites import identity_matrix, mat_add, mat_conj, mat_scale, poly_evaluate, zero_matrix
+from suites import form, identity_matrix, mat_add, mat_conj, mat_scale, poly_evaluate, poly_neg, zero_matrix
 
 ZERO = GaussianRational(0, 0)
 ONE = GaussianRational(1, 0)
@@ -86,7 +86,7 @@ def test_sigma_form_pairing_with_points():
             m: GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3))
             for m in monomial_basis(4, d)
         }
-        f = HomogPoly(4, d, {m: c for m, c in coeffs.items() if not c.is_zero()})
+        f = form(4, d, {m: c for m, c in coeffs.items() if not c.is_zero()})
         sf = sigma_form(f)
         for _ in range(10):
             p = _rand_point(rng)
@@ -100,9 +100,9 @@ def test_sigma_form_applied_twice():
             m: GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3))
             for m in monomial_basis(4, d)
         }
-        f = HomogPoly(4, d, {m: c for m, c in coeffs.items() if not c.is_zero()})
+        f = form(4, d, {m: c for m, c in coeffs.items() if not c.is_zero()})
         twice = sigma_form(sigma_form(f))
-        expected = f if d % 2 == 0 else -f
+        expected = f if d % 2 == 0 else poly_neg(f)
         assert twice == expected
 
 
@@ -117,8 +117,10 @@ def test_sigma_matrix_tuple_matches_form_action():
     for i in range(r + 1):
         for j in range(r):
             c = tuple(A[k][i, j] for k in range(4))
-            g = sigma_form(HomogPoly(4, 1, {m: v for m, v in zip(units, c) if not v.is_zero()})).coeffs
-            assert [g.get(m, ZERO) for m in units] == list(_sigma_linear_coeffs(c))
+            g = sigma_form(form(4, 1, {m: v for m, v in zip(units, c) if not v.is_zero()})).coeffs
+            # the rule maps the (re, im) numerator pairs of c
+            pairs, den = integer_pairs(c)
+            assert [g.get(m, ZERO) for m in units] == [GaussianRational.over(a, b, den) for a, b in _sigma_linear_coeffs(pairs)]
 
 
 def test_conjugation_matrices_are_real_signs():
@@ -187,7 +189,7 @@ def test_is_sigma_invariant_rejects_generic_span():
             m: GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3))
             for m in monomial_basis(4, 2)
         }
-        f = HomogPoly(4, 2, {m: c for m, c in coeffs.items() if not c.is_zero()})
-        if f.coeffs and sigma_form(f) != f and sigma_form(f) != -f:
+        f = form(4, 2, {m: c for m, c in coeffs.items() if not c.is_zero()})
+        if f.coeffs and sigma_form(f) != f and sigma_form(f) != poly_neg(f):
             break
     assert not is_sigma_invariant_ideal([f], 2)

@@ -21,8 +21,9 @@ from hkcurves.exact_algebra.scalars import (
     random_gaussian_rows,
 )
 from hkcurves.pencil import is_injective_pencil, random_injective_pencil
+from hkcurves.reality import make_sigma_invariant_pencil
 
-from suites import gauss_norm
+from suites import gauss_norm, rational_sigma_pencil
 
 
 def test_constructor_and_equality():
@@ -231,7 +232,8 @@ def test_pair_drawer_draws_the_row_drawers_values_in_its_order(rows, cols, span)
 
 def test_seeded_drawers_give_the_matrices_of_their_rational_draws():
     # the drawers build integer forms; the same seeds drawn as
-    # GaussianRational entries give the same matrices, form for form
+    # GaussianRational entries give the same matrices, form for form, the
+    # invariant pencil's images included
     def rational(rng, rows, cols, span):
         return ExactMatrix(random_gaussian_rows(rng, rows, cols, span))
 
@@ -253,3 +255,8 @@ def test_seeded_drawers_give_the_matrices_of_their_rational_draws():
         want = first_draw("invertible", lambda: rational(ref_rng, r, r, 2), lambda m: m.rank() == r)
         got = random_invertible(r, rng)
         assert got.integer_form == want.integer_form and got == want and got.data == want.data
+    for r in (1, 2, 3, 4):
+        for seed in range(4):
+            drawn, want = make_sigma_invariant_pencil(r, seed), rational_sigma_pencil(r, seed)
+            assert [m.integer_form for m in drawn] == [m.integer_form for m in want]
+            assert drawn == want and [m.data for m in drawn] == [m.data for m in want]

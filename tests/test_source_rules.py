@@ -1,6 +1,7 @@
 """Rules that hold for every module under src/."""
 
 import ast
+import inspect
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ from test_tracer_pins import _load_tracer
 from hkcurves.acm_curve import ACMCurve
 from hkcurves.cli import curve_to_document
 from hkcurves.exact_algebra.linalg import ExactMatrix
+from hkcurves.exact_algebra.polys import HomogPoly
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -128,6 +130,24 @@ def test_one_boundary_for_q_i_scalars():
     )
     assert found == []
     assert "integer_form" in ExactMatrix.__slots__ and "_form" not in ExactMatrix.__slots__
+
+
+def test_exact_objects_are_built_from_integer_numerators():
+    # the library builds its matrices and forms from Gaussian-integer
+    # numerators: only the literals of a CLI document and the traced
+    # `kernel_basis` build a matrix from Q(i) entries, only `ExactMatrix`,
+    # a map's rows and `scalars` itself clear Q(i) values to pairs, and a
+    # form has one constructor, from its numerators, with no back door
+    assert sorted(_call_sites("ExactMatrix")) == [
+        ("hkcurves/cli.py", "_literal_matrix"),
+        ("hkcurves/exact_algebra/linalg.py", "kernel_basis"),
+    ]
+    assert sorted(site for site in _call_sites("integer_pairs") if site[0] != "hkcurves/exact_algebra/scalars.py") == [
+        ("hkcurves/exact_algebra/linalg.py", "__init__"),
+        ("hkcurves/rational_curve.py", "_rows"),
+    ]
+    assert list(inspect.signature(HomogPoly).parameters) == ["num_vars", "degree", "terms", "den"]
+    assert list(_call_sites("__new__")) == [("hkcurves/exact_algebra/linalg.py", "from_integer_form")]
 
 
 def test_one_seeded_drawer():
