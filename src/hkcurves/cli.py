@@ -104,13 +104,19 @@ Report = Tuple[Dict[str, Any], int]
 
 
 # what a failed draw or normalization raises: the drawer's RuntimeError, a
-# rejected matrix's ValueError, a failed exact check's AssertionError
-_DRAW_FAILURES = (ValueError, AssertionError, RuntimeError)
+# rejected matrix's ValueError, a failed exact check's AssertionError, a
+# broken rank bound or split model's ArithmeticError
+_DRAW_FAILURES = (ValueError, ArithmeticError, AssertionError, RuntimeError)
 
 
-def _failed_draw(command: str, exc: Exception, **fields: Any) -> Report:
+def _batch(command: str, size: str, args: argparse.Namespace) -> Dict[str, Any]:
+    """The head of a seeded batch report: the command, its size (`r` or `d`), count and seed."""
+    return {"command": command, size: getattr(args, size), "count": args.count, "seed": args.seed}
+
+
+def _failed_draw(head: Dict[str, Any], exc: Exception) -> Report:
     """The report of a command that stops at a failed draw: exit 1."""
-    return {"command": command, **fields, "error": str(exc), "passed": False}, EXIT_FAIL
+    return {**head, "error": str(exc), "passed": False}, EXIT_FAIL
 
 
 def _stderr(message: str) -> None:
@@ -251,14 +257,7 @@ def cmd_kronecker(args: argparse.Namespace) -> Report:
 
     results = [work(index) for index in range(args.count)]
     passed = all(e["ok"] for e in results)
-    doc = {
-        "command": "kronecker",
-        "r": args.r,
-        "count": args.count,
-        "seed": args.seed,
-        "results": results,
-        "passed": passed,
-    }
+    doc = {**_batch("kronecker", "r", args), "results": results, "passed": passed}
     return doc, EXIT_PASS if passed else EXIT_FAIL
 
 
@@ -284,6 +283,12 @@ def _table_rows(table) -> List[Dict[str, int]]:
     ]
 
 
+def _cohomology_window(curve: ACMCurve) -> Tuple[Any, bool]:
+    """The ideal cohomology table over twists r-3 .. r+1 and Ellia's stability verdict."""
+    r = curve.matrix.r
+    return cohomology_table(curve, r - 3, r + 1), bool(ellia_stability_check(curve))
+
+
 def _verify_stages(
     curve: ACMCurve, seed: int, num_fibers: int
 ) -> List[Dict[str, Any]]:
@@ -301,16 +306,8 @@ def _verify_stages(
         return stages
 
     t0 = time.perf_counter()
-    table = cohomology_table(curve, r - 3, r + 1)
-    ellia = ellia_stability_check(curve)
-    stages.append(
-        {
-            "stage": "cohomology",
-            "ok": bool(ellia),
-            "table": _table_rows(table),
-            "ellia_stable": bool(ellia),
-        }
-    )
+    table, ellia = _cohomology_window(curve)
+    stages.append({"stage": "cohomology", "ok": ellia, "table": _table_rows(table), "ellia_stable": ellia})
     _timing("cohomology", t0)
 
     t0 = time.perf_counter()
@@ -373,35 +370,29 @@ def cmd_acm_verify(args: argparse.Namespace) -> Report:
 
 
 def cmd_acm_random(args: argparse.Namespace) -> Report:
-    def work(index: int) -> Optional[ACMCurve]:
-        try:
-            return random_sigma_curve(args.r, args.seed * args.count + index)
-        except (ValueError, RuntimeError):
-            return None
-
-    curves = [work(index) for index in range(args.count)]
     args.out.mkdir(parents=True, exist_ok=True)
     written = []
-    for index, curve in enumerate(curves):
-        if curve is None:
+    for index in range(args.count):
+        try:
+            curve = random_sigma_curve(args.r, args.seed * args.count + index)
+        except _DRAW_FAILURES:
             _stderr(f"warning: no certified curve at index {index}; skipped")
             continue
         name = f"curve_r{args.r}_s{args.seed}_{index:03d}.json"
         doc = curve_to_document(curve, metadata={"seed": args.seed, "index": index})
         (args.out / name).write_text(json.dumps(doc, indent=2) + "\n")
         written.append(name)
-    summary = {
-        "command": "acm random",
-        "r": args.r,
-        "count": args.count,
-        "seed": args.seed,
-        "written": written,
-    }
+    summary = {**_batch("acm random", "r", args), "written": written}
     return summary, EXIT_PASS if len(written) == args.count else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------
 # rational
+
+
+def _splitting_fields(splitting) -> Dict[str, Any]:
+    """The report fields of a normal-bundle splitting O(a) + O(b)."""
+    return {"a": splitting.a, "b": splitting.b, "stable": stability_check(splitting)}
 
 
 def cmd_rational(args: argparse.Namespace) -> Report:
@@ -425,9 +416,7 @@ def cmd_rational(args: argparse.Namespace) -> Report:
             doc["passed"] = False
             return doc, EXIT_INVALID
         splitting = normal_splitting_type(rmap)
-        doc["a"] = splitting.a
-        doc["b"] = splitting.b
-        doc["stable"] = stability_check(splitting)
+        doc.update(_splitting_fields(splitting))
         doc["riemann_roch"] = riemann_roch_consistent(rmap, splitting)
         doc["passed"] = bool(doc["riemann_roch"])
         return doc, EXIT_PASS if doc["passed"] else EXIT_FAIL
@@ -440,13 +429,11 @@ def cmd_rational(args: argparse.Namespace) -> Report:
         try:
             rmap = random_rational_map(args.d, args.seed * args.count + index)
             splitting = normal_splitting_type(rmap)
-        except (ValueError, ArithmeticError, RuntimeError) as exc:
+        except _DRAW_FAILURES as exc:
             entry["error"] = str(exc)
             entry["ok"] = False
             return entry
-        entry["a"] = splitting.a
-        entry["b"] = splitting.b
-        entry["stable"] = stability_check(splitting)
+        entry.update(_splitting_fields(splitting))
         entry["sum_ok"] = splitting.a + splitting.b == 4 * args.d - 2
         entry["ok"] = entry["sum_ok"]
         return entry
@@ -460,10 +447,7 @@ def cmd_rational(args: argparse.Namespace) -> Report:
     passed = all(e["ok"] for e in results)
     stable_count = sum(1 for e in results if e.get("stable"))
     doc = {
-        "command": "rational",
-        "d": args.d,
-        "count": args.count,
-        "seed": args.seed,
+        **_batch("rational", "d", args),
         "results": results,
         "histogram": {k: histogram[k] for k in sorted(histogram)},
         "stable_fraction": stable_count / max(1, args.count),
@@ -482,10 +466,7 @@ def cmd_metric(args: argparse.Namespace) -> Report:
             return extract_metric(curve)
         except (ArithmeticError, np.linalg.LinAlgError) as exc:
             bundle = {
-                "command": "metric",
-                "r": args.r,
-                "count": args.count,
-                "seed": args.seed,
+                **_batch("metric", "r", args),
                 "index": index,
                 "skip_sigma_gauge": args.skip_sigma_gauge,
                 "chart": {
@@ -496,15 +477,13 @@ def cmd_metric(args: argparse.Namespace) -> Report:
             }
             raise NumericFailure(str(exc), bundle) from exc
 
+    head = {**_batch("metric", "r", args), "skip_sigma_gauge": args.skip_sigma_gauge}
     frames = []
     for index in range(args.count):
         try:
             curve = scan_chart(args.r, args.seed, args.count, index, args.skip_sigma_gauge)
         except _DRAW_FAILURES as exc:
-            return _failed_draw(
-                "metric", exc, r=args.r, count=args.count, seed=args.seed,
-                skip_sigma_gauge=args.skip_sigma_gauge, index=index,
-            )
+            return _failed_draw({**head, "index": index}, exc)
         frames.append(extract(index, curve))
     report = frames_report(args.r, frames, args.skip_sigma_gauge)
     if args.out is not None:
@@ -512,11 +491,7 @@ def cmd_metric(args: argparse.Namespace) -> Report:
         for index, frame in enumerate(frames):
             _write_gram_csv(args.out / f"gram_point_{index:02d}.csv", frame.gram)
     doc = {
-        "command": "metric",
-        "r": args.r,
-        "count": args.count,
-        "seed": args.seed,
-        "skip_sigma_gauge": args.skip_sigma_gauge,
+        **head,
         "signatures": [list(s) for s in report.signatures],
         "signature_constant": report.signature_constant,
         "max_relative_deviation": float(report.max_relative_deviation),
@@ -542,7 +517,7 @@ def cmd_cohomology_table(args: argparse.Namespace) -> Report:
         try:
             curve = random_sigma_curve(args.r, args.seed)
         except _DRAW_FAILURES as exc:
-            return _failed_draw("cohomology table", exc, input=source, r=args.r)
+            return _failed_draw({"command": "cohomology table", "input": source, "r": args.r}, exc)
     r = curve.matrix.r
     cert = _certificate_stage(curve)
     if not cert["ok"]:
@@ -556,8 +531,7 @@ def cmd_cohomology_table(args: argparse.Namespace) -> Report:
             "passed": False,
         }
         return doc, EXIT_FAIL
-    table = cohomology_table(curve, r - 3, r + 1)
-    ellia = ellia_stability_check(curve)
+    table, ellia = _cohomology_window(curve)
     doc = {
         "command": "cohomology table",
         "input": source,
@@ -565,8 +539,8 @@ def cmd_cohomology_table(args: argparse.Namespace) -> Report:
         "kmin": table.kmin,
         "kmax": table.kmax,
         "rows": _table_rows(table),
-        "ellia_stable": bool(ellia),
-        "passed": bool(ellia),
+        "ellia_stable": ellia,
+        "passed": ellia,
     }
     return doc, EXIT_PASS if ellia else EXIT_FAIL
 
@@ -616,7 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_kron.add_argument("--count", type=positive_int, default=10)
     p_kron.add_argument("--seed", type=int, default=0)
     p_kron.add_argument("--out", type=out_dir, default=None)
-    p_kron.set_defaults(func=cmd_kronecker, report="kronecker_report.json", label="kronecker")
+    p_kron.set_defaults(func=cmd_kronecker, report="kronecker_report.json")
 
     p_acm = sub.add_parser("acm", help="determinantal curve commands")
     acm_sub = p_acm.add_subparsers(dest="acm_command", required=True)
@@ -627,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--fibers", type=at_most(MAX_FIBERS), default=5)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--out", type=out_dir, default=None)
-    p_verify.set_defaults(func=cmd_acm_verify, report="acm_verify_report.json", label="acm verify")
+    p_verify.set_defaults(func=cmd_acm_verify, report="acm_verify_report.json")
 
     p_random = acm_sub.add_parser("random", help="write certified curve documents")
     p_random.add_argument("--r", type=at_most(MAX_DOCUMENT_R), required=True)
@@ -635,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_random.add_argument("--seed", type=int, default=0)
     p_random.add_argument("--out", type=out_dir, required=True)
     # --out holds the curve documents, so the summary is not written there
-    p_random.set_defaults(func=cmd_acm_random, report=None, label="acm random")
+    p_random.set_defaults(func=cmd_acm_random, report=None)
 
     p_rat = sub.add_parser("rational", help="splitting types of rational maps")
     p_rat.add_argument("--d", type=at_most(MAX_MAP_DEGREE), default=None)
@@ -643,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rat.add_argument("--seed", type=int, default=0)
     p_rat.add_argument("--map", default=None, help="explicit map document (JSON)")
     p_rat.add_argument("--out", type=out_dir, default=None)
-    p_rat.set_defaults(func=cmd_rational, report="rational_report.json", label="rational")
+    p_rat.set_defaults(func=cmd_rational, report="rational_report.json")
 
     p_metric = sub.add_parser("metric", help="metric constancy scan")
     p_metric.add_argument("--r", type=at_most(MAX_METRIC_R), required=True)
@@ -651,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_metric.add_argument("--seed", type=int, default=0)
     p_metric.add_argument("--skip-sigma-gauge", action="store_true")
     p_metric.add_argument("--out", type=out_dir, default=None)
-    p_metric.set_defaults(func=cmd_metric, report="metric_report.json", label="metric")
+    p_metric.set_defaults(func=cmd_metric, report="metric_report.json")
 
     p_coh = sub.add_parser("cohomology", help="cohomology commands")
     coh_sub = p_coh.add_subparsers(dest="cohomology_command", required=True)
@@ -660,7 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--curve", default=None, help="curve document (JSON)")
     p_table.add_argument("--seed", type=int, default=0)
     p_table.add_argument("--out", type=out_dir, default=None)
-    p_table.set_defaults(func=cmd_cohomology_table, report="cohomology_table.json", label="cohomology table")
+    p_table.set_defaults(func=cmd_cohomology_table, report="cohomology_table.json")
 
     return parser
 
@@ -682,7 +656,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         _emit_json(exc.bundle, args.out, "reproduction_bundle.json")
         return EXIT_NUMERIC
     _emit_json(doc, args.out, args.report)
-    _timing(args.label, t0)
+    _timing(doc["command"], t0)
     return code
 
 

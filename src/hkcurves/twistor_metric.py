@@ -369,12 +369,17 @@ def scan_chart(
     return drawn
 
 
-# the largest relative deviation of a chart's gram from the mean that passes
+# the largest relative deviation of a chart's gram from the mean, and the
+# largest quaternionic residual of a frame, that pass
 _DEVIATION_TOL = 1e-6
 
 
 def frames_report(r: int, frames: Sequence[HKFrame], skip_sigma_gauge: bool) -> MetricReport:
-    """Constancy verdict over already extracted frames."""
+    """Verdict over already extracted frames: it passes when every gram
+    lies within `_DEVIATION_TOL` of the mean gram, relative to the mean's
+    largest entry (or 1), all frames share one signature, and every frame's
+    quaternionic residual is below `_DEVIATION_TOL`.  With one frame
+    constancy cannot fail, so a raw-gauge chart fails on its residuals."""
     grams = [frame.gram for frame in frames]
     signatures = [frame.signature for frame in frames]
     fit_res = max(frame.fit_residual for frame in frames)
@@ -393,7 +398,7 @@ def frames_report(r: int, frames: Sequence[HKFrame], skip_sigma_gauge: bool) -> 
         max_fit_residual=fit_res,
         max_quaternion_residual=quat_res,
         signature_constant=sig_const,
-        passed=deviation < _DEVIATION_TOL and sig_const,
+        passed=deviation < _DEVIATION_TOL and sig_const and quat_res < _DEVIATION_TOL,
     )
 
 

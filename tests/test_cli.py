@@ -475,8 +475,15 @@ def _failing_first_draw(monkeypatch, name, exc):
     monkeypatch.setattr(cli, name, draw)
 
 
-def test_kronecker_draw_failure_is_an_item_error(capsys, monkeypatch):
-    failure = RuntimeError("no injective pencil after 64 draws (r=2, seed=0)")
+@pytest.mark.parametrize(
+    "failure",
+    [
+        RuntimeError("no injective pencil after 64 draws (r=2, seed=0)"),
+        ArithmeticError("rank 3 exceeds certified bound 2"),
+    ],
+    ids=["draw", "arith"],
+)
+def test_kronecker_draw_failure_is_an_item_error(failure, capsys, monkeypatch):
     _failing_first_draw(monkeypatch, "random_injective_pencil", failure)
     code, out = run(capsys, ["kronecker", "--r", "2", "--count", "2", "--seed", "0"])
     assert code == 1
@@ -492,8 +499,16 @@ def test_kronecker_draw_failure_is_an_item_error(capsys, monkeypatch):
     assert doc["results"][1]["ok"] is True
 
 
-def test_acm_random_draw_failure_is_an_item_error(tmp_path, capsys, monkeypatch):
-    failure = RuntimeError("no certified curve after 64 draws (r=2, seed=0)")
+@pytest.mark.parametrize(
+    "failure",
+    [
+        RuntimeError("no certified curve after 64 draws (r=2, seed=0)"),
+        AssertionError("the flat chart does not give back the drawn curve"),
+        ArithmeticError("Euler characteristic mismatch at twist 1"),
+    ],
+    ids=["draw", "check", "arith"],
+)
+def test_acm_random_draw_failure_is_an_item_error(failure, tmp_path, capsys, monkeypatch):
     _failing_first_draw(monkeypatch, "random_sigma_curve", failure)
     out_dir = tmp_path / "curves"
     code, out = run(
@@ -504,8 +519,15 @@ def test_acm_random_draw_failure_is_an_item_error(tmp_path, capsys, monkeypatch)
     assert json.loads(out)["written"] == ["curve_r2_s0_001.json"]
 
 
-def test_rational_draw_failure_is_an_item_error(capsys, monkeypatch):
-    failure = RuntimeError("no valid map after 64 draws (d=3, seed=0)")
+@pytest.mark.parametrize(
+    "failure",
+    [
+        RuntimeError("no valid map after 64 draws (d=3, seed=0)"),
+        AssertionError("a failed exact check"),
+    ],
+    ids=["draw", "check"],
+)
+def test_rational_draw_failure_is_an_item_error(failure, capsys, monkeypatch):
     _failing_first_draw(monkeypatch, "random_rational_map", failure)
     code, out = run(capsys, ["rational", "--d", "3", "--count", "2", "--seed", "0"])
     assert code == 1
@@ -523,8 +545,9 @@ def test_rational_draw_failure_is_an_item_error(capsys, monkeypatch):
         RuntimeError("no certified curve after 64 draws (r=1, seed=1)"),
         ValueError("not a flat chart"),
         AssertionError("the flat chart does not give back the drawn curve"),
+        ArithmeticError("rank 3 exceeds certified bound 2"),
     ],
-    ids=["draw", "value", "check"],
+    ids=["draw", "value", "check", "arith"],
 )
 def test_metric_draw_failure_reports_its_index(failure, capsys, monkeypatch):
     real = cli.scan_chart
@@ -549,8 +572,15 @@ def test_metric_draw_failure_reports_its_index(failure, capsys, monkeypatch):
     }
 
 
-def test_cohomology_table_draw_failure_is_reported(capsys, monkeypatch):
-    failure = RuntimeError("no certified curve after 64 draws (r=2, seed=0)")
+@pytest.mark.parametrize(
+    "failure",
+    [
+        RuntimeError("no certified curve after 64 draws (r=2, seed=0)"),
+        ArithmeticError("Euler characteristic mismatch at twist 1"),
+    ],
+    ids=["draw", "arith"],
+)
+def test_cohomology_table_draw_failure_is_reported(failure, capsys, monkeypatch):
     _failing_first_draw(monkeypatch, "random_sigma_curve", failure)
     code, out = run(capsys, ["cohomology", "table", "--r", "2", "--seed", "0"])
     assert code == 1

@@ -198,6 +198,22 @@ def test_one_validation_per_map():
     assert list(_call_sites("validate_map")) == [("hkcurves/rational_curve.py", "validation")]
 
 
+def test_one_draw_failure_tuple():
+    # every CLI command catches a failed draw by `_DRAW_FAILURES`, so the
+    # drawers' RuntimeError is named in cli.py there and nowhere else
+    tree = ast.parse((SRC / "hkcurves" / "cli.py").read_text())
+    (tuple_,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "_DRAW_FAILURES"
+    ]
+
+    def named(root):
+        return [node for node in ast.walk(root) if getattr(node, "id", None) == "RuntimeError"]
+
+    assert len(named(tree)) == len(named(tuple_)) == 1
+
+
 def test_optimized_run_matches(tmp_path):
     # seeded slices under python -O must behave exactly as without them,
     # the resolution certificate and the cohomology table included, and so

@@ -625,6 +625,15 @@ def test_flatness_scan_control_fails_without_normalization():
     assert not report.passed
 
 
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_single_chart_control_fails_on_its_quaternion_residuals(r):
+    # one chart is constant by itself, so the raw gauge must fail on its residuals
+    report = flatness_scan(r, num_points=1, seed=0, skip_sigma_gauge=True)
+    assert report.max_relative_deviation == 0.0 and report.signature_constant
+    assert report.max_quaternion_residual > 1e-6
+    assert not report.passed
+
+
 def test_random_scrambled_curve_is_deterministic():
     a = random_scrambled_curve(2, 11)
     b = random_scrambled_curve(2, 11)
