@@ -257,7 +257,11 @@ def cmd_kronecker(args: argparse.Namespace) -> Report:
 
     results = [work(index) for index in range(args.count)]
     passed = all(e["ok"] for e in results)
-    doc = {**_batch("kronecker", "r", args), "results": results, "passed": passed}
+    doc = {
+        **_batch("kronecker", "r", args),
+        "results": results,
+        "passed": passed,
+    }
     return doc, EXIT_PASS if passed else EXIT_FAIL
 
 
@@ -307,7 +311,14 @@ def _verify_stages(
 
     t0 = time.perf_counter()
     table, ellia = _cohomology_window(curve)
-    stages.append({"stage": "cohomology", "ok": ellia, "table": _table_rows(table), "ellia_stable": ellia})
+    stages.append(
+        {
+            "stage": "cohomology",
+            "ok": ellia,
+            "table": _table_rows(table),
+            "ellia_stable": ellia,
+        }
+    )
     _timing("cohomology", t0)
 
     t0 = time.perf_counter()
@@ -518,14 +529,12 @@ def cmd_cohomology_table(args: argparse.Namespace) -> Report:
             curve = random_sigma_curve(args.r, args.seed)
         except _DRAW_FAILURES as exc:
             return _failed_draw({"command": "cohomology table", "input": source, "r": args.r}, exc)
-    r = curve.matrix.r
+    head = {"command": "cohomology table", "input": source, "r": curve.matrix.r}
     cert = _certificate_stage(curve)
     if not cert["ok"]:
         # the table is read off the certified resolution
         doc = {
-            "command": "cohomology table",
-            "input": source,
-            "r": r,
+            **head,
             "stages": [cert],
             "failed_stage": cert["stage"],
             "passed": False,
@@ -533,9 +542,7 @@ def cmd_cohomology_table(args: argparse.Namespace) -> Report:
         return doc, EXIT_FAIL
     table, ellia = _cohomology_window(curve)
     doc = {
-        "command": "cohomology table",
-        "input": source,
-        "r": r,
+        **head,
         "kmin": table.kmin,
         "kmax": table.kmax,
         "rows": _table_rows(table),

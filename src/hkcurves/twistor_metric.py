@@ -409,8 +409,9 @@ def flatness_scan(r: int, num_points: int, seed: int, skip_sigma_gauge: bool = F
     path normalizes to the flat chart first, so every sample reports in
     one coordinate system and the constancy of the metric is the
     verification target.  Skipping the normalization reads each sample
-    in its own gauge, which must break constancy; that failure is the
-    control that the test can fail at all.
+    in its own gauge, which must fail the verdict: on several charts
+    constancy breaks, and on one chart the quaternionic residuals do.
+    That failure is the control that the test can fail at all.
     """
     frames = [
         extract_metric(scan_chart(r, seed, num_points, k, skip_sigma_gauge))

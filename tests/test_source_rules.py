@@ -213,6 +213,20 @@ def test_one_draw_failure_tuple():
 
     assert len(named(tree)) == len(named(tuple_)) == 1
 
+    # and every drawer call sits in a try whose every handler is that tuple
+    drawers = {"random_injective_pencil", "random_sigma_curve", "random_rational_map", "scan_chart"}
+    guarded = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Try):
+            if all(getattr(h.type, "id", None) == "_DRAW_FAILURES" for h in node.handlers):
+                guarded.extend(id(call) for stmt in node.body for call in ast.walk(stmt))
+    calls = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in drawers
+    ]
+    assert len(calls) == 5
+    assert all(id(call) in guarded for call in calls)
+
 
 def test_optimized_run_matches(tmp_path):
     # seeded slices under python -O must behave exactly as without them,
