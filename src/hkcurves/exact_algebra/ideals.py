@@ -22,7 +22,14 @@ its content does not compound along a reduction chain.
 A graded level I_k is spanned by the monomial shifts of the reduced
 generators.  `certified_rank` is the one rank sandwich: rank mod p <= exact
 rank <= a proven bound, so a prime that meets the bound pins the rank, and
-exact elimination decides otherwise.  Its rows hold no denominator, so
+exact elimination decides otherwise.  It also ranks a window of column
+prefixes, each against its own bound, from one modular elimination per
+prime: pivots are taken left to right, so those below column w rank the
+prefix of width w (pivot prefixes, `modp`).  A rational map's band at its
+top twist holds each lower twist's band as such a prefix, with rows
+relabelled and zero rows added (nesting, `rational_curve`), so one
+elimination ranks a window of twists; a prefix no prime certifies is
+ranked exactly on its own columns.  Its rows hold no denominator, so
 every prime gives a matrix; one that loses rank mod p only misses the bound.
 Every modular shortcut of the package is a rank through it: graded levels,
 the base-line matrix T of pencil injectivity, the pencil stabilizer and the
@@ -31,6 +38,7 @@ band matrices of rational maps.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from math import gcd
 from operator import add
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -125,9 +133,10 @@ def sparse_echelon(rows: Iterable[Row], target: Optional[int] = None) -> List[Ro
 def certified_rank(
     rows: Sequence[Row] | Callable[[], Sequence[Row]],
     ncols: int,
-    bound: Optional[int],
+    bound: Optional[int] | Sequence[int],
     level: Optional[Callable[[int, int], modp.Level]] = None,
-) -> int:
+    widths: Optional[Sequence[int]] = None,
+) -> int | List[int]:
     """Rank of Gaussian-integer rows with `ncols` columns, given `bound`, a
     proven upper bound on it, or None.
 
@@ -143,11 +152,25 @@ def certified_rank(
     and `modp.rank_mod` do passes `level`, a `modp.sparse_rank_certificate`
     level of the same rank mod p as the rows; `rows` may then be a function
     that builds them, called only when no prime meets the bound.
+
+    With `widths`, `bound` holds one proven bound per column prefix (the
+    columns below w, w in `widths`), and the result is one rank per prefix.
+    `sparse_rank_certificate` certifies them all from one elimination per
+    prime, since its pivots below w rank the prefix of width w (pivot
+    prefixes, see `modp`); a prefix no prime certifies is ranked exactly on
+    its own columns, against its own bound.
     """
     level = level or (lambda p, s: modp.rows_mod(rows, ncols, p, s))
-    if bound is not None and sparse_rank_certificate(bound, level):
-        return bound
-    return len(sparse_echelon(rows() if callable(rows) else rows, bound))
+    if widths is None:
+        if bound is not None and sparse_rank_certificate(bound, level):
+            return bound
+        return len(sparse_echelon(rows() if callable(rows) else rows, bound))
+    met = sparse_rank_certificate(bound, level, widths)
+    exact = [] if met else rows() if callable(rows) else rows
+    return [
+        b if ok else len(sparse_echelon([row[: bisect_left(row, (w,))] for row in exact], b))
+        for w, b, ok in zip(widths, bound, met)
+    ]
 
 
 def reduced_echelon(echelon: Sequence[Row]) -> Dict[int, Row]:

@@ -20,12 +20,27 @@ The rank kernel `_eliminate` takes two pivot columns per round wherever
 their top 2 x 2 block is invertible mod p, and one otherwise, with the
 pivots of one-column elimination either way; the int64 entries are
 reduced once per `budget(p)` products, a two-column round counting two.
+
+Windows of prefixes rest on two facts.  Pivot prefixes: `_eliminate`
+takes the first columns that are independent mod p, and its two-column
+steps take the same pivots as one-column steps, so the number of its
+pivots below column w is rank_p(M[:, :w]) for every w.  One elimination
+therefore ranks every column prefix of a matrix, and
+`sparse_rank_certificate` certifies a window of prefixes, each against its
+own bound, from one elimination per prime.  Nesting: in the band matrix of
+a rational map at twist T (`rational_curve._FormRows.ranks`), the columns
+of coefficient index k <= col_degree_m(c) are s^(T-m) times the columns at
+twist m <= T; multiplication by s^(T-m) commutes with the band map and is
+injective on coefficient vectors, so they are the twist-m matrix with its
+rows relabelled and zero rows added, of the same rank over Q(i) and mod p.
+Ordered by (k - col_degree_T(c), c), the lower twists are column prefixes.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from math import gcd
-from typing import Callable, List, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -219,7 +234,19 @@ def kernel_mod(matrix: np.ndarray, p: int) -> np.ndarray:
 Level = Union[np.ndarray, Tuple[int, np.ndarray]]
 
 
-def sparse_rank_certificate(upper_bound: int, level: Callable[[int, int], Level]) -> bool:
+class Verdicts(tuple):
+    """One verdict per column prefix; true when every prefix is certified,
+    as a single verdict is."""
+
+    def __bool__(self) -> bool:
+        return all(self)
+
+
+def sparse_rank_certificate(
+    upper_bound: int | Sequence[int],
+    level: Callable[[int, int], Level],
+    widths: Optional[Sequence[int]] = None,
+) -> Union[bool, Verdicts]:
     """True iff some prime exhibits rank == upper_bound (then exact rank == bound).
 
     `level(p, s)` returns the matrix reduced at p, whose rank mod p is
@@ -229,16 +256,36 @@ def sparse_rank_certificate(upper_bound: int, level: Callable[[int, int], Level]
     above it proves the bound false: that raises ArithmeticError.  False
     means no tried prime reached the bound; the exact rank may still equal
     it, so the caller must recheck exactly before concluding anything.
+
+    With `widths`, `upper_bound` holds one bound per column prefix
+    M[:, :w], w in `widths`, of the matrix that `level` returns (a matrix,
+    not a pair), and the result is the `Verdicts` of the prefixes.  Each
+    prime runs one `_eliminate`, whose pivots below w number rank_p(M[:, :w])
+    (pivot prefixes, see the module docstring), until every prefix has met
+    its bound at some prime.  It stops one pivot past the largest bound
+    still open: a prefix it did not reach holds that many pivots, more than
+    its bound.
     """
+    bounds = [upper_bound] if widths is None else list(upper_bound)
+    met = [False] * len(bounds)
     for p, s in PRIMES:
         found = level(p, s)
         known, rest = found if isinstance(found, tuple) else (0, found)
-        rank = known + rank_mod(rest, p, upper_bound + 1 - known)
-        if rank > upper_bound:
-            raise ArithmeticError(f"rank {rank} mod p exceeds certified bound {upper_bound}")
-        if rank == upper_bound:
-            return True
-    return False
+        stop = max(b for b, ok in zip(bounds, met) if not ok) + 1 - known
+        if widths is None:
+            ranks = [known + rank_mod(rest, p, stop)]
+        else:
+            pivots = _eliminate(rest, p, stop)
+            ranks = [bisect_left(pivots, w) for w in widths]
+        for j, (rank, bound) in enumerate(zip(ranks, bounds)):
+            if met[j]:
+                continue
+            if rank > bound:
+                raise ArithmeticError(f"rank {rank} mod p exceeds certified bound {bound}")
+            met[j] = rank == bound
+        if all(met):
+            break
+    return met[0] if widths is None else Verdicts(met)
 
 
 def crt_lift(run: Callable[[int | None], np.ndarray], bound: int) -> np.ndarray:

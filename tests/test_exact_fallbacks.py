@@ -24,14 +24,16 @@ from hkcurves.exact_algebra.scalars import ONE, ZERO, GaussianRational
 from hkcurves.pencil import canonical_pair, is_injective_pencil, pair_stabilizer_dimension, random_injective_pencil
 from hkcurves.rational_curve import (
     RationalCurveMap,
+    conormal_counts,
     normal_splitting_type,
+    normal_twisted_counts,
     random_rational_map,
     riemann_roch_consistent,
     twisted_cubic_map,
     validate_map,
 )
 from suites import mat_scale, splitting_pair
-from test_rational_curve import BASE_POINT_MAP, CUSP_MAP, STANDARD_CONIC
+from test_rational_curve import BASE_POINT_MAP, CUSP_MAP, STANDARD_CONIC, UNBALANCED_QUARTIC, UNBALANCED_SEXTIC
 
 
 def no_primes(monkeypatch):
@@ -256,6 +258,67 @@ def test_rational_curve_without_primes(monkeypatch):
         assert len(exact_ranks) == expected == 70, mode
         assert [validate_map(RationalCurveMap(m.forms)) for m in flawed_maps] == flawed, mode
     assert default[-3:] == [((2, 4), True)] * 3 and flawed[0].witness is not None
+
+
+CONORMAL_BLOCKS = [[4, 5, 6, 7], [8, 9, 10, 11]]
+NORMAL_BLOCKS = [[a, 4 + a, 8 + a] for a in range(4)]
+
+
+def _per_twist_counts(rmap):
+    """Conormal counts at twists d..2d-1 and normal counts at twists 0..2,
+    each from its own band in block order (`_FormRows.rank`)."""
+    d, rows = rmap.degree, rmap._rows
+    conormal = [
+        4 * (m - d + 1) - rows.rank(CONORMAL_BLOCKS, [m - d] * 4, min(2 * m, 4 * (m - d + 1)))
+        for m in range(d, 2 * d)
+    ]
+    normal = [
+        4 * (m + d + 1) - rows.rank(NORMAL_BLOCKS, [m, m + 1, m + 1], min(4 * (m + d + 1), 2 * m + 4))
+        for m in range(3)
+    ]
+    return conormal, normal
+
+
+def _window_counts(rmap):
+    d = rmap.degree
+    return conormal_counts(rmap, range(d, 2 * d)), normal_twisted_counts(rmap, range(3))
+
+
+def test_window_counts_equal_per_twist_counts(monkeypatch):
+    # one band at the top twist ranks every lower twist as a column prefix,
+    # through a prime or the exact echelon of the prefix alike
+    fixtures = [UNBALANCED_QUARTIC, UNBALANCED_SEXTIC, STANDARD_CONIC]
+    maps = fixtures + [random_rational_map(d, seed) for d in range(1, 9) for seed in range(6)]
+    default = [_per_twist_counts(rmap) for rmap in maps]
+    assert [_window_counts(RationalCurveMap(m.forms)) for m in maps] == default
+    # the fixtures' conormal profiles at twists d..2d-1 for (6, 8), (9, 13), (2, 4)
+    assert [conormal for conormal, _ in default[:3]] == [[0, 0, 1, 2], [0, 0, 0, 1, 2, 3], [1, 2]]
+    for mode in no_primes(monkeypatch):
+        fresh = [RationalCurveMap(m.forms) for m in maps]
+        assert [_window_counts(rmap) for rmap in fresh] == default, mode
+        assert [_per_twist_counts(rmap) for rmap in fresh] == default, mode
+
+
+@pytest.mark.parametrize("d", [2, 4, 5])
+def test_a_window_prefix_under_its_rank_raises(d):
+    # each prefix of a window against its true rank, then with one bound
+    # lowered by one: the prime that meets the true rank exceeds it
+    rmap = random_rational_map(d, 3)
+    rows, top = rmap._rows, 2 * d - 1
+    twists = range(d, top + 1)
+    shifts = [top - m for m in twists]
+    conormal = [4 * (m - d + 1) - n for m, n in zip(twists, conormal_counts(rmap, twists))]
+    normal = [4 * (m + d + 1) - n for m, n in zip(range(3), normal_twisted_counts(rmap, range(3)))]
+    windows = [
+        (CONORMAL_BLOCKS, [top - d] * 4, shifts, conormal, True),
+        (NORMAL_BLOCKS, [2, 3, 3], [2, 1, 0], normal, False),
+    ]
+    for blocks, col_degrees, shifts, ranks, interleave in windows:
+        assert rows.ranks(blocks, col_degrees, shifts, ranks, interleave) == ranks
+        for j in range(len(ranks)):
+            lowered = [r - (i == j) for i, r in enumerate(ranks)]
+            with pytest.raises(ArithmeticError, match=f"exceeds certified bound {ranks[j] - 1}"):
+                rows.ranks(blocks, col_degrees, shifts, lowered, interleave)
 
 
 def test_cohomology_table_without_primes(monkeypatch):

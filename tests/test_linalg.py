@@ -206,6 +206,32 @@ def test_sparse_rank_certificate_hits_true_rank():
     assert not sparse_rank_certificate(exact + 1, level)
 
 
+def test_sparse_rank_certificate_of_column_prefixes():
+    # column 1 is twice column 0 and column 3 is column 0 plus column 2, so
+    # the prefix ranks are 1, 1, 2, 2, 3 at widths 1..5
+    dense = [[1, 2, 1j, 1 + 1j, 0], [2, 4, 3, 5, 1], [1j, 2j, 1, 1 + 1j, 2], [0, 0, 1, 1, 0]]
+    dense = [[(int(complex(v).real), int(complex(v).imag)) for v in row] for row in dense]
+    rows = [[(c, a, b) for c, (a, b) in enumerate(row) if a or b] for row in dense]
+    matrix = ExactMatrix([[GaussianRational(a, b) for a, b in row] for row in dense])
+    widths, ranks = [1, 2, 3, 4, 5], [1, 1, 2, 2, 3]
+    assert [ExactMatrix([row[:w] for row in matrix.data]).rank() for w in widths] == ranks
+
+    def level(p, s):
+        return rows_mod(rows, 5, p, s)
+
+    verdicts = sparse_rank_certificate(ranks, level, widths)
+    assert list(verdicts) == [True] * 5 and verdicts
+    # a bound above a prefix's rank leaves that prefix alone uncertified
+    verdicts = sparse_rank_certificate([1, 2, 2, 2, 3], level, widths)
+    assert list(verdicts) == [True, False, True, True, True] and not verdicts
+    with pytest.raises(ArithmeticError, match="rank 2 mod p exceeds certified bound 1"):
+        sparse_rank_certificate([1, 1, 2, 1, 3], level, widths)
+    # the elimination stops one pivot past the largest bound, so a prefix it
+    # does not reach holds more pivots than its bound
+    with pytest.raises(ArithmeticError, match="rank 2 mod p exceeds certified bound 1"):
+        sparse_rank_certificate([1, 1], level, [1, 5])
+
+
 def test_copy_and_pickle_round_trips():
     rng = random.Random(4)
     a, b = _random_matrix(rng, 3, 4), _random_matrix(rng, 4, 2)

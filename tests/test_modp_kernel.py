@@ -261,9 +261,11 @@ def test_block_steps_fill_the_budget_near_2_31():
 
 def _split_bands(seed):
     """The band matrices `normal_splitting_type` and
-    `riemann_roch_consistent` certify for one degree-5 map, and its conormal
-    bands at every twist from d to 2d + 1 (the split ranks two of them; the
-    others are taller), scattered through `_band_layout` at every prime."""
+    `riemann_roch_consistent` certify for one degree-5 map (the two of
+    `validate_map` and two windows), its conormal bands at every twist from
+    d to 2d + 1 (the split's window is the one at 2d - 1; the others are
+    taller), and the conormal window of all these twists, scattered through
+    `_band_layout` at every prime."""
     seen = []
     level = rational_curve._FormRows.level
 
@@ -277,6 +279,7 @@ def _split_bands(seed):
         rational_curve.riemann_roch_consistent(curve_map, rational_curve.normal_splitting_type(curve_map))
         for m in range(5, 12):
             rational_curve.conormal_sections(curve_map, m)
+        rational_curve.conormal_counts(curve_map, range(5, 12))
     for rows, ((nrows, ncols), r, c, src) in seen:
         for p, s in modp.PRIMES:
             out = np.zeros((nrows, ncols), dtype=np.int64)
@@ -292,6 +295,31 @@ def test_block_step_on_rational_split_bands(monkeypatch, cut):
     assert len(bands) >= 12 * len(modp.PRIMES)
     for m, p in bands:
         _check(m, p)
+
+
+def _prefix_cases(p, seed):
+    """Random matrices, one with every column independent, and matrices of
+    low rank with zero and repeated rows and columns."""
+    rng = np.random.default_rng(seed)
+    yield rng.integers(0, p, (9, 14))
+    yield rng.integers(0, p, (14, 9))
+    for nrows, ncols, rank in ((12, 9, 4), (20, 24, 9), (24, 20, 13), (30, 30, 30)):
+        yield _planted(rng, p, nrows, ncols, rank)
+
+
+@pytest.mark.parametrize("cut", [None, 1, 2, 3])
+def test_pivots_below_each_column_rank_its_prefix(monkeypatch, cut):
+    # pivots are the first columns independent mod p, one- and two-column
+    # steps alike, so those below w number rank_p(M[:, :w]): the fact that
+    # lets one elimination rank a whole window of twists
+    cases = [(m, p) for index, (p, _) in enumerate(modp.PRIMES) for m in _prefix_cases(p, 7 * index + 3)]
+    cases += list(_split_bands(1002))
+    if cut is not None:
+        monkeypatch.setattr(modp, "budget", lambda p: cut)
+    for m, p in cases:
+        pivots = modp._eliminate(m.copy(), p, None)
+        for w in range(m.shape[1] + 1):
+            assert sum(c < w for c in pivots) == modp.rank_mod(m[:, :w].copy(), p), (m.shape, w)
 
 
 def _is_prime(n):

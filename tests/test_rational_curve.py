@@ -96,27 +96,28 @@ def test_twisted_cubic_splitting():
 
 
 def _conormal_spy(monkeypatch, twist=None, count=None):
-    """The twists `normal_splitting_type` asks `conormal_sections` for, with
-    `count` in place of the true count at `twist`."""
-    true = rational_curve.conormal_sections
+    """The twists `normal_splitting_type` asks `conormal_counts` for, in the
+    order it reads them, with `count` in place of the true count at `twist`."""
+    true = rational_curve.conormal_counts
     asked = []
 
-    def spy(curve_map, m):
-        asked.append(m)
-        return count if m == twist else true(curve_map, m)
+    def spy(curve_map, twists):
+        asked.extend(twists)
+        return [count if m == twist else n for m, n in zip(twists, true(curve_map, twists))]
 
-    monkeypatch.setattr(rational_curve, "conormal_sections", spy)
+    monkeypatch.setattr(rational_curve, "conormal_counts", spy)
     return asked
 
 
 @pytest.mark.parametrize(
     "rmap, pair, twists",
     [
+        # twists 2d - 2 and 2d - 1 come from one window, then a - 1 on its own
         (line_map(), (1, 1), [0, 1]),  # twist 0 < d is not ranked
         (STANDARD_CONIC, (2, 4), [2, 3]),
         (twisted_cubic_map(), (5, 5), [4, 5]),
-        (UNBALANCED_QUARTIC, (6, 8), [6, 5, 7]),
-        (UNBALANCED_SEXTIC, (9, 13), [10, 8, 11]),
+        (UNBALANCED_QUARTIC, (6, 8), [6, 7, 5]),
+        (UNBALANCED_SEXTIC, (9, 13), [10, 11, 8]),
     ],
     ids=["line", "conic", "cubic", "quartic", "sextic"],
 )
@@ -158,12 +159,13 @@ def test_wrong_conormal_count_breaks_the_split(monkeypatch, rmap, twist, count, 
 
 
 def test_band_layout_cache_holds_every_shape_of_a_large_split():
-    # a degree-20 split visits 7 shapes, within the cache's 16
+    # a degree-20 split visits 4 shapes (the two bands of `validate_map`, the
+    # conormal window and the normal window), within the cache's 16
     _band_layout.cache_clear()
     for k in range(4):
         rmap = random_rational_map(20, k)
         assert riemann_roch_consistent(rmap, normal_splitting_type(rmap))
-    assert _band_layout.cache_info().misses == 7
+    assert _band_layout.cache_info().misses == 4
 
 
 def test_conic_in_moved_plane_still_unbalanced():
@@ -353,6 +355,48 @@ def test_band_layout_is_cached_read_only_and_keyed_by_lengths():
     swapped = other.band(blocks, col_degrees)
     assert swapped is not layout
     assert not all(np.array_equal(a, b) for a, b in zip(swapped[1:], layout[1:]))
+
+
+def _pairs(rows, band):
+    """The band matrix as a dense table of Gaussian-integer pairs."""
+    (nrows, ncols), row_idx, col_idx, src = band
+    dense = [[(0, 0)] * ncols for _ in range(nrows)]
+    for i, c, q in zip(row_idx.tolist(), col_idx.tolist(), src.tolist()):
+        dense[i][c] = tuple(rows.ints[q // rows.width][q % rows.width])
+    return dense
+
+
+def _nonzero_rows(dense, width):
+    return sorted(row[:width] for row in dense if any(a or b for a, b in row[:width]))
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_window_prefixes_are_the_lower_bands(d):
+    # a window band is the block-order band with its columns sorted by
+    # (k - col_degrees[c], c) and, interleaved, its rows by (t-exponent,
+    # output); its first columns are the band of each lower twist, with
+    # zero rows added and its rows relabelled
+    rows = random_rational_map(d, 5)._rows
+    windows = [
+        ([[4, 5, 6, 7], [8, 9, 10, 11]], lambda m: [m - d] * 4, range(d, 2 * d), True),
+        ([[a, 4 + a, 8 + a] for a in range(4)], lambda m: [m, m + 1, m + 1], range(3), False),
+    ]
+    for blocks, col_degrees, twists, interleave in windows:
+        top = col_degrees(twists[-1])
+        window = _pairs(rows, rows.band(blocks, top, True, interleave))
+        (nrows, ncols), *_ = reference = _ref_band(rows, blocks, top)
+        block_order = _pairs(rows, reference)
+        columns = sorted(
+            ((k - e, c), sum(top[:c]) + c + k) for c, e in enumerate(top) for k in range(e + 1)
+        )
+        height = nrows // len(blocks)
+        order = sorted(range(nrows), key=lambda r: (r % height, r // height)) if interleave else range(nrows)
+        assert window == [[block_order[r][j] for _, j in columns] for r in order]
+        for m in twists:
+            lower = _pairs(rows, rows.band(blocks, col_degrees(m), True, interleave))
+            width = len(lower[0])
+            assert width == sum(max(e + 1, 0) for e in col_degrees(m))
+            assert _nonzero_rows(window, width) == _nonzero_rows(lower, width), m
 
 
 @pytest.mark.parametrize("d", range(1, 6))
