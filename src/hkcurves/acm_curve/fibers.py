@@ -36,7 +36,6 @@ depends on the cutoff, not on the fibre.
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -170,13 +169,14 @@ def _each(solve, stack: np.ndarray) -> Tuple[tuple, np.ndarray]:
 _RESIDUAL_TOL = 1e-8
 
 
-@functools.cache
-def _draws() -> Tuple[Tuple[complex, complex], ...]:
-    """The (a, b) of the six attempts of `fiber_points`, from default_rng(2),
-    drawn on first use: loading numpy.random at import costs every command
-    about 5 MB of RSS."""
-    rng = np.random.default_rng(2)
-    return tuple(tuple(rng.normal(size=2) + 1j * rng.normal(size=2)) for _ in range(6))
+# default_rng(2)'s six (a, b) draws as float literals, bit for bit since repr round-trips:
+# no numpy.random (about 5 MB of RSS) to load; tests/test_slice_pass.py regenerates them
+_DRAWS = ((0.18905338179353307 - 0.41306354339189344j, -0.5227484414807474 - 2.4414673826398556j),
+          (1.799707382720902 - 0.32542283686782436j, 1.1441658720372287 + 0.7738065867276614j),
+          (0.28121066979764925 + 0.9775674511260357j, -0.5538228364240524 - 0.31055654665915255j),
+          (-0.3288239040579627 + 0.45495807124085547j, -0.7921467553588982 - 0.09919805171738795j),
+          (0.5452887139646817 + 0.12682784711186987j, -0.6071856998706371 - 0.8922740434297903j),
+          (0.8414649723701431 + 0.33057100813532614j, 0.18803508698068597 + 0.41050391297026284j))
 
 
 def fiber_points(curve, ts: Sequence[GaussianRational]) -> List[Optional[np.ndarray]]:
@@ -187,7 +187,7 @@ def fiber_points(curve, ts: Sequence[GaussianRational]) -> List[Optional[np.ndar
     exact integers (`_floats`, on weights built once for both tables): the
     same numerators as a slice built alone, so the same floats.  Only the
     eigensolve is numeric: each attempt diagonalizes a Mu + b Mv for one
-    draw (a, b), shared by every slice still pending, in one stacked
+    draw (a, b) of `_DRAWS`, shared by every pending slice, in one stacked
     eigensolve; the draws are those of a slice alone, so each slice
     gets the floats it gets alone.  A slice passes an attempt when its
     eigenvalues are separated, its eigenvectors invert and diagonalize Mu
@@ -212,7 +212,7 @@ def fiber_points(curve, ts: Sequence[GaussianRational]) -> List[Optional[np.ndar
     coeffs = _floats(gens, gens_den, weights)
     n = mats.shape[-1]
     pending = np.arange(len(ts))
-    for a, b in _draws():
+    for a, b in _DRAWS:
         if not len(pending):
             break
         (vals, vecs), solved = _each(np.linalg.eig, a * mats[pending, 0] + b * mats[pending, 1])

@@ -520,16 +520,17 @@ def cmd_metric(args: argparse.Namespace) -> Report:
 def cmd_cohomology_table(args: argparse.Namespace) -> Report:
     if args.curve is not None:
         curve = document_to_curve(_load_json(args.curve))
-        source = args.curve
+        source, r = args.curve, curve.matrix.r
+    elif args.r is not None:
+        curve, source, r = None, f"random_sigma_curve(r={args.r}, seed={args.seed})", args.r
     else:
-        if args.r is None:
-            raise InvalidObject("cohomology table needs --curve FILE or --r")
-        source = f"random_sigma_curve(r={args.r}, seed={args.seed})"
+        raise InvalidObject("cohomology table needs --curve FILE or --r")
+    head = {"command": "cohomology table", "input": source, "r": r}
+    if curve is None:
         try:
-            curve = random_sigma_curve(args.r, args.seed)
+            curve = random_sigma_curve(r, args.seed)
         except _DRAW_FAILURES as exc:
-            return _failed_draw({"command": "cohomology table", "input": source, "r": args.r}, exc)
-    head = {"command": "cohomology table", "input": source, "r": curve.matrix.r}
+            return _failed_draw(head, exc)
     cert = _certificate_stage(curve)
     if not cert["ok"]:
         # the table is read off the certified resolution

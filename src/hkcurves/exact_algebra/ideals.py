@@ -102,8 +102,9 @@ def sparse_echelon(rows: Iterable[Row], target: Optional[int] = None) -> List[Ro
 
     A first pass places every row whose lead column is still free; the
     deferred rows are then reduced against the pivots.  `target` is a
-    proven upper bound on the rank: reduction stops once it is reached,
-    and a first pass that places more pivots raises ArithmeticError.
+    proven upper bound on the rank: reduction stops at the first pivot past
+    it, which disproves it (ArithmeticError), so every rank returned under
+    a target is the rank itself, not the target.
     """
     pivots: Dict[int, Row] = {}
     deferred: List[Row] = []
@@ -114,7 +115,7 @@ def sparse_echelon(rows: Iterable[Row], target: Optional[int] = None) -> List[Ro
             deferred.append(row)
         else:
             pivots[row[0][0]] = _pivot(row)
-    if target is None or len(pivots) < target:
+    if target is None or len(pivots) <= target:
         for row in deferred:
             while row:
                 piv = pivots.get(row[0][0])
@@ -123,7 +124,7 @@ def sparse_echelon(rows: Iterable[Row], target: Optional[int] = None) -> List[Ro
                 row = eliminate(row, 0, piv)
             if row:
                 pivots[row[0][0]] = _pivot(row)
-                if target is not None and len(pivots) >= target:
+                if target is not None and len(pivots) > target:
                     break
     if target is not None and len(pivots) > target:
         raise ArithmeticError(f"rank {len(pivots)} exceeds certified bound {target}")
@@ -144,9 +145,9 @@ def certified_rank(
     i -> s is a ring map, so a minor that is nonzero mod p is nonzero (see
     `modp.rows_mod`).  So a prime whose rank meets the bound pins the exact
     rank, and one above it proves the bound false (ArithmeticError).
-    Otherwise `sparse_echelon` ranks the rows exactly and stops at the
-    bound; rows with more distinct lead columns than the bound raise
-    ArithmeticError there too.  With no bound no prime is tried.
+    Otherwise `sparse_echelon` ranks the rows exactly, and a pivot past the
+    bound raises ArithmeticError there too.  With no bound no prime is
+    tried.
 
     A caller that ranks its rows mod p more cheaply than `modp.rows_mod`
     and `modp.rank_mod` do passes `level`, a `modp.sparse_rank_certificate`

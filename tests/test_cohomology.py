@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from hkcurves import cohomology
 from hkcurves.acm_curve import ACMCurve, LinearMatrix, random_sigma_curve
 from hkcurves.cohomology import (
     chi_line_bundle,
@@ -100,6 +101,18 @@ def test_table_row_accessor_and_bounds():
 def test_ellia_stability_check_on_certified_curves():
     for r in (2, 3):
         assert ellia_stability_check(random_sigma_curve(r, 6))
+
+
+@pytest.mark.parametrize("twist", ["r-2", "r-1"])
+def test_ellia_stability_check_reads_each_twist(twist, monkeypatch):
+    # a table nonzero at twist r-2 alone, or at r-1 alone, fails the
+    # verdict, whichever entry of the row it is
+    curve = random_sigma_curve(2, 6)
+    bad = curve.r - {"r-2": 2, "r-1": 1}[twist]
+    for slot in range(4):
+        row = tuple(int(i == slot) for i in range(4))
+        monkeypatch.setattr(cohomology, "ideal_cohomology", lambda c, k: row if k == bad else (0, 0, 0, 0))
+        assert not ellia_stability_check(curve)
 
 
 def test_cohomology_requires_certificate():

@@ -77,7 +77,7 @@ def _ref_sparse_echelon(rows, target=None):
             deferred.append(row)
         else:
             pivots[row[0][0]] = _ref_monic_row(row)
-    if target is None or len(pivots) < target:
+    if target is None or len(pivots) <= target:
         for row in deferred:
             while row:
                 piv = pivots.get(row[0][0])
@@ -86,7 +86,7 @@ def _ref_sparse_echelon(rows, target=None):
                 row = _ref_combine_rows(row, piv)
             if row:
                 pivots[row[0][0]] = _ref_monic_row(row)
-                if target is not None and len(pivots) >= target:
+                if target is not None and len(pivots) > target:
                     break
     if target is not None and len(pivots) > target:
         raise ArithmeticError(f"rank {len(pivots)} exceeds certified bound {target}")
@@ -253,11 +253,16 @@ def test_target_stop_and_overshoot_match_reference(seed):
         ours = _outcome(lambda t: _monic(sparse_echelon(cleared, t)), target)
         assert ours == _outcome(_ref_sparse_echelon, rows, target)
         outcomes.append(ours)
+    assert first_pass < 6
     for target, ours in enumerate(outcomes):
+        # a target under the rank raises: at the first pass when its lead
+        # columns exceed it, else at the first pivot the reduction finds past it
         if target < first_pass:
             assert ours == ("raised", f"rank {first_pass} exceeds certified bound {target}")
+        elif target < 6:
+            assert ours == ("raised", f"rank {target + 1} exceeds certified bound {target}")
         else:
-            assert len(ours) == min(target, 6)
+            assert len(ours) == 6
 
 
 def test_zero_entries_are_dropped():

@@ -299,10 +299,11 @@ def test_window_counts_equal_per_twist_counts(monkeypatch):
         assert [_per_twist_counts(rmap) for rmap in fresh] == default, mode
 
 
-@pytest.mark.parametrize("d", [2, 4, 5])
-def test_a_window_prefix_under_its_rank_raises(d):
-    # each prefix of a window against its true rank, then with one bound
-    # lowered by one: the prime that meets the true rank exceeds it
+def lowered_window_bounds_raise(d, message):
+    """Ranks the conormal and normal windows of one degree-d map with their
+    true prefix ranks, then with each bound lowered by one in turn, which
+    must raise ArithmeticError with a message that `message(true rank)`
+    matches."""
     rmap = random_rational_map(d, 3)
     rows, top = rmap._rows, 2 * d - 1
     twists = range(d, top + 1)
@@ -317,8 +318,23 @@ def test_a_window_prefix_under_its_rank_raises(d):
         assert rows.ranks(blocks, col_degrees, shifts, ranks, interleave) == ranks
         for j in range(len(ranks)):
             lowered = [r - (i == j) for i, r in enumerate(ranks)]
-            with pytest.raises(ArithmeticError, match=f"exceeds certified bound {ranks[j] - 1}"):
+            with pytest.raises(ArithmeticError, match=message(ranks[j])):
                 rows.ranks(blocks, col_degrees, shifts, lowered, interleave)
+
+
+@pytest.mark.parametrize("d", [2, 4, 5])
+def test_a_window_prefix_under_its_rank_raises(d):
+    # each prefix of a window against its true rank, then with one bound
+    # lowered by one: the prime that meets the true rank exceeds it
+    lowered_window_bounds_raise(d, lambda rank: f"exceeds certified bound {rank - 1}")
+
+
+@pytest.mark.parametrize("d", [2, 4, 5])
+def test_a_window_prefix_under_its_rank_raises_without_primes(d, monkeypatch):
+    # the same prefixes on the exact route: the echelon of the prefix
+    # reduces to one pivot past the lowered bound and raises there
+    monkeypatch.setattr(modp, "PRIMES", ())
+    lowered_window_bounds_raise(d, lambda rank: f"^rank {rank} exceeds certified bound {rank - 1}$")
 
 
 def test_cohomology_table_without_primes(monkeypatch):

@@ -199,6 +199,20 @@ def test_splitting_requires_valid_map():
         normal_splitting_type(BASE_POINT_MAP)
 
 
+@pytest.mark.parametrize("step", [-1, 1])
+def test_riemann_roch_reads_false_on_one_wrong_count(step, monkeypatch):
+    # the check holds on the true counts, and fails when any one of the
+    # three twisted counts is off by one
+    rmap = random_rational_map(4, 2)
+    split = normal_splitting_type(rmap)
+    counts = rational_curve.normal_twisted_counts
+    assert riemann_roch_consistent(rmap, split)
+    for m in range(3):
+        off = lambda curve_map, twists: [n + step * (k == m) for k, n in enumerate(counts(curve_map, twists))]
+        monkeypatch.setattr(rational_curve, "normal_twisted_counts", off)
+        assert not riemann_roch_consistent(rmap, split)
+
+
 def test_a_map_is_validated_once(monkeypatch):
     calls = []
 

@@ -203,7 +203,13 @@ def test_table_past_the_bound_takes_the_object_route_to_the_same_floats(r, monke
 
 
 def test_slice_draws_are_a_fresh_default_rng_2_sequence():
+    # the constants are default_rng(2)'s draws to the bit: float.hex of
+    # every real and imaginary part
     rng = np.random.default_rng(2)
     want = [tuple(rng.normal(size=2) + 1j * rng.normal(size=2)) for _ in range(6)]
-    assert fibers._draws() == tuple(want)
-    assert fibers._draws() is fibers._draws()
+
+    def bits(draws):
+        return [tuple(float(part).hex() for z in pair for part in (z.real, z.imag)) for pair in draws]
+
+    assert len(fibers._DRAWS) == 6
+    assert bits(fibers._DRAWS) == bits(want)

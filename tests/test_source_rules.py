@@ -346,9 +346,36 @@ def test_no_module_imports_a_name_it_never_reads():
 
 def test_import_leaves_numpy_random_unloaded():
     # numpy.random adds about 5 MB of RSS to every command and to the
-    # library load perfbench times; only the slice pass reads it, on first use
+    # library load perfbench times: neither the import nor a metric
+    # extraction, whose slice pass reads its draws as constants, loads it
+    script = (
+        "import sys, hkcurves\n"
+        "print('numpy' in sys.modules, 'numpy.random' in sys.modules)\n"
+        "from hkcurves.twistor_metric import extract_metric, scan_chart\n"
+        "extract_metric(scan_chart(2, 0, 1, 0))\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
     loaded = subprocess.run(
-        [sys.executable, "-c", "import sys, hkcurves; print('numpy' in sys.modules, 'numpy.random' in sys.modules)"],
+        [sys.executable, "-c", script],
         env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, check=True, timeout=60,
     ).stdout.split()
-    assert loaded == ["True", "False"]
+    assert loaded == ["True", "False", "False"]
+
+
+def test_no_numpy_random_under_src():
+    # the slice draws are constants (`fibers._DRAWS`); every seeded draw
+    # under src/ goes through the stdlib's random.Random, so no module
+    # imports numpy.random or reads it as an attribute of numpy
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = []
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module and node.module.startswith("numpy"):
+                names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in ("np", "numpy"):
+                names = [f"numpy.{node.attr}"]
+            if any(name == "numpy.random" or name.startswith("numpy.random.") for name in names):
+                found.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert found == []
