@@ -12,7 +12,8 @@ import numpy as np
 
 from ..exact_algebra.ideals import GradedIdeal
 from ..exact_algebra.linalg import ExactMatrix
-from ..exact_algebra.polys import column_combinations, form_pairs, monomial_count, signed_minors
+from ..exact_algebra.polys import column_combinations, form_pairs, monomial_basis, monomial_count, monomial_index
+from ..exact_algebra.polys import signed_minor_table, table_forms
 from ..exact_algebra.scalars import DRAW_SPAN, MAX_DRAWS, first_draw, random_gaussian_pairs
 from ..pencil import canonical_pair, minor_coefficient_rank
 from ..reality import make_sigma_invariant_pencil, reality_conjugate
@@ -81,16 +82,18 @@ class ACMCurve:
         self.r = r = matrix.r
         self.coeffs = matrix.coeffs
         self.degree, self.genus = invariants(r)
-        # the matrix as the Laplace kernel reads it, for the minors and the
-        # cofactor check
-        self.pairs = form_pairs([A.integer_form for A in self.coeffs])
-        self.minors = signed_minors(*self.pairs)
-        if all(m.is_zero() for m in self.minors):
+        # the matrix as the Laplace kernel reads it, and the table of its one
+        # pass: row k holds signed minor k's numerators over D^r, read by the
+        # cofactor check, T, the slice tables and the forms
+        self.pairs = X, den = form_pairs([A.integer_form for A in self.coeffs])
+        self.table = signed_minor_table(X)
+        if not self.table.any():
             raise ValueError("all maximal minors vanish identically")
+        self.minors = table_forms(self.table, 4, r, den**r)
         self.ideal = GradedIdeal([m for m in self.minors if not m.is_zero()])
         # T, the minors on L0 = {x2 = x3 = 0}: row k holds minor k's numerators of x0^(r-j) x1^j
-        self.base_line = [[m.terms.get((r - j, j, 0, 0), (0, 0)) for j in range(r + 1)]
-                          for m in self.minors]
+        line = self.table[:, [monomial_index(4, r)[r - j, j, 0, 0] for j in range(r + 1)]]
+        self.base_line = tuple(tuple(map(tuple, row)) for row in line.tolist())
         self._certificate: Optional["ResolutionCertificate"] = None
 
     @classmethod
@@ -115,8 +118,7 @@ class ACMCurve:
         """(A, L) with T^-1 = A / L for invertible T: the integer form of
         the inverse, Gaussian-integer pairs over one positive common
         denominator."""
-        T = ExactMatrix.from_integer_form(tuple(map(tuple, self.base_line)), 1, self.r + 1)
-        return T.inverse().integer_form
+        return ExactMatrix.from_integer_form(self.base_line, 1, self.r + 1).inverse().integer_form
 
     @cached_property
     def slice_tables(self) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
@@ -125,7 +127,8 @@ class ACMCurve:
         coefficients, (re, im) first and the coefficient of t^e, e <= r,
         last; its denominators broadcast against the axes between.
         - gens (2, r+1, r+1, r+1, r+1): minor k on x2 = 1, x3 = t, its
-          numerator of u^i v^j at [:, k, i, j], over minor k's denominator;
+          numerator of u^i v^j at [:, k, i, j], over D^r: row k of the
+          minor table, scattered by monomial;
         - mats (2, 2, d, d, r+1), None for a curve that meets L0: the u and v
           matrices on the basis u^a v^b, a + b <= r - 1, highest degree
           first, over L with T^-1 = A / L.  u^a v^b times u or v is a basis
@@ -134,10 +137,9 @@ class ACMCurve:
           x2 = 1 is row k of T (a border basis, see `fibers`)."""
         r = self.r
         gens = np.zeros((2, r + 1, r + 1, r + 1, r + 1), dtype=object)
-        for k, minor in enumerate(self.minors):
-            for (i, j, _, e), ab in minor.terms.items():
-                gens[:, k, i, j, e] = ab
-        gens_den = np.array([m.den for m in self.minors], dtype=object).reshape(-1, 1, 1)
+        i, j, _, e = np.array(monomial_basis(4, r)).T
+        gens[:, :, i, j, e] = np.moveaxis(self.table.astype(object), -1, 0)
+        gens_den = np.full((r + 1, 1, 1), self.pairs[1] ** r, dtype=object)
         if self.base_line_rank < r + 1:
             return gens, gens_den, None, None
         inverse, scale = self.base_line_inverse
@@ -198,8 +200,8 @@ def certify_resolution(curve: ACMCurve) -> ResolutionCertificate:
     ideal.  A mismatch sweeps it, so a failing report lists every mismatch.
     """
     r = curve.r
-    cofactor = all(s.is_zero() for s in column_combinations(curve.minors, *curve.pairs))
-    injective = any(not m.is_zero() for m in curve.minors)
+    cofactor = not column_combinations(curve.table, curve.pairs[0]).any()
+    injective = bool(curve.table.any())
     bounded = cofactor and injective
     window = range(0, 2 * r + 3)
     expected = tuple(predicted_ideal_dimension(r, k) for k in window)

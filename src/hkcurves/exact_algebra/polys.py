@@ -12,8 +12,8 @@ reproducible across runs.
 way in and one way out.  In, the integer forms of the coefficient matrices
 as numpy arrays of Gaussian-integer pairs over one denominator
 (`form_pairs`); out, for the maximal minors, one signed-minor table
-(`signed_minor_table`), which the pencils read as it is and the curves as
-forms (`signed_minors`).  Each entry
+(`signed_minor_table`), which the pencils and the curves read as it is
+(a curve also keeps its rows as forms, `table_forms`).  Each entry
 becomes, per variable, the real 2 x 2 block of c + d*i; a depth of the
 expansion, for all row subsets at once, is a gather of the child
 sub-determinants through a subset plan, one contraction with the blocks,
@@ -23,7 +23,7 @@ the pass runs directly, and above it once per word-size modulus, reduced
 after each depth, and `modp.crt_lift` lifts the residues to the exact
 values.  The kernel gives the minor tables of curves (four variables)
 and pencils (two) and `ExactMatrix.det` (one); the cofactor identity,
-`column_combinations`, runs the same contraction on stored forms.
+`column_combinations`, runs the same contraction on a stored table.
 UniPoly is the univariate polynomial of the exact gcd, `uni_gcd`, and
 `binary_common_zero` reads the one witness of a common zero of binary
 forms (a pencil's minors, a map's forms or its Jacobian minors) off it.
@@ -313,8 +313,8 @@ def laplace(X: np.ndarray) -> np.ndarray:
     return crt_lift(run, prod(max(sum(norms[i::nrows]), 1) for i in range(nrows)))
 
 
-def _to_forms(values: np.ndarray, num_vars: int, degree: int, den: int) -> list[HomogPoly]:
-    """The forms (monomial, re/im) rows of values over den."""
+def table_forms(values: np.ndarray, num_vars: int, degree: int, den: int) -> list[HomogPoly]:
+    """The (monomial, re/im) rows of values as forms of the degree over den."""
     basis = monomial_basis(num_vars, degree)
     return [
         HomogPoly(num_vars, degree, {m: (a, b) for m, (a, b) in zip(basis, rows) if a or b}, den)
@@ -335,38 +335,30 @@ def signed_minor_table(X: np.ndarray) -> np.ndarray:
     return table
 
 
-def signed_minors(X: np.ndarray, den: int) -> list[HomogPoly]:
-    """The rows of `signed_minor_table` as forms over D^r."""
-    ncols, _, num_vars = X.shape[:3]
-    return _to_forms(signed_minor_table(X), num_vars, ncols, den**ncols)
+def column_combinations(table: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """sum_i row i of table * entry (i, j) for every column j of the matrix
+    of linear forms X of `form_pairs`, for a table (R, monomial_count(n, e),
+    2) of (monomial, re/im) numerators of forms of one degree e over one
+    denominator, int64 or exact ints (a `signed_minor_table`): one
+    contraction for all columns (`_contract`), the (C, monomial_count(n,
+    e + 1), 2) numerators of the sums over that denominator times D.
 
-
-def column_combinations(forms: list[HomogPoly], X: np.ndarray, den: int) -> list[HomogPoly]:
-    """sum_i forms[i] * entry (i, j) for every column j of the matrix of
-    linear forms (X, den) of `form_pairs`, forms of one degree: one
-    contraction for all columns (`_contract`), over D times the lcm of the
-    forms' denominators.
-
-    It runs through `modp.crt_lift` with B = (sum_i max(|f_i|, 1)) *
-    max(1, max_(i,j) |e_ij|), |.| the l1 norm of the numerators over those
-    denominators.  B bounds every value: a partial sum of column j is at
-    most sum_i |f_i| |e_ij| <= B by the inequality of `laplace`.  The bound
-    is read off the forms as given, so it also holds for forms that are
-    not the matrix's minors.
+    It runs through `modp.crt_lift` with B = (sum_i max(|t_i|, 1)) *
+    max(1, max_(i,j) |e_ij|), |.| the l1 norm of a table row or an entry's
+    numerators.  B bounds every value: a partial sum of column j is at
+    most sum_i |t_i| |e_ij| <= B by the inequality of `laplace`.  The bound
+    is read off the table as given, so it also holds for rows that are not
+    the matrix's minors.
     """
     ncols, nrows, num_vars = X.shape[:3]
-    degree, fden = forms[0].degree, lcm(*(f.den for f in forms))
-    basis, zero = monomial_basis(num_vars, degree), (0, 0)
-    values = [[x * (fden // f.den) for m in basis for x in f.terms.get(m, zero)] for f in forms]
-    norms = [sum(map(abs, row)) for row in values]
-    level = _pair_array(values, (nrows, len(basis), 2))
+    degree = next(e for e in itertools.count() if monomial_count(num_vars, e) >= table.shape[1])
+    norms = [sum(map(abs, row)) for row in table.reshape(nrows, -1).tolist()]
     child = np.zeros((ncols, 1), dtype=np.intp) + np.arange(nrows)
     plan = child + 2 * nrows * np.arange(ncols)[:, None]
     def run(m):
         blocks = _blocks(X, m).reshape(-1, 2, num_vars, 2)
-        return _reduced(_contract(_reduced(level, m), child, _spots(num_vars, degree), blocks, plan), m)
-    out = crt_lift(run, sum(max(x, 1) for x in norms) * max([1, *_l1(X)]))
-    return _to_forms(out, num_vars, degree + 1, fden * den)
+        return _reduced(_contract(_reduced(table, m), child, _spots(num_vars, degree), blocks, plan), m)
+    return crt_lift(run, sum(max(x, 1) for x in norms) * max([1, *_l1(X)]))
 
 
 # ---------------------------------------------------------------------------

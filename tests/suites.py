@@ -12,7 +12,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from hkcurves.acm_curve import ACMCurve, LinearMatrix, random_real_curve
+from hkcurves.acm_curve import ACMCurve, LinearMatrix, random_real_curve, random_sigma_curve
 from hkcurves.acm_curve.fibers import (
     Bivar,
     backward_errors,
@@ -31,6 +31,7 @@ from hkcurves.pencil import (
     canonical_pair,
     is_injective_pencil,
     kronecker_reduce,
+    minor_coefficient_rank,
     pair_stabilizer_dimension,
     random_injective_pencil,
 )
@@ -334,6 +335,49 @@ def reference_generators(curve: ACMCurve, t: GaussianRational) -> List[Bivar]:
         if terms:
             out.append((terms, minor.den * te ** minor.degree))
     return out
+
+
+def reference_slice_tables(curve: ACMCurve):
+    """`ACMCurve.slice_tables` built from the minors' forms: each generator
+    row from its minor's terms over that minor's reduced denominator, and T
+    from its x0^(r-j) x1^j terms.  Row scales keep T's rank and the
+    rationals of both tables, and with D = 1 the numerators too."""
+    r = curve.r
+    gens = np.zeros((2, r + 1, r + 1, r + 1, r + 1), dtype=object)
+    for k, minor in enumerate(curve.minors):
+        for (i, j, _, e), ab in minor.terms.items():
+            gens[:, k, i, j, e] = ab
+    gens_den = np.array([m.den for m in curve.minors], dtype=object).reshape(-1, 1, 1)
+    T = tuple(tuple(m.terms.get((r - j, j, 0, 0), (0, 0)) for j in range(r + 1)) for m in curve.minors)
+    if minor_coefficient_rank(T) < r + 1:
+        return gens, gens_den, None, None
+    inverse, scale = ExactMatrix.from_integer_form(T, 1, r + 1).inverse().integer_form
+    a_re, a_im = np.moveaxis(np.array(inverse, dtype=object), -1, 0)
+    basis = sorted(((a, b) for a in range(r) for b in range(r - a)), key=lambda m: (-sum(m), -m[0]))
+    d = len(basis)
+    low_re, low_im = gens[:, :, [a for a, _ in basis], [b for _, b in basis]].reshape(2, r + 1, -1)
+    forms = np.stack([a_im @ low_im - a_re @ low_re, -(a_re @ low_im + a_im @ low_re)]).reshape(2, r + 1, d, r + 1)
+    mats = np.zeros((2, 2, d, d, r + 1), dtype=object)
+    for side, (du, dv) in enumerate(((1, 0), (0, 1))):
+        for col, (a, b) in enumerate(basis):
+            if a + b == r - 1:
+                mats[:, side, :, col] = forms[:, b + dv]
+            else:
+                mats[0, side, basis.index((a + du, b + dv)), col, 0] = scale
+    return gens, gens_den, mats, np.full((1, 1, 1), scale, dtype=object)
+
+
+def table_curves(r: int) -> List[ACMCurve]:
+    """Three curves whose minor tables differ in kind: a drawn one (D = 1),
+    the same matrix with A1 over 2 and A3 over 3 (D = 6, numerators not
+    reduced), and the drawn matrix times 2^40 (D = 1, a table lifted past
+    int64; the same curve, every minor times 2^(40 r))."""
+    drawn = random_sigma_curve(r, 0)
+    A1, A2, A3, A4 = drawn.coeffs
+    halves, thirds = (GaussianRational(Fraction(1, q)) for q in (2, 3))
+    over_six = ACMCurve(LinearMatrix(r, mat_scale(A1, halves), A2, mat_scale(A3, thirds), A4))
+    lifted = ACMCurve(LinearMatrix(r, *(mat_scale(A, 2**40) for A in drawn.coeffs)))
+    return [drawn, over_six, lifted]
 
 
 def generator_floats(r: int, gens: Sequence[Bivar]) -> np.ndarray:

@@ -4,6 +4,7 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hkcurves.acm_curve import (
@@ -28,13 +29,13 @@ from hkcurves.acm_curve import (
 from hkcurves.acm_curve.fibers import backward_errors, fiber_generators, fiber_points
 from hkcurves.exact_algebra.ideals import GradedIdeal
 from hkcurves.exact_algebra.linalg import ExactMatrix
-from hkcurves.exact_algebra.polys import form_pairs
+from hkcurves.exact_algebra.polys import form_pairs, monomial_basis, monomial_index, signed_minor_table
 from hkcurves.exact_algebra.scalars import GaussianRational
 from hkcurves.pencil import canonical_pair, is_injective_pencil
 from hkcurves.twistor_metric import sample_parameters, scan_chart
 from hkcurves.reality import is_sigma_invariant_ideal
 
-from suites import entry_forms, form, generator_floats, poly_add, poly_neg, poly_sub, swapped
+from suites import entry_forms, form, generator_floats, poly_add, poly_neg, poly_scale, poly_sub, swapped, table_curves
 
 ZERO = GaussianRational(0, 0)
 ONE = GaussianRational(1, 0)
@@ -77,11 +78,13 @@ def test_cofactor_identity_of_signed_minors():
 
 @pytest.mark.parametrize("r,k", [(2, 0), (2, 2), (3, 1)])
 def test_cofactor_check_fails_on_a_perturbed_minor(r, k):
-    # the check reads the stored minors and entries, so a wrong minor shows
+    # the check reads the stored minor table and entries, so a wrong minor
+    # shows: minor k plus x0^r
     curve = random_real_curve(r, seed=0)
     assert certify_resolution(curve).cofactor_identity
-    x0_r = form(4, r, {(r, 0, 0, 0): ONE})
-    curve.minors = [poly_add(m, x0_r) if i == k else m for i, m in enumerate(curve.minors)]
+    table = curve.table.copy()
+    table[k, monomial_index(4, r)[r, 0, 0, 0]] += (1, 0)
+    curve.table = table
     cert = certify_resolution(curve)
     assert cert.cofactor_identity is False
     assert cert.ok is False
@@ -109,6 +112,41 @@ def test_signed_minors_match_unsigned_up_to_sign():
     curve = random_real_curve(2, seed=1)
     (a, b), (c, d), (e, f) = entry_forms(curve.coeffs)
     assert [poly_sub(c * f, d * e), poly_neg(poly_sub(a * f, b * e)), poly_sub(a * d, b * c)] == list(curve.minors)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_minors_are_the_forms_of_the_one_table(r):
+    # one Laplace pass per curve: its table over D^r, whose rows, built here
+    # from Q(i) coefficients, are the minors, int64 or lifted past it
+    drawn, over_six, lifted = table_curves(r)
+    assert (drawn.pairs[1], over_six.pairs[1], lifted.pairs[1]) == (1, 6, 1)
+    assert drawn.table.dtype == np.int64 and lifted.table.dtype == object
+    basis = monomial_basis(4, r)
+    for curve in (drawn, over_six, lifted):
+        X, den = curve.pairs
+        assert curve.table.shape == (r + 1, len(basis), 2)
+        assert np.array_equal(curve.table, signed_minor_table(X))
+        want = [form(4, r, {m: GaussianRational.over(a, b, den**r) for m, (a, b) in zip(basis, row)})
+                for row in curve.table.tolist()]
+        assert curve.minors == want
+        assert certify_resolution(curve).ok
+    assert lifted.minors == [poly_scale(m, GaussianRational(2 ** (40 * r))) for m in drawn.minors]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_base_line_is_the_tables_x0_x1_columns(r):
+    # T, row k the numerators of minor k at x0^(r-j) x1^j over D^r, as
+    # Python ints, which modular rows and the exact inverse read unwrapped
+    columns = [monomial_index(4, r)[r - j, j, 0, 0] for j in range(r + 1)]
+    for curve in table_curves(r):
+        assert curve.base_line == tuple(tuple(map(tuple, row)) for row in curve.table[:, columns].tolist())
+        assert {type(x) for row in curve.base_line for ab in row for x in ab} == {int}
+        assert curve.base_line_rank == r + 1
+    # with D = 1 they are the minors' own terms
+    drawn = table_curves(r)[0]
+    assert [list(row) for row in drawn.base_line] == [
+        [m.terms.get((r - j, j, 0, 0), (0, 0)) for j in range(r + 1)] for m in drawn.minors
+    ]
 
 
 def test_constructor_rejects_identically_singular_matrix():

@@ -37,7 +37,15 @@ from hkcurves.exact_algebra.scalars import GaussianRational
 from hkcurves.pencil import is_injective_pencil
 from hkcurves.twistor_metric import extract_metric, sample_parameters
 
-from suites import AffineFiber, reference_fiber_points, reference_generators, swapped, to_complex
+from suites import (
+    AffineFiber,
+    reference_fiber_points,
+    reference_generators,
+    reference_slice_tables,
+    swapped,
+    table_curves,
+    to_complex,
+)
 from test_cli import _degenerate_document
 from test_resolution_exactness import FACTORS, _common_factor_matrix
 
@@ -70,6 +78,26 @@ def meets_base_line(seed=0):
     A1, A2, A3, A4 = random_sigma_curve(2, seed).coeffs
     rows = [[GaussianRational(0)] + list(row[1:]) for row in A1.data]
     return ACMCurve(LinearMatrix(2, ExactMatrix(rows), A2, A3, A4))
+
+
+def _rationals(table, den):
+    """Each (re or im) coefficient of a slice table over its denominator."""
+    den = np.broadcast_to(den[..., None], table.shape[1:])
+    return [[Fraction(x, d) for x, d in zip(part.flat, den.flat)] for part in table]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_slice_tables_equal_the_reference_built_from_forms(r):
+    # scattered from the minor table: with D = 1 the same Python ints as the
+    # minors' forms give, with D = 6 or a lifted table the same rationals
+    for n, curve in enumerate(table_curves(r)):
+        got, want = curve.slice_tables, reference_slice_tables(curve)
+        assert all(type(x) is int for table in got for x in table.flat)
+        if n == 0:
+            assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+        for k in (0, 2):
+            assert got[k].shape == want[k].shape
+            assert _rationals(got[k], got[k + 1]) == _rationals(want[k], want[k + 1])
 
 
 def test_curve_sections_pool_takes_the_border_route(monkeypatch):

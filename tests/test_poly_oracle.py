@@ -25,7 +25,7 @@ from hkcurves.exact_algebra.polys import (
     laplace,
     monomial_basis,
     signed_minor_table,
-    signed_minors,
+    table_forms,
 )
 from hkcurves.exact_algebra.scalars import GaussianRational, random_gaussian_rows
 
@@ -190,6 +190,22 @@ def _pairs(mats):
     return form_pairs([M.integer_form for M in mats])
 
 
+def _signed_minors(X, den):
+    """The signed minors of (X, den) as forms: the rows of its table over D^r."""
+    ncols, _, num_vars = X.shape[:3]
+    return table_forms(signed_minor_table(X), num_vars, ncols, den**ncols)
+
+
+def _combinations(forms, X, den):
+    """`column_combinations` of forms of one degree, passed as the table of
+    their numerators over the lcm of their denominators, as forms."""
+    num_vars, degree, fden = X.shape[2], forms[0].degree, lcm(*(f.den for f in forms))
+    basis = monomial_basis(num_vars, degree)
+    values = [[[x * (fden // f.den) for x in f.terms.get(m, (0, 0))] for m in basis] for f in forms]
+    table = polys._pair_array(values, (len(forms), len(basis), 2))
+    return table_forms(column_combinations(table, X), num_vars, degree + 1, fden * den)
+
+
 def _ref_minors(mats):
     """The reference minors of sum_v A_v x_v, from its `entry_forms`."""
     return _ref_signed_maximal_minors([[_ref(e) for e in row] for row in entry_forms(mats)], len(mats))
@@ -220,16 +236,16 @@ def test_minors_and_cofactors_match_reference(r):
     # the signed maximal minors are the cofactors along a column appended
     # to the matrix, so the name covers them
     for mats in gauss:
-        for got, want in zip(signed_minors(*_pairs(mats)), _ref_minors(mats), strict=True):
+        for got, want in zip(_signed_minors(*_pairs(mats)), _ref_minors(mats), strict=True):
             assert_same(got, want)
 
 
 def _check_minors_and_cofactors(mats):
     X, den = _pairs(mats)
-    minors = signed_minors(X, den)
+    minors = _signed_minors(X, den)
     for got, want in zip(minors, _ref_minors(mats), strict=True):
         assert_same(got, want)
-    combined = column_combinations(minors, X, den)
+    combined = _combinations(minors, X, den)
     for j, got in enumerate(combined):
         want = _RefPoly(4, mats[0].cols + 1, {})
         for m, row in zip(minors, entry_forms(mats)):
@@ -256,7 +272,7 @@ def test_kernel_takes_zero_coefficients_and_zero_variables(r):
     _check_minors_and_cofactors(mats)
     # a zero column makes every minor zero, of degree r
     zeroed = [ExactMatrix([[_ZERO if j == 0 else z for j, z in enumerate(row)] for row in M.data]) for M in mats]
-    assert signed_minors(*_pairs(zeroed)) == [form(4, r, {})] * (r + 1)
+    assert _signed_minors(*_pairs(zeroed)) == [form(4, r, {})] * (r + 1)
 
 
 def test_kernel_at_r_1_is_the_column_up_to_sign():
@@ -264,7 +280,7 @@ def test_kernel_at_r_1_is_the_column_up_to_sign():
     for _ in range(5):
         mats = _random_matrices(rng, 1, density=0.7)
         [a], [b] = entry_forms(mats)
-        assert signed_minors(*_pairs(mats)) == [b, poly_neg(a)]
+        assert _signed_minors(*_pairs(mats)) == [b, poly_neg(a)]
         _check_minors_and_cofactors(mats)
     # the table is of the maximal minors of an (r+1) x r matrix only
     with pytest.raises(ValueError, match="expected"):
@@ -284,7 +300,7 @@ def test_minors_read_every_integer_form(r):
     zero = zero_matrix(r + 1, r)
     assert len({M.integer_form[1] for M in (A, B, C, product, zero)}) > 2
     for mats in ((A, B, C, product), (zero, B, zero, C), (zero,) * 4, (A, product), (zero, zero), (C,)):
-        for got, want in zip(signed_minors(*_pairs(mats)), _ref_minors(mats), strict=True):
+        for got, want in zip(_signed_minors(*_pairs(mats)), _ref_minors(mats), strict=True):
             assert_same(got, want)
     # the pencil minors: coefficients of the reference minors of x0 A1 + x1 A2
     for A1, A2 in ((A, B), (product, C), (B, zero)):
@@ -335,7 +351,7 @@ def test_linear_combination_matches_reference():
         for f, [g] in zip(forms, entry_forms(mats)):
             want = want + _ref(f) * _ref(g)
         assert not want.is_zero()
-        (got,) = column_combinations(forms, *_pairs(mats))
+        (got,) = _combinations(forms, *_pairs(mats))
         assert_same(got, want)
 
 
@@ -379,7 +395,7 @@ def _scaled(mats, row, s):
 def _kernel_minors(mats):
     """The minors read off the integer forms, and the route taken."""
     X, den = _pairs(mats)
-    return signed_minors(X, den), laplace(X).dtype
+    return _signed_minors(X, den), laplace(X).dtype
 
 
 def _matrices(rng, r, nvars, small=False, zero_row=None, zero_vars=()):
@@ -495,9 +511,9 @@ def test_minors_past_the_kept_plans_are_a_syzygy(contracted_dtypes):
     mats = _matrices(rng, 13, 2)
     assert polys._plans(14) is not polys._plans(14) and _bound(mats) > _INT64_MAX
     X, den = form_pairs([M.integer_form for M in mats])
-    minors = signed_minors(X, den)
+    minors = _signed_minors(X, den)
     assert any(not m.is_zero() for m in minors)
-    assert all(s.is_zero() for s in column_combinations(minors, X, den))
+    assert all(s.is_zero() for s in _combinations(minors, X, den))
     assert contracted_dtypes == {np.dtype(np.int64)}
 
 
@@ -508,7 +524,7 @@ def test_column_combinations_read_their_bound_off_the_forms(contracted_dtypes):
     mats = _matrices(rng, 3, 4, small=True)
     entries = entry_forms(mats)
     big = [poly_scale(_random_form(rng, 3), GaussianRational(2**70, 1)) for _ in range(4)]
-    got = column_combinations(big, *form_pairs([M.integer_form for M in mats]))
+    got = _combinations(big, *form_pairs([M.integer_form for M in mats]))
     for j, g in enumerate(got):
         want = _RefPoly(4, 4, {})
         for f, row in zip(big, entries):
@@ -523,7 +539,7 @@ def test_modular_pass_refuses_sums_past_int64():
     forms = [form(4, 0, {(0, 0, 0, 0): GaussianRational(2**70)})] * 257
     X = np.ones((1, 257, 4, 2), dtype=np.int64)
     with pytest.raises(ValueError, match="int64"):
-        column_combinations(forms, X, 1)
+        _combinations(forms, X, 1)
     # 256 of them fit, and sum exactly
-    (got,) = column_combinations(forms[:256], X[:, :256], 1)
+    (got,) = _combinations(forms[:256], X[:, :256], 1)
     assert got.terms == {m: (256 * 2**70, 256 * 2**70) for m in monomial_basis(4, 1)}

@@ -114,7 +114,7 @@ def test_one_door_into_the_laplace_kernel():
     # replaced; the pencils read that table as it is, not as forms
     named = {path.relative_to(SRC).as_posix() for path in SRC.rglob("*.py") if "laplace" in set(_names(path))}
     assert named == {"hkcurves/exact_algebra/polys.py", "hkcurves/exact_algebra/linalg.py"}
-    assert not {"HomogPoly", "signed_minors"} & set(_names(SRC / "hkcurves" / "pencil.py"))
+    assert not {"HomogPoly", "table_forms"} & set(_names(SRC / "hkcurves" / "pencil.py"))
 
 
 def test_one_boundary_for_q_i_scalars():
