@@ -6,14 +6,14 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..exact_algebra.ideals import GradedIdeal
 from ..exact_algebra.linalg import ExactMatrix
 from ..exact_algebra.polys import column_combinations, form_pairs, monomial_basis, monomial_count, monomial_index
-from ..exact_algebra.polys import signed_minor_table, table_forms
+from ..exact_algebra.polys import HomogPoly, signed_minor_table, table_forms
 from ..exact_algebra.scalars import DRAW_SPAN, MAX_DRAWS, first_draw, random_gaussian_pairs
 from ..pencil import canonical_pair, minor_coefficient_rank
 from ..reality import make_sigma_invariant_pencil, reality_conjugate
@@ -82,15 +82,12 @@ class ACMCurve:
         self.r = r = matrix.r
         self.coeffs = matrix.coeffs
         self.degree, self.genus = invariants(r)
-        # the matrix as the Laplace kernel reads it, and the table of its one
-        # pass: row k holds signed minor k's numerators over D^r, read by the
-        # cofactor check, T, the slice tables and the forms
-        self.pairs = X, den = form_pairs([A.integer_form for A in self.coeffs])
+        # the Laplace kernel's input and the table of its one pass: row k holds
+        # signed minor k's numerators over D^r, the only copy of the minors
+        self.pairs = X, _ = form_pairs([A.integer_form for A in self.coeffs])
         self.table = signed_minor_table(X)
         if not self.table.any():
             raise ValueError("all maximal minors vanish identically")
-        self.minors = table_forms(self.table, 4, r, den**r)
-        self.ideal = GradedIdeal([m for m in self.minors if not m.is_zero()])
         # T, the minors on L0 = {x2 = x3 = 0}: row k holds minor k's numerators of x0^(r-j) x1^j
         line = self.table[:, [monomial_index(4, r)[r - j, j, 0, 0] for j in range(r + 1)]]
         self.base_line = tuple(tuple(map(tuple, row)) for row in line.tolist())
@@ -102,6 +99,19 @@ class ACMCurve:
         r = A3.cols
         S, T = canonical_pair(r)
         return cls(LinearMatrix(r, S, T, A3, reality_conjugate(A3)))
+
+    @cached_property
+    def minors(self) -> List[HomogPoly]:
+        """The signed minors as forms: the rows of `table` over D^r."""
+        return table_forms(self.table, 4, self.r, self.pairs[1] ** self.r)
+
+    @cached_property
+    def ideal(self) -> GradedIdeal:
+        """The ideal of the nonzero minors, with a passed certificate's dims."""
+        ideal = GradedIdeal([m for m in self.minors if not m.is_zero()])
+        if self._certificate is not None and self._certificate.ok:
+            ideal.record_dimensions(dict(enumerate(self._certificate.dimensions)))
+        return ideal
 
     def certificate(self) -> "ResolutionCertificate":
         if self._certificate is None:
@@ -115,9 +125,8 @@ class ACMCurve:
 
     @cached_property
     def base_line_inverse(self) -> Tuple[Tuple[Tuple[Tuple[int, int], ...], ...], int]:
-        """(A, L) with T^-1 = A / L for invertible T: the integer form of
-        the inverse, Gaussian-integer pairs over one positive common
-        denominator."""
+        """(A, L) with T^-1 = A / L for invertible T: the inverse's integer
+        form, Gaussian-integer pairs over one positive common denominator."""
         return ExactMatrix.from_integer_form(self.base_line, 1, self.r + 1).inverse().integer_form
 
     @cached_property
@@ -127,8 +136,7 @@ class ACMCurve:
         coefficients, (re, im) first and the coefficient of t^e, e <= r,
         last; its denominators broadcast against the axes between.
         - gens (2, r+1, r+1, r+1, r+1): minor k on x2 = 1, x3 = t, its
-          numerator of u^i v^j at [:, k, i, j], over D^r: row k of the
-          minor table, scattered by monomial;
+          numerator of u^i v^j at [:, k, i, j], over D^r: row k of `table`;
         - mats (2, 2, d, d, r+1), None for a curve that meets L0: the u and v
           matrices on the basis u^a v^b, a + b <= r - 1, highest degree
           first, over L with T^-1 = A / L.  u^a v^b times u or v is a basis
@@ -196,24 +204,22 @@ def certify_resolution(curve: ACMCurve) -> ResolutionCertificate:
     zero there), a common factor would vanish on a surface, which meets
     every line, so the minors have none, and no level is ranked.  Else
     level 2r-1 alone is: a match rules a common factor out and proves every
-    dim.  Either way the window k = 0 .. 2r+2 is recorded on the curve's
-    ideal.  A mismatch sweeps it, so a failing report lists every mismatch.
-    """
+    dim.  The window k = 0 .. 2r+2 is recorded on the curve's ideal once
+    built; a mismatch sweeps it, so a failing report lists every mismatch."""
     r = curve.r
-    cofactor = not column_combinations(curve.table, curve.pairs[0]).any()
+    cofactor = not column_combinations(curve.table, curve.pairs[0], r).any()
     injective = bool(curve.table.any())
     bounded = cofactor and injective
-    window = range(0, 2 * r + 3)
+    window, top = range(0, 2 * r + 3), 2 * r - 1
     expected = tuple(predicted_ideal_dimension(r, k) for k in window)
-    ideal, top = curve.ideal, 2 * r - 1
-    if bounded and (
-        curve.base_line_rank == r + 1 or ideal.dimension(top, expected[top]) == expected[top]
-    ):
+    if bounded and curve.base_line_rank == r + 1:
         dims = expected
-        ideal.record_dimensions(dict(zip(window, expected)))
+    elif bounded and curve.ideal.dimension(top, expected[top]) == expected[top]:
+        dims = expected
+        curve.ideal.record_dimensions(dict(zip(window, expected)))
     else:
         # without the bound, every level is ranked exactly
-        dims = tuple(ideal.dimension(k, expected[k] if bounded else None) for k in window)
+        dims = tuple(curve.ideal.dimension(k, expected[k] if bounded else None) for k in window)
     mismatches = tuple((k, dims[k], expected[k]) for k in window if dims[k] != expected[k])
     return ResolutionCertificate(
         ok=bounded and not mismatches,
@@ -230,8 +236,7 @@ def avoids_base_line(curve: ACMCurve) -> bool:
     x0*A1 + x1*A2 has full rank on all of L0, which keeps the projection to
     the parameter line defined on all of the curve.  That holds exactly
     when T, the pencil's minor coefficients, is invertible
-    (`pencil.minor_coefficient_rank`).
-    """
+    (`pencil.minor_coefficient_rank`)."""
     return curve.base_line_rank == curve.r + 1
 
 

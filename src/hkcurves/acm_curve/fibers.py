@@ -53,8 +53,8 @@ Bivar = Tuple[Dict[Tuple[int, int], Tuple[int, int]], int]
 
 def fiber_generators(curve, t: GaussianRational) -> List[Bivar]:
     """Generators of the slice ideal in (u, v) at x0 = u, x1 = v, x2 = 1,
-    x3 = t: the curve's minors, read off its slice tables, as
-    Gaussian-integer numerators over one denominator."""
+    x3 = t = (ta + i tb) / te: the curve's minors off its slice tables,
+    Gaussian-integer numerators over D^r te^r, not reduced."""
     gens, den, _, _ = curve.slice_tables
     (re, im), dens = _evaluate(gens, den, _weights([t], curve.r))
     out: List[Bivar] = []

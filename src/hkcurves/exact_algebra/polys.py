@@ -13,7 +13,7 @@ way in and one way out.  In, the integer forms of the coefficient matrices
 as numpy arrays of Gaussian-integer pairs over one denominator
 (`form_pairs`); out, for the maximal minors, one signed-minor table
 (`signed_minor_table`), which the pencils and the curves read as it is
-(a curve also keeps its rows as forms, `table_forms`).  Each entry
+(a curve builds its rows as forms, `table_forms`, on demand).  Each entry
 becomes, per variable, the real 2 x 2 block of c + d*i; a depth of the
 expansion, for all row subsets at once, is a gather of the child
 sub-determinants through a subset plan, one contraction with the blocks,
@@ -335,11 +335,11 @@ def signed_minor_table(X: np.ndarray) -> np.ndarray:
     return table
 
 
-def column_combinations(table: np.ndarray, X: np.ndarray) -> np.ndarray:
+def column_combinations(table: np.ndarray, X: np.ndarray, degree: int) -> np.ndarray:
     """sum_i row i of table * entry (i, j) for every column j of the matrix
     of linear forms X of `form_pairs`, for a table (R, monomial_count(n, e),
-    2) of (monomial, re/im) numerators of forms of one degree e over one
-    denominator, int64 or exact ints (a `signed_minor_table`): one
+    2), and no other shape, of numerators of forms of degree e = `degree`
+    over one denominator, int64 or exact ints (a `signed_minor_table`): one
     contraction for all columns (`_contract`), the (C, monomial_count(n,
     e + 1), 2) numerators of the sums over that denominator times D.
 
@@ -351,7 +351,8 @@ def column_combinations(table: np.ndarray, X: np.ndarray) -> np.ndarray:
     the matrix's minors.
     """
     ncols, nrows, num_vars = X.shape[:3]
-    degree = next(e for e in itertools.count() if monomial_count(num_vars, e) >= table.shape[1])
+    if table.shape[:2] != (nrows, monomial_count(num_vars, degree)):
+        raise ValueError(f"expected a ({nrows}, {monomial_count(num_vars, degree)}, 2) table, got {table.shape}")
     norms = [sum(map(abs, row)) for row in table.reshape(nrows, -1).tolist()]
     child = np.zeros((ncols, 1), dtype=np.intp) + np.arange(nrows)
     plan = child + 2 * nrows * np.arange(ncols)[:, None]

@@ -27,9 +27,10 @@ from hkcurves.acm_curve import (
     stratum_check,
 )
 from hkcurves.acm_curve.fibers import backward_errors, fiber_generators, fiber_points
+from hkcurves.exact_algebra import ideals
 from hkcurves.exact_algebra.ideals import GradedIdeal
 from hkcurves.exact_algebra.linalg import ExactMatrix
-from hkcurves.exact_algebra.polys import form_pairs, monomial_basis, monomial_index, signed_minor_table
+from hkcurves.exact_algebra.polys import form_pairs, monomial_basis, monomial_index, signed_minor_table, table_forms
 from hkcurves.exact_algebra.scalars import GaussianRational
 from hkcurves.pencil import canonical_pair, is_injective_pencil
 from hkcurves.twistor_metric import sample_parameters, scan_chart
@@ -88,6 +89,20 @@ def test_cofactor_check_fails_on_a_perturbed_minor(r, k):
     cert = certify_resolution(curve)
     assert cert.cofactor_identity is False
     assert cert.ok is False
+    # the forms are not a second copy: built on first use, they are the
+    # rows the check read
+    assert curve.pairs[1] == 1 and curve.minors == table_forms(table, 4, r, 1)
+
+
+def test_a_curve_missing_the_base_line_certifies_without_its_forms(monkeypatch):
+    # with T invertible the certificate reads only the table; the forms and
+    # the ideal are built on first use, with the proven dims recorded
+    curve = random_sigma_curve(3, 1)
+    cert = curve.certificate()
+    assert cert.ok and curve.base_line_rank == 4
+    assert "minors" not in vars(curve) and "ideal" not in vars(curve)
+    monkeypatch.setattr(ideals, "certified_rank", None)
+    assert tuple(curve.ideal.dimension(k) for k in range(9)) == cert.dimensions == cert.expected
 
 
 @pytest.mark.parametrize("r,i,j", [(2, 0, 1), (2, 2, 0), (3, 1, 2)])

@@ -100,6 +100,24 @@ def test_slice_tables_equal_the_reference_built_from_forms(r):
             assert _rationals(got[k], got[k + 1]) == _rationals(want[k], want[k + 1])
 
 
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_fiber_generators_equal_the_reference_as_rationals(r):
+    # numerators over D^r te^r, not reduced: with D = 1 the reference's
+    # exact pairs, with D = 6 or a lifted table the same rationals
+    def rationals(gens):
+        return [{m: (Fraction(a, n), Fraction(b, n)) for m, (a, b) in g.items()} for g, n in gens]
+
+    params = SPECIAL + [GaussianRational(Fraction(2, 3), Fraction(-1, 5))]
+    curves = table_curves(r)
+    for n, curve in enumerate(curves):
+        for t in params:
+            got, want = fiber_generators(curve, t), reference_generators(curve, t)
+            if n == 0:
+                assert got == want
+            assert rationals(got) == rationals(want)
+    assert {n for _, n in fiber_generators(curves[1], params[-1])} == {6**r * 15**r}
+
+
 def test_curve_sections_pool_takes_the_border_route(monkeypatch):
     # the call sequence of one curve-sections item, on the seeds 1-3 pools
     levels = record_calls(monkeypatch, GradedIdeal, "dimension")

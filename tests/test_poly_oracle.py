@@ -203,7 +203,7 @@ def _combinations(forms, X, den):
     basis = monomial_basis(num_vars, degree)
     values = [[[x * (fden // f.den) for x in f.terms.get(m, (0, 0))] for m in basis] for f in forms]
     table = polys._pair_array(values, (len(forms), len(basis), 2))
-    return table_forms(column_combinations(table, X), num_vars, degree + 1, fden * den)
+    return table_forms(column_combinations(table, X, degree), num_vars, degree + 1, fden * den)
 
 
 def _ref_minors(mats):
@@ -531,6 +531,17 @@ def test_column_combinations_read_their_bound_off_the_forms(contracted_dtypes):
             want = want + _ref(f) * _ref(row[j])
         assert_same(g, want)
     assert contracted_dtypes == {np.dtype(np.int64)}
+
+
+def test_column_combinations_refuse_a_table_of_another_width():
+    # the degree is passed, not guessed from the width (in one variable
+    # every degree has width 1); a table of another shape is refused
+    X, _ = _pairs(_matrices(random.Random(153), 3, 4))
+    table = signed_minor_table(X)
+    assert not column_combinations(table, X, 3).any()
+    for bad, degree in ((table, 2), (table, 4), (table[:3], 3)):
+        with pytest.raises(ValueError, match="table"):
+            column_combinations(bad, X, degree)
 
 
 def test_modular_pass_refuses_sums_past_int64():
