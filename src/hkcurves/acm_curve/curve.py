@@ -107,8 +107,8 @@ class ACMCurve:
 
     @cached_property
     def ideal(self) -> GradedIdeal:
-        """The ideal of the nonzero minors, with a passed certificate's dims."""
-        ideal = GradedIdeal([m for m in self.minors if not m.is_zero()])
+        """The ideal of the rows of `table`, with a passed certificate's dims."""
+        ideal = GradedIdeal(self.table.tolist(), 4, self.r)
         if self._certificate is not None and self._certificate.ok:
             ideal.record_dimensions(dict(enumerate(self._certificate.dimensions)))
         return ideal
@@ -171,7 +171,6 @@ class ACMCurve:
 class ResolutionCertificate:
     ok: bool
     cofactor_identity: bool      # minors compose to zero against the matrix
-    syzygy_injective: bool       # some maximal minor is a nonzero form
     # dim I_k for k = 0 .. 2r+2; when T is invertible or dim I_(2r-1) matches,
     # all are the expected values, which that proves, and no level is built
     dimensions: Tuple[int, ...]
@@ -184,11 +183,12 @@ def certify_resolution(curve: ACMCurve) -> ResolutionCertificate:
 
     The cofactor identities make 0 -> F2 = S(-r-1)^r -> F1 = S(-r)^(r+1) -> S,
     by the matrix phi and then the row m of minors, a complex; a nonzero
-    maximal minor makes phi injective.  So delta_k = expected - dim I_k is
-    dim M_k for M = ker m / im phi.  By the Buchsbaum-Eisenbud criterion
-    ("What makes a complex exact?", 1973) the complex and its dual are exact,
-    and delta = 0, once the minors have no common factor (grade >= 2, which
-    in a UFD is height >= 2).
+    maximal minor makes phi injective, and `ACMCurve` refuses a matrix
+    whose minors all vanish, so every curve has one.  So delta_k = expected
+    - dim I_k is dim M_k for M = ker m / im phi.  By the Buchsbaum-Eisenbud
+    criterion ("What makes a complex exact?", 1973) the complex and its dual
+    are exact, and delta = 0, once the minors have no common factor (grade
+    >= 2, which in a UFD is height >= 2).
 
     delta_k <= delta_(k+1): M lies in coker phi, whose resolution 0 -> F2 ->
     F1 gives pd <= 1, so depth >= 3 by Auslander-Buchsbaum (Eisenbud,
@@ -208,23 +208,20 @@ def certify_resolution(curve: ACMCurve) -> ResolutionCertificate:
     built; a mismatch sweeps it, so a failing report lists every mismatch."""
     r = curve.r
     cofactor = not column_combinations(curve.table, curve.pairs[0], r).any()
-    injective = bool(curve.table.any())
-    bounded = cofactor and injective
     window, top = range(0, 2 * r + 3), 2 * r - 1
     expected = tuple(predicted_ideal_dimension(r, k) for k in window)
-    if bounded and curve.base_line_rank == r + 1:
+    if cofactor and curve.base_line_rank == r + 1:
         dims = expected
-    elif bounded and curve.ideal.dimension(top, expected[top]) == expected[top]:
+    elif cofactor and curve.ideal.dimension(top, expected[top]) == expected[top]:
         dims = expected
         curve.ideal.record_dimensions(dict(zip(window, expected)))
     else:
         # without the bound, every level is ranked exactly
-        dims = tuple(curve.ideal.dimension(k, expected[k] if bounded else None) for k in window)
+        dims = tuple(curve.ideal.dimension(k, expected[k] if cofactor else None) for k in window)
     mismatches = tuple((k, dims[k], expected[k]) for k in window if dims[k] != expected[k])
     return ResolutionCertificate(
-        ok=bounded and not mismatches,
+        ok=cofactor and not mismatches,
         cofactor_identity=cofactor,
-        syzygy_injective=injective,
         dimensions=dims,
         expected=expected,
         mismatches=mismatches,

@@ -302,7 +302,7 @@ def _verify_stages(
     t0 = time.perf_counter()
     stages.append({"stage": "base_avoidance", "ok": avoids_base_line(curve)})
     stages.append(
-        {"stage": "sigma_invariance", "ok": is_sigma_invariant_ideal(curve.ideal.generators, r)}
+        {"stage": "sigma_invariance", "ok": is_sigma_invariant_ideal(curve.table.tolist(), r)}
     )
     stages.append(_certificate_stage(curve))
     _timing("certificates", t0)

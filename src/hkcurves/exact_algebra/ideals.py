@@ -5,7 +5,8 @@ held as Gaussian integers: ascending (column, a, b) triples for nonzero
 a + b*i, standing for the Q(i) row up to a nonzero scalar, which changes no
 rank, pivot or echelon.  Column order follows monomial_basis, so the pivot
 is the lex-greatest monomial.  A caller holding Q(i) values clears each
-row's denominators first, as `scalars.integer_pairs` does for a matrix.
+row's denominators first, as `scalars.integer_pairs` does for a matrix,
+and a dense row of (re, im) pairs becomes triples by `sparse_rows` alone.
 
 A pivot is kept monic over one positive denominator D, as the primitive row
 leading with (column, D, 0); its lead is made real by the lead's conjugate.
@@ -203,7 +204,8 @@ def normal_form_table(echelon: Sequence[Row]) -> Dict[int, Dict[int, GaussianRat
 
 
 class GradedIdeal:
-    """Homogeneous ideal given by generators of a single common degree.
+    """Homogeneous ideal given by generators of one degree, as dense (re,
+    im) pair rows of numerators over the monomial basis (a minor table's).
 
     Levels are built independently: degree-k rows come from monomial
     multiples of the mutually reduced generators, so entry sizes never
@@ -211,19 +213,14 @@ class GradedIdeal:
     its level as soon as that rank is reached.
     """
 
-    def __init__(self, generators: Sequence[HomogPoly]):
-        gens = [g for g in generators if g.terms]
-        if not gens:
+    def __init__(self, rows: Sequence[Sequence[Tuple[int, int]]], num_vars: int, degree: int):
+        width = monomial_count(num_vars, degree)
+        if any(len(row) != width for row in rows):
+            raise ValueError(f"generator rows must have width {width}, got {sorted({len(row) for row in rows})}")
+        self.generators = [row for row in sparse_rows(rows) if row]
+        if not self.generators:
             raise ValueError("need at least one nonzero generator")
-        degs = {g.degree for g in gens}
-        if len(degs) != 1:
-            raise ValueError(f"generators must share one degree, got {sorted(degs)}")
-        counts = {g.num_vars for g in gens}
-        if len(counts) != 1:
-            raise ValueError(f"generators must share one variable count, got {sorted(counts)}")
-        self.gen_degree = degs.pop()
-        self.num_vars = counts.pop()
-        self.generators = list(gens)
+        self.num_vars, self.gen_degree = num_vars, degree
         self._levels: Dict[int, List[Row]] = {}
         self._dims: Dict[int, int] = {}
         self._cache: Dict[object, object] = {}
@@ -237,11 +234,7 @@ class GradedIdeal:
     def _reduced_generators(self) -> List[Row]:
         cached = self._cache.get("gens")
         if cached is None:
-            # a generator's row times its denominator is its numerators `terms`
-            index = monomial_index(self.num_vars, self.gen_degree)
-            cached = self._cache["gens"] = sparse_echelon(
-                sorted((index[m], a, b) for m, (a, b) in g.terms.items()) for g in self.generators
-            )
+            cached = self._cache["gens"] = sparse_echelon(self.generators)
         return cached  # type: ignore[return-value]
 
     def _shift_columns(self, k: int) -> List[List[int]]:
@@ -323,6 +316,12 @@ class GradedIdeal:
                 for c2, v2 in sub.items():
                     acc[c2] = acc.get(c2, ZERO) + val * v2
         return {c: v for c, v in acc.items() if v.re or v.im}
+
+
+def sparse_rows(pairs: Iterable[Iterable[Tuple[int, int]]]) -> List[Row]:
+    """Dense (re, im) pair rows, such as a minor table's or an integer
+    form's, as the (column, a, b) triples of `sparse_echelon`."""
+    return [[(j, a, b) for j, (a, b) in enumerate(row) if a or b] for row in pairs]
 
 
 def sparse_row_rank(rows: Sequence[Row]) -> int:

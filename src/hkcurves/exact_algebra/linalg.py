@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from math import gcd, prod
 
-from .ideals import normal_form_table, sparse_echelon, sparse_row_rank
+from .ideals import normal_form_table, sparse_echelon, sparse_row_rank, sparse_rows
 from .polys import form_pairs, laplace
 from .scalars import ONE, ZERO, GaussianRational, first_draw, integer_pairs, random_gaussian_pairs
 
@@ -62,10 +62,6 @@ class ExactMatrix:
             rows, d = self.integer_form
             object.__setattr__(self, "_data", tuple(tuple(GaussianRational.over(a, b, d) for a, b in row) for row in rows))
         return self._data
-
-    def _sparse_rows(self) -> list:
-        """The form's rows as sparse (column, a, b) triples: each D times its row."""
-        return [[(j, a, b) for j, (a, b) in enumerate(row) if a or b] for row in self.integer_form[0]]
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -113,7 +109,7 @@ class ExactMatrix:
     # -- certified elimination ---------------------------------------------
 
     def rank(self) -> int:
-        return sparse_row_rank(self._sparse_rows())
+        return sparse_row_rank(sparse_rows(self.integer_form[0]))
 
     def kernel_basis(self) -> "ExactMatrix":
         """Columns form a basis of the right kernel.  Shape (cols, nullity).
@@ -123,7 +119,7 @@ class ExactMatrix:
         0 at the other free columns and table[pc][f] at each pivot pc.
         """
         n = self.cols
-        table = normal_form_table(sparse_echelon(self._sparse_rows()))
+        table = normal_form_table(sparse_echelon(sparse_rows(self.integer_form[0])))
         free = [j for j in range(n) if j not in table]
         rows = [[ONE if i == f else table.get(i, {}).get(f, ZERO) for f in free] for i in range(n)]
         return ExactMatrix(rows, cols=len(free))

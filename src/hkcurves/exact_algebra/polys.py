@@ -1,10 +1,11 @@
 """Graded polynomial plumbing over Q(i).
 
-HomogPoly is a sparse homogeneous polynomial keyed by exponent tuples: a
-container of Gaussian-integer numerators (a, b) for a + b*i per monomial
-over one positive denominator, built only from those numerators (a minor
-table row, a product), with gcd(den, content) = 1.  GaussianRational
-coefficients appear only in its `coeffs` view, read outside the library.
+The library passes a form as the dense (re, im) pair row of its
+numerators over the monomial basis, a minor table's row.  HomogPoly, a
+sparse container of such numerators keyed by exponent tuples over one
+positive denominator, with gcd(den, content) = 1, is only the view of a
+curve's rows as forms (`ACMCurve.minors`) for readers outside the library,
+and GaussianRational coefficients appear only in its `coeffs` view.
 Monomial bases are lexicographically descending, so coordinate layouts are
 reproducible across runs.
 
@@ -13,7 +14,7 @@ way in and one way out.  In, the integer forms of the coefficient matrices
 as numpy arrays of Gaussian-integer pairs over one denominator
 (`form_pairs`); out, for the maximal minors, one signed-minor table
 (`signed_minor_table`), which the pencils and the curves read as it is
-(a curve builds its rows as forms, `table_forms`, on demand).  Each entry
+(`table_forms` builds the `minors` view on demand).  Each entry
 becomes, per variable, the real 2 x 2 block of c + d*i; a depth of the
 expansion, for all row subsets at once, is a gather of the child
 sub-determinants through a subset plan, one contraction with the blocks,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .exact_algebra import modp
 from .exact_algebra.linalg import ExactMatrix
-from .exact_algebra.ideals import Row, certified_rank
+from .exact_algebra.ideals import Row, certified_rank, sparse_rows
 from .exact_algebra.polys import UniPoly, binary_common_zero, form_pairs, signed_minor_table
 from .exact_algebra.scalars import DRAW_SPAN, GaussianRational, first_draw, random_gaussian_pairs
 
@@ -74,8 +74,7 @@ def minor_coefficient_rank(T: Sequence[Sequence[Tuple[int, int]]]) -> int:
     mixes them by the r-th exterior power of P and scales them by det Q,
     both invertible.  Row scales, the minors' denominators, keep the rank.
     """
-    rows = [[(j, a, b) for j, (a, b) in enumerate(row) if a or b] for row in T]
-    return certified_rank(rows, len(T), len(T))
+    return certified_rank(sparse_rows(T), len(T), len(T))
 
 
 @dataclass(frozen=True)
@@ -207,10 +206,7 @@ def _stabilizer_level(A1: ExactMatrix, A2: ExactMatrix) -> Callable[[int, int], 
     same integer forms reduced mod p."""
     n, r = A1.shape
     # B = [A1 | A2], n x 2r, as rows of (column, a, b) triples
-    joined = [
-        [(j, a, b) for j, (a, b) in enumerate(row1 + row2)]
-        for row1, row2 in zip(A1.integer_form[0], A2.integer_form[0])
-    ]
+    joined = sparse_rows(row1 + row2 for row1, row2 in zip(A1.integer_form[0], A2.integer_form[0]))
 
     def level(p: int, s: int) -> Tuple[int, np.ndarray]:
         B = modp.rows_mod(joined, 2 * r, p, s)

@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .exact_algebra import modp
-from .exact_algebra.ideals import Row, certified_rank
+from .exact_algebra.ideals import Row, certified_rank, sparse_rows
 from .exact_algebra.polys import UniPoly, binary_common_zero
 from .exact_algebra.scalars import DRAW_SPAN, GaussianRational, first_draw, integer_pairs, random_gaussian_rows
 
@@ -168,8 +168,7 @@ class _FormRows:
 
     def _reduced(self, p: int, s: int) -> np.ndarray:
         if p not in self._mod:
-            rows = [[(i, a, b) for i, (a, b) in enumerate(f)] for f in self.ints]
-            self._mod[p] = modp.rows_mod(rows, self.width, p, s)
+            self._mod[p] = modp.rows_mod(sparse_rows(self.ints), self.width, p, s)
         return self._mod[p]
 
     def band(self, blocks: List[List[int]], col_degrees: List[int], window: bool = False, interleave: bool = False):

@@ -4,64 +4,59 @@ On points, sigma sends [x0:x1:x2:x3] to [-conj(x1): conj(x0): -conj(x3):
 conj(x2)]; it squares to the identity on points and has no fixed points.
 On forms it acts by conjugating coefficients and substituting x0 -> -x1,
 x1 -> x0, x2 -> -x3, x3 -> x2, so that (sigma f)(p) = conj(f(sigma p)).
+`sigma_row`, the one action on forms, reads a form as a minor table's
+rows are kept, (re, im) pairs over the monomial basis.
 
 In the canonical pencil gauge (S, T) a matrix pair (A3, A4) cuts out a
 sigma-invariant curve exactly when A4 = conj(g0 * A3 * h0), for a fixed
 pair (g0, h0) of real anti-diagonal sign matrices.  The library's action on
 matrices is `reality_conjugate`, which applies that signed index
 permutation to A3's integer form with no product.  Sigma on points and
-(g0, h0) as matrices are the tests' references for `sigma_form` and
+(g0, h0) as matrices are the tests' references for `sigma_row` and
 `reality_conjugate`.
 """
 
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from typing import Sequence, Tuple
 
-from .exact_algebra.ideals import GradedIdeal
+from .exact_algebra.ideals import sparse_row_rank, sparse_rows
 from .exact_algebra.linalg import ExactMatrix
-from .exact_algebra.polys import HomogPoly
+from .exact_algebra.polys import monomial_basis, monomial_index
 from .exact_algebra.scalars import DRAW_SPAN, first_draw, random_gaussian_pairs
 from .pencil import is_injective_pencil
 
 
-def sigma_form(f: HomogPoly) -> HomogPoly:
-    """Pullback on forms; applied twice gives (-1)^degree times the form."""
-    if f.num_vars != 4:
-        raise ValueError("expected a form in 4 variables")
-    terms = {}
-    for (m0, m1, m2, m3), (a, b) in f.terms.items():
-        # conj(a + b*i), negated where m0 + m2 is odd; no two monomials merge
-        terms[(m1, m0, m3, m2)] = (-a, b) if (m0 + m2) % 2 else (a, -b)
-    return HomogPoly(4, f.degree, terms, f.den)
+@lru_cache(maxsize=None)
+def _sigma_sources(degree: int) -> Tuple[Tuple[int, int], ...]:
+    """Per monomial m of the degree, the column of m' = (m1, m0, m3, m2) and
+    (-1)^(m1+m3): sigma sends x^m' to that sign times x^m."""
+    index = monomial_index(4, degree)
+    return tuple((index[m1, m0, m3, m2], (-1) ** (m1 + m3)) for m0, m1, m2, m3 in monomial_basis(4, degree))
 
 
-def is_sigma_invariant_ideal(generators: Sequence[HomogPoly], degree: int) -> bool:
-    """True when the span of the generators equals the span of their images.
+def sigma_row(values: Sequence[Sequence[int]], degree: int) -> Tuple[Tuple[int, int], ...]:
+    """Sigma on a form's dense (re, im) pair row over monomial_basis(4,
+    degree): a signed monomial permutation with conjugation, the same
+    denominator.  Applied twice it gives (-1)^degree times the row."""
+    sources = _sigma_sources(degree)
+    if len(values) != len(sources):
+        raise ValueError(f"expected a row of width {len(sources)}, got {len(values)}")
+    return tuple((sign * values[c][0], -sign * values[c][1]) for c, sign in sources)
+
+
+def is_sigma_invariant_ideal(rows: Sequence[Sequence[Sequence[int]]], degree: int) -> bool:
+    """True when the span of forms given as dense pair rows of the degree, a
+    minor table's `tolist()`, equals the span of their images.
 
     The span is stable exactly when adjoining the transformed forms does
-    not grow the degree piece; invariance of the curve is a property of
-    the span, not of any one generating set.
+    not raise its rank; invariance of the curve is a property of the span,
+    not of any one generating set.
     """
-    gens = list(generators)
-    if not gens:
-        raise ValueError("no generators")
-    for g in gens:
-        if g.degree != degree:
-            raise ValueError(f"generator of degree {g.degree}, stated degree {degree}")
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        raise ValueError("no nonzero generators")
-    base = GradedIdeal(gens).dimension(degree)
-    both = GradedIdeal(gens + [sigma_form(g) for g in gens]).dimension(degree)
-    return base == both
-
-
-def _sigma_linear_coeffs(c: Tuple[Tuple[int, int], ...]) -> Tuple[Tuple[int, int], ...]:
-    """Sigma on the (re, im) pairs of linear forms: c -> (conj c1, -conj c0, conj c3, -conj c2)."""
-    (a0, b0), (a1, b1), (a2, b2), (a3, b3) = c
-    return ((a1, -b1), (-a0, b0), (a3, -b3), (-a2, b2))
+    images = [sigma_row(row, degree) for row in rows]
+    return sparse_row_rank(sparse_rows(rows)) == sparse_row_rank(sparse_rows(list(rows) + images))
 
 
 def make_sigma_invariant_pencil(r: int, seed: int) -> Tuple[ExactMatrix, ExactMatrix, ExactMatrix, ExactMatrix]:
@@ -86,9 +81,9 @@ def make_sigma_invariant_pencil(r: int, seed: int) -> Tuple[ExactMatrix, ExactMa
             for x in range(r if r % 2 else n):
                 c = random_gaussian_pairs(rng, 1, 4, DRAW_SPAN)[0]
                 if r % 2:
-                    entries[2 * k][x], entries[2 * k + 1][x] = c, _sigma_linear_coeffs(c)
+                    entries[2 * k][x], entries[2 * k + 1][x] = c, sigma_row(c, 1)
                 else:
-                    entries[x][2 * k], entries[x][2 * k + 1] = c, _sigma_linear_coeffs(c)
+                    entries[x][2 * k], entries[x][2 * k + 1] = c, sigma_row(c, 1)
         return tuple(
             ExactMatrix.from_integer_form(tuple(tuple(c[v] for c in row) for row in entries), 1, r)
             for v in range(4)

@@ -20,7 +20,7 @@ from hkcurves.acm_curve.fibers import (
     fiber_multiplication_matrices,
     fiber_points,
 )
-from hkcurves.exact_algebra.ideals import normal_form_table, reduced_echelon, sparse_echelon
+from hkcurves.exact_algebra.ideals import GradedIdeal, normal_form_table, reduced_echelon, sparse_echelon, sparse_rows
 from hkcurves.exact_algebra.linalg import ExactMatrix, random_invertible
 from hkcurves.exact_algebra.polys import HomogPoly, UniPoly, monomial_basis, monomial_index
 from hkcurves.exact_algebra.scalars import DRAW_SPAN, GaussianRational, I, first_draw, integer_pairs, random_gaussian_rows
@@ -190,6 +190,34 @@ def linear_form(coeffs) -> HomogPoly:
     """The form sum_i coeffs[i] x_i, built from its Q(i) coefficients."""
     n = len(coeffs)
     return form(n, 1, {tuple(int(j == i) for j in range(n)): c for i, c in enumerate(coeffs)})
+
+
+def form_rows(forms: Sequence[HomogPoly]) -> List[List[Tuple[int, int]]]:
+    """The forms' numerators as dense (re, im) pair rows over the monomial
+    basis of the first form's degree, the format of a minor table's rows;
+    each row is its form times the form's denominator."""
+    basis = monomial_basis(forms[0].num_vars, forms[0].degree)
+    return [[f.terms.get(m, (0, 0)) for m in basis] for f in forms]
+
+
+def form_ideal(forms: Sequence[HomogPoly]) -> GradedIdeal:
+    """`GradedIdeal` of forms of one degree and variable count, built from
+    their `form_rows`: row scales change no level."""
+    return GradedIdeal(form_rows(forms), forms[0].num_vars, forms[0].degree)
+
+
+def sigma_form(f: HomogPoly) -> HomogPoly:
+    """Pullback of a form in four variables by the real structure, on its
+    terms: conj(a + b*i) at x1^m0 x0^m1 x3^m2 x2^m3, negated where m0 + m2
+    is odd.  The reference for `reality.sigma_row`; applied twice it gives
+    (-1)^degree times the form."""
+    if f.num_vars != 4:
+        raise ValueError("expected a form in 4 variables")
+    terms = {}
+    for (m0, m1, m2, m3), (a, b) in f.terms.items():
+        # conj(a + b*i), negated where m0 + m2 is odd; no two monomials merge
+        terms[(m1, m0, m3, m2)] = (-a, b) if (m0 + m2) % 2 else (a, -b)
+    return HomogPoly(4, f.degree, terms, f.den)
 
 
 def rational_sigma_pencil(r: int, seed: int) -> Tuple[ExactMatrix, ...]:
@@ -532,7 +560,7 @@ def echelon_inverse(m: ExactMatrix) -> ExactMatrix:
     raises ValueError("singular matrix") where M has no inverse."""
     n, den = m.rows, m.integer_form[1]
     # D times the rows of [M | I]
-    rows = [row + [(n + i, den, 0)] for i, row in enumerate(m._sparse_rows())]
+    rows = [row + [(n + i, den, 0)] for i, row in enumerate(sparse_rows(m.integer_form[0]))]
     reduced = reduced_echelon(sparse_echelon(rows))
     if sorted(reduced) != list(range(n)):
         raise ValueError("singular matrix")

@@ -9,7 +9,7 @@ import pytest
 from test_resolution_exactness import X0, _common_factor_matrix
 
 from hkcurves import cli
-from hkcurves.acm_curve import MAX_FIBERS, ACMCurve, random_sigma_curve
+from hkcurves.acm_curve import MAX_FIBERS, ACMCurve, LinearMatrix, avoids_base_line, random_sigma_curve
 from hkcurves.cli import (
     MAX_DOCUMENT_R,
     MAX_MAP_DEGREE,
@@ -20,6 +20,9 @@ from hkcurves.cli import (
     document_to_curve,
     main,
 )
+from hkcurves.exact_algebra.linalg import ExactMatrix
+
+from suites import mat_add
 
 CUBIC_DOC = {
     "forms": [
@@ -93,6 +96,24 @@ def test_acm_verify_passes_on_certified_curve(tmp_path, capsys):
         "normal_sections",
         "fibers",
     ]
+
+
+def test_acm_verify_fails_the_sigma_stage_of_a_certified_curve_that_is_not_invariant(tmp_path, capsys):
+    # A3 of a sigma curve moved by one unit: still certified and clear of L0,
+    # but its minors no longer span a sigma-stable space
+    A1, A2, A3, A4 = random_sigma_curve(2, 1).coeffs
+    bump = ExactMatrix.from_integer_form((((1, 0), (0, 0)), ((0, 0), (0, 0)), ((0, 0), (0, 0))), 1, 2)
+    curve = ACMCurve(LinearMatrix(2, A1, A2, mat_add(A3, bump), A4))
+    assert curve.certificate().ok and avoids_base_line(curve)
+    path = write_doc(tmp_path, "not_invariant.json", curve_to_document(curve))
+    code, out = run(capsys, ["acm", "verify", path, "--fibers", "2"])
+    assert code == 1
+    report = json.loads(out)
+    stages = {s["stage"]: s for s in report["stages"]}
+    assert stages["sigma_invariance"] == {"stage": "sigma_invariance", "ok": False}
+    assert stages["base_avoidance"]["ok"] is True and stages["resolution_certificate"]["ok"] is True
+    assert report["failed_stage"] == "sigma_invariance"
+    assert report["passed"] is False
 
 
 def test_acm_verify_slices_every_fiber_parameter(tmp_path, capsys):

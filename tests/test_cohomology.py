@@ -15,10 +15,11 @@ from hkcurves.cohomology import (
     normal_sections,
     normal_sheaf_report,
 )
-from hkcurves.exact_algebra.ideals import GradedIdeal
 from hkcurves.exact_algebra.linalg import ExactMatrix, random_invertible
 from hkcurves.exact_algebra.polys import monomial_count
 from hkcurves.exact_algebra.scalars import GaussianRational
+
+from suites import form_ideal
 
 ZERO = GaussianRational(0, 0)
 ONE = GaussianRational(1, 0)
@@ -79,7 +80,7 @@ def test_h0_matches_independent_echelon():
     # h0 of the twisted ideal recounted by a bare echelon of the minors
     for r, seed in ((2, 3), (3, 3)):
         curve = random_sigma_curve(r, seed)
-        fresh = GradedIdeal(list(curve.minors))
+        fresh = form_ideal(curve.minors)
         for k in range(r - 2, r + 2):
             assert ideal_cohomology(curve, k)[0] == fresh.dimension(k)
 

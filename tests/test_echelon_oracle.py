@@ -15,7 +15,6 @@ import pytest
 from hkcurves.acm_curve import fiber_generators, random_fiber_parameters, random_sigma_curve
 from hkcurves.exact_algebra import ideals
 from hkcurves.exact_algebra.ideals import (
-    GradedIdeal,
     normal_form_table,
     sparse_echelon,
     sparse_row_rank,
@@ -25,7 +24,7 @@ from hkcurves.exact_algebra.scalars import GaussianRational
 from hkcurves.pencil import canonical_pair, pair_stabilizer_dimension, random_injective_pencil
 
 import suites
-from suites import form, integer_row
+from suites import form, form_ideal, integer_row
 
 _ZERO = GaussianRational(0, 0)
 _ONE = GaussianRational(1, 0)
@@ -159,9 +158,9 @@ def _recording(monkeypatch, module, name):
 @pytest.mark.parametrize("r, levels", [(2, range(2, 7)), (3, range(3, 6))])
 def test_graded_levels_match_reference(r, levels):
     curve = random_sigma_curve(r, 0)
-    ideal = GradedIdeal(curve.ideal.generators)
+    ideal = form_ideal(curve.minors)
     index = monomial_index(4, ideal.gen_degree)
-    gen_rows = [sorted((index[m], v) for m, v in g.coeffs.items()) for g in ideal.generators]
+    gen_rows = [sorted((index[m], v) for m, v in g.coeffs.items()) for g in curve.minors if not g.is_zero()]
     assert _monic(ideal._reduced_generators()) == assert_matches_reference(gen_rows)
     for k in levels:
         rows = _gauss(ideal._row_stream(k))

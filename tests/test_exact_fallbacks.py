@@ -17,7 +17,7 @@ from hkcurves.acm_curve import ACMCurve, predicted_ideal_dimension, random_sigma
 from hkcurves import cohomology
 from hkcurves.cohomology import cohomology_table, normal_sections
 from hkcurves.exact_algebra import ideals, modp, polys
-from hkcurves.exact_algebra.ideals import GradedIdeal, certified_rank
+from hkcurves.exact_algebra.ideals import certified_rank
 from hkcurves.exact_algebra.linalg import ExactMatrix
 from hkcurves.exact_algebra.polys import monomial_count
 from hkcurves.exact_algebra.scalars import ONE, ZERO, GaussianRational
@@ -32,7 +32,7 @@ from hkcurves.rational_curve import (
     twisted_cubic_map,
     validate_map,
 )
-from suites import mat_scale, splitting_pair
+from suites import form_ideal, mat_scale, splitting_pair
 from test_rational_curve import BASE_POINT_MAP, CUSP_MAP, STANDARD_CONIC, UNBALANCED_QUARTIC, UNBALANCED_SEXTIC
 
 
@@ -361,10 +361,10 @@ def test_wrong_certified_bound_raises(monkeypatch):
     gens = [m for m in curve.minors if not m.is_zero()]
     # one below the true dimension: the default primes reach bound + 1
     for k in range(2, 6):
-        ideal = GradedIdeal(gens)
+        ideal = form_ideal(gens)
         with pytest.raises(ArithmeticError, match="exceeds certified bound"):
             ideal.dimension(k, predicted_ideal_dimension(2, k) - 1)
-    ideal = GradedIdeal(gens)
+    ideal = form_ideal(gens)
     # one generator times x0, ..., x3 already has four distinct lead columns,
     # with the columns in either order
     monkeypatch.setattr(modp, "PRIMES", ())

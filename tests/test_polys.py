@@ -9,6 +9,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from hkcurves.acm_curve import random_sigma_curve
 from hkcurves.exact_algebra.ideals import GradedIdeal
 from hkcurves.exact_algebra.polys import (
     UniPoly,
@@ -21,7 +22,7 @@ from hkcurves.exact_algebra.polys import (
 )
 from hkcurves.exact_algebra.scalars import GaussianRational
 
-from suites import form, graded_matrix, linear_form, mat_add, poly_add, poly_evaluate, poly_scale
+from suites import form, form_ideal, form_rows, graded_matrix, linear_form, mat_add, poly_add, poly_evaluate, poly_scale
 
 ZERO = GaussianRational(0, 0)
 ONE = GaussianRational(1, 0)
@@ -92,14 +93,14 @@ def test_graded_matrix_respects_linearity():
 def test_graded_ideal_dimension_of_principal_ideal():
     # (x0): dimension in degree k is monomial_count(4, k-1)
     x0 = form(4, 1, {(1, 0, 0, 0): ONE})
-    ideal = GradedIdeal([x0])
+    ideal = form_ideal([x0])
     for k in range(1, 5):
         assert ideal.dimension(k) == monomial_count(4, k - 1)
 
 
 def test_graded_ideal_normal_form_is_projection():
     x0 = form(4, 1, {(1, 0, 0, 0): ONE})
-    ideal = GradedIdeal([x0])
+    ideal = form_ideal([x0])
     # x0*x1 reduces to zero, x1*x2 survives
     inside = form(4, 2, {(1, 1, 0, 0): ONE})
     outside = form(4, 2, {(0, 1, 1, 0): ONE})
@@ -109,14 +110,28 @@ def test_graded_ideal_normal_form_is_projection():
 
 
 def test_graded_ideal_reads_its_variable_count():
-    # the count comes from the generators, and mixed counts are refused as
-    # mixed degrees are
+    # the count comes with the generator rows, and a row of a form in
+    # another count, of another width, is refused
     x0 = form(4, 1, {(1, 0, 0, 0): ONE})
     y0 = form(2, 1, {(1, 0): ONE})
-    assert GradedIdeal([x0]).num_vars == 4
-    assert GradedIdeal([y0]).dimension(2) == 2
-    with pytest.raises(ValueError, match="one variable count"):
-        GradedIdeal([x0, y0])
+    assert form_ideal([x0]).num_vars == 4
+    assert form_ideal([y0]).dimension(2) == 2
+    with pytest.raises(ValueError, match="width 4"):
+        GradedIdeal(form_rows([x0]) + form_rows([y0]), 4, 1)
+
+
+def test_graded_ideal_refuses_a_row_of_another_width_and_a_zero_set():
+    # a curve's table rows are of its degree r: stated as degree r + 1 or
+    # cut by one column they are refused, and so is a set of zero rows
+    curve = random_sigma_curve(2, 0)
+    rows = curve.table.tolist()
+    assert form_ideal(curve.minors).dimension(3) == GradedIdeal(rows, 4, 2).dimension(3)
+    with pytest.raises(ValueError, match="width 20"):
+        GradedIdeal(rows, 4, 3)
+    with pytest.raises(ValueError, match="width 10"):
+        GradedIdeal(rows[:2] + [rows[2][:-1]], 4, 2)
+    with pytest.raises(ValueError, match="nonzero generator"):
+        GradedIdeal([[(0, 0)] * 10] * 3, 4, 2)
 
 
 def test_unipoly_divmod_round_trip():

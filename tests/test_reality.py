@@ -1,20 +1,28 @@
 """The antiholomorphic involution on points, forms, and matrix tuples."""
 
+import hashlib
 import random
 from fractions import Fraction
+
+import pytest
 
 from hkcurves.acm_curve import ACMCurve
 from hkcurves.exact_algebra.linalg import ExactMatrix
 from hkcurves.exact_algebra.polys import monomial_basis
 from hkcurves.exact_algebra.scalars import GaussianRational, integer_pairs
-from hkcurves.reality import (
-    _sigma_linear_coeffs,
-    is_sigma_invariant_ideal,
-    make_sigma_invariant_pencil,
-    reality_conjugate,
+from hkcurves.reality import is_sigma_invariant_ideal, make_sigma_invariant_pencil, reality_conjugate, sigma_row
+from suites import (
+    form,
+    form_rows,
+    identity_matrix,
+    mat_add,
+    mat_conj,
+    mat_scale,
+    poly_evaluate,
+    poly_neg,
     sigma_form,
+    zero_matrix,
 )
-from suites import form, identity_matrix, mat_add, mat_conj, mat_scale, poly_evaluate, poly_neg, zero_matrix
 
 ZERO = GaussianRational(0, 0)
 ONE = GaussianRational(1, 0)
@@ -106,6 +114,42 @@ def test_sigma_form_applied_twice():
         assert twice == expected
 
 
+def test_sigma_row_is_the_reference_on_terms():
+    # the one sigma of the library, on dense pair rows, against the moved
+    # reference on forms, with zero and nonzero coefficients, over mixed
+    # denominators, at degrees 0 to 4
+    rng = random.Random(13)
+    for d in range(5):
+        for _ in range(4):
+            coeffs = {
+                m: GaussianRational(Fraction(rng.randint(-4, 4), rng.choice([1, 2, 6])), rng.choice([0, rng.randint(-4, 4)]))
+                for m in monomial_basis(4, d)
+            }
+            f = form(4, d, coeffs)
+            (row,) = form_rows([f])
+            image = sigma_form(f)
+            assert image.den == f.den
+            assert list(sigma_row(row, d)) == form_rows([image])[0]
+            # sigma twice is (-1)^d on forms
+            assert list(sigma_row(sigma_row(row, d), d)) == [((-1) ** d * a, (-1) ** d * b) for a, b in row]
+
+
+def test_sigma_row_refuses_a_row_of_another_width():
+    with pytest.raises(ValueError, match="width 10"):
+        sigma_row([(1, 0)] * 4, 2)
+
+
+# sha256 of repr([integer forms of make_sigma_invariant_pencil(r, s) for r = 1..4, s = 0..2]),
+# computed from the draws of the library before sigma_row replaced its
+# linear-form rule
+_INVARIANT_PENCILS = "a93fe0fef6c6641e728b7b6b177dd1c8075fa8c1ac9e76f546955ac9ccf50d49"
+
+
+def test_invariant_pencils_keep_their_draws():
+    forms = [tuple(m.integer_form for m in make_sigma_invariant_pencil(r, s)) for r in range(1, 5) for s in range(3)]
+    assert hashlib.sha256(repr(forms).encode()).hexdigest() == _INVARIANT_PENCILS
+
+
 def test_sigma_matrix_tuple_matches_form_action():
     # the coefficient rule of invariant pencils, applied to each entry of the
     # tuple (A1, .., A4), mirrors sigma on the linear form A1 x0 + ... + A4 x3
@@ -120,7 +164,7 @@ def test_sigma_matrix_tuple_matches_form_action():
             g = sigma_form(form(4, 1, {m: v for m, v in zip(units, c) if not v.is_zero()})).coeffs
             # the rule maps the (re, im) numerator pairs of c
             pairs, den = integer_pairs(c)
-            assert [g.get(m, ZERO) for m in units] == [GaussianRational.over(a, b, den) for a, b in _sigma_linear_coeffs(pairs)]
+            assert [g.get(m, ZERO) for m in units] == [GaussianRational.over(a, b, den) for a, b in sigma_row(pairs, 1)]
 
 
 def test_conjugation_matrices_are_real_signs():
@@ -179,7 +223,7 @@ def test_make_sigma_invariant_pencil_yields_invariant_span():
         mats = make_sigma_invariant_pencil(r, seed)
         curve = ACMCurve(mats)
         minors = [m for m in curve.minors if m.coeffs]
-        assert is_sigma_invariant_ideal(minors, r)
+        assert is_sigma_invariant_ideal(form_rows(minors), r)
 
 
 def test_is_sigma_invariant_rejects_generic_span():
@@ -192,4 +236,4 @@ def test_is_sigma_invariant_rejects_generic_span():
         f = form(4, 2, {m: c for m, c in coeffs.items() if not c.is_zero()})
         if f.coeffs and sigma_form(f) != f and sigma_form(f) != poly_neg(f):
             break
-    assert not is_sigma_invariant_ideal([f], 2)
+    assert not is_sigma_invariant_ideal(form_rows([f]), 2)

@@ -117,6 +117,37 @@ def test_one_door_into_the_laplace_kernel():
     assert not {"HomogPoly", "table_forms"} & set(_names(SRC / "hkcurves" / "pencil.py"))
 
 
+def test_one_sigma_on_forms():
+    # sigma acts on forms in one place, `reality.sigma_row`, on the dense
+    # pair rows a minor table holds: the invariant pencils pair linear forms
+    # with it and the invariance test ranks rows with their images
+    defined = sorted(
+        f"{path.relative_to(SRC).as_posix()}:{node.name}"
+        for path in SRC.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.FunctionDef) and node.name.lstrip("_").startswith("sigma")
+    )
+    assert defined == ["hkcurves/reality.py:_sigma_sources", "hkcurves/reality.py:sigma_row"]
+    assert sorted(set(_call_sites("sigma_row"))) == [
+        ("hkcurves/reality.py", "draw"),
+        ("hkcurves/reality.py", "is_sigma_invariant_ideal"),
+    ]
+
+
+def test_forms_as_objects_stay_in_three_modules():
+    # every exact form the library reads is a pair row: only `polys`, which
+    # defines the class, the curve's `minors` view and the pinned
+    # `GradedIdeal.normal_form` name `HomogPoly`, and `reality` names
+    # neither it nor the graded ideal
+    named = {path.relative_to(SRC).as_posix() for path in SRC.rglob("*.py") if "HomogPoly" in set(_names(path))}
+    assert named == {
+        "hkcurves/exact_algebra/polys.py",
+        "hkcurves/acm_curve/curve.py",
+        "hkcurves/exact_algebra/ideals.py",
+    }
+    assert not {"HomogPoly", "GradedIdeal"} & set(_names(SRC / "hkcurves" / "reality.py"))
+
+
 def test_one_boundary_for_q_i_scalars():
     # `scalars` alone turns Q(i) values into Gaussian-integer pairs over one
     # denominator (`integer_pairs`) and back (`GaussianRational.over`): no
@@ -291,6 +322,7 @@ API = {
     "fiber_generators": "the slice ideal's generators, the fiber's exact description",
     "fiber_multiplication_matrices": "the slice's multiplication operators, whose eigenvalues are the fiber points",
     "sample_parameters": "the plane parameters a metric extraction samples, for callers choosing their own",
+    "minors": "a curve's signed minors as forms, the view the benchmark's checks read (perfbench/checks.py)",
 }
 
 

@@ -86,6 +86,14 @@ MUTANTS = (
     Mutant("src/hkcurves/rational_curve.py",
            "return counts == [(splitting.a + m + 1) + (splitting.b + m + 1) for m in range(3)]", "return True",
            "tests/test_rational_curve.py::test_riemann_roch_reads_false_on_one_wrong_count"),
+    # sigma on forms without its conjugation
+    Mutant("src/hkcurves/reality.py", "-sign * values[c][1]", "sign * values[c][1]",
+           "tests/test_reality.py::test_sigma_row_is_the_reference_on_terms"),
+    # every span read as sigma-invariant
+    Mutant("src/hkcurves/reality.py",
+           "return sparse_row_rank(sparse_rows(rows)) == sparse_row_rank(sparse_rows(list(rows) + images))",
+           "return True",
+           "tests/test_cli.py::test_acm_verify_fails_the_sigma_stage_of_a_certified_curve_that_is_not_invariant"),
 )
 
 
