@@ -38,9 +38,9 @@ def _sigma_sources(degree: int) -> Tuple[Tuple[int, int], ...]:
 
 
 def sigma_row(values: Sequence[Sequence[int]], degree: int) -> Tuple[Tuple[int, int], ...]:
-    """Sigma on a form's dense (re, im) pair row over monomial_basis(4,
-    degree): a signed monomial permutation with conjugation, the same
-    denominator.  Applied twice it gives (-1)^degree times the row."""
+    """The pair row of sigma f, over f's denominator, from the dense (re, im)
+    pair row of f over monomial_basis(4, degree): a signed monomial
+    permutation with conjugation.  Twice, it gives (-1)^degree times the row."""
     sources = _sigma_sources(degree)
     if len(values) != len(sources):
         raise ValueError(f"expected a row of width {len(sources)}, got {len(values)}")
